@@ -1,4 +1,4 @@
-"""Multi-query fan-out benchmark — shared execution plan vs per-query.
+"""Multi-query fan-out benchmark — shared execution plan vs the oracle.
 
 The shared-plan tentpole merges identical operator-chain prefixes
 across registered queries into one DAG node each, so a pushed batch is
@@ -12,12 +12,14 @@ chain's operators are family-shared).  Some family filters subsume
 others (``temperature > 12`` implies ``temperature > 4``), so the
 subsumption feed path is on the measured path too.
 
-Both sides run the compiled engine; the baseline
-(``StreamEngine(shared=False)``) instantiates one private pipeline per
-query — the pre-plan execution model.  Both sides' outputs are
-asserted identical (same operators, same arithmetic, same batching —
-sharing must be output-invisible), and every run ends by withdrawing
-all queries and asserting the plan released every DAG node.
+The baseline is the oracle (``StreamEngine.reference()``): one private
+interpreted pipeline per query, so its ingest cost is linear in the
+query count by construction.  Outputs are asserted equivalent with the
+window benchmark's comparator (exact, except float tolerance where the
+plan's incremental sums drift from the oracle's recompute; that sharing
+is *exactly* invisible is pinned production-vs-production in
+``tests/streams/test_plan.py``), and every run ends by withdrawing all
+queries and asserting the plan released every DAG node.
 
 Results are emitted to ``BENCH_multiquery.json`` for the CI bench-smoke
 artifact and the BENCH_trajectory.json roll-up.  The fan-out-100
@@ -30,7 +32,7 @@ import os
 import time
 from pathlib import Path
 
-from benchmarks.conftest import print_header
+from benchmarks.conftest import assert_outputs_equivalent, print_header
 from repro.streams.engine import StreamEngine
 from repro.streams.graph import QueryGraph
 from repro.streams.operators import (
@@ -81,6 +83,9 @@ TAIL_POOL = (
     ("avgtemperature", "sumrainrate", "minhumidity"),
 )
 
+#: Outputs with float drift between incremental and recomputed results.
+DRIFTING_FIELDS = {"avgtemperature", "sumrainrate"}
+
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_multiquery.json"
 
 
@@ -121,11 +126,13 @@ def build_queries(fanout):
 
 
 def timed_run(shared, fanout):
-    """Best-of-3 ingest time for the full stream against *fanout*
-    registered queries; returns (seconds, final run's outputs, stats)."""
+    """Best ingest time for the full stream against *fanout* registered
+    queries — of 3 runs on the plan, of 1 on the oracle (seconds per run
+    at fan-out 100, against a gate that sits an order of magnitude below
+    the measured ratio); returns (seconds, final run's outputs, stats)."""
     best, outputs, stats = None, None, None
-    for _ in range(3):
-        engine = StreamEngine(shared=shared)
+    for _ in range(3 if shared else 1):
+        engine = StreamEngine() if shared else StreamEngine.reference()
         engine.register_input_stream("weather", WEATHER_SCHEMA)
         handles = [engine.register_query(g) for g in build_queries(fanout)]
         gc.collect()
@@ -137,7 +144,7 @@ def timed_run(shared, fanout):
         finally:
             gc.enable()
         best = elapsed if best is None else min(best, elapsed)
-        outputs = [[t.values for t in engine.read(h)] for h in handles]
+        outputs = [engine.read(h) for h in handles]
         stats = engine.plan_stats().get("weather")
         # Shared nodes must be refcount-released once every query goes.
         for handle in handles:
@@ -150,16 +157,15 @@ def timed_run(shared, fanout):
 
 
 def test_fanout_sweep(benchmark):
-    """Shared plan vs per-query pipelines at fan-out 10 and 100."""
+    """Shared plan vs the oracle's per-query pipelines at fan-out 10 and 100."""
 
     def sweep():
         results = {}
         for fanout in FANOUTS:
             per_query_s, per_query_out, _ = timed_run(False, fanout)
             shared_s, shared_out, stats = timed_run(True, fanout)
-            # Sharing must be output-invisible: both sides are compiled,
-            # identically batched, so equality is exact.
-            assert shared_out == per_query_out
+            for got, expected in zip(shared_out, per_query_out):
+                assert_outputs_equivalent(got, expected, DRIFTING_FIELDS)
             # Fan-out 10 is one member per family: only the subsumption
             # ladder shares; above that, exact prefix merges dominate.
             assert stats["nodes_shared"] + stats["nodes_subsumed"] > 0
@@ -177,7 +183,7 @@ def test_fanout_sweep(benchmark):
 
     results = benchmark.pedantic(sweep, rounds=1, iterations=1)
     print_header(
-        f"Multi-query fan-out — shared plan vs per-query pipelines "
+        f"Multi-query fan-out — shared plan vs oracle per-query pipelines "
         f"({len(TUPLES)} tuples, {N_FAMILIES} families)"
     )
     for fanout, row in results.items():

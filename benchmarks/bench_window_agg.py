@@ -15,12 +15,11 @@ assertion is the PR's acceptance criterion (≥ 3x).
 
 import gc
 import json
-import math
 import os
 import time
 from pathlib import Path
 
-from benchmarks.conftest import print_header
+from benchmarks.conftest import assert_outputs_equivalent, print_header
 from repro.streams.engine import StreamEngine
 from repro.streams.graph import QueryGraph
 from repro.streams.operators import (
@@ -77,20 +76,6 @@ def timed_run(compiled, graph):
     return best, outputs
 
 
-def assert_outputs_equivalent(columnar, reference):
-    """Columnar and seed outputs must agree: exactly for min/max/count-
-    style fields, to float tolerance where incremental eviction drifts."""
-    assert len(columnar) == len(reference)
-    for got, expected in zip(columnar, reference):
-        for name, g, e in zip(
-            got.schema.attribute_names, got.values, expected.values
-        ):
-            if name in DRIFTING_FIELDS:
-                assert math.isclose(g, e, rel_tol=1e-9, abs_tol=1e-6), (name, g, e)
-            else:
-                assert g == e, (name, g, e)
-
-
 def test_tuple_window_overlap_sweep(benchmark):
     """Columnar incremental vs seed recompute across overlap ratios."""
 
@@ -101,7 +86,7 @@ def test_tuple_window_overlap_sweep(benchmark):
             graph = aggregate_graph(WindowType.TUPLE, WINDOW_SIZE, step)
             seed_s, seed_out = timed_run(False, graph)
             columnar_s, columnar_out = timed_run(True, graph)
-            assert_outputs_equivalent(columnar_out, seed_out)
+            assert_outputs_equivalent(columnar_out, seed_out, DRIFTING_FIELDS)
             results[ratio] = {
                 "size": WINDOW_SIZE,
                 "step": step,

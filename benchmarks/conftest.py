@@ -15,6 +15,8 @@ calibration so pytest-benchmark reports stable per-operation times.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.workload.generator import TABLE3, WorkloadGenerator
@@ -44,3 +46,19 @@ def print_header(title: str) -> None:
     print("=" * 72)
     print(title)
     print("=" * 72)
+
+
+def assert_outputs_equivalent(got, expected, drifting_fields):
+    """Production and oracle outputs must agree: exactly, except to
+    float tolerance for *drifting_fields* — the outputs where
+    incremental eviction (running sums) legitimately drifts from the
+    oracle's per-window recompute by a few ulps."""
+    assert len(got) == len(expected)
+    for got_tuple, expected_tuple in zip(got, expected):
+        for name, g, e in zip(
+            got_tuple.schema.attribute_names, got_tuple.values, expected_tuple.values
+        ):
+            if name in drifting_fields:
+                assert math.isclose(g, e, rel_tol=1e-9, abs_tol=1e-6), (name, g, e)
+            else:
+                assert g == e, (name, g, e)

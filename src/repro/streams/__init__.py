@@ -24,7 +24,7 @@ from repro.streams.schema import DataType, Field, Schema
 from repro.streams.tuples import StreamTuple, make_tuple
 from repro.streams.stream import Stream, StreamSubscription
 from repro.streams.graph import QueryGraph
-from repro.streams.engine import StreamEngine, RegisteredQuery
+from repro.streams.engine import StreamEngine
 from repro.streams.catalog import StreamCatalog
 from repro.streams.handles import StreamHandle
 
@@ -38,7 +38,6 @@ __all__ = [
     "StreamSubscription",
     "QueryGraph",
     "StreamEngine",
-    "RegisteredQuery",
     "StreamCatalog",
     "StreamHandle",
 ]

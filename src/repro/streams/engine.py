@@ -10,15 +10,20 @@ query), and exposes query outputs through
 
 Queries can be *withdrawn* — the revocation primitive that Section 3.3's
 query-graph management relies on when a policy is removed or modified.
+
+There is one execution path: every query is attached to its input
+stream's :class:`~repro.streams.plan.StreamPlan`.  The seed semantics
+live on as the differential-testing oracle (:mod:`repro.streams.reference`),
+reachable only through :meth:`StreamEngine.reference`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
 
 from repro.errors import EngineError, UnknownHandleError
 from repro.streams.catalog import StreamCatalog
-from repro.streams.graph import QueryGraph, QueryGraphInstance
+from repro.streams.graph import QueryGraph
 from repro.streams.handles import StreamHandle
 from repro.streams.plan import SharedQuery, StreamPlan
 from repro.streams.schema import Schema
@@ -26,109 +31,25 @@ from repro.streams.stream import Stream
 from repro.streams.tuples import StreamTuple, make_tuple
 
 
-class RegisteredQuery:
-    """A live continuous query: instance + output stream + handle.
-
-    The query subscribes to its source as a *batch listener*: every
-    appended batch triggers exactly one pipeline invocation
-    (:meth:`QueryGraphInstance.process_many`), and single appends arrive
-    as length-1 batches routed through the per-tuple fast path.
-    """
-
-    def __init__(
-        self,
-        handle: StreamHandle,
-        instance: QueryGraphInstance,
-        output: Stream,
-        source: Stream,
-    ):
-        self.handle = handle
-        self.instance = instance
-        self.output = output
-        self._source = source
-        self._listener = self._on_batch
-        self.active = True
-        source.add_batch_listener(self._listener)
-
-    def _on_batch(self, tuples: Sequence[StreamTuple]) -> None:
-        # The guard makes mid-dispatch withdrawal safe: a withdrawn
-        # query may still sit in an in-flight listener snapshot, and
-        # must neither process tuples nor append to its closed output.
-        # (Withdraw-mid-batch truncation is handled by the stream, which
-        # flushes the already-dispatched prefix to this callback while
-        # the query is still active — see Stream.remove_batch_listener.)
-        if not self.active:
-            return
-        if len(tuples) == 1:
-            outputs = self.instance.process(tuples[0])
-        else:
-            outputs = self.instance.process_many(tuples)
-        if not outputs:
-            return
-        if len(outputs) == 1:
-            self.output.append(outputs[0])
-        else:
-            self.output.append_batch(outputs)
-
-    def withdraw(self) -> None:
-        """Detach from the input stream and close the output.
-
-        Removing the batch listener first lets the stream flush the
-        in-flight prefix of a mid-batch withdrawal (while the query is
-        still active and its output still open), so batched revocation
-        is output-identical to the per-tuple path.
-        """
-        if self.active:
-            self._source.remove_batch_listener(self._listener)
-            self.output.close()
-            self.active = False
-
-    @property
-    def output_schema(self) -> Schema:
-        return self.instance.output_schema
-
-    def __repr__(self) -> str:
-        state = "active" if self.active else "withdrawn"
-        return f"RegisteredQuery({self.handle.uri}, {state})"
-
-
 class StreamEngine:
     """A single-host Aurora-model DSMS.
 
-    By default queries run on the compiled + batched execution path
-    (filter conditions compiled to closures per schema, pipelines
-    evaluated batch-at-a-time, window aggregation on columnar buffers
-    with incremental aggregate states) **and** on a shared execution
-    plan per input stream (:class:`~repro.streams.plan.StreamPlan`):
-    queries with identical — or provably subsuming — operator prefixes
-    share DAG nodes, so a pushed batch is filtered/windowed once per
-    distinct prefix instead of once per query.  ``shared=False`` keeps
-    the compiled path but runs one private pipeline per query (the
-    pre-plan execution model, and the baseline
-    ``benchmarks/bench_multiquery.py`` measures against).
-
-    ``compiled=False`` — or the :meth:`reference` constructor — pins
-    every query to the seed per-tuple interpreted path (row-oriented
-    window buffers, recompute-per-window aggregation, one pipeline per
-    query), the reference mode for differential testing, mirroring
-    ``PolicyDecisionPoint.reference()``.
+    Queries run on one shared execution plan per input stream
+    (:class:`~repro.streams.plan.StreamPlan`): filter conditions
+    compiled to closures per schema, pipelines evaluated
+    batch-at-a-time, window aggregation on columnar buffers with
+    incremental aggregate states, and queries with identical — or
+    provably subsuming — operator prefixes sharing DAG nodes, so a
+    pushed batch is filtered/windowed once per distinct prefix instead
+    of once per query.
     """
 
-    def __init__(
-        self,
-        host: str = "dsms.local",
-        compiled: bool = True,
-        shared: Optional[bool] = None,
-    ):
+    def __init__(self, host: str = "dsms.local"):
         self.host = host
-        self.compiled = compiled
-        #: Shared-plan execution defaults to following the compiled
-        #: flag, so ``reference()`` stays the seed per-query path.
-        self.shared = compiled if shared is None else shared
         self.catalog = StreamCatalog()
-        self._queries: Dict[str, Union[RegisteredQuery, SharedQuery]] = {}
-        #: One shared plan per input stream (keyed by stream identity),
-        #: created lazily at first registration.
+        self._queries: Dict[str, SharedQuery] = {}
+        #: One plan per input stream (keyed by stream identity), created
+        #: lazily at first registration.
         self._plans: Dict[int, StreamPlan] = {}
         #: Count of queries ever registered (for monitoring/benchmarks).
         self.total_registered = 0
@@ -138,8 +59,11 @@ class StreamEngine:
 
     @classmethod
     def reference(cls, host: str = "dsms.local") -> "StreamEngine":
-        """An engine on the seed interpreted per-tuple execution path."""
-        return cls(host, compiled=False)
+        """The oracle: an engine with the seed execution semantics
+        (:mod:`repro.streams.reference`), for differential testing."""
+        from repro.streams.reference import ReferenceEngine
+
+        return ReferenceEngine(host)
 
     # -- input streams ---------------------------------------------------------
 
@@ -153,22 +77,13 @@ class StreamEngine:
         Every query registered on the stream processes the record
         immediately — the continuous-query semantics of the Aurora model.
         """
-        stream = self.catalog.get(stream_name)
-        if not isinstance(record, StreamTuple):
-            record = make_tuple(stream.schema, record)
-        stream.append(record)
-
-    #: Records per dispatch chunk: large enough to amortize the
-    #: per-append overhead, small enough that an unbounded generator
-    #: never materializes in memory (push stays O(chunk), like the old
-    #: per-record loop).
-    INGEST_CHUNK = 4096
+        self.push_batch(stream_name, (record,))
 
     def push_batch(
         self, stream_name: str, records: Iterable[Union[StreamTuple, Mapping[str, Any]]]
     ) -> int:
         """Append many records with one catalog lookup and one dispatch
-        per :attr:`INGEST_CHUNK` records.
+        per :data:`~repro.streams.stream.INGEST_CHUNK` records.
 
         Output-equivalent to pushing each record individually (tuples are
         still delivered to every query in order, one at a time), but the
@@ -177,18 +92,10 @@ class StreamEngine:
         """
         stream = self.catalog.get(stream_name)
         schema = stream.schema
-        count = 0
-        chunk: List[StreamTuple] = []
-        for record in records:
-            chunk.append(
-                record if isinstance(record, StreamTuple) else make_tuple(schema, record)
-            )
-            if len(chunk) >= self.INGEST_CHUNK:
-                count += stream.append_batch(chunk)
-                chunk = []
-        if chunk:
-            count += stream.append_batch(chunk)
-        return count
+        return stream.extend(
+            record if isinstance(record, StreamTuple) else make_tuple(schema, record)
+            for record in records
+        )
 
     def push_many(
         self, stream_name: str, records: Iterable[Union[StreamTuple, Mapping[str, Any]]]
@@ -204,30 +111,25 @@ class StreamEngine:
 
         The graph is validated against the source stream's schema before
         anything is installed, so an invalid graph changes no engine state.
-
-        On a shared engine the query is attached to the source stream's
-        :class:`~repro.streams.plan.StreamPlan`, sharing operator nodes
-        with same-prefix queries; otherwise it gets a private pipeline.
         """
         source = self.catalog.get(graph.source)
         if handle is None:
             handle = StreamHandle.allocate(self.host)
         if handle.uri in self._queries:
             raise EngineError(f"handle {handle.uri!r} is already in use")
-        if self.shared:
-            plan = self._plans.get(id(source))
-            if plan is None:
-                plan = self._plans[id(source)] = StreamPlan(
-                    source, compiled=self.compiled
-                )
-            query: Union[RegisteredQuery, SharedQuery] = plan.attach(graph, handle)
-        else:
-            instance = graph.instantiate(source.schema, compiled=self.compiled)
-            output = Stream(handle.query_id, instance.output_schema)
-            query = RegisteredQuery(handle, instance, output, source)
-        self._queries[handle.uri] = query
+        self._queries[handle.uri] = self._install(source, graph, handle)
         self.total_registered += 1
         return handle
+
+    def _install(
+        self, source: Stream, graph: QueryGraph, handle: StreamHandle
+    ) -> SharedQuery:
+        """Start *graph* running on *source*: attach it to the stream's
+        plan, sharing operator nodes with same-prefix queries."""
+        plan = self._plans.get(id(source))
+        if plan is None:
+            plan = self._plans[id(source)] = StreamPlan(source)
+        return plan.attach(graph, handle)
 
     def register_streamsql(self, script: str) -> StreamHandle:
         """Parse a StreamSQL script and register the resulting query.
@@ -251,9 +153,7 @@ class StreamEngine:
                 self.register_input_stream(name, parsed.input_schema)
         return self.register_query(parsed.graph)
 
-    def lookup(
-        self, handle: Union[StreamHandle, str]
-    ) -> Union[RegisteredQuery, SharedQuery]:
+    def lookup(self, handle: Union[StreamHandle, str]) -> SharedQuery:
         uri = StreamHandle.uri_of(handle)
         query = self._queries.get(uri)
         if query is None or not query.active:
@@ -286,7 +186,7 @@ class StreamEngine:
         del self._queries[uri]
         self.total_withdrawn += 1
 
-    def active_queries(self) -> List[Union[RegisteredQuery, SharedQuery]]:
+    def active_queries(self) -> List[SharedQuery]:
         return [q for q in self._queries.values() if q.active]
 
     @property
@@ -295,7 +195,7 @@ class StreamEngine:
         return len(self._queries)
 
     def plan_stats(self) -> Dict[str, Dict[str, int]]:
-        """Shared-plan shape per input stream (empty for per-query engines).
+        """Plan shape per input stream.
 
         Each entry reports ``queries`` (live sinks), ``live_nodes``
         (operator nodes currently in the DAG — the churn harness asserts

@@ -7,6 +7,11 @@ drawn from {filter, map, window-aggregation}, so :class:`QueryGraph` is an
 ordered pipeline.  The class still validates like a general DAG node list:
 schemas are propagated box-to-box and every operator is checked against
 its actual input schema.
+
+A graph is a *declaration*.  The engine executes it by attaching it to a
+shared plan (:mod:`repro.streams.plan`); :meth:`QueryGraph.instantiate`
+runs one graph on its own, offline, over the same operators (merge
+ablations, the reconstruction attack, tests).
 """
 
 from __future__ import annotations
@@ -23,24 +28,6 @@ from repro.streams.schema import Schema
 from repro.streams.tuples import StreamTuple
 
 _graph_counter = itertools.count(1)
-
-
-def materialize_operator(operator: Operator, compiled: bool) -> Operator:
-    """A fresh runnable copy of *operator* pinned to one execution path.
-
-    ``compiled=False`` flips every copy that carries the flag to the
-    seed interpreted path.  Shared by :class:`QueryGraphInstance` (the
-    per-query path) and the shared execution plan
-    (:mod:`repro.streams.plan`), so both modes flip the same switch.
-    """
-    copy = operator.fresh_copy()
-    if not compiled and hasattr(copy, "use_compiled"):
-        # Filter, map and window aggregation all carry their seed
-        # implementations behind this flag (the window oracles in
-        # tests/properties/test_prop_streams.py and the equivalence
-        # harnesses pin both modes).
-        copy.use_compiled = False
-    return copy
 
 
 class QueryGraph:
@@ -129,15 +116,9 @@ class QueryGraph:
             schemas.append(operator.output_schema(schemas[-1]))
         return schemas
 
-    def instantiate(
-        self, input_schema: Schema, compiled: bool = True
-    ) -> "QueryGraphInstance":
-        """Build a runnable instance with fresh operator state.
-
-        ``compiled=False`` builds a reference instance on the seed
-        per-tuple interpreted path (see :class:`QueryGraphInstance`).
-        """
-        return QueryGraphInstance(self, input_schema, compiled=compiled)
+    def instantiate(self, input_schema: Schema) -> "QueryGraphInstance":
+        """Build a runnable instance with fresh operator state."""
+        return QueryGraphInstance(self, input_schema)
 
     def fresh_copy(self, name: Optional[str] = None) -> "QueryGraph":
         return QueryGraph(
@@ -159,28 +140,15 @@ class QueryGraph:
 class QueryGraphInstance:
     """A running copy of a query graph with per-operator state.
 
-    Two execution modes, both output-identical (the batch-vs-single
-    differential tests prove it):
-
-    - **compiled** (default): :meth:`process_many` runs the pipeline
-      stage by stage on whole batches via ``Operator.process_batch``,
-      filters evaluate schema-compiled closures, and window aggregation
-      runs on columnar per-attribute buffers with incremental aggregate
-      states;
-    - **reference** (``compiled=False``): every tuple walks the chain
-      one box at a time, filter conditions are interpreted over the
-      expression AST (the seed evaluator), projections use the seed
-      name-based ``StreamTuple.project``, and window aggregation uses
-      the seed row-oriented recompute-per-window buffers.  Kept for
-      differential testing, mirroring ``PolicyDecisionPoint.reference()``.
+    :meth:`process_many` runs the pipeline stage by stage on whole
+    batches via ``Operator.process_batch``; :meth:`process` is the
+    single-tuple form.  Both are output-identical (the batch-vs-single
+    differential tests prove it).
     """
 
-    def __init__(self, graph: QueryGraph, input_schema: Schema, compiled: bool = True):
+    def __init__(self, graph: QueryGraph, input_schema: Schema):
         self.graph = graph
-        self.compiled = compiled
-        self._operators = [
-            materialize_operator(op, compiled) for op in graph.operators
-        ]
+        self._operators = [op.fresh_copy() for op in graph.operators]
         self._schemas = graph.schema_trace(input_schema)
         self._stages = list(zip(self._operators, self._schemas[1:]))
 
@@ -211,11 +179,6 @@ class QueryGraphInstance:
         concatenating: operators see the same tuples in the same order,
         they just see them one batch at a time.  Never mutates *tuples*.
         """
-        if not self.compiled:
-            outputs: List[StreamTuple] = []
-            for tup in tuples:
-                outputs.extend(self.process(tup))
-            return outputs
         batch: List[StreamTuple] = (
             tuples if isinstance(tuples, list) else list(tuples)
         )

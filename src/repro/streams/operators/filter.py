@@ -4,10 +4,9 @@ from __future__ import annotations
 
 from typing import List, Sequence, Union
 
-from repro.errors import ExpressionTypeError, SchemaError
+from repro.errors import SchemaError
 from repro.expr.ast import BooleanExpression, SimpleExpression
 from repro.expr.compile import compile_batch, compile_predicate
-from repro.expr.evaluate import evaluate
 from repro.expr.parser import parse_condition
 from repro.streams.operators.base import Operator
 from repro.streams.schema import DataType, Schema
@@ -20,12 +19,10 @@ class FilterOperator(Operator):
     The condition may be given as a string (parsed with the condition
     grammar) or an already-built :class:`BooleanExpression`.
 
-    By default the condition is compiled once per schema into a plain
-    Python closure (:mod:`repro.expr.compile`) — attribute references
-    become positional indexing, comparisons are specialised, AND/OR
-    short-circuit natively.  ``use_compiled=False`` keeps the seed
-    AST-walking interpreter as a reference mode for differential
-    testing, mirroring :meth:`repro.xacml.pdp.PolicyDecisionPoint.reference`.
+    The condition is compiled once per schema into a plain Python
+    closure (:mod:`repro.expr.compile`) — attribute references become
+    positional indexing, comparisons are specialised, AND/OR
+    short-circuit natively.
     """
 
     kind = "filter"
@@ -33,15 +30,10 @@ class FilterOperator(Operator):
     #: across queries in the shared execution plan at any point.
     stateful = False
 
-    def __init__(
-        self,
-        condition: Union[str, BooleanExpression],
-        use_compiled: bool = True,
-    ):
+    def __init__(self, condition: Union[str, BooleanExpression]):
         if isinstance(condition, str):
             condition = parse_condition(condition)
         self.condition = condition
-        self.use_compiled = use_compiled
         self._compiled_schema: Schema = None
         self._predicate = None
         self._mask = None
@@ -85,33 +77,22 @@ class FilterOperator(Operator):
             self._compiled_schema = schema
 
     def process(self, tup: StreamTuple, output_schema: Schema) -> List[StreamTuple]:
-        if self.use_compiled:
-            # A filter's output schema IS its input schema, and the
-            # instance passes the same Schema object on every call.
-            self._compile_for(output_schema)
-            return [tup] if self._predicate(tup) else []
-        try:
-            passed = evaluate(self.condition, tup)
-        except ExpressionTypeError:
-            # output_schema() validates types up-front, so this only
-            # triggers for operators used outside a validated graph.
-            raise
-        return [tup] if passed else []
+        # A filter's output schema IS its input schema, and the
+        # instance passes the same Schema object on every call.
+        self._compile_for(output_schema)
+        return [tup] if self._predicate(tup) else []
 
     def process_batch(
         self, tuples: Sequence[StreamTuple], output_schema: Schema
     ) -> List[StreamTuple]:
         if not tuples:
             return []
-        if not self.use_compiled:
-            condition = self.condition
-            return [tup for tup in tuples if evaluate(condition, tup)]
         self._compile_for(output_schema)
         mask = self._mask(tuples)
         return [tup for tup, keep in zip(tuples, mask) if keep]
 
     def fresh_copy(self) -> "FilterOperator":
-        return FilterOperator(self.condition, use_compiled=self.use_compiled)
+        return FilterOperator(self.condition)
 
     def describe(self) -> str:
         return f"WHERE {self.condition.to_condition_string()}"

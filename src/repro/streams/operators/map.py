@@ -21,9 +21,6 @@ class MapOperator(Operator):
     attributes are resolved to positional indices into the incoming
     value vector, so per-tuple work is a single ``itemgetter`` call
     instead of one case-insensitive name lookup per attribute.
-    ``use_compiled=False`` keeps the seed name-based
-    :meth:`StreamTuple.project` path as a reference mode for
-    differential testing.
     """
 
     kind = "map"
@@ -31,7 +28,7 @@ class MapOperator(Operator):
     #: not window state) — safe to share across queries at any point.
     stateful = False
 
-    def __init__(self, attributes: Iterable[str], use_compiled: bool = True):
+    def __init__(self, attributes: Iterable[str]):
         names: List[str] = []
         seen = set()
         for attribute in attributes:
@@ -42,7 +39,6 @@ class MapOperator(Operator):
         if not names:
             raise SchemaError("map operator needs at least one attribute")
         self.attributes: Tuple[str, ...] = tuple(names)
-        self.use_compiled = use_compiled
         self._compiled_key = None  # (input schema, output schema) identity pair
         self._project_values = None
 
@@ -70,8 +66,6 @@ class MapOperator(Operator):
         self._compiled_key = key
 
     def process(self, tup: StreamTuple, output_schema: Schema) -> List[StreamTuple]:
-        if not self.use_compiled:
-            return [tup.project(output_schema)]
         self._compile_for(tup.schema, output_schema)
         return [StreamTuple(output_schema, self._project_values(tup.values))]
 
@@ -80,14 +74,12 @@ class MapOperator(Operator):
     ) -> List[StreamTuple]:
         if not tuples:
             return []
-        if not self.use_compiled:
-            return [tup.project(output_schema) for tup in tuples]
         self._compile_for(tuples[0].schema, output_schema)
         project = self._project_values
         return [StreamTuple(output_schema, project(tup.values)) for tup in tuples]
 
     def fresh_copy(self) -> "MapOperator":
-        return MapOperator(self.attributes, use_compiled=self.use_compiled)
+        return MapOperator(self.attributes)
 
     def describe(self) -> str:
         return f"SELECT {', '.join(self.attributes)}"

@@ -11,21 +11,17 @@ timestamp of the first tuple, window *i* covers ``[t0+i·step,
 t0+i·step+size)`` and is emitted once a tuple at or past the window's end
 arrives (empty time windows emit nothing, matching StreamBase).
 
-Two execution paths share those semantics:
-
-- **columnar** (default, ``use_compiled=True``): window state lives in
-  per-attribute ring buffers (plain value lists with a logical base
-  offset) filled batch-at-a-time, and aggregates with an incremental
-  :class:`~repro.streams.operators.aggregate.AggregateState` are fed
-  insert/evict deltas so an overlapping tuple window costs O(step) per
-  advance instead of O(size); functions without a state (``median``,
-  third-party registrations) are recomputed per window from a column
-  slice.  Time windows evict through monotonic buffer pointers, with a
-  scan fallback that keeps out-of-order timestamp streams
-  output-identical to the seed.
-- **reference** (``use_compiled=False``): the seed row-oriented
-  ``List[StreamTuple]`` buffers and per-window recomputation, kept for
-  differential testing (``StreamEngine.reference()``).
+Window state is columnar: per-attribute ring buffers (plain value lists
+with a logical base offset) filled batch-at-a-time.  Aggregates with an
+incremental :class:`~repro.streams.operators.aggregate.AggregateState`
+are fed insert/evict deltas, so an overlapping tuple window costs
+O(step) per advance instead of O(size); functions without a state
+(third-party registrations) are recomputed per window from a column
+slice.  Time windows evict through monotonic buffer pointers, with a
+scan fallback that keeps out-of-order timestamp streams
+output-identical to the oracle's row-buffer recompute
+(:mod:`repro.streams.reference`, which the differential tests compare
+this module against).
 """
 
 from __future__ import annotations
@@ -156,12 +152,8 @@ class AggregationSpec:
 
 
 class AggregateOperator(Operator):
-    """Apply aggregate functions over a sliding window.
-
-    ``use_compiled=False`` pins the instance to the seed row-oriented
-    recompute-per-window path (the reference mode for differential
-    testing); the default runs on columnar buffers with incremental
-    aggregate states — see the module docstring.
+    """Apply aggregate functions over a sliding window, on columnar
+    buffers with incremental aggregate states — see the module docstring.
     """
 
     kind = "aggregate"
@@ -175,7 +167,6 @@ class AggregateOperator(Operator):
         window: WindowSpec,
         aggregations: Iterable[AggregationSpec],
         time_attribute: Optional[str] = None,
-        use_compiled: bool = True,
     ):
         specs = list(aggregations)
         if not specs:
@@ -189,22 +180,8 @@ class AggregateOperator(Operator):
         self.window = window
         self.aggregations: Tuple[AggregationSpec, ...] = tuple(unique)
         self.time_attribute = time_attribute.lower() if time_attribute else None
-        self.use_compiled = use_compiled
-        self._reset_state()
-
-    def _reset_state(self) -> None:
-        # Reference (row-oriented) state.
-        self._buffer: List[StreamTuple] = []
-        self._count = 0
-        self._next_emit = self.window.size  # tuple windows
-        self._t0: Optional[float] = None    # time windows
-        self._next_window_index = 0
-        #: Buffer length that triggers the next amortized prune of the
-        #: reference time-window path (doubles whenever a prune removes
-        #: nothing, keeping total prune work linear in the stream).
-        self._prune_at = 64
-        # Columnar state, built lazily on the first batch (it needs the
-        # input schema to resolve attribute positions).
+        #: Built lazily on the first batch (it needs the input schema
+        #: to resolve attribute positions).
         self._columnar: Optional[_ColumnarWindow] = None
 
     # -- schema ------------------------------------------------------------
@@ -252,103 +229,18 @@ class AggregateOperator(Operator):
         resolved once per batch."""
         if not tuples:
             return []
-        if self.use_compiled:
-            state = self._columnar
-            if state is None:
-                factory = (
-                    _ColumnarTupleWindow
-                    if self.window.window_type is WindowType.TUPLE
-                    else _ColumnarTimeWindow
-                )
-                state = self._columnar = factory(self, tuples[0].schema)
-            return state.process(tuples, output_schema)
-        if self.window.window_type is WindowType.TUPLE:
-            return self._process_tuple_window_batch(tuples, output_schema)
-        return self._process_time_window_batch(tuples, output_schema)
-
-    def _process_tuple_window_batch(
-        self, tuples: Sequence[StreamTuple], output_schema: Schema
-    ) -> List[StreamTuple]:
-        buffer = self._buffer
-        buffer.extend(tuples)
-        self._count += len(tuples)
-        count = self._count
-        size, step = self.window.size, self.window.step
-        #: Logical stream position of buffer[0].  Every still-unemitted
-        #: window starts at or after it: emission keeps _next_emit no
-        #: more than one step behind, and the tail retained below always
-        #: covers the next window.
-        base = count - len(buffer)
-        outputs: List[StreamTuple] = []
-        while self._next_emit <= count:
-            start = self._next_emit - size - base
-            outputs.append(self._emit(buffer[start : start + size], output_schema))
-            self._next_emit += step
-        # Retain only the tail a future window can still need.
-        if len(buffer) > size:
-            del buffer[: len(buffer) - size]
-        return outputs
-
-    def _process_time_window_batch(
-        self, tuples: Sequence[StreamTuple], output_schema: Schema
-    ) -> List[StreamTuple]:
-        # All tuples of one dispatch share a schema, so the time
-        # attribute resolves to one value-vector position for the batch.
-        time_position = tuples[0].schema.position(self._time_field(tuples[0].schema).name)
-        size, step = self.window.size, self.window.step
-        outputs: List[StreamTuple] = []
-        buffer = self._buffer
-        for tup in tuples:
-            timestamp = tup.values[time_position]
-            if self._t0 is None:
-                self._t0 = timestamp
-            # Close every window that ends at or before this timestamp.
-            while True:
-                start = self._t0 + self._next_window_index * step
-                end = start + size
-                if timestamp < end:
-                    break
-                window_tuples = [
-                    t for t in buffer
-                    if start <= t.values[time_position] < end
-                ]
-                if window_tuples:
-                    outputs.append(self._emit(window_tuples, output_schema))
-                self._next_window_index += 1
-            buffer.append(tup)
-            # Prune tuples no future window can cover — amortized, not
-            # per-tuple: a stale tuple (timestamp below every future
-            # window's start) can never match the emission predicate
-            # above, so deferring its removal cannot change the output,
-            # and the doubling threshold makes total prune work linear
-            # in the stream instead of the seed's quadratic per-tuple
-            # rebuild, while retaining at most ~2x the live tail.
-            if len(buffer) >= self._prune_at:
-                earliest_needed = self._t0 + self._next_window_index * step
-                buffer[:] = [
-                    t for t in buffer
-                    if t.values[time_position] >= earliest_needed
-                ]
-                self._prune_at = max(64, 2 * len(buffer))
-        return outputs
-
-    def _emit(self, window_tuples: Sequence[StreamTuple], output_schema: Schema) -> StreamTuple:
-        values = []
-        for spec in self.aggregations:
-            column = [t[spec.attribute] for t in window_tuples]
-            values.append(spec.function.compute(column))
-        coerced = tuple(
-            field.dtype.coerce(value) for field, value in zip(output_schema, values)
-        )
-        return StreamTuple(output_schema, coerced)
+        state = self._columnar
+        if state is None:
+            factory = (
+                _ColumnarTupleWindow
+                if self.window.window_type is WindowType.TUPLE
+                else _ColumnarTimeWindow
+            )
+            state = self._columnar = factory(self, tuples[0].schema)
+        return state.process(tuples, output_schema)
 
     def fresh_copy(self) -> "AggregateOperator":
-        return AggregateOperator(
-            self.window,
-            self.aggregations,
-            self.time_attribute,
-            use_compiled=self.use_compiled,
-        )
+        return AggregateOperator(self.window, self.aggregations, self.time_attribute)
 
     def describe(self) -> str:
         aggs = ", ".join(spec.to_call_syntax() for spec in self.aggregations)

@@ -1,11 +1,12 @@
-"""Shared-operator execution plans: multi-query optimization.
+"""Shared-operator execution plans: the engine's one execution path.
 
-At realistic fan-out — hundreds of continuous queries registered on one
-input stream — the per-query execution model runs one full pipeline per
-query per batch, so ingest cost is strictly linear in query count even
-when most queries are near-identical (the common case: policy obligations
-stamped from a handful of templates).  A :class:`StreamPlan` merges the
-registered queries of one stream into a DAG instead:
+Every continuous query on an input stream runs on that stream's
+:class:`StreamPlan`, a DAG of operator nodes merged across queries.  At
+realistic fan-out — hundreds of queries on one stream, most of them
+near-identical (policy obligations stamped from a handful of templates)
+— a pushed batch is filtered/windowed once per *distinct* operator
+prefix instead of once per query; a plan holding one query is simply
+that query's private pipeline.
 
 - **Fingerprinting.**  Each operator in a query chain is reduced to a
   canonical, hashable key (:func:`operator_fingerprint`).  Filter
@@ -25,32 +26,35 @@ registered queries of one stream into a DAG instead:
 - **Clone-on-divergence for state.**  Stateless nodes (filter, map) are
   shareable at any time.  A state-bearing node (window aggregation) is
   only shareable while it has consumed no input: window alignment and
-  the time-window origin are history-dependent, and a per-query pipeline
-  always starts with an empty window.  A late-arriving twin gets a fresh
-  clone under the same fingerprint ("cloned on divergence").
+  the time-window origin are history-dependent, and a newly registered
+  query always starts with an empty window.  A late-arriving twin gets
+  a fresh clone under the same fingerprint ("cloned on divergence").
 
 - **Refcounted detach.**  Withdrawal removes the query's sink and
   cascades up the feed tree, freeing every node that no longer feeds a
   sink or another node — co-tenants of shared prefixes are undisturbed.
 
-The plan registers **one** batch listener on the source stream and
-replays the per-query dispatch semantics exactly (the differential
-harnesses in ``tests/properties/test_prop_multiquery_equivalence.py``
-and the StreamSQL fuzzer's shared-prefix mode pin shared ≡ per-query
-under registration/withdrawal churn, including mid-batch):
+Sharing must be invisible: each query's output is what it would be were
+it alone on the stream.  The plan registers **one** batch listener on
+the source and gives every query the dispatch semantics of a ``Stream``
+batch listener of its own — which is how the oracle
+(:mod:`repro.streams.reference`) runs each query, so the differential
+harnesses (``tests/properties/test_prop_multiquery_equivalence.py``, the
+StreamSQL fuzzer's shared-prefix mode) pin the two implementations
+against each other under registration/withdrawal churn, mid-batch too:
 
 - Node outputs are delivered to sinks in global registration order —
-  the order per-query batch listeners would have fired in.
+  the order per-query batch listeners fire in.
 - A query withdrawn while the source is mid-batch (from a per-tuple
   control listener) is flushed the already-dispatched prefix of the
-  in-flight batch through the DAG before detaching, mirroring
-  ``Stream.remove_batch_listener``; the remaining queries see the rest
-  of the batch when the plan's listener fires.  Splitting a batch at
-  the flush point is output-equivalent because every operator's
-  ``process_batch`` is batch-partition invariant.
+  in-flight batch through the DAG before detaching, as
+  ``Stream.remove_batch_listener`` does for a listener; the remaining
+  queries see the rest of the batch when the plan's listener fires.
+  Splitting a batch at the flush point is output-equivalent because
+  every operator's ``process_batch`` is batch-partition invariant.
 - A query (and any node created for it) registered while dispatches are
-  in flight defers those batches — matching a per-query listener's
-  absence from every in-flight snapshot.
+  in flight defers those batches — a listener added mid-dispatch is
+  absent from every in-flight snapshot.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ from repro.expr.ast import (
 from repro.expr.normalize import to_dnf
 from repro.expr.satisfiability import conjunction_unsatisfiable, implies
 from repro.expr.simplify import simplify_conjunction
-from repro.streams.graph import QueryGraph, materialize_operator
+from repro.streams.graph import QueryGraph
 from repro.streams.handles import StreamHandle
 from repro.streams.operators.base import Operator
 from repro.streams.operators.filter import FilterOperator
@@ -147,10 +151,7 @@ def operator_fingerprint(operator: Operator) -> Optional[tuple]:
     ``None`` means "never share": unknown operator types may hide state
     or side effects the plan cannot reason about, so each gets a private
     node.  Exact-type checks (not ``isinstance``) keep subclasses with
-    overridden behaviour private too.  The compiled/reference flag is
-    part of every key: filter and map are output-identical on both
-    paths, but incremental aggregate states may drift from the reference
-    recompute by ulps, so queries pinned to different paths never share.
+    overridden behaviour private too.
 
     Map keys are order-insensitive (``Schema.project`` orders output
     fields by the input schema's declaration order, not the attribute
@@ -158,18 +159,13 @@ def operator_fingerprint(operator: Operator) -> Optional[tuple]:
     schema's field order).
     """
     if type(operator) is FilterOperator:
-        return (
-            "filter",
-            operator.use_compiled,
-            condition_fingerprint(operator.condition),
-        )
+        return ("filter", condition_fingerprint(operator.condition))
     if type(operator) is MapOperator:
-        return ("map", operator.use_compiled, operator.attribute_set())
+        return ("map", operator.attribute_set())
     if type(operator) is AggregateOperator:
         window = operator.window
         return (
             "aggregate",
-            operator.use_compiled,
             window.window_type,
             window.size,
             window.step,
@@ -253,12 +249,8 @@ class PlanNode:
 
 
 class SharedQuery:
-    """Engine-facing record of one query registered on a shared plan.
-
-    Mirrors the ``RegisteredQuery`` surface the engine and its callers
-    rely on — ``handle``, ``output``, ``active``, ``output_schema``,
-    ``withdraw()`` — so :class:`~repro.streams.engine.StreamEngine` can
-    hold either kind.
+    """Engine-facing record of one query registered on a plan:
+    ``handle``, ``output``, ``active``, ``output_schema``, ``withdraw()``.
     """
 
     __slots__ = ("plan", "handle", "node", "output", "active", "defers")
@@ -301,9 +293,8 @@ class StreamPlan:
     sharing, subsumption and equivalence rules.
     """
 
-    def __init__(self, source: Stream, compiled: bool = True):
+    def __init__(self, source: Stream):
         self.source = source
-        self.compiled = compiled
         self.root = PlanNode(("source",), None, source.schema, None, None)
         #: Delivery order == global registration order.
         self.queries: List[SharedQuery] = []  # guarded by: owner
@@ -343,7 +334,7 @@ class StreamPlan:
         """Batches currently mid-dispatch on the source stream.
 
         A sink or node created while these dispatches are in flight must
-        not observe them — the per-query path's equivalent is a listener
+        not observe them — as a ``Stream`` listener added mid-dispatch is
         missing from every in-flight snapshot.
         """
         defers: Dict[int, list] = {}
@@ -368,7 +359,7 @@ class StreamPlan:
                     return candidate
             # Same-fingerprint candidates exist but have consumed input:
             # fall through and clone (fresh state for the newcomer).
-        executing = materialize_operator(operator, self.compiled)
+        executing = operator.fresh_copy()
         feed = parent
         condition: Optional[BooleanExpression] = None
         host: Optional[PlanNode] = None
@@ -452,7 +443,7 @@ class StreamPlan:
                 residual = literals[0]
             else:
                 residual = AndExpression(tuple(literals))
-        return FilterOperator(residual, use_compiled=operator.use_compiled)
+        return FilterOperator(residual)
 
     # -- dispatch ---------------------------------------------------------------
 
@@ -470,9 +461,9 @@ class StreamPlan:
         Phase 1 computes every reachable, non-deferred node exactly once
         in feed-tree order (each node's feed is computed before the node
         itself).  Phase 2 delivers node outputs to sinks in global
-        registration order — the order per-query listeners would have
-        fired in, which keeps cross-query observable interleavings (and
-        sibling-withdrawal behaviour) identical to the per-query path.
+        registration order — the order one ``Stream`` listener per query
+        fires in, which keeps cross-query observable interleavings (and
+        sibling-withdrawal behaviour) identical to the oracle's.
 
         ``final`` marks the plan listener's own invocation for *batch*
         (as opposed to a mid-batch withdrawal flush): only then are
@@ -524,8 +515,8 @@ class StreamPlan:
         exactly the tuples per-tuple dispatch would have shown it, and
         the consumed count makes the final dispatch process only the
         remainder.  Withdrawn during the batch phase (or after the
-        listener ran), the query simply stops — matching the per-query
-        guard engaging before its listener's turn.
+        listener ran), the query simply stops — as a removed listener is
+        skipped by the end-of-batch sweep.
         """
         if not query.active:
             return

@@ -28,6 +28,11 @@ from repro.streams.tuples import StreamTuple
 
 BatchListener = Callable[[Sequence[StreamTuple]], None]
 
+#: Tuples per dispatch when ingesting from an iterable: large enough to
+#: amortize the per-append overhead, small enough that an unbounded
+#: generator never materializes in memory.
+INGEST_CHUNK = 4096
+
 
 class _InflightDispatch:
     """State of one append_batch dispatch, for mid-batch listener removal.
@@ -93,28 +98,11 @@ class Stream:
         return self._closed
 
     def append(self, tup: StreamTuple) -> None:
-        """Append one tuple, validating its schema, and notify listeners."""
-        if self._closed:
-            raise StreamError(f"stream {self.name!r} is closed")
-        if tup.schema != self.schema:
-            raise StreamError(
-                f"tuple schema {tup.schema.name!r} does not match stream "
-                f"{self.name!r} schema {self.schema.name!r}"
-            )
-        self._buffer.append(tup)
-        if len(self._buffer) > self.max_buffer:
-            overflow = len(self._buffer) - self.max_buffer
-            del self._buffer[:overflow]
-            self._base += overflow
-        for listener in list(self._listeners):
-            listener(tup)
-        if self._batch_listeners:
-            # Snapshot after the per-tuple phase: a batch listener
-            # removed by a per-tuple callback for this very tuple never
-            # sees it — identical to the per-tuple guard semantics.
-            single = [tup]
-            for listener in list(self._batch_listeners):
-                listener(single)
+        """Append one tuple: exactly ``append_batch([tup])`` — one
+        dispatch implementation, so listeners are snapshotted at dispatch
+        start either way and a batch listener added while *tup* is being
+        dispatched (a query registered by a control listener) misses it."""
+        self.append_batch([tup])
 
     def append_batch(self, tuples: Iterable[StreamTuple]) -> int:
         """Append many tuples with amortized dispatch; returns the count.
@@ -181,17 +169,20 @@ class Stream:
             self._base += overflow
         return len(batch)
 
-    def extend(self, tuples: Iterable[StreamTuple]) -> None:
-        """Append from an iterable, chunked so memory stays O(chunk)
-        even for unbounded generators (batches get the amortized path)."""
+    def extend(self, tuples: Iterable[StreamTuple]) -> int:
+        """Append from an iterable, one dispatch per :data:`INGEST_CHUNK`
+        tuples, so memory stays O(chunk) even for unbounded generators;
+        returns the count."""
+        count = 0
         chunk: List[StreamTuple] = []
         for tup in tuples:
             chunk.append(tup)
-            if len(chunk) >= 4096:
-                self.append_batch(chunk)
+            if len(chunk) >= INGEST_CHUNK:
+                count += self.append_batch(chunk)
                 chunk = []
         if chunk:
-            self.append_batch(chunk)
+            count += self.append_batch(chunk)
+        return count
 
     def close(self) -> None:
         """Mark the stream complete; further appends raise."""

@@ -14,6 +14,7 @@ from repro.streams.operators import (
     WindowSpec,
     WindowType,
 )
+from repro.streams.reference import ReferencePipeline, reference_operator
 from repro.streams.schema import WEATHER_SCHEMA
 from repro.streams.sources import WeatherSource
 
@@ -27,6 +28,16 @@ def weather_schema():
 def weather_records():
     """300 seeded weather records (plenty of rainy tuples)."""
     return WeatherSource(seed=3).records(300)
+
+
+def oracle(subject, input_schema=None):
+    """The reference side of the stream differential harnesses, built
+    from ``repro.streams.reference``: a production operator becomes the
+    seed operator over the same declaration; a :class:`QueryGraph` (with
+    its *input_schema*) becomes the per-tuple chain walker."""
+    if isinstance(subject, QueryGraph):
+        return ReferencePipeline(subject, input_schema)
+    return reference_operator(subject)
 
 
 def build_nea_policy_graph() -> QueryGraph:

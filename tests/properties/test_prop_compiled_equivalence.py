@@ -8,8 +8,9 @@ layers must be decision- and output-identical:
   :mod:`repro.expr.evaluate`, over random schemas, random type-correct
   conditions, and random tuples;
 - **pipeline layer**: ``QueryGraphInstance.process_many`` (stage-by-
-  stage batch execution) against per-tuple ``process``, and against a
-  ``compiled=False`` reference instance, over random operator chains —
+  stage batch execution) against per-tuple ``process``, and against the
+  oracle's per-tuple chain walker over seed filter/map/window operators
+  (``repro.streams.reference``), over random operator chains —
   including stateful window aggregation, where batching must not
   disturb emission points;
 - **engine layer**: a default (compiled) :class:`StreamEngine` fed via
@@ -43,6 +44,7 @@ from repro.streams.operators import (
 )
 from repro.streams.schema import DataType, Field, Schema
 from repro.streams.tuples import make_tuple
+from tests.conftest import oracle
 
 # -- expression-layer strategies ---------------------------------------------------
 
@@ -229,7 +231,7 @@ class TestPipelineEquivalence:
         for tup in tuples:
             expected.extend(single.process(tup))
 
-        reference = graph.instantiate(PIPE_SCHEMA, compiled=False)
+        reference = oracle(graph, PIPE_SCHEMA)
         interpreted = []
         for tup in tuples:
             interpreted.extend(reference.process(tup))

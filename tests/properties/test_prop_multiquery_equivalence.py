@@ -138,7 +138,6 @@ class TestSharedPlanChurnEquivalence:
     def test_shared_matches_reference_under_churn(self, script):
         shared = StreamEngine()
         reference = StreamEngine.reference()
-        assert shared.shared and not reference.shared
         for engine in (shared, reference):
             engine.register_input_stream("s", SCHEMA)
 

@@ -4,7 +4,7 @@ The columnar path (per-attribute ring buffers + incremental
 :class:`~repro.streams.operators.aggregate.AggregateState` objects,
 with the two-stacks trick for min/max and reverse-Welford for stdev)
 must be output-equivalent to the seed row-oriented
-recompute-per-window path (``use_compiled=False`` /
+recompute-per-window path (the oracle, ``repro.streams.reference`` /
 ``StreamEngine.reference()``) over hypothesis-generated streams and
 window specs — tuple and time windows, step < size (overlapping,
 where the incremental states actually engage), step = size and
@@ -34,6 +34,7 @@ from repro.streams.operators import (
 )
 from repro.streams.schema import DataType, Field, Schema
 from repro.streams.tuples import StreamTuple
+from tests.conftest import oracle
 
 SCHEMA = Schema(
     "w",
@@ -118,7 +119,7 @@ def run_pair(graph, tuples, cuts):
     got = []
     for batch in partition(tuples, cuts):
         got.extend(columnar.process_many(batch))
-    reference = graph.instantiate(SCHEMA, compiled=False)
+    reference = oracle(graph, SCHEMA)
     expected = []
     for tup in tuples:
         expected.extend(reference.process(tup))

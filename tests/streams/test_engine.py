@@ -273,6 +273,47 @@ class TestBatchedDispatch:
         single, batched = results
         assert single == batched == [1, 2]
 
+    @pytest.mark.parametrize(
+        "new_engine", [StreamEngine, StreamEngine.reference], ids=["plan", "oracle"]
+    )
+    @pytest.mark.parametrize("change", ["register", "withdraw"])
+    def test_push_equals_singleton_push_batch_when_dispatch_changes_queries(
+        self, new_engine, change
+    ):
+        """Regression: a query registered by a per-tuple control listener
+        while ``t`` is being dispatched saw ``t`` under ``push(t)`` but
+        not under ``push_batch([t])``.  Listeners are snapshotted at
+        dispatch start: the newcomer misses ``t`` either way, and a
+        query withdrawn during ``t``'s dispatch never sees it."""
+        results = {}
+        for mode in ("push", "push_batch"):
+            engine = new_engine()
+            engine.register_input_stream("s", SIMPLE)
+            graph = QueryGraph("s").append(FilterOperator("x > 0"))
+            box = {}
+            if change == "withdraw":
+                box["handle"] = engine.register_query(graph)
+                box["sub"] = engine.subscribe(box["handle"])
+
+            def on_marker(tup, engine=engine, box=box, graph=graph):
+                if tup["x"] != 99:
+                    return
+                if change == "register":
+                    box["handle"] = engine.register_query(graph.fresh_copy())
+                    box["sub"] = engine.subscribe(box["handle"])
+                else:
+                    engine.withdraw(box["handle"])
+
+            engine.catalog.get("s").add_listener(on_marker)
+            for value in (1, 99, 2):
+                if mode == "push":
+                    engine.push("s", {"x": value})
+                else:
+                    engine.push_batch("s", [{"x": value}])
+            results[mode] = [t["x"] for t in box["sub"].drain()]
+        expected = [2] if change == "register" else [1]
+        assert results["push"] == results["push_batch"] == expected
+
     def test_withdrawn_query_receives_nothing_after_batch(self):
         engine = self.make_engine()
         handle = engine.register_query(

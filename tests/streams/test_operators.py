@@ -13,6 +13,7 @@ from repro.streams.operators import (
 )
 from repro.streams.schema import Schema
 from repro.streams.tuples import make_tuple
+from tests.conftest import oracle
 
 SCHEMA = Schema("s", [("t", "timestamp"), ("x", "double"), ("tag", "string")])
 
@@ -189,21 +190,20 @@ class TestTupleWindows:
 
 
 class TestColumnarWindows:
-    """Columnar-path specifics: reference-mode flag, recompute fallback,
-    state reset, gaps, and the time-window scan fallback."""
+    """Columnar-path specifics: agreement with the oracle, recompute
+    fallback, state reset, gaps, and the time-window scan fallback."""
 
-    def overlapping_operator(self, use_compiled=True):
+    def overlapping_operator(self):
         return AggregateOperator(
             WindowSpec(WindowType.TUPLE, 4, 1),
             [AggregationSpec.parse("x:avg"), AggregationSpec.parse("x:min"),
              AggregationSpec.parse("x:lastval")],
-            use_compiled=use_compiled,
         )
 
-    def test_reference_flag_matches_columnar(self):
+    def test_oracle_matches_columnar(self):
         stream = tuples(5, 1, 4, 1, 5, 9, 2, 6)
-        _, compiled_out = run(self.overlapping_operator(True), SCHEMA, stream)
-        _, reference_out = run(self.overlapping_operator(False), SCHEMA, stream)
+        _, compiled_out = run(self.overlapping_operator(), SCHEMA, stream)
+        _, reference_out = run(oracle(self.overlapping_operator()), SCHEMA, stream)
         assert [t.values for t in compiled_out] == [t.values for t in reference_out]
 
     def test_median_falls_back_to_recompute(self):
@@ -222,7 +222,6 @@ class TestColumnarWindows:
         _, outputs = run(operator, SCHEMA, tuples(1, 2, 3, 4, 5))
         assert len(outputs) == 2
         clone = operator.fresh_copy()
-        assert clone.use_compiled
         _, outputs = run(clone, SCHEMA, tuples(1, 2, 3))
         assert outputs == []  # fresh state: window not yet full
 
@@ -246,12 +245,11 @@ class TestColumnarWindows:
         mid-stream; output must still match the seed row path."""
         stamps = [(0.0, 1), (5.0, 2), (3.0, 7), (11.0, 4), (2.0, 9), (24.0, 5)]
         outputs = {}
-        for mode, use_compiled in (("columnar", True), ("reference", False)):
-            operator = AggregateOperator(
+        for mode, side in (("columnar", lambda op: op), ("reference", oracle)):
+            operator = side(AggregateOperator(
                 WindowSpec(WindowType.TIME, 10, 5),
                 [AggregationSpec.parse("x:sum"), AggregationSpec.parse("x:firstval")],
-                use_compiled=use_compiled,
-            )
+            ))
             tuples_in = [
                 make_tuple(SCHEMA, {"t": t, "x": float(x), "tag": "a"})
                 for t, x in stamps
@@ -272,12 +270,11 @@ class TestColumnarWindows:
         expected_post_outlier = [(3.0, 1.0), (4.0, 4.0 / 3.0), (6.0, 2.0)]
         for feed in ("per_tuple", "whole_batch"):
             outputs = {}
-            for mode, use_compiled in (("columnar", True), ("reference", False)):
-                operator = AggregateOperator(
+            for mode, side in (("columnar", lambda op: op), ("reference", oracle)):
+                operator = side(AggregateOperator(
                     WindowSpec(WindowType.TUPLE, 3, 1),
                     [AggregationSpec.parse("x:sum"), AggregationSpec.parse("x:avg")],
-                    use_compiled=use_compiled,
-                )
+                ))
                 if feed == "per_tuple":
                     _, outputs[mode] = run(operator, SCHEMA, tuples(*values))
                 else:

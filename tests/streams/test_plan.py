@@ -1,11 +1,15 @@
 """Unit tests for the shared execution plan (repro.streams.plan).
 
 The differential harnesses (`tests/properties/test_prop_multiquery_
-equivalence.py`, the StreamSQL fuzzer) prove shared ≡ per-query on
-whole workloads; these tests pin the plan's *mechanics*: fingerprint
+equivalence.py`, the StreamSQL fuzzer) prove plan ≡ oracle on whole
+workloads; these tests pin the plan's *mechanics*: fingerprint
 canonicalization, prefix merging, subsumption feeds, clone-on-
-divergence for touched stateful nodes, and refcounted node release.
+divergence for touched stateful nodes, and refcounted node release —
+and that sharing is invisible *exactly*: one engine holding N queries ≡
+N engines holding one query each, bit for bit.
 """
+
+import random
 
 import pytest
 
@@ -26,6 +30,7 @@ from repro.streams.plan import (
     operator_fingerprint,
 )
 from repro.streams.schema import Schema
+from repro.streams.tuples import make_tuple
 
 SCHEMA = Schema("s", [("t", "timestamp"), ("x", "double"), ("y", "double")])
 
@@ -102,11 +107,6 @@ class TestOperatorFingerprint:
         assert operator_fingerprint(tuple_agg(3, 3)) != operator_fingerprint(
             tuple_agg(3, 2)
         )
-
-    def test_execution_path_is_part_of_the_key(self):
-        compiled = FilterOperator("x > 0", use_compiled=True)
-        interpreted = FilterOperator("x > 0", use_compiled=False)
-        assert operator_fingerprint(compiled) != operator_fingerprint(interpreted)
 
     def test_unknown_operator_never_shares(self):
         class AuditedFilter(FilterOperator):
@@ -218,12 +218,13 @@ class TestPlanSharing:
 
     def test_mid_batch_registration_defers_the_inflight_batch(self):
         """A query registered from a per-tuple listener mid-batch sees
-        nothing of the in-flight batch — exactly like the per-query
-        path, where the new batch listener is outside the dispatch
-        snapshot."""
+        nothing of the in-flight batch — exactly like the oracle, where
+        the new batch listener is outside the dispatch snapshot."""
         results = {}
-        for shared in (True, False):
-            engine = StreamEngine(shared=shared)
+        for side, make_engine in (
+            ("plan", StreamEngine), ("oracle", StreamEngine.reference)
+        ):
+            engine = make_engine()
             engine.register_input_stream("s", SCHEMA)
             source = engine.catalog.get("s")
             box = {}
@@ -237,24 +238,171 @@ class TestPlanSharing:
             source.add_listener(register_on_marker)
             engine.push_batch("s", self.rows([1, 99, 3]))
             engine.push_batch("s", self.rows([4, 5]))
-            results[shared] = [t["x"] for t in engine.read(box["handle"])]
-        assert results[True] == results[False] == [4.0, 5.0]
+            results[side] = [t["x"] for t in engine.read(box["handle"])]
+        assert results["plan"] == results["oracle"] == [4.0, 5.0]
 
-    def test_per_query_engine_builds_no_plans(self):
-        engine = StreamEngine(shared=False)
+    def test_oracle_engine_builds_no_plans(self):
+        engine = StreamEngine.reference()
         engine.register_input_stream("s", SCHEMA)
         engine.register_query(QueryGraph("s", [FilterOperator("x > 0")]))
         assert engine.plan_stats() == {}
 
-    def test_reference_engine_is_unshared(self):
-        assert StreamEngine.reference().shared is False
-        # But an interpreted *shared* engine is constructible (the
-        # fingerprints carry use_compiled, so it must behave too).
-        engine = StreamEngine(compiled=False, shared=True)
+
+def float_agg(size, step):
+    """avg/sum/stdev over doubles: the incremental states whose float
+    arithmetic a sharing bug would perturb.  Sizes stay ≤ 8 so every
+    state update takes the sequential compensated loop: a mid-batch
+    withdrawal flush splits a co-tenant's batch, and only the sequential
+    loop is bit-exact (not merely ulp-close) under re-partitioning."""
+    return tuple_agg(size, step, ("x:avg", "x:sum", "x:stdev", "y:avg"))
+
+
+TEMPLATES = (
+    lambda: QueryGraph("s", [FilterOperator("x > 10"), float_agg(8, 2)]),
+    lambda: QueryGraph(
+        "s", [FilterOperator("x > 10"), float_agg(8, 2), MapOperator(["avgx"])]
+    ),
+    # Subsumed by ``x > 10``: fed from the host filter's output.
+    lambda: QueryGraph("s", [FilterOperator("x > 20"), float_agg(5, 1)]),
+    lambda: QueryGraph("s", [float_agg(5, 1)]),
+    lambda: QueryGraph("s", [float_agg(5, 1), MapOperator(["sumx", "stdevx"])]),
+    lambda: QueryGraph(
+        "s", [FilterOperator("x > 10 AND y < 5"), MapOperator(["t", "x"])]
+    ),
+    lambda: QueryGraph(
+        "s",
+        [
+            AggregateOperator(
+                WindowSpec(WindowType.TIME, 4, 2),
+                [AggregationSpec.parse("x:avg"), AggregationSpec.parse("x:stdev")],
+            )
+        ],
+    ),
+)
+
+
+class Worlds:
+    """The same queries twice: together on one engine (one plan, shared
+    nodes) and alone on one engine each (a plan holding one query is
+    that query's private pipeline).  Both sides are the production
+    path, fed identical batches, so outputs must agree bit for bit — no
+    float tolerance for a sharing or clone-on-divergence bug to hide in."""
+
+    class Query:
+        def __init__(self, together, solo, graph):
+            #: (engine, handle, subscription) on each side.
+            self.sides = []
+            for engine in (together, solo):
+                handle = engine.register_query(graph.fresh_copy())
+                self.sides.append((engine, handle, engine.subscribe(handle)))
+            self.live = True
+
+    def __init__(self):
+        self.together = self.new_engine()
+        self.queries = []
+
+    @staticmethod
+    def new_engine():
+        engine = StreamEngine()
         engine.register_input_stream("s", SCHEMA)
-        h1 = engine.register_query(QueryGraph("s", [FilterOperator("x > 10")]))
-        h2 = engine.register_query(QueryGraph("s", [FilterOperator("x > 10")]))
-        engine.push_batch("s", self.rows([5, 15]))
-        assert self.stats(engine)["nodes_shared"] == 1
-        assert [t["x"] for t in engine.read(h1)] == [15.0]
-        assert [t["x"] for t in engine.read(h2)] == [15.0]
+        return engine
+
+    def register(self, graph):
+        self.queries.append(self.Query(self.together, self.new_engine(), graph))
+
+    def live(self):
+        return [query for query in self.queries if query.live]
+
+    def withdraw(self, query):
+        for engine, handle, _ in query.sides:
+            engine.withdraw(handle)
+        query.live = False
+
+    def push(self, tuples, victim=None, at=None):
+        """Push one batch to every engine.  With *victim*, a per-tuple
+        control listener withdraws that query while ``tuples[at]`` is
+        being dispatched — the mid-batch revocation path."""
+        hooks = []
+        if victim is not None:
+            for engine, handle, _ in victim.sides:
+
+                def hook(tup, engine=engine, handle=handle):
+                    if tup is tuples[at]:
+                        engine.withdraw(handle)
+
+                source = engine.catalog.get("s")
+                source.add_listener(hook)
+                hooks.append((source, hook))
+        self.together.push_batch("s", tuples)
+        for query in self.live():
+            query.sides[1][0].push_batch("s", tuples)
+        for source, hook in hooks:
+            source.remove_listener(hook)
+        if victim is not None:
+            victim.live = False
+
+    def pending(self):
+        return sum(query.sides[0][2].pending for query in self.queries)
+
+    def assert_identical(self):
+        for index, query in enumerate(self.queries):
+            got, expected = (
+                [[repr(value) for value in tup.values] for tup in sub.drain()]
+                for _, _, sub in query.sides
+            )
+            assert got == expected, f"query #{index} diverged"
+
+
+def batch(rng, clock, length):
+    return [
+        make_tuple(
+            SCHEMA,
+            {"t": float(clock + i), "x": rng.uniform(-5, 45), "y": rng.uniform(-9, 9)},
+        )
+        for i in range(length)
+    ]
+
+
+class TestSharingIsInvisible:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_one_engine_of_n_equals_n_engines_of_one_under_churn(self, seed):
+        rng = random.Random(seed)
+        worlds = Worlds()
+        clock = emitted = 0
+        for _ in range(60):
+            roll = rng.random()
+            live = worlds.live()
+            if roll < 0.35 or not live:
+                worlds.register(rng.choice(TEMPLATES)())
+            elif roll < 0.5:
+                worlds.withdraw(rng.choice(live))
+            else:
+                tuples = batch(rng, clock, rng.randint(1, 30))
+                clock += len(tuples)
+                if roll < 0.65:  # withdraw one query mid-batch
+                    worlds.push(
+                        tuples, victim=rng.choice(live), at=rng.randrange(len(tuples))
+                    )
+                else:
+                    worlds.push(tuples)
+            emitted += worlds.pending()
+            worlds.assert_identical()
+        assert emitted, "churn script must emit output"
+        (stats,) = worlds.together.plan_stats().values()
+        assert stats["nodes_shared"] + stats["nodes_subsumed"] > 0
+
+    def test_mid_batch_withdrawal_leaves_co_tenants_exact(self):
+        """Withdrawing one of three queries sharing a float aggregate
+        node flushes the batch prefix through the shared node; the two
+        co-tenants must not notice the split."""
+        rng = random.Random(42)
+        worlds = Worlds()
+        for template in (TEMPLATES[0], TEMPLATES[0], TEMPLATES[1]):
+            worlds.register(template())
+        (stats,) = worlds.together.plan_stats().values()
+        assert stats["nodes_created"] == 3 and stats["nodes_shared"] == 4
+        worlds.push(batch(rng, 0, 25))
+        worlds.push(batch(rng, 25, 40), victim=worlds.queries[0], at=17)
+        worlds.push(batch(rng, 65, 25))
+        assert all(sub.pending for q in worlds.queries for _, _, sub in q.sides)
+        worlds.assert_identical()

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import StreamError
 from repro.streams.schema import Schema
-from repro.streams.stream import Stream
+from repro.streams.stream import INGEST_CHUNK, Stream
 from repro.streams.tuples import make_tuple
 
 SCHEMA = Schema("s", [("x", "int")])
@@ -94,6 +94,50 @@ class TestAppendBatch:
         stream.append_batch(tuples(1, 2, 3, 4, 5))
         assert [t["x"] for t in stream.snapshot()] == [3, 4, 5]
         assert stream.total_appended == 5
+
+
+class TestSingleAppendIsASingletonBatch:
+    """``append(t)`` and ``append_batch([t])`` are one dispatch
+    implementation: listeners are snapshotted when dispatch starts."""
+
+    @staticmethod
+    def dispatch(stream, how, tup):
+        if how == "append":
+            stream.append(tup)
+        else:
+            stream.append_batch([tup])
+
+    @pytest.mark.parametrize("how", ["append", "append_batch"])
+    def test_batch_listener_added_during_dispatch_misses_the_tuple(self, how):
+        # Regression: append() used to snapshot batch listeners *after*
+        # the per-tuple phase, so the late listener saw the tuple under
+        # append() but not under append_batch([t]).
+        stream = Stream("s", SCHEMA)
+        seen = []
+        stream.add_listener(lambda tup: stream.add_batch_listener(seen.extend))
+        (first,) = tuples(1)
+        self.dispatch(stream, how, first)
+        assert seen == []
+        (second,) = tuples(2)
+        self.dispatch(stream, how, second)
+        assert seen == [second]
+
+    @pytest.mark.parametrize("how", ["append", "append_batch"])
+    def test_batch_listener_removed_during_dispatch_misses_the_tuple(self, how):
+        stream = Stream("s", SCHEMA)
+        seen = []
+        listener = seen.extend
+        stream.add_batch_listener(listener)
+        stream.add_listener(lambda tup: stream.remove_batch_listener(listener))
+        self.dispatch(stream, how, tuples(1)[0])
+        assert seen == []
+
+    def test_extend_chunks_and_counts(self):
+        stream = Stream("s", SCHEMA)
+        batches = []
+        stream.add_batch_listener(lambda batch: batches.append(len(batch)))
+        assert stream.extend(iter(tuples(*range(INGEST_CHUNK + 3)))) == INGEST_CHUNK + 3
+        assert batches == [INGEST_CHUNK, 3]
 
 
 class TestBoundedBuffer:

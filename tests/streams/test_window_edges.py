@@ -9,7 +9,7 @@ mechanism instead of a shrunk counterexample:
   from pointer eviction into the seed-semantics scan fallback on the
   first timestamp regression — including mid-stream, including across
   the amortized-compaction threshold — and stay output-identical to the
-  reference row path;
+  oracle's row path (``repro.streams.reference``);
 - the scan fallback must *not* be sticky: once a compaction sweep
   drains the disordered backlog (the retained buffer is ascending
   again) the instance re-arms the monotonic pointer path, and a later
@@ -31,6 +31,7 @@ from repro.streams.operators.window import (
 )
 from repro.streams.schema import DataType, Field, Schema
 from repro.streams.tuples import make_tuple
+from tests.conftest import oracle
 
 SCHEMA = Schema(
     "sensor",
@@ -40,12 +41,19 @@ SCHEMA = Schema(
 AGGREGATIONS = ("v:sum", "v:min", "v:max", "v:count", "v:lastval")
 
 
-def make_operator(window_type, size, step, use_compiled):
+def make_operator(window_type, size, step):
     return AggregateOperator(
         WindowSpec(window_type, size, step),
         [AggregationSpec.parse(text) for text in AGGREGATIONS],
-        use_compiled=use_compiled,
     )
+
+
+def make_reference(window_type, size, step):
+    """The oracle's row-buffer aggregate over the same window spec."""
+    return oracle(make_operator(window_type, size, step))
+
+
+MAKERS = {"production": make_operator, "oracle": make_reference}
 
 
 def tuples_of(points):
@@ -78,7 +86,7 @@ class TestOutOfOrderTimeWindows:
     ]
 
     def test_first_regression_switches_to_scan_mode(self):
-        operator = make_operator(WindowType.TIME, 2, 2, use_compiled=True)
+        operator = make_operator(WindowType.TIME, 2, 2)
         output_schema = operator.output_schema(SCHEMA)
         operator.process_batch(tuples_of(self.OOO_POINTS[:3]), output_schema)
         state = operator._columnar
@@ -88,8 +96,8 @@ class TestOutOfOrderTimeWindows:
 
     @pytest.mark.parametrize("size,step", [(2, 2), (3, 1), (1, 3)])
     def test_scan_fallback_matches_reference(self, size, step):
-        compiled = make_operator(WindowType.TIME, size, step, use_compiled=True)
-        reference = make_operator(WindowType.TIME, size, step, use_compiled=False)
+        compiled = make_operator(WindowType.TIME, size, step)
+        reference = make_reference(WindowType.TIME, size, step)
         stream = tuples_of(self.OOO_POINTS)
         got = run_batches(compiled, [stream])
         expected = run_batches(reference, [[t] for t in stream])
@@ -107,8 +115,8 @@ class TestOutOfOrderTimeWindows:
             points.append((ts, float(i)))
             if i % 7 == 3:
                 points.append((ts - 0.25, float(-i)))  # persistent disorder
-        compiled = make_operator(WindowType.TIME, 4, 2, use_compiled=True)
-        reference = make_operator(WindowType.TIME, 4, 2, use_compiled=False)
+        compiled = make_operator(WindowType.TIME, 4, 2)
+        reference = make_reference(WindowType.TIME, 4, 2)
         stream = tuples_of(points)
         got = run_batches(compiled, partitions(stream, [50] * 7 + [len(stream) - 350]))
         expected = run_batches(reference, [[t] for t in stream])
@@ -122,7 +130,7 @@ class TestOutOfOrderTimeWindows:
     def test_regression_inside_one_batch_is_detected(self):
         # The disorder check walks timestamps *within* a batch, not just
         # across batch boundaries.
-        operator = make_operator(WindowType.TIME, 2, 2, use_compiled=True)
+        operator = make_operator(WindowType.TIME, 2, 2)
         output_schema = operator.output_schema(SCHEMA)
         operator.process_batch(
             tuples_of([(0.0, 1.0), (3.0, 2.0), (1.0, 3.0), (4.0, 4.0)]),
@@ -147,7 +155,7 @@ class TestScanFallbackReArms:
         return points
 
     def test_rearm_after_backlog_compacts_away(self):
-        operator = make_operator(WindowType.TIME, 2, 2, use_compiled=True)
+        operator = make_operator(WindowType.TIME, 2, 2)
         output_schema = operator.output_schema(SCHEMA)
         stream = tuples_of(self.ooo_then_clean(200))
         operator.process_batch(stream[:5], output_schema)
@@ -171,8 +179,8 @@ class TestScanFallbackReArms:
             ts += 1.0
             points.append((ts, float(i)))
         for size, step in ((2, 2), (3, 1), (1, 3)):
-            compiled = make_operator(WindowType.TIME, size, step, use_compiled=True)
-            reference = make_operator(WindowType.TIME, size, step, use_compiled=False)
+            compiled = make_operator(WindowType.TIME, size, step)
+            reference = make_reference(WindowType.TIME, size, step)
             stream = tuples_of(points)
             got = run_batches(compiled, partitions(stream, [7] * 50 + [len(stream) - 350]))
             expected = run_batches(reference, [[t] for t in stream])
@@ -182,7 +190,7 @@ class TestScanFallbackReArms:
             assert compiled._columnar.monotonic
 
     def test_regression_after_rearm_falls_back_to_scan(self):
-        operator = make_operator(WindowType.TIME, 2, 2, use_compiled=True)
+        operator = make_operator(WindowType.TIME, 2, 2)
         output_schema = operator.output_schema(SCHEMA)
         stream = tuples_of(self.ooo_then_clean(200))
         operator.process_batch(stream, output_schema)
@@ -203,8 +211,8 @@ class TestScanFallbackReArms:
             ts += 0.5
             points.append((ts, float(i)))
             points.append((ts - 0.25, float(-i)))  # inversion every step
-        compiled = make_operator(WindowType.TIME, 4, 2, use_compiled=True)
-        reference = make_operator(WindowType.TIME, 4, 2, use_compiled=False)
+        compiled = make_operator(WindowType.TIME, 4, 2)
+        reference = make_reference(WindowType.TIME, 4, 2)
         stream = tuples_of(points)
         got = run_batches(compiled, [stream])
         expected = run_batches(reference, [[t] for t in stream])
@@ -219,7 +227,7 @@ class TestDegenerateBatchPartitions:
     @pytest.mark.parametrize("size,step", [(5, 2), (3, 3), (2, 5)])
     def test_partitioning_is_output_invariant(self, window_type, size, step):
         stream = tuples_of(self.POINTS)
-        reference = make_operator(window_type, size, step, use_compiled=False)
+        reference = make_reference(window_type, size, step)
         expected = run_batches(reference, [[t] for t in stream])
 
         shapes = {
@@ -229,15 +237,15 @@ class TestDegenerateBatchPartitions:
         }
         shapes["ragged"].append(len(stream) - sum(shapes["ragged"]))
         for label, sizes in shapes.items():
-            compiled = make_operator(window_type, size, step, use_compiled=True)
+            compiled = make_operator(window_type, size, step)
             got = run_batches(compiled, partitions(stream, sizes))
             assert got == expected, f"partition shape {label!r} diverged"
         assert expected, "workload must emit windows"
 
-    @pytest.mark.parametrize("use_compiled", [True, False])
+    @pytest.mark.parametrize("side", sorted(MAKERS))
     @pytest.mark.parametrize("window_type", [WindowType.TUPLE, WindowType.TIME])
-    def test_empty_batch_is_a_no_op(self, window_type, use_compiled):
-        operator = make_operator(window_type, 3, 1, use_compiled=use_compiled)
+    def test_empty_batch_is_a_no_op(self, window_type, side):
+        operator = MAKERS[side](window_type, 3, 1)
         output_schema = operator.output_schema(SCHEMA)
         stream = tuples_of(self.POINTS[:10])
         emitted = []
@@ -248,14 +256,14 @@ class TestDegenerateBatchPartitions:
             assert operator.process_batch((), output_schema) == []
         emitted.extend(operator.process_batch(stream[5:], output_schema))
 
-        reference = make_operator(window_type, 3, 1, use_compiled=use_compiled)
+        reference = MAKERS[side](window_type, 3, 1)
         expected = run_batches(reference, [stream])
         assert [t.values for t in emitted] == expected
 
     def test_singleton_window_singleton_batches(self):
-        # size=1/step=1: every tuple is its own window, in every mode.
-        for use_compiled in (True, False):
-            operator = make_operator(WindowType.TUPLE, 1, 1, use_compiled=use_compiled)
+        # size=1/step=1: every tuple is its own window, on both sides.
+        for make in MAKERS.values():
+            operator = make(WindowType.TUPLE, 1, 1)
             stream = tuples_of(self.POINTS[:8])
             got = run_batches(operator, [[t] for t in stream])
             assert [row[4] for row in got] == [t["v"] for t in stream]  # lastval
