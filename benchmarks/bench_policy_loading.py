@@ -71,13 +71,12 @@ def test_pdp_evaluation_indexed_vs_linear(benchmark):
     def compare():
         results = {}
         modes = {
-            "linear": dict(use_index=False, cache_size=0),
-            "indexed": dict(use_index=True, cache_size=0),
-            "indexed+cache": dict(use_index=True, cache_size=4096),
+            "linear": PolicyDecisionPoint.reference,
+            "indexed": lambda store: PolicyDecisionPoint(store, cache_size=0),
+            "indexed+cache": PolicyDecisionPoint,
         }
-        for mode, options in modes.items():
-            store = _loaded_store(items)
-            pdp = PolicyDecisionPoint(store, **options)
+        for mode, build in modes.items():
+            pdp = build(_loaded_store(items))
             # Single-shot timings: keep the collector's wandering gen2
             # pause (tens of ms against the heap the full bench session
             # accumulates) out of the measured window, or it lands in an

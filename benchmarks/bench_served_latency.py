@@ -31,7 +31,6 @@ from pathlib import Path
 
 from benchmarks.conftest import print_header
 from repro.core import stream_policy
-from repro.framework.network import SimulatedNetwork
 from repro.loadgen.mix import derive_seed
 from repro.framework.server import DataServer
 from repro.serving import AsyncClient, AsyncDataServer
@@ -89,12 +88,10 @@ def make_graph(stream: str, threshold: int = 5) -> QueryGraph:
 
 
 def make_server(pdp_shards=None) -> DataServer:
-    network = SimulatedNetwork()
     engine = StreamEngine()
     for index in range(N_STREAMS):
         engine.register_input_stream(stream_name(index), WEATHER_SCHEMA)
     server = DataServer(
-        network,
         engine=engine,
         enforce_single_access=False,
         allow_partial_results=True,
@@ -270,7 +267,8 @@ async def run_recovery_benchmark():
     with ProcessShardPool(
         store, on_unavailable="error", restart_backoff=0.05
     ) as pool:
-        async with AsyncDataServer(server, pool=pool, max_in_flight=512) as front:
+        server.instance.attach_evaluator(pool)
+        async with AsyncDataServer(server, max_in_flight=512) as front:
             loop = asyncio.get_running_loop()
 
             async def driver(connection_id):

@@ -87,7 +87,6 @@ class PolicyEnforcementPoint:
         graph_manager: Optional[QueryGraphManager] = None,
         merge_options: MergeOptions = MergeOptions(),
         allow_partial_results: bool = False,
-        clock=time.perf_counter,
     ):
         self.pdp = pdp
         self.engine = engine
@@ -99,7 +98,6 @@ class PolicyEnforcementPoint:
         #: only "if there is no PR or NR warning detected", which is the
         #: default behaviour.
         self.allow_partial_results = allow_partial_results
-        self._clock = clock
 
     def handle_request(
         self,
@@ -114,10 +112,11 @@ class PolicyEnforcementPoint:
         the corresponding failures; on success returns a
         :class:`PepResult` with the stream handle.
 
-        *pdp_response* short-circuits step 2 with a decision already
-        computed elsewhere (a shard worker pool, an async front-end's
-        executor) — the enforcement workflow is otherwise identical, and
-        the skipped evaluation charges zero PDP time.
+        *pdp_response* short-circuits step 2: the one seam where a
+        decision an async front-end awaited off its loop (a blocking
+        evaluator such as a shard worker pool) re-enters on-loop
+        enforcement.  It charges zero PDP time, so an inline evaluator
+        is not pre-evaluated but called — and timed — here.
         """
         subject = request.require_subject()
         stream_name = request.resource_id
@@ -127,15 +126,15 @@ class PolicyEnforcementPoint:
             )
 
         # Step 1/2: PDP evaluation (unless a precomputed decision rides in).
-        started = self._clock()
+        started = time.perf_counter()
         response = pdp_response if pdp_response is not None else self.pdp.evaluate(request)
-        pdp_elapsed = self._clock() - started
+        pdp_elapsed = time.perf_counter() - started
         if response.decision is not Decision.PERMIT:
             raise AccessDeniedError(response.decision)
 
         # Step 2 (cont.): obligations → policy graph; step 1 (cont.):
         # user query → graph; step 3: single-access check; step 4: merge.
-        started = self._clock()
+        started = time.perf_counter()
         policy_graph = obligations_to_graph(
             response.obligations, stream_name, name=f"policy:{response.policy_id}"
         )
@@ -179,10 +178,10 @@ class PolicyEnforcementPoint:
                 "tuples will be withheld (PR)",
                 conflicts=merge_result.warnings,
             )
-        graph_elapsed = self._clock() - started
+        graph_elapsed = time.perf_counter() - started
 
         # Step 5: StreamSQL generation, submission, handle return.
-        started = self._clock()
+        started = time.perf_counter()
         script = generate_streamsql(merge_result.graph)
         handle = self.engine.register_query(merge_result.graph)
         self.access_registry.acquire(subject, stream_name, handle)
@@ -190,7 +189,7 @@ class PolicyEnforcementPoint:
             self.graph_manager.record(
                 handle, response.policy_id, subject, stream_name, merge_result.graph
             )
-        submit_elapsed = self._clock() - started
+        submit_elapsed = time.perf_counter() - started
 
         return PepResult(
             handle=handle,

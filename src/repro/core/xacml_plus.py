@@ -6,6 +6,11 @@ It is the unit the eXACML+ framework deploys on the data server — "new
 XACML+ instances are added into the framework to handle access control
 needs on data streams".
 
+Whatever evaluates requests is ``instance.pdp`` — by default a
+:class:`~repro.xacml.pdp.PolicyDecisionPoint`, or a worker pool put
+there by :meth:`XacmlPlusInstance.attach_evaluator` — never a second,
+idle evaluator beside it.
+
 ``pdp_shards=N`` swaps the store/PDP pair for the sharded analogues of
 :mod:`repro.xacml.sharding` (N hash-partitioned shard stores, requests
 routed to the owning shard's PDP — scatter-cached with single-flight
@@ -30,7 +35,7 @@ from repro.core.pep import PepResult, PolicyEnforcementPoint
 from repro.core.user_query import UserQuery
 from repro.streams.engine import StreamEngine
 from repro.streams.handles import StreamHandle
-from repro.xacml.pdp import DEFAULT_CACHE_SIZE, PolicyDecisionPoint
+from repro.xacml.pdp import PolicyDecisionPoint
 from repro.xacml.policy import Policy
 from repro.xacml.request import Request
 from repro.xacml.store import PolicyStore
@@ -46,26 +51,13 @@ class XacmlPlusInstance:
         merge_options: MergeOptions = MergeOptions(),
         enforce_single_access: bool = True,
         allow_partial_results: bool = False,
-        clock=None,
-        pdp_use_index: bool = True,
-        pdp_cache_size: Optional[int] = None,
         pdp_shards: Optional[int] = None,
         pdp_partitioner=None,
     ):
         self.engine = engine if engine is not None else StreamEngine()
-        cache_size = DEFAULT_CACHE_SIZE if pdp_cache_size is None else pdp_cache_size
+        if pdp_shards is not None and pdp_shards < 1:
+            raise ValueError(f"pdp_shards must be >= 1, not {pdp_shards}")
         if pdp_shards is not None and pdp_shards > 1:
-            if not pdp_use_index:
-                # Shard PDPs are always indexed — routing itself relies
-                # on the index's over-approximation guarantee, so a
-                # linear-scan sharded PDP does not exist.  Refuse rather
-                # than silently change candidate-selection semantics
-                # (a NotApplicable-sensitive custom combining algorithm
-                # needs the single-store reference PDP).
-                raise ValueError(
-                    "pdp_use_index=False is incompatible with pdp_shards: "
-                    "use the unsharded instance for linear-scan semantics"
-                )
             from repro.xacml.sharding import ShardedPDP, ShardedPolicyStore
 
             # The sharded store presents the PolicyStore listener/mutation
@@ -73,7 +65,7 @@ class XacmlPlusInstance:
             # subscribe to it exactly as to a single store (they observe
             # one logical event per mutation via the invalidation bus).
             self.store = ShardedPolicyStore(pdp_shards, partitioner=pdp_partitioner)
-            self.pdp = ShardedPDP(self.store, cache_size=cache_size)
+            self.pdp = ShardedPDP(self.store)
         else:
             if pdp_partitioner is not None:
                 raise ValueError(
@@ -81,17 +73,11 @@ class XacmlPlusInstance:
                     "instance has nothing to partition)"
                 )
             self.store = PolicyStore()
-            self.pdp = PolicyDecisionPoint(
-                self.store,
-                use_index=pdp_use_index,
-                cache_size=cache_size,
-            )
+            self.pdp = PolicyDecisionPoint(self.store)
         self.access_registry = AccessRegistry(enforce=enforce_single_access)
         self.graph_manager = QueryGraphManager(
             self.engine, self.store, self.access_registry
         )
-        import time
-
         self.pep = PolicyEnforcementPoint(
             self.pdp,
             self.engine,
@@ -99,8 +85,16 @@ class XacmlPlusInstance:
             graph_manager=self.graph_manager,
             merge_options=merge_options,
             allow_partial_results=allow_partial_results,
-            clock=clock if clock is not None else time.perf_counter,
         )
+
+    def attach_evaluator(self, evaluator) -> None:
+        """Make *evaluator* — anything over ``self.store`` with
+        ``evaluate``, ``cache_stats`` and ``detach``, in practice a
+        :class:`~repro.xacml.sharding.ProcessShardPool` — this
+        instance's one PDP.  The replaced evaluator is detached, so no
+        idle PDP keeps invalidating caches nobody queries."""
+        self.pdp.detach()
+        self.pdp = self.pep.pdp = evaluator
 
     # -- policy management (data-owner side) -----------------------------------
 

@@ -7,6 +7,11 @@ action and the byte-exact customised query — to the handle URI the
 server previously returned.  A hit answers the client without touching
 the server (or the DSMS) at all.
 
+On a miss the proxy also charges the server's side of the request to
+the virtual clock — its real compute and, on a grant, the sampled
+server→DSMS submission delay (folded into the returned timing) — because
+the data server itself simulates nothing.
+
 The cache is LRU-bounded; entries are invalidated when the underlying
 handle is withdrawn (revocation must not be masked by the proxy).  Two
 mechanisms keep that guarantee:
@@ -91,6 +96,17 @@ class Proxy:
         self.misses += 1
         outbound = self.network.transfer("proxy-server", message.payload_bytes())
         response, timing = self.server.process(message)
+        # Charged here, not in the server, and between the two legs: the
+        # seeded draw order is outbound → submit → inbound.
+        self.network.clock.advance(timing.compute_total)
+        if response.ok:
+            submit = self.network.dsms_submit(
+                self.server.name, script_bytes=timing.script_bytes
+            )
+            timing = timing._replace(
+                dsms_submit=timing.dsms_submit + submit,
+                compute_total=timing.compute_total + submit,
+            )
         inbound = self.network.transfer("proxy-server", response.payload_bytes())
         if self.cache_enabled and response.ok:
             self._store(key, response)

@@ -1,11 +1,14 @@
-"""The cloud data server: XACML+ instance behind the simulated network.
+"""The cloud data server: the XACML+ service core.
 
 The server performs the real access-control computation (PDP evaluation,
 obligation decoding, merging, NR/PR analysis, StreamSQL generation and
-engine registration) and charges the measured time to the virtual clock,
-then adds the simulated server→DSMS submission delay.  Policy loading
-pays the paper's measured per-policy cost (0.25 s ± 0.06 s) regardless
-of how many policies are already loaded.
+engine registration) and reports its real cost as a :class:`ServerTiming`.
+It simulates nothing — the testbed's network is something the
+*experiment* has: in the simulated deployment the proxy charges a
+request's compute and, on a grant, the server→DSMS submission delay, and
+the experiment runner charges the paper's per-policy load cost
+(0.25 s ± 0.06 s) after each load succeeds.  A served deployment
+(:mod:`repro.serving`) runs this same core behind a real socket.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from repro.errors import (
     EmptyResultWarning,
     MergeError,
     PartialResultWarning,
+    UnknownStreamError,
 )
 from repro.core.merge import MergeOptions
 from repro.core.xacml_plus import XacmlPlusInstance
@@ -28,34 +32,38 @@ from repro.framework.messages import (
     StreamRequestMessage,
     StreamResponseMessage,
 )
-from repro.framework.network import SimulatedNetwork
 from repro.streams.engine import StreamEngine
 from repro.xacml.policy import Policy
 from repro.xacml.xml_io import parse_policy_xml
 
 
 class ServerTiming(NamedTuple):
-    """Server-side breakdown of one request (seconds)."""
+    """Server-side breakdown of one request (real seconds)."""
 
     pdp: float
     query_graph: float
-    dsms_submit: float     # real submit compute + simulated DSMS network
-    compute_total: float   # everything charged to the clock server-side
+    dsms_submit: float     # StreamSQL generation + engine registration
+    compute_total: float   # the whole of ``DataServer.process``
+    script_bytes: int = 0  # StreamSQL a grant submitted (sizes the simulated submit)
 
 
 class DataServer:
-    """Hosts the XACML+ instance; entry point for proxies."""
+    """Hosts the XACML+ instance; entry point for proxies and sockets.
+
+    *network* (first positional, exposed as :attr:`network`) is kept for
+    callers that still hand over the deployment's simulated network —
+    dropping it is a benchmark change — but **the server never calls
+    it**.  Served deployments pass nothing.
+    """
 
     def __init__(
         self,
-        network: SimulatedNetwork,
+        network=None,
         engine: Optional[StreamEngine] = None,
         merge_options: MergeOptions = MergeOptions(),
         enforce_single_access: bool = True,
         allow_partial_results: bool = False,
         name: str = "server",
-        pdp_use_index: bool = True,
-        pdp_cache_size: Optional[int] = None,
         pdp_shards: Optional[int] = None,
         pdp_partitioner=None,
     ):
@@ -66,8 +74,6 @@ class DataServer:
             merge_options=merge_options,
             enforce_single_access=enforce_single_access,
             allow_partial_results=allow_partial_results,
-            pdp_use_index=pdp_use_index,
-            pdp_cache_size=pdp_cache_size,
             pdp_shards=pdp_shards,
             pdp_partitioner=pdp_partitioner,
         )
@@ -76,31 +82,17 @@ class DataServer:
 
     # -- policy management ------------------------------------------------------
 
-    def load_policy(self, policy: Union[Policy, str, PolicyLoadMessage]) -> float:
-        """Load one policy; returns the (virtual) seconds the load took."""
-        if isinstance(policy, PolicyLoadMessage):
-            policy = policy.policy_xml
-        if isinstance(policy, str):
-            policy = parse_policy_xml(policy)
-        delay = self.network.policy_load()
-        self.instance.load_policy(policy)
-        return delay
+    def load_policy(self, policy: Union[Policy, str, PolicyLoadMessage]) -> Policy:
+        """Load one policy (object, XML document or load message)."""
+        return self.instance.load_policy(_policy_of(policy))
 
-    def update_policy(self, policy: Union[Policy, str, PolicyLoadMessage]) -> float:
+    def update_policy(self, policy: Union[Policy, str, PolicyLoadMessage]) -> Policy:
         """Replace a loaded policy; spawned query graphs are revoked and
         the PDP's decision cache is flushed before the call returns."""
-        if isinstance(policy, PolicyLoadMessage):
-            policy = policy.policy_xml
-        if isinstance(policy, str):
-            policy = parse_policy_xml(policy)
-        delay = self.network.policy_load()
-        self.instance.update_policy(policy)
-        return delay
+        return self.instance.update_policy(_policy_of(policy))
 
-    def remove_policy(self, policy_id: str) -> float:
-        delay = self.network.policy_load()
+    def remove_policy(self, policy_id: str) -> None:
         self.instance.remove_policy(policy_id)
-        return delay
 
     # -- request processing --------------------------------------------------------
 
@@ -124,24 +116,21 @@ class DataServer:
         except AccessDeniedError as error:
             decision = getattr(error.decision, "value", None)
             return self._error_response("denied", str(error), started, decision)
+        except UnknownStreamError as error:
+            # A policy may permit a stream this engine does not host.
+            return self._error_response("denied", str(error), started)
         except ConcurrentAccessError as error:
             return self._error_response("concurrent", str(error), started)
-        except EmptyResultWarning as error:
+        except (EmptyResultWarning, MergeError) as error:
             return self._error_response("nr", str(error), started)
         except PartialResultWarning as error:
             return self._error_response("pr", str(error), started)
-        except MergeError as error:
-            return self._error_response("nr", str(error), started)
-        compute = time.perf_counter() - started
-        self.network.clock.advance(compute)
-        submit_network = self.network.dsms_submit(
-            self.name, script_bytes=len(result.streamsql.encode())
-        )
         timing = ServerTiming(
             pdp=result.timings.pdp,
             query_graph=result.timings.query_graph,
-            dsms_submit=result.timings.dsms_submit + submit_network,
-            compute_total=compute + submit_network,
+            dsms_submit=result.timings.dsms_submit,
+            compute_total=time.perf_counter() - started,
+            script_bytes=len(result.streamsql.encode()),
         )
         response = StreamResponseMessage(
             handle_uri=result.handle.uri,
@@ -154,6 +143,13 @@ class DataServer:
         self, kind: str, detail: str, started: float, decision=None
     ):
         compute = time.perf_counter() - started
-        self.network.clock.advance(compute)
         timing = ServerTiming(0.0, compute, 0.0, compute)
         return StreamResponseMessage(None, kind, detail, decision=decision), timing
+
+
+def _policy_of(policy: Union[Policy, str, PolicyLoadMessage]) -> Policy:
+    if isinstance(policy, PolicyLoadMessage):
+        policy = policy.policy_xml
+    if isinstance(policy, str):
+        policy = parse_policy_xml(policy)
+    return policy

@@ -41,7 +41,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core import stream_policy
 from repro.errors import ClientTimeoutError, TransportError
-from repro.framework.network import SimulatedNetwork
 from repro.framework.server import DataServer
 from repro.loadgen.config import LoadgenConfig
 from repro.loadgen.mix import OpMixStream, churn_graph, op_kind, stream_name, subject_name
@@ -77,12 +76,10 @@ def build_server(config: LoadgenConfig) -> DataServer:
     """A DataServer populated for the loadgen workload: ``streams``
     weather-schema input streams, one permissive policy per
     (stream, subject) pair of the Zipf population."""
-    network = SimulatedNetwork()
     engine = StreamEngine()
     for index in range(config.streams):
         engine.register_input_stream(stream_name(index), WEATHER_SCHEMA)
     server = DataServer(
-        network,
         engine=engine,
         enforce_single_access=False,
         allow_partial_results=True,

@@ -36,6 +36,7 @@ from repro.serving.wire import (
 )
 from repro.streams.graph import QueryGraph
 from repro.streams.operators import FilterOperator
+from repro.workload.zipf import ZipfSampler
 from repro.xacml.request import Request
 from repro.xacml.xml_io import policy_to_xml, request_to_xml
 
@@ -64,28 +65,6 @@ def derive_seed(*parts: int) -> int:
         value = (value * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
         value ^= value >> 27
     return value
-
-
-class ZipfSampler:
-    """Incremental Zipf(rank) sampling: P(rank r) ∝ (r+1)^-alpha.
-
-    `repro.workload.zipf` materializes whole sequences with its own
-    rng; the driver needs one draw per arrival from the connection's
-    rng, so the cumulative table lives here and the caller's rng
-    supplies the randomness.
-    """
-
-    def __init__(self, population: int, alpha: float):
-        if population <= 0:
-            raise ValueError("population must be positive")
-        weights = [rank ** (-alpha) for rank in range(1, population + 1)]
-        self._cumulative = list(itertools.accumulate(weights))
-        self._total = self._cumulative[-1]
-
-    def sample(self, rng: random.Random) -> int:
-        """A 0-based rank (0 = most popular)."""
-        point = rng.random() * self._total
-        return bisect.bisect_left(self._cumulative, point)
 
 
 def churn_graph(stream: str, threshold: int) -> QueryGraph:

@@ -23,13 +23,17 @@ Backpressure
     stalls so tests can observe the watermark engaging.
 
 Execution
+    The front-end owns no evaluator: what evaluates is
+    ``server.instance.pdp`` (see ``XacmlPlusInstance.attach_evaluator``).
     Operations run on the event-loop thread, which serializes them
     exactly like the in-process :class:`DataServer` (whose engine and
     registries are not thread-safe) — the differential harness relies
-    on this.  The one exception: when a :class:`ProcessShardPool` is
-    attached, PDP evaluation is shipped to the pool from an executor
-    thread (the pool is multi-driver safe) and the resulting decision
-    is threaded back into the PEP via the ``pdp_response`` seam.
+    on this.  The one hop off the loop: an evaluator declaring
+    ``blocking = True`` (a :class:`ProcessShardPool`, multi-driver safe)
+    is called from an executor thread and its decision re-enters on-loop
+    enforcement through ``process(..., pdp_response=)``; an inline one
+    is left for the PEP to call and time, so ``ServerTiming.pdp`` keeps
+    meaning.  Nothing here simulates anything: no virtual clock.
 
 Failure containment
     Payload-level garbage inside an intact frame produces an in-order
@@ -99,7 +103,6 @@ class AsyncDataServer:
         pipeline_depth: int = 32,
         write_high_water: int = 64 * 1024,
         sndbuf: Optional[int] = None,
-        pool=None,
     ):
         self.server = server
         self.host = host
@@ -110,7 +113,6 @@ class AsyncDataServer:
         #: userspace write watermark — not ~200 KB of kernel buffering —
         #: decides when backpressure engages.  Tests use this.
         self.sndbuf = sndbuf
-        self.pool = pool
         self.stats = LatencyRecorder()
         self.connections_total = 0  # guarded by: event-loop
         self.active_connections = 0  # guarded by: event-loop
@@ -309,15 +311,12 @@ class AsyncDataServer:
     async def _execute(self, message):
         if isinstance(message, EvaluateOp):
             return await self._evaluate(message)
-        if isinstance(message, (LoadOp, UpdateOp)):
-            apply = (
-                self.server.load_policy
-                if isinstance(message, LoadOp)
-                else self.server.update_policy
-            )
-            apply(message.policy_xml)
-            op = "load" if isinstance(message, LoadOp) else "update"
-            return AckReply(op)
+        if isinstance(message, LoadOp):
+            self.server.load_policy(message.policy_xml)
+            return AckReply("load")
+        if isinstance(message, UpdateOp):
+            self.server.update_policy(message.policy_xml)
+            return AckReply("update")
         if isinstance(message, RevokeOp):
             self.server.remove_policy(message.policy_id)
             return AckReply("revoke", detail=message.policy_id)
@@ -332,17 +331,16 @@ class AsyncDataServer:
 
     async def _evaluate(self, op: EvaluateOp):
         request = parse_request_xml(op.request_xml)
+        pdp = self.server.instance.pdp
         pdp_response = None
-        if self.pool is not None:
-            # The pool is multi-driver: executor threads are drivers.
+        if getattr(pdp, "blocking", False):
+            # Executor threads are drivers of the (multi-driver) pool.
             pdp_response = await asyncio.get_running_loop().run_in_executor(
-                None, self.pool.evaluate, request
+                None, pdp.evaluate, request
             )
         if op.decide_only:
             response = (
-                pdp_response
-                if pdp_response is not None
-                else self.server.instance.pdp.evaluate(request)
+                pdp_response if pdp_response is not None else pdp.evaluate(request)
             )
             return EvaluateReply(
                 ok=response.decision is Decision.PERMIT,

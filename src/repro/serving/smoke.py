@@ -16,7 +16,6 @@ import sys
 import time
 
 from repro.core import stream_policy
-from repro.framework.network import SimulatedNetwork
 from repro.framework.server import DataServer
 from repro.serving.client import AsyncClient
 from repro.serving.server import AsyncDataServer
@@ -37,11 +36,9 @@ EXPECTED_OPS = ("EvaluateOp", "IngestOp", "LoadOp", "UpdateOp", "RevokeOp")
 
 
 def make_server() -> DataServer:
-    network = SimulatedNetwork()
     engine = StreamEngine()
     engine.register_input_stream(STREAM, WEATHER_SCHEMA)
     server = DataServer(
-        network,
         engine=engine,
         enforce_single_access=False,
         allow_partial_results=True,

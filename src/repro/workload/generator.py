@@ -253,8 +253,9 @@ class WorkloadGenerator:
         """Produce the full request workload (``n_requests`` items).
 
         Items 0..n_policies-1 introduce unique policies; the remainder
-        reuse earlier policies (the paper has 1000 unique policies behind
-        1500 matching requests) with fresh customised queries.
+        reuse earlier policies round-robin (the paper has 1000 unique
+        policies behind 1500 matching requests) with fresh customised
+        queries.
         """
         parameters = self.parameters
         shape_sequence = self._shape_sequence(parameters.n_requests)
@@ -275,7 +276,7 @@ class WorkloadGenerator:
                 policies.append((policy, subject, graph, shape_name))
             else:
                 policy, subject, graph, shape_name = policies[
-                    index - parameters.n_policies
+                    (index - parameters.n_policies) % parameters.n_policies
                 ]
                 stream = graph.source
             user_query = (

@@ -2,7 +2,9 @@
 
 One :class:`ExperimentRunner` reproduces the paper's deployment —
 data server + StreamBase stand-in on the "server room" machines, proxy,
-client — over the simulated network, then replays request sequences:
+client — over the simulated network, then replays request sequences.
+The data server simulates nothing: the proxy charges its compute and
+the DSMS submission, the runner the paper's per-policy load cost.
 
 - :meth:`run_direct` — the direct-query baseline (Figure 6);
 - :meth:`run_unique` — the unique query/request sequence (Figures 6(a),
@@ -72,10 +74,11 @@ class ExperimentRunner:
 
     def load_policies(self, items: Sequence[WorkloadItem]) -> List[float]:
         """Load every unique policy; returns the per-policy load times."""
-        self.policy_load_times = [
+        self.policy_load_times = []
+        for policy in self.generator.unique_policies(items):
             self.server.load_policy(policy)
-            for policy in self.generator.unique_policies(items)
-        ]
+            # Charged after success: a refused load costs no RNG draw.
+            self.policy_load_times.append(self.network.policy_load())
         return self.policy_load_times
 
     # -- request sequences --------------------------------------------------------------

@@ -19,6 +19,27 @@ DEFAULT_ALPHA = 0.223
 DEFAULT_MAX_RANK = 300
 
 
+class ZipfSampler:
+    """Incremental Zipf(rank) sampling: P(rank r) ∝ (r+1)^-alpha.
+
+    The one ``rank^-α`` table: :func:`zipf_ranks` materializes whole
+    sequences through it, :mod:`repro.loadgen.mix` draws once per
+    arrival — the caller's rng supplies the randomness.
+    """
+
+    def __init__(self, population: int, alpha: float):
+        if population <= 0:
+            raise ValueError("Zipf population (max rank) must be positive")
+        weights = [rank ** (-alpha) for rank in range(1, population + 1)]
+        self._cumulative = list(itertools.accumulate(weights))
+        self._total = self._cumulative[-1]
+
+    def sample(self, rng: random.Random) -> int:
+        """A 0-based rank (0 = most popular)."""
+        point = rng.random() * self._total
+        return bisect.bisect_left(self._cumulative, point)
+
+
 def zipf_ranks(
     length: int,
     alpha: float = DEFAULT_ALPHA,
@@ -26,17 +47,9 @@ def zipf_ranks(
     seed: int = 42,
 ) -> List[int]:
     """Sample *length* ranks in ``[1, max_rank]`` with P(r) ∝ r^-α."""
-    if max_rank <= 0:
-        raise ValueError("max_rank must be positive")
+    sampler = ZipfSampler(max_rank, alpha)
     rng = random.Random(seed)
-    weights = [rank ** (-alpha) for rank in range(1, max_rank + 1)]
-    cumulative = list(itertools.accumulate(weights))
-    total = cumulative[-1]
-    ranks = []
-    for _ in range(length):
-        point = rng.random() * total
-        ranks.append(bisect.bisect_left(cumulative, point) + 1)
-    return ranks
+    return [sampler.sample(rng) + 1 for _ in range(length)]
 
 
 def zipf_sequence(

@@ -6,9 +6,9 @@ addition to permit/deny decision, the PDP also returns a set of
 obligations to the PEP." (paper Section 2.1)
 
 The seed implementation scanned every loaded policy for every request.
-This PDP adds two fast paths, both individually switchable so the seed
-behaviour stays available as a reference mode for differential testing
-(:meth:`PolicyDecisionPoint.reference`):
+The production PDP always runs two fast paths; the seed behaviour stays
+available only as the differential-test oracle
+(:meth:`PolicyDecisionPoint.reference` — linear scan, no cache):
 
 - **indexed candidate selection** — the store's target index narrows the
   scan to the plausibly applicable policies (see
@@ -236,12 +236,10 @@ class PolicyDecisionPoint:
         self,
         store: Optional[PolicyStore] = None,
         combining: str = "first-applicable",
-        use_index: bool = True,
         cache_size: int = DEFAULT_CACHE_SIZE,
     ):
         self.store = store if store is not None else PolicyStore()
         self.combining = combining
-        self.use_index = use_index
         self.cache_size = cache_size
         #: Number of evaluations performed (exported to the benchmarks).
         self.evaluations = 0
@@ -258,8 +256,8 @@ class PolicyDecisionPoint:
         store: Optional[PolicyStore] = None,
         combining: str = "first-applicable",
     ) -> "PolicyDecisionPoint":
-        """A PDP on the seed linear-scan path: no index, no cache."""
-        return cls(store, combining, use_index=False, cache_size=0)
+        """The oracle, on the seed linear-scan path: no index, no cache."""
+        return _LinearScanPDP(store, combining, cache_size=0)
 
     def detach(self) -> None:
         """Unregister from the store and drop the cache.
@@ -307,11 +305,7 @@ class PolicyDecisionPoint:
         return response
 
     def _candidates(self, request: Request):
-        return (
-            self.store.policies_for(request)
-            if self.use_index
-            else self.store.policies()
-        )
+        return self.store.policies_for(request)
 
     def _decide(self, candidates, request: Request) -> Response:
         return decide(candidates, request, self.combining)
@@ -355,3 +349,10 @@ class PolicyDecisionPoint:
     def cache_stats(self) -> dict:
         """A fresh counter snapshot for monitoring, benchmarks and tests."""
         return self.cache.stats()
+
+
+class _LinearScanPDP(PolicyDecisionPoint):
+    """:meth:`PolicyDecisionPoint.reference`: every policy is a candidate."""
+
+    def _candidates(self, request: Request):
+        return self.store.policies()

@@ -872,7 +872,7 @@ class ShardedPDP:
         self.store = store
         self._combining = combining
         self.shard_pdps: List[PolicyDecisionPoint] = [
-            PolicyDecisionPoint(shard, combining, use_index=True, cache_size=cache_size)
+            PolicyDecisionPoint(shard, combining, cache_size=cache_size)
             for shard in self.store.shards
         ]
         if scatter_cache_size is None:
@@ -976,7 +976,7 @@ def _shard_worker_main(
     store = PolicyStore()
     for policy, sequence in initial:
         store.load(policy, sequence=sequence)
-    pdp = PolicyDecisionPoint(store, combining, use_index=True, cache_size=cache_size)
+    pdp = PolicyDecisionPoint(store, combining, cache_size=cache_size)
     while True:
         message = commands.get()
         op = message[0]
@@ -1105,6 +1105,10 @@ class ProcessShardPool:
     the caller (or a serving client) to retry.  Use as a context
     manager or call :meth:`close`.
     """
+
+    #: ``evaluate`` waits on a worker: an event loop calls it from an
+    #: executor thread (a driver); evaluators without this run inline.
+    blocking = True
 
     #: Seconds to wait for any single worker response before declaring
     #: the worker dead.
@@ -1243,6 +1247,8 @@ class ProcessShardPool:
                 # threads block interpreter shutdown on unflushed
                 # buffers.
                 q.cancel_join_thread()
+
+    detach = close  # the name ``XacmlPlusInstance.attach_evaluator`` calls
 
     @property
     def n_shards(self) -> int:
@@ -1724,8 +1730,7 @@ class ProcessShardPool:
             pdp = self._fallbacks.get(shard_id)
             if pdp is None:
                 pdp = PolicyDecisionPoint(
-                    self.store.shards[shard_id], self._combining,
-                    use_index=True, cache_size=0,
+                    self.store.shards[shard_id], self._combining, cache_size=0
                 )
                 self._fallbacks[shard_id] = pdp
         with self.store._mutation_lock:

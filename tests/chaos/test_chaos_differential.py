@@ -50,7 +50,6 @@ from repro.serving.wire import (
     encode_frame,
     encode_message,
 )
-from repro.framework.network import SimulatedNetwork
 from repro.framework.server import DataServer
 from repro.streams.engine import StreamEngine
 from repro.streams.schema import WEATHER_SCHEMA
@@ -95,12 +94,10 @@ def weather_graph(threshold, stream):
 
 
 def make_env(pdp_shards):
-    network = SimulatedNetwork()
     engine = StreamEngine()
     for client_id in range(N_CLIENTS):
         engine.register_input_stream(client_stream(client_id), WEATHER_SCHEMA)
     return DataServer(
-        network,
         engine=engine,
         enforce_single_access=False,
         allow_partial_results=True,
@@ -226,8 +223,9 @@ async def run_served_with_pool(scripts, pool_kwargs, chaos_counters):
         restart_backoff=0.01,
         **pool_kwargs,
     )
+    server.instance.attach_evaluator(pool)
     try:
-        async with AsyncDataServer(server, pool=pool) as front:
+        async with AsyncDataServer(server) as front:
 
             async def drive(script):
                 client = await AsyncClient.connect(

@@ -34,16 +34,43 @@ def deploy(cache_enabled=True, enforce_single_access=False):
 
 
 class TestServer:
-    def test_policy_load_time(self):
-        network, server, _, _ = deploy()
-        delay = server.load_policy(
-            stream_policy(
-                "p2", "weather",
-                QueryGraph("weather").append(FilterOperator("windspeed > 1")),
-                subject="NEA",
-            )
+    def test_unhosted_stream_is_an_error_response(self):
+        """A policy may permit a stream the engine does not host: the
+        PEP's schema lookup raises ``UnknownStreamError``, which must
+        come back as a ``denied`` response naming the stream — at the
+        server and through proxy and client — leaving nothing behind."""
+        network, server, proxy, client = deploy(enforce_single_access=True)
+        server.load_policy(
+            stream_policy("p:ghost", "ghost", QueryGraph("ghost"), subject="LTA")
         )
-        assert 0.05 < delay < 0.6
+        message = StreamRequestMessage(Request.simple("LTA", "ghost"), None)
+        response, timing = server.process(message)
+        assert not response.ok and response.error_kind == "denied"
+        assert "ghost" in response.error_detail
+        assert timing.script_bytes == 0
+        assert not proxy.process(message).response.ok
+        _, trace = client.request_stream(Request.simple("LTA", "ghost"))
+        assert trace.outcome == "denied"
+        # The PEP raised before ``acquire``/``register_query``.
+        assert server.instance.access_registry.active_count() == 0
+        assert server.instance.engine.active_queries() == []
+        assert server.instance.graph_manager.active_count() == 0
+
+    def test_failed_mutation_costs_no_virtual_time_and_no_draw(self):
+        from repro.errors import PolicyStoreError
+        from repro.framework.network import LatencyModel
+
+        network, server, _, _ = deploy()
+        before = network.clock.now()
+        ghost = stream_policy("nope", "weather", QueryGraph("weather"), subject="X")
+        with pytest.raises(PolicyStoreError):
+            server.update_policy(ghost)
+        with pytest.raises(PolicyStoreError):
+            server.remove_policy("nope")
+        assert network.clock.now() - before == 0.0
+        # deploy() loaded one policy without charging it, so the next
+        # sampled delay is a fresh same-seed model's first.
+        assert network.policy_load() == LatencyModel().policy_load_delay()
 
     def test_permit_response(self):
         _, server, _, _ = deploy()

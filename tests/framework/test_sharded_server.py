@@ -20,6 +20,7 @@ from repro.streams.engine import StreamEngine
 from repro.streams.graph import QueryGraph
 from repro.streams.operators import FilterOperator
 from repro.streams.schema import WEATHER_SCHEMA
+from repro.xacml.pdp import PolicyDecisionPoint
 from repro.xacml.request import Request
 from repro.xacml.sharding import ShardedPDP, ShardedPolicyStore
 
@@ -125,11 +126,13 @@ class TestShardedDeployment:
         assert events == [("loaded", "p:ANY"), ("loaded", "p:WILD")]
         assert store.stats()["replicated"] == 1
 
-    def test_linear_scan_and_sharding_are_mutually_exclusive(self):
+    @pytest.mark.parametrize("pdp_shards", (0, -3))
+    def test_non_positive_shard_counts_are_refused(self, pdp_shards):
         from repro.core import XacmlPlusInstance
 
         with pytest.raises(ValueError):
-            XacmlPlusInstance(pdp_use_index=False, pdp_shards=4)
+            XacmlPlusInstance(pdp_shards=pdp_shards)
+        assert isinstance(XacmlPlusInstance(pdp_shards=1).pdp, PolicyDecisionPoint)
 
     def test_partitioner_wires_through_server(self):
         network = SimulatedNetwork()

@@ -46,7 +46,7 @@ ACTIONS = ("read", "write")
 def make_pdp_pair(combining="first-applicable", cache_size=64):
     """A fast PDP and a reference PDP over one shared store."""
     store = PolicyStore()
-    fast = PolicyDecisionPoint(store, combining, use_index=True, cache_size=cache_size)
+    fast = PolicyDecisionPoint(store, combining, cache_size=cache_size)
     reference = PolicyDecisionPoint.reference(store, combining)
     return store, fast, reference
 

@@ -8,7 +8,6 @@ awaited stage in the tests).
 from __future__ import annotations
 
 from repro.core import stream_policy
-from repro.framework.network import SimulatedNetwork
 from repro.framework.server import DataServer
 from repro.streams.engine import StreamEngine
 from repro.streams.graph import QueryGraph
@@ -26,14 +25,12 @@ def weather_graph(threshold: int = 5, stream: str = "weather") -> QueryGraph:
 def make_data_server(
     subjects=("LTA",), streams=("weather",), pdp_shards=None
 ) -> DataServer:
-    """A real DataServer over the simulated network, with one permissive
-    stream policy per subject on the first stream."""
-    network = SimulatedNetwork()
+    """A real DataServer (the service core, no simulated network), with
+    one permissive stream policy per subject on the first stream."""
     engine = StreamEngine()
     for stream in streams:
         engine.register_input_stream(stream, WEATHER_SCHEMA)
     server = DataServer(
-        network,
         engine=engine,
         enforce_single_access=False,
         allow_partial_results=True,

@@ -342,7 +342,8 @@ class TestServedShardUnavailable:
         (shard_id,) = store.shards_for_request(Request.simple("LTA", "weather"))
 
         async def scenario(pool):
-            async with AsyncDataServer(server, pool=pool) as front:
+            server.instance.attach_evaluator(pool)
+            async with AsyncDataServer(server) as front:
                 client = await AsyncClient.connect(
                     "127.0.0.1", front.port, max_retries=0
                 )
@@ -377,7 +378,8 @@ class TestServedShardUnavailable:
         (shard_id,) = store.shards_for_request(Request.simple("LTA", "weather"))
 
         async def scenario(pool):
-            async with AsyncDataServer(server, pool=pool) as front:
+            server.instance.attach_evaluator(pool)
+            async with AsyncDataServer(server) as front:
                 client = await AsyncClient.connect(
                     "127.0.0.1", front.port, max_retries=0
                 )
@@ -408,7 +410,8 @@ class TestServedShardUnavailable:
         (shard_id,) = store.shards_for_request(Request.simple("LTA", "weather"))
 
         async def scenario(pool):
-            async with AsyncDataServer(server, pool=pool) as front:
+            server.instance.attach_evaluator(pool)
+            async with AsyncDataServer(server) as front:
                 client = await AsyncClient.connect(
                     "127.0.0.1", front.port,
                     max_retries=40, retry_base_delay=0.02,

@@ -1,0 +1,176 @@
+"""The served request path is the service core and nothing else.
+
+Between the socket and the PDP there is one path: no simulated network
+(no sampled delay, no virtual clock), one evaluator (whatever sits at
+``server.instance.pdp``), and none of the pass-through options that used
+to select between otherwise identical configurations.
+"""
+
+from __future__ import annotations
+
+import ast
+import asyncio
+import inspect
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.core import XacmlPlusInstance, stream_policy
+from repro.core.pep import PolicyEnforcementPoint
+from repro.framework.network import SimulatedNetwork
+from repro.framework.server import DataServer
+from repro.serving.server import AsyncDataServer
+from repro.serving.wire import EvaluateOp, EvaluateReply, LoadOp, RevokeOp
+from repro.streams.engine import StreamEngine
+from repro.streams.graph import QueryGraph
+from repro.streams.schema import WEATHER_SCHEMA
+from repro.xacml.pdp import PolicyDecisionPoint
+from repro.xacml.request import Request
+from repro.xacml.sharding import ProcessShardPool, ShardedPolicyStore
+from repro.xacml.xml_io import policy_to_xml, request_to_xml
+
+from serving_helpers import TIMEOUT, make_data_server, weather_graph
+
+ROOT = Path(__file__).resolve().parents[2]
+SRC = ROOT / "src" / "repro"
+
+
+def evaluate_op(subject="LTA", stream="weather", decide_only=False):
+    return EvaluateOp(
+        request_to_xml(Request.simple(subject, stream)), None, decide_only
+    )
+
+
+def run(coroutine):
+    return asyncio.run(asyncio.wait_for(coroutine, TIMEOUT))
+
+
+class TestNoSimulationOnTheServedPath:
+    def test_benchmark_tracer_installs_and_sees_no_network_spans(self):
+        """``benchmarks/e2e/trace.py`` rebinds every layer by name, the
+        simulated-network calls included: it must still install, and a
+        load / full evaluate / revoke must cross the framework and PDP
+        layers without one ``network.*`` span."""
+        if str(ROOT) not in sys.path:
+            sys.path.insert(0, str(ROOT))
+        from benchmarks.e2e.trace import Tracer
+
+        engine = StreamEngine()
+        engine.register_input_stream("weather", WEATHER_SCHEMA)
+        # Built as benchmarks/e2e/serve.py builds it: the network is
+        # handed over, exposed as ``.network`` and never called.
+        network = SimulatedNetwork()
+        server = DataServer(network, engine=engine, enforce_single_access=False,
+                            allow_partial_results=True)
+        front = AsyncDataServer(server)
+        policy = stream_policy("p:LTA", "weather", weather_graph(), subject="LTA")
+        tracer = Tracer(front)
+        tracer.install()
+        try:
+            replies = [
+                run(front.execute(op))
+                for op in (LoadOp(policy_to_xml(policy)), evaluate_op(),
+                           RevokeOp("p:LTA"))
+            ]
+        finally:
+            tracer.uninstall()
+        assert replies[1].ok and replies[1].handle_uri
+        names = [span[0] for span in tracer.spans]
+        assert names.count("framework.policy_admin") == 2
+        assert names.count("framework.process") == 1
+        assert names.count("pdp.evaluate") == 1
+        assert not [name for name in names if name.startswith("network.")]
+        assert server.network is network and network.clock.now() == 0.0
+        assert tracer.server_timing["dsms_submit"] > 0.0
+
+    def test_unhosted_stream_is_an_evaluate_reply_on_the_wire(self):
+        server = make_data_server()
+        server.load_policy(
+            stream_policy("p:ghost", "ghost", QueryGraph("ghost"), subject="LTA")
+        )
+        reply = run(AsyncDataServer(server).execute(evaluate_op(stream="ghost")))
+        assert isinstance(reply, EvaluateReply)
+        assert not reply.ok and reply.error_kind == "denied"
+        assert "ghost" in reply.error_detail
+        assert server.instance.access_registry.active_count() == 0
+        assert server.instance.engine.active_queries() == []
+
+
+class TestOptionCensus:
+    REMOVED = {"use_index", "pdp_use_index", "pdp_cache_size", "clock", "pool"}
+
+    @pytest.mark.parametrize("cls", [
+        PolicyDecisionPoint, XacmlPlusInstance, PolicyEnforcementPoint,
+        DataServer, AsyncDataServer,
+    ])
+    def test_pass_through_knobs_are_gone(self, cls):
+        signatures = [inspect.signature(cls)] + [
+            inspect.signature(member)
+            for name, member in inspect.getmembers(cls, callable)
+            if not name.startswith("_")
+        ]
+        for signature in signatures:
+            assert not self.REMOVED & set(signature.parameters), (cls, signature)
+
+    def test_served_packages_do_not_import_the_simulated_network(self):
+        offenders = []
+        for package in ("serving", "loadgen"):
+            for path in sorted((SRC / package).rglob("*.py")):
+                for node in ast.walk(ast.parse(path.read_text())):
+                    modules = []
+                    if isinstance(node, ast.Import):
+                        modules = [alias.name for alias in node.names]
+                    elif isinstance(node, ast.ImportFrom):
+                        modules = [node.module or ""] + [
+                            f"{node.module}.{alias.name}" for alias in node.names
+                        ]
+                    if any(m.startswith("repro.framework.network") or
+                           m.endswith("SimulatedNetwork") for m in modules):
+                        offenders.append(str(path.relative_to(ROOT)))
+        assert offenders == []
+
+
+def listener_census(store: ShardedPolicyStore):
+    return (
+        len(store.bus._listeners),
+        [len(shard._listeners) for shard in store.shards],
+        len(store._shard_listeners),
+    )
+
+
+class TestOneEvaluator:
+    def test_attached_pool_is_the_only_subscribed_evaluator(self):
+        bare = ShardedPolicyStore(4)
+        with ProcessShardPool(bare):
+            pool_bus, pool_shards, pool_shard_listeners = listener_census(bare)
+
+        server = make_data_server(pdp_shards=4)
+        instance = server.instance
+        replaced = instance.pdp
+        with ProcessShardPool(instance.store) as pool:
+            instance.attach_evaluator(pool)
+            assert instance.pdp is pool and instance.pep.pdp is pool
+            bus, shards, shard_listeners = listener_census(instance.store)
+            # The instance adds exactly its graph manager to the bus; the
+            # replaced ShardedPDP (N shard PDPs + a scatter cache) is gone.
+            assert bus == pool_bus + 1
+            # (each shard store's one listener is its own index maintenance)
+            assert shards == pool_shards == [1] * 4
+            assert shard_listeners == pool_shard_listeners == 1
+
+            front = AsyncDataServer(server)
+            decided = run(front.execute(evaluate_op(decide_only=True)))
+            granted = run(front.execute(evaluate_op()))
+            assert decided.ok and granted.ok and granted.handle_uri
+            assert instance.pdp.cache_stats()["evaluations"] == 2
+            assert replaced.evaluations == 0
+
+    def test_attach_detaches_the_single_store_pdp_too(self):
+        instance = XacmlPlusInstance()
+        first = instance.pdp
+        second = PolicyDecisionPoint(instance.store)
+        instance.attach_evaluator(second)
+        assert instance.pdp is second and instance.pep.pdp is second
+        assert first._on_store_event not in instance.store._listeners
+        assert second._on_store_event in instance.store._listeners

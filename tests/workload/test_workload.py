@@ -1,7 +1,11 @@
 """Tests for workload generation, Zipf sequences, runner and report."""
 
+import hashlib
+import struct
+
 import pytest
 
+from repro.__main__ import main
 from repro.framework.metrics import MetricsCollector
 from repro.workload.generator import (
     SHAPE_NAMES,
@@ -111,6 +115,13 @@ class TestGenerator:
         items = small_generator(n_requests=120, n_policies=80).generate()
         assert items[80].policy.policy_id == items[0].policy.policy_id
 
+    def test_reuse_wraps_when_requests_exceed_twice_the_policies(self):
+        items = small_generator(n_requests=200, n_policies=60).generate()
+        assert len(items) == 200
+        assert len({item.policy.policy_id for item in items}) == 60
+        assert items[120].policy.policy_id == items[0].policy.policy_id
+        assert items[199].policy.policy_id == items[199 % 60].policy.policy_id
+
 
 class TestRunner:
     @pytest.fixture(scope="class")
@@ -129,6 +140,13 @@ class TestRunner:
         assert len(unique) == len(items)
         assert all(t.outcome == "ok" for t in direct)
         assert all(t.outcome == "ok" for t in unique)
+
+    def test_policy_load_time(self, run):
+        """Each load is charged the paper's sampled delay — by the
+        runner, after the server's real (and uncharged) load."""
+        runner, _, loads, _, _ = run
+        assert len(loads) == 80 == len(runner.server.instance.store)
+        assert all(0.05 < delay < 0.6 for delay in loads)
 
     def test_policy_load_calibration(self, run):
         _, _, loads, _, _ = run
@@ -173,6 +191,67 @@ class TestRunner:
         runner, items, *_ = run
         counts = runner.outcome_counts()
         assert counts["ok"] == 2 * len(items)
+
+
+def _digest(values):
+    return hashlib.sha256(b"".join(struct.pack("<d", v) for v in values)).hexdigest()
+
+
+class TestSeededSimulationGolden:
+    """Captured at the commit before the simulation moved out of
+    ``DataServer``: for a given seed the sampled delays are bit-identical
+    whoever charges them (same RNG draw order: outbound transfer →
+    compute → dsms_submit → inbound transfer; one draw per loaded
+    policy)."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        generator = small_generator(seed=2012, n_requests=200, n_policies=150)
+        runner = ExperimentRunner(seed=2012, generator=generator)
+        items = generator.generate()
+        loads = runner.load_policies(items)
+        unique = runner.run_unique(items)
+        zipf = runner.run_zipf(items, max_rank=40)
+        return loads, unique, zipf
+
+    def test_policy_load_times(self, run):
+        loads, _, _ = run
+        assert len(loads) == 150
+        assert [v.hex() for v in loads[:3]] == [
+            "0x1.301f1eff4987dp-2", "0x1.21541eff3dc6fp-2", "0x1.f7d60db516679p-3",
+        ]
+        assert _digest(loads) == (
+            "b399d99c60b6ff64099be28a19aeb04a10fcd22d700ea0b3636f5ab895d50147"
+        )
+
+    def test_unique_run_network_seconds(self, run):
+        _, unique, _ = run
+        assert all(trace.outcome == "ok" for trace in unique)
+        assert _digest([trace.network for trace in unique]) == (
+            "b6099837948ae27e1ad560c1b095a80ca43997b65e72842f8144ac8c8a4c8699"
+        )
+
+    def test_zipf_cached_run_network_seconds(self, run):
+        _, _, zipf = run
+        assert sum(trace.cache_hit for trace in zipf) == 160
+        assert _digest([trace.network for trace in zipf]) == (
+            "c4b10877c5b711822c2dd0d71b82f85654125e50fc71d59d692b0602eeead10f"
+        )
+
+    GOLDEN_LINE = (
+        "loaded 150 policies: mean 0.247 s, stdev 0.060 s (paper: 0.25 ± 0.06)\n"
+    )
+
+    def test_cli_policy_load_output(self, capsys):
+        argv = ["--seed", "2012", "policy-load", "--policies", "150"]
+        assert main(argv + ["--requests", "200"]) == 0
+        assert capsys.readouterr().out == self.GOLDEN_LINE
+
+    def test_cli_policy_load_with_default_request_count(self, capsys):
+        """1,500 default requests over 150 policies: the reuse index
+        used to overrun the policy list (``IndexError``)."""
+        assert main(["--seed", "2012", "policy-load", "--policies", "150"]) == 0
+        assert capsys.readouterr().out == self.GOLDEN_LINE
 
 
 class TestReport:

@@ -259,7 +259,10 @@ class TestDecisionCache:
         assert pdp.evaluate(request).decision is Decision.PERMIT
         assert pdp.evaluate(request).decision is Decision.PERMIT
         assert (pdp.cache_hits, pdp.cache_misses) == (0, 0)
-        assert not pdp.use_index
+        # Candidate selection is the whole store, not the index's pick.
+        store.load(make_policy("p2", subject="NEA"))
+        assert len(pdp._candidates(request)) == 2
+        assert len(PolicyDecisionPoint(store)._candidates(request)) == 1
 
     def test_detach_stops_invalidation_and_unpins(self):
         store = PolicyStore()
