@@ -13,9 +13,9 @@ i.e. a *model* that assumes one host per shard.
 **Scatter caching (measured).**  A scatter-heavy workload — ≥50 % of
 requests carry two resource-id values hashing to different shards, and
 the stream revisits a zipf-skewed working set of distinct requests —
-run through the PR 4 uncached scatter path (``scatter_cache_size=0``:
-every spanning request re-gathers and re-merges) versus the PR 5
-cached single-flight path.  Acceptance: ≥ 3x throughput cached vs
+run with every spanning request re-gathered and re-merged (a direct
+``decide(store.policies_for(request), ...)``, no scatter cache) versus
+the cached single-flight scatter path.  Acceptance: ≥ 3x throughput cached vs
 uncached at 4 shards (the CI smoke job relaxes to 2x).
 
 **Worker pool (measured).**  The makespan model's assumption made real:
@@ -46,7 +46,7 @@ from pathlib import Path
 
 from benchmarks.conftest import print_header
 from repro.xacml.attributes import RESOURCE_ID, Attribute, AttributeCategory, AttributeValue
-from repro.xacml.pdp import PolicyDecisionPoint
+from repro.xacml.pdp import PolicyDecisionPoint, decide
 from repro.xacml.policy import Policy, Rule, Target
 from repro.xacml.request import Request
 from repro.xacml.response import Effect
@@ -269,10 +269,18 @@ def scatter_path_seconds(policies, stream, cached):
         store = ShardedPolicyStore(SCATTER_SHARDS)
         for policy in policies:
             store.load(policy)
-        sharded = ShardedPDP(
-            store, scatter_cache_size=None if cached else 0
-        )
-        return lambda: [sharded.evaluate(request) for request in stream]
+        sharded = ShardedPDP(store)
+        if cached:
+            return lambda: [sharded.evaluate(request) for request in stream]
+
+        def uncached(request):
+            # Routed requests still hit their shard PDP; only the
+            # spanning ones lose the scatter cache.
+            if len(store.shards_for_request(request)) == 1:
+                return sharded.evaluate(request)
+            return decide(store.policies_for(request), request, sharded.combining)
+
+        return lambda: [uncached(request) for request in stream]
 
     return best_of(3, make)
 
@@ -282,7 +290,7 @@ def worker_pool_seconds(policies, requests, n_shards):
     store = ShardedPolicyStore(n_shards)
     for policy in policies:
         store.load(policy)
-    with ProcessShardPool(store, batch_size=256) as pool:
+    with ProcessShardPool(store) as pool:
         best = None
         for _ in range(3):
             pool.flush_caches()

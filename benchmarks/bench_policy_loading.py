@@ -92,7 +92,7 @@ def test_pdp_evaluation_indexed_vs_linear(benchmark):
             results[mode] = (
                 elapsed,
                 [(r.decision, r.policy_id) for r in decisions],
-                pdp.cache_hit_rate,
+                pdp.cache_stats()["hit_rate"],
             )
         return results
 

@@ -3,15 +3,17 @@
 Self-serves a local :class:`AsyncDataServer` unless ``--host`` points
 at a running one, drives the seeded closed-loop workload, prints live
 per-op percentile tables, and writes the ``BENCH_loadgen.json``
-artifact.  Exits non-zero when the run produced no measured evaluate
-traffic — the smoke-gate contract CI's ``loadgen-smoke`` job relies
-on.
+artifact.  Exits non-zero unless every op kind the mix asked for
+produced measured samples with ordered percentiles (see
+:func:`check_report`) — the smoke-gate contract CI's
+``loadgen-smoke`` job relies on.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from typing import Dict, List
 
 from repro.loadgen.config import LoadgenConfig, MixWeights
 from repro.loadgen.driver import run_loadgen
@@ -57,25 +59,34 @@ def parse_args(argv) -> LoadgenConfig:
     arguments = parser.parse_args(argv)
     if arguments.host is not None and not arguments.port:
         parser.error("--host requires --port")
-    return LoadgenConfig(
-        duration=arguments.duration,
-        warmup=arguments.warmup,
-        target_qps=arguments.target_qps,
-        seed=arguments.seed,
-        processes=arguments.processes,
-        connections=arguments.connections,
-        max_burst=arguments.max_burst,
-        timeout=arguments.timeout,
-        max_retries=arguments.max_retries,
-        host=arguments.host,
-        port=arguments.port,
-        mix=arguments.mix,
-        streams=arguments.streams,
-        subjects_per_stream=arguments.subjects_per_stream,
-        zipf_alpha=arguments.zipf_alpha,
-        report_interval=arguments.report_interval,
-        output=arguments.output or None,
-    ).validate()
+    # Every flag is named after the LoadgenConfig field it sets.
+    options = vars(arguments)
+    options["output"] = options["output"] or None
+    return LoadgenConfig(**options).validate()
+
+
+def check_report(config: LoadgenConfig, report: Dict[str, object]) -> List[str]:
+    """Why *report* fails the smoke gate (empty when it passes).
+
+    Every op kind with a positive mix weight must have produced
+    measured samples, each measured op's percentiles must be ordered
+    (``p50 <= p90 <= p99``), and achieved QPS must be positive.
+    """
+    latency = report["latency_ms"]
+    wanted = [f"{kind.capitalize()}Op" for kind, _ in config.mix.normalized()]
+    missing = [row for row in wanted if not latency.get(row, {}).get("count")]
+    unordered = [
+        row for row, stats in latency.items()
+        if not stats["p50_ms"] <= stats["p90_ms"] <= stats["p99_ms"]
+    ]
+    failures = []
+    if missing:
+        failures.append(f"no measured samples for {missing}")
+    if unordered:
+        failures.append(f"unordered percentiles for {unordered}")
+    if report["achieved"]["qps"] <= 0:
+        failures.append("achieved QPS is zero")
+    return failures
 
 
 def main(argv=None) -> int:
@@ -92,14 +103,10 @@ def main(argv=None) -> int:
     report = run_loadgen(config, live=True)
     if config.output:
         print(f"wrote {config.output}")
-    latency = report["latency_ms"]
-    if not latency.get("EvaluateOp", {}).get("count"):
-        print("FAIL: no measured evaluate traffic", file=sys.stderr)
-        return 1
-    if report["achieved"]["qps"] <= 0:
-        print("FAIL: achieved QPS is zero", file=sys.stderr)
-        return 1
-    return 0
+    failures = check_report(config, report)
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -310,42 +310,6 @@ class PolicyDecisionPoint:
     def _decide(self, candidates, request: Request) -> Response:
         return decide(candidates, request, self.combining)
 
-    # Counter names predating the DecisionCache extraction — kept as the
-    # public monitoring surface (tests and benchmarks read them).
-
-    @property
-    def cache_hits(self) -> int:
-        return self.cache.hits
-
-    @property
-    def cache_misses(self) -> int:
-        return self.cache.misses
-
-    @property
-    def cache_invalidations(self) -> int:
-        return self.cache.invalidations
-
-    @property
-    def cache_full_flushes(self) -> int:
-        return self.cache.full_flushes
-
-    @property
-    def cache_targeted_evictions(self) -> int:
-        return self.cache.targeted_evictions
-
-    @property
-    def _cache(self) -> "OrderedDict[tuple, _CacheEntry]":
-        return self.cache.entries
-
-    @property
-    def _buckets(self) -> Dict[str, Set[tuple]]:
-        return self.cache.buckets
-
-    @property
-    def cache_hit_rate(self) -> float:
-        total = self.cache.hits + self.cache.misses
-        return self.cache.hits / total if total else 0.0
-
     def cache_stats(self) -> dict:
         """A fresh counter snapshot for monitoring, benchmarks and tests."""
         return self.cache.stats()

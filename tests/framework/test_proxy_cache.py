@@ -210,7 +210,7 @@ class TestRevalidation:
         server, proxy = deploy()
         pdp = server.instance.pdp
         proxy.process(request_for("LTA"))
-        before = pdp.cache_invalidations
+        before = pdp.cache.invalidations
         server.remove_policy("p:LTA")
-        assert pdp.cache_invalidations == before + 1
+        assert pdp.cache.invalidations == before + 1
         assert pdp.cache_stats()["entries"] == 0

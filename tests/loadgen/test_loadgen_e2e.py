@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.loadgen.__main__ import check_report
 from repro.loadgen.config import LoadgenConfig
 from repro.loadgen.driver import run_loadgen
 
@@ -53,6 +54,11 @@ class TestEndToEnd:
                 stats["p50_ms"] <= stats["p90_ms"]
                 <= stats["p99_ms"] <= stats["max_ms"]
             ), op
+
+    def test_real_run_passes_the_cli_exit_checks(self, report_and_path):
+        report, _ = report_and_path
+        # The fixture runs the default mix, so all five op kinds are due.
+        assert check_report(LoadgenConfig(), report) == []
 
     def test_counters_are_coherent(self, report_and_path):
         report, _ = report_and_path

@@ -263,7 +263,7 @@ class TestWorkloadEquivalence:
             assert_equivalent(fast, reference, request)
         # The Zipf skew must actually produce cache hits, or this test
         # is not exercising the cached path at all.
-        assert fast.cache_hits > 0
+        assert fast.cache.hits > 0
 
     def test_equivalence_through_update_and_remove(self, workload):
         store, fast, reference = make_pdp_pair(cache_size=32)

@@ -532,8 +532,9 @@ class TestWorkerPoolParity:
     @pytest.mark.parametrize("partitioner", ("resource", "composite"))
     @pytest.mark.parametrize("n_shards", (1, 2, 4))
     def test_pool_matches_reference_through_mutations(
-        self, n_shards, partitioner
+        self, n_shards, partitioner, monkeypatch
     ):
+        monkeypatch.setattr(ProcessShardPool, "BATCH_SIZE", 4)
         loads, script = pool_policy_script()
         store = ShardedPolicyStore(n_shards, partitioner=partitioner)
         reference_store = PolicyStore()
@@ -542,7 +543,7 @@ class TestWorkerPoolParity:
             store.load(policy)
             reference_store.load(policy)
         requests = pool_request_set()
-        with ProcessShardPool(store, batch_size=4) as pool:
+        with ProcessShardPool(store) as pool:
             got = pool.evaluate_many(requests + requests)  # 2nd pass cached
             expected = [reference.evaluate(r) for r in requests + requests]
             for actual, want in zip(got, expected):
@@ -597,7 +598,8 @@ class TestWorkerPoolParity:
         store.load(permit_policy("q", resource="weather1"))
         assert "q" in store
 
-    def test_worker_error_does_not_desync_the_protocol(self):
+    def test_worker_error_does_not_desync_the_protocol(self, monkeypatch):
+        monkeypatch.setattr(ProcessShardPool, "BATCH_SIZE", 2)
         # A request that fails *inside* the worker (fingerprint raises
         # during the worker-side evaluate) surfaces as an error — and
         # the very next call still returns correct, correctly-matched
@@ -606,7 +608,7 @@ class TestWorkerPoolParity:
         store = ShardedPolicyStore(2)
         store.load(permit_policy("p", resource="weather0"))
         good = [Request.simple(f"u{i}", "weather0") for i in range(6)]
-        with ProcessShardPool(store, batch_size=2) as pool:
+        with ProcessShardPool(store) as pool:
             with pytest.raises(PolicyStoreError, match="failed on"):
                 pool.evaluate_many(good[:3] + [_BoomRequest.make("weather0")])
             responses = pool.evaluate_many(good)
@@ -641,11 +643,6 @@ class TestWorkerPoolParity:
             store.load(permit_policy("q", resource="weather1"))
             assert "q" in store and "p" in store
             assert pool.evaluate(request).policy_id == "p"
-
-    def test_sharded_pdp_rejects_partitioner_with_existing_store(self):
-        store = ShardedPolicyStore(2)
-        with pytest.raises(PolicyStoreError):
-            ShardedPDP(store, partitioner="subject")
 
     def test_pool_cache_stats_pure_snapshot_across_close_cycles(self):
         # Re-registering a fresh pool over the same store must not

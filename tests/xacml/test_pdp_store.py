@@ -206,8 +206,8 @@ class TestDecisionCache:
         first = pdp.evaluate(Request.simple("LTA", "weather"))
         second = pdp.evaluate(Request.simple("LTA", "weather"))
         assert first.decision is second.decision is Decision.PERMIT
-        assert (pdp.cache_hits, pdp.cache_misses) == (1, 1)
-        assert pdp.cache_hit_rate == 0.5
+        assert (pdp.cache.hits, pdp.cache.misses) == (1, 1)
+        assert pdp.cache_stats()["hit_rate"] == 0.5
         assert pdp.cache_stats()["entries"] == 1
 
     def test_load_invalidates_cached_not_applicable(self):
@@ -226,7 +226,7 @@ class TestDecisionCache:
         assert pdp.evaluate(request).decision is Decision.PERMIT
         store.update(make_policy("p1", subject="LTA", effect=Effect.DENY))
         assert pdp.evaluate(request).decision is Decision.DENY
-        assert pdp.cache_invalidations == 1  # the update (load preceded the PDP)
+        assert pdp.cache.invalidations == 1  # the update (load preceded the PDP)
 
     def test_remove_invalidates_cached_permit(self):
         store = PolicyStore()
@@ -246,9 +246,9 @@ class TestDecisionCache:
         pdp.evaluate(b)
         pdp.evaluate(a)   # refresh a; b is now least recent
         pdp.evaluate(c)   # evicts b
-        hits_before = pdp.cache_hits
+        hits_before = pdp.cache.hits
         pdp.evaluate(b)   # must be a miss again
-        assert pdp.cache_hits == hits_before
+        assert pdp.cache.hits == hits_before
         assert pdp.cache_stats()["entries"] == 2
 
     def test_reference_mode_disables_fast_paths(self):
@@ -258,7 +258,7 @@ class TestDecisionCache:
         request = Request.simple("LTA", "weather")
         assert pdp.evaluate(request).decision is Decision.PERMIT
         assert pdp.evaluate(request).decision is Decision.PERMIT
-        assert (pdp.cache_hits, pdp.cache_misses) == (0, 0)
+        assert (pdp.cache.hits, pdp.cache.misses) == (0, 0)
         # Candidate selection is the whole store, not the index's pick.
         store.load(make_policy("p2", subject="NEA"))
         assert len(pdp._candidates(request)) == 2
@@ -269,7 +269,7 @@ class TestDecisionCache:
         pdp = PolicyDecisionPoint(store)
         pdp.detach()
         store.load(make_policy("p1"))
-        assert pdp.cache_invalidations == 0
+        assert pdp.cache.invalidations == 0
 
     def test_cacheless_pdp_registers_no_listener(self):
         store = PolicyStore()
@@ -290,9 +290,9 @@ class TestDecisionCache:
         assert pdp.evaluate(gps).policy_id == "p-gps"
         store.remove("p-gps")
         # The weather entry never considered p-gps: served from cache.
-        hits_before = pdp.cache_hits
+        hits_before = pdp.cache.hits
         assert pdp.evaluate(weather).policy_id == "p-weather"
-        assert pdp.cache_hits == hits_before + 1
+        assert pdp.cache.hits == hits_before + 1
         # The gps entry was in p-gps's bucket: evicted, re-evaluated.
         assert pdp.evaluate(gps).decision is Decision.NOT_APPLICABLE
         assert pdp.cache_stats()["targeted_evictions"] == 1
@@ -306,9 +306,9 @@ class TestDecisionCache:
         weather = Request.simple("u", "weather")
         assert pdp.evaluate(weather).decision is Decision.PERMIT
         store.update(make_policy("p-gps", resource="gps", effect=Effect.DENY))
-        hits_before = pdp.cache_hits
+        hits_before = pdp.cache.hits
         assert pdp.evaluate(weather).decision is Decision.PERMIT
-        assert pdp.cache_hits == hits_before + 1
+        assert pdp.cache.hits == hits_before + 1
 
     def test_update_retargeting_policy_evicts_newly_matching(self):
         """An update can make a policy newly applicable to a request
@@ -344,9 +344,9 @@ class TestDecisionCache:
             pdp.evaluate(Request.simple(subject, "r"))
         assert pdp.cache_stats()["entries"] == 2
         # Every surviving bucket key must still be a live cache entry.
-        for bucket in pdp._buckets.values():
-            assert all(key in pdp._cache for key in bucket)
-        assert sum(len(b) for b in pdp._buckets.values()) == 2
+        for bucket in pdp.cache.buckets.values():
+            assert all(key in pdp.cache.entries for key in bucket)
+        assert sum(len(b) for b in pdp.cache.buckets.values()) == 2
 
     def test_cached_response_keeps_obligations(self):
         store = PolicyStore()
@@ -356,4 +356,4 @@ class TestDecisionCache:
         request = Request.simple("LTA", "weather")
         assert pdp.evaluate(request).obligations == (obligation,)
         assert pdp.evaluate(request).obligations == (obligation,)
-        assert pdp.cache_hits == 1
+        assert pdp.cache.hits == 1

@@ -113,9 +113,12 @@ class _Driver(threading.Thread):
 
 
 class TestTwoConcurrentDrivers:
-    def test_no_cross_driver_tag_leakage_under_invalidation_churn(self):
+    def test_no_cross_driver_tag_leakage_under_invalidation_churn(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(ProcessShardPool, "BATCH_SIZE", 3)
         store = make_store()
-        with ProcessShardPool(store, batch_size=3) as pool:
+        with ProcessShardPool(store) as pool:
             alpha = _Driver(pool, "alpha-stream", "p:alpha", batch=7)
             beta = _Driver(pool, "beta-stream", "p:beta", batch=5)
             alpha.start()

@@ -72,9 +72,9 @@ def spanning_request(resources, subject="alice"):
     return request
 
 
-def make_engine(scatter_cache_size=64):
+def make_engine():
     store = ShardedPolicyStore(N_SHARDS)
-    pdp = ShardedPDP(store, scatter_cache_size=scatter_cache_size)
+    pdp = ShardedPDP(store, cache_size=64)
     res_a, res_b = distinct_shard_resources(2)
     store.load(permit_policy("pa", resource=res_a))
     store.load(permit_policy("pb", resource=res_b))
@@ -103,22 +103,13 @@ class TestScatterCacheBasics:
 
     def test_lru_capacity_bounds_scatter_entries(self):
         store = ShardedPolicyStore(N_SHARDS)
-        pdp = ShardedPDP(store, scatter_cache_size=4)
+        pdp = ShardedPDP(store, cache_size=4)
         res_a, res_b = distinct_shard_resources(2)
         store.load(permit_policy("pa", resource=res_a))
         store.load(permit_policy("pb", resource=res_b))
         for i in range(10):
             pdp.evaluate(spanning_request([res_a, res_b], subject=f"user{i}"))
         assert pdp.cache_stats()["scatter_entries"] <= 4
-
-    def test_disabled_cache_is_the_uncached_pr4_path(self):
-        store, pdp, request, _ = make_engine(scatter_cache_size=0)
-        for _ in range(4):
-            pdp.evaluate(request)
-        stats = pdp.cache_stats()
-        assert stats["scatter_merges"] == 4
-        assert stats["scatter_entries"] == 0
-        assert stats["scatter_hits"] == 0
 
     def test_cache_stats_is_a_pure_snapshot(self):
         store, pdp, request, _ = make_engine()

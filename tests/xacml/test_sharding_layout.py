@@ -1,0 +1,232 @@
+"""Layout and option census of ``repro.xacml.sharding``.
+
+The package is five single-concern modules with one-way imports
+(``partition`` ← ``store`` ← ``scatter`` ← ``pdp`` ← ``pool``), one
+routing core shared by both sharded evaluators, and no constructor
+option that selects between behaviours.  Pinned here so the split does
+not silently grow back into one file, a cycle, or a mode matrix.
+"""
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+import pytest
+
+import repro.xacml.sharding as sharding
+from repro.xacml.attributes import RESOURCE_ID, Attribute, AttributeCategory, AttributeValue
+from repro.xacml.pdp import PolicyDecisionPoint
+from repro.xacml.policy import Policy, Rule, Target
+from repro.xacml.request import Request
+from repro.xacml.response import Effect
+from repro.xacml.sharding import (
+    ProcessShardPool,
+    ScatterEvaluator,
+    ShardedPDP,
+    ShardedPolicyStore,
+    shard_of,
+)
+from repro.xacml.store import PolicyStore
+
+ROOT = Path(__file__).resolve().parents[2]
+PACKAGE = "repro.xacml.sharding"
+PACKAGE_DIR = Path(sharding.__file__).parent
+
+#: Import order: a module may import only from the modules before it.
+ORDER = ("partition", "store", "scatter", "pdp", "pool")
+
+#: The public names ``sharding.py`` exported before it became a package.
+PUBLIC_NAMES = {
+    "PARTITIONERS", "CompositeKeyPartitioner", "InvalidationBus",
+    "PartitionStrategy", "ProcessShardPool", "ResourceKeyPartitioner",
+    "ScatterEvaluator", "ShardListener", "ShardedPDP", "ShardedPolicyStore",
+    "SubjectKeyPartitioner", "make_partitioner", "shard_of",
+}
+
+ROBUSTNESS_KEYS = {
+    "worker_restarts", "fallback_evaluations", "unavailable_errors",
+    "shards_unavailable",
+}
+
+
+def sibling_imports(module_name):
+    """The package submodules *module_name* imports (anywhere in it)."""
+    tree = ast.parse((PACKAGE_DIR / f"{module_name}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0, f"{module_name}: relative import"
+            modules = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        else:
+            continue
+        for dotted in modules:
+            if dotted == PACKAGE:
+                found.add("__init__")
+            elif dotted.startswith(PACKAGE + "."):
+                found.add(dotted[len(PACKAGE) + 1:].split(".")[0])
+    return found & ({"__init__"} | set(ORDER))
+
+
+def names_imported_from_the_package():
+    """Every name some file in the repo imports from the package root."""
+    names = set()
+    for top in ("src", "tests", "benchmarks"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and node.module == PACKAGE:
+                    names.update(alias.name for alias in node.names)
+    return names
+
+
+# -- (a) names and homes -------------------------------------------------------------
+
+def test_package_is_exactly_the_five_modules():
+    assert not (PACKAGE_DIR.parent / "sharding.py").exists()
+    assert {p.stem for p in PACKAGE_DIR.glob("*.py")} == {"__init__", *ORDER}
+
+
+def test_every_imported_name_resolves_and_the_public_set_is_unchanged():
+    assert set(sharding.__all__) == PUBLIC_NAMES
+    imported = names_imported_from_the_package()
+    assert {"ShardedPDP", "ProcessShardPool", "shard_of"} <= imported  # scan works
+    for name in imported | PUBLIC_NAMES:
+        assert hasattr(sharding, name), name
+
+
+def test_each_public_class_is_defined_in_exactly_one_submodule():
+    defined = {}
+    for module_name in ORDER:
+        tree = ast.parse((PACKAGE_DIR / f"{module_name}.py").read_text())
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                defined.setdefault(node.name, []).append(module_name)
+    for name in PUBLIC_NAMES:
+        member = getattr(sharding, name)
+        if inspect.isclass(member):
+            assert len(defined[name]) == 1, (name, defined[name])
+            assert member.__module__ == f"{PACKAGE}.{defined[name][0]}"
+
+
+# -- (b) import direction ------------------------------------------------------------
+
+@pytest.mark.parametrize("position", range(len(ORDER)))
+def test_a_module_imports_only_the_modules_before_it(position):
+    module_name = ORDER[position]
+    importlib.import_module(f"{PACKAGE}.{module_name}")
+    allowed = set(ORDER[:position])
+    assert sibling_imports(module_name) <= allowed, module_name
+
+
+def test_only_the_package_init_imports_pool():
+    for module_name in ORDER[:-1]:
+        assert "pool" not in sibling_imports(module_name)
+    assert sibling_imports("partition") == set()
+
+
+# -- (c) option census ---------------------------------------------------------------
+
+def test_deleted_options_stay_deleted():
+    deleted = {"scatter_cache_size", "start_method", "batch_size", "n_shards", "partitioner"}
+    for cls in (ShardedPDP, ProcessShardPool):
+        parameters = inspect.signature(cls).parameters
+        assert not deleted & set(parameters), cls
+        assert parameters["store"].default is inspect.Parameter.empty
+    assert list(inspect.signature(ScatterEvaluator).parameters) == [
+        "store", "combining", "cache_size",
+    ]
+    assert not hasattr(ScatterEvaluator(ShardedPolicyStore(2), "first-applicable", 0), "enabled")
+    assert ProcessShardPool.BATCH_SIZE == 256
+
+
+def test_routing_core_is_written_once():
+    (router,) = ShardedPDP.__bases__
+    assert ProcessShardPool.__bases__ == (router,)
+    for shared in ("evaluate", "evaluate_many", "flush_caches", "evaluations",
+                   "n_shards", "_aggregate_cache_stats"):
+        assert shared in vars(router), shared
+        assert shared not in vars(ShardedPDP), shared
+        assert shared not in vars(ProcessShardPool), shared
+
+
+# -- (d), (e) one monitoring shape, one batch entry point -----------------------------
+
+N_SHARDS = 4
+
+
+def permit_policy(policy_id, resource):
+    return Policy(
+        policy_id,
+        target=Target.for_ids(resource=resource),
+        rules=[Rule(f"{policy_id}:r", Effect.PERMIT)],
+    )
+
+
+def two_resources_on_distinct_shards():
+    first = "weather0"
+    second = next(
+        f"weather{i}" for i in range(1, 64)
+        if shard_of(f"weather{i}", N_SHARDS) != shard_of(first, N_SHARDS)
+    )
+    return first, second
+
+
+def spanning_request(subject, first, second):
+    request = Request.simple(subject, first)
+    request.add(
+        Attribute(AttributeCategory.RESOURCE, RESOURCE_ID, AttributeValue.string(second))
+    )
+    return request
+
+
+def populated(cache_size):
+    first, second = two_resources_on_distinct_shards()
+    store, single = ShardedPolicyStore(N_SHARDS), PolicyStore()
+    for policy in (permit_policy("pa", first), permit_policy("pb", second)):
+        store.load(policy)
+        single.load(policy)
+    requests = [
+        Request.simple("alice", first),
+        spanning_request("alice", first, second),
+        Request.simple("bob", second),
+        Request.simple("carol", "elsewhere"),
+        spanning_request("bob", second, first),
+        spanning_request("alice", first, second),
+    ]
+    return store, ShardedPDP(store, cache_size=cache_size), single, requests
+
+
+def test_cache_stats_shapes_differ_by_exactly_the_robustness_keys():
+    store, pdp, _, _ = populated(cache_size=16)
+    with ProcessShardPool(store) as pool:
+        pool_keys = set(pool.cache_stats())
+    assert set(pdp.cache_stats()) < pool_keys
+    assert pool_keys - set(pdp.cache_stats()) == ROBUSTNESS_KEYS
+
+
+def test_sharded_pdp_evaluate_many_is_evaluate_per_request():
+    store, pdp, single, requests = populated(cache_size=16)
+    one_by_one = [ShardedPDP(store, cache_size=16).evaluate(r) for r in requests]
+    batch = pdp.evaluate_many(requests)
+    reference = PolicyDecisionPoint.reference(single)
+    for got, alone, request in zip(batch, one_by_one, requests):
+        want = reference.evaluate(request)
+        assert (got.decision, got.policy_id) == (want.decision, want.policy_id)
+        assert (alone.decision, alone.policy_id) == (want.decision, want.policy_id)
+    stats = pdp.cache_stats()
+    assert (stats["routed"], stats["scattered"]) == (3, 3)
+    assert stats["evaluations"] == pdp.evaluations == len(requests)
+
+
+def test_zero_cache_size_still_answers_spanning_requests():
+    _, pdp, single, requests = populated(cache_size=0)
+    reference = PolicyDecisionPoint.reference(single)
+    for _ in range(2):
+        for request in requests:
+            got, want = pdp.evaluate(request), reference.evaluate(request)
+            assert (got.decision, got.policy_id) == (want.decision, want.policy_id)
+    stats = pdp.cache_stats()
+    assert stats["scatter_entries"] == 0 and stats["scatter_hits"] == 0
+    assert stats["scatter_merges"] == stats["scattered"] == 6
