@@ -10,7 +10,9 @@ Connection anatomy
     bounded per-connection queue (the pipeline); the *responder* —
     exactly one per connection — executes operations and writes replies
     in arrival order, so a pipelined client never observes reordering
-    within its connection.
+    within its connection.  The replies of a pipelined burst of cheap,
+    state-free ops leave in one ``write`` + ``drain()``; anything that
+    changes state or can suspend is preceded and followed by a flush.
 
 Backpressure
     Three mechanisms compose, each pausing the reader when saturated:
@@ -50,7 +52,7 @@ import asyncio
 import logging
 import socket
 import time
-from typing import Optional, Set
+from typing import List, Optional, Set, Tuple
 
 from repro.core.user_query import UserQuery
 from repro.errors import ShardUnavailableError, TransportError
@@ -79,6 +81,21 @@ from repro.xacml.xml_io import parse_request_xml
 logger = logging.getLogger(__name__)
 
 _CLOSE = object()
+
+
+class _ReplyBurst:
+    """One connection's replies between two flushes (responder-owned)."""
+
+    __slots__ = ("frames", "held", "broken")
+
+    def __init__(self) -> None:
+        #: Encoded replies not yet written, in request order.
+        self.frames: List[bytes] = []
+        #: ``(op class name or None, decode-done stamp)`` of every op
+        #: taken off the queue whose in-flight permit is still held.
+        self.held: List[Tuple[Optional[str], float]] = []
+        #: The peer stopped reading: execute on, write nothing more.
+        self.broken = False
 
 
 class AsyncDataServer:
@@ -254,36 +271,84 @@ class AsyncDataServer:
     async def _respond_loop(self, queue: asyncio.Queue, writer) -> None:
         """The single per-connection responder: strict arrival order.
 
+        Each wake-up serves the whole burst already sitting in the
+        queue and writes its replies with one ``write`` and one
+        ``drain()``; a reply never waits behind anything but ops that
+        :meth:`_coalescable` admits (see there), because held replies
+        are flushed before and after every other op.  An op's latency is
+        recorded, and its in-flight permit released, once its reply has
+        drained.
+
         Exits only on the close sentinel or cancellation — a peer that
         stops reading breaks the *writes*, not the loop, so already-
         pipelined operations still execute and release their permits
         (and a full queue can never deadlock the reader's shutdown).
         """
-        broken = False
-        while True:
-            item = await queue.get()
-            if item is _CLOSE:
-                return
-            seq, received, message = item
-            try:
+        burst = _ReplyBurst()
+        try:
+            while True:
+                if queue.empty():
+                    await self._flush(burst, writer)
+                item = await queue.get()  # suspends only on an empty queue
+                if item is _CLOSE:
+                    await self._flush(burst, writer)
+                    return
+                seq, received, message = item
+                coalescable = self._coalescable(message)
+                if not coalescable:
+                    await self._flush(burst, writer)
                 if isinstance(message, ErrorReply):
-                    reply, op_name = message, None  # decode failure, pre-made
+                    burst.held.append((None, received))  # decode failure, pre-made
+                    reply = message
                 else:
-                    op_name = type(message).__name__
+                    burst.held.append((type(message).__name__, received))
                     reply = await self.execute(message)
-                if not broken:
-                    try:
-                        writer.write(encode_message(seq, reply))
-                        await writer.drain()
-                    except asyncio.CancelledError:
-                        raise
-                    except Exception as error:
-                        logger.debug("reply write failed, connection broken: %s", error)
-                        broken = True
-                if op_name is not None and not broken:
-                    self.stats.record(op_name, time.perf_counter() - received)
-            finally:
+                burst.frames.append(encode_message(seq, reply))
+                if not coalescable:
+                    await self._flush(burst, writer)
+        finally:
+            # Cancelled (or failed) mid-burst: the permits of ops taken
+            # off the queue whose replies never drained.
+            for _ in burst.held:
                 self._in_flight.release()
+
+    def _coalescable(self, message) -> bool:
+        """Whether *message*'s reply may wait for the rest of its burst.
+
+        Only ops that change no state and cannot suspend: a decide-only
+        evaluate on an inline evaluator, a ping, a pre-made decode-error
+        reply.  Their cost is bounded and no ``await`` separates them,
+        so a burst is at most one queue-full (``pipeline_depth``) of
+        cheap ops; anything else — a grant, a load, an ingest, an
+        evaluate that hops to a worker pool — gets the held replies
+        written before it starts and its own reply written when it ends.
+        """
+        if isinstance(message, EvaluateOp):
+            return message.decide_only and not getattr(
+                self.server.instance.pdp, "blocking", False
+            )
+        return isinstance(message, (PingOp, ErrorReply))
+
+    async def _flush(self, burst: _ReplyBurst, writer) -> None:
+        """Write the held replies at once; account for them once drained."""
+        if not burst.held:
+            return
+        if not burst.broken:
+            try:
+                writer.write(b"".join(burst.frames))
+                await writer.drain()
+            except asyncio.CancelledError:
+                raise
+            except Exception as error:
+                logger.debug("reply write failed, connection broken: %s", error)
+                burst.broken = True
+        drained = time.perf_counter()
+        for op_name, received in burst.held:
+            if op_name is not None and not burst.broken:
+                self.stats.record(op_name, drained - received)
+            self._in_flight.release()
+        burst.frames.clear()
+        burst.held.clear()
 
     # -- operation execution -----------------------------------------------------
 

@@ -29,7 +29,7 @@ import dataclasses
 import json
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple, Type
+from typing import Dict, Iterator, List, Optional, Tuple, Type, get_type_hints
 
 from repro.errors import TransportError
 
@@ -143,7 +143,34 @@ MESSAGE_TYPES: Dict[str, Type] = {
     "ack": AckReply,
     "error": ErrorReply,
 }
-_OP_NAMES = {cls: name for name, cls in MESSAGE_TYPES.items()}
+
+#: Field annotation → (exact types a decoded JSON value may have, exact
+#: type of every element when the value is a list).  Exact, not
+#: ``isinstance``: JSON only ever decodes to these classes, and ``True``
+#: must not pass for an ``int`` count.  A message field annotated with
+#: anything else fails at import, here, not on a live connection.
+_JSON_TYPES = {
+    str: ((str,), None),
+    Optional[str]: ((str, type(None)), None),
+    bool: ((bool,), None),
+    int: ((int,), None),
+    List[dict]: ((list,), dict),
+}
+
+# The codec's tables, built once: what ``dataclasses.fields`` /
+# ``asdict`` would re-derive on every frame.
+#: message class → (op name, field names in declaration order)
+_ENCODE_TABLE = {
+    cls: (name, tuple(f.name for f in dataclasses.fields(cls)))
+    for name, cls in MESSAGE_TYPES.items()
+}
+#: op name → (message class, field name → its ``_JSON_TYPES`` entry)
+_DECODE_TABLE = {
+    name: (cls, {f.name: _JSON_TYPES[get_type_hints(cls)[f.name]]
+                 for f in dataclasses.fields(cls)})
+    for name, cls in MESSAGE_TYPES.items()
+}
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 # -- framing -------------------------------------------------------------------------
@@ -205,11 +232,12 @@ class FrameDecoder:
 
 def encode_message(seq: int, message) -> bytes:
     """Encode one op/reply object into a complete frame."""
-    op = _OP_NAMES.get(type(message))
-    if op is None:
+    entry = _ENCODE_TABLE.get(type(message))
+    if entry is None:
         raise TransportError(f"unregistered message type {type(message).__name__}")
-    envelope = {"seq": seq, "op": op, "body": dataclasses.asdict(message)}
-    return encode_frame(json.dumps(envelope, separators=(",", ":")).encode())
+    op, names = entry
+    body = {name: getattr(message, name) for name in names}
+    return encode_frame(_ENCODER.encode({"seq": seq, "op": op, "body": body}).encode())
 
 
 def decode_message(payload: bytes) -> Tuple[int, object]:
@@ -217,8 +245,8 @@ def decode_message(payload: bytes) -> Tuple[int, object]:
 
     Every way the payload can be malformed — bad UTF-8, bad JSON, a
     non-object envelope, a missing/invalid ``seq``/``op``, an unknown
-    op, body fields that do not match the message type — raises
-    :class:`TransportError`.
+    op, body fields that do not match the message type in name or in
+    JSON type — raises :class:`TransportError`.
     """
     try:
         envelope = json.loads(payload.decode())
@@ -232,18 +260,28 @@ def decode_message(payload: bytes) -> Tuple[int, object]:
     if not isinstance(seq, int) or isinstance(seq, bool):
         raise TransportError(f"invalid sequence number {seq!r}")
     op = envelope.get("op")
-    message_type = MESSAGE_TYPES.get(op)
-    if message_type is None:
+    entry = _DECODE_TABLE.get(op) if isinstance(op, str) else None
+    if entry is None:
         raise TransportError(f"unknown op {op!r}")
+    message_type, fields = entry
     body = envelope.get("body")
     if not isinstance(body, dict):
         raise TransportError(f"op {op!r} body must be an object")
-    expected = {f.name for f in dataclasses.fields(message_type)}
-    unknown = set(body) - expected
+    unknown = body.keys() - fields.keys()
     if unknown:
         raise TransportError(
             f"op {op!r} carries unknown fields {sorted(unknown)}"
         )
+    for name, value in body.items():
+        accepted, element = fields[name]
+        if type(value) not in accepted:
+            raise TransportError(
+                f"op {op!r} field {name!r} cannot be a {type(value).__name__}"
+            )
+        if element is not None and any(type(item) is not element for item in value):
+            raise TransportError(
+                f"op {op!r} field {name!r} must hold only {element.__name__} items"
+            )
     try:
         message = message_type(**body)
     except TypeError as error:

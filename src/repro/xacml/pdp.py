@@ -199,8 +199,10 @@ class DecisionCache:
         single-policy index: a non-empty candidate set means the new
         version plausibly matches that request, so the entry may be
         stale even though the old version never considered it.
-        Requests only ever gain attributes, so the probe stays an
-        over-approximation even for a caller-mutated request object.
+        The stored request is what the entry was decided for: parsed
+        requests are sealed (``parse_request_xml``), and a caller that
+        built its own can only have *added* attributes since, which
+        keeps the probe an over-approximation.
         """
         from repro.xacml.index import PolicyIndex
 

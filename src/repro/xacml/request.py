@@ -22,12 +22,20 @@ class Request:
     attributes), the target data stream (resource-id) and the action
     (normally ``read``); the customised query travels alongside the
     request, not inside it.
+
+    A request may be :meth:`seal`-ed, after which :meth:`add` raises:
+    :func:`~repro.xacml.xml_io.parse_request_xml` hands the *same*
+    parsed object to every caller that sends the same document, and a
+    :class:`~repro.xacml.pdp.DecisionCache` entry keeps a reference to
+    it, so it must never change under them.
     """
 
     def __init__(self, attributes: Iterable[Attribute] = ()):
         self._by_category: Dict[AttributeCategory, List[Attribute]] = {
             category: [] for category in AttributeCategory
         }
+        self._sealed = False
+        self._fingerprint: Optional[tuple] = None
         for attribute in attributes:
             self.add(attribute)
 
@@ -55,7 +63,17 @@ class Request:
         return request
 
     def add(self, attribute: Attribute) -> None:
+        if self._sealed:
+            raise XacmlError(
+                "request is sealed: it is shared and cannot gain attributes"
+            )
         self._by_category[attribute.category].append(attribute)
+        self._fingerprint = None
+
+    def seal(self) -> "Request":
+        """Make the request immutable (``add`` raises from now on)."""
+        self._sealed = True
+        return self
 
     def attributes(self, category: AttributeCategory) -> List[Attribute]:
         return list(self._by_category[category])
@@ -103,8 +121,12 @@ class Request:
         and duplicates cannot affect a decision and the fingerprint is
         sorted.  Values are keyed by datatype, concrete Python type and
         string rendering so ``1``, ``1.0``, ``True`` and ``"1"`` never
-        collapse onto one cache entry.
+        collapse onto one cache entry.  Computed once per request
+        object (``add`` resets it), so a decision-cache hit on a
+        request seen before sorts nothing.
         """
+        if self._fingerprint is not None:
+            return self._fingerprint
         items = []
         for category, attributes in self._by_category.items():
             for attribute in attributes:
@@ -119,7 +141,8 @@ class Request:
                     )
                 )
         items.sort()
-        return tuple(items)
+        self._fingerprint = tuple(items)
+        return self._fingerprint
 
     def require_subject(self) -> str:
         subject = self.subject_id

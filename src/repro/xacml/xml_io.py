@@ -8,6 +8,7 @@ policy_to_xml(p))`` reproduces ``p``.
 
 from __future__ import annotations
 
+import functools
 import xml.etree.ElementTree as ET
 from typing import List, Optional, Sequence
 
@@ -18,6 +19,7 @@ from repro.xacml.attributes import (
     AttributeValue,
     XS_STRING,
 )
+from repro.xacml.pdp import DEFAULT_CACHE_SIZE
 from repro.xacml.policy import Condition, Match, Policy, Rule, Target
 from repro.xacml.request import Request
 from repro.xacml.response import AttributeAssignment, Effect, Obligation
@@ -288,8 +290,32 @@ def _parse_obligation(element: ET.Element) -> Obligation:
     return Obligation(obligation_id, fulfill_on, assignments)
 
 
+#: Request documents longer than this many characters are parsed on
+#: every call and never memoised, so no client can pin large strings in
+#: the server (``docs/performance.md`` states the worst-case footprint).
+REQUEST_MEMO_MAX_CHARS = 2048
+
+
 def parse_request_xml(text: str) -> Request:
-    """Parse a request document produced by :func:`request_to_xml`."""
+    """Parse a request document produced by :func:`request_to_xml`.
+
+    The result is sealed (:meth:`Request.seal`): a served deployment
+    sees the same few documents thousands of times, so parses are
+    memoised by document text and every caller sending the same text
+    gets the same object.  The memo is a pure function of the text — it
+    needs no invalidation and outlives decision-cache flushes — holds
+    as many documents as a PDP caches decisions, and never stores a
+    document that failed to parse (it raises on every call).
+    ``parse_request_xml.cache_info()`` / ``.cache_clear()`` /
+    ``.__wrapped__`` (the unmemoised parse) are the memo's, as on any
+    :func:`functools.lru_cache` function.
+    """
+    if len(text) > REQUEST_MEMO_MAX_CHARS:
+        return _parse_request(text)
+    return _memoised_request(text)
+
+
+def _parse_request(text: str) -> Request:
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:
@@ -318,4 +344,12 @@ def parse_request_xml(text: str) -> Request:
             )
             value = AttributeValue.parse(datatype, (text_value or "").strip())
             request.add(Attribute(category, attribute_id, value))
-    return request
+    return request.seal()
+
+
+# The stdlib LRU: bounded, safe to call from any thread, and it stores
+# nothing for a call that raised.
+_memoised_request = functools.lru_cache(maxsize=DEFAULT_CACHE_SIZE)(_parse_request)
+parse_request_xml.cache_info = _memoised_request.cache_info
+parse_request_xml.cache_clear = _memoised_request.cache_clear
+parse_request_xml.__wrapped__ = _parse_request

@@ -7,6 +7,11 @@ combining algorithm, and across policy load/update/remove events.  Both
 PDPs share one :class:`PolicyStore`, so any divergence is attributable
 to the fast path itself.
 
+The served path evaluates *memoised* parses of request documents
+(``parse_request_xml``), so one property pins that a memoised request is
+indistinguishable from a fresh parse — in content and in the decision it
+gets.
+
 Two request-stream shapes are exercised: hypothesis-generated random
 policies/requests (including non-indexable regex targets, multi-valued
 attributes and environment conditions), and the Table 3 workload of
@@ -35,6 +40,7 @@ from repro.xacml.policy import Condition, Match, Policy, Rule, Target
 from repro.xacml.request import Request
 from repro.xacml.response import Effect, Obligation
 from repro.xacml.store import PolicyStore
+from repro.xacml.xml_io import parse_request_xml, request_to_xml
 
 COMBINING = ("first-applicable", "permit-overrides", "deny-overrides")
 
@@ -235,6 +241,27 @@ class TestPropertyEquivalence:
                 store.remove(loaded[index % len(loaded)])
         for request in request_list + request_list:
             assert_equivalent(fast, reference, request)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        specs=st.lists(policy_specs, min_size=0, max_size=6),
+        request_list=st.lists(requests(), min_size=1, max_size=6),
+    )
+    def test_memoised_request_parse_matches_a_fresh_parse(self, specs, request_list):
+        store, fast, reference = make_pdp_pair(cache_size=8)
+        for i, spec in enumerate(specs):
+            store.load(build_policy(f"p{i}", spec))
+        for request in request_list + request_list:
+            xml = request_to_xml(request)
+            fresh = parse_request_xml.__wrapped__(xml)
+            memoised = parse_request_xml(xml)
+            assert parse_request_xml(xml) is memoised
+            assert memoised.fingerprint() == fresh.fingerprint() == request.fingerprint()
+            assert memoised.all_attributes() == fresh.all_attributes()
+            expected = reference.evaluate(fresh)
+            actual = fast.evaluate(memoised)
+            assert actual.decision is expected.decision
+            assert actual.policy_id == expected.policy_id
 
 
 class TestWorkloadEquivalence:

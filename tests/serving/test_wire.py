@@ -2,6 +2,8 @@
 
 Round-trip: every registered message type survives encode → arbitrary
 re-chunking → decode bit-identically, with its sequence number.
+Byte identity: the table-driven encoder emits exactly the frame the
+``dataclasses.asdict`` + ``json.dumps`` one did.
 Adversarial: truncated frames, oversized length prefixes and garbage
 payloads all surface as :class:`TransportError` — and a live server
 connection survives a garbage payload (the loop answers it in order
@@ -9,6 +11,8 @@ and keeps serving).
 """
 
 import asyncio
+import dataclasses
+import json
 import struct
 
 import pytest
@@ -100,6 +104,35 @@ class TestRoundTrip:
         assert decoded == items
 
 
+    @given(any_message, st.integers(0, 2**31 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_frame_bytes_match_the_asdict_encoder(self, message, seq):
+        (op,) = [name for name, cls in MESSAGE_TYPES.items() if cls is type(message)]
+        envelope = {"seq": seq, "op": op, "body": dataclasses.asdict(message)}
+        assert encode_message(seq, message) == encode_frame(
+            json.dumps(envelope, separators=(",", ":")).encode()
+        )
+
+
+def envelope(op, /, **body):
+    return json.dumps({"seq": 1, "op": op, "body": body}).encode()
+
+
+#: Well-named body fields carrying the wrong JSON type.
+MISTYPED_PAYLOADS = [
+    envelope("evaluate", request_xml="<Request/>", decide_only="no"),  # served as truthy
+    envelope("evaluate", request_xml=None),
+    envelope("evaluate", request_xml="<Request/>", user_query_xml=7),
+    envelope("revoke", policy_id=["x"]),
+    envelope("ack", op="ingest", count=True),           # bool is not a count
+    envelope("ack", op="ingest", count=1.5),
+    envelope("ingest", stream="weather", records={"rainrate": 1}),
+    envelope("ingest", stream="weather", records=[["rainrate", 1]]),
+    envelope("error", error_kind="X", retryable=0),
+    b'{"seq": 1, "op": ["ping"], "body": {}}',          # unhashable op
+]
+
+
 class TestMalformedInput:
     @given(any_message, st.integers(0, 999), st.integers(min_value=1))
     @settings(max_examples=100, deadline=None)
@@ -152,7 +185,39 @@ class TestMalformedInput:
             decode_message(payload)
 
 
+    @pytest.mark.parametrize("payload", MISTYPED_PAYLOADS)
+    def test_mistyped_body_fields_raise_transport_error(self, payload):
+        with pytest.raises(TransportError):
+            decode_message(payload)
+
+    def test_optional_fields_accept_null_and_defaults_still_apply(self):
+        seq, message = decode_message(
+            envelope("evaluate", request_xml="<Request/>", user_query_xml=None)
+        )
+        assert message == EvaluateOp("<Request/>", None, False)
+
+
 class TestServerSurvivesGarbage:
+    def test_mistyped_field_is_answered_in_order_and_the_connection_lives(self):
+        async def scenario():
+            from repro.serving import AsyncClient, AsyncDataServer
+
+            async with AsyncDataServer(make_data_server()) as front:
+                async with await AsyncClient.connect(
+                    "127.0.0.1", front.port
+                ) as client:
+                    # At the parent this frame was *served* as decide-only.
+                    client._writer.write(encode_frame(MISTYPED_PAYLOADS[0]))
+                    await client._writer.drain()
+                    reply = await client._read_reply(0)
+                    assert isinstance(reply, ErrorReply)
+                    assert reply.error_kind == "TransportError"
+                    assert "decide_only" in reply.error_detail
+                    assert (await client.ping()).op == "ping"
+                assert front.protocol_errors == 0
+
+        asyncio.run(asyncio.wait_for(scenario(), TIMEOUT))
+
     def test_garbage_payload_does_not_kill_the_connection_loop(self):
         async def scenario():
             from repro.serving import AsyncClient, AsyncDataServer

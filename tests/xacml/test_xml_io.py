@@ -2,12 +2,14 @@
 
 import pytest
 
-from repro.errors import PolicyParseError
-from repro.xacml.attributes import AttributeCategory, AttributeValue
+from repro.errors import PolicyParseError, XacmlError
+from repro.xacml.attributes import Attribute, AttributeCategory, AttributeValue
+from repro.xacml.pdp import DEFAULT_CACHE_SIZE
 from repro.xacml.policy import Condition, Policy, Rule, Target
 from repro.xacml.request import Request
 from repro.xacml.response import AttributeAssignment, Effect, Obligation
 from repro.xacml.xml_io import (
+    REQUEST_MEMO_MAX_CHARS,
     parse_policy_xml,
     parse_request_xml,
     policy_to_xml,
@@ -164,3 +166,76 @@ class TestRequestRoundTrip:
     def test_unknown_section(self):
         with pytest.raises(PolicyParseError):
             parse_request_xml("<Request><Weird/></Request>")
+
+
+def request_xml(subject="LTA", **environment):
+    return request_to_xml(Request.simple(subject, "weather", environment=environment))
+
+
+EXTRA = Attribute(AttributeCategory.SUBJECT, "role", AttributeValue.string("admin"))
+
+
+class TestRequestParseMemo:
+    """``parse_request_xml`` memoises by document text; a memoised
+    request is shared, so it must be immutable, bounded and never a
+    cached failure."""
+
+    def test_repeat_parse_equals_a_fresh_unmemoised_parse(self):
+        xml = request_xml(hour=13)
+        fresh = parse_request_xml.__wrapped__(xml)
+        first, second = parse_request_xml(xml), parse_request_xml(xml)
+        assert second is first and first is not fresh
+        assert first.fingerprint() == fresh.fingerprint()
+        assert first.all_attributes() == fresh.all_attributes()
+
+    @pytest.mark.parametrize(
+        "document", ["<Request><Subject>", "<Policy/>", "<Request><Weird/></Request>"]
+    )
+    def test_a_failing_document_raises_on_every_call(self, document):
+        before = parse_request_xml.cache_info().currsize
+        for _ in range(3):
+            with pytest.raises(PolicyParseError):
+                parse_request_xml(document)
+        assert parse_request_xml.cache_info().currsize == before
+
+    def test_memoised_request_is_sealed_and_keeps_its_content(self):
+        xml = request_xml("NEA")
+        parsed = parse_request_xml(xml)
+        expected = parsed.all_attributes()
+        with pytest.raises(XacmlError):
+            parsed.add(EXTRA)
+        again = parse_request_xml(xml)
+        assert again.all_attributes() == expected
+        assert again.fingerprint() == parse_request_xml.__wrapped__(xml).fingerprint()
+
+    def test_memo_never_holds_more_than_its_cap(self):
+        parse_request_xml.cache_clear()
+        assert parse_request_xml.cache_info().maxsize == DEFAULT_CACHE_SIZE
+        for n in range(DEFAULT_CACHE_SIZE + 20):
+            parse_request_xml(
+                f'<Request><Subject><Attribute AttributeId="n{n}"/></Subject></Request>'
+            )
+        info = parse_request_xml.cache_info()
+        assert info.currsize == DEFAULT_CACHE_SIZE
+        assert info.misses == DEFAULT_CACHE_SIZE + 20
+        parse_request_xml.cache_clear()
+
+    def test_oversize_document_parses_but_is_not_retained(self):
+        padding = "x" * REQUEST_MEMO_MAX_CHARS
+        xml = request_xml(note=padding)
+        assert len(xml) > REQUEST_MEMO_MAX_CHARS
+        before = parse_request_xml.cache_info()
+        first, second = parse_request_xml(xml), parse_request_xml(xml)
+        assert first is not second
+        assert first.first_value(AttributeCategory.ENVIRONMENT, "note") == padding
+        assert first.fingerprint() == second.fingerprint()
+        assert parse_request_xml.cache_info() == before
+
+    def test_fingerprint_follows_add_on_an_unsealed_request(self):
+        request = Request.simple("LTA", "weather")
+        before = request.fingerprint()
+        assert request.fingerprint() is before      # computed once
+        request.add(EXTRA)
+        after = request.fingerprint()
+        assert after != before
+        assert ("subject", "role") in {item[:2] for item in after}
