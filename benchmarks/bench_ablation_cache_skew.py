@@ -7,7 +7,7 @@ to have [a] cache mechanism implemented in proxy when the request
 distribution is heavy-tailed".
 """
 
-from benchmarks.conftest import make_runner, print_header
+from benchmarks.harness import make_runner, print_header
 
 
 def run_at_alpha(alpha, n_requests=400, n_policies=300, max_rank=150):

@@ -9,7 +9,7 @@ measures that the safe semantics costs nothing.
 
 import pytest
 
-from benchmarks.conftest import print_header
+from benchmarks.harness import print_header
 from repro.core.merge import MergeOptions, merge_query_graphs
 from repro.streams.graph import QueryGraph
 from repro.streams.operators import MapOperator

@@ -7,7 +7,7 @@ operator-count reduction, and per-tuple engine throughput of the merged
 pipeline vs the naive policy-graph-then-user-graph concatenation.
 """
 
-from benchmarks.conftest import print_header
+from benchmarks.harness import gate, print_header, timed
 from repro.core.merge import merge_query_graphs
 from repro.streams.graph import QueryGraph
 from repro.streams.schema import WEATHER_SCHEMA
@@ -72,8 +72,6 @@ def test_merge_operation_cost(benchmark):
 
 
 def test_merged_vs_concatenated_throughput(benchmark):
-    import time
-
     merged = merged_graph()
     concatenated = concatenated_graph()
     benchmark.pedantic(
@@ -88,12 +86,10 @@ def test_merged_vs_concatenated_throughput(benchmark):
     tuples = WeatherSource(seed=3).tuples(20_000)
     results = {}
     for label, graph in (("merged", merged), ("concatenated", concatenated)):
-        started = time.perf_counter()
-        push_through(graph, tuples)
-        elapsed = time.perf_counter() - started
-        results[label] = len(tuples) / elapsed
+        results[label] = len(tuples) / timed(lambda: push_through(graph, tuples))
         print(f"  {label:>13s}: {results[label]:>10.0f} tuples/s")
 
     speedup = results["merged"] / results["concatenated"]
     print(f"  merged speedup: {speedup:.2f}x")
-    assert speedup > 1.0, "merging must not be slower than concatenation"
+    # Merging must not be slower than concatenation.
+    gate("ablation_merge", "merged_vs_concatenated.speedup", speedup, 1.0)

@@ -8,7 +8,7 @@ check on synthesised conditions of growing width (n) and disjunct count
 
 import random
 
-from benchmarks.conftest import print_header
+from benchmarks.harness import print_header, timed
 from repro.core.warnings_check import check_filter_merge
 from repro.expr.ast import AndExpression, Operator, OrExpression, SimpleExpression
 from repro.streams.operators.filter import FilterOperator
@@ -51,8 +51,6 @@ def test_nrpr_check_cost_base(benchmark):
 
 
 def test_nrpr_cost_scaling(benchmark):
-    import time
-
     benchmark.pedantic(
         check_many, args=([make_pair(2, 3, seed=s) for s in range(10)],),
         rounds=1, iterations=1,
@@ -64,11 +62,10 @@ def test_nrpr_cost_scaling(benchmark):
     for disjuncts, width in [(1, 2), (1, 4), (1, 8), (1, 16),
                              (2, 4), (4, 4), (8, 4), (16, 4)]:
         pairs = [make_pair(disjuncts, width, seed=s) for s in range(20)]
-        started = time.perf_counter()
         repeats = 5
-        for _ in range(repeats):
-            check_many(pairs)
-        per_check = (time.perf_counter() - started) / (repeats * len(pairs))
+        per_check = timed(lambda: [check_many(pairs) for _ in range(repeats)]) / (
+            repeats * len(pairs)
+        )
         timings[(disjuncts, width)] = per_check
         print(f"  {disjuncts:>13d} {width:>9d} {per_check * 1e6:>9.1f} µs")
 

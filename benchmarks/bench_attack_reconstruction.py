@@ -6,11 +6,12 @@ attack arithmetic is, and that the single-access guard stops it with
 negligible request-path overhead.
 """
 
-import time
-
-from benchmarks.conftest import print_header
+from benchmarks.harness import best_of, print_header
 from repro.core.attack import MultiWindowAttack, reconstruct_from_windows
+from repro.core.user_query import UserQuery
 from repro.errors import ConcurrentAccessError
+from repro.streams.operators import WindowSpec, WindowType
+from repro.xacml.request import Request
 
 
 def test_attack_recovers_stream(benchmark):
@@ -62,32 +63,25 @@ def test_guard_blocks_and_costs_little(benchmark):
         except ConcurrentAccessError:
             return True
 
-    started = time.perf_counter()
     blocked = benchmark.pedantic(run_blocked_attack, rounds=1, iterations=1)
-    elapsed = time.perf_counter() - started
-    print(f"  attack blocked : {blocked} (rejected in {elapsed * 1000:.1f} ms)")
+    print(f"  attack blocked : {blocked}")
     assert blocked
 
     # Overhead of the registry check on the request path: compare a
     # single request with enforcement on vs off.
-    from repro.xacml.request import Request
-    from repro.core.user_query import UserQuery
-    from repro.streams.operators import WindowSpec, WindowType
+    query = UserQuery(
+        "s", window=WindowSpec(WindowType.TUPLE, 3, 2), aggregations=["a:sum"]
+    )
 
     def one_request(enforce):
-        victim = MultiWindowAttack.build_victim_instance(enforce)
-        started = time.perf_counter()
-        result = victim.request_stream(
-            Request.simple("attacker", "s"),
-            UserQuery("s", window=WindowSpec(WindowType.TUPLE, 3, 2),
-                      aggregations=["a:sum"]),
-        )
-        elapsed = time.perf_counter() - started
-        victim.release_stream(result.handle)
-        return elapsed
+        def make():
+            victim = MultiWindowAttack.build_victim_instance(enforce)
+            return lambda: victim.request_stream(Request.simple("attacker", "s"), query)
 
-    with_guard = min(one_request(True) for _ in range(20))
-    without_guard = min(one_request(False) for _ in range(20))
+        return best_of(20, make)
+
+    with_guard = one_request(True)
+    without_guard = one_request(False)
     print(f"  request path with guard   : {with_guard * 1000:.2f} ms")
     print(f"  request path without guard: {without_guard * 1000:.2f} ms")
     assert with_guard < without_guard * 3 + 0.01

@@ -9,23 +9,17 @@ Azure-like region — and reports how the response-time composition shifts
 and less inside the datacentre).
 """
 
-from benchmarks.conftest import print_header
+from benchmarks.harness import make_runner, print_header
 from repro.framework.network import SimulatedNetwork
 from repro.framework.profiles import get_profile
-from repro.workload.generator import WorkloadGenerator
 from repro.workload.report import breakdown_summary
-from repro.workload.runner import ExperimentRunner
 
 
 def run_profile(name, n_requests=300, n_policies=200, seed=7):
-    generator = WorkloadGenerator(seed=seed)
-    generator.parameters = generator.parameters._replace(
-        n_requests=n_requests, n_policies=n_policies
-    )
-    runner = ExperimentRunner(seed=seed, generator=generator)
+    runner, generator = make_runner(seed=seed, n_requests=n_requests, n_policies=n_policies)
     runner.network = SimulatedNetwork(get_profile(name, seed=seed))
-    # Rebind every entity to the profiled network.
-    runner.server.network = runner.network
+    # Rebind every entity that charges the clock to the profiled network
+    # (the server is simulation-free and never calls one).
     runner.proxy.network = runner.network
     runner.client.network = runner.network
     runner.direct.network = runner.network

@@ -6,7 +6,7 @@ query curve is tighter and to the left; eXACML+ carries a roughly
 constant overhead dominated by network traffic (~2/3 of response time).
 """
 
-from benchmarks.conftest import make_runner, print_header
+from benchmarks.harness import make_runner, print_header
 from repro.workload.report import breakdown_summary, cdf_table, summary_table
 
 

@@ -7,7 +7,7 @@ non-cached requests for nearly 40% of the ... requests and at least 10%
 improvement for the rest".
 """
 
-from benchmarks.conftest import make_runner, print_header
+from benchmarks.harness import make_runner, print_header
 from repro.workload.report import cdf_table, improvement_histogram, summary_table
 
 

@@ -8,7 +8,7 @@ policies with query-graph shapes drawn from the composition
 
 from collections import Counter
 
-from benchmarks.conftest import print_header
+from benchmarks.harness import print_header
 from repro.workload.generator import (
     SHAPE_COMPOSITION,
     TABLE3,

@@ -8,7 +8,7 @@ multiple worker processes, each holding several pipelined
 with closed-loop admission.  Live per-op percentile tables stream
 during the run; the final report — achieved-vs-target QPS, per-op
 p50/p90/p99, error/retry/timeout counts — lands in
-``BENCH_loadgen.json`` and folds into ``BENCH_trajectory.json``.
+``BENCH_loadgen.json``.
 
 ``config``
     :class:`LoadgenConfig` / :class:`MixWeights` — one frozen

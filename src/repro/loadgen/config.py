@@ -22,9 +22,8 @@ DEFAULT_ZIPF_ALPHA = 0.223
 class MixWeights:
     """Categorical op-mix distribution (normalized before sampling).
 
-    The default mirrors ``bench_served_latency``'s mixed script:
-    evaluate-heavy with a steady trickle of stream ingest and policy
-    load/update/revoke churn.
+    The default is evaluate-heavy with a steady trickle of stream
+    ingest and policy load/update/revoke churn.
     """
 
     evaluate: float = 0.78

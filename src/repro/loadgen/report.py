@@ -2,11 +2,10 @@
 
 The live view is the dbworkload-style run table the serving stack
 already renders (:meth:`LatencyRecorder.table`) plus an
-achieved-vs-target line; the final artifact is JSON shaped for
-``benchmarks/aggregate_bench.py`` — it lands at the repo root as
-``BENCH_loadgen.json`` and is folded into ``BENCH_trajectory.json``
-with every other benchmark, so the serving stack's throughput and
-tail-latency claims travel with the repo as reproducible numbers.
+achieved-vs-target line; the final artifact lands at the repo root as
+``BENCH_loadgen.json`` (archived by the ``loadgen-smoke`` CI job), so
+the serving stack's throughput and tail-latency claims travel with the
+repo as reproducible numbers.
 """
 
 from __future__ import annotations

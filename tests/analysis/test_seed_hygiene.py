@@ -92,7 +92,7 @@ class TestHashing:
         assert "PYTHONHASHSEED" in findings[0].message
 
     def test_explicit_dunder_hash_is_flagged(self):
-        # the exact pattern fixed in bench_served_latency.py
+        # the exact pattern once used to seed per-connection scripts
         findings = findings_for(
             """
             import random

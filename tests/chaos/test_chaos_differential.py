@@ -51,6 +51,7 @@ from repro.serving.wire import (
     encode_message,
 )
 from repro.framework.server import DataServer
+from repro.loadgen.mix import derive_seed
 from repro.streams.engine import StreamEngine
 from repro.streams.schema import WEATHER_SCHEMA
 from repro.streams.graph import QueryGraph
@@ -181,7 +182,7 @@ def build_script(client_id, rng, length=SCRIPT_LENGTH):
 
 def build_scripts(seed=SEED):
     return [
-        build_script(client_id, random.Random((seed, client_id).__hash__()))
+        build_script(client_id, random.Random(derive_seed(seed, client_id)))
         for client_id in range(N_CLIENTS)
     ]
 

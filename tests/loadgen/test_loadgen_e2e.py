@@ -3,8 +3,8 @@
 One short self-served run (real spawned worker process, real loopback
 sockets) must produce a well-shaped report: non-zero achieved QPS,
 ordered per-op percentiles, coherent counters, and the JSON artifact
-on disk.  Kept small — the full-scale run lives in
-``benchmarks/bench_loadgen.py`` and the ``loadgen-smoke`` CI job.
+on disk, and the target rate sustained.  Kept small — the full-scale
+run is ``python -m repro.loadgen`` in the ``loadgen-smoke`` CI job.
 """
 
 import json
@@ -41,7 +41,9 @@ class TestEndToEnd:
         achieved = report["achieved"]
         assert achieved["qps"] > 0
         assert achieved["measured_completions"] > 0
-        assert 0 < achieved["attainment"] <= 2.0
+        # The closed loop makes shortfall honest: a lagging server or a
+        # pacing bug lowers achieved QPS instead of hiding a backlog.
+        assert 0.5 <= achieved["attainment"] <= 2.0
         assert achieved["target_qps"] == 300.0
 
     def test_percentiles_are_present_and_ordered(self, report_and_path):

@@ -21,6 +21,7 @@ import random
 import pytest
 
 from repro.core import stream_policy
+from repro.loadgen.mix import derive_seed
 from repro.serving import AsyncClient, AsyncDataServer
 from repro.serving.wire import (
     AckReply,
@@ -126,7 +127,7 @@ def build_script(client_id: int, rng: random.Random, length: int = SCRIPT_LENGTH
 
 def build_scripts(seed: int = SEED):
     return [
-        build_script(client_id, random.Random((seed, client_id).__hash__()))
+        build_script(client_id, random.Random(derive_seed(seed, client_id)))
         for client_id in range(N_CLIENTS)
     ]
 
