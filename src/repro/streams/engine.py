@@ -19,7 +19,7 @@ reachable only through :meth:`StreamEngine.reference`.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Union
 
 from repro.errors import EngineError, UnknownHandleError
 from repro.streams.catalog import StreamCatalog
@@ -28,7 +28,7 @@ from repro.streams.handles import StreamHandle
 from repro.streams.plan import SharedQuery, StreamPlan
 from repro.streams.schema import Schema
 from repro.streams.stream import Stream
-from repro.streams.tuples import StreamTuple, make_tuple
+from repro.streams.tuples import StreamTuple, _record_converter
 
 
 class StreamEngine:
@@ -37,8 +37,8 @@ class StreamEngine:
     Queries run on one shared execution plan per input stream
     (:class:`~repro.streams.plan.StreamPlan`): filter conditions
     compiled to closures per schema, pipelines evaluated
-    batch-at-a-time, window aggregation on columnar buffers with
-    incremental aggregate states, and queries with identical — or
+    batch-at-a-time, window aggregation on columnar buffers (recomputed
+    or incremental, by window shape), and queries with identical — or
     provably subsuming — operator prefixes sharing DAG nodes, so a
     pushed batch is filtered/windowed once per distinct prefix instead
     of once per query.
@@ -51,6 +51,8 @@ class StreamEngine:
         #: One plan per input stream (keyed by stream identity), created
         #: lazily at first registration.
         self._plans: Dict[int, StreamPlan] = {}
+        #: Record → tuple converter per input stream, built at first push.
+        self._converters: Dict[int, Callable[[Any], StreamTuple]] = {}
         #: Count of queries ever registered (for monitoring/benchmarks).
         self.total_registered = 0
         #: Count of queries withdrawn; ``total_registered -
@@ -89,13 +91,20 @@ class StreamEngine:
         still delivered to every query in order, one at a time), but the
         per-push overhead — catalog lookup, listener snapshot, schema
         check, buffer trim — is amortized over each chunk.
+
+        A list (or tuple) is ingested atomically: every record is
+        converted before the first is appended, so a malformed one raises
+        with nothing ingested.  Any other iterable is converted chunk by
+        chunk (memory stays O(chunk) for unbounded generators), so a
+        malformed record raises after the chunks before it were ingested.
         """
         stream = self.catalog.get(stream_name)
-        schema = stream.schema
-        return stream.extend(
-            record if isinstance(record, StreamTuple) else make_tuple(schema, record)
-            for record in records
-        )
+        convert = self._converters.get(id(stream))
+        if convert is None:
+            convert = self._converters[id(stream)] = _record_converter(stream.schema)
+        if isinstance(records, (list, tuple)):
+            return stream.extend([convert(record) for record in records])
+        return stream.extend(map(convert, records))
 
     def push_many(
         self, stream_name: str, records: Iterable[Union[StreamTuple, Mapping[str, Any]]]

@@ -9,11 +9,11 @@ engine-side to be usable in obligations).
 Besides the whole-window ``compute`` callable, a function may carry an
 *incremental state* factory (:class:`AggregateState`): a small object
 that consumes window churn as ``insert``/``evict`` pairs and answers
-``result`` in O(1) (median: O(log size), on paired heaps), so
-overlapping sliding windows cost O(step) per advance instead of
-O(size) per emission.  Functions registered without a state factory
-(third-party registrations) transparently fall back to per-window
-recomputation over the columnar buffer.
+``result`` in O(1) (median: O(log size), on paired heaps), so a deep
+sliding window costs O(step) per advance instead of O(size) per
+emission; shallow windows, and functions registered without a state
+factory (third-party registrations), are recomputed per window over
+the columnar buffer (``operators.window._incremental_pays`` decides).
 """
 
 from __future__ import annotations

@@ -76,7 +76,7 @@ class MapOperator(Operator):
             return []
         self._compile_for(tuples[0].schema, output_schema)
         project = self._project_values
-        return [StreamTuple(output_schema, project(tup.values)) for tup in tuples]
+        return [StreamTuple(output_schema, project(tup._values)) for tup in tuples]
 
     def fresh_copy(self) -> "MapOperator":
         return MapOperator(self.attributes)

@@ -12,12 +12,14 @@ t0+i·step+size)`` and is emitted once a tuple at or past the window's end
 arrives (empty time windows emit nothing, matching StreamBase).
 
 Window state is columnar: per-attribute ring buffers (plain value lists
-with a logical base offset) filled batch-at-a-time.  Aggregates with an
-incremental :class:`~repro.streams.operators.aggregate.AggregateState`
-are fed insert/evict deltas, so an overlapping tuple window costs
-O(step) per advance instead of O(size); functions without a state
-(third-party registrations) are recomputed per window from a column
-slice.  Time windows evict through monotonic buffer pointers, with a
+with a logical base offset) filled batch-at-a-time.  A tuple window is
+recomputed per emission from a column slice — a C-speed
+``sum``/``min``/``max`` over ``size`` values — unless it is deep enough
+for O(step) insert/evict upkeep of an incremental
+:class:`~repro.streams.operators.aggregate.AggregateState` to cost less
+than that O(size) pass (:func:`_incremental_pays`); functions without a
+state (third-party registrations) are always recomputed.  Time windows
+evict through monotonic buffer pointers, with a
 scan fallback that keeps out-of-order timestamp streams
 output-identical to the oracle's row-buffer recompute
 (:mod:`repro.streams.reference`, which the differential tests compare
@@ -27,13 +29,27 @@ this module against).
 from __future__ import annotations
 
 import enum
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import SchemaError, StreamError
 from repro.streams.operators.aggregate import AggregateFunction, get_aggregate_function
 from repro.streams.operators.base import Operator
-from repro.streams.schema import DataType, Field, Schema
+from repro.streams.schema import DataType, Field, Schema, _widener
 from repro.streams.tuples import StreamTuple, extract_columns
+
+
+def _incremental_pays(size: int, step: int) -> bool:
+    """Whether incremental states beat per-emission recompute for a
+    tuple window of this shape.  Per emission the states cost
+    Python-level upkeep growing with ``step`` (≈ 8 µs + 1.1 µs/position
+    for four aggregations), recompute one C-speed pass over ``size``
+    values (≈ 3 µs + 0.05 µs/value); through the whole operator the two
+    meet near size 100 / 170 / 270 / 460 at step 1 / 4 / 8 / 16.  The
+    ``crossover`` section of ``BENCH_window_agg.json``
+    (``benchmarks/bench_window_agg.py``) records the measurement beside
+    this prediction per shape.
+    """
+    return size > 80 + 24 * step
 
 
 class WindowType(enum.Enum):
@@ -153,7 +169,7 @@ class AggregationSpec:
 
 class AggregateOperator(Operator):
     """Apply aggregate functions over a sliding window, on columnar
-    buffers with incremental aggregate states — see the module docstring.
+    buffers (recomputed or incremental by shape) — see the module docstring.
     """
 
     kind = "aggregate"
@@ -263,8 +279,8 @@ class _ColumnarWindow:
     """
 
     __slots__ = (
-        "size", "step", "specs", "attr_keys", "cols", "spec_cols",
-        "schema", "positions", "out_fields",
+        "size", "step", "specs", "attr_keys", "cols", "computes",
+        "schema", "positions", "widen",
     )
 
     def __init__(self, operator: AggregateOperator, schema: Schema):
@@ -279,9 +295,14 @@ class _ColumnarWindow:
                 attr_keys.append(spec.attribute)
         self.attr_keys = attr_keys
         self.cols: List[List] = [[] for _ in attr_keys]
-        self.spec_cols = [self.cols[index_of[spec.attribute]] for spec in self.specs]
+        #: Per spec ``(compute, column)``, bound once.
+        self.computes = [
+            (spec.function.compute, self.cols[index_of[spec.attribute]])
+            for spec in self.specs
+        ]
         self.schema: Optional[Schema] = None
-        self.out_fields: Optional[Tuple[Field, ...]] = None
+        #: Bound on the first emission (it needs the output schema).
+        self.widen: Optional[Callable[[Iterable], tuple]] = None
         self._rebind(schema)
 
     def _rebind(self, schema: Schema) -> None:
@@ -293,41 +314,43 @@ class _ColumnarWindow:
             self._rebind(schema)
 
     def _coerced(self, values, output_schema: Schema) -> StreamTuple:
-        if self.out_fields is None:
-            self.out_fields = tuple(output_schema)
-        return StreamTuple(
-            output_schema,
-            tuple(
-                field.dtype.coerce(value)
-                for field, value in zip(self.out_fields, values)
-            ),
+        """The output tuple for *values*, each coerced to its field's
+        type (an int sum widens into a DOUBLE field; a third-party
+        function's mistyped result raises ``SchemaError``)."""
+        if self.widen is None:
+            self.widen = _widener(output_schema)
+        return StreamTuple(output_schema, self.widen(values))
+
+    def _emit_slice(self, low: int, high: int, output_schema: Schema) -> StreamTuple:
+        return self._coerced(
+            [compute(col[low:high]) for compute, col in self.computes], output_schema
         )
 
 
 class _ColumnarTupleWindow(_ColumnarWindow):
-    """Tuple-window state: columnar buffers + incremental aggregates.
+    """Tuple-window state: columnar buffers, recomputed or incremental.
 
     ``win_start`` is the logical position of the pending window's first
-    tuple, ``inserted`` the next position to feed into the incremental
-    states, ``base`` the logical position of ``cols[*][0]``.  On every
-    advance the states evict exactly the ``step`` positions the window
-    slid past, so an overlapping window (step < size) is O(step) per
-    emission.  Non-overlapping windows (step ≥ size) skip the states
-    entirely — each element would be inserted and evicted exactly once,
-    so recomputing from the column slice is strictly cheaper.
+    tuple, ``base`` the logical position of ``cols[*][0]``.  A window
+    below :func:`_incremental_pays` carries no states: each complete
+    window is one ``compute`` per aggregation over its column slice,
+    bit-identical to the oracle.  A deeper window (always step < size)
+    feeds incremental states instead — ``inserted`` is the next position
+    to feed them — and on every advance evicts exactly the ``step``
+    positions it slid past, so an emission is O(step), not O(size).
     """
 
     __slots__ = ("states", "stateful", "base", "count", "win_start", "inserted")
 
     def __init__(self, operator: AggregateOperator, schema: Schema):
         super().__init__(operator, schema)
-        if self.step < self.size:
+        if _incremental_pays(self.size, self.step):
             self.states = [spec.function.make_state() for spec in self.specs]
         else:
             self.states = [None] * len(self.specs)
         self.stateful = [
             (state, col)
-            for state, col in zip(self.states, self.spec_cols)
+            for state, (_, col) in zip(self.states, self.computes)
             if state is not None
         ]
         self.base = 0
@@ -342,14 +365,32 @@ class _ColumnarTupleWindow(_ColumnarWindow):
         for col, new_values in zip(self.cols, extract_columns(tuples, self.positions)):
             col.extend(new_values)
         self.count += len(tuples)
+        count, size, base = self.count, self.size, self.base
+        if self.stateful:
+            outputs = self._sweep_incremental(output_schema)
+        else:
+            starts = range(self.win_start - base, count - base - size + 1, self.step)
+            outputs = [
+                self._emit_slice(low, low + size, output_schema) for low in starts
+            ]
+            self.win_start += len(starts) * self.step
+        # Trim the dead prefix no window can need again.  The base can
+        # only advance to positions that already exist (a step>size
+        # window's start may lie beyond the last arrival).
+        new_base = self.win_start if self.win_start < count else count
+        if new_base > base:
+            for col in self.cols:
+                del col[: new_base - base]
+            self.base = new_base
+        return outputs
+
+    def _sweep_incremental(self, output_schema: Schema) -> List[StreamTuple]:
         count, size, step = self.count, self.size, self.step
         outputs: List[StreamTuple] = []
         while True:
             window_end = self.win_start + size
             # Feed the states every arrived value of the pending window.
             low = self.inserted
-            if low < self.win_start:
-                low = self.win_start  # skip the gap of a step>size window
             high = count if count < window_end else window_end
             if low < high:
                 offset, limit = low - self.base, high - self.base
@@ -357,37 +398,20 @@ class _ColumnarTupleWindow(_ColumnarWindow):
                     state.insert_many(col[offset:limit])
                 self.inserted = high
             if count < window_end:
-                break
-            outputs.append(self._emit(output_schema))
+                return outputs
+            start = self.win_start - self.base
+            end = start + size
+            outputs.append(self._coerced(
+                [
+                    state.result() if state is not None else compute(col[start:end])
+                    for state, (compute, col) in zip(self.states, self.computes)
+                ],
+                output_schema,
+            ))
             # Advance: evict the positions the window slid past.
-            evict_end = self.win_start + step
-            if evict_end > window_end:
-                evict_end = window_end
-            offset, limit = self.win_start - self.base, evict_end - self.base
             for state, col in self.stateful:
-                state.evict_many(col[offset:limit])
+                state.evict_many(col[start:start + step])
             self.win_start += step
-        # Trim the dead prefix no window can need again.  The base can
-        # only advance to positions that already exist (a step>size
-        # window's start may lie beyond the last arrival).
-        new_base = self.win_start if self.win_start < count else count
-        drop = new_base - self.base
-        if drop > 0:
-            for col in self.cols:
-                del col[:drop]
-            self.base = new_base
-        return outputs
-
-    def _emit(self, output_schema: Schema) -> StreamTuple:
-        low = self.win_start - self.base
-        high = low + self.size
-        values = []
-        for spec, state, col in zip(self.specs, self.states, self.spec_cols):
-            if state is not None:
-                values.append(state.result())
-            else:
-                values.append(spec.function.compute(col[low:high]))
-        return self._coerced(values, output_schema)
 
 
 class _ColumnarTimeWindow(_ColumnarWindow):
@@ -573,16 +597,9 @@ class _ColumnarTimeWindow(_ColumnarWindow):
         self.high = 0
         self.last_ts = self.ts[-1] if self.ts else None
 
-    def _emit_slice(self, low: int, high: int, output_schema: Schema) -> StreamTuple:
-        values = [
-            spec.function.compute(col[low:high])
-            for spec, col in zip(self.specs, self.spec_cols)
-        ]
-        return self._coerced(values, output_schema)
-
     def _emit_selected(self, selected, output_schema: Schema) -> StreamTuple:
         values = [
-            spec.function.compute([col[index] for index in selected])
-            for spec, col in zip(self.specs, self.spec_cols)
+            compute([col[index] for index in selected])
+            for compute, col in self.computes
         ]
         return self._coerced(values, output_schema)

@@ -9,7 +9,7 @@ statements list fields positionally (see the paper's Figure 4(b)).
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import SchemaError, UnknownAttributeError
 
@@ -91,6 +91,32 @@ _PYTHON_TYPES: Dict[DataType, Tuple[type, ...]] = {
     DataType.TIMESTAMP: (int, float),
 }
 
+#: The type :meth:`DataType.coerce` returns per data type: a value of
+#: exactly this type (``int`` excludes ``bool``) passes through it
+#: unchanged.
+_RUNTIME_TYPES: Dict[DataType, type] = {
+    DataType.INT: int,
+    DataType.DOUBLE: float,
+    DataType.STRING: str,
+    DataType.BOOL: bool,
+    DataType.TIMESTAMP: float,
+}
+
+
+def _widener(schema: "Schema") -> Callable[[Iterable], tuple]:
+    """``widen(values)``: :meth:`DataType.coerce` applied per field of
+    *schema*, skipping the call for a value already of the exact type."""
+    types = tuple((_RUNTIME_TYPES[field.dtype], field.dtype.coerce) for field in schema)
+
+    def widen(values) -> tuple:
+        return tuple([
+            value if type(value) is exact else coerce(value)
+            for value, (exact, coerce) in zip(values, types)
+        ])
+
+    return widen
+
+
 #: Data types on which arithmetic aggregation (avg, sum, ...) is defined.
 NUMERIC_TYPES = (DataType.INT, DataType.DOUBLE, DataType.TIMESTAMP)
 
@@ -152,6 +178,7 @@ class Schema:
         if not self._fields:
             raise SchemaError(f"schema {name!r} must have at least one field")
         self._names: Tuple[str, ...] = tuple(field.name for field in self._fields)
+        self._arity = len(self._fields)  # StreamTuple's per-tuple arity check
 
     @property
     def fields(self) -> Tuple[Field, ...]:

@@ -7,10 +7,10 @@ operators always emit *new* tuples rather than mutating inputs.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from repro.errors import SchemaError
-from repro.streams.schema import Schema
+from repro.streams.schema import Schema, _widener
 
 
 class StreamTuple:
@@ -23,7 +23,7 @@ class StreamTuple:
     __slots__ = ("_schema", "_values")
 
     def __init__(self, schema: Schema, values: Tuple[Any, ...]):
-        if len(values) != len(schema):
+        if len(values) != schema._arity:
             raise SchemaError(
                 f"tuple has {len(values)} values but schema {schema.name!r} "
                 f"has {len(schema)} fields"
@@ -106,6 +106,30 @@ def make_tuple(schema: Schema, record: Mapping[str, Any]) -> StreamTuple:
     return StreamTuple(schema, tuple(values))
 
 
+def _record_converter(schema: Schema) -> Callable[[Any], StreamTuple]:
+    """``convert(record)``: :func:`make_tuple` with the per-record work
+    hoisted out.  A mapping keyed by exactly the declared attribute
+    names is read positionally (values coerced as ever); a tuple passes
+    through.  Anything else goes through :func:`make_tuple`, so what is
+    accepted, what it becomes and every error message are the same.
+    """
+    names = schema.attribute_names
+    widen = _widener(schema)
+
+    def convert(record) -> StreamTuple:
+        if isinstance(record, StreamTuple):
+            return record
+        if len(record) == len(names):
+            try:
+                values = [record[name] for name in names]
+            except KeyError:
+                return make_tuple(schema, record)
+            return StreamTuple(schema, widen(values))
+        return make_tuple(schema, record)
+
+    return convert
+
+
 def make_tuples(schema: Schema, records: Iterable[Mapping[str, Any]]):
     """Build a list of validated tuples from an iterable of mappings."""
     return [make_tuple(schema, record) for record in records]
@@ -123,5 +147,5 @@ def extract_columns(
     are materialized once, then each requested position is gathered in
     its own tight pass.
     """
-    rows = [t.values for t in tuples]
+    rows = [t._values for t in tuples]
     return [[row[position] for row in rows] for position in positions]

@@ -14,6 +14,7 @@ from repro.streams.operators import (
     WindowSpec,
     WindowType,
 )
+from repro.streams.operators.window import _incremental_pays
 from repro.streams.reference import ReferencePipeline, reference_operator
 from repro.streams.schema import WEATHER_SCHEMA
 from repro.streams.sources import WeatherSource
@@ -38,6 +39,13 @@ def oracle(subject, input_schema=None):
     if isinstance(subject, QueryGraph):
         return ReferencePipeline(subject, input_schema)
     return reference_operator(subject)
+
+
+def incremental_edge(step: int) -> int:
+    """The smallest size of a step-*step* tuple window that runs on
+    incremental aggregate states instead of recomputing per emission —
+    what the two-sided window harnesses draw sizes around."""
+    return next(size for size in range(step, 100_000) if _incremental_pays(size, step))
 
 
 def build_nea_policy_graph() -> QueryGraph:

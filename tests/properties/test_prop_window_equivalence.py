@@ -18,9 +18,21 @@ path recomputes from column slices, which reassociates nothing);
 **float tolerance** for avg/sum/stdev over double columns on
 overlapping tuple windows, where incremental eviction legitimately
 drifts from a fresh recomputation by a few ulps.
+
+Tuple windows pick recompute or incremental states by shape
+(``operators.window._incremental_pays``), and every shape a policy
+plausibly uses — all of the small-shape draws here — recomputes.
+``TestBothSidesOfTheRule`` is what keeps the incremental path under
+differential proof: it draws shapes straddling the rule and compares
+with ``StreamEngine.reference()`` **exactly** on the recompute side and
+with the drifting-field tolerance on the incremental side.  Under
+``FUZZ_LONG=1`` (the nightly ``fuzz-deep`` job) it runs a far larger
+example budget.
 """
 
 import math
+import os
+import random
 
 from hypothesis import given, settings, strategies as st
 
@@ -32,9 +44,10 @@ from repro.streams.operators import (
     WindowSpec,
     WindowType,
 )
+from repro.streams.operators.window import _incremental_pays
 from repro.streams.schema import DataType, Field, Schema
 from repro.streams.tuples import StreamTuple
-from tests.conftest import oracle
+from tests.conftest import incremental_edge, oracle
 
 SCHEMA = Schema(
     "w",
@@ -246,3 +259,66 @@ class TestEngineLevelEquivalence:
             output_schema,
             [AggregationSpec.parse(text) for text in aggs],
         )
+
+
+@st.composite
+def straddling_shapes(draw):
+    """(size, step) with the size anywhere up to 3x the rule's edge for
+    that step — a third of the draws below the rule, two thirds above."""
+    step = draw(st.integers(min_value=1, max_value=3))
+    size = draw(st.integers(min_value=step, max_value=3 * incremental_edge(step)))
+    return size, step
+
+
+def seeded_values(seed, count):
+    """*count* float32-representable values; runs of repeats now and
+    then, so constant windows (stdev's exact-zero snap-back) and ties
+    (min/max, median) reach deep windows too."""
+    rng = random.Random(seed)
+    values = []
+    while len(values) < count:
+        value = float(round(rng.uniform(-50, 50) * 8) / 8)
+        values.extend([value] * (rng.randint(2, 12) if rng.random() < 0.1 else 1))
+    return values[:count]
+
+
+class TestBothSidesOfTheRule:
+    """Production ≡ ``StreamEngine.reference()`` on either side of the
+    recompute/incremental rule, the whole aggregate pool included."""
+
+    @settings(max_examples=1500 if os.environ.get("FUZZ_LONG") else 60, deadline=None)
+    @given(
+        shape=straddling_shapes(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        surplus=st.integers(min_value=0, max_value=120),
+        aggs=st.lists(st.sampled_from(AGG_POOL), min_size=1, max_size=5, unique=True),
+        cuts=st.lists(st.integers(min_value=0, max_value=700), max_size=6),
+    )
+    def test_engine_matches_reference_across_the_rule(
+        self, shape, seed, surplus, aggs, cuts
+    ):
+        size, step = shape
+        tuples = make_tuples(seeded_values(seed, size + surplus))
+        production, reference = StreamEngine(), StreamEngine.reference()
+        handles = []
+        for engine in (production, reference):
+            engine.register_input_stream("w", SCHEMA)
+            handles.append(
+                engine.register_query(build_graph(WindowType.TUPLE, size, step, aggs))
+            )
+        for batch in partition(tuples, cuts):
+            production.push_batch("w", batch)
+        for tup in tuples:
+            reference.push("w", tup)
+        got = production.read(handles[0])
+        expected = reference.read(handles[1])
+        assert len(expected) == surplus // step + 1
+        if _incremental_pays(size, step):
+            assert_equivalent(
+                got,
+                expected,
+                production.lookup(handles[0]).output_schema,
+                [AggregationSpec.parse(text) for text in aggs],
+            )
+        else:
+            assert [t.values for t in got] == [t.values for t in expected]

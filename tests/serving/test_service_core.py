@@ -19,12 +19,25 @@ import pytest
 from repro.core import XacmlPlusInstance, stream_policy
 from repro.core.pep import PolicyEnforcementPoint
 from repro.framework.network import SimulatedNetwork
+from repro.framework.messages import StreamRequestMessage
 from repro.framework.server import DataServer
+from repro.serving import AsyncClient
 from repro.serving.server import AsyncDataServer
-from repro.serving.wire import EvaluateOp, EvaluateReply, LoadOp, RevokeOp
+from repro.serving.wire import (
+    AckReply,
+    ErrorReply,
+    EvaluateOp,
+    EvaluateReply,
+    IngestOp,
+    LoadOp,
+    PingOp,
+    RevokeOp,
+)
 from repro.streams.engine import StreamEngine
 from repro.streams.graph import QueryGraph
 from repro.streams.schema import WEATHER_SCHEMA
+from repro.streams.sources import WeatherSource
+from repro.streams.stream import INGEST_CHUNK
 from repro.xacml.pdp import PolicyDecisionPoint
 from repro.xacml.request import Request
 from repro.xacml.sharding import ProcessShardPool, ShardedPolicyStore
@@ -174,3 +187,42 @@ class TestOneEvaluator:
         assert instance.pdp is second and instance.pep.pdp is second
         assert first._on_store_event not in instance.store._listeners
         assert second._on_store_event in instance.store._listeners
+
+
+class TestRefusedIngestIsAtomic:
+    def test_error_reply_means_nothing_was_ingested(self):
+        """One frame can carry more records than the engine dispatches
+        at once; a malformed record behind that boundary must refuse
+        the whole op, and the connection carries on in order."""
+        records = WeatherSource(seed=3).records(INGEST_CHUNK + 6)
+        records[-1] = dict(records[-1], samplingtime="yesterday")
+
+        async def scenario():
+            server = make_data_server()
+            engine = server.instance.engine
+            granted, _ = server.process(
+                StreamRequestMessage(Request.simple("LTA", "weather"), None)
+            )
+            output = engine.lookup(granted.handle_uri).output
+            async with AsyncDataServer(server) as front:
+                client = await AsyncClient.connect("127.0.0.1", front.port)
+                async with client:
+                    replies = await client.pipeline([
+                        IngestOp("weather", records[:2]),
+                        IngestOp("weather", records),
+                        PingOp(),
+                        IngestOp("weather", records[:3]),
+                    ])
+            return replies, engine.catalog.get("weather").total_appended, output
+
+        replies, appended, output = run(scenario())
+        assert replies[0] == AckReply("ingest", count=2)
+        assert isinstance(replies[1], ErrorReply)
+        assert replies[1].error_kind == "SchemaError"
+        assert "'yesterday'" in replies[1].error_detail
+        assert replies[2:] == [AckReply("ping"), AckReply("ingest", count=3)]
+        assert appended == 5
+        # The granted query saw the five accepted tuples and no others.
+        assert output.total_appended == sum(
+            1 for record in records[:2] + records[:3] if record["rainrate"] > 5
+        )

@@ -2,13 +2,15 @@
 
 import pytest
 
-from repro.errors import EngineError, UnknownHandleError, UnknownStreamError
+from repro.errors import EngineError, SchemaError, UnknownHandleError, UnknownStreamError
 from repro.streams.catalog import StreamCatalog
 from repro.streams.engine import StreamEngine
 from repro.streams.graph import QueryGraph
 from repro.streams.handles import StreamHandle
 from repro.streams.operators import FilterOperator
 from repro.streams.schema import WEATHER_SCHEMA, Schema
+from repro.streams.stream import INGEST_CHUNK
+from repro.streams.tuples import make_tuple
 
 SIMPLE = Schema("s", [("x", "int")])
 
@@ -324,3 +326,120 @@ class TestBatchedDispatch:
         engine.withdraw(handle)
         engine.push_batch("s", [{"x": 2}, {"x": 3}])  # must not crash
         assert [t["x"] for t in subscription.drain()] == [1]
+
+
+class TestIngressConversion:
+    """``push_batch`` converts records through a per-stream converter;
+    ``make_tuple`` is the specification of what it accepts, what each
+    record becomes and what every refusal says."""
+
+    MIXED = Schema(
+        "Mixed",
+        [("T", "timestamp"), ("x", "double"), ("n", "int"), ("tag", "string"), ("ok", "bool")],
+    )
+    GOOD = {"T": 1.5, "x": 2.5, "n": 3, "tag": "a", "ok": True}
+
+    RECORDS = {
+        "declared spelling, exact types": GOOD,
+        "declared spelling, another key order": dict(reversed(list(GOOD.items()))),
+        "ints widen into timestamp/double": {**GOOD, "T": 7, "x": 2},
+        "lower-cased key": {"t": 1.5, "x": 2.5, "n": 3, "tag": "a", "ok": False},
+        "mixed-case keys": {"t": 1.5, "X": 2.5, "N": 3, "TAG": "a", "Ok": True},
+        "missing key": {"T": 1.5, "x": 2.5, "n": 3, "tag": "a"},
+        "extra key": {**GOOD, "zz": 1},
+        "same arity, one key misspelt": {"T": 1.5, "x": 2.5, "n": 3, "tag": "a", "okay": True},
+        "duplicate by case": {"T": 1.5, "t": 2.5, "x": 2.5, "n": 3, "tag": "a", "ok": True},
+        "same arity, duplicate by case": {"T": 1.5, "t": 2.5, "x": 2.5, "n": 3, "tag": "a"},
+        "bool in a double field": {**GOOD, "x": True},
+        "bool in an int field": {**GOOD, "n": False},
+        "float in an int field": {**GOOD, "n": 3.0},
+        "int in a bool field": {**GOOD, "ok": 1},
+        "string in a timestamp field": {**GOOD, "T": "yesterday"},
+        "None in a string field": {**GOOD, "tag": None},
+    }
+
+    @staticmethod
+    def outcome(build):
+        try:
+            tup = build()
+        except SchemaError as error:
+            return ("refused", str(error))
+        return [(type(value), value) for value in tup.values]
+
+    @pytest.mark.parametrize("label", sorted(RECORDS))
+    def test_push_batch_matches_make_tuple(self, label):
+        record = self.RECORDS[label]
+        engine = StreamEngine()
+        stream = engine.register_input_stream("m", self.MIXED)
+
+        def pushed():
+            engine.push_batch("m", [self.GOOD, record])
+            return stream.snapshot()[-1]
+
+        expected = self.outcome(lambda: make_tuple(self.MIXED, record))
+        assert self.outcome(pushed) == expected
+        assert ("refused" in expected) == (label not in (
+            "declared spelling, exact types", "declared spelling, another key order",
+            "ints widen into timestamp/double", "lower-cased key", "mixed-case keys",
+        ))
+        # A refused record refuses the whole list.
+        assert stream.total_appended == (0 if "refused" in expected else 2)
+
+    def test_generators_and_tuples_take_the_same_converter(self):
+        engine = StreamEngine()
+        stream = engine.register_input_stream("m", self.MIXED)
+        ready = make_tuple(self.MIXED, self.GOOD)
+        assert engine.push_batch("m", iter([self.GOOD, ready])) == 2
+        engine.push("m", {**self.GOOD, "T": 9})
+        first, second, third = stream.snapshot()
+        assert first == ready and second is ready and third["T"] == 9.0
+
+
+class TestAtomicIngest:
+    """A refused list changes nothing, however long it is — over the
+    wire an ``IngestOp`` answered with an error must not be half in."""
+
+    def test_bad_record_past_the_chunk_boundary_appends_nothing(self):
+        engine = StreamEngine()
+        stream = engine.register_input_stream("s", SIMPLE)
+        handle = engine.register_query(QueryGraph("s").append(FilterOperator("x >= 0")))
+        records = [{"x": n} for n in range(INGEST_CHUNK + 6)]
+        records[INGEST_CHUNK + 5] = {"x": "six"}
+        with pytest.raises(SchemaError, match="'six'"):
+            engine.push_batch("s", records)
+        assert stream.total_appended == 0
+        assert engine.read(handle) == []
+        # The same list, repaired, goes in whole (in two dispatches).
+        records[INGEST_CHUNK + 5] = {"x": 6}
+        assert engine.push_batch("s", records) == INGEST_CHUNK + 6
+        assert len(engine.read(handle)) == INGEST_CHUNK + 6
+
+    def test_unbounded_iterables_stay_chunked(self):
+        """Documented trade: an iterable is converted chunk by chunk
+        (memory O(chunk)), so chunks before the bad record are in."""
+        engine = StreamEngine()
+        stream = engine.register_input_stream("s", SIMPLE)
+        records = ({"x": n if n != INGEST_CHUNK + 5 else "six"} for n in range(10**9))
+        with pytest.raises(SchemaError):
+            engine.push_batch("s", records)
+        assert stream.total_appended == INGEST_CHUNK
+
+
+class TestOutputStreamGainsAConsumer:
+    def test_listener_and_subscriber_added_mid_run_see_every_later_tuple_once(self):
+        engine = StreamEngine()
+        engine.register_input_stream("s", SIMPLE)
+        handle = engine.register_query(QueryGraph("s").append(FilterOperator("x > 0")))
+        output = engine.lookup(handle).output
+        engine.push_batch("s", [{"x": 1}, {"x": 2}])          # nobody listening
+        per_tuple, per_batch = [], []
+        output.add_listener(lambda tup: per_tuple.append(tup["x"]))
+        engine.push_batch("s", [{"x": 3}, {"x": -1}, {"x": 4}])
+        output.add_batch_listener(lambda batch: per_batch.append([t["x"] for t in batch]))
+        late = engine.subscribe(handle, from_start=False)
+        engine.push_batch("s", [{"x": 5}, {"x": 6}])
+        engine.push("s", {"x": 7})
+        assert per_tuple == [3, 4, 5, 6, 7]
+        assert per_batch == [[5, 6], [7]]
+        assert [t["x"] for t in late.drain()] == [5, 6, 7]
+        assert [t["x"] for t in engine.read(handle)] == [1, 2, 3, 4, 5, 6, 7]

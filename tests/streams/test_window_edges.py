@@ -17,21 +17,32 @@ mechanism instead of a shrunk counterexample:
 - empty and singleton batch partitions: ``process_batch`` on the real
   batch path must tolerate degenerate partitions without corrupting
   window state, and any partitioning must emit exactly the same tuples
-  as one monolithic batch and as the reference path.
+  as one monolithic batch and as the reference path;
+- the recompute/incremental rule's edge: which path a tuple window takes
+  at edge − 1 / edge / edge + 1, and that all three match the oracle;
+- emission coercion: a value whose type differs from its output field's
+  is widened, or refused, exactly as ``DataType.coerce`` does it.
 """
 
 import pytest
 
+from repro.errors import SchemaError
+from repro.streams.operators.aggregate import (
+    AGGREGATE_FUNCTIONS,
+    AggregateFunction,
+    register_aggregate_function,
+)
 from repro.streams.operators.window import (
     AggregateOperator,
     AggregationSpec,
     WindowSpec,
     WindowType,
     _ColumnarTimeWindow,
+    _incremental_pays,
 )
 from repro.streams.schema import DataType, Field, Schema
-from repro.streams.tuples import make_tuple
-from tests.conftest import oracle
+from repro.streams.tuples import StreamTuple, make_tuple
+from tests.conftest import incremental_edge, oracle
 
 SCHEMA = Schema(
     "sensor",
@@ -268,3 +279,104 @@ class TestDegenerateBatchPartitions:
             got = run_batches(operator, [[t] for t in stream])
             assert [row[4] for row in got] == [t["v"] for t in stream]  # lastval
             assert [row[3] for row in got] == [1] * len(stream)          # count
+
+
+class TestRecomputeIncrementalBoundary:
+    """The rule picks the path by shape alone, and the path is invisible."""
+
+    STEP = 2
+    EDGE = incremental_edge(STEP)
+    POINTS = [(float(i), float((i * 7) % 11)) for i in range(3 * EDGE)]
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_path_taken_and_output_at_the_edge(self, offset):
+        size = self.EDGE + offset
+        stream = tuples_of(self.POINTS)
+        compiled = make_operator(WindowType.TUPLE, size, self.STEP)
+        got = run_batches(compiled, partitions(stream, [7, 1, len(stream) - 8]))
+        incremental = bool(compiled._columnar.stateful)
+        assert incremental == (offset >= 0) == _incremental_pays(size, self.STEP)
+        assert all(
+            (state is not None) == incremental for state in compiled._columnar.states
+        )
+        reference = make_reference(WindowType.TUPLE, size, self.STEP)
+        # Small-integer floats: sums are exact on either path.
+        assert got == run_batches(reference, [[t] for t in stream])
+        assert len(got) == (len(stream) - size) // self.STEP + 1
+
+    def test_tumbling_and_hopping_windows_never_carry_states(self):
+        for size, step in [(4, 4), (4, 9), (500, 500), (200, 1000)]:
+            assert not _incremental_pays(size, step)
+
+    def test_stateless_third_party_function_recomputes_above_the_rule(self):
+        register_aggregate_function(
+            AggregateFunction("spread", lambda v: max(v) - min(v), lambda d: d)
+        )
+        try:
+            size = self.EDGE + 5
+            specs = [AggregationSpec.parse("v:spread"), AggregationSpec.parse("v:max")]
+            window = WindowSpec(WindowType.TUPLE, size, 1)
+            stream = tuples_of(self.POINTS)
+            compiled = AggregateOperator(window, specs)
+            got = run_batches(compiled, [stream])
+            states = compiled._columnar.states
+            assert states[0] is None and states[1] is not None
+            assert got == run_batches(
+                oracle(AggregateOperator(window, specs)), [[t] for t in stream]
+            )
+        finally:
+            del AGGREGATE_FUNCTIONS["spread"]
+
+
+class TestEmissionCoercion:
+    """A window result is coerced to its output field like any ingress
+    value: production and the oracle agree value-for-value, type-for-type
+    and error-for-error."""
+
+    MIXED = Schema("m", [Field("d", DataType.DOUBLE), Field("i", DataType.INT)])
+
+    def both_sides(self, agg_texts, rows, size=3, step=1):
+        specs = [AggregationSpec.parse(text) for text in agg_texts]
+        window = WindowSpec(WindowType.TUPLE, size, step)
+        # Built directly: ints sit un-widened in the DOUBLE column, so
+        # sum/min/median hand an int to a DOUBLE output field.
+        stream = [StreamTuple(self.MIXED, row) for row in rows]
+        outcomes = []
+        for operator in (
+            AggregateOperator(window, specs), oracle(AggregateOperator(window, specs))
+        ):
+            schema = operator.output_schema(self.MIXED)
+            try:
+                emitted = operator.process_batch(stream, schema)
+            except SchemaError as error:
+                outcomes.append(("error", str(error)))
+            else:
+                outcomes.append(
+                    [[(type(v), v) for v in t.values] for t in emitted]
+                )
+        return outcomes
+
+    def test_int_results_widen_into_double_fields(self):
+        rows = [(1, 4), (2, 5), (3, 6), (4, 7)]
+        production, expected = self.both_sides(
+            ["d:sum", "d:min", "d:median", "i:avg", "i:sum", "i:count", "d:lastval"],
+            rows,
+        )
+        assert production == expected
+        assert production[0] == [
+            (float, 6.0), (float, 1.0), (float, 2.0), (float, 5.0),
+            (int, 15), (int, 3), (float, 3.0),
+        ]
+
+    def test_mistyped_third_party_result_raises_the_coerce_error(self):
+        for name, result in (("anyhigh", lambda v: max(v) > 2), ("label", lambda v: "x")):
+            register_aggregate_function(AggregateFunction(name, result, lambda d: d))
+            try:
+                production, expected = self.both_sides(
+                    [f"d:{name}"], [(1.0, 1), (2.0, 2), (3.0, 3)]
+                )
+            finally:
+                del AGGREGATE_FUNCTIONS[name]
+            assert production == expected
+            assert production[0] == "error"
+        assert "is not valid for data type 'double'" in production[1]

@@ -25,7 +25,11 @@ answered ~8e-7 incrementally where recomputation answers 0.0.
 
 The tier-1 run is seeded and bounded (fixed seeds, small budgets) so it
 is deterministic and fast; set ``FUZZ_LONG=1`` (the CI nightly/manual
-fuzz job does) for a much larger randomized pass.
+fuzz job does) for a much larger randomized pass.  The long pass also
+draws *deep* tuple windows — shapes on both sides of the
+recompute/incremental rule (``operators.window._incremental_pays``);
+the small tier-1 shapes all recompute — so the incremental aggregate
+states stay fuzzed through the whole stack.
 """
 
 from __future__ import annotations
@@ -38,7 +42,9 @@ from typing import Dict, List, Sequence, Tuple
 import pytest
 
 from repro.streams.engine import StreamEngine
+from repro.streams.operators.window import _incremental_pays
 from repro.streams.schema import DataType, Field, Schema
+from tests.conftest import incremental_edge
 
 #: Numeric aggregate functions (operand must be numeric).
 NUMERIC_AGGS = ("avg", "sum", "min", "max", "count", "stdev", "median")
@@ -63,8 +69,20 @@ class StreamSQLFuzzer:
     references, optional AS aliases and keyword casing.
     """
 
-    def __init__(self, rng: random.Random):
+    def __init__(self, rng: random.Random, deep_windows: bool = False):
         self.rng = rng
+        self.deep_windows = deep_windows
+
+    def window_shape(self, high: int) -> Tuple[int, int]:
+        """(size, step), each 1..*high*; with ``deep_windows`` four in
+        ten are instead a small step under a size of up to 3x the
+        smallest one that runs on incremental states."""
+        rng = self.rng
+        size, step = rng.randint(1, high), rng.randint(1, high)
+        if self.deep_windows and rng.random() < 0.4:
+            step = rng.randint(1, 3)
+            size = rng.randint(step, 3 * incremental_edge(step))
+        return size, step
 
     # -- schema + data -----------------------------------------------------------
 
@@ -205,8 +223,7 @@ class StreamSQLFuzzer:
             current = target
         if want_aggregate:
             target = next_target(True)
-            size = rng.randint(1, 6)
-            step = rng.randint(1, 6)
+            size, step = self.window_shape(6)
             window_name = f"w_{size}_{step}"
             lines.append(
                 f"{_kw(rng, 'CREATE')} {_kw(rng, 'WINDOW')} {window_name} "
@@ -261,8 +278,7 @@ class StreamSQLFuzzer:
         rng = self.rng
         condition = self.condition(schema)
         field_list = ", ".join(f"{f.name} {f.dtype.value}" for f in schema)
-        family_window = (rng.randint(1, 5), rng.randint(1, 5),
-                        rng.choice(("TUPLES", "SECONDS")))
+        family_window = (*self.window_shape(5), rng.choice(("TUPLES", "SECONDS")))
         scripts: List[str] = []
         for _ in range(variants):
             if scripts and rng.random() < 0.25:
@@ -291,7 +307,7 @@ class StreamSQLFuzzer:
                 if rng.random() < 0.6:
                     size, step, unit = family_window
                 else:
-                    size, step, unit = (rng.randint(1, 5), rng.randint(1, 5),
+                    size, step, unit = (*self.window_shape(5),
                                         rng.choice(("TUPLES", "SECONDS")))
                 numeric = [f.name for f in schema if f.is_numeric]
                 pairs = set()
@@ -347,10 +363,12 @@ def assert_rows_match(out_schema, actual, expected, context: str) -> None:
                 )
 
 
-def run_differential(seed: int, n_queries: int, n_tuples: int) -> Tuple[int, int]:
+def run_differential(
+    seed: int, n_queries: int, n_tuples: int, deep_windows: bool = False
+) -> Tuple[int, int]:
     """Fuzz *n_queries* scripts at *seed*; returns (queries, outputs) counts."""
     rng = random.Random(seed)
-    fuzzer = StreamSQLFuzzer(rng)
+    fuzzer = StreamSQLFuzzer(rng, deep_windows)
     total_outputs = 0
     for query_index in range(n_queries):
         schema = fuzzer.schema()
@@ -386,7 +404,7 @@ def run_differential(seed: int, n_queries: int, n_tuples: int) -> Tuple[int, int
 
 
 def run_multiquery_differential(
-    seed: int, n_rounds: int, n_variants: int, n_tuples: int
+    seed: int, n_rounds: int, n_variants: int, n_tuples: int, deep_windows: bool = False
 ) -> Tuple[int, int]:
     """Shared-prefix fan-out under churn: each round registers a family
     of scripts sharing one WHERE prefix on a **single** engine pair —
@@ -398,7 +416,7 @@ def run_multiquery_differential(
     every DAG node.  Returns (total shared-plan node merges, outputs).
     """
     rng = random.Random(seed)
-    fuzzer = StreamSQLFuzzer(rng)
+    fuzzer = StreamSQLFuzzer(rng, deep_windows)
     total_outputs = 0
     total_shared = 0
     for round_index in range(n_rounds):
@@ -510,6 +528,18 @@ class TestStreamSQLFuzz:
                 seen.add("map")
         assert {"filter", "window", "tuple-window", "time-window", "map"} <= seen
 
+    def test_deep_window_draw_lands_on_both_sides_of_the_rule(self):
+        """What the long pass adds: without it every generated tuple
+        window recomputes and no fuzz case reaches an incremental state."""
+        shallow = StreamSQLFuzzer(random.Random(7))
+        assert not any(_incremental_pays(*shallow.window_shape(6)) for _ in range(200))
+        deep = StreamSQLFuzzer(random.Random(7), deep_windows=True)
+        sides = [_incremental_pays(*deep.window_shape(6)) for _ in range(200)]
+        assert 30 < sum(sides) < 100
+        # One deep pass end to end, sized so deep windows do emit.
+        _, outputs = run_differential(11, n_queries=12, n_tuples=300, deep_windows=True)
+        assert outputs > 100
+
 
 @pytest.mark.skipif(
     not os.environ.get("FUZZ_LONG"),
@@ -522,9 +552,11 @@ class TestStreamSQLFuzzLong:
     def test_fuzz_long(self):
         seed = int(os.environ.get("FUZZ_SEED", random.SystemRandom().randint(0, 2**31)))
         print(f"FUZZ_SEED={seed} (set FUZZ_SEED to reproduce)")
-        run_differential(seed, n_queries=200, n_tuples=400)
+        run_differential(seed, n_queries=200, n_tuples=400, deep_windows=True)
 
     def test_fuzz_long_multiquery(self):
         seed = int(os.environ.get("FUZZ_SEED", random.SystemRandom().randint(0, 2**31)))
         print(f"FUZZ_SEED={seed} (set FUZZ_SEED to reproduce)")
-        run_multiquery_differential(seed, n_rounds=40, n_variants=12, n_tuples=200)
+        run_multiquery_differential(
+            seed, n_rounds=40, n_variants=12, n_tuples=200, deep_windows=True
+        )
