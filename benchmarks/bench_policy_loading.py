@@ -9,14 +9,22 @@ seed's linear scan pays O(policies) per request, the indexed PDP only
 evaluates the candidates its target index returns, and the decision
 cache answers repeated (Zipf-popular) requests without evaluating at
 all.
+
+The third (``churn``) prices what a store event costs a *warm* decision
+cache: invalidation is targeted through the cache's request-side
+literal index, so an event for a policy no cached request can reach
+must cost the same whatever the cache holds, and must evict nothing.
 """
 
-from benchmarks.harness import gate, make_runner, print_header, timed
+from benchmarks.harness import ROUNDS, best_of, emit, gate, make_runner, print_header, timed
 from repro.framework.metrics import summarize
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.report import policy_load_summary
 from repro.workload.zipf import zipf_sequence
 from repro.xacml.pdp import PolicyDecisionPoint
+from repro.xacml.policy import Policy, Rule, Target
+from repro.xacml.request import Request
+from repro.xacml.response import Effect
 from repro.xacml.store import PolicyStore
 
 
@@ -102,3 +110,118 @@ def test_pdp_evaluation_indexed_vs_linear(benchmark):
     # small to assert on a single-shot timing — so assert the cache
     # actually served the Zipf repeats instead.
     assert results["indexed+cache"][2] > 0.2
+
+
+CHURN_RESOURCES = tuple(f"stream{i}" for i in range(6))
+CHURN_EVENTS = 1000
+CHURN_EVENT_KINDS = ("loaded", "updated", "removed")
+
+
+def _permit(policy_id, subject=None, resource=None):
+    return Policy(
+        policy_id,
+        target=Target.for_ids(subject=subject, resource=resource),
+        rules=[Rule(f"{policy_id}:r", Effect.PERMIT)],
+    )
+
+
+def _warm_pdp(entries):
+    """A PDP whose cache holds *entries* decisions, spread evenly over
+    ``CHURN_RESOURCES``, plus the requests that filled it."""
+    store = PolicyStore()
+    for resource in CHURN_RESOURCES:
+        store.load(_permit(f"p-{resource}", resource=resource))
+    pdp = PolicyDecisionPoint(store, cache_size=entries)
+    requests = [
+        Request.simple(f"user{i}", CHURN_RESOURCES[i % len(CHURN_RESOURCES)])
+        for i in range(entries)
+    ]
+    for request in requests:
+        pdp.evaluate(request)
+    assert len(pdp.cache) == entries
+    return store, pdp, requests
+
+
+def _event_costs(entries):
+    """µs per store event against a warm cache of *entries* decisions:
+    each kind of event for a policy no cached request can reach, and an
+    ``updated`` whose new target reaches one resource's share of it."""
+    stranger = _permit("p-stranger", subject="nobody", resource=CHURN_RESOURCES[0])
+    related = _permit("p-stranger", resource=CHURN_RESOURCES[3])
+    cache = _warm_pdp(entries)[1].cache
+    row = {"entries": entries}
+    for event in CHURN_EVENT_KINDS:
+        def burst():
+            for _ in range(CHURN_EVENTS):
+                cache.on_store_event(event, stranger)
+        row[f"unrelated_{event}_us"] = best_of(ROUNDS, lambda: burst) / CHURN_EVENTS * 1e6
+    assert len(cache) == entries
+    assert (cache.targeted_evictions, cache.full_flushes) == (0, 0)
+
+    last = {}
+
+    def make():
+        warm = last["cache"] = _warm_pdp(entries)[1].cache
+        return lambda: warm.on_store_event("updated", related)
+
+    row["related_updated_us"] = best_of(ROUNDS, make) * 1e6
+    row["related_evicted"] = last["cache"].targeted_evictions
+    assert abs(row["related_evicted"] - entries / len(CHURN_RESOURCES)) <= 1
+    return row
+
+
+def _replay_across_unrelated_loads(loads=100):
+    """Hit rate of a Zipf replay after *loads* policies for never-requested
+    subjects went through the real store."""
+    store, pdp, requests = _warm_pdp(256)
+    stream = zipf_sequence(requests, length=2000, max_rank=256, seed=23)
+    for request in stream:
+        pdp.evaluate(request)
+    for i in range(loads):
+        store.load(_permit(f"p-new{i}", subject=f"newcomer{i}",
+                           resource=CHURN_RESOURCES[i % len(CHURN_RESOURCES)]))
+    hits_before = pdp.cache.hits
+    for request in stream:
+        pdp.evaluate(request)
+    return {
+        "requests": len(stream),
+        "unrelated_loads": loads,
+        "hit_rate": (pdp.cache.hits - hits_before) / len(stream),
+        "full_flushes": pdp.cache.full_flushes,
+    }
+
+
+def test_churn_invalidation_cost(benchmark):
+    """What one store event costs a warm decision cache, by cache size:
+    unrelated events (a subject no cached request carries) must cost the
+    same at 256 and at 4,096 entries and keep every entry warm; a
+    related event pays for what it evicts."""
+    result = benchmark.pedantic(
+        lambda: {
+            "sizes": {str(n): _event_costs(n) for n in (256, 4096)},
+            "replay": _replay_across_unrelated_loads(),
+        },
+        rounds=1, iterations=1,
+    )
+    emit("policy_loading", "churn", result)
+    print_header("Decision-cache invalidation cost (µs per event, warm cache)")
+    for entries, row in result["sizes"].items():
+        print(
+            f"  {entries:>5s} entries: unrelated loaded {row['unrelated_loaded_us']:6.2f}"
+            f"  updated {row['unrelated_updated_us']:6.2f}"
+            f"  removed {row['unrelated_removed_us']:6.2f}"
+            f"   related updated {row['related_updated_us']:8.1f}"
+            f" (evicts {row['related_evicted']})"
+        )
+    print(f"  Zipf replay hit rate after 100 unrelated loads: "
+          f"{result['replay']['hit_rate']:.3f}")
+
+    def unrelated_cost(row):
+        return sum(row[f"unrelated_{event}_us"] for event in CHURN_EVENT_KINDS)
+
+    gate("policy_loading", "churn.replay_hit_rate", result["replay"]["hit_rate"], 0.99)
+    # An event for an unreachable policy touches no entry, so its cost
+    # may not grow with the cache (the cache walk it replaced read ~16x).
+    gate("policy_loading", "churn.unrelated_cost_4096_vs_256",
+         unrelated_cost(result["sizes"]["4096"]) / unrelated_cost(result["sizes"]["256"]),
+         ceiling=3.0)

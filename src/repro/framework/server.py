@@ -87,8 +87,9 @@ class DataServer:
         return self.instance.load_policy(_policy_of(policy))
 
     def update_policy(self, policy: Union[Policy, str, PolicyLoadMessage]) -> Policy:
-        """Replace a loaded policy; spawned query graphs are revoked and
-        the PDP's decision cache is flushed before the call returns."""
+        """Replace a loaded policy; before the call returns its spawned
+        query graphs are revoked and the cached decisions the old or the
+        new version can reach are evicted (the rest stay warm)."""
         return self.instance.update_policy(_policy_of(policy))
 
     def remove_policy(self, policy_id: str) -> None:

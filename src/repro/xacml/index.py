@@ -38,14 +38,14 @@ from repro.xacml.policy import Policy
 from repro.xacml.request import Request
 
 #: The three indexed categories with their standard identity attributes.
-_INDEXED_CATEGORIES: Tuple[Tuple[AttributeCategory, str], ...] = (
+INDEXED_CATEGORIES: Tuple[Tuple[AttributeCategory, str], ...] = (
     (AttributeCategory.SUBJECT, SUBJECT_ID),
     (AttributeCategory.RESOURCE, RESOURCE_ID),
     (AttributeCategory.ACTION, ACTION_ID),
 )
 
 
-def _category_keys(
+def category_keys(
     alternatives, category: AttributeCategory, attribute_id: str
 ) -> Optional[Set[str]]:
     """The literal values the category can match, or None for wildcard.
@@ -74,16 +74,31 @@ def _category_keys(
     return keys
 
 
+def target_keys(target) -> Dict[AttributeCategory, Optional[Set[str]]]:
+    """:func:`category_keys` of each indexed category of *target*.
+
+    The one reading of a target both inverted indexes share — this
+    module's over policies and :class:`~repro.xacml.pdp.DecisionCache`'s
+    over cached requests — so the two cannot drift apart.
+    """
+    return {
+        category: category_keys(alternatives, category, attribute_id)
+        for (category, attribute_id), alternatives in zip(
+            INDEXED_CATEGORIES, (target.subjects, target.resources, target.actions)
+        )
+    }
+
+
 class PolicyIndex:
     """Maps target literals to candidate policy ids, one bucket set per
     indexed category plus a wildcard bucket for unconstrained targets."""
 
     def __init__(self):
         self._buckets: Dict[AttributeCategory, Dict[str, Set[str]]] = {
-            category: {} for category, _ in _INDEXED_CATEGORIES
+            category: {} for category, _ in INDEXED_CATEGORIES
         }
         self._wildcards: Dict[AttributeCategory, Set[str]] = {
-            category: set() for category, _ in _INDEXED_CATEGORIES
+            category: set() for category, _ in INDEXED_CATEGORIES
         }
         #: policy id → per-category key sets, for O(keys) removal.
         self._keys: Dict[str, Dict[AttributeCategory, Optional[Set[str]]]] = {}
@@ -95,14 +110,8 @@ class PolicyIndex:
         return policy_id in self._keys
 
     def add(self, policy: Policy) -> None:
-        target = policy.target
-        per_category: Dict[AttributeCategory, Optional[Set[str]]] = {}
-        for (category, attribute_id), alternatives in zip(
-            _INDEXED_CATEGORIES,
-            (target.subjects, target.resources, target.actions),
-        ):
-            keys = _category_keys(alternatives, category, attribute_id)
-            per_category[category] = keys
+        per_category = target_keys(policy.target)
+        for category, keys in per_category.items():
             if keys is None:
                 self._wildcards[category].add(policy.policy_id)
             else:
@@ -134,7 +143,7 @@ class PolicyIndex:
     def candidate_ids(self, request: Request) -> Set[str]:
         """Ids of every policy whose target could match *request*."""
         candidates: Optional[Set[str]] = None
-        for category, attribute_id in _INDEXED_CATEGORIES:
+        for category, attribute_id in INDEXED_CATEGORIES:
             eligible = set(self._wildcards[category])
             buckets = self._buckets[category]
             if buckets:
@@ -156,11 +165,11 @@ class PolicyIndex:
             "policies": len(self._keys),
             **{
                 f"{category.value}_buckets": len(self._buckets[category])
-                for category, _ in _INDEXED_CATEGORIES
+                for category, _ in INDEXED_CATEGORIES
             },
             **{
                 f"{category.value}_wildcards": len(self._wildcards[category])
-                for category, _ in _INDEXED_CATEGORIES
+                for category, _ in INDEXED_CATEGORIES
             },
         }
 

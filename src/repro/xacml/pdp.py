@@ -15,12 +15,13 @@ available only as the differential-test oracle
   :meth:`~repro.xacml.store.PolicyStore.policies_for`);
 - **decision caching** — an LRU cache from the request fingerprint to
   the full response (decision, obligations, deciding policy), with
-  *per-policy* invalidation: every entry is bucketed by the candidate
-  policy ids that produced it, so removing or updating policy P evicts
-  only P's bucket (plus, for updates, the entries the new version could
-  newly reach) while unrelated hot entries stay warm.  ``load`` events
-  still flush wholesale — a brand-new policy can turn any cached
-  NotApplicable into a Permit, and it has no bucket yet.
+  *targeted* invalidation for every store event.  Each entry is linked
+  two ways: by the candidate policy ids that produced it (its
+  *buckets*), and by the subject-id / resource-id / action-id literals
+  its request carries — an inverted index over cached requests, the
+  dual of :class:`~repro.xacml.index.PolicyIndex`.  One policy's load,
+  update or removal evicts only the entries it can have changed;
+  unrelated hot entries stay warm, and no event walks the cache.
 
 Why targeted eviction is sound (given the index's over-approximation
 guarantee — a policy absent from a request's candidate set can never
@@ -28,11 +29,17 @@ be applicable to it):
 
 - ``removed``: entries that never considered P cannot change when P
   disappears — evicting P's bucket alone is exact;
+- ``loaded``: the guarantee read backwards — a target that needs
+  literal *v* in a category cannot apply to a request that does not
+  carry *v*, so only the entries holding, in every category the target
+  constrains, one of its literals (:meth:`DecisionCache.reach`) can
+  change; wherever the new policy sits in evaluation order (pinned
+  ``sequence`` loads included), a NotApplicable policy is ignored.  A
+  target that constrains no indexed category can turn any cached
+  NotApplicable into a Permit, so it still flushes wholesale;
 - ``updated``: P's bucket covers every entry the *old* version could
-  have influenced; the *new* version may newly match requests that
-  never saw P, so entries whose stored request the new target could
-  plausibly match (probed through a single-policy
-  :class:`~repro.xacml.index.PolicyIndex`) are evicted too.
+  have influenced, the new version's reach every entry it may newly
+  match.
 
 Both paths are decision- and obligation-identical to the linear scan for
 the built-in combining algorithms, which ignore NotApplicable policies.
@@ -49,9 +56,10 @@ harness pins it), and each shard internally runs one of these PDPs.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, FrozenSet, Optional, Set
+from typing import Dict, FrozenSet, Optional, Set, Tuple
 
 from repro.xacml.combining import PolicyCombiningAlgorithm
+from repro.xacml.index import INDEXED_CATEGORIES, target_keys
 from repro.xacml.request import Request
 from repro.xacml.response import Decision, Response
 from repro.xacml.store import PolicyStore
@@ -83,15 +91,39 @@ def decide(candidates, request: Request, combining: str) -> Response:
     )
 
 
+#: The ``(category, attribute id)`` fingerprint prefixes of the identity
+#: attributes — the same three the target index keys policies by.
+_IDENTITY = frozenset(
+    (category.value, attribute_id) for category, attribute_id in INDEXED_CATEGORIES
+)
+
+
+def _literals(key: tuple) -> Set[Tuple[str, str]]:
+    """The ``(category, literal)`` pairs the request behind *key* carries.
+
+    A fingerprint item is ``(category, attribute id, datatype, class,
+    str(value))``, so the key itself holds exactly what the entry was
+    decided for — keyed by ``str(value)``, as the target index is.
+    """
+    return {(item[0], item[4]) for item in key if (item[0], item[1]) in _IDENTITY}
+
+
+def _unlink(index: dict, link, key: tuple) -> None:
+    holders = index.get(link)
+    if holders is not None:
+        holders.discard(key)
+        if not holders:
+            del index[link]
+
+
 class _CacheEntry:
-    """One cached decision: the response, the request that produced it,
-    and the candidate-policy ids considered (the entry's buckets)."""
+    """One cached decision: the response and the candidate-policy ids
+    considered (the entry's buckets)."""
 
-    __slots__ = ("response", "request", "candidate_ids")
+    __slots__ = ("response", "candidate_ids")
 
-    def __init__(self, response: Response, request: Request, candidate_ids: FrozenSet[str]):
+    def __init__(self, response: Response, candidate_ids: FrozenSet[str]):
         self.response = response
-        self.request = request
         self.candidate_ids = candidate_ids
 
 
@@ -110,7 +142,7 @@ class DecisionCache:
 
     __slots__ = (
         "capacity", "hits", "misses", "invalidations", "full_flushes",
-        "targeted_evictions", "entries", "buckets",
+        "targeted_evictions", "entries", "buckets", "literals",
     )
 
     def __init__(self, capacity: int):
@@ -119,13 +151,15 @@ class DecisionCache:
         self.misses = 0
         #: Store events that invalidated cache state (any kind).
         self.invalidations = 0
-        #: Events that flushed the whole cache (loads).
+        #: Whole-cache flushes (unconstrained loads, explicit flushes).
         self.full_flushes = 0
         #: Entries evicted by targeted (per-policy) invalidation.
         self.targeted_evictions = 0
         self.entries: "OrderedDict[tuple, _CacheEntry]" = OrderedDict()
         #: policy id → cache keys of the entries that considered it.
         self.buckets: Dict[str, Set[tuple]] = {}
+        #: (category, literal) → cache keys of the entries carrying it.
+        self.literals: Dict[Tuple[str, str], Set[tuple]] = {}
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -140,17 +174,15 @@ class DecisionCache:
         self.hits += 1
         return entry.response
 
-    def put(
-        self,
-        key: tuple,
-        response: Response,
-        request: Request,
-        candidate_ids: FrozenSet[str],
-    ) -> None:
-        """Insert a decision, bucket it by candidate ids, trim to capacity."""
-        self.entries[key] = _CacheEntry(response, request, candidate_ids)
+    def put(self, key: tuple, response: Response, candidate_ids: FrozenSet[str]) -> None:
+        """Insert a decision, link it by candidate ids and by the
+        literals its key carries, trim to capacity."""
+        self.drop(key)  # a replaced entry must not leave its old links behind
+        self.entries[key] = _CacheEntry(response, candidate_ids)
         for policy_id in candidate_ids:
             self.buckets.setdefault(policy_id, set()).add(key)
+        for literal in _literals(key):
+            self.literals.setdefault(literal, set()).add(key)
         while len(self.entries) > self.capacity:
             self.drop(next(iter(self.entries)))
 
@@ -161,61 +193,82 @@ class DecisionCache:
             self.evict_bucket(policy.policy_id)
         elif event == "updated":
             self.evict_bucket(policy.policy_id)
-            self.evict_newly_matching(policy)
+            self.evict_reach(policy)
+        elif event == "loaded":
+            self.evict_reach(policy)
         else:
-            # "loaded" (and any unknown event, conservatively): a new
-            # policy can change any decision — NotApplicable may become
-            # Permit — and it has no bucket yet, so flush wholesale.
-            self.flush()
+            self.flush()  # unknown event: conservatively, everything
+
+    def clear(self) -> None:
+        """Drop every entry and every link; count nothing."""
+        self.entries.clear()
+        self.buckets.clear()
+        self.literals.clear()
 
     def flush(self) -> None:
-        if self.entries:
-            self.entries.clear()
-            self.buckets.clear()
+        self.clear()
         self.full_flushes += 1
 
     def drop(self, key: tuple) -> None:
-        """Remove one entry and unlink it from every bucket it is in."""
+        """Remove one entry and unlink it from every set it is in."""
         entry = self.entries.pop(key, None)
         if entry is None:
             return
         for policy_id in entry.candidate_ids:
-            bucket = self.buckets.get(policy_id)
-            if bucket is not None:
-                bucket.discard(key)
-                if not bucket:
-                    del self.buckets[policy_id]
+            _unlink(self.buckets, policy_id, key)
+        for literal in _literals(key):
+            _unlink(self.literals, literal, key)
+
+    def _evict(self, keys) -> None:
+        for key in keys:
+            self.targeted_evictions += 1
+            self.drop(key)
 
     def evict_bucket(self, policy_id: str) -> None:
         """Evict every entry whose decision considered *policy_id*."""
-        for key in self.buckets.pop(policy_id, ()):
-            self.targeted_evictions += 1
-            self.drop(key)
+        self._evict(self.buckets.pop(policy_id, ()))
 
-    def evict_newly_matching(self, policy) -> None:
-        """Evict entries the updated *policy*'s new target could reach.
+    def evict_reach(self, policy) -> None:
+        """Evict every entry *policy*'s target could match."""
+        if not self.entries:
+            return  # nothing to reach: a load onto a cold cache is O(1)
+        reached = self.reach(policy)
+        if reached is None:
+            # No indexed category constrains the target: the policy can
+            # change any decision — NotApplicable may become Permit.
+            self.flush()
+        else:
+            self._evict(reached)
 
-        Probes each surviving entry's stored request through a
-        single-policy index: a non-empty candidate set means the new
-        version plausibly matches that request, so the entry may be
-        stale even though the old version never considered it.
-        The stored request is what the entry was decided for: parsed
-        requests are sealed (``parse_request_xml``), and a caller that
-        built its own can only have *added* attributes since, which
-        keeps the probe an over-approximation.
+    def reach(self, policy) -> Optional[Set[tuple]]:
+        """Keys of the entries *policy*'s target could match — a fresh
+        set — or None when it constrains no indexed category.
+
+        Per constrained category, an entry must carry one of the
+        target's literals: the intersection, over those categories, of
+        the unions of holders.  Only the smallest union is built; the
+        others are membership-tested, so a bucket nearly every entry is
+        in (``read``) is never copied.
         """
-        from repro.xacml.index import PolicyIndex
-
-        probe = PolicyIndex()
-        probe.add(policy)
-        stale = [
-            key
-            for key, entry in self.entries.items()
-            if probe.candidate_ids(entry.request)
-        ]
-        for key in stale:
-            self.targeted_evictions += 1
-            self.drop(key)
+        constrained = []
+        for category, literals in target_keys(policy.target).items():
+            if literals is None:
+                continue
+            holders = [
+                self.literals[link]
+                for link in ((category.value, literal) for literal in literals)
+                if link in self.literals
+            ]
+            if not holders:
+                return set()
+            constrained.append(holders)
+        if not constrained:
+            return None
+        constrained.sort(key=lambda holders: sum(map(len, holders)))
+        reached = set().union(*constrained[0])
+        for holders in constrained[1:]:
+            reached = {key for key in reached if any(key in held for held in holders)}
+        return reached
 
     def stats(self) -> dict:
         """A fresh counter snapshot (never a live/shared mapping)."""
@@ -269,8 +322,7 @@ class PolicyDecisionPoint:
         alive and invoked forever.
         """
         self.store.remove_listener(self._on_store_event)
-        self.cache.entries.clear()
-        self.cache.buckets.clear()
+        self.cache.clear()
 
     # -- invalidation -----------------------------------------------------------
 
@@ -301,9 +353,7 @@ class PolicyDecisionPoint:
             return cached
         candidates = self._candidates(request)
         response = self._decide(candidates, request)
-        self.cache.put(
-            key, response, request, frozenset(p.policy_id for p in candidates)
-        )
+        self.cache.put(key, response, frozenset(p.policy_id for p in candidates))
         return response
 
     def _candidates(self, request: Request):

@@ -25,9 +25,8 @@ class Request:
 
     A request may be :meth:`seal`-ed, after which :meth:`add` raises:
     :func:`~repro.xacml.xml_io.parse_request_xml` hands the *same*
-    parsed object to every caller that sends the same document, and a
-    :class:`~repro.xacml.pdp.DecisionCache` entry keeps a reference to
-    it, so it must never change under them.
+    parsed object to every caller that sends the same document, so it
+    must never change under them.
     """
 
     def __init__(self, attributes: Iterable[Attribute] = ()):

@@ -40,7 +40,7 @@ from typing import Callable, Dict, FrozenSet, Optional, Tuple, Union
 
 from repro.errors import PolicyStoreError
 from repro.xacml.attributes import RESOURCE_ID, SUBJECT_ID, AttributeCategory
-from repro.xacml.index import _category_keys
+from repro.xacml.index import category_keys
 from repro.xacml.policy import Policy
 from repro.xacml.request import Request
 
@@ -97,7 +97,7 @@ class _KeyedPartitioner(PartitionStrategy):
             if self.category is AttributeCategory.RESOURCE
             else policy.target.subjects
         )
-        keys = _category_keys(alternatives, self.category, self.attribute_id)
+        keys = category_keys(alternatives, self.category, self.attribute_id)
         return None if keys is None else frozenset(keys)
 
     def shards_for_policy(self, policy: Policy, n_shards: int) -> FrozenSet[int]:

@@ -2,12 +2,15 @@
 
 **Scatter caching and single-flight.**  The scatter path keeps its own
 :class:`~repro.xacml.pdp.DecisionCache` — an LRU keyed by the full
-request fingerprint, bucketed by the candidate policy ids that produced
-each decision and invalidated through the
-:class:`~repro.xacml.sharding.store.InvalidationBus`
-(``removed``/``updated`` evict the policy's bucket — updates also probe
-for newly-matching entries — and ``loaded`` flushes wholesale, exactly
-the per-store discipline).  Concurrent identical scatter requests are
+request fingerprint, linked by the candidate policy ids that produced
+each decision and by the identity literals its request carries, and
+invalidated through the
+:class:`~repro.xacml.sharding.store.InvalidationBus` by the one rule of
+:meth:`~repro.xacml.pdp.DecisionCache.on_store_event`
+(``removed``/``updated`` evict the policy's bucket, ``loaded``/``updated``
+the entries the new target can reach; only a target unconstrained in
+every indexed category flushes wholesale — exactly the per-store
+discipline).  Concurrent identical scatter requests are
 de-duplicated *single-flight*: one thread gathers and merges, the rest
 wait on the published result.  Coherence under concurrency comes from a
 version stamp: every bus event bumps a version, a merge records the
@@ -83,8 +86,7 @@ class ScatterEvaluator:
         """Unsubscribe from the bus and drop every cached decision."""
         self.store.bus.remove_listener(self._on_bus_event)
         with self._lock:
-            self.cache.entries.clear()
-            self.cache.buckets.clear()
+            self.cache.clear()
 
     def flush(self) -> None:
         """Cold-start the scatter cache (counted as a full flush)."""
@@ -125,10 +127,7 @@ class ScatterEvaluator:
             call.stale = call.version != self._version
             if not call.stale:
                 self.cache.put(
-                    key,
-                    response,
-                    request,
-                    frozenset(p.policy_id for p in candidates),
+                    key, response, frozenset(p.policy_id for p in candidates)
                 )
             self._inflight.pop(key, None)
         call.done.set()

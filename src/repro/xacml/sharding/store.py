@@ -16,8 +16,8 @@ single store's update-in-place semantics.
 cache react to the shard-local loaded/updated/removed events exactly as
 in the single-instance engine (a migrating update decomposes into
 ``removed`` on shards the policy left, ``updated`` where it stayed and
-``loaded`` — a conservative full flush — where it arrived).  Cross-shard
-coherence flows through the :class:`InvalidationBus`: every logical
+``loaded`` — evicting what the new target reaches — where it arrived).
+Cross-shard coherence flows through the :class:`InvalidationBus`: every logical
 store event is published exactly once (never once per replica) to
 subscribers that span shards — query-graph revocation, audit trails,
 the proxy handle cache and the scatter decision cache.  The bus exposes

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import pytest
 
 from repro.core import UserQuery, XacmlPlusInstance, stream_policy
@@ -46,6 +48,21 @@ def incremental_edge(step: int) -> int:
     incremental aggregate states instead of recomputing per emission —
     what the two-sided window harnesses draw sizes around."""
     return next(size for size in range(step, 100_000) if _incremental_pays(size, step))
+
+
+class NoWalk(OrderedDict):
+    """A ``DecisionCache.entries`` mapping that refuses to be iterated:
+    swapped in to prove a store event never walks the cache."""
+
+    def _refuse(self, *args, **kwargs):
+        raise AssertionError("a store event walked the decision cache")
+
+    __iter__ = items = values = keys = _refuse
+
+
+def live_keys(cache) -> set:
+    """The keys of *cache*'s entries, read past a :class:`NoWalk`."""
+    return set(OrderedDict.keys(cache.entries))
 
 
 def build_nea_policy_graph() -> QueryGraph:

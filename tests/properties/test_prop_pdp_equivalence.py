@@ -3,9 +3,11 @@
 The fast path (target index + decision cache, `repro.xacml.index` /
 `repro.xacml.pdp`) must be *decision- and obligation-identical* to the
 seed linear scan for every request, under every built-in policy
-combining algorithm, and across policy load/update/remove events.  Both
+combining algorithm, and across policy load/update/remove events —
+checked *after every single event*, not once at the end.  Both
 PDPs share one :class:`PolicyStore`, so any divergence is attributable
-to the fast path itself.
+to the fast path itself.  The cache's request-side literal index must
+also be the exact dual of the store's policy-side target index.
 
 The served path evaluates *memoised* parses of request documents
 (``parse_request_xml``), so one property pins that a memoised request is
@@ -18,6 +20,8 @@ attributes and environment conditions), and the Table 3 workload of
 ``repro.workload.generator`` replayed through ``zipf_sequence`` — the
 distribution-controlled load the benchmarks use.
 """
+
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,7 +39,8 @@ from repro.xacml.functions import (
     INTEGER_LESS_THAN,
     STRING_REGEXP_MATCH,
 )
-from repro.xacml.pdp import PolicyDecisionPoint
+from repro.xacml.index import PolicyIndex, target_keys
+from repro.xacml.pdp import DecisionCache, PolicyDecisionPoint
 from repro.xacml.policy import Condition, Match, Policy, Rule, Target
 from repro.xacml.request import Request
 from repro.xacml.response import Effect, Obligation
@@ -195,18 +200,59 @@ def requests(draw):
     return request
 
 
+#: One store mutation per step; ``load`` is weighted up because it is
+#: the event whose invalidation is *targeted by request literals* — the
+#: rule with the most ways to be wrong.
 mutations = st.lists(
     st.tuples(
-        st.sampled_from(("update", "remove", "load")),
+        st.sampled_from(("load", "load", "load", "update", "remove")),
         st.integers(min_value=0, max_value=9),
         policy_specs,
     ),
-    max_size=4,
+    max_size=6,
 )
+
+#: Example budget: the PR suites keep the default; the nightly
+#: ``fuzz-deep`` job raises it under the existing ``FUZZ_LONG=1``.
+EXAMPLES = 400 if os.environ.get("FUZZ_LONG") else 60
+
+
+def permit_spec(subject_spec, resource=None, action=None):
+    """A ``policy_specs`` value: one unconditional Permit rule."""
+    return ((subject_spec, resource, action), [(Effect.PERMIT, None, None)], 0, "first-applicable")
+
+
+def run_interleaved(specs, request_list, combining, ops):
+    """evaluate → one mutation → evaluate, per step.
+
+    Every step re-checks the whole request list twice (the second pass
+    is served from the decision cache), so an entry a mutation should
+    have evicted is caught at the very next step instead of being
+    masked by a later flush.
+    """
+    store, fast, reference = make_pdp_pair(combining, cache_size=8)
+    for i, spec in enumerate(specs):
+        store.load(build_policy(f"p{i}", spec))
+    for request in request_list + request_list:
+        assert_equivalent(fast, reference, request)
+    next_id = len(specs)
+    for kind, index, spec in ops:
+        loaded = [p.policy_id for p in store.policies()]
+        if kind == "load":
+            store.load(build_policy(f"p{next_id}", spec))
+            next_id += 1
+        elif not loaded:
+            continue
+        elif kind == "update":
+            store.update(build_policy(loaded[index % len(loaded)], spec))
+        else:
+            store.remove(loaded[index % len(loaded)])
+        for request in request_list + request_list:
+            assert_equivalent(fast, reference, request)
 
 
 class TestPropertyEquivalence:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=EXAMPLES, deadline=None)
     @given(
         specs=st.lists(policy_specs, min_size=0, max_size=8),
         request_list=st.lists(requests(), min_size=1, max_size=8),
@@ -216,31 +262,62 @@ class TestPropertyEquivalence:
     def test_indexed_cached_pdp_matches_reference(
         self, specs, request_list, combining, ops
     ):
-        store, fast, reference = make_pdp_pair(combining, cache_size=8)
-        for i, spec in enumerate(specs):
-            store.load(build_policy(f"p{i}", spec))
+        run_interleaved(specs, request_list, combining, ops)
 
-        # Evaluate everything twice so the second pass is served from the
-        # decision cache — cached responses must stay equivalent too.
-        for request in request_list + request_list:
-            assert_equivalent(fast, reference, request)
+    # Two broken caches sizing let through the all-mutations-then-one-
+    # check form of this file; each is pinned by a deterministic case.
 
-        # Mutate the shared store (update/remove/load), then re-check:
-        # invalidation must keep the cached path equivalent.
-        next_id = len(specs)
-        for kind, index, spec in ops:
-            loaded = [p.policy_id for p in store.policies()]
-            if kind == "load":
-                store.load(build_policy(f"p{next_id}", spec))
-                next_id += 1
-            elif not loaded:
-                continue
-            elif kind == "update":
-                store.update(build_policy(loaded[index % len(loaded)], spec))
-            else:
-                store.remove(loaded[index % len(loaded)])
-        for request in request_list + request_list:
-            assert_equivalent(fast, reference, request)
+    def test_regression_a_cache_that_ignores_loads(self):
+        """Mutant: ``DecisionCache.on_store_event`` does nothing on
+        ``loaded`` — the cached NotApplicable must not survive."""
+        run_interleaved(
+            specs=[],
+            request_list=[Request.simple("bob", "weather0")],
+            combining="first-applicable",
+            ops=[("load", 0, permit_spec("bob", "weather0"))],
+        )
+
+    def test_regression_only_one_literal_of_a_multi_alternative_target(self):
+        """Mutant: reach honours one literal of a two-alternative target
+        — both subjects' cached NotApplicables must go, so whichever
+        literal the mutant picks, the other request diverges."""
+        run_interleaved(
+            specs=[],
+            request_list=[Request.simple(s, "weather0") for s in ("alice", "bob")],
+            combining="first-applicable",
+            ops=[("load", 0, permit_spec(("alice", "bob"), "weather0"))],
+        )
+
+    def test_regression_update_onto_a_wildcard_target(self):
+        run_interleaved(
+            specs=[permit_spec("eve", "gps0")],
+            request_list=[Request.simple("alice", "weather1"), Request.simple("eve", "gps0")],
+            combining="deny-overrides",
+            ops=[("update", 0, permit_spec(None))],
+        )
+
+    @settings(max_examples=EXAMPLES, deadline=None)
+    @given(spec=policy_specs, request_list=st.lists(requests(), min_size=1, max_size=8))
+    def test_request_index_is_the_dual_of_the_policy_index(self, spec, request_list):
+        """``key ∈ reach(policy)`` ⇔ ``policy ∈ candidate_ids(request)``
+        on a single-policy index: the two inverted indexes agree
+        exactly (reach is None for the all-wildcard target, which is a
+        candidate for every request)."""
+        policy = build_policy("p", spec)
+        index = PolicyIndex()
+        index.add(policy)
+        cache = DecisionCache(64)
+        for request in request_list:
+            cache.put(request.fingerprint(), None, frozenset())
+        reached = cache.reach(policy)
+        candidates_of = {
+            request.fingerprint() for request in request_list
+            if index.candidate_ids(request)
+        }
+        if reached is None:
+            assert all(keys is None for keys in target_keys(policy.target).values())
+            reached = set(cache.entries)
+        assert reached == candidates_of
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -4,17 +4,21 @@ import pytest
 
 from repro.errors import PolicyStoreError
 from repro.xacml.attributes import (
+    ACTION_ID,
+    RESOURCE_ID,
     SUBJECT_ID,
     Attribute,
     AttributeCategory,
     AttributeValue,
 )
 from repro.xacml.functions import STRING_REGEXP_MATCH
-from repro.xacml.pdp import PolicyDecisionPoint
+from repro.xacml.index import PolicyIndex
+from repro.xacml.pdp import DecisionCache, PolicyDecisionPoint
 from repro.xacml.policy import Match, Policy, Rule, Target
 from repro.xacml.request import Request
 from repro.xacml.response import Decision, Effect, Obligation
 from repro.xacml.store import PolicyStore
+from tests.conftest import NoWalk, live_keys
 
 
 def make_policy(policy_id, subject=None, resource=None, effect=Effect.PERMIT,
@@ -25,6 +29,51 @@ def make_policy(policy_id, subject=None, resource=None, effect=Effect.PERMIT,
         rules=[Rule(f"{policy_id}:rule", effect)],
         obligations=obligations,
     )
+
+
+def subject_value(value):
+    return Attribute(AttributeCategory.SUBJECT, SUBJECT_ID, value)
+
+
+def targeted(policy_id, subjects=(), resources=(), effect=Effect.PERMIT):
+    """A policy with one single-match alternative per given value."""
+
+    def alternatives(category, attribute_id, values):
+        return [[Match(category, attribute_id, AttributeValue.string(v))] for v in values]
+
+    target = Target(
+        subjects=alternatives(AttributeCategory.SUBJECT, SUBJECT_ID, subjects),
+        resources=alternatives(AttributeCategory.RESOURCE, RESOURCE_ID, resources),
+    )
+    return Policy(policy_id, target=target, rules=[Rule(f"{policy_id}:rule", effect)])
+
+
+def assert_literal_index_exact(cache):
+    """The literal index holds exactly one link per (entry, literal the
+    entry's key carries) and no empty set."""
+    expected = {}
+    for key in cache.entries:
+        for category, attribute_id, _, _, text in key:
+            if attribute_id in (SUBJECT_ID, RESOURCE_ID, ACTION_ID):
+                expected.setdefault((category, text), set()).add(key)
+    assert cache.literals == expected
+    assert all(cache.literals.values())
+
+
+def warm_cache(pdp, subjects, resources):
+    """Evaluate every subject x resource pair once; return the requests."""
+    grid = {
+        (subject, resource): Request.simple(subject, resource)
+        for subject in subjects for resource in resources
+    }
+    for request in grid.values():
+        pdp.evaluate(request)
+    return grid
+
+
+def evicted_pairs(pdp, grid):
+    return {pair for pair, request in grid.items()
+            if request.fingerprint() not in pdp.cache.entries}
 
 
 class TestPolicyStore:
@@ -327,14 +376,26 @@ class TestDecisionCache:
         store.update(make_policy("p-weather", resource="gps"))
         assert pdp.evaluate(weather).decision is Decision.DENY
 
-    def test_load_still_flushes_wholesale(self):
+    def test_load_evicts_what_its_target_reaches_and_flushes_only_when_unconstrained(self):
         store = PolicyStore()
         pdp = PolicyDecisionPoint(store)
-        request = Request.simple("u", "weather")
-        assert pdp.evaluate(request).decision is Decision.NOT_APPLICABLE
-        store.load(make_policy("p1"))
-        assert pdp.evaluate(request).decision is Decision.PERMIT
+        weather, gps = Request.simple("u", "weather"), Request.simple("u", "gps")
+        for request in (weather, gps):
+            assert pdp.evaluate(request).decision is Decision.NOT_APPLICABLE
+        store.load(make_policy("p-weather", resource="weather"))
+        # The matching entry went, the unrelated one stayed warm.
+        assert pdp.cache_stats()["entries"] == 1
+        hits_before = pdp.cache.hits
+        assert pdp.evaluate(gps).decision is Decision.NOT_APPLICABLE
+        assert pdp.cache.hits == hits_before + 1
+        assert pdp.evaluate(weather).decision is Decision.PERMIT
+        assert pdp.cache_stats()["targeted_evictions"] == 1
+        assert pdp.cache_stats()["full_flushes"] == 0
+        # Only a target that constrains no indexed category flushes.
+        store.load(make_policy("p-any", effect=Effect.DENY))
+        assert pdp.cache_stats()["entries"] == 0
         assert pdp.cache_stats()["full_flushes"] == 1
+        assert pdp.evaluate(gps).decision is Decision.DENY
 
     def test_lru_eviction_cleans_buckets(self):
         store = PolicyStore()
@@ -347,6 +408,7 @@ class TestDecisionCache:
         for bucket in pdp.cache.buckets.values():
             assert all(key in pdp.cache.entries for key in bucket)
         assert sum(len(b) for b in pdp.cache.buckets.values()) == 2
+        assert_literal_index_exact(pdp.cache)
 
     def test_cached_response_keeps_obligations(self):
         store = PolicyStore()
@@ -357,3 +419,208 @@ class TestDecisionCache:
         assert pdp.evaluate(request).obligations == (obligation,)
         assert pdp.evaluate(request).obligations == (obligation,)
         assert pdp.cache.hits == 1
+
+
+class TestTargetedLoadInvalidation:
+    """The one eviction rule, case by case: a ``loaded`` (or the new
+    version of an ``updated``) policy evicts exactly the entries holding
+    one of its literals in every category its target constrains."""
+
+    SUBJECTS = ("alice", "bob", "carol")
+    RESOURCES = ("weather", "gps")
+
+    def warm(self, cache_size=64):
+        store = PolicyStore()
+        pdp = PolicyDecisionPoint(store, cache_size=cache_size)
+        return store, pdp, warm_cache(pdp, self.SUBJECTS, self.RESOURCES)
+
+    def test_load_for_a_never_requested_subject_keeps_every_entry_warm(self):
+        store, pdp, grid = self.warm()
+        store.load(make_policy("p-stranger", subject="mallory", resource="weather"))
+        assert evicted_pairs(pdp, grid) == set()
+        hits_before = pdp.cache.hits
+        pdp.evaluate(grid["alice", "weather"])
+        stats = pdp.cache_stats()
+        assert stats["hits"] == hits_before + 1
+        assert (stats["full_flushes"], stats["targeted_evictions"]) == (0, 0)
+        assert stats["invalidations"] == 1
+
+    def test_load_turning_not_applicable_into_permit_evicts_exactly_that_entry(self):
+        store, pdp, grid = self.warm()
+        store.load(make_policy("p-bob-gps", subject="bob", resource="gps"))
+        assert evicted_pairs(pdp, grid) == {("bob", "gps")}
+        assert pdp.evaluate(grid["bob", "gps"]).decision is Decision.PERMIT
+        assert pdp.cache_stats()["targeted_evictions"] == 1
+
+    def test_subject_any_with_a_resource_evicts_only_that_resource(self):
+        store, pdp, grid = self.warm()
+        store.load(make_policy("p-gps", resource="gps"))
+        assert evicted_pairs(pdp, grid) == {(s, "gps") for s in self.SUBJECTS}
+        assert pdp.cache_stats()["full_flushes"] == 0
+
+    @pytest.mark.parametrize("match", [
+        Match(AttributeCategory.SUBJECT, SUBJECT_ID, AttributeValue.string("ali.*"),
+              function_id=STRING_REGEXP_MATCH),
+        Match(AttributeCategory.SUBJECT, "urn:example:role", AttributeValue.string("admin")),
+    ], ids=["regex", "non-standard-attribute"])
+    def test_unindexable_subject_match_falls_to_the_other_categories(self, match):
+        store, pdp, grid = self.warm()
+        target = Target.for_ids(resource="weather")
+        target.subjects = [[match]]
+        store.load(Policy("p-odd", target=target, rules=[Rule("r", Effect.PERMIT)]))
+        assert evicted_pairs(pdp, grid) == {(s, "weather") for s in self.SUBJECTS}
+        assert pdp.cache_stats()["full_flushes"] == 0
+
+    def test_all_any_target_flushes(self):
+        store, pdp, grid = self.warm()
+        store.load(make_policy("p-any"))
+        stats = pdp.cache_stats()
+        assert (stats["entries"], stats["full_flushes"]) == (0, 1)
+        assert stats["targeted_evictions"] == 0
+        assert_literal_index_exact(pdp.cache)
+
+    def test_two_alternative_target_reaches_both_literals(self):
+        store, pdp, grid = self.warm()
+        store.load(targeted("p-two", subjects=("alice", "carol"), resources=("gps",)))
+        assert evicted_pairs(pdp, grid) == {("alice", "gps"), ("carol", "gps")}
+        for subject in ("alice", "carol"):
+            assert pdp.evaluate(grid[subject, "gps"]).decision is Decision.PERMIT
+
+    def test_request_with_two_subject_values_is_reachable_through_either(self):
+        store = PolicyStore()
+        pdp = PolicyDecisionPoint(store)
+        both = Request.simple("alice", "weather")
+        both.add(subject_value(AttributeValue.string("bob")))
+        assert pdp.evaluate(both).decision is Decision.NOT_APPLICABLE
+        for subject in ("bob", "alice"):
+            assert both.fingerprint() in pdp.cache.entries
+            store.load(make_policy(f"p-{subject}", subject=subject, effect=Effect.DENY))
+            assert both.fingerprint() not in pdp.cache.entries
+            assert pdp.evaluate(both).policy_id == "p-bob"  # first-applicable
+        assert pdp.cache_stats()["targeted_evictions"] == 2
+
+    def test_non_string_literal_agrees_with_the_policy_index(self):
+        seven = Request()
+        seven.add(subject_value(AttributeValue.integer(7)))
+        policy = make_policy("p-seven", subject="7")
+        index = PolicyIndex()
+        index.add(policy)
+        cache = DecisionCache(8)
+        cache.put(seven.fingerprint(), object(), frozenset())
+        assert index.candidate_ids(seven) == {"p-seven"}
+        assert cache.reach(policy) == {seven.fingerprint()}
+        other = make_policy("p-eight", subject="8")
+        assert cache.reach(other) == set()
+
+    def test_related_update_evicts_the_bucket_and_the_new_reach(self):
+        store, pdp, grid = self.warm()
+        store.load(make_policy("p-move", subject="alice", resource="gps"))
+        pdp.evaluate(grid["alice", "gps"])
+        evictions = pdp.cache.targeted_evictions
+        store.update(make_policy("p-move", subject="bob", resource="weather"))
+        assert evicted_pairs(pdp, grid) == {("alice", "gps"), ("bob", "weather")}
+        assert pdp.cache.targeted_evictions == evictions + 2
+        assert pdp.evaluate(grid["alice", "gps"]).decision is Decision.NOT_APPLICABLE
+        assert pdp.evaluate(grid["bob", "weather"]).decision is Decision.PERMIT
+
+    def test_load_onto_an_empty_cache_counts_nothing(self):
+        store = PolicyStore()
+        pdp = PolicyDecisionPoint(store)
+        store.load(make_policy("p-any"))
+        store.load(make_policy("p-gps", resource="gps"))
+        stats = pdp.cache_stats()
+        assert (stats["invalidations"], stats["full_flushes"]) == (2, 0)
+
+    def test_unknown_event_flushes(self):
+        store, pdp, grid = self.warm()
+        pdp.cache.on_store_event("renamed", make_policy("p-x", subject="mallory"))
+        assert pdp.cache_stats()["entries"] == 0
+        assert pdp.cache_stats()["full_flushes"] == 1
+
+
+class TestCacheLinks:
+    """Every way an entry leaves the cache unlinks it everywhere."""
+
+    def warm(self, cache_size):
+        store = PolicyStore()
+        store.load(make_policy("p-gps", resource="gps"))
+        pdp = PolicyDecisionPoint(store, cache_size=cache_size)
+        grid = warm_cache(pdp, ("alice", "bob", "carol"), ("weather", "gps"))
+        return store, pdp, grid
+
+    def test_lru_trimming_keeps_the_literal_index_exact(self):
+        _, pdp, _ = self.warm(cache_size=4)
+        assert len(pdp.cache) == 4
+        assert_literal_index_exact(pdp.cache)
+
+    def test_evict_bucket_flush_and_clear_keep_the_literal_index_exact(self):
+        _, pdp, _ = self.warm(cache_size=64)
+        assert_literal_index_exact(pdp.cache)
+        pdp.cache.evict_bucket("p-gps")
+        assert len(pdp.cache) == 3
+        assert_literal_index_exact(pdp.cache)
+        flushes = pdp.cache.full_flushes
+        pdp.flush_cache()
+        assert (len(pdp.cache), pdp.cache.full_flushes) == (0, flushes + 1)
+        assert pdp.cache.literals == {} and pdp.cache.buckets == {}
+
+    def test_clear_drops_everything_and_counts_nothing(self):
+        _, pdp, _ = self.warm(cache_size=64)
+        before = {k: v for k, v in pdp.cache_stats().items() if k != "entries"}
+        pdp.cache.clear()
+        assert len(pdp.cache) == 0
+        assert pdp.cache.literals == {} and pdp.cache.buckets == {}
+        assert {k: v for k, v in pdp.cache_stats().items() if k != "entries"} == before
+
+    def test_detach_leaves_no_link_behind(self):
+        _, pdp, _ = self.warm(cache_size=64)
+        pdp.detach()
+        assert len(pdp.cache) == 0
+        assert pdp.cache.literals == {} and pdp.cache.buckets == {}
+
+    def test_put_over_a_cached_key_unlinks_the_old_entry_first(self):
+        cache = DecisionCache(8)
+        key = Request.simple("alice", "gps").fingerprint()
+        cache.put(key, "first", frozenset({"p-old"}))
+        cache.put(key, "second", frozenset({"p-new"}))
+        assert cache.get(key) == "second"
+        assert cache.buckets == {"p-new": {key}}
+        assert_literal_index_exact(cache)
+        cache.evict_bucket("p-old")  # must not touch the live entry
+        assert len(cache) == 1
+
+    def test_zero_capacity_stores_nothing(self):
+        cache = DecisionCache(0)
+        cache.put(Request.simple("alice", "gps").fingerprint(), "r", frozenset({"p"}))
+        assert len(cache) == 0
+        assert cache.buckets == {} and cache.literals == {}
+        pdp = PolicyDecisionPoint(PolicyStore(), cache_size=0)
+        pdp.evaluate(Request.simple("alice", "gps"))
+        assert pdp.cache_stats()["entries"] == 0
+
+
+class TestNoEventWalksTheCache:
+    """An event's cost may not depend on unrelated cached entries:
+    clock-free — iterating ``entries`` raises."""
+
+    def test_unrelated_events_iterate_nothing_and_a_related_update_is_exact(self):
+        store = PolicyStore()
+        store.load(make_policy("p-victim", subject="mallory", resource="nowhere"))
+        pdp = PolicyDecisionPoint(store)
+        resources = [f"res{i}" for i in range(6)]
+        grid = warm_cache(pdp, [f"user{i}" for i in range(200)], resources)
+        assert len(pdp.cache) == 1200
+        pdp.cache.entries = NoWalk(pdp.cache.entries)
+        before = live_keys(pdp.cache)
+
+        store.load(make_policy("p-new", subject="trent", resource="res0"))
+        store.update(make_policy("p-victim", subject="mallory", resource="elsewhere"))
+        store.remove("p-new")
+        assert live_keys(pdp.cache) == before
+        assert pdp.cache_stats()["targeted_evictions"] == 0
+        assert pdp.cache_stats()["full_flushes"] == 0
+
+        store.update(make_policy("p-victim", resource="res3"))
+        reachable = {r.fingerprint() for (_, res), r in grid.items() if res == "res3"}
+        assert before - live_keys(pdp.cache) == reachable
+        assert pdp.cache_stats()["targeted_evictions"] == len(reachable) == 200

@@ -36,6 +36,7 @@ from repro.xacml.policy import Policy, Rule, Target
 from repro.xacml.request import Request
 from repro.xacml.response import Decision, Effect
 from repro.xacml.sharding import ShardedPDP, ShardedPolicyStore, shard_of
+from tests.conftest import NoWalk, live_keys
 
 N_SHARDS = 4
 
@@ -44,6 +45,14 @@ def permit_policy(policy_id, resource=None, effect=Effect.PERMIT):
     return Policy(
         policy_id,
         target=Target.for_ids(resource=resource),
+        rules=[Rule(f"{policy_id}:r", effect)],
+    )
+
+
+def subject_policy(policy_id, subject, resource, effect=Effect.PERMIT):
+    return Policy(
+        policy_id,
+        target=Target.for_ids(subject=subject, resource=resource),
         rules=[Rule(f"{policy_id}:r", effect)],
     )
 
@@ -136,14 +145,88 @@ class TestInvalidation:
         assert response.decision is Decision.PERMIT and response.policy_id == "pb"
         assert pdp.cache_stats()["scatter_targeted_evictions"] >= 2
 
-    def test_load_flushes_scatter_cache_wholesale(self):
-        store, pdp, request, (res_a, _) = make_engine()
+    def test_load_evicts_the_reachable_scatter_entry_and_keeps_the_rest_warm(self):
+        store, pdp, request, (res_a, res_b) = make_engine()
+        bystander = spanning_request([res_a, res_b], subject="bob")
         pdp.evaluate(request)
-        assert pdp.cache_stats()["scatter_entries"] == 1
-        store.load(permit_policy("pc", resource=res_a, effect=Effect.DENY))
-        assert pdp.cache_stats()["scatter_entries"] == 0
-        # pc loaded after pa: first-applicable still decides at pa.
+        pdp.evaluate(bystander)
+        assert pdp.cache_stats()["scatter_entries"] == 2
+        # A load for a never-requested subject reaches nothing.
+        store.load(subject_policy("p-stranger", "mallory", res_a))
+        stats = pdp.cache_stats()
+        assert stats["scatter_entries"] == 2
+        assert (stats["scatter_full_flushes"], stats["scatter_targeted_evictions"]) == (0, 0)
+        # A load for alice evicts alice's entry alone ...
+        store.load(subject_policy("p-alice", "alice", res_a, effect=Effect.DENY))
+        assert bystander.fingerprint() in pdp.scatter.cache.entries
+        assert request.fingerprint() not in pdp.scatter.cache.entries
+        # ... (loaded after pa: first-applicable still decides at pa)
         assert pdp.evaluate(request).policy_id == "pa"
+        hits_before = pdp.cache_stats()["scatter_hits"]
+        assert pdp.evaluate(bystander).policy_id == "pa"
+        stats = pdp.cache_stats()
+        assert stats["scatter_hits"] == hits_before + 1
+        assert (stats["scatter_full_flushes"], stats["scatter_targeted_evictions"]) == (0, 1)
+
+    def test_load_reaches_a_spanning_request_through_either_resource(self):
+        store, pdp, request, (res_a, res_b) = make_engine()
+        for index, resource in enumerate((res_b, res_a)):
+            pdp.evaluate(request)
+            assert pdp.cache_stats()["scatter_entries"] == 1
+            store.load(permit_policy(f"pc{index}", resource=resource, effect=Effect.DENY))
+            assert pdp.cache_stats()["scatter_entries"] == 0
+        assert pdp.cache_stats()["scatter_full_flushes"] == 0
+
+    def test_unconstrained_load_flushes_the_scatter_cache(self):
+        store, pdp, request, _ = make_engine()
+        pdp.evaluate(request)
+        store.load(permit_policy("p-any", effect=Effect.DENY))
+        stats = pdp.cache_stats()
+        assert (stats["scatter_entries"], stats["scatter_full_flushes"]) == (0, 1)
+        assert pdp.evaluate(request).policy_id == "pa"
+
+    def test_detach_leaves_no_link_behind(self):
+        store, pdp, request, _ = make_engine()
+        pdp.evaluate(request)
+        pdp.scatter.detach()
+        cache = pdp.scatter.cache
+        assert (len(cache), cache.buckets, cache.literals) == (0, {}, {})
+
+    def test_no_bus_event_walks_the_scatter_cache(self):
+        """The iteration-raises pin of ``tests/xacml/test_pdp_store.py``,
+        through the bus: unrelated events touch nothing, a related
+        update evicts exactly what it reaches."""
+        store = ShardedPolicyStore(N_SHARDS)
+        pdp = ShardedPDP(store, cache_size=2048)
+        res_a, res_b, res_c = distinct_shard_resources(3)
+        store.load(permit_policy("pa", resource=res_a))
+        store.load(subject_policy("p-victim", "mallory", "nowhere"))
+        requests = {
+            (subject, pair): spanning_request(list(pair), subject=subject)
+            for subject in (f"user{i}" for i in range(500))
+            for pair in ((res_a, res_b), (res_b, res_c))
+        }
+        for request in requests.values():
+            pdp.evaluate(request)
+        cache = pdp.scatter.cache
+        assert len(cache) == 1000
+        cache.entries = NoWalk(cache.entries)
+        before = live_keys(cache)
+
+        store.load(subject_policy("p-new", "trent", res_a))
+        store.update(subject_policy("p-victim", "mallory", "elsewhere"))
+        store.remove("p-new")
+        assert live_keys(cache) == before
+        stats = pdp.cache_stats()
+        assert (stats["scatter_full_flushes"], stats["scatter_targeted_evictions"]) == (0, 0)
+
+        store.update(permit_policy("p-victim", resource=res_c))
+        reachable = {
+            request.fingerprint()
+            for (_, pair), request in requests.items() if res_c in pair
+        }
+        assert before - live_keys(cache) == reachable
+        assert pdp.cache_stats()["scatter_targeted_evictions"] == len(reachable) == 500
 
     def test_unrelated_policy_churn_keeps_entry_warm(self):
         store, pdp, request, (res_a, res_b) = make_engine()
@@ -326,7 +409,7 @@ class TestStormsWithMutations:
         assert stats["evaluations"] == stats["routed"] + stats["scattered"]
 
     def test_storm_with_loads_and_removes(self):
-        """Wholesale flushes (loads) interleaved with the storm: readers
+        """Loads that reach the cached entry interleaved with the storm: readers
         may see either regime mid-flight but the main thread always sees
         its own mutation."""
         store, pdp, request, (res_a, res_b) = make_engine()
