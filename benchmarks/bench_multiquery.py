@@ -22,6 +22,16 @@ is *exactly* invisible is pinned production-vs-production in
 queries and asserting the plan released every DAG node (both inside
 ``harness.production_vs_oracle``).
 
+The ``grant`` section prices *registration* instead of ingest: a PEP's
+first grant of a (policy, user query) compiles a template — obligations
+→ graph, merge with NR/PR analysis, StreamSQL, plan trace — every
+repeat is stamped from it (gated: a PEP that compiled every grant would
+measure ~1x); and attaching one more filter beside 100 and beside 1,000
+sibling filters, recorded ungated: both stay linear in the siblings
+(each one a ``dnf_implies`` over the DNF its node owns — the sibling
+index that would make it sublinear was sized and not kept, see
+``docs/performance.md``).
+
 Results land in ``BENCH_multiquery.json``; the fan-out-100 speed-up is
 gated (measured ~25x, so the oracle's seconds-long run is not repeated).
 """
@@ -29,15 +39,28 @@ gated (measured ~25x, so the oracle's seconds-long run is not repeated).
 from benchmarks.harness import (
     AGGREGATIONS,
     DRIFTING_FIELDS,
+    best_of,
     emit,
     gate,
     print_header,
     production_vs_oracle,
+    timed,
     window_aggregate,
 )
+from repro.core import UserQuery, XacmlPlusInstance, stream_policy
+from repro.streams.engine import StreamEngine
 from repro.streams.graph import QueryGraph
-from repro.streams.operators import FilterOperator, MapOperator, WindowType
+from repro.streams.operators import (
+    AggregateOperator,
+    AggregationSpec,
+    FilterOperator,
+    MapOperator,
+    WindowSpec,
+    WindowType,
+)
+from repro.streams.schema import WEATHER_SCHEMA
 from repro.streams.sources import WeatherSource
+from repro.xacml.request import Request
 
 TUPLES = WeatherSource(seed=8).tuples(6_000)
 FANOUTS = (10, 100)
@@ -132,3 +155,97 @@ def test_fanout_sweep(benchmark):
     # Per-query cost must actually be sublinear: the shared engine's
     # 10x fan-out increase may not cost 10x ingest time.
     assert results[100]["shared_s"] < results[10]["shared_s"] * 5
+
+
+GRANT_PAIRS = 200
+ATTACH_SIBLINGS = (100, 1_000)
+ATTACH_NEWCOMERS = 50
+
+
+def grant_seconds():
+    """Seconds for the first and for the second grant of each of
+    ``GRANT_PAIRS`` distinct (policy, user query) pairs, every pair a
+    filter → map → window policy and a user query narrowing all three."""
+    instance = XacmlPlusInstance(enforce_single_access=False, allow_partial_results=True)
+    instance.engine.register_input_stream("weather", WEATHER_SCHEMA)
+    requests = []
+    for n in range(GRANT_PAIRS):
+        graph = (
+            QueryGraph("weather")
+            .append(FilterOperator(f"temperature > {n % 20} AND humidity > {n // 20}"))
+            .append(MapOperator(["samplingtime", "temperature", "humidity", "rainrate"]))
+            .append(AggregateOperator(WindowSpec(WindowType.TUPLE, 8, 4), [
+                AggregationSpec.parse(text)
+                for text in ("samplingtime:lastval", "temperature:avg", "rainrate:sum")
+            ]))
+        )
+        instance.load_policy(stream_policy(f"p{n}", "weather", graph, subject=f"u{n}"))
+        query = UserQuery(
+            "weather", f"temperature > {30 + n % 7}", ["temperature"],
+            WindowSpec(WindowType.TUPLE, 16, 8), ["avg(temperature)"],
+        )
+        requests.append((Request.simple(f"u{n}", "weather"), query))
+        instance.pdp.evaluate(requests[-1][0])      # decisions cached: the PEP is what is priced
+
+    def lap():
+        for request, query in requests:
+            instance.request_stream(request, query)
+
+    first = timed(lap)
+    assert (instance.pep.templates.hits, instance.pep.templates.misses) == (0, GRANT_PAIRS)
+    repeat = timed(lap)
+    assert instance.pep.templates.hits == GRANT_PAIRS
+    return first, repeat
+
+
+def attach_seconds(siblings):
+    """Best seconds to attach ``ATTACH_NEWCOMERS`` new filters to a plan
+    already holding *siblings* distinct sibling filters."""
+
+    def make():
+        engine = StreamEngine()
+        engine.register_input_stream("weather", WEATHER_SCHEMA)
+        for n in range(siblings):
+            engine.register_query(QueryGraph("weather", [
+                FilterOperator(f"temperature > {n % 40} AND humidity > {n // 40}")
+            ]))
+        newcomers = [
+            QueryGraph("weather", [
+                FilterOperator(f"temperature > {n} AND humidity > 3 AND windspeed > {n}")
+            ])
+            for n in range(ATTACH_NEWCOMERS)
+        ]
+        return lambda: [engine.register_query(graph) for graph in newcomers]
+
+    return best_of(3, make)
+
+
+def test_grant_cost(benchmark):
+    """First vs repeated grant through the PEP; attach beside many siblings."""
+
+    def measure():
+        first, repeat = grant_seconds()
+        return {
+            "pairs": GRANT_PAIRS,
+            "first_us": first / GRANT_PAIRS * 1e6,
+            "repeat_us": repeat / GRANT_PAIRS * 1e6,
+            "first_over_repeat": first / repeat,
+            **{
+                f"attach_{siblings}_us": attach_seconds(siblings) / ATTACH_NEWCOMERS * 1e6
+                for siblings in ATTACH_SIBLINGS
+            },
+        }
+
+    results = benchmark.pedantic(measure, rounds=1, iterations=1)
+    print_header(f"Grant cost — {GRANT_PAIRS} (policy, user query) pairs through the PEP")
+    print(
+        f"  first grant {results['first_us']:>7.1f} us   repeated "
+        f"{results['repeat_us']:>7.1f} us   ({results['first_over_repeat']:.1f}x)"
+    )
+    for siblings in ATTACH_SIBLINGS:
+        print(
+            f"  attach one new filter beside {siblings:>5d} siblings: "
+            f"{results[f'attach_{siblings}_us']:>7.1f} us"
+        )
+    emit("multiquery", "grant", results)
+    gate("multiquery", "grant.first_over_repeat", results["first_over_repeat"], 2.0)

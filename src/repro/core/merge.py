@@ -64,14 +64,6 @@ class MergeResult(NamedTuple):
     graph: QueryGraph
     warnings: List[WarningReport]
 
-    @property
-    def has_nr(self) -> bool:
-        return any(w.is_nr for w in self.warnings)
-
-    @property
-    def has_pr(self) -> bool:
-        return any(w.is_pr for w in self.warnings)
-
 
 def merge_query_graphs(
     policy_graph: QueryGraph,

@@ -15,6 +15,27 @@ The PEP work-flow, verbatim from the paper:
    StreamSQL script, send it to the stream engine, and return a handle
    (URI) to the user.
 
+**Compile, then stamp.**  Everything steps 2, 4 and 5 derive — the two
+graphs, their merge, the NR/PR findings, the StreamSQL text and what the
+engine's plan needs to install the chain — is a pure function of (the
+obligations, the stream and its schema, the user query, the merge
+options), and a deployment grants the same few combinations over and
+over (one policy, many subjects; one subject, many sessions).  The PEP
+therefore *compiles* a :class:`GrantTemplate` with exactly those calls
+the first time a combination is granted and keeps it in a bounded
+per-PEP memo (:class:`TemplateMemo`) keyed by that content; every grant,
+first or repeated, is then *stamped* from the template: a
+:class:`~repro.streams.graph.QueryGraph` of its own (own name, own
+operator list) carrying the template's plan trace, registered under a
+handle of its own.  What depends on who asks and when stays per
+request: the PDP decision, the query/stream mismatch check, the
+single-access check, the NR/PR gates (``allow_partial_results`` is read
+on every request), handle allocation and the graph manager's record.
+Refusals (NR, PR, impossible merges, schema errors) store nothing.
+Template operators are shared by every graph stamped from them and are
+never executed: the plan runs a ``fresh_copy`` of each, as does
+``QueryGraph.instantiate``.
+
 :class:`PepResult` carries the handle plus per-stage timings so the
 framework's metrics layer can reproduce the paper's Figure 7 breakdown
 (PDP / QueryGraph / StreamBase).
@@ -23,7 +44,8 @@ framework's metrics layer can reproduce the paper's Figure 7 breakdown
 from __future__ import annotations
 
 import time
-from typing import List, NamedTuple, Optional
+from collections import OrderedDict
+from typing import List, NamedTuple, Optional, Tuple
 
 from repro.errors import (
     AccessDeniedError,
@@ -33,15 +55,17 @@ from repro.errors import (
 )
 from repro.core.access_registry import AccessRegistry
 from repro.core.graph_manager import QueryGraphManager
-from repro.core.merge import MergeOptions, merge_query_graphs
+from repro.core.merge import MergeOptions, MergeResult, merge_query_graphs
 from repro.core.obligations import obligations_to_graph
 from repro.core.user_query import UserQuery
 from repro.core.warnings_check import WarningReport
 from repro.streams.engine import StreamEngine
 from repro.streams.graph import QueryGraph
 from repro.streams.handles import StreamHandle
+from repro.streams.operators.base import Operator
+from repro.streams.plan import ChainTrace, trace_chain
 from repro.streams.streamsql.generator import generate_streamsql
-from repro.xacml.pdp import PolicyDecisionPoint
+from repro.xacml.pdp import DEFAULT_CACHE_SIZE, PolicyDecisionPoint
 from repro.xacml.request import Request
 from repro.xacml.response import Decision, Response
 
@@ -76,6 +100,57 @@ class PepResult(NamedTuple):
     timings: PepTimings
 
 
+class GrantTemplate(NamedTuple):
+    """What every grant of one (obligations, stream, user query, merge
+    options) combination has in common; see the module docstring."""
+
+    #: The merged chain.  Shared by every stamped graph, never executed.
+    operators: Tuple[Operator, ...]
+    #: NR/PR findings of the merge (PR only: an NR merge is refused).
+    warnings: Tuple[WarningReport, ...]
+    streamsql: str
+    #: Edge schemas + plan fingerprints of the chain on this stream.
+    trace: ChainTrace
+
+
+class TemplateMemo:
+    """A bounded LRU of grant key → :class:`GrantTemplate`.
+
+    Single-threaded, like the PEP that owns it; ``hits`` / ``misses``
+    count lookups and ``len()`` is the resident size.
+    """
+
+    __slots__ = ("capacity", "hits", "misses", "entries")
+
+    def __init__(self, capacity: int = DEFAULT_CACHE_SIZE):
+        self.capacity = capacity
+        self.hits = 0  # guarded by: owner
+        self.misses = 0  # guarded by: owner
+        self.entries: "OrderedDict[tuple, GrantTemplate]" = OrderedDict()  # guarded by: owner
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def get(self, key: tuple) -> Optional[GrantTemplate]:
+        """The template under *key*, refreshed to most-recent, or None."""
+        template = self.entries.get(key)
+        if template is None:
+            self.misses += 1
+            return None
+        self.entries.move_to_end(key)
+        self.hits += 1
+        return template
+
+    def put(self, key: tuple, template: GrantTemplate) -> None:
+        self.entries[key] = template
+        while len(self.entries) > self.capacity:
+            self.entries.popitem(last=False)
+
+    def clear(self) -> None:
+        """Drop every template; count nothing."""
+        self.entries.clear()
+
+
 class PolicyEnforcementPoint:
     """Marshals requests, PDP results and the stream engine."""
 
@@ -98,6 +173,9 @@ class PolicyEnforcementPoint:
         #: only "if there is no PR or NR warning detected", which is the
         #: default behaviour.
         self.allow_partial_results = allow_partial_results
+        #: Compiled grants, by content.  On the PEP, not the module: the
+        #: templates of a discarded PEP go with it.
+        self.templates = TemplateMemo()
 
     def handle_request(
         self,
@@ -132,28 +210,89 @@ class PolicyEnforcementPoint:
         if response.decision is not Decision.PERMIT:
             raise AccessDeniedError(response.decision)
 
-        # Step 2 (cont.): obligations → policy graph; step 1 (cont.):
-        # user query → graph; step 3: single-access check; step 4: merge.
+        # Per request: the query/stream mismatch check and step 3, the
+        # single-access check.
         started = time.perf_counter()
-        policy_graph = obligations_to_graph(
-            response.obligations, stream_name, name=f"policy:{response.policy_id}"
-        )
         if user_query is not None and user_query.stream.lower() != stream_name.lower():
             raise AccessDeniedError(
                 Decision.NOT_APPLICABLE,
                 f"user query targets stream {user_query.stream!r} but the "
                 f"request names {stream_name!r}",
             )
-        has_user_query = user_query is not None and not user_query.is_empty
-        user_graph = (
-            user_query.to_query_graph(name=f"user:{subject}")
-            if has_user_query
-            else QueryGraph(stream_name, name=f"user:{subject}:empty")
-        )
         self.access_registry.check(subject, stream_name)
         schema = self.engine.catalog.schema(stream_name)
+        if user_query is not None and user_query.is_empty:
+            user_query = None
+
+        # Steps 2 and 4, once per distinct grant: obligations → policy
+        # graph, user query → graph, merge with NR/PR analysis.
+        key = (response.obligations, stream_name, schema, user_query, self.merge_options)
+        template = self.templates.get(key)
+        if template is None:
+            merged = self._merge(response.obligations, stream_name, schema, user_query)
+            warnings = merged.warnings
+        else:
+            warnings = template.warnings
+        if any(w.is_nr for w in warnings):
+            raise EmptyResultWarning(
+                "user query conflicts with policy: no tuples can ever be "
+                "returned (NR)",
+                conflicts=list(warnings),
+            )
+        if not self.allow_partial_results and any(w.is_pr for w in warnings):
+            raise PartialResultWarning(
+                "user query partially conflicts with policy: some expected "
+                "tuples will be withheld (PR)",
+                conflicts=list(warnings),
+            )
+        graph_elapsed = time.perf_counter() - started
+
+        # Step 5: StreamSQL generation (once per distinct grant), then a
+        # graph of this request's own, submission, handle return.
+        started = time.perf_counter()
+        if template is None:
+            template = GrantTemplate(
+                merged.graph.operators,
+                tuple(warnings),
+                generate_streamsql(merged.graph),
+                trace_chain(merged.graph, schema),
+            )
+            self.templates.put(key, template)
+        user_name = f"user:{subject}" if user_query is not None else f"user:{subject}:empty"
+        graph = QueryGraph(
+            stream_name,
+            template.operators,
+            name=f"policy:{response.policy_id}+{user_name}",
+        )
+        graph.trace = template.trace
+        handle = self.engine.register_query(graph)
+        self.access_registry.acquire(subject, stream_name, handle)
+        if self.graph_manager is not None:
+            self.graph_manager.record(
+                handle, response.policy_id, subject, stream_name, graph
+            )
+        submit_elapsed = time.perf_counter() - started
+
+        return PepResult(
+            handle=handle,
+            streamsql=template.streamsql,
+            merged_graph=graph,
+            response=response,
+            warnings=list(template.warnings),
+            timings=PepTimings(pdp_elapsed, graph_elapsed, submit_elapsed),
+        )
+
+    def _merge(self, obligations, stream_name, schema, user_query) -> MergeResult:
+        """Steps 2 and 4 for one distinct grant.  The graph names are
+        placeholders: every grant is stamped with its own."""
+        policy_graph = obligations_to_graph(obligations, stream_name, name="policy")
+        user_graph = (
+            user_query.to_query_graph(name="user")
+            if user_query is not None
+            else QueryGraph(stream_name, name="user")
+        )
         try:
-            merge_result = merge_query_graphs(
+            merged = merge_query_graphs(
                 policy_graph, user_graph, schema=schema, options=self.merge_options
             )
         except MergeError as error:
@@ -161,44 +300,12 @@ class PolicyEnforcementPoint:
             # projections, empty aggregation intersections) mean no tuple
             # can ever be returned — the NR case of Section 3.5.
             raise EmptyResultWarning(str(error)) from error
-        if not has_user_query:
+        if user_query is None:
             # NR/PR describe conflicts between the *user's expectations*
             # and policy (Section 3.5); a bare request has no expectations
             # beyond "whatever the policy allows", so findings are moot.
-            merge_result = merge_result._replace(warnings=[])
-        if merge_result.has_nr:
-            raise EmptyResultWarning(
-                "user query conflicts with policy: no tuples can ever be "
-                "returned (NR)",
-                conflicts=merge_result.warnings,
-            )
-        if merge_result.has_pr and not self.allow_partial_results:
-            raise PartialResultWarning(
-                "user query partially conflicts with policy: some expected "
-                "tuples will be withheld (PR)",
-                conflicts=merge_result.warnings,
-            )
-        graph_elapsed = time.perf_counter() - started
-
-        # Step 5: StreamSQL generation, submission, handle return.
-        started = time.perf_counter()
-        script = generate_streamsql(merge_result.graph)
-        handle = self.engine.register_query(merge_result.graph)
-        self.access_registry.acquire(subject, stream_name, handle)
-        if self.graph_manager is not None:
-            self.graph_manager.record(
-                handle, response.policy_id, subject, stream_name, merge_result.graph
-            )
-        submit_elapsed = time.perf_counter() - started
-
-        return PepResult(
-            handle=handle,
-            streamsql=script,
-            merged_graph=merge_result.graph,
-            response=response,
-            warnings=merge_result.warnings,
-            timings=PepTimings(pdp_elapsed, graph_elapsed, submit_elapsed),
-        )
+            merged = merged._replace(warnings=[])
+        return merged
 
     def release(self, handle: StreamHandle) -> None:
         """User-initiated release of a stream handle."""

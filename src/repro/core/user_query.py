@@ -25,6 +25,7 @@ policy allows".
 
 from __future__ import annotations
 
+import functools
 import xml.etree.ElementTree as ET
 from typing import List, Optional, Sequence, Union
 
@@ -40,10 +41,18 @@ from repro.streams.operators.window import (
     WindowSpec,
     WindowType,
 )
+from repro.xacml.pdp import DEFAULT_CACHE_SIZE
+from repro.xacml.xml_io import REQUEST_MEMO_MAX_CHARS
 
 
 class UserQuery:
-    """A parsed customised query: stream + optional filter/map/aggregation."""
+    """A parsed customised query: stream + optional filter/map/aggregation.
+
+    A value: nothing is reassigned after construction, two queries are
+    equal when every part is (so equal queries print the same
+    :meth:`to_xml`), and :meth:`from_xml` may hand the same object to
+    every caller sending the same text.
+    """
 
     def __init__(
         self,
@@ -116,6 +125,21 @@ class UserQuery:
 
     @classmethod
     def from_xml(cls, text: str) -> "UserQuery":
+        """Parse a ``<UserQuery>`` document.
+
+        Memoised by document text under the discipline of
+        :func:`~repro.xacml.xml_io.parse_request_xml`, whose two bounds
+        it shares: as many documents as a PDP caches decisions, none
+        longer than ``REQUEST_MEMO_MAX_CHARS`` characters (those are
+        parsed on every call), and a document that fails to parse is
+        never stored — it raises on every call.
+        """
+        if len(text) > REQUEST_MEMO_MAX_CHARS:
+            return cls._parse(text)
+        return _memoised_parse(cls, text)
+
+    @classmethod
+    def _parse(cls, text: str) -> "UserQuery":
         try:
             root = ET.fromstring(text)
         except ET.ParseError as exc:
@@ -163,6 +187,21 @@ class UserQuery:
 
         return cls(stream, filter_condition, map_attributes, window, aggregations)
 
+    def _value(self) -> tuple:
+        return (
+            self.stream,
+            self.filter_condition,
+            self.map_attributes,
+            self.window,
+            self.aggregations,
+        )
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, UserQuery) and self._value() == other._value()
+
+    def __hash__(self) -> int:
+        return hash(self._value())
+
     def __repr__(self) -> str:
         parts = [f"stream={self.stream!r}"]
         if self.filter_condition is not None:
@@ -172,6 +211,13 @@ class UserQuery:
         if self.window is not None:
             parts.append(f"window={self.window!r}")
         return f"UserQuery({', '.join(parts)})"
+
+
+# The stdlib LRU, as for requests: bounded, safe to call from any thread,
+# and it stores nothing for a call that raised.
+@functools.lru_cache(maxsize=DEFAULT_CACHE_SIZE)
+def _memoised_parse(cls, text: str) -> UserQuery:
+    return cls._parse(text)
 
 
 def _required_text(parent: ET.Element, tag: str) -> str:

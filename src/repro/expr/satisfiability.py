@@ -197,20 +197,32 @@ def _conjunction_implies_literal(
 def implies(first: "BooleanExpression", second: "BooleanExpression") -> bool:
     """True when *first* **provably** implies *second* (first ⇒ second).
 
-    Both expressions are normalised to DNF; ``first ⇒ second`` holds when
-    every satisfiable conjunction of *first* implies some conjunction of
-    *second*, each literal of which must be implied by a same-attribute
-    literal of the first-side conjunction (:func:`is_subset`).
+    ``dnf_implies(to_dnf(first), to_dnf(second))``: this form normalises
+    both sides on every call, so a caller that asks about the same
+    expression repeatedly (the shared plan, one question per sibling
+    filter) keeps the DNFs and calls :func:`dnf_implies` itself.
+    """
+    from repro.expr.normalize import to_dnf
+
+    return dnf_implies(to_dnf(first), to_dnf(second))
+
+
+def dnf_implies(
+    first_dnf: Sequence[Sequence[SimpleExpression]],
+    second_dnf: Sequence[Sequence[SimpleExpression]],
+) -> bool:
+    """:func:`implies` over two expressions already in DNF.
+
+    ``first ⇒ second`` holds when every satisfiable conjunction of
+    *first* implies some conjunction of *second*, each literal of which
+    must be implied by a same-attribute literal of the first-side
+    conjunction (:func:`is_subset`).
 
     The check is **sound** (a True answer is always correct — the
     property the shared-plan subsumption feed depends on, pinned by a
     hypothesis test) but **incomplete**: it may answer False for
     implications that need cross-literal or cross-conjunction reasoning.
     """
-    from repro.expr.normalize import to_dnf
-
-    first_dnf = to_dnf(first)
-    second_dnf = to_dnf(second)
     for first_conj in first_dnf:
         if not first_conj:
             # TRUE conjunction on the left: second must contain TRUE too.

@@ -55,7 +55,7 @@ class StreamResponseMessage(NamedTuple):
     """
 
     handle_uri: Optional[str]
-    error_kind: Optional[str] = None   # "denied" | "nr" | "pr" | "concurrent"
+    error_kind: Optional[str] = None   # "denied" | "nr" | "pr" | "concurrent" | "invalid"
     error_detail: Optional[str] = None
     decision: Optional[str] = None     # Decision.value, when the PDP ran
     policy_id: Optional[str] = None    # deciding policy, when permitted

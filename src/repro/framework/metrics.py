@@ -24,7 +24,7 @@ class RequestTrace(NamedTuple):
     dsms_submit: float   # Figure 7 "StreamBase"
     network: float
     cache_hit: bool = False
-    outcome: str = "ok"  # "ok" | "denied" | "nr" | "pr" | "concurrent"
+    outcome: str = "ok"  # "ok" | "denied" | "nr" | "pr" | "concurrent" | "invalid"
 
 
 class DistributionSummary(NamedTuple):

@@ -21,8 +21,11 @@ from repro.errors import (
     AccessDeniedError,
     ConcurrentAccessError,
     EmptyResultWarning,
+    ExpressionError,
     MergeError,
+    ObligationError,
     PartialResultWarning,
+    SchemaError,
     UnknownStreamError,
 )
 from repro.core.merge import MergeOptions
@@ -126,6 +129,11 @@ class DataServer:
             return self._error_response("nr", str(error), started)
         except PartialResultWarning as error:
             return self._error_response("pr", str(error), started)
+        except (ObligationError, ExpressionError, SchemaError) as error:
+            # The permitting policy's obligations (or the user's query)
+            # cannot be turned into a graph over this stream: malformed,
+            # or naming an attribute / comparing a type the stream lacks.
+            return self._error_response("invalid", str(error), started)
         timing = ServerTiming(
             pdp=result.timings.pdp,
             query_graph=result.timings.query_graph,

@@ -44,6 +44,11 @@ class QueryGraph:
         self.source = source
         self._operators: List[Operator] = list(operators)
         self.name = name or f"query_{next(_graph_counter)}"
+        #: The :class:`~repro.streams.plan.ChainTrace` of this exact chain
+        #: (edge schemas + plan fingerprints), set by whoever computed it
+        #: so the plan does not derive it again on attach; None otherwise.
+        #: :meth:`append` changes the chain and so drops it.
+        self.trace = None
 
     # -- construction --------------------------------------------------------
 
@@ -52,6 +57,7 @@ class QueryGraph:
         if not isinstance(operator, Operator):
             raise GraphError(f"not an operator: {operator!r}")
         self._operators.append(operator)
+        self.trace = None
         return self
 
     @property

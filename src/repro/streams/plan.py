@@ -15,13 +15,21 @@ that query's private pipeline.
   ``x > 5 AND y = 1`` and ``y = 1 AND x > 5`` share one key.  A new
   query walks the DAG from the root, reusing the existing node at each
   step when fingerprints match, so identical prefixes are evaluated
-  **once** per batch no matter how many queries share them.
+  **once** per batch no matter how many queries share them.  The keys
+  and the chain's edge schemas are a pure function of (chain, source
+  schema) — a :class:`ChainTrace` — so whoever registers the same chain
+  many times (the PEP, once per grant of a template) computes the trace
+  once, carries it on the graph (``QueryGraph.trace``) and
+  :meth:`StreamPlan.attach` neither validates nor fingerprints again;
+  a graph without a trace is traced on attach.
 
 - **Predicate subsumption.**  When a new filter provably implies an
-  existing sibling filter (:func:`repro.expr.satisfiability.implies` —
-  sound, incomplete), the new node feeds from the *host's output* with a
-  residual predicate (the literals the host does not already guarantee)
-  instead of re-scanning the whole input.
+  existing sibling filter (:func:`repro.expr.satisfiability.dnf_implies`
+  — sound, incomplete), the new node feeds from the *host's output* with
+  a residual predicate (the literals the host does not already
+  guarantee) instead of re-scanning the whole input.  Every filter node
+  owns its condition's DNF, so finding a host normalises the newcomer
+  once and no sibling at all.
 
 - **Clone-on-divergence for state.**  Stateless nodes (filter, map) are
   shareable at any time.  A state-bearing node (window aggregation) is
@@ -59,7 +67,7 @@ against each other under registration/withdrawal churn, mid-batch too:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.expr.ast import (
     AndExpression,
@@ -69,8 +77,8 @@ from repro.expr.ast import (
     SimpleExpression,
     TrueExpression,
 )
-from repro.expr.normalize import to_dnf
-from repro.expr.satisfiability import conjunction_unsatisfiable, implies
+from repro.expr.normalize import DNF, to_dnf
+from repro.expr.satisfiability import conjunction_unsatisfiable, dnf_implies
 from repro.expr.simplify import simplify_conjunction
 from repro.streams.graph import QueryGraph
 from repro.streams.handles import StreamHandle
@@ -78,6 +86,7 @@ from repro.streams.operators.base import Operator
 from repro.streams.operators.filter import FilterOperator
 from repro.streams.operators.map import MapOperator
 from repro.streams.operators.window import AggregateOperator
+from repro.streams.schema import Schema
 from repro.streams.stream import Stream
 from repro.streams.tuples import StreamTuple
 
@@ -175,6 +184,28 @@ def operator_fingerprint(operator: Operator) -> Optional[tuple]:
     return None
 
 
+class ChainTrace(NamedTuple):
+    """What :meth:`StreamPlan.attach` derives from a chain before it
+    touches the DAG: a pure function of (operators, source schema)."""
+
+    #: Schemas at every edge: the source's first, the output's last.
+    schemas: List[Schema]
+    #: One :func:`operator_fingerprint` per operator.
+    fingerprints: Tuple[Optional[tuple], ...]
+
+
+def trace_chain(graph: QueryGraph, input_schema: Schema) -> ChainTrace:
+    """Validate *graph* against *input_schema* and fingerprint it.
+
+    Raises what :meth:`QueryGraph.schema_trace` raises on a chain the
+    schema does not support.
+    """
+    return ChainTrace(
+        graph.schema_trace(input_schema),
+        tuple(operator_fingerprint(operator) for operator in graph.operators),
+    )
+
+
 # ---------------------------------------------------------------------------
 # DAG nodes and sinks
 # ---------------------------------------------------------------------------
@@ -198,7 +229,7 @@ class PlanNode:
         "fingerprint",
         "operator",
         "out_schema",
-        "condition",
+        "dnf",
         "logical_parent",
         "feed",
         "host",
@@ -216,16 +247,18 @@ class PlanNode:
         out_schema,
         logical_parent: Optional["PlanNode"],
         feed: Optional["PlanNode"],
-        condition: Optional[BooleanExpression] = None,
+        dnf: Optional[DNF] = None,
         host: Optional["PlanNode"] = None,
     ):
         self.fingerprint = fingerprint
         self.operator = operator
         self.out_schema = out_schema
-        #: Full logical condition (filter nodes only) — the subsumption
-        #: analysis needs it because ``operator.condition`` holds only
-        #: the residual for a subsumption-fed node.
-        self.condition = condition
+        #: DNF of the full logical condition (filter nodes within
+        #: :data:`CANON_LEAF_LIMIT` only) — what the subsumption analysis
+        #: compares; ``operator.condition`` holds only the residual for a
+        #: subsumption-fed node.  Owned by the node: normalised once, when
+        #: the node is created, and freed with it.
+        self.dnf = dnf
         self.logical_parent = logical_parent
         self.feed = feed
         self.host = host
@@ -315,13 +348,19 @@ class StreamPlan:
         """Install *graph* into the DAG; returns the new sink.
 
         The whole chain is validated (schema propagation) before any
-        plan state is touched, so an invalid graph changes nothing.
+        plan state is touched, so an invalid graph changes nothing.  A
+        graph carrying the trace of an earlier validation against this
+        very source schema (``graph.trace``) is not validated again.
         """
-        schemas = graph.schema_trace(self.source.schema)
+        trace = graph.trace
+        if trace is None or trace.schemas[0] is not self.source.schema:
+            trace = trace_chain(graph, self.source.schema)
         defers = self._inflight_batches()
         node = self.root
-        for operator, out_schema in zip(graph.operators, schemas[1:]):
-            node = self._child_for(node, operator, out_schema, defers)
+        for operator, fingerprint, out_schema in zip(
+            graph.operators, trace.fingerprints, trace.schemas[1:]
+        ):
+            node = self._child_for(node, operator, fingerprint, out_schema, defers)
         output = Stream(handle.query_id, node.out_schema)
         query = SharedQuery(self, handle, node, output)
         if defers:
@@ -348,10 +387,10 @@ class StreamPlan:
         self,
         parent: PlanNode,
         operator: Operator,
+        fingerprint: Optional[tuple],
         out_schema,
         defers: Dict[int, list],
     ) -> PlanNode:
-        fingerprint = operator_fingerprint(operator)
         if fingerprint is not None:
             for candidate in parent.children_by_fp.get(fingerprint, ()):
                 if not candidate.operator.stateful or candidate.consumed == 0:
@@ -361,13 +400,14 @@ class StreamPlan:
             # fall through and clone (fresh state for the newcomer).
         executing = operator.fresh_copy()
         feed = parent
-        condition: Optional[BooleanExpression] = None
+        dnf: Optional[DNF] = None
         host: Optional[PlanNode] = None
         if fingerprint is not None and fingerprint[0] == "filter":
-            condition = executing.condition
-            host = self._find_host(parent, condition)
+            if _count_leaves(executing.condition) <= CANON_LEAF_LIMIT:
+                dnf = to_dnf(executing.condition)
+                host = self._find_host(parent, dnf)
             if host is not None:
-                executing = self._residual_filter(executing, host.condition)
+                executing = self._residual_filter(executing, dnf, host.dnf)
                 feed = host
                 self.nodes_subsumed += 1
             # Filters preserve their input schema; reusing the parent's
@@ -379,7 +419,7 @@ class StreamPlan:
             out_schema,
             parent,
             feed,
-            condition=condition,
+            dnf=dnf,
             host=host,
         )
         if defers:
@@ -390,39 +430,38 @@ class StreamPlan:
         self.nodes_created += 1
         return node
 
-    def _find_host(
-        self, parent: PlanNode, condition: BooleanExpression
-    ) -> Optional[PlanNode]:
-        """The tightest sibling filter provably implied by *condition*.
+    def _find_host(self, parent: PlanNode, dnf: DNF) -> Optional[PlanNode]:
+        """The tightest sibling filter provably implied by the condition
+        whose DNF is *dnf*.
 
         ``condition ⇒ host`` means the new filter's output is a subset
         of the host's, so it can be computed from the host's (smaller)
         output instead of re-scanning the parent's.  Among multiple
         candidates the tightest is kept (host A beats host B when
         ``A ⇒ B``), minimising the tuples the residual must re-test.
+        Siblings are compared through the DNF each one owns (non-filter
+        and over-budget siblings have none), so the scan normalises
+        nothing.
         """
-        if _count_leaves(condition) > CANON_LEAF_LIMIT:
-            return None
         host: Optional[PlanNode] = None
         for siblings in parent.children_by_fp.values():
             for candidate in siblings:
-                if candidate.condition is None:
+                if candidate.dnf is None:
                     continue
-                if _count_leaves(candidate.condition) > CANON_LEAF_LIMIT:
+                if not dnf_implies(dnf, candidate.dnf):
                     continue
-                if not implies(condition, candidate.condition):
-                    continue
-                if host is None or implies(candidate.condition, host.condition):
+                if host is None or dnf_implies(candidate.dnf, host.dnf):
                     host = candidate
         return host
 
     def _residual_filter(
-        self, operator: FilterOperator, host_condition: BooleanExpression
+        self, operator: FilterOperator, dnf: DNF, host_dnf: DNF
     ) -> FilterOperator:
-        """A filter equivalent to *operator* on the host's output.
+        """A filter equivalent to *operator* (whose condition's DNF is
+        *dnf*) on the host's output.
 
-        The host's output is exactly the tuples satisfying
-        ``host_condition``, so literals the host already guarantees
+        The host's output is exactly the tuples satisfying the host's
+        condition, so literals the host already guarantees
         (``host ⇒ literal``) can be dropped: on that domain the rest of
         the conjunction is equivalent to the full condition.  Dropping
         is only attempted when the condition normalises to a single
@@ -430,12 +469,11 @@ class StreamPlan:
         correct, merely without the re-test savings.
         """
         residual: BooleanExpression = operator.condition
-        dnf = to_dnf(operator.condition)
         if len(dnf) == 1 and dnf[0]:
             literals = [
                 literal
                 for literal in simplify_conjunction(dnf[0])
-                if not implies(host_condition, literal)
+                if not dnf_implies(host_dnf, [(literal,)])
             ]
             if not literals:
                 residual = TrueExpression()

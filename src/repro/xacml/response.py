@@ -73,6 +73,9 @@ class Obligation:
         self.obligation_id = obligation_id
         self.fulfill_on = fulfill_on
         self.assignments: Tuple[AttributeAssignment, ...] = tuple(assignments)
+        #: Nothing is reassigned after construction, so the hash — a walk
+        #: of every assignment — is taken once, when first asked for.
+        self._hash: Optional[int] = None
 
     def values_of(self, attribute_id: str) -> List[AttributeValue]:
         """All assignment values with *attribute_id*, in document order."""
@@ -91,7 +94,17 @@ class Obligation:
         )
 
     def __hash__(self) -> int:
-        return hash((self.obligation_id, self.fulfill_on, self.assignments))
+        value = self._hash
+        if value is None:
+            value = self._hash = hash(
+                (self.obligation_id, self.fulfill_on, self.assignments)
+            )
+        return value
+
+    def __reduce__(self):
+        # String hashes are salted per process: a pickled obligation (a
+        # shard worker's response) must not carry this process's hash.
+        return Obligation, (self.obligation_id, self.fulfill_on, self.assignments)
 
     def __repr__(self) -> str:
         return (

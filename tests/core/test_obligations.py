@@ -148,3 +148,33 @@ class TestStreamPolicy:
         rebuilt = obligations_to_graph(policy.obligations, "weather")
         rebuilt.validate(WEATHER_SCHEMA)
         assert len(rebuilt) == 3
+
+
+class TestObligationHash:
+    """The PEP keys compiled grants by the obligation tuple, so an
+    obligation's hash is asked for on every grant."""
+
+    def test_hash_walks_the_assignments_once(self, monkeypatch):
+        (obligation,) = graph_to_obligations(
+            QueryGraph("weather").append(FilterOperator("rainrate > 5"))
+        )
+        walks = []
+        original = AttributeAssignment.__hash__
+        monkeypatch.setattr(
+            AttributeAssignment, "__hash__",
+            lambda self: walks.append(self) or original(self),
+        )
+        assert hash(obligation) == hash(obligation) == hash(obligation)
+        assert len(walks) == len(obligation.assignments) == 1
+
+    def test_a_pickled_copy_rehashes_for_itself(self):
+        """String hashes are salted per process: a worker's response
+        must not bring the worker's hash along."""
+        import pickle
+
+        obligation = graph_to_obligations(build_nea_policy_graph())[-1]
+        hash(obligation)
+        copy = pickle.loads(pickle.dumps(obligation))
+        assert copy == obligation and copy is not obligation
+        assert copy._hash is None
+        assert hash(copy) == hash(obligation)

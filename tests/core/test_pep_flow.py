@@ -227,3 +227,92 @@ class TestWindowRefinementThroughPep:
         )
         with pytest.raises(EmptyResultWarning):
             instance.request_stream(Request.simple("LTA", "weather"), query)
+
+
+class TestGrantTemplates:
+    """Identical grants are stamped from one compiled template: what
+    they share must be out of every grant's reach."""
+
+    def nea_instance(self):
+        instance = make_instance(allow_partial_results=True, enforce_single_access=False)
+        instance.load_policy(
+            stream_policy("nea", "weather", build_nea_policy_graph(), subject="LTA")
+        )
+        return instance
+
+    def grant(self, instance):
+        return instance.request_stream(
+            Request.simple("LTA", "weather"), build_lta_user_query()
+        )
+
+    def test_a_grant_cannot_reach_the_next_identical_grant(self):
+        """Appending to and running one grant's ``merged_graph`` leaves
+        the next identical grant's graph, StreamSQL and output exactly
+        what an untouched first grant's are."""
+        from repro.streams.sources import WeatherSource
+
+        records = WeatherSource(seed=3).records(400)
+        untouched = self.nea_instance()
+        expected = self.grant(untouched)
+        untouched.engine.push_many("weather", records)
+
+        instance = self.nea_instance()
+        first = self.grant(instance)
+        # Run the granted graph offline, windows and all, then grow it.
+        assert first.merged_graph.instantiate(WEATHER_SCHEMA).process_many(
+            untouched.engine.catalog.get("weather").snapshot()
+        )
+        first.merged_graph.append(FilterOperator("avgrainrate > 1000"))
+        first.warnings.append("scribbled")
+        second = self.grant(instance)
+        assert instance.pep.templates.hits == 1
+        assert second.merged_graph is not first.merged_graph
+        assert second.merged_graph.describe() == expected.merged_graph.describe()
+        assert len(second.merged_graph) == len(first.merged_graph) - 1
+        assert second.streamsql == expected.streamsql
+        assert second.warnings == expected.warnings
+        instance.engine.push_many("weather", records)
+        outputs = [t.values for t in instance.engine.read(second.handle)]
+        assert outputs == [t.values for t in untouched.engine.read(expected.handle)]
+        assert outputs == [t.values for t in instance.engine.read(first.handle)]
+
+    def test_every_grant_has_its_own_name_handle_and_record(self):
+        instance = self.nea_instance()
+        instance.load_policy(
+            stream_policy("nea2", "weather", build_nea_policy_graph(), subject="PUB")
+        )
+        first = self.grant(instance)
+        other = instance.request_stream(
+            Request.simple("PUB", "weather"), build_lta_user_query()
+        )
+        # Two policies, one obligation set: one template.
+        assert (instance.pep.templates.hits, len(instance.pep.templates)) == (1, 1)
+        assert first.merged_graph.name == "policy:nea+user:LTA"
+        assert other.merged_graph.name == "policy:nea2+user:PUB"
+        assert first.handle != other.handle
+        assert instance.graph_manager.for_handle(other.handle).graph is other.merged_graph
+        instance.remove_policy("nea")
+        with pytest.raises(UnknownHandleError):
+            instance.engine.read(first.handle)
+        instance.engine.read(other.handle)
+
+    def test_memo_is_bounded(self):
+        from repro.core.pep import TemplateMemo
+
+        instance = make_instance(enforce_single_access=False)
+        memo = instance.pep.templates = TemplateMemo(capacity=8)
+        for n in range(memo.capacity + 20):
+            load_simple_policy(instance, condition=f"rainrate > {n}", policy_id=f"p{n}",
+                               subject=f"u{n}")
+            instance.request_stream(Request.simple(f"u{n}", "weather"))
+            assert len(memo) <= memo.capacity
+        assert (memo.hits, memo.misses, len(memo)) == (0, memo.capacity + 20, memo.capacity)
+        # Least recently granted goes first: the newest is a hit, the oldest not.
+        instance.request_stream(Request.simple(f"u{memo.capacity + 19}", "weather"))
+        instance.request_stream(Request.simple("u0", "weather"))
+        assert (memo.hits, memo.misses) == (1, memo.capacity + 21)
+
+    def test_default_capacity_is_the_decision_caches(self):
+        from repro.xacml.pdp import DEFAULT_CACHE_SIZE
+
+        assert make_instance().pep.templates.capacity == DEFAULT_CACHE_SIZE

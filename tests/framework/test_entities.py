@@ -3,6 +3,12 @@
 import pytest
 
 from repro.core import UserQuery, stream_policy
+from repro.core.obligations import (
+    FILTER_CONDITION_ID,
+    FILTER_OBLIGATION,
+    WINDOW_OBLIGATION,
+)
+from repro.errors import ExpressionError, ObligationError, UnknownAttributeError
 from repro.framework.client import ClientInterface
 from repro.framework.direct import DirectQuerySystem
 from repro.framework.messages import StreamRequestMessage
@@ -13,7 +19,27 @@ from repro.streams.engine import StreamEngine
 from repro.streams.graph import QueryGraph
 from repro.streams.operators import FilterOperator
 from repro.streams.schema import WEATHER_SCHEMA
+from repro.xacml.attributes import AttributeValue
+from repro.xacml.policy import Policy, Rule, Target
 from repro.xacml.request import Request
+from repro.xacml.response import AttributeAssignment, Effect, Obligation
+
+
+def _filter_obligation(condition: str) -> Obligation:
+    return Obligation(FILTER_OBLIGATION, Effect.PERMIT, [
+        AttributeAssignment(FILTER_CONDITION_ID, AttributeValue.string(condition)),
+    ])
+
+
+#: (obligations, what the PEP raises, what the response's detail names).
+UNENFORCEABLE = [
+    pytest.param([_filter_obligation("nosuch > 5")], UnknownAttributeError,
+                 "nosuch", id="unknown-attribute"),
+    pytest.param([Obligation(WINDOW_OBLIGATION, Effect.PERMIT, [])], ObligationError,
+                 "window type, size and step", id="malformed-obligation"),
+    pytest.param([_filter_obligation("rainrate >")], ExpressionError,
+                 "expected a literal", id="malformed-condition"),
+]
 
 
 def deploy(cache_enabled=True, enforce_single_access=False):
@@ -102,6 +128,36 @@ class TestServer:
         assert first.ok
         second, _ = server.process(message)
         assert second.error_kind == "concurrent"
+
+    @pytest.mark.parametrize("obligations, error, detail", UNENFORCEABLE)
+    def test_unenforceable_obligation_is_an_error_response(
+        self, obligations, error, detail
+    ):
+        """A permitting policy whose obligations cannot become a graph
+        over the stream — an attribute the stream lacks, a malformed
+        obligation block, a condition that does not parse — used to
+        raise out of ``process``; it is an ``invalid`` response, twice
+        over (a refusal is never remembered), and leaves nothing behind."""
+        _, server, _, _ = deploy()
+        server.load_policy(Policy(
+            "p:broken",
+            target=Target.for_ids(subject="NEA", resource="weather", action="read"),
+            rules=[Rule("p:broken:rule", Effect.PERMIT)],
+            obligations=obligations,
+        ))
+        message = StreamRequestMessage(Request.simple("NEA", "weather"), None)
+        with pytest.raises(error):
+            server.instance.request_stream(message.request)
+        for processed in (1, 2):
+            response, timing = server.process(message)
+            assert not response.ok and response.error_kind == "invalid"
+            assert detail in response.error_detail
+            assert response.handle_uri is None and timing.script_bytes == 0
+            assert server.requests_processed == processed
+        assert len(server.instance.pep.templates) == 0
+        assert server.instance.engine.active_queries() == []
+        assert server.instance.access_registry.active_count() == 0
+        assert server.instance.graph_manager.active_count() == 0
 
 
 class TestProxyCache:

@@ -132,6 +132,8 @@ class TestUserQueryRoundTrip:
         assert again.map_attributes == query.map_attributes
         assert again.window == query.window
         assert again.aggregations == query.aggregations
+        # The value as a whole — what the PEP keys compiled grants by.
+        assert again == query and hash(again) == hash(query)
 
 
 class TestAuditChainProperty:

@@ -35,6 +35,7 @@ from repro.serving.wire import (
 )
 from repro.streams.engine import StreamEngine
 from repro.streams.graph import QueryGraph
+from repro.streams.operators import FilterOperator
 from repro.streams.schema import WEATHER_SCHEMA
 from repro.streams.sources import WeatherSource
 from repro.streams.stream import INGEST_CHUNK
@@ -107,6 +108,21 @@ class TestNoSimulationOnTheServedPath:
         assert not reply.ok and reply.error_kind == "denied"
         assert "ghost" in reply.error_detail
         assert server.instance.access_registry.active_count() == 0
+        assert server.instance.engine.active_queries() == []
+
+
+    def test_unenforceable_obligation_is_an_evaluate_reply_on_the_wire(self):
+        """The permitting policy filters on an attribute the stream
+        lacks: the client gets an ``invalid`` evaluate reply, not the
+        server's exception by name, and nothing is registered."""
+        server = make_data_server()
+        graph = QueryGraph("weather").append(FilterOperator("nosuch > 5"))
+        server.load_policy(stream_policy("p:nosuch", "weather", graph, subject="NEA"))
+        reply = run(AsyncDataServer(server).execute(evaluate_op(subject="NEA")))
+        assert isinstance(reply, EvaluateReply)
+        assert not reply.ok and reply.error_kind == "invalid"
+        assert "nosuch" in reply.error_detail
+        assert server.requests_processed == 1
         assert server.instance.engine.active_queries() == []
 
 

@@ -24,10 +24,12 @@ from repro.streams.operators import (
     WindowSpec,
     WindowType,
 )
+from repro.errors import UnknownAttributeError
 from repro.streams.plan import (
     CANON_LEAF_LIMIT,
     condition_fingerprint,
     operator_fingerprint,
+    trace_chain,
 )
 from repro.streams.schema import Schema
 from repro.streams.tuples import make_tuple
@@ -246,6 +248,84 @@ class TestPlanSharing:
         engine.register_input_stream("s", SCHEMA)
         engine.register_query(QueryGraph("s", [FilterOperator("x > 0")]))
         assert engine.plan_stats() == {}
+
+
+class TestAttachCost:
+    """Count-based, clock-free: what an attach normalises and derives
+    does not depend on who is already in the plan, and a traced graph is
+    neither validated nor fingerprinted again."""
+
+    @staticmethod
+    def counting(monkeypatch, name):
+        import repro.streams.plan as plan_module
+
+        calls = []
+        original = getattr(plan_module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(plan_module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("siblings", [10, 500])
+    def test_one_more_filter_normalises_once_whatever_the_siblings(
+        self, monkeypatch, siblings
+    ):
+        engine = StreamEngine()
+        engine.register_input_stream("s", SCHEMA)
+        for n in range(siblings):
+            # Half imply the newcomer's host, none is implied by it.
+            engine.register_query(
+                QueryGraph("s", [FilterOperator(f"x > {n} AND y < {n % 7}")])
+            )
+        newcomer = QueryGraph("s", [FilterOperator("x > 3 AND y < 3 AND t > 0")])
+        newcomer.trace = trace_chain(newcomer, SCHEMA)
+        normalised = self.counting(monkeypatch, "to_dnf")
+        engine.register_query(newcomer)
+        (stats,) = engine.plan_stats().values()
+        assert stats["nodes_subsumed"] >= 1      # the sibling scan did run
+        assert len(normalised) == 1
+
+    def test_a_traced_graph_is_not_derived_again(self, monkeypatch):
+        engine = StreamEngine()
+        engine.register_input_stream("s", SCHEMA)
+        graph = QueryGraph("s", [FilterOperator("x > 10"), MapOperator(["t", "x"])])
+        trace = trace_chain(graph, SCHEMA)
+        fingerprinted = self.counting(monkeypatch, "operator_fingerprint")
+        engine.register_query(graph)
+        assert len(fingerprinted) == 2           # untraced: derived on attach
+        del fingerprinted[:]
+        stamped = QueryGraph("s", graph.operators, name="stamped")
+        stamped.trace = trace
+        handle = engine.register_query(stamped)
+        assert fingerprinted == []
+        (stats,) = engine.plan_stats().values()
+        assert (stats["nodes_created"], stats["nodes_shared"]) == (2, 2)
+        assert engine.lookup(handle).output_schema == trace.schemas[-1]
+
+    def test_append_drops_the_trace(self):
+        graph = QueryGraph("s", [FilterOperator("x > 10")])
+        graph.trace = trace_chain(graph, SCHEMA)
+        graph.append(MapOperator(["t"]))
+        assert graph.trace is None
+        engine = StreamEngine()
+        engine.register_input_stream("s", SCHEMA)
+        handle = engine.register_query(graph)
+        assert engine.lookup(handle).output_schema.attribute_names == ("t",)
+
+    def test_a_trace_against_another_schema_is_not_trusted(self):
+        """Same field list, another schema object — another stream: the
+        plan only skips validation for the very schema it runs on."""
+        graph = QueryGraph("s", [MapOperator(["t", "y"])])
+        graph.trace = trace_chain(graph, SCHEMA)
+        engine = StreamEngine()
+        narrow = Schema("s", [("t", "timestamp"), ("x", "double")])
+        engine.register_input_stream("s", narrow)
+        with pytest.raises(UnknownAttributeError):
+            engine.register_query(graph)
+        assert engine.plan_stats()["s"]["live_nodes"] == 0
 
 
 def float_agg(size, step):
