@@ -14,12 +14,9 @@ subsumption feed path is on the measured path too.
 
 The baseline is the oracle (``StreamEngine.reference()``): one private
 interpreted pipeline per query, so its ingest cost is linear in the
-query count by construction.  Outputs are asserted equivalent with the
-window benchmark's comparator (exact, except float tolerance where the
-plan's incremental sums drift from the oracle's recompute; that sharing
-is *exactly* invisible is pinned production-vs-production in
-``tests/streams/test_plan.py``), and every run ends by withdrawing all
-queries and asserting the plan released every DAG node (both inside
+query count by construction.  Outputs are asserted equal, exactly, and
+every run ends by withdrawing all queries and asserting the plan
+released every DAG node (both inside
 ``harness.production_vs_oracle``).
 
 The ``grant`` section prices *registration* instead of ingest: a PEP's
@@ -38,7 +35,6 @@ gated (measured ~25x, so the oracle's seconds-long run is not repeated).
 
 from benchmarks.harness import (
     AGGREGATIONS,
-    DRIFTING_FIELDS,
     best_of,
     emit,
     gate,
@@ -116,7 +112,7 @@ def test_fanout_sweep(benchmark):
     def sweep():
         results = {}
         for fanout in FANOUTS:
-            run = production_vs_oracle(build_queries(fanout), TUPLES, DRIFTING_FIELDS)
+            run = production_vs_oracle(build_queries(fanout), TUPLES)
             stats = run["plan"]
             # Fan-out 10 is one member per family: only the subsumption
             # ladder shares; above that, exact prefix merges dominate.

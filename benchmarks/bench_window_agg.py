@@ -1,34 +1,27 @@
 """Window-aggregation benchmark — columnar windows vs the oracle, and
-the recompute/incremental crossover the production rule is fitted to.
+what a window's depth costs.
 
 Production keeps window state in columnar per-attribute ring buffers
 where the oracle (``StreamEngine.reference()``) recomputes each window
-from rows.  On those buffers a tuple window either recomputes each
-emission from a column slice (C-speed ``sum``/``min``/``max``) or
-maintains incremental aggregate states (running sums, two-stacks
-min/max, reverse-Welford stdev); ``operators.window._incremental_pays``
-picks by ``(size, step)``, and at size 64 every shape swept here
-recomputes.  This benchmark pins the columnar win across overlap ratios
-size/step ∈ {1, 4, 16} on tuple windows, plus a sliding time-window run
-on the pointer-eviction path.
+from rows; every emission is one ``compute`` per aggregation over the
+window's column slice (C-speed ``sum``/``min``/``max``).  This benchmark
+pins the columnar win across overlap ratios size/step ∈ {1, 4, 16} on
+tuple windows, plus a sliding time-window run on the pointer-eviction
+path.
 
-The ``crossover`` section is the measurement behind the rule's
-constants: per emission, state upkeep (``insert_many`` + ``evict_many``
-+ ``result``) against ``compute`` over the window's slice, for size ∈
-{16, 64, 256, 1024} × step ∈ {1, 8}, beside the side the rule predicts.
-The same columnar buffers on both sides — the comparison the
-production-vs-oracle sweep never made.
+The ``depth`` section records the price of having one way to evaluate a
+window: µs per emission at size ∈ {16, 64, 256, 1024}, step 1 — O(size),
+as a time window of that depth always was.  No policy the system
+generates, ships or benchmarks is deeper than 26 tuples, so the rows are
+recorded, not gated (``docs/performance.md`` has the sizing against the
+incremental states this replaced, and the rule for revisiting it).
 
 Results land in ``BENCH_window_agg.json``; the size/step=16 speed-up
-is gated (measured ~6x), and so is the rule agreeing with the
-measurement at the shallowest and the deepest crossover shape.
+is gated (measured ~6x).
 """
 
 from benchmarks.harness import (
     AGGREGATIONS,
-    DRIFTING_FIELDS,
-    ROUNDS,
-    best_of,
     emit,
     gate,
     print_header,
@@ -36,19 +29,18 @@ from benchmarks.harness import (
     window_aggregate,
 )
 from repro.streams.graph import QueryGraph
-from repro.streams.operators import AggregationSpec, WindowType
-from repro.streams.operators.window import _incremental_pays
+from repro.streams.operators import WindowType
 from repro.streams.sources import WeatherSource
 
 TUPLES = WeatherSource(seed=5).tuples(4_000)
 WINDOW_SIZE = 64
 OVERLAP_RATIOS = (1, 4, 16)  # size/step: 1 = tumbling, 16 = heavy overlap
-CROSSOVER_SHAPES = [(size, step) for size in (16, 64, 256, 1024) for step in (1, 8)]
+DEPTHS = (16, 64, 256, 1024)
 
 
-def measure(window_type, size, step, drifting_fields):
+def measure(window_type, size, step):
     graph = QueryGraph("weather").append(window_aggregate(window_type, size, step))
-    run = production_vs_oracle([graph], TUPLES, drifting_fields)
+    run = production_vs_oracle([graph], TUPLES)
     return {
         "windows": len(run["outputs"][0]),
         "seed_s": run["oracle_s"],
@@ -58,7 +50,7 @@ def measure(window_type, size, step, drifting_fields):
 
 
 def test_tuple_window_overlap_sweep(benchmark):
-    """Columnar incremental vs seed recompute across overlap ratios."""
+    """Columnar vs seed recompute across overlap ratios."""
 
     def sweep():
         results = {}
@@ -67,13 +59,13 @@ def test_tuple_window_overlap_sweep(benchmark):
             results[ratio] = {
                 "size": WINDOW_SIZE,
                 "step": step,
-                **measure(WindowType.TUPLE, WINDOW_SIZE, step, DRIFTING_FIELDS),
+                **measure(WindowType.TUPLE, WINDOW_SIZE, step),
             }
         return results
 
     results = benchmark.pedantic(sweep, rounds=1, iterations=1)
     print_header(
-        f"Tuple-window aggregation — columnar incremental vs seed recompute "
+        f"Tuple-window aggregation — columnar vs seed recompute "
         f"({len(TUPLES)} tuples, size {WINDOW_SIZE}, {len(AGGREGATIONS)} aggregations)"
     )
     for ratio, row in results.items():
@@ -93,10 +85,8 @@ def test_time_window_pointer_eviction(benchmark):
     """Sliding time window (300 s size, 75 s step, 30 s sampling) on the
     monotonic pointer-eviction path vs the seed row path."""
 
-    # The columnar time path recomputes from column slices, so equality
-    # is exact, drift-prone aggregations included: no drifting fields.
     results = benchmark.pedantic(
-        measure, args=(WindowType.TIME, 300, 75, ()), rounds=1, iterations=1
+        measure, args=(WindowType.TIME, 300, 75), rounds=1, iterations=1
     )
     print_header("Time-window aggregation — pointer eviction vs seed row path")
     print(
@@ -107,86 +97,25 @@ def test_time_window_pointer_eviction(benchmark):
     emit("window_agg", "time_window", results)
 
 
-def crossover_columns():
-    """(function, column) per benchmark aggregation, over ``TUPLES``."""
-    specs = [AggregationSpec.parse(text) for text in AGGREGATIONS]
-    return [(spec.function, [tup[spec.attribute] for tup in TUPLES]) for spec in specs]
-
-
-def incremental_sweep(columns, size, step, emissions):
-    """Every emission's upkeep on fresh states: result, evict the *step*
-    positions slid past, insert the *step* that arrived."""
-    states = [(function.make_state(), col) for function, col in columns]
-    for state, col in states:
-        state.insert_many(col[:size])
+def test_tuple_window_depth(benchmark):
+    """Per-emission cost of a step-1 tuple window as it deepens."""
 
     def sweep():
-        for low in range(0, emissions * step, step):
-            for state, col in states:
-                state.result()
-                state.evict_many(col[low:low + step])
-                state.insert_many(col[low + size:low + size + step])
-
-    return sweep
-
-
-def recompute_sweep(columns, size, step, emissions):
-    computes = [(function.compute, col) for function, col in columns]
-
-    def sweep():
-        for low in range(0, emissions * step, step):
-            for compute, col in computes:
-                compute(col[low:low + size])
-
-    return sweep
-
-
-def test_recompute_incremental_crossover(benchmark):
-    """Per-emission cost of either strategy on the same columns, beside
-    the rule's pick; the rule must agree where the answer is clearest."""
-
-    def measure_shapes():
-        columns = crossover_columns()
         rows = []
-        for size, step in CROSSOVER_SHAPES:
-            emissions = (len(TUPLES) - size) // step
-            seconds = {
-                side: best_of(ROUNDS, lambda: sweep(columns, size, step, emissions))
-                for side, sweep in (
-                    ("incremental", incremental_sweep), ("recompute", recompute_sweep)
-                )
-            }
-            rule = "incremental" if _incremental_pays(size, step) else "recompute"
-            other = "recompute" if rule == "incremental" else "incremental"
-            rows.append({
-                "size": size,
-                "step": step,
-                "emissions": emissions,
-                "incremental_us": seconds["incremental"] / emissions * 1e6,
-                "recompute_us": seconds["recompute"] / emissions * 1e6,
-                "rule": rule,
-                "measured_faster": min(seconds, key=seconds.get),
-                "other_over_rule": seconds[other] / seconds[rule],
-            })
+        for size in DEPTHS:
+            row = measure(WindowType.TUPLE, size, 1)
+            row["us_per_emission"] = row["columnar_s"] / row["windows"] * 1e6
+            rows.append({"size": size, "step": 1, **row})
         return rows
 
-    rows = benchmark.pedantic(measure_shapes, rounds=1, iterations=1)
+    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
     print_header(
-        f"Recompute vs incremental per emission ({len(AGGREGATIONS)} aggregations)"
+        f"Tuple-window depth — one slice recompute per emission "
+        f"({len(TUPLES)} tuples, step 1, {len(AGGREGATIONS)} aggregations)"
     )
     for row in rows:
         print(
-            f"  size {row['size']:>4d} step {row['step']}: incremental "
-            f"{row['incremental_us']:>6.2f} us   recompute {row['recompute_us']:>6.2f} us"
-            f"   rule -> {row['rule']:<11s} ({row['other_over_rule']:.2f}x vs the other)"
+            f"  size {row['size']:>4d}: {row['us_per_emission']:>7.2f} us/emission"
+            f"   ({row['windows']} windows, {row['speedup']:.1f}x the oracle)"
         )
-    emit("window_agg", "crossover", rows)
-    # Shallowest = least size per step, deepest = most: where a wrong
-    # constant (or a rule reading its arguments backwards) cannot hide.
-    by_depth = sorted(rows, key=lambda row: row["size"] / row["step"])
-    gate(
-        "window_agg",
-        "crossover.rule_over_other_at_extremes",
-        min(by_depth[0]["other_over_rule"], by_depth[-1]["other_over_rule"]),
-        1.0,
-    )
+    emit("window_agg", "depth", rows)

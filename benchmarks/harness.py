@@ -17,7 +17,6 @@ benchmarks use pytest-benchmark's default calibration.
 
 import gc
 import json
-import math
 import time
 from pathlib import Path
 
@@ -87,10 +86,10 @@ def _ingest(build, graphs, tuples):
     return seconds, outputs, plan, engine.plan_stats().get(source)
 
 
-def production_vs_oracle(graphs, tuples, drifting_fields=()):
+def production_vs_oracle(graphs, tuples):
     """Push *tuples* through *graphs* registered on ``StreamEngine()``
     and on ``StreamEngine.reference()``: best ingest time per side,
-    every query's outputs asserted equivalent, and the production plan
+    every query's outputs asserted equal, and the production plan
     asserted to release every node once its queries withdraw.
 
     Returns ``oracle_s``, ``production_s``, ``speedup``, the production
@@ -100,7 +99,7 @@ def production_vs_oracle(graphs, tuples, drifting_fields=()):
     oracle_s, expected, _, _ = _ingest(StreamEngine.reference, graphs, tuples)
     production_s, outputs, plan, drained = _ingest(StreamEngine, graphs, tuples)
     for got, want in zip(outputs, expected):
-        assert_outputs_equivalent(got, want, drifting_fields)
+        assert [t.values for t in got] == [t.values for t in want]
     assert drained["live_nodes"] == 0 and drained["queries"] == 0, drained
     return {
         "oracle_s": oracle_s,
@@ -111,10 +110,8 @@ def production_vs_oracle(graphs, tuples, drifting_fields=()):
     }
 
 
-#: The window aggregation the stream benchmarks measure, and its outputs
-#: with float drift between incremental and recomputed results.
+#: The window aggregation the stream benchmarks measure.
 AGGREGATIONS = ("temperature:avg", "windspeed:max", "rainrate:sum", "humidity:min")
-DRIFTING_FIELDS = {"avgtemperature", "sumrainrate"}
 
 
 def window_aggregate(window_type, size, step):
@@ -122,22 +119,6 @@ def window_aggregate(window_type, size, step):
         WindowSpec(window_type, size, step),
         [AggregationSpec.parse(text) for text in AGGREGATIONS],
     )
-
-
-def assert_outputs_equivalent(got, expected, drifting_fields):
-    """Production and oracle outputs must agree: exactly, except to
-    float tolerance for *drifting_fields* — the outputs where
-    incremental eviction (running sums) legitimately drifts from the
-    oracle's per-window recompute by a few ulps."""
-    assert len(got) == len(expected)
-    for got_tuple, expected_tuple in zip(got, expected):
-        for name, g, e in zip(
-            got_tuple.schema.attribute_names, got_tuple.values, expected_tuple.values
-        ):
-            if name in drifting_fields:
-                assert math.isclose(g, e, rel_tol=1e-9, abs_tol=1e-6), (name, g, e)
-            else:
-                assert g == e, (name, g, e)
 
 
 def _load(artifact):

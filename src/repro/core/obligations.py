@@ -163,7 +163,13 @@ def _decode_window(obligation: Obligation) -> AggregateOperator:
 
 
 def _as_int(value, what: str) -> int:
+    """*value* as an int.  A fractional or boolean value is refused, not
+    truncated: 2.9 → 2 would grant a finer window than the policy says."""
     try:
+        if isinstance(value, bool) or (
+            isinstance(value, float) and not value.is_integer()
+        ):
+            raise ValueError(value)
         return int(value)
     except (TypeError, ValueError):
         raise ObligationError(f"bad {what}: {value!r}") from None

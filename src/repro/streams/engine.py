@@ -37,11 +37,11 @@ class StreamEngine:
     Queries run on one shared execution plan per input stream
     (:class:`~repro.streams.plan.StreamPlan`): filter conditions
     compiled to closures per schema, pipelines evaluated
-    batch-at-a-time, window aggregation on columnar buffers (recomputed
-    or incremental, by window shape), and queries with identical — or
-    provably subsuming — operator prefixes sharing DAG nodes, so a
-    pushed batch is filtered/windowed once per distinct prefix instead
-    of once per query.
+    batch-at-a-time, window aggregation recomputed per emission from
+    columnar buffers, and queries with identical — or provably
+    subsuming — operator prefixes sharing DAG nodes, so a pushed batch
+    is filtered/windowed once per distinct prefix instead of once per
+    query.
     """
 
     def __init__(self, host: str = "dsms.local"):

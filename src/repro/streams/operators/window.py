@@ -12,18 +12,17 @@ t0+i·step+size)`` and is emitted once a tuple at or past the window's end
 arrives (empty time windows emit nothing, matching StreamBase).
 
 Window state is columnar: per-attribute ring buffers (plain value lists
-with a logical base offset) filled batch-at-a-time.  A tuple window is
-recomputed per emission from a column slice — a C-speed
-``sum``/``min``/``max`` over ``size`` values — unless it is deep enough
-for O(step) insert/evict upkeep of an incremental
-:class:`~repro.streams.operators.aggregate.AggregateState` to cost less
-than that O(size) pass (:func:`_incremental_pays`); functions without a
-state (third-party registrations) are always recomputed.  Time windows
-evict through monotonic buffer pointers, with a
-scan fallback that keeps out-of-order timestamp streams
-output-identical to the oracle's row-buffer recompute
-(:mod:`repro.streams.reference`, which the differential tests compare
-this module against).
+with a logical base offset) filled batch-at-a-time.  Every window, of
+either type, is evaluated one way: each aggregation's ``compute`` over
+the window's column slice — for the built-ins a C-speed
+``sum``/``min``/``max`` pass over ``size`` values, O(size) per emission
+and cheaper than Python-level per-tuple upkeep at every window depth a
+policy uses (``docs/performance.md`` records the sizing and the depth
+where that stops holding).  Time windows find their slice through
+monotonic buffer pointers, with a scan fallback for out-of-order
+timestamp streams.  Outputs are bit-identical to the oracle's row-buffer
+recompute (:mod:`repro.streams.reference`, which the differential tests
+compare this module against).
 """
 
 from __future__ import annotations
@@ -36,20 +35,6 @@ from repro.streams.operators.aggregate import AggregateFunction, get_aggregate_f
 from repro.streams.operators.base import Operator
 from repro.streams.schema import DataType, Field, Schema, _widener
 from repro.streams.tuples import StreamTuple, extract_columns
-
-
-def _incremental_pays(size: int, step: int) -> bool:
-    """Whether incremental states beat per-emission recompute for a
-    tuple window of this shape.  Per emission the states cost
-    Python-level upkeep growing with ``step`` (≈ 8 µs + 1.1 µs/position
-    for four aggregations), recompute one C-speed pass over ``size``
-    values (≈ 3 µs + 0.05 µs/value); through the whole operator the two
-    meet near size 100 / 170 / 270 / 460 at step 1 / 4 / 8 / 16.  The
-    ``crossover`` section of ``BENCH_window_agg.json``
-    (``benchmarks/bench_window_agg.py``) records the measurement beside
-    this prediction per shape.
-    """
-    return size > 80 + 24 * step
 
 
 class WindowType(enum.Enum):
@@ -80,6 +65,13 @@ class WindowSpec:
             raise StreamError(f"window size must be positive, got {size}")
         if step <= 0:
             raise StreamError(f"window advance step must be positive, got {step}")
+        if window_type is WindowType.TUPLE and not (
+            type(size) is int and type(step) is int
+        ):
+            raise StreamError(
+                f"a tuple window counts tuples: size and advance step must be "
+                f"ints, got {size!r} and {step!r}"
+            )
         self.window_type = window_type
         self.size = size
         self.step = step
@@ -168,8 +160,8 @@ class AggregationSpec:
 
 
 class AggregateOperator(Operator):
-    """Apply aggregate functions over a sliding window, on columnar
-    buffers (recomputed or incremental by shape) — see the module docstring.
+    """Apply aggregate functions over a sliding window, recomputed per
+    emission from columnar buffers — see the module docstring.
     """
 
     kind = "aggregate"
@@ -279,17 +271,16 @@ class _ColumnarWindow:
     """
 
     __slots__ = (
-        "size", "step", "specs", "attr_keys", "cols", "computes",
+        "size", "step", "attr_keys", "cols", "computes",
         "schema", "positions", "widen",
     )
 
     def __init__(self, operator: AggregateOperator, schema: Schema):
         self.size = operator.window.size
         self.step = operator.window.step
-        self.specs = operator.aggregations
         attr_keys: List[str] = []
         index_of = {}
-        for spec in self.specs:
+        for spec in operator.aggregations:
             if spec.attribute not in index_of:
                 index_of[spec.attribute] = len(attr_keys)
                 attr_keys.append(spec.attribute)
@@ -298,7 +289,7 @@ class _ColumnarWindow:
         #: Per spec ``(compute, column)``, bound once.
         self.computes = [
             (spec.function.compute, self.cols[index_of[spec.attribute]])
-            for spec in self.specs
+            for spec in operator.aggregations
         ]
         self.schema: Optional[Schema] = None
         #: Bound on the first emission (it needs the output schema).
@@ -328,35 +319,21 @@ class _ColumnarWindow:
 
 
 class _ColumnarTupleWindow(_ColumnarWindow):
-    """Tuple-window state: columnar buffers, recomputed or incremental.
+    """Tuple-window state: columnar buffers, one slice per window.
 
     ``win_start`` is the logical position of the pending window's first
-    tuple, ``base`` the logical position of ``cols[*][0]``.  A window
-    below :func:`_incremental_pays` carries no states: each complete
-    window is one ``compute`` per aggregation over its column slice,
-    bit-identical to the oracle.  A deeper window (always step < size)
-    feeds incremental states instead — ``inserted`` is the next position
-    to feed them — and on every advance evicts exactly the ``step``
-    positions it slid past, so an emission is O(step), not O(size).
+    tuple, ``base`` the logical position of ``cols[*][0]``.  Each
+    complete window is one ``compute`` per aggregation over its column
+    slice, bit-identical to the oracle.
     """
 
-    __slots__ = ("states", "stateful", "base", "count", "win_start", "inserted")
+    __slots__ = ("base", "count", "win_start")
 
     def __init__(self, operator: AggregateOperator, schema: Schema):
         super().__init__(operator, schema)
-        if _incremental_pays(self.size, self.step):
-            self.states = [spec.function.make_state() for spec in self.specs]
-        else:
-            self.states = [None] * len(self.specs)
-        self.stateful = [
-            (state, col)
-            for state, (_, col) in zip(self.states, self.computes)
-            if state is not None
-        ]
         self.base = 0
         self.count = 0
         self.win_start = 0
-        self.inserted = 0
 
     def process(
         self, tuples: Sequence[StreamTuple], output_schema: Schema
@@ -366,14 +343,9 @@ class _ColumnarTupleWindow(_ColumnarWindow):
             col.extend(new_values)
         self.count += len(tuples)
         count, size, base = self.count, self.size, self.base
-        if self.stateful:
-            outputs = self._sweep_incremental(output_schema)
-        else:
-            starts = range(self.win_start - base, count - base - size + 1, self.step)
-            outputs = [
-                self._emit_slice(low, low + size, output_schema) for low in starts
-            ]
-            self.win_start += len(starts) * self.step
+        starts = range(self.win_start - base, count - base - size + 1, self.step)
+        outputs = [self._emit_slice(low, low + size, output_schema) for low in starts]
+        self.win_start += len(starts) * self.step
         # Trim the dead prefix no window can need again.  The base can
         # only advance to positions that already exist (a step>size
         # window's start may lie beyond the last arrival).
@@ -383,35 +355,6 @@ class _ColumnarTupleWindow(_ColumnarWindow):
                 del col[: new_base - base]
             self.base = new_base
         return outputs
-
-    def _sweep_incremental(self, output_schema: Schema) -> List[StreamTuple]:
-        count, size, step = self.count, self.size, self.step
-        outputs: List[StreamTuple] = []
-        while True:
-            window_end = self.win_start + size
-            # Feed the states every arrived value of the pending window.
-            low = self.inserted
-            high = count if count < window_end else window_end
-            if low < high:
-                offset, limit = low - self.base, high - self.base
-                for state, col in self.stateful:
-                    state.insert_many(col[offset:limit])
-                self.inserted = high
-            if count < window_end:
-                return outputs
-            start = self.win_start - self.base
-            end = start + size
-            outputs.append(self._coerced(
-                [
-                    state.result() if state is not None else compute(col[start:end])
-                    for state, (compute, col) in zip(self.states, self.computes)
-                ],
-                output_schema,
-            ))
-            # Advance: evict the positions the window slid past.
-            for state, col in self.stateful:
-                state.evict_many(col[start:start + step])
-            self.win_start += step
 
 
 class _ColumnarTimeWindow(_ColumnarWindow):

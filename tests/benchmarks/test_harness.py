@@ -3,11 +3,18 @@ only timing / gating / artifact code outside ``benchmarks/e2e``."""
 
 import gc
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 from benchmarks import harness
+from repro.streams.engine import StreamEngine
+from repro.streams.graph import QueryGraph
+from repro.streams.operators import WindowType
+from repro.streams.schema import DataType, Field, Schema
+from repro.streams.sources import WeatherSource
+from repro.streams.tuples import StreamTuple
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -85,6 +92,50 @@ class TestTimed:
         assert built == [0, 1, 2]
 
 
+class TestProductionVsOracle:
+    def test_reports_both_sides_of_an_equal_run(self):
+        graph = QueryGraph("weather").append(
+            harness.window_aggregate(WindowType.TUPLE, 4, 1)
+        )
+        run = harness.production_vs_oracle([graph], WeatherSource(seed=5).tuples(40))
+        assert len(run["outputs"][0]) == 37
+        assert run["speedup"] == run["oracle_s"] / run["production_s"]
+        assert run["plan"]["queries"] == 1
+
+    def test_outputs_one_ulp_apart_are_not_equal(self, monkeypatch):
+        schema = Schema("out", [Field("avgx", DataType.DOUBLE)])
+
+        def ingest(build, graphs, tuples):
+            value = 1.0 if build is StreamEngine else math.nextafter(1.0, 2.0)
+            drained = {"live_nodes": 0, "queries": 0}
+            return 0.001, [[StreamTuple(schema, (value,))]], drained, drained
+
+        monkeypatch.setattr(harness, "_ingest", ingest)
+        with pytest.raises(AssertionError):
+            harness.production_vs_oracle([None], [])
+
+
+def occurrences(needles, roots):
+    """(file, needle) for every needle found under *roots* —
+    ``benchmarks/e2e`` (frozen) excepted."""
+    found = []
+    for root in roots:
+        for path in sorted((REPO_ROOT / root).rglob("*")):
+            if (
+                not path.is_file()
+                or path.suffix not in {".py", ".md", ".yml", ".json"}
+                or REPO_ROOT / "benchmarks" / "e2e" in path.parents
+            ):
+                continue
+            text = path.read_text()
+            found += [
+                (str(path.relative_to(REPO_ROOT)), needle)
+                for needle in needles
+                if needle in text
+            ]
+    return found
+
+
 class TestCensus:
     def test_no_bench_script_times_gates_or_writes_on_its_own(self):
         scripts = sorted((REPO_ROOT / "benchmarks").glob("bench_*.py"))
@@ -105,19 +156,16 @@ class TestCensus:
         # Split so that this file does not itself contain them.
         needles = ("BENCH_SMOKE" + "_RELAXED", "aggregate" + "_bench", "BENCH_" + "trajectory")
         roots = ("src", "benchmarks", "tests", "docs", "examples", ".github", ".claude")
-        offenders = []
-        for root in roots:
-            for path in sorted((REPO_ROOT / root).rglob("*")):
-                if (
-                    not path.is_file()
-                    or path.suffix not in {".py", ".md", ".yml", ".json"}
-                    or REPO_ROOT / "benchmarks" / "e2e" in path.parents
-                ):
-                    continue
-                text = path.read_text()
-                offenders += [
-                    (str(path.relative_to(REPO_ROOT)), needle)
-                    for needle in needles
-                    if needle in text
-                ]
-        assert offenders == []
+        assert occurrences(needles, roots) == []
+
+    def test_the_incremental_window_path_is_gone(self):
+        """The aggregate states, the rule that picked them and the
+        tolerance their drift needed occur in no code, CI or skill
+        (``docs/performance.md`` records the deletion, in the past tense)."""
+        needles = (
+            "Aggregate" + "State", "make" + "_state", "_incremental" + "_pays",
+            "_sweep" + "_incremental", "incremental" + "_edge", "deep" + "_windows",
+            "DRIFT" + "ING", "drifting" + "_fields",
+        )
+        roots = ("src", "benchmarks", "tests", "examples", ".github", ".claude")
+        assert occurrences(needles, roots) == []

@@ -7,6 +7,13 @@ from collections import OrderedDict
 import pytest
 
 from repro.core import UserQuery, XacmlPlusInstance, stream_policy
+from repro.core.obligations import (
+    WINDOW_ATTR_ID,
+    WINDOW_OBLIGATION,
+    WINDOW_SIZE_ID,
+    WINDOW_STEP_ID,
+    WINDOW_TYPE_ID,
+)
 from repro.streams.graph import QueryGraph
 from repro.streams.operators import (
     AggregateOperator,
@@ -16,10 +23,11 @@ from repro.streams.operators import (
     WindowSpec,
     WindowType,
 )
-from repro.streams.operators.window import _incremental_pays
 from repro.streams.reference import ReferencePipeline, reference_operator
 from repro.streams.schema import WEATHER_SCHEMA
 from repro.streams.sources import WeatherSource
+from repro.xacml.attributes import AttributeValue
+from repro.xacml.response import AttributeAssignment, Effect, Obligation
 
 
 @pytest.fixture
@@ -41,13 +49,6 @@ def oracle(subject, input_schema=None):
     if isinstance(subject, QueryGraph):
         return ReferencePipeline(subject, input_schema)
     return reference_operator(subject)
-
-
-def incremental_edge(step: int) -> int:
-    """The smallest size of a step-*step* tuple window that runs on
-    incremental aggregate states instead of recomputing per emission —
-    what the two-sided window harnesses draw sizes around."""
-    return next(size for size in range(step, 100_000) if _incremental_pays(size, step))
 
 
 class NoWalk(OrderedDict):
@@ -81,6 +82,21 @@ def build_nea_policy_graph() -> QueryGraph:
         )
     )
     return graph
+
+
+def window_obligation(size, step) -> Obligation:
+    """A complete tuple-window obligation over ``rainrate:avg``, its
+    size and step typed the way the given Python values infer."""
+    assignments = [
+        (WINDOW_TYPE_ID, "tuple"),
+        (WINDOW_SIZE_ID, size),
+        (WINDOW_STEP_ID, step),
+        (WINDOW_ATTR_ID, "rainrate:avg"),
+    ]
+    return Obligation(WINDOW_OBLIGATION, Effect.PERMIT, [
+        AttributeAssignment(attribute_id, AttributeValue.infer(value))
+        for attribute_id, value in assignments
+    ])
 
 
 def build_lta_user_query() -> UserQuery:

@@ -17,7 +17,7 @@ from repro.streams.schema import WEATHER_SCHEMA
 from repro.xacml.attributes import AttributeValue
 from repro.xacml.request import Request
 from repro.xacml.response import AttributeAssignment, Effect, Obligation
-from tests.conftest import build_nea_policy_graph
+from tests.conftest import build_nea_policy_graph, window_obligation
 
 
 class TestEncodeDecode:
@@ -128,6 +128,24 @@ class TestDecodeErrors:
         )
         with pytest.raises(ObligationError):
             obligations_to_graph([obligation], "weather")
+
+
+class TestWindowGeometryIsIntegral:
+    """A fractional size would be truncated to a *finer* window than the
+    policy states (2.9 → 2, ``True`` → 1 before the fix): refused."""
+
+    @pytest.mark.parametrize("value", [2.9, True, "2.9", float("inf")])
+    def test_non_integral_size_or_step_is_refused(self, value):
+        for size, step in ((value, 1), (3, value)):
+            with pytest.raises(ObligationError, match="bad window"):
+                obligations_to_graph([window_obligation(size, step)], "weather")
+
+    @pytest.mark.parametrize("value", [7, 7.0, "7"])
+    def test_integral_spellings_decode_to_the_int(self, value):
+        graph = obligations_to_graph([window_obligation(value, value)], "weather")
+        window = graph.aggregate_operator.window
+        assert (window.size, window.step) == (7, 7)
+        assert type(window.size) is int and type(window.step) is int
 
 
 class TestStreamPolicy:

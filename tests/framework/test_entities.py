@@ -23,6 +23,7 @@ from repro.xacml.attributes import AttributeValue
 from repro.xacml.policy import Policy, Rule, Target
 from repro.xacml.request import Request
 from repro.xacml.response import AttributeAssignment, Effect, Obligation
+from tests.conftest import window_obligation
 
 
 def _filter_obligation(condition: str) -> Obligation:
@@ -39,6 +40,9 @@ UNENFORCEABLE = [
                  "window type, size and step", id="malformed-obligation"),
     pytest.param([_filter_obligation("rainrate >")], ExpressionError,
                  "expected a literal", id="malformed-condition"),
+    # xs:double 2.9 used to truncate to a size-2 (finer) window and permit.
+    pytest.param([window_obligation(2.9, 1)], ObligationError,
+                 "bad window size: 2.9", id="fractional-window-size"),
 ]
 
 

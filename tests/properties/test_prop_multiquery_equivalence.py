@@ -16,9 +16,9 @@ query's full drained output.  Afterwards it withdraws everything still
 live and asserts the plan's node refcounts drained to zero: shared
 nodes must not leak when the queries that shared them churn away.
 
-Aggregates in the template pool are restricted to the exact-state set
-(min/max/count/median/lastval), so outputs compare with ``==`` — drift
-tolerances for avg/sum/stdev are the StreamSQL fuzzer's department.
+Outputs compare with ``==``.  The template pool's aggregates are
+min/max/count/median/lastval; avg/sum/stdev under the same churn are the
+StreamSQL fuzzer's department, and compare exactly there too.
 """
 
 from hypothesis import given, settings, strategies as st

@@ -1,36 +1,24 @@
-"""Differential tests: columnar-incremental window aggregation ≡ seed.
+"""Differential tests: columnar window aggregation ≡ seed.
 
-The columnar path (per-attribute ring buffers + incremental
-:class:`~repro.streams.operators.aggregate.AggregateState` objects,
-with the two-stacks trick for min/max and reverse-Welford for stdev)
-must be output-equivalent to the seed row-oriented
-recompute-per-window path (the oracle, ``repro.streams.reference`` /
-``StreamEngine.reference()``) over hypothesis-generated streams and
-window specs — tuple and time windows, step < size (overlapping,
-where the incremental states actually engage), step = size and
-step > size (gaps), random batch partitions, and out-of-order
-timestamps for the time-window scan fallback.
+The columnar path (per-attribute ring buffers, one ``compute`` per
+aggregation over the window's column slice) must be output-equivalent
+to the seed row-oriented recompute-per-window path (the oracle,
+``repro.streams.reference`` / ``StreamEngine.reference()``) over
+hypothesis-generated streams and window specs — tuple and time windows,
+step < size (overlapping), step = size and step > size (gaps), random
+batch partitions, and out-of-order timestamps for the time-window scan
+fallback.
 
-Comparison discipline: **exact** equality for min/max/count/first/
-last/median, for every aggregate over int columns (running int sums
-are arbitrary-precision), and for all time windows (their columnar
-path recomputes from column slices, which reassociates nothing);
-**float tolerance** for avg/sum/stdev over double columns on
-overlapping tuple windows, where incremental eviction legitimately
-drifts from a fresh recomputation by a few ulps.
+Comparison discipline: **exact** equality, everywhere.  Production and
+oracle both hand the same values in the same order to the same
+``compute``, so nothing is entitled to differ by even an ulp.
 
-Tuple windows pick recompute or incremental states by shape
-(``operators.window._incremental_pays``), and every shape a policy
-plausibly uses — all of the small-shape draws here — recomputes.
-``TestBothSidesOfTheRule`` is what keeps the incremental path under
-differential proof: it draws shapes straddling the rule and compares
-with ``StreamEngine.reference()`` **exactly** on the recompute side and
-with the drifting-field tolerance on the incremental side.  Under
-``FUZZ_LONG=1`` (the nightly ``fuzz-deep`` job) it runs a far larger
-example budget.
+The small-shape draws cover every window a policy plausibly uses;
+``TestDeepWindows`` draws sizes up to 400 so the ring-buffer trim and
+the batch-spanning sweep are proven at depth too.  Under ``FUZZ_LONG=1``
+(the nightly ``fuzz-deep`` job) it runs a far larger example budget.
 """
 
-import math
 import os
 import random
 
@@ -44,10 +32,9 @@ from repro.streams.operators import (
     WindowSpec,
     WindowType,
 )
-from repro.streams.operators.window import _incremental_pays
 from repro.streams.schema import DataType, Field, Schema
 from repro.streams.tuples import StreamTuple
-from tests.conftest import incremental_edge, oracle
+from tests.conftest import oracle
 
 SCHEMA = Schema(
     "w",
@@ -64,10 +51,6 @@ AGG_POOL = [
     "x:firstval", "x:lastval", "x:stdev", "x:median",
     "i:sum", "i:min", "i:max", "i:avg",
 ]
-
-#: Aggregations whose incremental state does float arithmetic that can
-#: drift from recomputation (running add/subtract, reverse-Welford).
-DRIFTING = {"avg", "sum", "stdev"}
 
 values_strategy = st.lists(
     st.floats(min_value=-50, max_value=50, allow_nan=False, width=32),
@@ -105,25 +88,8 @@ def partition(items, cuts):
     return batches
 
 
-def assert_equivalent(got, expected, output_schema, specs):
-    """Per-field comparison: exact, except float tolerance where the
-    incremental state legitimately reassociates float arithmetic.
-    Constant-window stdev is carved back out of the tolerance: the
-    reverse-Welford state detects all-equal windows (suffix run) and
-    answers an exact 0.0, so a zero expectation admits zero drift."""
-    assert len(got) == len(expected)
-    field_rules = [
-        (field.dtype is DataType.DOUBLE and spec.function.name in DRIFTING, spec)
-        for field, spec in zip(output_schema, specs)
-    ]
-    for got_tuple, expected_tuple in zip(got, expected):
-        for (tolerant, spec), g, e in zip(
-            field_rules, got_tuple.values, expected_tuple.values
-        ):
-            if tolerant and not (spec.function.name == "stdev" and e == 0.0):
-                assert math.isclose(g, e, rel_tol=1e-6, abs_tol=1e-4), (g, e)
-            else:
-                assert g == e, (g, e)
+def assert_equivalent(got, expected):
+    assert [t.values for t in got] == [t.values for t in expected]
 
 
 def run_pair(graph, tuples, cuts):
@@ -136,7 +102,7 @@ def run_pair(graph, tuples, cuts):
     expected = []
     for tup in tuples:
         expected.extend(reference.process(tup))
-    return got, expected, columnar.output_schema
+    return got, expected
 
 
 class TestTupleWindowEquivalence:
@@ -151,10 +117,7 @@ class TestTupleWindowEquivalence:
     def test_columnar_matches_seed(self, values, size, step, aggs, cuts):
         graph = build_graph(WindowType.TUPLE, size, step, aggs)
         tuples = make_tuples(values)
-        got, expected, output_schema = run_pair(graph, tuples, cuts)
-        assert_equivalent(
-            got, expected, output_schema, graph.aggregate_operator.aggregations
-        )
+        assert_equivalent(*run_pair(graph, tuples, cuts))
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -163,14 +126,11 @@ class TestTupleWindowEquivalence:
         aggs=st.lists(st.sampled_from(AGG_POOL), min_size=1, max_size=4, unique=True),
     )
     def test_fully_overlapping_window(self, values, size, aggs):
-        """step=1 is the maximum-overlap stress for the state machinery
-        (every tuple triggers one insert and one evict per spec)."""
+        """step=1 is the maximum overlap: every tuple past the first
+        ``size - 1`` closes a window."""
         graph = build_graph(WindowType.TUPLE, size, 1, aggs)
         tuples = make_tuples(values)
-        got, expected, output_schema = run_pair(graph, tuples, [7, 8, 23])
-        assert_equivalent(
-            got, expected, output_schema, graph.aggregate_operator.aggregations
-        )
+        assert_equivalent(*run_pair(graph, tuples, [7, 8, 23]))
 
 
 class TestTimeWindowEquivalence:
@@ -188,8 +148,7 @@ class TestTimeWindowEquivalence:
         cuts=st.lists(st.integers(min_value=0, max_value=60), max_size=4),
     )
     def test_monotonic_timestamps(self, values, deltas, size, step, aggs, cuts):
-        """Monotonic timestamps (the pointer-eviction fast path):
-        the columnar path recomputes from slices, so equality is exact."""
+        """Monotonic timestamps (the pointer-eviction fast path)."""
         n = min(len(values), len(deltas))
         timestamps, now = [], 0.0
         for delta in deltas[:n]:
@@ -197,8 +156,7 @@ class TestTimeWindowEquivalence:
             timestamps.append(now)
         graph = build_graph(WindowType.TIME, size, step, aggs)
         tuples = make_tuples(values[:n], timestamps)
-        got, expected, output_schema = run_pair(graph, tuples, cuts)
-        assert [t.values for t in got] == [t.values for t in expected]
+        assert_equivalent(*run_pair(graph, tuples, cuts))
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -219,8 +177,7 @@ class TestTimeWindowEquivalence:
         n = min(len(values), len(timestamps))
         graph = build_graph(WindowType.TIME, size, step, aggs)
         tuples = make_tuples(values[:n], timestamps[:n])
-        got, expected, output_schema = run_pair(graph, tuples, cuts)
-        assert [t.values for t in got] == [t.values for t in expected]
+        assert_equivalent(*run_pair(graph, tuples, cuts))
 
 
 class TestEngineLevelEquivalence:
@@ -233,7 +190,7 @@ class TestEngineLevelEquivalence:
     )
     def test_compiled_engine_matches_reference_engine(self, values, size, step, cuts):
         """Acceptance criterion: the default engine path is
-        output-identical (modulo float drift) to StreamEngine.reference()."""
+        output-identical to StreamEngine.reference()."""
         aggs = ["x:avg", "x:min", "x:max", "x:count", "i:sum"]
         recs = make_tuples(values)
         outputs = {}
@@ -252,28 +209,13 @@ class TestEngineLevelEquivalence:
                 for batch in partition(recs, cuts):
                     engine.push_batch("w", batch)
             outputs[mode] = engine.read(handle)
-            output_schema = engine.lookup(handle).output_schema
-        assert_equivalent(
-            outputs["compiled"],
-            outputs["reference"],
-            output_schema,
-            [AggregationSpec.parse(text) for text in aggs],
-        )
-
-
-@st.composite
-def straddling_shapes(draw):
-    """(size, step) with the size anywhere up to 3x the rule's edge for
-    that step — a third of the draws below the rule, two thirds above."""
-    step = draw(st.integers(min_value=1, max_value=3))
-    size = draw(st.integers(min_value=step, max_value=3 * incremental_edge(step)))
-    return size, step
+        assert_equivalent(outputs["compiled"], outputs["reference"])
 
 
 def seeded_values(seed, count):
     """*count* float32-representable values; runs of repeats now and
-    then, so constant windows (stdev's exact-zero snap-back) and ties
-    (min/max, median) reach deep windows too."""
+    then, so constant windows (stdev's exact zero) and ties (min/max,
+    median) reach deep windows too."""
     rng = random.Random(seed)
     values = []
     while len(values) < count:
@@ -282,22 +224,22 @@ def seeded_values(seed, count):
     return values[:count]
 
 
-class TestBothSidesOfTheRule:
-    """Production ≡ ``StreamEngine.reference()`` on either side of the
-    recompute/incremental rule, the whole aggregate pool included."""
+class TestDeepWindows:
+    """Production ≡ ``StreamEngine.reference()`` at window depths far
+    past anything a policy uses, the whole aggregate pool included."""
 
     @settings(max_examples=1500 if os.environ.get("FUZZ_LONG") else 60, deadline=None)
     @given(
-        shape=straddling_shapes(),
+        size=st.integers(min_value=3, max_value=400),
+        step=st.integers(min_value=1, max_value=3),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         surplus=st.integers(min_value=0, max_value=120),
         aggs=st.lists(st.sampled_from(AGG_POOL), min_size=1, max_size=5, unique=True),
         cuts=st.lists(st.integers(min_value=0, max_value=700), max_size=6),
     )
-    def test_engine_matches_reference_across_the_rule(
-        self, shape, seed, surplus, aggs, cuts
+    def test_engine_matches_reference_at_depth(
+        self, size, step, seed, surplus, aggs, cuts
     ):
-        size, step = shape
         tuples = make_tuples(seeded_values(seed, size + surplus))
         production, reference = StreamEngine(), StreamEngine.reference()
         handles = []
@@ -313,12 +255,4 @@ class TestBothSidesOfTheRule:
         got = production.read(handles[0])
         expected = reference.read(handles[1])
         assert len(expected) == surplus // step + 1
-        if _incremental_pays(size, step):
-            assert_equivalent(
-                got,
-                expected,
-                production.lookup(handles[0]).output_schema,
-                [AggregationSpec.parse(text) for text in aggs],
-            )
-        else:
-            assert [t.values for t in got] == [t.values for t in expected]
+        assert_equivalent(got, expected)

@@ -1,4 +1,4 @@
-"""Tests for the aggregate-function registry and incremental states."""
+"""Tests for the aggregate-function registry and what a window output promises."""
 
 import math
 import random
@@ -9,11 +9,17 @@ from repro.errors import StreamError
 from repro.streams.operators.aggregate import (
     AGGREGATE_FUNCTIONS,
     AggregateFunction,
-    AggregateState,
     get_aggregate_function,
     register_aggregate_function,
 )
-from repro.streams.schema import DataType, Field
+from repro.streams.operators.window import (
+    AggregateOperator,
+    AggregationSpec,
+    WindowSpec,
+    WindowType,
+)
+from repro.streams.schema import DataType, Field, Schema
+from repro.streams.tuples import StreamTuple
 
 
 class TestLookup:
@@ -110,132 +116,9 @@ class TestRegistration:
         finally:
             AGGREGATE_FUNCTIONS.pop("range", None)
 
-    def test_custom_function_has_no_state(self):
-        """Third-party registrations without a state factory fall back
-        to recompute-per-window (make_state returns None)."""
-        function = AggregateFunction("range", lambda v: max(v) - min(v), lambda d: d)
-        assert function.make_state() is None
-
-
-class TestIncrementalStates:
-    """make_state() drives a sliding window exactly like the engine:
-    FIFO insert/evict; result must track the recompute answer."""
-
-    STATEFUL = ("avg", "sum", "min", "max", "count", "lastval", "firstval",
-                "stdev", "median")
-
-    def slide(self, name, values, size, exact=True):
-        """Slide a size-`size` step-1 window over *values*, comparing
-        the incremental result to compute() at every position."""
-        function = get_aggregate_function(name)
-        state = function.make_state()
-        assert state is not None
-        for index, value in enumerate(values):
-            state.insert(value)
-            if index >= size:
-                state.evict(values[index - size])
-            window = values[max(0, index - size + 1): index + 1]
-            expected = function.compute(window)
-            got = state.result()
-            if exact:
-                assert got == expected, (name, index, got, expected)
-            else:
-                assert math.isclose(got, expected, rel_tol=1e-9, abs_tol=1e-9)
-
-    def test_all_stateful_functions_on_ints(self):
-        rng = random.Random(7)
-        values = [rng.randint(-100, 100) for _ in range(80)]
-        for name in self.STATEFUL:
-            exact = name not in ("avg", "stdev")
-            self.slide(name, values, size=7, exact=exact)
-
-    def test_all_stateful_functions_on_floats(self):
-        rng = random.Random(11)
-        values = [rng.uniform(-50, 50) for _ in range(80)]
-        for name in self.STATEFUL:
-            exact = name in ("min", "max", "count", "lastval", "firstval", "median")
-            self.slide(name, values, size=5, exact=exact)
-
-    def test_min_max_exact_under_duplicates(self):
-        """The two-stacks extremum must survive duplicate values and
-        repeated pour-overs."""
-        values = [3, 1, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 1, 1, 1]
-        self.slide("min", values, size=4)
-        self.slide("max", values, size=4)
-
-    def test_welford_eviction_down_to_empty(self):
-        state = get_aggregate_function("stdev").make_state()
-        for value in (2.0, 4.0, 4.0):
-            state.insert(value)
-        for value in (2.0, 4.0, 4.0):
-            state.evict(value)
-        state.insert(10.0)
-        state.insert(14.0)
-        assert math.isclose(state.result(), get_aggregate_function("stdev").compute([10.0, 14.0]))
-
-    def test_insert_many_evict_many_match_per_value(self):
-        """The batched state entry points must agree with value-at-a-time
-        driving (the overrides reduce whole batches in C)."""
-        rng = random.Random(5)
-        values = [rng.randint(-30, 30) for _ in range(40)]
-        for name in self.STATEFUL:
-            function = get_aggregate_function(name)
-            batched, stepped = function.make_state(), function.make_state()
-            batched.insert_many(values)
-            for value in values:
-                stepped.insert(value)
-            assert batched.result() == stepped.result() or math.isclose(
-                batched.result(), stepped.result(), rel_tol=1e-9
-            ), name
-            batched.evict_many(values[:25])
-            for value in values[:25]:
-                stepped.evict(value)
-            assert batched.result() == stepped.result() or math.isclose(
-                batched.result(), stepped.result(), rel_tol=1e-9
-            ), name
-
-    def test_sum_avg_survive_large_outlier_eviction(self):
-        """Neumaier compensation: small values absorbed by a huge
-        intermediate total must reappear once the outlier evicts —
-        a bare running total would report 0.0 forever after."""
-        for name, expected in (("sum", 3.0), ("avg", 1.0)):
-            state = get_aggregate_function(name).make_state()
-            state.insert(1e16)
-            for _ in range(3):
-                state.insert(1.0)
-            state.evict(1e16)
-            assert state.result() == expected, name
-
-    def test_sum_avg_batched_outlier_absorption_recovered(self):
-        """The batched entry points must compensate *within* the batch
-        too: a plain sum() pre-collapse of [1e16, 1.0, 1.0, 1.0] loses
-        the small values before any compensation could see them."""
-        for name, expected in (("sum", 3.0), ("avg", 1.0)):
-            state = get_aggregate_function(name).make_state()
-            state.insert_many([1e16, 1.0, 1.0, 1.0])
-            state.evict_many([1e16])
-            assert state.result() == expected, name
-
-    def test_int_sum_stays_exact_int(self):
-        state = get_aggregate_function("sum").make_state()
-        for value in (10**18, 3, -(10**18)):
-            state.insert(value)
-        state.evict(10**18)
-        assert state.result() == 3 - 10**18
-        assert isinstance(state.result(), int)
-
-    def test_protocol_base_raises(self):
-        state = AggregateState()
-        with pytest.raises(NotImplementedError):
-            state.insert(1)
-        with pytest.raises(NotImplementedError):
-            state.evict(1)
-        with pytest.raises(NotImplementedError):
-            state.result()
-
 
 class TestWelfordStdev:
-    """The module-level _stdev is now Welford single-pass; it must agree
+    """The module-level _stdev is Welford single-pass; it must agree
     with the two-pass textbook formula and stay stable for large means."""
 
     def two_pass(self, values):
@@ -261,66 +144,93 @@ class TestWelfordStdev:
         expected = self.two_pass([0.0, 1.0, 2.0, 3.0])
         assert math.isclose(got, expected, rel_tol=1e-6)
 
+    #: input → ``float.hex()`` of its stdev, recorded by running the
+    #: commit *before* ``_stdev`` became a plain loop: no output moved.
+    GOLDEN = [
+        ([5], "0x0.0p+0"),
+        ([5.5], "0x0.0p+0"),
+        ([2, 4, 4, 4, 5, 5, 7, 9], "0x1.11acee560242ap+1"),
+        ([3.7, -12.1, 8.88, 0.003], "0x1.1d8ec526502bep+3"),
+        ([0.1, 0.2, 0.3], "0x1.9999999999998p-4"),
+        ([-50.0, 49.875, 12.125, -0.125, 7.0], "0x1.1e005033839d1p+5"),
+        ([10, -3, 7, 7, 0, 100], "0x1.3b4d5bdf1d5edp+5"),
+        ([4.2, 4.2, 4.2, 4.2], "0x0.0p+0"),
+        ([1519.9169921875] * 6, "0x0.0p+0"),
+        ([2, 2.0, 2, 2.0], "0x0.0p+0"),
+        # A constant run that breaks.
+        ([7.5, 7.5, 7.5, 1.25, -3.0], "0x1.34edb0413cf2dp+2"),
+        ([7, 7, 7, 8], "0x1.0000000000000p-1"),
+        # Large means.
+        ([1e9, 1e9 + 1.0, 1e9 + 2.0, 1e9 + 3.0], "0x1.4a7e9cb8a3491p+0"),
+        ([1e9 + 0.1, 1e9 + 0.1, 1e9 + 0.3], "0x1.d8f71a170a8b2p-4"),
+        ([1e16, 1.0, 1.0, 1.0], "0x1.1c37937e08000p+52"),
+        ([2**53 + 1, 2**53 + 1, 2**53 + 3], "0x1.0000000000000p+1"),
+        ([0.1, 1e8, -3.5, 1e8, 0.1], "0x1.a1e1102d2f7a9p+25"),
+    ]
 
-class TestWelfordConstantWindows:
-    """PR 5 regression pins: the reverse-Welford state must answer an
-    *exact* 0.0 once the held window is constant (the ~8e-7-vs-0.0
-    drift the PR 4 fuzzer caught and tolerated), and must never hold a
-    negative variance residue after an eviction."""
+    @pytest.mark.parametrize("values,expected", GOLDEN)
+    def test_golden_table(self, values, expected):
+        assert get_aggregate_function("stdev").compute(values).hex() == expected
 
-    def sliding(self, values, size):
-        """Drive a state window-fashion; yield the result per window."""
-        state = get_aggregate_function("stdev").make_state()
-        for index, value in enumerate(values):
-            state.insert(value)
-            if index >= size:
-                state.evict(values[index - size])
-            if index >= size - 1:
-                yield state.result()
+
+#: A DOUBLE and an INT column; tuples are built directly, so an int
+#: placed in the DOUBLE column stays an int.
+WINDOW_SCHEMA = Schema("w", [Field("x", DataType.DOUBLE), Field("i", DataType.INT)])
+
+
+def window_outputs(aggregation, rows):
+    """Column *aggregation* of a size-4 step-1 tuple window over *rows*."""
+    operator = AggregateOperator(
+        WindowSpec(WindowType.TUPLE, 4, 1), [AggregationSpec.parse(aggregation)]
+    )
+    emitted = operator.process_batch(
+        [StreamTuple(WINDOW_SCHEMA, row) for row in rows],
+        operator.output_schema(WINDOW_SCHEMA),
+    )
+    return [tup.values[0] for tup in emitted]
+
+
+class TestSlidingWindowOutputs:
+    """What a window *output* promises once values have slid out of it:
+    no residue of a departed value — an exact 0.0 stdev over a window
+    gone constant (the ~8e-7 the PR 4 fuzzer caught), exact sums after
+    an outlier, int sums that stay ints."""
+
+    def stdevs(self, values):
+        return window_outputs("x:stdev", [(value, 0) for value in values])
 
     def test_window_going_constant_is_exactly_zero(self):
-        # Varied prefix, then a constant tail: the fuzzer's shape.  Once
-        # the varied values have been evicted, the suffix-run detector
-        # must snap the variance to an exact zero — no drift allowance.
         prefix = [3.7, -12.1, 8.88, 0.003]
-        values = prefix + [4.2] * 12
-        results = list(self.sliding(values, size=4))
-        assert results[-1] == 0.0
+        results = self.stdevs(prefix + [4.2] * 12)
         # results[k] covers values[k:k+4]: fully constant from k=4 on.
-        for result in results[len(prefix):]:
-            assert result == 0.0
+        assert results[len(prefix):] == [0.0] * 9
+        assert all(result > 0.0 for result in results[:len(prefix)])
 
     def test_equal_timestamp_regression_shape(self):
-        # The literal PR 4 finding: overlapping window of equal values
-        # reached through insert/evict churn answered ~8e-7.
-        values = [1519.9169921875] * 6 + [1519.9169921875] * 6
-        assert all(r == 0.0 for r in self.sliding(values, size=4))
+        assert self.stdevs([1519.9169921875] * 12) == [0.0] * 9
 
     def test_mixed_int_float_equal_values_are_constant(self):
-        values = [2, 2.0, 2, 2.0, 2]
-        assert list(self.sliding(values, size=3)) == [0.0, 0.0, 0.0]
+        assert self.stdevs([2, 2.0, 2, 2.0, 2, 2.0]) == [0.0, 0.0, 0.0]
 
-    def test_variance_never_negative_after_evictions(self):
+    def test_stdev_never_negative(self):
         rng = random.Random(11)
-        state = get_aggregate_function("stdev").make_state()
-        window = []
-        for _ in range(2000):
-            value = rng.choice((0.1, 1e8, -3.5, 1e8, 0.1))
-            window.append(value)
-            state.insert(value)
-            if len(window) > 5:
-                state.evict(window.pop(0))
-            assert state.m2 >= 0.0
-            assert state.result() >= 0.0
+        values = [rng.choice((0.1, 1e8, -3.5, 1e8, 0.1)) for _ in range(2000)]
+        assert all(result >= 0.0 for result in self.stdevs(values))
 
-    def test_constant_then_varied_still_matches_recompute(self):
-        # Leaving the constant regime must not corrupt the state: the
-        # snapped (mean, 0.0) is the exact state for the held values.
+    def test_constant_then_varied_is_the_window_recompute(self):
         values = [7.5] * 6 + [1.25, -3.0, 9.75, 7.5, 7.5, 2.0]
-        size = 4
         recompute = get_aggregate_function("stdev").compute
-        for got, index in zip(
-            self.sliding(values, size), range(size - 1, len(values))
-        ):
-            expected = recompute(values[index - size + 1:index + 1])
-            assert math.isclose(got, expected, rel_tol=1e-9, abs_tol=1e-12)
+        assert self.stdevs(values) == [
+            recompute(values[start:start + 4]) for start in range(len(values) - 3)
+        ]
+
+    @pytest.mark.parametrize("aggregation,expected", [("x:sum", 4.0), ("x:avg", 1.0)])
+    def test_sum_avg_exact_after_large_outlier_slid_out(self, aggregation, expected):
+        rows = [(value, 0) for value in (1e16, 1.0, 1.0, 1.0, 1.0, 1.0)]
+        assert window_outputs(aggregation, rows)[1:] == [expected, expected]
+
+    def test_int_sum_stays_exact_int(self):
+        rows = [(0.0, value) for value in (10**18, 3, -(10**18), 5, 7)]
+        sums = window_outputs("i:sum", rows)
+        assert sums == [8, 15 - 10**18]
+        assert all(type(total) is int for total in sums)

@@ -206,9 +206,7 @@ class TestColumnarWindows:
         _, reference_out = run(oracle(self.overlapping_operator()), SCHEMA, stream)
         assert [t.values for t in compiled_out] == [t.values for t in reference_out]
 
-    def test_median_falls_back_to_recompute(self):
-        """median has no incremental state; it must still be correct on
-        an overlapping window via the column-slice fallback."""
+    def test_median_over_an_overlapping_window(self):
         operator = AggregateOperator(
             WindowSpec(WindowType.TUPLE, 3, 1),
             [AggregationSpec.parse("x:median"), AggregationSpec.parse("x:count")],
@@ -225,7 +223,7 @@ class TestColumnarWindows:
         _, outputs = run(clone, SCHEMA, tuples(1, 2, 3))
         assert outputs == []  # fresh state: window not yet full
 
-    def test_gap_windows_with_incremental_state(self):
+    def test_gap_windows(self):
         """step > size leaves gaps; shares the sweep with step < size."""
         operator = AggregateOperator(
             WindowSpec(WindowType.TUPLE, 2, 5), [AggregationSpec.parse("x:max")]
@@ -260,12 +258,9 @@ class TestColumnarWindows:
         ]
 
     def test_outlier_eviction_recovers_exactly(self):
-        """Once a 1e16 outlier evicts, the compensated running sum must
-        report the exact small-value sums — a bare running total would
-        have absorbed them and report 0.0 forever after.  (While the
-        outlier is still in the window, compensation makes the
-        incremental result a few ulps *more* accurate than recompute,
-        so only the post-outlier windows are compared exactly.)"""
+        """Once a 1e16 outlier has slid out, the small-value sums are
+        exact — a running total would have absorbed them and report 0.0
+        forever after; a per-window recompute never sees the outlier."""
         values = [1e16, 1.0, 1.0, 1.0, 1.0, 2.0, 3.0]
         expected_post_outlier = [(3.0, 1.0), (4.0, 4.0 / 3.0), (6.0, 2.0)]
         for feed in ("per_tuple", "whole_batch"):
@@ -285,7 +280,9 @@ class TestColumnarWindows:
             # Windows after the outlier left: [1,1,1], [1,1,2], [1,2,3].
             post_outlier = [t.values for t in outputs["columnar"]][2:]
             assert post_outlier == expected_post_outlier, feed
-            assert post_outlier == [t.values for t in outputs["reference"]][2:]
+            assert [t.values for t in outputs["columnar"]] == [
+                t.values for t in outputs["reference"]
+            ]
 
     def test_long_stream_buffer_stays_bounded(self):
         """The columnar ring buffer must trim its dead prefix."""

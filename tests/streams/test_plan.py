@@ -329,11 +329,8 @@ class TestAttachCost:
 
 
 def float_agg(size, step):
-    """avg/sum/stdev over doubles: the incremental states whose float
-    arithmetic a sharing bug would perturb.  Sizes stay ≤ 8 so every
-    state update takes the sequential compensated loop: a mid-batch
-    withdrawal flush splits a co-tenant's batch, and only the sequential
-    loop is bit-exact (not merely ulp-close) under re-partitioning."""
+    """avg/sum/stdev over doubles: the aggregates whose float
+    arithmetic a sharing bug would perturb."""
     return tuple_agg(size, step, ("x:avg", "x:sum", "x:stdev", "y:avg"))
 
 

@@ -18,15 +18,16 @@ mechanism instead of a shrunk counterexample:
   batch path must tolerate degenerate partitions without corrupting
   window state, and any partitioning must emit exactly the same tuples
   as one monolithic batch and as the reference path;
-- the recompute/incremental rule's edge: which path a tuple window takes
-  at edge − 1 / edge / edge + 1, and that all three match the oracle;
+- a third-party ``compute`` over a deep window matches the oracle;
+- window size / step types: a tuple window counts tuples and refuses a
+  non-int at construction, a time window keeps fractional seconds;
 - emission coercion: a value whose type differs from its output field's
   is widened, or refused, exactly as ``DataType.coerce`` does it.
 """
 
 import pytest
 
-from repro.errors import SchemaError
+from repro.errors import SchemaError, StreamError
 from repro.streams.operators.aggregate import (
     AGGREGATE_FUNCTIONS,
     AggregateFunction,
@@ -38,11 +39,10 @@ from repro.streams.operators.window import (
     WindowSpec,
     WindowType,
     _ColumnarTimeWindow,
-    _incremental_pays,
 )
 from repro.streams.schema import DataType, Field, Schema
 from repro.streams.tuples import StreamTuple, make_tuple
-from tests.conftest import incremental_edge, oracle
+from tests.conftest import oracle
 
 SCHEMA = Schema(
     "sensor",
@@ -281,51 +281,44 @@ class TestDegenerateBatchPartitions:
             assert [row[3] for row in got] == [1] * len(stream)          # count
 
 
-class TestRecomputeIncrementalBoundary:
-    """The rule picks the path by shape alone, and the path is invisible."""
-
-    STEP = 2
-    EDGE = incremental_edge(STEP)
-    POINTS = [(float(i), float((i * 7) % 11)) for i in range(3 * EDGE)]
-
-    @pytest.mark.parametrize("offset", [-1, 0, 1])
-    def test_path_taken_and_output_at_the_edge(self, offset):
-        size = self.EDGE + offset
-        stream = tuples_of(self.POINTS)
-        compiled = make_operator(WindowType.TUPLE, size, self.STEP)
-        got = run_batches(compiled, partitions(stream, [7, 1, len(stream) - 8]))
-        incremental = bool(compiled._columnar.stateful)
-        assert incremental == (offset >= 0) == _incremental_pays(size, self.STEP)
-        assert all(
-            (state is not None) == incremental for state in compiled._columnar.states
-        )
-        reference = make_reference(WindowType.TUPLE, size, self.STEP)
-        # Small-integer floats: sums are exact on either path.
-        assert got == run_batches(reference, [[t] for t in stream])
-        assert len(got) == (len(stream) - size) // self.STEP + 1
-
-    def test_tumbling_and_hopping_windows_never_carry_states(self):
-        for size, step in [(4, 4), (4, 9), (500, 500), (200, 1000)]:
-            assert not _incremental_pays(size, step)
-
-    def test_stateless_third_party_function_recomputes_above_the_rule(self):
+class TestDeepThirdPartyFunction:
+    def test_third_party_compute_matches_the_oracle_at_size_110(self):
         register_aggregate_function(
             AggregateFunction("spread", lambda v: max(v) - min(v), lambda d: d)
         )
         try:
-            size = self.EDGE + 5
             specs = [AggregationSpec.parse("v:spread"), AggregationSpec.parse("v:max")]
-            window = WindowSpec(WindowType.TUPLE, size, 1)
-            stream = tuples_of(self.POINTS)
-            compiled = AggregateOperator(window, specs)
-            got = run_batches(compiled, [stream])
-            states = compiled._columnar.states
-            assert states[0] is None and states[1] is not None
+            window = WindowSpec(WindowType.TUPLE, 110, 1)
+            stream = tuples_of([(float(i), float((i * 7) % 11)) for i in range(330)])
+            got = run_batches(
+                AggregateOperator(window, specs), partitions(stream, [7, 1, 322])
+            )
             assert got == run_batches(
                 oracle(AggregateOperator(window, specs)), [[t] for t in stream]
             )
+            assert len(got) == 221
         finally:
             del AGGREGATE_FUNCTIONS["spread"]
+
+
+class TestWindowSizeTypes:
+    @pytest.mark.parametrize(
+        "size,step", [(2.5, 1), (2, 1.5), (2.0, 1), (True, 1), (3, True)]
+    )
+    def test_tuple_window_refuses_a_non_int_size_or_step(self, size, step):
+        """At the parent (2.5, 1) constructed, then ``process_batch``
+        died with a raw ``TypeError`` out of ``range()``."""
+        with pytest.raises(StreamError, match="counts tuples"):
+            WindowSpec(WindowType.TUPLE, size, step)
+
+    def test_time_window_keeps_fractional_seconds(self):
+        stream = tuples_of([(i * 0.5, i) for i in range(12)])
+        got = run_batches(make_operator(WindowType.TIME, 2.5, 0.5), [stream])
+        assert got == run_batches(
+            make_reference(WindowType.TIME, 2.5, 0.5), [[t] for t in stream]
+        )
+        assert got[0] == (10.0, 0.0, 4.0, 5, 4.0)  # [0, 2.5): v = 0..4
+        assert len(got) == 7
 
 
 class TestEmissionCoercion:

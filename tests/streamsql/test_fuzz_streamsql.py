@@ -14,27 +14,19 @@ through the full stack twice, parser → graph → engine:
 - on ``StreamEngine.reference()`` — the seed interpreted per-tuple
   path — ingested one tuple at a time;
 
-and the two outputs must agree tuple-for-tuple: exactly for
-int/string/bool fields, to tight float tolerance for doubles, and to
-the repo's established drifting tolerance (rel 1e-6 / abs 1e-4, see
-``test_prop_window_equivalence``) for fields produced by avg/sum/stdev,
-whose incremental states are entitled to accumulate rounding drift over
-eviction histories.  The first long-pass run of this fuzzer caught
-exactly that: ``stdev`` over an overlapping window of equal timestamps
-answered ~8e-7 incrementally where recomputation answers 0.0.
+and the two outputs must agree tuple-for-tuple, exactly: every window
+is a recompute over the same values on both sides, so no field is
+entitled to differ by an ulp.
 
 The tier-1 run is seeded and bounded (fixed seeds, small budgets) so it
 is deterministic and fast; set ``FUZZ_LONG=1`` (the CI nightly/manual
-fuzz job does) for a much larger randomized pass.  The long pass also
-draws *deep* tuple windows — shapes on both sides of the
-recompute/incremental rule (``operators.window._incremental_pays``);
-the small tier-1 shapes all recompute — so the incremental aggregate
-states stay fuzzed through the whole stack.
+fuzz job does) for a much larger randomized pass, which also draws
+*deep* tuple windows (sizes up to 400) so the ring-buffer trim stays
+fuzzed through the whole stack.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import random
 from typing import Dict, List, Sequence, Tuple
@@ -42,9 +34,7 @@ from typing import Dict, List, Sequence, Tuple
 import pytest
 
 from repro.streams.engine import StreamEngine
-from repro.streams.operators.window import _incremental_pays
 from repro.streams.schema import DataType, Field, Schema
-from tests.conftest import incremental_edge
 
 #: Numeric aggregate functions (operand must be numeric).
 NUMERIC_AGGS = ("avg", "sum", "min", "max", "count", "stdev", "median")
@@ -69,19 +59,17 @@ class StreamSQLFuzzer:
     references, optional AS aliases and keyword casing.
     """
 
-    def __init__(self, rng: random.Random, deep_windows: bool = False):
+    def __init__(self, rng: random.Random):
         self.rng = rng
-        self.deep_windows = deep_windows
 
     def window_shape(self, high: int) -> Tuple[int, int]:
-        """(size, step), each 1..*high*; with ``deep_windows`` four in
-        ten are instead a small step under a size of up to 3x the
-        smallest one that runs on incremental states."""
+        """(size, step), each 1..*high*; under ``FUZZ_LONG`` four in ten
+        are instead a small step under a size of up to 400."""
         rng = self.rng
         size, step = rng.randint(1, high), rng.randint(1, high)
-        if self.deep_windows and rng.random() < 0.4:
+        if os.environ.get("FUZZ_LONG") and rng.random() < 0.4:
             step = rng.randint(1, 3)
-            size = rng.randint(step, 3 * incremental_edge(step))
+            size = rng.randint(step, 400)
         return size, step
 
     # -- schema + data -----------------------------------------------------------
@@ -331,44 +319,14 @@ class StreamSQLFuzzer:
 
 # -- the differential check --------------------------------------------------------
 
-def assert_rows_match(out_schema, actual, expected, context: str) -> None:
-    """Tuple-for-tuple comparison under the repo's drift contract:
-    exact for ints/strings/bools and exact-state aggregates, tight
-    float tolerance otherwise, drifting tolerance for avg/sum/stdev."""
-    assert len(actual) == len(expected), context
-    # Aggregate output fields are named "{function}{attribute}", so
-    # the field name says which comparison contract applies.
-    drifting = tuple(
-        field.name.startswith(("avg", "sum", "stdev")) for field in out_schema
-    )
-    for row, (actual_tuple, expected_tuple) in enumerate(zip(actual, expected)):
-        for field, drifts, a, e in zip(
-            out_schema, drifting, actual_tuple.values, expected_tuple.values
-        ):
-            if isinstance(e, float):
-                rel, abso = (1e-6, 1e-4) if drifts else (1e-9, 1e-12)
-                if field.name.startswith("stdev") and e == 0.0:
-                    # Constant windows: the incremental state snaps
-                    # its variance to an exact zero (suffix-run
-                    # detection), so no drift allowance applies —
-                    # this is the ~8e-7-vs-0.0 case the first long
-                    # run caught, now pinned exact.
-                    rel, abso = (0.0, 0.0)
-                assert math.isclose(a, e, rel_tol=rel, abs_tol=abso), (
-                    f"{context}\nrow {row} field {field.name}: {a!r} != {e!r}"
-                )
-            else:
-                assert a == e, (
-                    f"{context}\nrow {row} field {field.name}: {a!r} != {e!r}"
-                )
+def assert_rows_match(actual, expected, context: str) -> None:
+    assert [t.values for t in actual] == [t.values for t in expected], context
 
 
-def run_differential(
-    seed: int, n_queries: int, n_tuples: int, deep_windows: bool = False
-) -> Tuple[int, int]:
+def run_differential(seed: int, n_queries: int, n_tuples: int) -> Tuple[int, int]:
     """Fuzz *n_queries* scripts at *seed*; returns (queries, outputs) counts."""
     rng = random.Random(seed)
-    fuzzer = StreamSQLFuzzer(rng, deep_windows)
+    fuzzer = StreamSQLFuzzer(rng)
     total_outputs = 0
     for query_index in range(n_queries):
         schema = fuzzer.schema()
@@ -396,15 +354,17 @@ def run_differential(
         expected = reference.read(reference_handle)
         actual = compiled.read(compiled_handle)
         context = f"seed={seed} query={query_index}\n{script}"
-        out_schema = compiled.lookup(compiled_handle).output_schema
-        assert out_schema == reference.lookup(reference_handle).output_schema
-        assert_rows_match(out_schema, actual, expected, context)
+        assert (
+            compiled.lookup(compiled_handle).output_schema
+            == reference.lookup(reference_handle).output_schema
+        )
+        assert_rows_match(actual, expected, context)
         total_outputs += len(expected)
     return n_queries, total_outputs
 
 
 def run_multiquery_differential(
-    seed: int, n_rounds: int, n_variants: int, n_tuples: int, deep_windows: bool = False
+    seed: int, n_rounds: int, n_variants: int, n_tuples: int
 ) -> Tuple[int, int]:
     """Shared-prefix fan-out under churn: each round registers a family
     of scripts sharing one WHERE prefix on a **single** engine pair —
@@ -416,7 +376,7 @@ def run_multiquery_differential(
     every DAG node.  Returns (total shared-plan node merges, outputs).
     """
     rng = random.Random(seed)
-    fuzzer = StreamSQLFuzzer(rng, deep_windows)
+    fuzzer = StreamSQLFuzzer(rng)
     total_outputs = 0
     total_shared = 0
     for round_index in range(n_rounds):
@@ -433,7 +393,6 @@ def run_multiquery_differential(
             queries.append(
                 {
                     "script": script,
-                    "schema": shared.lookup(shared_handle).output_schema,
                     "handles": (shared_handle, reference_handle),
                     "subs": (
                         shared.subscribe(shared_handle),
@@ -472,7 +431,7 @@ def run_multiquery_differential(
             )
             actual = query["subs"][0].drain()
             expected = query["subs"][1].drain()
-            assert_rows_match(query["schema"], actual, expected, context)
+            assert_rows_match(actual, expected, context)
             total_outputs += len(expected)
 
         for query_index, query in enumerate(queries):
@@ -528,18 +487,6 @@ class TestStreamSQLFuzz:
                 seen.add("map")
         assert {"filter", "window", "tuple-window", "time-window", "map"} <= seen
 
-    def test_deep_window_draw_lands_on_both_sides_of_the_rule(self):
-        """What the long pass adds: without it every generated tuple
-        window recomputes and no fuzz case reaches an incremental state."""
-        shallow = StreamSQLFuzzer(random.Random(7))
-        assert not any(_incremental_pays(*shallow.window_shape(6)) for _ in range(200))
-        deep = StreamSQLFuzzer(random.Random(7), deep_windows=True)
-        sides = [_incremental_pays(*deep.window_shape(6)) for _ in range(200)]
-        assert 30 < sum(sides) < 100
-        # One deep pass end to end, sized so deep windows do emit.
-        _, outputs = run_differential(11, n_queries=12, n_tuples=300, deep_windows=True)
-        assert outputs > 100
-
 
 @pytest.mark.skipif(
     not os.environ.get("FUZZ_LONG"),
@@ -552,11 +499,9 @@ class TestStreamSQLFuzzLong:
     def test_fuzz_long(self):
         seed = int(os.environ.get("FUZZ_SEED", random.SystemRandom().randint(0, 2**31)))
         print(f"FUZZ_SEED={seed} (set FUZZ_SEED to reproduce)")
-        run_differential(seed, n_queries=200, n_tuples=400, deep_windows=True)
+        run_differential(seed, n_queries=200, n_tuples=400)
 
     def test_fuzz_long_multiquery(self):
         seed = int(os.environ.get("FUZZ_SEED", random.SystemRandom().randint(0, 2**31)))
         print(f"FUZZ_SEED={seed} (set FUZZ_SEED to reproduce)")
-        run_multiquery_differential(
-            seed, n_rounds=40, n_variants=12, n_tuples=200, deep_windows=True
-        )
+        run_multiquery_differential(seed, n_rounds=40, n_variants=12, n_tuples=200)
