@@ -172,10 +172,14 @@ class StreamEngine:
     def read(
         self, handle: Union[StreamHandle, str], limit: Optional[int] = None
     ) -> List[StreamTuple]:
-        """Read the retained output of a query (non-consuming snapshot)."""
-        query = self.lookup(handle)
-        snapshot = query.output.snapshot()
-        return snapshot if limit is None else snapshot[-limit:]
+        """Read the retained output of a query (non-consuming snapshot);
+        with *limit*, its newest *limit* tuples."""
+        snapshot = self.lookup(handle).output.snapshot()
+        if limit is None:
+            return snapshot
+        if limit < 0:
+            raise EngineError(f"limit must not be negative, got {limit}")
+        return snapshot[max(0, len(snapshot) - limit) :]
 
     def subscribe(self, handle: Union[StreamHandle, str], from_start: bool = True):
         """Subscribe a pull cursor to a query's output stream."""

@@ -33,10 +33,11 @@ that query's private pipeline.
 
 - **Clone-on-divergence for state.**  Stateless nodes (filter, map) are
   shareable at any time.  A state-bearing node (window aggregation) is
-  only shareable while it has consumed no input: window alignment and
-  the time-window origin are history-dependent, and a newly registered
-  query always starts with an empty window.  A late-arriving twin gets
-  a fresh clone under the same fingerprint ("cloned on divergence").
+  only shareable while it has consumed no input and no batch is in
+  flight: window alignment and the time-window origin are
+  history-dependent, and a newly registered query always starts with an
+  empty window.  A late-arriving twin gets a fresh clone under the same
+  fingerprint ("cloned on divergence").
 
 - **Refcounted detach.**  Withdrawal removes the query's sink and
   cascades up the feed tree, freeing every node that no longer feeds a
@@ -49,20 +50,26 @@ batch listener of its own — which is how the oracle
 (:mod:`repro.streams.reference`) runs each query, so the differential
 harnesses (``tests/properties/test_prop_multiquery_equivalence.py``, the
 StreamSQL fuzzer's shared-prefix mode) pin the two implementations
-against each other under registration/withdrawal churn, mid-batch too:
+against each other under registration/withdrawal churn, from inside a
+dispatch too:
 
 - Node outputs are delivered to sinks in global registration order —
   the order per-query batch listeners fire in.
-- A query withdrawn while the source is mid-batch (from a per-tuple
-  control listener) is flushed the already-dispatched prefix of the
-  in-flight batch through the DAG before detaching, as
-  ``Stream.remove_batch_listener`` does for a listener; the remaining
-  queries see the rest of the batch when the plan's listener fires.
-  Splitting a batch at the flush point is output-equivalent because
-  every operator's ``process_batch`` is batch-partition invariant.
+- A query withdrawn before its turn in that sweep (by a listener on the
+  source ahead of the plan's, or on a sibling query's output) receives
+  nothing of the batch.
 - A query (and any node created for it) registered while dispatches are
-  in flight defers those batches — a listener added mid-dispatch is
-  absent from every in-flight snapshot.
+  in flight misses those batches — a listener added mid-dispatch is
+  absent from every in-flight snapshot.  The plan says so in the
+  dispatch's own record (``Stream._miss_inflight``), so the marker is
+  gone when the dispatch is.
+
+What invisibility does *not* cover is where the one listener sits: at
+the position of the stream's first registration.  A foreign batch
+listener attached to an input stream *between* two registrations fires
+between those two queries in the oracle but after both here, so a query
+it withdraws has already received the batch.  Control hooks belong
+before the stream's first registration, or on output streams.
 """
 
 from __future__ import annotations
@@ -237,7 +244,6 @@ class PlanNode:
         "feed_children",
         "sinks",
         "consumed",
-        "defers",
     )
 
     def __init__(
@@ -268,9 +274,6 @@ class PlanNode:
         #: Input tuples consumed so far; a stateful node is shareable
         #: only at zero (a new query's window must start empty).
         self.consumed = 0
-        #: Batches (id → batch) in flight at creation time, which this
-        #: node must not observe.
-        self.defers: Dict[int, list] = {}
 
     @property
     def refcount(self) -> int:
@@ -286,7 +289,7 @@ class SharedQuery:
     ``handle``, ``output``, ``active``, ``output_schema``, ``withdraw()``.
     """
 
-    __slots__ = ("plan", "handle", "node", "output", "active", "defers")
+    __slots__ = ("plan", "handle", "node", "output", "active")
 
     def __init__(
         self, plan: "StreamPlan", handle: StreamHandle, node: PlanNode, output: Stream
@@ -296,8 +299,6 @@ class SharedQuery:
         self.node = node
         self.output = output
         self.active = True
-        #: Batches in flight at registration, which this sink skips.
-        self.defers: Dict[int, list] = {}
 
     @property
     def output_schema(self):
@@ -331,16 +332,10 @@ class StreamPlan:
         self.root = PlanNode(("source",), None, source.schema, None, None)
         #: Delivery order == global registration order.
         self.queries: List[SharedQuery] = []  # guarded by: owner
-        #: Per-batch consumed prefix (id(batch) → (batch, count)) from
-        #: mid-batch withdrawal flushes; the final dispatch pops it and
-        #: processes only the remainder.  The batch reference pins the
-        #: id against reuse.
-        self._consumed: Dict[int, Tuple[list, int]] = {}  # guarded by: owner
         self.nodes_created = 0  # guarded by: owner
         self.nodes_shared = 0  # guarded by: owner
         self.nodes_subsumed = 0  # guarded by: owner
-        self._listener = self._on_batch
-        source.add_batch_listener(self._listener)
+        source.add_batch_listener(self._on_batch)
 
     # -- registration -----------------------------------------------------------
 
@@ -355,33 +350,17 @@ class StreamPlan:
         trace = graph.trace
         if trace is None or trace.schemas[0] is not self.source.schema:
             trace = trace_chain(graph, self.source.schema)
-        defers = self._inflight_batches()
         node = self.root
         for operator, fingerprint, out_schema in zip(
             graph.operators, trace.fingerprints, trace.schemas[1:]
         ):
-            node = self._child_for(node, operator, fingerprint, out_schema, defers)
+            node = self._child_for(node, operator, fingerprint, out_schema)
         output = Stream(handle.query_id, node.out_schema)
         query = SharedQuery(self, handle, node, output)
-        if defers:
-            query.defers = dict(defers)
+        self.source._miss_inflight(query)
         node.sinks.append(query)
         self.queries.append(query)
         return query
-
-    def _inflight_batches(self) -> Dict[int, list]:
-        """Batches currently mid-dispatch on the source stream.
-
-        A sink or node created while these dispatches are in flight must
-        not observe them — as a ``Stream`` listener added mid-dispatch is
-        missing from every in-flight snapshot.
-        """
-        defers: Dict[int, list] = {}
-        inflight = self.source._inflight
-        while inflight is not None:
-            defers[id(inflight.batch)] = inflight.batch
-            inflight = inflight.previous
-        return defers
 
     def _child_for(
         self,
@@ -389,15 +368,17 @@ class StreamPlan:
         operator: Operator,
         fingerprint: Optional[tuple],
         out_schema,
-        defers: Dict[int, list],
     ) -> PlanNode:
         if fingerprint is not None:
             for candidate in parent.children_by_fp.get(fingerprint, ()):
-                if not candidate.operator.stateful or candidate.consumed == 0:
+                if not candidate.operator.stateful or (
+                    candidate.consumed == 0 and self.source._inflight is None
+                ):
                     self.nodes_shared += 1
                     return candidate
-            # Same-fingerprint candidates exist but have consumed input:
-            # fall through and clone (fresh state for the newcomer).
+            # Same-fingerprint candidates exist but have consumed input,
+            # or are about to consume a batch in flight that the newcomer
+            # must miss: fall through and clone (fresh state).
         executing = operator.fresh_copy()
         feed = parent
         dnf: Optional[DNF] = None
@@ -422,8 +403,7 @@ class StreamPlan:
             dnf=dnf,
             host=host,
         )
-        if defers:
-            node.defers = dict(defers)
+        self.source._miss_inflight(node)
         if fingerprint is not None:
             parent.children_by_fp.setdefault(fingerprint, []).append(node)
         feed.feed_children.append(node)
@@ -486,41 +466,26 @@ class StreamPlan:
     # -- dispatch ---------------------------------------------------------------
 
     def _on_batch(self, batch: Sequence[StreamTuple]) -> None:
-        entry = self._consumed.pop(id(batch), None)
-        start = entry[1] if entry is not None else 0
-        segment = batch if not start else batch[start:]
-        self._dispatch(segment, batch, final=True)
+        """Run *batch* through the DAG.
 
-    def _dispatch(
-        self, segment: Sequence[StreamTuple], batch: Sequence[StreamTuple], final: bool
-    ) -> None:
-        """Run *segment* (a suffix-aligned slice of *batch*) through the DAG.
-
-        Phase 1 computes every reachable, non-deferred node exactly once
-        in feed-tree order (each node's feed is computed before the node
-        itself).  Phase 2 delivers node outputs to sinks in global
-        registration order — the order one ``Stream`` listener per query
-        fires in, which keeps cross-query observable interleavings (and
+        Phase 1 computes every reachable node exactly once in feed-tree
+        order (each node's feed is computed before the node itself).
+        Phase 2 delivers node outputs to sinks in global registration
+        order — the order one ``Stream`` listener per query fires in,
+        which keeps cross-query observable interleavings (and
         sibling-withdrawal behaviour) identical to the oracle's.
 
-        ``final`` marks the plan listener's own invocation for *batch*
-        (as opposed to a mid-batch withdrawal flush): only then are
-        defer markers consumed, because a flush may precede the final
-        dispatch of the same batch.
+        Nodes and sinks registered while this dispatch was in flight are
+        in its ``absent`` set and are skipped, subtree included (their
+        children were registered no earlier).
         """
-        if not segment:
-            return
-        marker = id(batch)
-        outputs: Dict[PlanNode, Sequence[StreamTuple]] = {self.root: segment}
+        absent = self.source._inflight.absent
+        outputs: Dict[PlanNode, Sequence[StreamTuple]] = {self.root: batch}
         stack = list(self.root.feed_children)
         while stack:
             node = stack.pop()
-            if node.defers:
-                if final:
-                    if node.defers.pop(marker, None) is not None:
-                        continue  # subtree skipped: children defer too
-                elif marker in node.defers:
-                    continue
+            if node in absent:
+                continue
             inputs = outputs[node.feed]
             if inputs:
                 node.consumed += len(inputs)
@@ -529,14 +494,8 @@ class StreamPlan:
                 outputs[node] = inputs
             stack.extend(node.feed_children)
         for query in list(self.queries):
-            if not query.active:
+            if not query.active or query in absent:
                 continue
-            if query.defers:
-                if final:
-                    if query.defers.pop(marker, None) is not None:
-                        continue
-                elif marker in query.defers:
-                    continue
             result = outputs.get(query.node)
             if result:
                 query.output.append_batch(result)
@@ -544,34 +503,14 @@ class StreamPlan:
     # -- withdrawal -------------------------------------------------------------
 
     def detach(self, query: SharedQuery) -> None:
-        """Withdraw *query*: flush, deactivate, and free unshared nodes.
+        """Withdraw *query*: deactivate it and free unshared nodes.
 
-        Mirrors ``Stream.remove_batch_listener`` mid-batch semantics:
-        withdrawn during the source's per-tuple phase (before the plan's
-        listener ran), the already-dispatched prefix of the in-flight
-        batch is flushed through the DAG — the withdrawing query sees
-        exactly the tuples per-tuple dispatch would have shown it, and
-        the consumed count makes the final dispatch process only the
-        remainder.  Withdrawn during the batch phase (or after the
-        listener ran), the query simply stops — as a removed listener is
-        skipped by the end-of-batch sweep.
+        Withdrawn from inside a dispatch, before its turn in the sweep,
+        the query receives nothing of that batch — as a removed listener
+        does.
         """
         if not query.active:
             return
-        inflight = self.source._inflight
-        if (
-            inflight is not None
-            and not inflight.batch_phase
-            and self._listener in inflight.snapshot
-            and self._listener not in inflight.done
-        ):
-            batch = inflight.batch
-            entry = self._consumed.get(id(batch))
-            consumed = entry[1] if entry is not None else 0
-            progress = inflight.progress
-            if progress > consumed:
-                self._consumed[id(batch)] = (batch, progress)
-                self._dispatch(batch[consumed:progress], batch, final=False)
         query.active = False
         query.output.close()
         self.queries.remove(query)

@@ -13,8 +13,9 @@ production operator), ``expr.evaluate``, ``AggregateFunction.compute``
 and the engine's catalog/handle bookkeeping.  It shares no dispatch,
 window or compile code — never ``StreamPlan``, ``repro.expr.compile`` or
 the columnar window classes — so a bug there cannot hide by appearing on
-both sides.  ``Stream``'s batch-listener contract, mid-batch prefix
-flush included, is this module's dispatch; the plan reimplements it.
+both sides.  ``Stream``'s batch-listener contract is this module's
+dispatch — one listener per query; the plan gives every query the same
+contract behind one listener.
 
 Production imports this module only in ``StreamEngine.reference()``.
 """
@@ -236,12 +237,9 @@ class RegisteredQuery:
         source.add_batch_listener(self._listener)
 
     def _on_batch(self, tuples: Sequence[StreamTuple]) -> None:
-        # The guard makes mid-dispatch withdrawal safe: a withdrawn
-        # query may still sit in an in-flight listener snapshot, and
-        # must neither process tuples nor append to its closed output.
-        # (Withdraw-mid-batch truncation is handled by the stream, which
-        # flushes the already-dispatched prefix to this callback while
-        # the query is still active — see Stream.remove_batch_listener.)
+        # The guard makes mid-dispatch withdrawal safe whoever calls:
+        # a withdrawn query must neither process tuples nor append to
+        # its closed output.
         if not self.active:
             return
         outputs: List[StreamTuple] = []
@@ -251,13 +249,7 @@ class RegisteredQuery:
             self.output.append_batch(outputs)
 
     def withdraw(self) -> None:
-        """Detach from the input stream and close the output.
-
-        Removing the batch listener first lets the stream flush the
-        in-flight prefix of a mid-batch withdrawal (while the query is
-        still active and its output still open), so batched revocation
-        is output-identical to the per-tuple path.
-        """
+        """Detach from the input stream and close the output."""
         if self.active:
             self._source.remove_batch_listener(self._listener)
             self.output.close()

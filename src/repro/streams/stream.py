@@ -6,12 +6,10 @@ tracks its own read position so multiple independent readers (different
 registered queries, the reconstruction-attack demo, tests) can drain the
 same stream without interfering.
 
-Push consumers come in two flavours: per-tuple listeners (one callback
-per appended tuple — control hooks, tests, third-party taps) and *batch
-listeners* (one callback per appended batch — the registered-query fast
-path, which runs a whole pipeline invocation per batch instead of per
-tuple).  Dispatch order within an append is: per-tuple listeners first,
-tuple by tuple, then batch listeners, batch by batch.
+Push consumers are *batch listeners*: one callback per appended batch,
+in the order the listeners were added.  The batch is the only unit of
+dispatch — a registered query runs one pipeline invocation per batch,
+and a tap (control hook, test, third party) is a batch listener too.
 
 Streams keep a bounded in-memory tail (``max_buffer``) because real data
 streams are unbounded; a subscription that falls behind the retained tail
@@ -35,44 +33,34 @@ INGEST_CHUNK = 4096
 
 
 class _InflightDispatch:
-    """State of one append_batch dispatch, for mid-batch listener removal.
+    """One ``append_batch`` dispatch in flight: who must be handed
+    nothing (more) of its batch, and the dispatch it is nested in."""
 
-    ``progress`` tracks how many tuples of the batch have been delivered
-    to per-tuple listeners so far.  When a batch listener is removed
-    during the per-tuple phase (the withdraw-mid-batch revocation path:
-    a control listener withdraws a query), it is synchronously handed
-    ``batch[:progress]`` — exactly the tuples it would have processed
-    had dispatch been per-tuple — and is skipped by the end-of-batch
-    sweep (``done``).  Once the batch phase starts (``batch_phase``), a
-    removed listener gets nothing further: under per-tuple dispatch its
-    guard would have dropped every tuple after the withdrawal, and the
-    withdrawing callback observes tuples no earlier than the victim's
-    own dispatch, so dropping the whole batch keeps ``append(t)`` and
-    ``append_batch([t])`` output-identical.
-    """
+    __slots__ = ("absent", "previous")
 
-    __slots__ = ("batch", "snapshot", "done", "progress", "batch_phase", "previous")
-
-    def __init__(
-        self,
-        batch: List[StreamTuple],
-        snapshot: set,
-        previous: Optional["_InflightDispatch"] = None,
-    ):
-        self.batch = batch
-        self.snapshot = snapshot
-        self.done: set = set()
-        self.progress = 0
-        self.batch_phase = False
+    def __init__(self, previous: Optional["_InflightDispatch"]):
+        #: Listeners removed since the dispatch began — and, written by
+        #: :class:`~repro.streams.plan.StreamPlan` (many queries behind
+        #: one listener), the queries and nodes registered since.
+        self.absent: set = set()
         #: Enclosing dispatch when appends nest (a listener appending to
-        #: its own stream).  The chain lets the shared execution plan
-        #: defer *every* in-flight batch for queries registered
-        #: mid-dispatch, not just the innermost.
+        #: its own stream).
         self.previous = previous
 
 
 class Stream:
-    """An append-only, schema-typed sequence of tuples."""
+    """An append-only, schema-typed sequence of tuples.
+
+    A tap is a batch listener, and a tap that withdraws a query takes
+    effect at the batch boundary.  Three rules make re-entrant use
+    predictable; the shared plan and the oracle give every *query* the
+    same three:
+
+    - a listener added while a dispatch is in flight misses every
+      in-flight batch, nested ones included;
+    - a listener removed before its turn receives nothing of that batch;
+    - ``append(t)`` *is* ``append_batch([t])``.
+    """
 
     def __init__(self, name: str, schema: Schema, max_buffer: int = 1_000_000):
         if max_buffer <= 0:
@@ -83,7 +71,6 @@ class Stream:
         self._buffer: List[StreamTuple] = []  # guarded by: owner
         #: Index (in the unbounded logical stream) of ``_buffer[0]``.
         self._base = 0  # guarded by: owner
-        self._listeners: List[Callable[[StreamTuple], None]] = []  # guarded by: owner
         self._batch_listeners: List[BatchListener] = []  # guarded by: owner
         self._inflight: Optional[_InflightDispatch] = None  # guarded by: owner
         self._closed = False  # guarded by: owner
@@ -98,34 +85,24 @@ class Stream:
         return self._closed
 
     def append(self, tup: StreamTuple) -> None:
-        """Append one tuple: exactly ``append_batch([tup])`` — one
-        dispatch implementation, so listeners are snapshotted at dispatch
-        start either way and a batch listener added while *tup* is being
-        dispatched (a query registered by a control listener) misses it."""
+        """Append one tuple: exactly ``append_batch([tup])``."""
         self.append_batch([tup])
 
     def append_batch(self, tuples: Iterable[StreamTuple]) -> int:
-        """Append many tuples with amortized dispatch; returns the count.
+        """Append many tuples in one dispatch; returns the count.
 
-        Per-tuple listeners observe semantics identical to N single
-        :meth:`append` calls — tuples delivered one at a time, in order.
-        Batch listeners receive the whole batch in **one** call, after
-        the per-tuple phase, which is what lets a registered query run
-        one pipeline invocation per batch.  The per-append overhead
-        (closed check, schema validation, listener snapshot, overflow
-        trim) is paid once per batch.  Deliberate differences from N
-        single appends:
+        Every listener registered when the dispatch starts receives the
+        whole batch in **one** call, which is what lets a registered
+        query run one pipeline invocation per batch.  The per-append
+        overhead (closed check, schema validation, listener snapshot,
+        overflow trim) is paid once per batch.  Deliberate differences
+        from N single appends:
 
         - validation is atomic: every tuple's schema is checked before
           any is appended, so a bad batch changes nothing;
         - the buffer is trimmed to ``max_buffer`` once at the end, so it
           may transiently exceed the bound while the batch is in flight.
 
-        A batch listener removed *mid-batch* (a query withdrawn by a
-        per-tuple control listener — the revocation path) is
-        synchronously delivered the prefix of the batch already
-        dispatched to per-tuple listeners, so its output matches the
-        per-tuple path exactly; see :meth:`remove_batch_listener`.
         Listeners must treat the batch list as read-only.
         """
         batch = tuples if isinstance(tuples, list) else list(tuples)
@@ -140,27 +117,13 @@ class Stream:
                     f"tuple schema {tup.schema.name!r} does not match stream "
                     f"{self.name!r} schema {self.schema.name!r}"
                 )
-        tuple_listeners = list(self._listeners)
-        batch_listeners = list(self._batch_listeners)
+        self._buffer.extend(batch)
         previous = self._inflight
-        inflight = _InflightDispatch(batch, set(batch_listeners), previous)
-        self._inflight = inflight
+        inflight = self._inflight = _InflightDispatch(previous)
         try:
-            if tuple_listeners:
-                buffer_append = self._buffer.append
-                for index, tup in enumerate(batch):
-                    inflight.progress = index
-                    buffer_append(tup)
-                    for listener in tuple_listeners:
-                        listener(tup)
-            else:
-                self._buffer.extend(batch)
-            inflight.batch_phase = True
-            for listener in batch_listeners:
-                if listener in inflight.done:
-                    continue  # already flushed by a mid-batch removal
-                inflight.done.add(listener)
-                listener(batch)
+            for listener in list(self._batch_listeners):
+                if listener not in inflight.absent:
+                    listener(batch)
         finally:
             self._inflight = previous
         if len(self._buffer) > self.max_buffer:
@@ -188,16 +151,6 @@ class Stream:
         """Mark the stream complete; further appends raise."""
         self._closed = True
 
-    def add_listener(self, callback: Callable[[StreamTuple], None]) -> None:
-        """Register a push callback invoked once per appended tuple."""
-        self._listeners.append(callback)
-
-    def remove_listener(self, callback: Callable[[StreamTuple], None]) -> None:
-        try:
-            self._listeners.remove(callback)
-        except ValueError:
-            pass
-
     def add_batch_listener(self, callback: BatchListener) -> None:
         """Register a push callback invoked once per appended *batch*.
 
@@ -210,34 +163,22 @@ class Stream:
     def remove_batch_listener(self, callback: BatchListener) -> None:
         """Unregister a batch listener; unknown listeners are ignored.
 
-        When called while an :meth:`append_batch` dispatch is in its
-        per-tuple phase — a query being withdrawn by a per-tuple control
-        listener's callback — the listener is first delivered,
-        synchronously, the prefix of the in-flight batch already
-        dispatched to per-tuple listeners.  That makes
-        withdraw-mid-batch output-identical to per-tuple dispatch,
-        where the withdrawn query would have processed exactly those
-        tuples before its guard engaged.  A listener removed during the
-        batch phase (withdrawn from another batch listener's dispatch)
-        receives nothing further — the per-tuple equivalent of its
-        guard engaging before its turn — and is skipped by the
-        end-of-batch sweep.
+        Removed from inside a dispatch, before its turn, the listener
+        receives nothing of the batch (or of the batches, when appends
+        nest) in flight.
         """
         try:
             self._batch_listeners.remove(callback)
         except ValueError:
             pass
+        self._miss_inflight(callback)
+
+    def _miss_inflight(self, consumer) -> None:
+        """*consumer* is handed nothing (more) of any batch in flight."""
         inflight = self._inflight
-        if (
-            inflight is not None
-            and callback in inflight.snapshot
-            and callback not in inflight.done
-        ):
-            inflight.done.add(callback)
-            if not inflight.batch_phase:
-                prefix = inflight.batch[: inflight.progress]
-                if prefix:
-                    callback(prefix)
+        while inflight is not None:
+            inflight.absent.add(consumer)
+            inflight = inflight.previous
 
     def subscribe(self, from_start: bool = True) -> "StreamSubscription":
         """Create a pull cursor over this stream.
@@ -287,6 +228,8 @@ class StreamSubscription:
 
     def poll(self, limit: Optional[int] = None) -> List[StreamTuple]:
         """Return (and consume) up to *limit* unread tuples."""
+        if limit is not None and limit < 0:
+            raise StreamError(f"limit must not be negative, got {limit}")
         available = self._stream._read_from(self._position)
         if limit is not None:
             available = available[:limit]

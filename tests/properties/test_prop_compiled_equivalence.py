@@ -16,7 +16,8 @@ layers must be decision- and output-identical:
 - **engine layer**: a default (compiled) :class:`StreamEngine` fed via
   ``push_batch`` under a random batch partition against a
   ``StreamEngine.reference()`` fed tuple-at-a-time, across multi-query
-  fan-out, withdraw-mid-batch and empty-batch edges.
+  fan-out, withdrawal from a sibling query's dispatch and empty-batch
+  edges.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -301,36 +302,6 @@ class TestBatchEdges:
         assert engine.push_batch("s", []) == 0
         assert engine.read(handle) == []
 
-    def test_withdraw_mid_batch_matches_single_appends_with_chain(self):
-        """A stateful chain withdrawn mid-batch stops at the withdrawal
-        point with identical partial output to per-tuple dispatch."""
-        results = []
-        for mode in ("single", "batch"):
-            engine = self.make_engine()
-            source = engine.catalog.get("s")
-            victim_box = {}
-
-            def withdraw_on_marker(tup, engine=engine, victim_box=victim_box):
-                if tup["x"] == 99.0:
-                    engine.withdraw(victim_box["handle"])
-
-            source.add_listener(withdraw_on_marker)
-            victim = engine.register_query(
-                build_graph("x > 0", None, (WindowType.TUPLE, 2, 1))
-            )
-            victim_box["handle"] = victim
-            subscription = engine.subscribe(victim)
-            recs = records([5, 7, 99, 11, 13])
-            recs[2]["x"] = 99.0
-            if mode == "single":
-                for record in recs:
-                    engine.push("s", record)
-            else:
-                engine.push_batch("s", recs)
-            results.append([t.values for t in subscription.drain()])
-        single, batched = results
-        assert single == batched
-
     def sibling_withdrawal_run(self, push):
         """Drive a run where query 1's output dispatch withdraws query 2;
         *push* feeds the engine; returns the victim's drained output."""
@@ -345,7 +316,7 @@ class TestBatchEdges:
                 engine.withdraw(handle)
 
         # first's OUTPUT listener withdraws the victim as soon as first
-        # emits — i.e. from within the source stream's batch phase.
+        # emits — i.e. from within the source stream's dispatch.
         engine.lookup(first).output.add_batch_listener(withdraw_victim)
 
         victim = engine.register_query(QueryGraph("s").append(FilterOperator("x > 0")))

@@ -70,6 +70,15 @@ class TestEngine:
         handle = engine.register_query(QueryGraph("s").append(FilterOperator("x > 0")))
         engine.push_many("s", [{"x": v} for v in range(1, 6)])
         assert [t["x"] for t in engine.read(handle, limit=2)] == [4, 5]
+        assert [t["x"] for t in engine.read(handle, limit=9)] == [1, 2, 3, 4, 5]
+
+    def test_read_limit_zero_and_negative(self):
+        engine = self.make_engine()
+        handle = engine.register_query(QueryGraph("s").append(FilterOperator("x > 0")))
+        engine.push_many("s", [{"x": v} for v in range(1, 6)])
+        assert engine.read(handle, limit=0) == []  # used to be all five
+        with pytest.raises(EngineError):
+            engine.read(handle, limit=-1)  # used to be all but the first
 
     def test_queries_only_see_future_tuples(self):
         engine = self.make_engine()
@@ -240,40 +249,31 @@ class TestBatchedDispatch:
         engine.push_batch("s", [make_tuple(SIMPLE, {"x": 2}), {"x": 3}])
         assert [t["x"] for t in engine.read(handle)] == [2, 3]
 
-    def test_withdraw_mid_batch_matches_single_appends(self):
-        """A query withdrawn while a batch is in flight behaves exactly
-        as under single appends: it stops at the withdrawal point, and
+    @pytest.mark.parametrize(
+        "new_engine", [StreamEngine, StreamEngine.reference], ids=["plan", "oracle"]
+    )
+    def test_a_source_tap_withdraws_at_the_batch_boundary(self, new_engine):
+        """A tap is a batch listener: the query it withdraws has had
+        every earlier batch and gets nothing of the one the tap saw, and
         nothing crashes on its closed output stream."""
-        results = []
-        for mode in ("single", "batch"):
-            engine = self.make_engine()
-            # The withdrawer listener is attached to the source stream
-            # *before* the victim query registers, so it fires first for
-            # each tuple — including the marker that triggers withdrawal.
-            source = engine.catalog.get("s")
-            victim_box = {}
+        engine = new_engine()
+        engine.register_input_stream("s", SIMPLE)
+        victim_box = {}
 
-            def withdraw_on_marker(tup, engine=engine, victim_box=victim_box):
-                if tup["x"] == 99:
-                    engine.withdraw(victim_box["handle"])
+        def withdraw_on_marker(batch):
+            if any(tup["x"] == 99 for tup in batch):
+                engine.withdraw(victim_box["handle"])
 
-            source.add_listener(withdraw_on_marker)
-            victim = engine.register_query(
-                QueryGraph("s").append(FilterOperator("x > 0"))
-            )
-            victim_box["handle"] = victim
-            subscription = engine.subscribe(victim)
-            records = [{"x": v} for v in (1, 2, 99, 3, 4)]
-            if mode == "single":
-                for record in records:
-                    engine.push("s", record)
-            else:
-                engine.push_batch("s", records)
-            results.append([t["x"] for t in subscription.drain()])
-            with pytest.raises(UnknownHandleError):
-                engine.read(victim)
-        single, batched = results
-        assert single == batched == [1, 2]
+        # Attached before the victim registers, so it fires first.
+        engine.catalog.get("s").add_batch_listener(withdraw_on_marker)
+        victim = engine.register_query(QueryGraph("s").append(FilterOperator("x > 0")))
+        victim_box["handle"] = victim
+        subscription = engine.subscribe(victim)
+        for values in ((1, 2), (3, 99, 4), (5,)):
+            engine.push_batch("s", [{"x": v} for v in values])
+        assert [t["x"] for t in subscription.drain()] == [1, 2]
+        with pytest.raises(UnknownHandleError):
+            engine.read(victim)
 
     @pytest.mark.parametrize(
         "new_engine", [StreamEngine, StreamEngine.reference], ids=["plan", "oracle"]
@@ -282,23 +282,18 @@ class TestBatchedDispatch:
     def test_push_equals_singleton_push_batch_when_dispatch_changes_queries(
         self, new_engine, change
     ):
-        """Regression: a query registered by a per-tuple control listener
-        while ``t`` is being dispatched saw ``t`` under ``push(t)`` but
-        not under ``push_batch([t])``.  Listeners are snapshotted at
-        dispatch start: the newcomer misses ``t`` either way, and a
-        query withdrawn during ``t``'s dispatch never sees it."""
+        """``push(t)`` is ``push_batch([t])``: a query registered by a
+        tap while ``t`` is being dispatched misses ``t`` either way, and
+        a query withdrawn during ``t``'s dispatch never sees it."""
         results = {}
         for mode in ("push", "push_batch"):
             engine = new_engine()
             engine.register_input_stream("s", SIMPLE)
             graph = QueryGraph("s").append(FilterOperator("x > 0"))
             box = {}
-            if change == "withdraw":
-                box["handle"] = engine.register_query(graph)
-                box["sub"] = engine.subscribe(box["handle"])
 
-            def on_marker(tup, engine=engine, box=box, graph=graph):
-                if tup["x"] != 99:
+            def on_marker(batch, engine=engine, box=box, graph=graph):
+                if batch[0]["x"] != 99:
                     return
                 if change == "register":
                     box["handle"] = engine.register_query(graph.fresh_copy())
@@ -306,7 +301,12 @@ class TestBatchedDispatch:
                 else:
                     engine.withdraw(box["handle"])
 
-            engine.catalog.get("s").add_listener(on_marker)
+            engine.catalog.get("s").add_batch_listener(on_marker)
+            # A bystander, so the plan exists before the tap registers.
+            engine.register_query(graph.fresh_copy())
+            if change == "withdraw":
+                box["handle"] = engine.register_query(graph)
+                box["sub"] = engine.subscribe(box["handle"])
             for value in (1, 99, 2):
                 if mode == "push":
                     engine.push("s", {"x": value})
@@ -432,14 +432,14 @@ class TestOutputStreamGainsAConsumer:
         handle = engine.register_query(QueryGraph("s").append(FilterOperator("x > 0")))
         output = engine.lookup(handle).output
         engine.push_batch("s", [{"x": 1}, {"x": 2}])          # nobody listening
-        per_tuple, per_batch = [], []
-        output.add_listener(lambda tup: per_tuple.append(tup["x"]))
+        early, late_batches = [], []
+        output.add_batch_listener(lambda batch: early.extend(t["x"] for t in batch))
         engine.push_batch("s", [{"x": 3}, {"x": -1}, {"x": 4}])
-        output.add_batch_listener(lambda batch: per_batch.append([t["x"] for t in batch]))
+        output.add_batch_listener(lambda batch: late_batches.append([t["x"] for t in batch]))
         late = engine.subscribe(handle, from_start=False)
         engine.push_batch("s", [{"x": 5}, {"x": 6}])
         engine.push("s", {"x": 7})
-        assert per_tuple == [3, 4, 5, 6, 7]
-        assert per_batch == [[5, 6], [7]]
+        assert early == [3, 4, 5, 6, 7]
+        assert late_batches == [[5, 6], [7]]
         assert [t["x"] for t in late.drain()] == [5, 6, 7]
         assert [t["x"] for t in engine.read(handle)] == [1, 2, 3, 4, 5, 6, 7]

@@ -9,7 +9,9 @@ and that sharing is invisible *exactly*: one engine holding N queries ≡
 N engines holding one query each, bit for bit.
 """
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -218,9 +220,9 @@ class TestPlanSharing:
         assert [t.values for t in engine.read(mapped)] == [(20.0,), (30.0,)]
         assert [t["sumx"] for t in engine.read(aggregated)] == [50.0]
 
-    def test_mid_batch_registration_defers_the_inflight_batch(self):
-        """A query registered from a per-tuple listener mid-batch sees
-        nothing of the in-flight batch — exactly like the oracle, where
+    def test_registration_from_a_tap_misses_the_inflight_batch(self):
+        """A query registered from a batch listener on the source sees
+        nothing of the batch in flight — exactly like the oracle, where
         the new batch listener is outside the dispatch snapshot."""
         results = {}
         for side, make_engine in (
@@ -228,26 +230,111 @@ class TestPlanSharing:
         ):
             engine = make_engine()
             engine.register_input_stream("s", SCHEMA)
-            source = engine.catalog.get("s")
             box = {}
 
-            def register_on_marker(tup, engine=engine, box=box):
-                if tup["x"] == 99.0 and "handle" not in box:
+            def register_on_marker(batch, engine=engine, box=box):
+                if any(tup["x"] == 99.0 for tup in batch) and "handle" not in box:
                     box["handle"] = engine.register_query(
                         QueryGraph("s", [FilterOperator("x > 0")])
                     )
 
-            source.add_listener(register_on_marker)
+            engine.catalog.get("s").add_batch_listener(register_on_marker)
+            # The plan (and its listener) exists before the tap fires.
+            engine.register_query(QueryGraph("s", [FilterOperator("x > 0")]))
             engine.push_batch("s", self.rows([1, 99, 3]))
             engine.push_batch("s", self.rows([4, 5]))
             results[side] = [t["x"] for t in engine.read(box["handle"])]
         assert results["plan"] == results["oracle"] == [4.0, 5.0]
+
+    def test_a_tap_between_two_registrations_is_where_sharing_shows(self):
+        """The boundary of "sharing is invisible": the plan's one
+        listener sits where the stream's *first* registration put it, so
+        a foreign listener attached between two registrations fires
+        between those queries in the oracle but after both in the plan —
+        the query it withdraws has already had the batch.  Control hooks
+        belong before the first registration, or on output streams."""
+        results = {}
+        for side, make_engine in (
+            ("plan", StreamEngine), ("oracle", StreamEngine.reference)
+        ):
+            engine = make_engine()
+            engine.register_input_stream("s", SCHEMA)
+            box = {}
+
+            def withdraw_the_later_query(batch, engine=engine, box=box):
+                engine.withdraw(box["later"])
+
+            engine.register_query(QueryGraph("s", [FilterOperator("x > 0")]))
+            engine.catalog.get("s").add_batch_listener(withdraw_the_later_query)
+            box["later"] = engine.register_query(QueryGraph("s", [FilterOperator("x > 0")]))
+            subscription = engine.subscribe(box["later"])
+            engine.push_batch("s", self.rows([5, 6]))
+            results[side] = [t["x"] for t in subscription.drain()]
+        assert results == {"oracle": [], "plan": [5.0, 6.0]}
 
     def test_oracle_engine_builds_no_plans(self):
         engine = StreamEngine.reference()
         engine.register_input_stream("s", SCHEMA)
         engine.register_query(QueryGraph("s", [FilterOperator("x > 0")]))
         assert engine.plan_stats() == {}
+
+
+class Batch(list):
+    """A list a test can hold a weak reference to."""
+
+
+class TestNothingOutlivesTheDispatch:
+    """Once ``append_batch`` on the source has returned, nothing of that
+    dispatch is left: the stream has none in flight and no plan node or
+    sink keeps the batch alive.  A query registered where the plan's
+    sweep could no longer consume its marker — from a listener on a live
+    query's output, or on the source behind the plan's own — used to pin
+    the batch, and slow every later dispatch, for its lifetime."""
+
+    @pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+    @pytest.mark.parametrize("where", ["output", "source"])
+    def test_a_query_registered_where_the_sweep_has_passed(self, where, raises):
+        engine = StreamEngine()
+        source = engine.register_input_stream("s", SCHEMA)
+        first = engine.register_query(QueryGraph("s", [FilterOperator("x > 0")]))
+        box = {}
+
+        def register_once(batch):
+            if "handle" not in box:
+                box["handle"] = engine.register_query(
+                    QueryGraph("s", [FilterOperator("x > 1"), tuple_agg(2, 2)])
+                )
+                if raises:
+                    raise RuntimeError("listener failed")
+
+        tapped = engine.lookup(first).output if where == "output" else source
+        tapped.add_batch_listener(register_once)
+
+        def dispatch(values):
+            batch = Batch(
+                make_tuple(SCHEMA, {"t": float(v), "x": float(v), "y": 0.0})
+                for v in values
+            )
+            gone = weakref.ref(batch)
+            try:
+                source.append_batch(batch)
+            except RuntimeError:
+                assert raises
+            del batch
+            gc.collect()
+            assert gone() is None, "the batch outlived its dispatch"
+            assert source._inflight is None
+
+        dispatch(range(2, 27))
+        newcomer = box["handle"]
+        assert engine.read(newcomer) == []  # missed exactly the batch in flight
+        for values in ((30, 31), (32,), (33,)):
+            dispatch(values)
+        assert [t["sumx"] for t in engine.read(newcomer)] == [61.0, 65.0]
+        assert len(engine.read(first)) == 29
+        engine.withdraw(newcomer)
+        engine.withdraw(first)
+        assert engine.plan_stats()["s"]["live_nodes"] == 0
 
 
 class TestAttachCost:
@@ -375,13 +462,21 @@ class Worlds:
             self.live = True
 
     def __init__(self):
+        #: Per engine, the handles its source tap withdraws next time.
+        self.doomed = {}
         self.together = self.new_engine()
         self.queries = []
 
-    @staticmethod
-    def new_engine():
+    def new_engine(self):
+        """An engine with a tap on the source ahead of every query."""
         engine = StreamEngine()
-        engine.register_input_stream("s", SCHEMA)
+        doomed = self.doomed[engine] = []
+
+        def tap(batch):
+            while doomed:
+                engine.withdraw(doomed.pop())
+
+        engine.register_input_stream("s", SCHEMA).add_batch_listener(tap)
         return engine
 
     def register(self, graph):
@@ -395,26 +490,15 @@ class Worlds:
             engine.withdraw(handle)
         query.live = False
 
-    def push(self, tuples, victim=None, at=None):
-        """Push one batch to every engine.  With *victim*, a per-tuple
-        control listener withdraws that query while ``tuples[at]`` is
-        being dispatched — the mid-batch revocation path."""
-        hooks = []
+    def push(self, tuples, victim=None):
+        """Push one batch to every engine.  With *victim*, the source
+        tap withdraws that query from inside the dispatch."""
         if victim is not None:
             for engine, handle, _ in victim.sides:
-
-                def hook(tup, engine=engine, handle=handle):
-                    if tup is tuples[at]:
-                        engine.withdraw(handle)
-
-                source = engine.catalog.get("s")
-                source.add_listener(hook)
-                hooks.append((source, hook))
+                self.doomed[engine].append(handle)
         self.together.push_batch("s", tuples)
         for query in self.live():
             query.sides[1][0].push_batch("s", tuples)
-        for source, hook in hooks:
-            source.remove_listener(hook)
         if victim is not None:
             victim.live = False
 
@@ -456,10 +540,8 @@ class TestSharingIsInvisible:
             else:
                 tuples = batch(rng, clock, rng.randint(1, 30))
                 clock += len(tuples)
-                if roll < 0.65:  # withdraw one query mid-batch
-                    worlds.push(
-                        tuples, victim=rng.choice(live), at=rng.randrange(len(tuples))
-                    )
+                if roll < 0.65:  # withdraw one query from inside the dispatch
+                    worlds.push(tuples, victim=rng.choice(live))
                 else:
                     worlds.push(tuples)
             emitted += worlds.pending()
@@ -468,10 +550,10 @@ class TestSharingIsInvisible:
         (stats,) = worlds.together.plan_stats().values()
         assert stats["nodes_shared"] + stats["nodes_subsumed"] > 0
 
-    def test_mid_batch_withdrawal_leaves_co_tenants_exact(self):
-        """Withdrawing one of three queries sharing a float aggregate
-        node flushes the batch prefix through the shared node; the two
-        co-tenants must not notice the split."""
+    def test_withdrawal_from_a_tap_leaves_co_tenants_exact(self):
+        """One of three queries sharing a float aggregate node is
+        withdrawn from inside a dispatch; the two co-tenants must not
+        notice."""
         rng = random.Random(42)
         worlds = Worlds()
         for template in (TEMPLATES[0], TEMPLATES[0], TEMPLATES[1]):
@@ -479,7 +561,7 @@ class TestSharingIsInvisible:
         (stats,) = worlds.together.plan_stats().values()
         assert stats["nodes_created"] == 3 and stats["nodes_shared"] == 4
         worlds.push(batch(rng, 0, 25))
-        worlds.push(batch(rng, 25, 40), victim=worlds.queries[0], at=17)
+        worlds.push(batch(rng, 25, 40), victim=worlds.queries[0])
         worlds.push(batch(rng, 65, 25))
         assert all(sub.pending for q in worlds.queries for _, _, sub in q.sides)
         worlds.assert_identical()

@@ -33,19 +33,21 @@ class TestAppend:
         with pytest.raises(StreamError):
             stream.extend(tuples(1))
 
-    def test_listeners_invoked_per_tuple(self):
+    def test_listeners_get_each_batch_once_in_the_order_they_were_added(self):
         stream = Stream("s", SCHEMA)
-        seen = []
-        stream.add_listener(lambda t: seen.append(t["x"]))
-        stream.extend(tuples(1, 2))
-        assert seen == [1, 2]
+        calls = []
+        stream.add_batch_listener(lambda b: calls.append(("a", [t["x"] for t in b])))
+        stream.add_batch_listener(lambda b: calls.append(("b", [t["x"] for t in b])))
+        stream.append_batch(tuples(1, 2))
+        stream.append(tuples(3)[0])
+        assert calls == [("a", [1, 2]), ("b", [1, 2]), ("a", [3]), ("b", [3])]
 
-    def test_remove_listener(self):
+    def test_remove_batch_listener(self):
         stream = Stream("s", SCHEMA)
         seen = []
-        callback = lambda t: seen.append(t["x"])
-        stream.add_listener(callback)
-        stream.remove_listener(callback)
+        stream.add_batch_listener(seen.extend)
+        stream.remove_batch_listener(seen.extend)
+        stream.remove_batch_listener(seen.extend)  # unknown: ignored
         stream.extend(tuples(1))
         assert seen == []
 
@@ -61,22 +63,12 @@ class TestAppendBatch:
         stream = Stream("s", SCHEMA)
         assert stream.append_batch([]) == 0
 
-    def test_listener_interleaving_matches_single_appends(self):
-        """Each tuple reaches every listener before the next tuple does,
-        exactly like N single appends."""
-        calls = []
-        stream = Stream("s", SCHEMA)
-        stream.add_listener(lambda t: calls.append(("a", t["x"])))
-        stream.add_listener(lambda t: calls.append(("b", t["x"])))
-        stream.append_batch(tuples(1, 2))
-        assert calls == [("a", 1), ("b", 1), ("a", 2), ("b", 2)]
-
     def test_atomic_validation(self):
         """A batch with one bad tuple changes nothing."""
         other = Schema("o", [("y", "int")])
         stream = Stream("s", SCHEMA)
         seen = []
-        stream.add_listener(lambda t: seen.append(t["x"]))
+        stream.add_batch_listener(seen.extend)
         batch = tuples(1, 2) + [make_tuple(other, {"y": 9})]
         with pytest.raises(StreamError):
             stream.append_batch(batch)
@@ -96,6 +88,10 @@ class TestAppendBatch:
         assert stream.total_appended == 5
 
 
+def xs(batch):
+    return [tup["x"] for tup in batch]
+
+
 class TestSingleAppendIsASingletonBatch:
     """``append(t)`` and ``append_batch([t])`` are one dispatch
     implementation: listeners are snapshotted when dispatch starts."""
@@ -109,16 +105,19 @@ class TestSingleAppendIsASingletonBatch:
 
     @pytest.mark.parametrize("how", ["append", "append_batch"])
     def test_batch_listener_added_during_dispatch_misses_the_tuple(self, how):
-        # Regression: append() used to snapshot batch listeners *after*
-        # the per-tuple phase, so the late listener saw the tuple under
-        # append() but not under append_batch([t]).
         stream = Stream("s", SCHEMA)
         seen = []
-        stream.add_listener(lambda tup: stream.add_batch_listener(seen.extend))
-        (first,) = tuples(1)
+        added = []
+
+        def add_once(batch):
+            if not added:
+                added.append(True)
+                stream.add_batch_listener(seen.extend)
+
+        stream.add_batch_listener(add_once)
+        first, second = tuples(1, 2)
         self.dispatch(stream, how, first)
         assert seen == []
-        (second,) = tuples(2)
         self.dispatch(stream, how, second)
         assert seen == [second]
 
@@ -126,9 +125,8 @@ class TestSingleAppendIsASingletonBatch:
     def test_batch_listener_removed_during_dispatch_misses_the_tuple(self, how):
         stream = Stream("s", SCHEMA)
         seen = []
-        listener = seen.extend
-        stream.add_batch_listener(listener)
-        stream.add_listener(lambda tup: stream.remove_batch_listener(listener))
+        stream.add_batch_listener(lambda batch: stream.remove_batch_listener(seen.extend))
+        stream.add_batch_listener(seen.extend)
         self.dispatch(stream, how, tuples(1)[0])
         assert seen == []
 
@@ -138,6 +136,70 @@ class TestSingleAppendIsASingletonBatch:
         stream.add_batch_listener(lambda batch: batches.append(len(batch)))
         assert stream.extend(iter(tuples(*range(INGEST_CHUNK + 3)))) == INGEST_CHUNK + 3
         assert batches == [INGEST_CHUNK, 3]
+
+
+class TestListenersChangedFromInsideADispatch:
+    """The re-entrancy rules of ``Stream`` past the two cases above."""
+
+    def test_a_listener_removed_after_its_turn_has_had_the_batch(self):
+        stream = Stream("s", SCHEMA)
+        seen = []
+        stream.add_batch_listener(seen.extend)
+        stream.add_batch_listener(lambda batch: stream.remove_batch_listener(seen.extend))
+        stream.append_batch(tuples(1, 2))
+        stream.append_batch(tuples(3))
+        assert xs(seen) == [1, 2]
+
+    def test_removed_and_added_again_before_its_turn_is_a_new_listener(self):
+        stream = Stream("s", SCHEMA)
+        seen = []
+
+        def cycle(batch):
+            stream.remove_batch_listener(seen.extend)
+            stream.add_batch_listener(seen.extend)
+
+        stream.add_batch_listener(cycle)
+        stream.add_batch_listener(seen.extend)
+        stream.append_batch(tuples(1))
+        assert seen == []
+        stream.remove_batch_listener(cycle)
+        stream.append_batch(tuples(2))
+        assert xs(seen) == [2]
+
+    def test_nested_appends_count_as_in_flight_too(self):
+        """A listener appending to its own stream nests a dispatch; a
+        listener added inside the inner one misses both batches, and one
+        removed inside it gets nothing of the outer batch either."""
+        stream = Stream("s", SCHEMA)
+        late, victim = [], []
+
+        def nest(batch):
+            if xs(batch) == [1]:
+                stream.append_batch(tuples(2))
+            else:
+                stream.add_batch_listener(late.extend)
+                stream.remove_batch_listener(victim.extend)
+
+        stream.add_batch_listener(nest)
+        stream.add_batch_listener(victim.extend)
+        stream.append_batch(tuples(1))
+        assert late == [] and victim == []
+        assert xs(stream.snapshot()) == [1, 2]
+        stream.remove_batch_listener(nest)
+        stream.append_batch(tuples(3))
+        assert xs(late) == [3] and victim == []
+
+    def test_a_raising_listener_leaves_no_dispatch_in_flight(self):
+        stream = Stream("s", SCHEMA)
+
+        def boom(batch):
+            raise RuntimeError("listener failed")
+
+        stream.add_batch_listener(boom)
+        with pytest.raises(RuntimeError):
+            stream.append_batch(tuples(1))
+        assert stream._inflight is None
+        assert stream.total_appended == 1
 
 
 class TestBoundedBuffer:
@@ -180,6 +242,15 @@ class TestSubscription:
         assert subscription.pending == 3
         assert [t["x"] for t in subscription.poll(2)] == [1, 2]
         assert subscription.pending == 1
+
+    def test_poll_limit_zero_and_negative(self):
+        stream = Stream("s", SCHEMA)
+        stream.extend(tuples(1, 2, 3))
+        subscription = stream.subscribe()
+        assert subscription.poll(0) == []
+        with pytest.raises(StreamError):
+            subscription.poll(-1)  # used to return all but the newest
+        assert subscription.pending == 3
 
     def test_independent_positions(self):
         stream = Stream("s", SCHEMA)
