@@ -11,10 +11,12 @@ import pytest
 
 from benchmarks.harness import print_header
 from repro.core.merge import MergeOptions, merge_query_graphs
+from repro.streams.engine import StreamEngine
 from repro.streams.graph import QueryGraph
 from repro.streams.operators import MapOperator
 from repro.streams.schema import WEATHER_SCHEMA
 from repro.streams.sources import WeatherSource
+from tests.conftest import engine_outputs
 
 POLICY_ATTRS = ["samplingtime", "rainrate", "windspeed"]
 SNEAKY_USER_ATTRS = ["rainrate", "temperature"]  # temperature is withheld
@@ -44,8 +46,10 @@ def test_union_semantics_leaks_withheld_attribute(benchmark):
     assert leaked == {"temperature"}
 
     # The leak is observable in actual data: temperature values flow out.
-    instance = merged.instantiate(WEATHER_SCHEMA)
-    outputs = instance.process_many(WeatherSource(seed=3).tuples(5))
+    outputs = engine_outputs(
+        StreamEngine(), merged, WEATHER_SCHEMA, [WeatherSource(seed=3).tuples(5)]
+    )
+    assert len(outputs) == 5
     assert all("temperature" in t.schema.attribute_names for t in outputs)
 
 

@@ -9,10 +9,15 @@ pipeline vs the naive policy-graph-then-user-graph concatenation.
 
 from benchmarks.harness import gate, print_header, timed
 from repro.core.merge import merge_query_graphs
+from repro.streams.engine import StreamEngine
 from repro.streams.graph import QueryGraph
 from repro.streams.schema import WEATHER_SCHEMA
 from repro.streams.sources import WeatherSource
-from tests.conftest import build_lta_user_query, build_nea_policy_graph
+from tests.conftest import (
+    build_lta_user_query,
+    build_nea_policy_graph,
+    engine_outputs,
+)
 
 
 def concatenated_graph():
@@ -21,7 +26,7 @@ def concatenated_graph():
     user = build_lta_user_query()
     graph = QueryGraph("weather", name="concatenated")
     for operator in policy.operators:
-        graph.append(operator.fresh_copy())
+        graph.append(operator)
     # After the policy aggregation the schema is (lastvalsamplingtime,
     # avgrainrate, maxwindspeed); the user's operators must be rewritten
     # against it — which is exactly the awkwardness merging avoids.  The
@@ -56,11 +61,9 @@ def merged_graph():
 
 
 def push_through(graph, tuples):
-    instance = graph.instantiate(WEATHER_SCHEMA)
-    emitted = 0
-    for tup in tuples:
-        emitted += len(instance.process(tup))
-    return emitted
+    """One push per tuple on an engine holding *graph* alone."""
+    singles = ([tup] for tup in tuples)
+    return len(engine_outputs(StreamEngine(), graph, WEATHER_SCHEMA, singles))
 
 
 def test_merge_operation_cost(benchmark):

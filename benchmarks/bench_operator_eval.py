@@ -3,7 +3,7 @@
 Pins what compiled, batched operator evaluation buys: engine
 throughput at query fan-out 1/5/20 against the interpreted per-tuple
 oracle (``StreamEngine.reference()``), a raw expression-evaluation
-microbenchmark (closure vs AST walk), and ``push_batch`` against
+microbenchmark (compiled batch mask vs AST walk), and ``push_batch`` against
 per-tuple ``push`` on the production engine.  The per-box and
 Example 1 chain throughputs are the substrate sanity numbers (the paper
 never measures StreamBase's own tuple throughput), kept so an engine
@@ -22,7 +22,7 @@ from benchmarks.harness import (
     print_header,
     production_vs_oracle,
 )
-from repro.expr.compile import compile_predicate
+from repro.expr.compile import compile_batch
 from repro.expr.evaluate import evaluate
 from repro.expr.parser import parse_condition
 from repro.streams.engine import StreamEngine
@@ -50,10 +50,10 @@ def fanout_graphs(fanout):
     ]
 
 
-def fanout_engine(fanout):
+def engine_with(graphs):
     engine = StreamEngine()
     engine.register_input_stream("weather", WEATHER_SCHEMA)
-    for graph in fanout_graphs(fanout):
+    for graph in graphs:
         engine.register_query(graph)
     return engine
 
@@ -88,21 +88,20 @@ def graph_for(kind):
 
 
 def test_expression_eval_compiled_vs_interpreted(benchmark):
-    """Microbenchmark: one condition over 2000 tuples, closure vs AST."""
+    """Microbenchmark: one condition over 2000 tuples, the compiled
+    batch mask (the form a plan node executes) vs the AST walk."""
     expression = parse_condition(CONDITION)
-    predicate = compile_predicate(expression, WEATHER_SCHEMA)
+    mask = compile_batch(expression, WEATHER_SCHEMA)
 
     def compare():
         interpreted = best_of(3, lambda: lambda: [evaluate(expression, t) for t in TUPLES])
-        compiled = best_of(3, lambda: lambda: [predicate(t) for t in TUPLES])
-        assert [predicate(t) for t in TUPLES] == [
-            evaluate(expression, t) for t in TUPLES
-        ]
+        compiled = best_of(3, lambda: lambda: mask(TUPLES))
+        assert mask(TUPLES) == [evaluate(expression, t) for t in TUPLES]
         return {"interpreted_s": interpreted, "compiled_s": compiled}
 
     timings = benchmark.pedantic(compare, rounds=1, iterations=1)
     speedup = timings["interpreted_s"] / timings["compiled_s"]
-    print_header("Expression evaluation — 2000 tuples, AST walk vs closure")
+    print_header("Expression evaluation — 2000 tuples, AST walk vs batch mask")
     print(
         f"  interpreted {timings['interpreted_s'] * 1e6 / len(TUPLES):8.2f} µs/tuple"
         f"   compiled {timings['compiled_s'] * 1e6 / len(TUPLES):8.2f} µs/tuple"
@@ -144,12 +143,13 @@ def test_engine_fanout_compiled_vs_interpreted(benchmark):
 
 @pytest.mark.parametrize("kind", ["filter", "map", "aggregate", "chain"])
 def test_operator_throughput(benchmark, kind):
-    """Tuples through each box type and the full Example 1 chain."""
-    instance = graph_for(kind).instantiate(WEATHER_SCHEMA)
+    """Tuples through each box type and the full Example 1 chain, one
+    ``push`` per tuple on an engine holding that one query."""
+    engine = engine_with([graph_for(kind)])
 
     def push_all():
         for tup in TUPLES:
-            instance.process(tup)
+            engine.push("weather", tup)
 
     benchmark(push_all)
 
@@ -174,7 +174,7 @@ def test_batched_ingest_equivalent_and_faster(benchmark):
                 engines = []
 
                 def make():
-                    engines.append(fanout_engine(n_queries))
+                    engines.append(engine_with(fanout_graphs(n_queries)))
                     return lambda: feed(engines[-1])
 
                 timings[(n_queries, mode)] = best_of(3, make)

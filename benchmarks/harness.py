@@ -74,7 +74,7 @@ def _ingest(build, graphs, tuples):
     def make():
         engine = last["engine"] = build()
         engine.register_input_stream(source, WEATHER_SCHEMA)
-        last["handles"] = [engine.register_query(g.fresh_copy()) for g in graphs]
+        last["handles"] = [engine.register_query(g) for g in graphs]
         return lambda: engine.push_batch(source, tuples)
 
     seconds = best_of(ROUNDS, make)

@@ -124,9 +124,9 @@ def _merge_filters(
     if policy_filter is None and user_filter is None:
         return None
     if policy_filter is None:
-        return user_filter.fresh_copy()
+        return user_filter
     if user_filter is None:
-        return policy_filter.fresh_copy()
+        return policy_filter
     if options.simplify_filters:
         condition = simplify_merged_condition(
             policy_filter.condition, user_filter.condition
@@ -147,9 +147,9 @@ def _merge_aggregates(
     if policy_aggregate is None and user_aggregate is None:
         return None
     if policy_aggregate is None:
-        return user_aggregate.fresh_copy()
+        return user_aggregate
     if user_aggregate is None:
-        return policy_aggregate.fresh_copy()
+        return policy_aggregate
     if not user_aggregate.window.refines(policy_aggregate.window):
         raise WindowRefinementError(
             f"user window {user_aggregate.window!r} is finer-grained than "

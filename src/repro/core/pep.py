@@ -32,9 +32,9 @@ request: the PDP decision, the query/stream mismatch check, the
 single-access check, the NR/PR gates (``allow_partial_results`` is read
 on every request), handle allocation and the graph manager's record.
 Refusals (NR, PR, impossible merges, schema errors) store nothing.
-Template operators are shared by every graph stamped from them and are
-never executed: the plan runs a ``fresh_copy`` of each, as does
-``QueryGraph.instantiate``.
+Template operators are shared by every graph stamped from them, which
+is safe by construction: an operator is a stateless declaration, and
+what runs is what the plan's ``operator.bind(...)`` returns per node.
 
 :class:`PepResult` carries the handle plus per-stage timings so the
 framework's metrics layer can reproduce the paper's Figure 7 breakdown
@@ -104,7 +104,7 @@ class GrantTemplate(NamedTuple):
     """What every grant of one (obligations, stream, user query, merge
     options) combination has in common; see the module docstring."""
 
-    #: The merged chain.  Shared by every stamped graph, never executed.
+    #: The merged chain: declarations, shared by every stamped graph.
     operators: Tuple[Operator, ...]
     #: NR/PR findings of the merge (PR only: an NR merge is refused).
     warnings: Tuple[WarningReport, ...]

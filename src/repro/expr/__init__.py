@@ -36,11 +36,7 @@ from repro.expr.satisfiability import (
 )
 from repro.expr.simplify import simplify_conjunction
 from repro.expr.evaluate import evaluate
-from repro.expr.compile import (
-    compile_batch,
-    compile_predicate,
-    compile_row_predicate,
-)
+from repro.expr.compile import compile_batch
 
 __all__ = [
     "AndExpression",
@@ -61,6 +57,4 @@ __all__ = [
     "simplify_conjunction",
     "evaluate",
     "compile_batch",
-    "compile_predicate",
-    "compile_row_predicate",
 ]

@@ -128,49 +128,6 @@ def _build(source: str, constants: List):
 
 
 @lru_cache(maxsize=512)
-def _compiled_pair(expression: BooleanExpression, schema: "Schema"):
-    """(row predicate, row mask) for *expression* over *schema*.
-
-    Cached on the (expression, schema) pair — both are immutable and
-    hashable — so every FilterOperator copy of the same condition over
-    the same schema shares one compilation.
-    """
-    constants: List = []
-    body = _expression_source(expression, schema, constants)
-    row_predicate = _build(f"lambda v: {body}", constants)
-    # One inlined comprehension per batch: no per-row function call.
-    # ``for v in (t.values,)`` binds each tuple's value vector to ``v``
-    # without an intermediate list or an extra call frame.
-    row_mask = _build(f"lambda ts: [{body} for t in ts for v in (t.values,)]", constants)
-    return row_predicate, row_mask
-
-
-def compile_predicate(
-    expression: BooleanExpression, schema: "Schema"
-) -> Callable[["StreamTuple"], bool]:
-    """Compile *expression* into a ``StreamTuple -> bool`` closure.
-
-    The closure assumes its argument conforms to *schema* (the engine
-    validates graphs against stream schemas before execution); feeding
-    tuples of a different layout is undefined, exactly as for any
-    operator used outside a validated pipeline.
-    """
-    row_predicate, _ = _compiled_pair(expression, schema)
-    return lambda tup: bool(row_predicate(tup.values))
-
-
-def compile_row_predicate(
-    expression: BooleanExpression, schema: "Schema"
-) -> Callable[[tuple], bool]:
-    """Like :func:`compile_predicate`, but over raw value vectors.
-
-    The fastest entry point when the caller already holds
-    ``StreamTuple.values`` (or schema-ordered plain tuples).
-    """
-    row_predicate, _ = _compiled_pair(expression, schema)
-    return row_predicate
-
-
 def compile_batch(
     expression: BooleanExpression, schema: "Schema"
 ) -> Callable[[Sequence["StreamTuple"]], List[bool]]:
@@ -178,12 +135,18 @@ def compile_batch(
 
     The returned closure maps a batch of tuples to one boolean per
     tuple, evaluating the condition inside a single list comprehension
-    so the per-tuple cost is the specialised comparisons alone.
+    so the per-tuple cost is the specialised comparisons alone.  It
+    assumes the tuples conform to *schema* (the engine validates graphs
+    against stream schemas before execution).
+
+    Cached on the (expression, schema) pair — both are immutable and
+    hashable — so every filter over the same condition and schema
+    shares one compilation.
     """
-    _, row_mask = _compiled_pair(expression, schema)
-    return row_mask
+    constants: List = []
+    body = _expression_source(expression, schema, constants)
+    # One inlined comprehension per batch: no per-row function call.
+    # ``for v in (t.values,)`` binds each tuple's value vector to ``v``
+    # without an intermediate list or an extra call frame.
+    return _build(f"lambda ts: [{body} for t in ts for v in (t.values,)]", constants)
 
-
-def clear_compile_cache() -> None:
-    """Drop all cached compilations (tests and long-lived processes)."""
-    _compiled_pair.cache_clear()

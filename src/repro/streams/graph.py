@@ -8,16 +8,16 @@ ordered pipeline.  The class still validates like a general DAG node list:
 schemas are propagated box-to-box and every operator is checked against
 its actual input schema.
 
-A graph is a *declaration*.  The engine executes it by attaching it to a
-shared plan (:mod:`repro.streams.plan`); :meth:`QueryGraph.instantiate`
-runs one graph on its own, offline, over the same operators (merge
-ablations, the reconstruction attack, tests).
+A graph is a *declaration*, and so is every operator in it (one operator
+object may sit in many graphs).  The only way to run one is to register
+it with an engine, which attaches it to the source's shared plan
+(:mod:`repro.streams.plan`).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.errors import GraphError
 from repro.streams.operators.base import Operator
@@ -25,7 +25,6 @@ from repro.streams.operators.filter import FilterOperator
 from repro.streams.operators.map import MapOperator
 from repro.streams.operators.window import AggregateOperator
 from repro.streams.schema import Schema
-from repro.streams.tuples import StreamTuple
 
 _graph_counter = itertools.count(1)
 
@@ -102,7 +101,7 @@ class QueryGraph:
     def aggregate_operator(self) -> Optional[AggregateOperator]:
         return self.single("aggregate")  # type: ignore[return-value]
 
-    # -- validation & execution ------------------------------------------------
+    # -- validation ------------------------------------------------------------
 
     def validate(self, input_schema: Schema) -> Schema:
         """Propagate schemas through the chain; return the output schema.
@@ -122,17 +121,6 @@ class QueryGraph:
             schemas.append(operator.output_schema(schemas[-1]))
         return schemas
 
-    def instantiate(self, input_schema: Schema) -> "QueryGraphInstance":
-        """Build a runnable instance with fresh operator state."""
-        return QueryGraphInstance(self, input_schema)
-
-    def fresh_copy(self, name: Optional[str] = None) -> "QueryGraph":
-        return QueryGraph(
-            self.source,
-            [op.fresh_copy() for op in self._operators],
-            name=name or self.name,
-        )
-
     def describe(self) -> str:
         if not self._operators:
             return f"{self.source} → (passthrough)"
@@ -141,55 +129,3 @@ class QueryGraph:
 
     def __repr__(self) -> str:
         return f"QueryGraph({self.name!r}: {self.describe()})"
-
-
-class QueryGraphInstance:
-    """A running copy of a query graph with per-operator state.
-
-    :meth:`process_many` runs the pipeline stage by stage on whole
-    batches via ``Operator.process_batch``; :meth:`process` is the
-    single-tuple form.  Both are output-identical (the batch-vs-single
-    differential tests prove it).
-    """
-
-    def __init__(self, graph: QueryGraph, input_schema: Schema):
-        self.graph = graph
-        self._operators = [op.fresh_copy() for op in graph.operators]
-        self._schemas = graph.schema_trace(input_schema)
-        self._stages = list(zip(self._operators, self._schemas[1:]))
-
-    @property
-    def input_schema(self) -> Schema:
-        return self._schemas[0]
-
-    @property
-    def output_schema(self) -> Schema:
-        return self._schemas[-1]
-
-    def process(self, tup: StreamTuple) -> List[StreamTuple]:
-        """Push one tuple through the whole chain; return emitted tuples."""
-        batch = [tup]
-        for operator, out_schema in self._stages:
-            next_batch: List[StreamTuple] = []
-            for item in batch:
-                next_batch.extend(operator.process(item, out_schema))
-            if not next_batch:
-                return []
-            batch = next_batch
-        return batch
-
-    def process_many(self, tuples: Sequence[StreamTuple]) -> List[StreamTuple]:
-        """Push a batch through the whole chain, stage by stage.
-
-        Output-equivalent to calling :meth:`process` per tuple and
-        concatenating: operators see the same tuples in the same order,
-        they just see them one batch at a time.  Never mutates *tuples*.
-        """
-        batch: List[StreamTuple] = (
-            tuples if isinstance(tuples, list) else list(tuples)
-        )
-        for operator, out_schema in self._stages:
-            if not batch:
-                break
-            batch = operator.process_batch(batch, out_schema)
-        return batch

@@ -1,18 +1,21 @@
 """Operator (box) base class.
 
-An operator consumes tuples one at a time and emits zero or more output
-tuples per input — the continuous-query execution model of Aurora.  Each
-operator instance is *stateful* (windows accumulate tuples), so operators
-must be cloned (:meth:`Operator.fresh_copy`) before being installed into a
-second running query.
+An operator is a *declaration*: what a box computes, with no mutable
+state, so one instance may sit in any number of query graphs.  What runs
+is whatever :meth:`Operator.bind` returns for one pair of edge schemas —
+compiled closures and window buffers live there, one per plan node.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Callable, List, Sequence
 
 from repro.streams.schema import Schema
 from repro.streams.tuples import StreamTuple
+
+#: What :meth:`Operator.bind` returns: a batch of input tuples in, the
+#: tuples to emit out (never mutating its argument).
+BoundOperator = Callable[[Sequence[StreamTuple]], List[StreamTuple]]
 
 
 class Operator:
@@ -22,13 +25,12 @@ class Operator:
     #: "map", "aggregate").
     kind: str = "operator"
 
-    #: Whether this operator accumulates cross-tuple state (windows).  The
+    #: Whether a bound run accumulates cross-tuple state (windows).  The
     #: shared execution plan may attach a new query to an existing
     #: stateless node at any time, but a stateful node is only shareable
-    #: before it has consumed input (afterwards the plan clones it so the
-    #: newcomer starts from an empty window, exactly like a fresh
-    #: per-query pipeline).  Defaults to True — the conservative choice
-    #: for third-party operators.
+    #: before it has consumed input (afterwards the plan binds the
+    #: declaration again so the newcomer starts from an empty window).
+    #: Defaults to True — the conservative choice.
     stateful: bool = True
 
     def output_schema(self, input_schema: Schema) -> Schema:
@@ -40,28 +42,15 @@ class Operator:
         """
         raise NotImplementedError
 
-    def process(self, tup: StreamTuple, output_schema: Schema) -> List[StreamTuple]:
-        """Consume one input tuple; return the tuples to emit (often 0/1)."""
-        raise NotImplementedError
+    def bind(self, input_schema: Schema, output_schema: Schema) -> BoundOperator:
+        """One independent run of this declaration between two edges.
 
-    def process_batch(
-        self, tuples: Sequence[StreamTuple], output_schema: Schema
-    ) -> List[StreamTuple]:
-        """Consume a batch of input tuples; return the tuples to emit.
-
-        Must be output-equivalent to calling :meth:`process` once per
-        tuple, in order, and concatenating the results — the contract
-        the batch-vs-single differential tests enforce.  The default
-        does exactly that, so third-party operators keep working; the
-        built-in boxes override it with real batch implementations.
+        *output_schema* is ``self.output_schema(input_schema)`` (or an
+        equal schema object the caller wants emitted tuples to carry).
+        Everything schema-dependent is resolved here, once; the result
+        is batch-partition invariant — feeding a stream in any split of
+        batches emits the same tuples in the same order.
         """
-        outputs: List[StreamTuple] = []
-        for tup in tuples:
-            outputs.extend(self.process(tup, output_schema))
-        return outputs
-
-    def fresh_copy(self) -> "Operator":
-        """Return a stateless clone suitable for a new query instance."""
         raise NotImplementedError
 
     def describe(self) -> str:

@@ -28,11 +28,11 @@ compare this module against).
 from __future__ import annotations
 
 import enum
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import SchemaError, StreamError
 from repro.streams.operators.aggregate import AggregateFunction, get_aggregate_function
-from repro.streams.operators.base import Operator
+from repro.streams.operators.base import BoundOperator, Operator
 from repro.streams.schema import DataType, Field, Schema, _widener
 from repro.streams.tuples import StreamTuple, extract_columns
 
@@ -161,13 +161,14 @@ class AggregationSpec:
 
 class AggregateOperator(Operator):
     """Apply aggregate functions over a sliding window, recomputed per
-    emission from columnar buffers — see the module docstring.
+    emission from columnar buffers — see the module docstring.  The
+    buffers belong to a :meth:`bind`, never to the declaration.
     """
 
     kind = "aggregate"
     #: Window contents are history-dependent (tuple-window alignment, the
-    #: time-window origin ``t0``), so the shared plan clones this node
-    #: instead of sharing it once it has consumed input.
+    #: time-window origin ``t0``), so the shared plan binds a node of its
+    #: own instead of sharing one that has consumed input.
     stateful = True
 
     def __init__(
@@ -188,9 +189,10 @@ class AggregateOperator(Operator):
         self.window = window
         self.aggregations: Tuple[AggregationSpec, ...] = tuple(unique)
         self.time_attribute = time_attribute.lower() if time_attribute else None
-        #: Built lazily on the first batch (it needs the input schema
-        #: to resolve attribute positions).
-        self._columnar: Optional[_ColumnarWindow] = None
+        #: The distinct aggregated attributes — one window column each,
+        #: shared by the specs over it — and each spec's column index.
+        self._columns = tuple(dict.fromkeys(spec.attribute for spec in unique))
+        self._column_of = tuple(self._columns.index(spec.attribute) for spec in unique)
 
     # -- schema ------------------------------------------------------------
 
@@ -226,29 +228,15 @@ class AggregateOperator(Operator):
 
     # -- execution ----------------------------------------------------------
 
-    def process(self, tup: StreamTuple, output_schema: Schema) -> List[StreamTuple]:
-        return self.process_batch((tup,), output_schema)
-
-    def process_batch(
-        self, tuples: Sequence[StreamTuple], output_schema: Schema
-    ) -> List[StreamTuple]:
-        """Real batch path: one buffer extension and one emission sweep
-        per batch instead of per tuple, with attribute positions
-        resolved once per batch."""
-        if not tuples:
-            return []
-        state = self._columnar
-        if state is None:
-            factory = (
-                _ColumnarTupleWindow
-                if self.window.window_type is WindowType.TUPLE
-                else _ColumnarTimeWindow
-            )
-            state = self._columnar = factory(self, tuples[0].schema)
-        return state.process(tuples, output_schema)
-
-    def fresh_copy(self) -> "AggregateOperator":
-        return AggregateOperator(self.window, self.aggregations, self.time_attribute)
+    def bind(self, input_schema: Schema, output_schema: Schema) -> BoundOperator:
+        """A fresh, empty window: one buffer extension and one emission
+        sweep per batch, attribute positions resolved here."""
+        factory = (
+            _ColumnarTupleWindow
+            if self.window.window_type is WindowType.TUPLE
+            else _ColumnarTimeWindow
+        )
+        return factory(self, input_schema, output_schema).process
 
     def describe(self) -> str:
         aggs = ", ".join(spec.to_call_syntax() for spec in self.aggregations)
@@ -265,57 +253,35 @@ class _ColumnarWindow:
     aggregated attribute (specs over the same attribute share a
     column), addressed by logical stream position minus ``base`` —
     a ring buffer realised as an occasionally-trimmed list.  Attribute
-    positions are resolved once per schema object and rebound if a
-    differently-laid-out schema ever shows up (the engine validates
-    pipelines, so in practice one schema per instance).
+    positions and the output coercion are resolved once, for the two
+    schemas the window was bound between.
     """
 
-    __slots__ = (
-        "size", "step", "attr_keys", "cols", "computes",
-        "schema", "positions", "widen",
-    )
+    __slots__ = ("size", "step", "cols", "computes", "positions", "output_schema", "widen")
 
-    def __init__(self, operator: AggregateOperator, schema: Schema):
+    def __init__(
+        self, operator: AggregateOperator, input_schema: Schema, output_schema: Schema
+    ):
         self.size = operator.window.size
         self.step = operator.window.step
-        attr_keys: List[str] = []
-        index_of = {}
-        for spec in operator.aggregations:
-            if spec.attribute not in index_of:
-                index_of[spec.attribute] = len(attr_keys)
-                attr_keys.append(spec.attribute)
-        self.attr_keys = attr_keys
-        self.cols: List[List] = [[] for _ in attr_keys]
+        self.cols: List[List] = [[] for _ in operator._columns]
         #: Per spec ``(compute, column)``, bound once.
         self.computes = [
-            (spec.function.compute, self.cols[index_of[spec.attribute]])
-            for spec in operator.aggregations
+            (spec.function.compute, self.cols[index])
+            for spec, index in zip(operator.aggregations, operator._column_of)
         ]
-        self.schema: Optional[Schema] = None
-        #: Bound on the first emission (it needs the output schema).
-        self.widen: Optional[Callable[[Iterable], tuple]] = None
-        self._rebind(schema)
+        self.positions = input_schema.positions(operator._columns)
+        self.output_schema = output_schema
+        self.widen = _widener(output_schema)
 
-    def _rebind(self, schema: Schema) -> None:
-        self.schema = schema
-        self.positions = schema.positions(self.attr_keys)
-
-    def _check_schema(self, schema: Schema) -> None:
-        if schema is not self.schema and schema != self.schema:
-            self._rebind(schema)
-
-    def _coerced(self, values, output_schema: Schema) -> StreamTuple:
+    def _coerced(self, values) -> StreamTuple:
         """The output tuple for *values*, each coerced to its field's
         type (an int sum widens into a DOUBLE field; a third-party
         function's mistyped result raises ``SchemaError``)."""
-        if self.widen is None:
-            self.widen = _widener(output_schema)
-        return StreamTuple(output_schema, self.widen(values))
+        return StreamTuple(self.output_schema, self.widen(values))
 
-    def _emit_slice(self, low: int, high: int, output_schema: Schema) -> StreamTuple:
-        return self._coerced(
-            [compute(col[low:high]) for compute, col in self.computes], output_schema
-        )
+    def _emit_slice(self, low: int, high: int) -> StreamTuple:
+        return self._coerced([compute(col[low:high]) for compute, col in self.computes])
 
 
 class _ColumnarTupleWindow(_ColumnarWindow):
@@ -329,22 +295,21 @@ class _ColumnarTupleWindow(_ColumnarWindow):
 
     __slots__ = ("base", "count", "win_start")
 
-    def __init__(self, operator: AggregateOperator, schema: Schema):
-        super().__init__(operator, schema)
+    def __init__(
+        self, operator: AggregateOperator, input_schema: Schema, output_schema: Schema
+    ):
+        super().__init__(operator, input_schema, output_schema)
         self.base = 0
         self.count = 0
         self.win_start = 0
 
-    def process(
-        self, tuples: Sequence[StreamTuple], output_schema: Schema
-    ) -> List[StreamTuple]:
-        self._check_schema(tuples[0].schema)
+    def process(self, tuples: Sequence[StreamTuple]) -> List[StreamTuple]:
         for col, new_values in zip(self.cols, extract_columns(tuples, self.positions)):
             col.extend(new_values)
         self.count += len(tuples)
         count, size, base = self.count, self.size, self.base
         starts = range(self.win_start - base, count - base - size + 1, self.step)
-        outputs = [self._emit_slice(low, low + size, output_schema) for low in starts]
+        outputs = [self._emit_slice(low, low + size) for low in starts]
         self.win_start += len(starts) * self.step
         # Trim the dead prefix no window can need again.  The base can
         # only advance to positions that already exist (a step>size
@@ -383,13 +348,15 @@ class _ColumnarTimeWindow(_ColumnarWindow):
     """
 
     __slots__ = (
-        "operator", "tpos", "ts", "base", "low", "high",
+        "tpos", "ts", "base", "low", "high",
         "t0", "next_idx", "monotonic", "last_ts", "compact_at",
     )
 
-    def __init__(self, operator: AggregateOperator, schema: Schema):
-        self.operator = operator
-        super().__init__(operator, schema)
+    def __init__(
+        self, operator: AggregateOperator, input_schema: Schema, output_schema: Schema
+    ):
+        super().__init__(operator, input_schema, output_schema)
+        self.tpos = input_schema.position(operator._time_field(input_schema).name)
         self.ts: List = []
         self.base = 0
         self.low = 0    # logical index of the first still-needed entry
@@ -400,14 +367,9 @@ class _ColumnarTimeWindow(_ColumnarWindow):
         self.last_ts: Optional[float] = None
         self.compact_at = 64
 
-    def _rebind(self, schema: Schema) -> None:
-        super()._rebind(schema)
-        self.tpos = schema.position(self.operator._time_field(schema).name)
-
-    def process(
-        self, tuples: Sequence[StreamTuple], output_schema: Schema
-    ) -> List[StreamTuple]:
-        self._check_schema(tuples[0].schema)
+    def process(self, tuples: Sequence[StreamTuple]) -> List[StreamTuple]:
+        if not tuples:
+            return []
         rows = [t.values for t in tuples]
         tpos = self.tpos
         new_ts = [row[tpos] for row in rows]
@@ -419,10 +381,10 @@ class _ColumnarTimeWindow(_ColumnarWindow):
                     break
                 previous = timestamp
         if self.monotonic:
-            return self._process_monotonic(rows, new_ts, output_schema)
-        return self._process_scan(rows, new_ts, output_schema)
+            return self._process_monotonic(rows, new_ts)
+        return self._process_scan(rows, new_ts)
 
-    def _process_monotonic(self, rows, new_ts, output_schema) -> List[StreamTuple]:
+    def _process_monotonic(self, rows, new_ts) -> List[StreamTuple]:
         # Appending the whole batch up-front is safe: any batch-mate
         # after the tuple that closes a window has a timestamp at or
         # past that tuple's, hence at or past the window's end, so the
@@ -451,9 +413,7 @@ class _ColumnarTimeWindow(_ColumnarWindow):
                 while ts_buffer[high - base] < end:
                     high += 1
                 if high > low:
-                    outputs.append(
-                        self._emit_slice(low - base, high - base, output_schema)
-                    )
+                    outputs.append(self._emit_slice(low - base, high - base))
                 self.low = low
                 self.high = high
                 self.next_idx += 1
@@ -466,7 +426,7 @@ class _ColumnarTimeWindow(_ColumnarWindow):
             self.base = self.low
         return outputs
 
-    def _process_scan(self, rows, new_ts, output_schema) -> List[StreamTuple]:
+    def _process_scan(self, rows, new_ts) -> List[StreamTuple]:
         # Out-of-order timestamps: window membership is by value, so a
         # closing window selects matching indices across the whole
         # retained buffer — exactly the seed's semantics.  Entries are
@@ -491,7 +451,7 @@ class _ColumnarTimeWindow(_ColumnarWindow):
                     if start <= value < end
                 ]
                 if selected:
-                    outputs.append(self._emit_selected(selected, output_schema))
+                    outputs.append(self._emit_selected(selected))
                 self.next_idx += 1
             ts_buffer.append(timestamp)
             for col, position in zip(cols, positions):
@@ -540,9 +500,9 @@ class _ColumnarTimeWindow(_ColumnarWindow):
         self.high = 0
         self.last_ts = self.ts[-1] if self.ts else None
 
-    def _emit_selected(self, selected, output_schema: Schema) -> StreamTuple:
+    def _emit_selected(self, selected) -> StreamTuple:
         values = [
             compute([col[index] for index in selected])
             for compute, col in self.computes
         ]
-        return self._coerced(values, output_schema)
+        return self._coerced(values)

@@ -31,13 +31,15 @@ that query's private pipeline.
   owns its condition's DNF, so finding a host normalises the newcomer
   once and no sibling at all.
 
-- **Clone-on-divergence for state.**  Stateless nodes (filter, map) are
-  shareable at any time.  A state-bearing node (window aggregation) is
-  only shareable while it has consumed no input and no batch is in
+- **Bind-on-divergence for state.**  An operator is a declaration; a
+  node runs what ``operator.bind(in_schema, out_schema)`` returned when
+  the node was created (``node.run``).  Stateless nodes (filter, map)
+  are shareable at any time.  A state-bearing node (window aggregation)
+  is only shareable while it has consumed no input and no batch is in
   flight: window alignment and the time-window origin are
   history-dependent, and a newly registered query always starts with an
-  empty window.  A late-arriving twin gets a fresh clone under the same
-  fingerprint ("cloned on divergence").
+  empty window.  A late-arriving twin gets a node of its own — the same
+  declaration bound again — under the same fingerprint.
 
 - **Refcounted detach.**  Withdrawal removes the query's sink and
   cascades up the feed tree, freeing every node that no longer feeds a
@@ -219,15 +221,17 @@ def trace_chain(graph: QueryGraph, input_schema: Schema) -> ChainTrace:
 
 
 class PlanNode:
-    """One operator instance, shared by every query whose chain reaches it.
+    """One bound operator, shared by every query whose chain reaches it.
 
     ``logical_parent`` is the node whose *output set* this node's input
     is defined on (the previous chain position); ``feed`` is the node
     whose output is physically consumed.  They differ only for
     subsumption-fed filters, where ``feed`` is the host filter and the
-    operator holds the residual predicate.  ``children_by_fp`` is the
+    operator holds the residual predicate.  ``run`` is the operator bound
+    between the feed's output schema and ``out_schema`` — the one thing
+    the dispatch calls.  ``children_by_fp`` is the
     share registry (fingerprint → nodes, a list because touched stateful
-    nodes force same-fingerprint clones); ``feed_children`` are the
+    nodes force same-fingerprint twins); ``feed_children`` are the
     physical consumers.  A node stays alive while it has sinks or feed
     children (see :meth:`StreamPlan._release`).
     """
@@ -235,6 +239,7 @@ class PlanNode:
     __slots__ = (
         "fingerprint",
         "operator",
+        "run",
         "out_schema",
         "dnf",
         "logical_parent",
@@ -258,6 +263,9 @@ class PlanNode:
     ):
         self.fingerprint = fingerprint
         self.operator = operator
+        self.run = (
+            None if operator is None else operator.bind(feed.out_schema, out_schema)
+        )
         self.out_schema = out_schema
         #: DNF of the full logical condition (filter nodes within
         #: :data:`CANON_LEAF_LIMIT` only) — what the subsumption analysis
@@ -378,25 +386,25 @@ class StreamPlan:
                     return candidate
             # Same-fingerprint candidates exist but have consumed input,
             # or are about to consume a batch in flight that the newcomer
-            # must miss: fall through and clone (fresh state).
-        executing = operator.fresh_copy()
+            # must miss: fall through and bind a node of its own.
         feed = parent
         dnf: Optional[DNF] = None
         host: Optional[PlanNode] = None
         if fingerprint is not None and fingerprint[0] == "filter":
-            if _count_leaves(executing.condition) <= CANON_LEAF_LIMIT:
-                dnf = to_dnf(executing.condition)
+            if _count_leaves(operator.condition) <= CANON_LEAF_LIMIT:
+                dnf = to_dnf(operator.condition)
                 host = self._find_host(parent, dnf)
             if host is not None:
-                executing = self._residual_filter(executing, dnf, host.dnf)
+                operator = self._residual_filter(operator, dnf, host.dnf)
                 feed = host
                 self.nodes_subsumed += 1
             # Filters preserve their input schema; reusing the parent's
-            # schema object keeps identity checks downstream at one `is`.
+            # schema object keeps ``Stream.append_batch``'s per-tuple
+            # schema check at one `is`.
             out_schema = parent.out_schema
         node = PlanNode(
             fingerprint,
-            executing,
+            operator,
             out_schema,
             parent,
             feed,
@@ -489,7 +497,7 @@ class StreamPlan:
             inputs = outputs[node.feed]
             if inputs:
                 node.consumed += len(inputs)
-                outputs[node] = node.operator.process_batch(inputs, node.out_schema)
+                outputs[node] = node.run(inputs)
             else:
                 outputs[node] = inputs
             stack.extend(node.feed_children)

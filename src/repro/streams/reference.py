@@ -181,12 +181,13 @@ _SEED_OPERATORS = {
 def reference_operator(operator: Operator) -> Operator:
     """The seed implementation of a production operator's declaration.
 
-    Exact-type lookup: a subclass or third-party operator may override
-    behaviour, so it runs as itself (a fresh copy, through the
-    ``Operator.process`` contract).
+    Exact-type lookup: a subclass may override behaviour, and the oracle
+    runs no code but its own, so anything else is refused.
     """
     seed = _SEED_OPERATORS.get(type(operator))
-    return seed(operator) if seed is not None else operator.fresh_copy()
+    if seed is None:
+        raise TypeError(f"the oracle has no seed semantics for {operator!r}")
+    return seed(operator)
 
 
 class ReferencePipeline:

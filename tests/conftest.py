@@ -14,6 +14,7 @@ from repro.core.obligations import (
     WINDOW_STEP_ID,
     WINDOW_TYPE_ID,
 )
+from repro.streams.engine import StreamEngine
 from repro.streams.graph import QueryGraph
 from repro.streams.operators import (
     AggregateOperator,
@@ -23,7 +24,7 @@ from repro.streams.operators import (
     WindowSpec,
     WindowType,
 )
-from repro.streams.reference import ReferencePipeline, reference_operator
+from repro.streams.reference import reference_operator
 from repro.streams.schema import WEATHER_SCHEMA
 from repro.streams.sources import WeatherSource
 from repro.xacml.attributes import AttributeValue
@@ -41,14 +42,44 @@ def weather_records():
     return WeatherSource(seed=3).records(300)
 
 
-def oracle(subject, input_schema=None):
-    """The reference side of the stream differential harnesses, built
-    from ``repro.streams.reference``: a production operator becomes the
-    seed operator over the same declaration; a :class:`QueryGraph` (with
-    its *input_schema*) becomes the per-tuple chain walker."""
-    if isinstance(subject, QueryGraph):
-        return ReferencePipeline(subject, input_schema)
-    return reference_operator(subject)
+def oracle(operator):
+    """The reference side of the operator-level differential tests: the
+    seed operator (``repro.streams.reference``) over a production
+    operator's declaration; run it through :func:`bound`."""
+    return reference_operator(operator)
+
+
+def bound(operator, input_schema):
+    """``batch -> batch`` for one box over *input_schema*: what
+    production runs (``operator.bind``), or — for an :func:`oracle`
+    operator — its per-tuple ``process`` walked over the batch."""
+    output_schema = operator.output_schema(input_schema)
+    if type(operator) in (FilterOperator, MapOperator, AggregateOperator):
+        return operator.bind(input_schema, output_schema)
+    return lambda batch: [
+        out for tup in batch for out in operator.process(tup, output_schema)
+    ]
+
+
+def engine_outputs(engine, graph, schema, batches):
+    """Register *graph* on a fresh *engine* over an input stream of
+    *schema*, push *batches* in order, return every emitted tuple."""
+    engine.register_input_stream(graph.source, schema)
+    handle = engine.register_query(graph)
+    for batch in batches:
+        engine.push_batch(graph.source, batch)
+    return engine.read(handle)
+
+
+def production_and_oracle(graph, schema, batches):
+    """(``StreamEngine()`` outputs with *batches* pushed as given,
+    ``StreamEngine.reference()`` outputs with the same tuples pushed one
+    at a time) — the pipeline-level differential pair."""
+    singles = [[tup] for batch in batches for tup in batch]
+    return (
+        engine_outputs(StreamEngine(), graph, schema, batches),
+        engine_outputs(StreamEngine.reference(), graph, schema, singles),
+    )
 
 
 class NoWalk(OrderedDict):

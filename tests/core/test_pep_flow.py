@@ -11,12 +11,13 @@ from repro.errors import (
     PartialResultWarning,
     UnknownHandleError,
 )
+from repro.streams.engine import StreamEngine
 from repro.streams.graph import QueryGraph
 from repro.streams.handles import StreamHandle
 from repro.streams.operators import FilterOperator, WindowSpec, WindowType
 from repro.streams.schema import WEATHER_SCHEMA
 from repro.xacml.request import Request
-from tests.conftest import build_lta_user_query, build_nea_policy_graph
+from tests.conftest import build_lta_user_query, build_nea_policy_graph, engine_outputs
 
 
 def make_instance(**kwargs):
@@ -258,9 +259,13 @@ class TestGrantTemplates:
 
         instance = self.nea_instance()
         first = self.grant(instance)
-        # Run the granted graph offline, windows and all, then grow it.
-        assert first.merged_graph.instantiate(WEATHER_SCHEMA).process_many(
-            untouched.engine.catalog.get("weather").snapshot()
+        # Run the granted graph on an engine of its own, windows and
+        # all, then grow it.
+        assert engine_outputs(
+            StreamEngine(),
+            first.merged_graph,
+            WEATHER_SCHEMA,
+            [untouched.engine.catalog.get("weather").snapshot()],
         )
         first.merged_graph.append(FilterOperator("avgrainrate > 1000"))
         first.warnings.append("scribbled")

@@ -4,11 +4,7 @@ import pytest
 
 from repro.errors import ExpressionTypeError, UnknownAttributeError
 from repro.expr.ast import Operator, SimpleExpression
-from repro.expr.compile import (
-    compile_batch,
-    compile_predicate,
-    compile_row_predicate,
-)
+from repro.expr.compile import compile_batch
 from repro.expr.evaluate import evaluate
 from repro.expr.parser import parse_condition
 from repro.streams.schema import Schema
@@ -17,6 +13,13 @@ from repro.streams.tuples import make_tuple
 SCHEMA = Schema(
     "s", [("t", "timestamp"), ("x", "double"), ("n", "int"), ("tag", "string")]
 )
+
+
+def single_verdict(expression, schema):
+    """One tuple's verdict through the batch mask — the only compiled
+    form there is (a bound filter runs it over whole batches)."""
+    mask = compile_batch(expression, schema)
+    return lambda tup: mask([tup])[0]
 
 
 def tuples(*rows):
@@ -39,18 +42,9 @@ class TestCompiledSemantics:
     @pytest.mark.parametrize("text", CONDITIONS)
     def test_matches_interpreter(self, text):
         expression = parse_condition(text)
-        predicate = compile_predicate(expression, SCHEMA)
         mask = compile_batch(expression, SCHEMA)
         batch = tuples((1.0, 1, "a"), (3.0, 3, "b"), (2.0, 0, "c"), (50.0, 9, "a"))
-        expected = [evaluate(expression, tup) for tup in batch]
-        assert [predicate(tup) for tup in batch] == expected
-        assert mask(batch) == expected
-
-    def test_row_predicate_over_raw_values(self):
-        expression = parse_condition("x > 2 AND n < 5")
-        row_predicate = compile_row_predicate(expression, SCHEMA)
-        assert row_predicate((0.0, 3.0, 4, "a")) is True
-        assert row_predicate((0.0, 1.0, 4, "a")) is False
+        assert mask(batch) == [evaluate(expression, tup) for tup in batch]
 
     def test_empty_batch_mask(self):
         mask = compile_batch(parse_condition("x > 2"), SCHEMA)
@@ -58,13 +52,13 @@ class TestCompiledSemantics:
 
     def test_short_circuit_like_interpreter(self):
         expression = parse_condition("x > 1 AND n > 2")
-        predicate = compile_predicate(expression, SCHEMA)
+        predicate = single_verdict(expression, SCHEMA)
         batch = tuples((0.0, 99, "a"))
         assert predicate(batch[0]) is evaluate(expression, batch[0]) is False
 
     def test_case_insensitive_attribute_resolution(self):
         expression = parse_condition("TAG = 'a' AND X > 0")
-        predicate = compile_predicate(expression, SCHEMA)
+        predicate = single_verdict(expression, SCHEMA)
         batch = tuples((1.0, 1, "a"), (1.0, 1, "b"))
         assert [predicate(tup) for tup in batch] == [True, False]
 
@@ -72,20 +66,20 @@ class TestCompiledSemantics:
 class TestCompileValidation:
     def test_unknown_attribute(self):
         with pytest.raises(UnknownAttributeError):
-            compile_predicate(parse_condition("zz > 1"), SCHEMA)
+            single_verdict(parse_condition("zz > 1"), SCHEMA)
 
     def test_string_numeric_mismatch(self):
         with pytest.raises(ExpressionTypeError):
-            compile_predicate(parse_condition("tag != 3"), SCHEMA)
+            single_verdict(parse_condition("tag != 3"), SCHEMA)
         with pytest.raises(ExpressionTypeError):
-            compile_predicate(
+            single_verdict(
                 SimpleExpression("x", Operator.EQ, "abc"), SCHEMA
             )
 
     def test_boolean_attribute_rejected(self):
         schema = Schema("b", [("flag", "bool"), ("x", "int")])
         with pytest.raises(ExpressionTypeError):
-            compile_predicate(parse_condition("flag = 1"), schema)
+            single_verdict(parse_condition("flag = 1"), schema)
 
 
 class TestCompileSafety:
@@ -93,7 +87,7 @@ class TestCompileSafety:
         """Hostile string literals are embedded via repr, never spliced."""
         payload = "') or __import__('os').system('true') or ('"
         expression = SimpleExpression("tag", Operator.EQ, payload)
-        predicate = compile_predicate(expression, SCHEMA)
+        predicate = single_verdict(expression, SCHEMA)
         match = make_tuple(SCHEMA, {"t": 0.0, "x": 0.0, "n": 0, "tag": payload})
         miss = make_tuple(SCHEMA, {"t": 0.0, "x": 0.0, "n": 0, "tag": "a"})
         assert predicate(match) is True
@@ -101,6 +95,6 @@ class TestCompileSafety:
 
     def test_non_finite_literals_ride_constants(self):
         expression = SimpleExpression("x", Operator.NE, float("nan"))
-        predicate = compile_predicate(expression, SCHEMA)
+        predicate = single_verdict(expression, SCHEMA)
         tup = make_tuple(SCHEMA, {"t": 0.0, "x": 1.0, "n": 0, "tag": "a"})
         assert predicate(tup) is evaluate(expression, tup) is True

@@ -3,14 +3,14 @@
 Mirrors ``test_prop_pdp_equivalence.py`` for the stream side.  Three
 layers must be decision- and output-identical:
 
-- **expression layer**: the schema-compiled closures of
-  :mod:`repro.expr.compile` against the AST interpreter of
-  :mod:`repro.expr.evaluate`, over random schemas, random type-correct
-  conditions, and random tuples;
-- **pipeline layer**: ``QueryGraphInstance.process_many`` (stage-by-
-  stage batch execution) against per-tuple ``process``, and against the
-  oracle's per-tuple chain walker over seed filter/map/window operators
-  (``repro.streams.reference``), over random operator chains —
+- **expression layer**: the schema-compiled batch mask of
+  :mod:`repro.expr.compile` (the form a bound filter executes) against
+  the AST interpreter of :mod:`repro.expr.evaluate`, over random
+  schemas, random type-correct conditions, and random tuples;
+- **pipeline layer**: one random operator chain registered on
+  ``StreamEngine()`` and fed a random batch partition, against the same
+  engine fed tuple-at-a-time, and against ``StreamEngine.reference()``'s
+  per-tuple chain walker over seed filter/map/window operators —
   including stateful window aggregation, where batching must not
   disturb emission points;
 - **engine layer**: a default (compiled) :class:`StreamEngine` fed via
@@ -31,7 +31,7 @@ from repro.expr.ast import (
     SimpleExpression,
     TrueExpression,
 )
-from repro.expr.compile import compile_batch, compile_predicate
+from repro.expr.compile import compile_batch
 from repro.expr.evaluate import evaluate
 from repro.streams.engine import StreamEngine
 from repro.streams.graph import QueryGraph
@@ -45,7 +45,7 @@ from repro.streams.operators import (
 )
 from repro.streams.schema import DataType, Field, Schema
 from repro.streams.tuples import make_tuple
-from tests.conftest import oracle
+from tests.conftest import engine_outputs, production_and_oracle
 
 # -- expression-layer strategies ---------------------------------------------------
 
@@ -136,11 +136,8 @@ class TestExpressionEquivalence:
     @given(case=expression_cases())
     def test_compiled_matches_interpreter(self, case):
         schema, expression, batch = case
-        predicate = compile_predicate(expression, schema)
         mask = compile_batch(expression, schema)
-        expected = [evaluate(expression, tup) for tup in batch]
-        assert [predicate(tup) for tup in batch] == expected
-        assert mask(batch) == expected
+        assert mask(batch) == [evaluate(expression, tup) for tup in batch]
 
 
 # -- pipeline / engine strategies --------------------------------------------------
@@ -227,20 +224,11 @@ class TestPipelineEquivalence:
         graph = build_graph(condition, map_attrs, window)
         tuples = [make_tuple(PIPE_SCHEMA, r) for r in records(values)]
 
-        single = graph.instantiate(PIPE_SCHEMA)
-        expected = []
-        for tup in tuples:
-            expected.extend(single.process(tup))
-
-        reference = oracle(graph, PIPE_SCHEMA)
-        interpreted = []
-        for tup in tuples:
-            interpreted.extend(reference.process(tup))
-
-        batched = graph.instantiate(PIPE_SCHEMA)
-        got = []
-        for batch in partition(tuples, cuts):
-            got.extend(batched.process_many(batch))
+        singles = [[tup] for tup in tuples]
+        expected = engine_outputs(StreamEngine(), graph, PIPE_SCHEMA, singles)
+        got, interpreted = production_and_oracle(
+            graph, PIPE_SCHEMA, partition(tuples, cuts)
+        )
 
         as_values = lambda out: [t.values for t in out]
         assert as_values(got) == as_values(expected) == as_values(interpreted)
@@ -290,17 +278,17 @@ class TestBatchEdges:
         engine.register_input_stream("s", PIPE_SCHEMA)
         return engine
 
-    def test_empty_batch_through_pipeline(self):
-        instance = build_graph("x > 0", ("t", "x"), (WindowType.TUPLE, 2, 1)).instantiate(
-            PIPE_SCHEMA
-        )
-        assert instance.process_many([]) == []
-
     def test_empty_batch_through_engine(self):
         engine = self.make_engine()
-        handle = engine.register_query(QueryGraph("s").append(FilterOperator("x > 0")))
+        handles = [
+            engine.register_query(graph)
+            for graph in (
+                QueryGraph("s").append(FilterOperator("x > 0")),
+                build_graph("x > 0", ("t", "x"), (WindowType.TUPLE, 2, 1)),
+            )
+        ]
         assert engine.push_batch("s", []) == 0
-        assert engine.read(handle) == []
+        assert [engine.read(handle) for handle in handles] == [[], []]
 
     def sibling_withdrawal_run(self, push):
         """Drive a run where query 1's output dispatch withdraws query 2;

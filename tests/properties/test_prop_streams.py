@@ -18,6 +18,7 @@ from repro.streams.schema import DataType, Field, Schema
 from repro.streams.streamsql.generator import generate_streamsql
 from repro.streams.streamsql.parser import parse_streamsql
 from repro.streams.tuples import make_tuple
+from tests.conftest import production_and_oracle
 
 SCHEMA = Schema(
     "s",
@@ -30,12 +31,13 @@ SCHEMA = Schema(
 
 
 def run_graph(graph, values):
-    instance = graph.instantiate(SCHEMA)
-    outputs = []
-    for index, value in enumerate(values):
-        tup = make_tuple(SCHEMA, {"t": float(index), "x": value, "y": -value})
-        outputs.extend(instance.process(tup))
-    return outputs
+    tuples = [
+        make_tuple(SCHEMA, {"t": float(index), "x": value, "y": -value})
+        for index, value in enumerate(values)
+    ]
+    got, expected = production_and_oracle(graph, SCHEMA, [[tup] for tup in tuples])
+    assert got == expected
+    return got
 
 
 class TestWindowSemantics:

@@ -1,10 +1,12 @@
 """Differential tests: columnar window aggregation ≡ seed.
 
 The columnar path (per-attribute ring buffers, one ``compute`` per
-aggregation over the window's column slice) must be output-equivalent
-to the seed row-oriented recompute-per-window path (the oracle,
-``repro.streams.reference`` / ``StreamEngine.reference()``) over
-hypothesis-generated streams and window specs — tuple and time windows,
+aggregation over the window's column slice), run the way production
+runs it — a query registered on ``StreamEngine()`` and fed batches —
+must be output-equivalent to the seed row-oriented
+recompute-per-window path (the oracle, ``StreamEngine.reference()``,
+fed the same tuples one at a time) over hypothesis-generated streams
+and window specs — tuple and time windows,
 step < size (overlapping), step = size and step > size (gaps), random
 batch partitions, and out-of-order timestamps for the time-window scan
 fallback.
@@ -24,7 +26,6 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.streams.engine import StreamEngine
 from repro.streams.graph import QueryGraph
 from repro.streams.operators import (
     AggregateOperator,
@@ -34,7 +35,7 @@ from repro.streams.operators import (
 )
 from repro.streams.schema import DataType, Field, Schema
 from repro.streams.tuples import StreamTuple
-from tests.conftest import oracle
+from tests.conftest import production_and_oracle
 
 SCHEMA = Schema(
     "w",
@@ -93,16 +94,8 @@ def assert_equivalent(got, expected):
 
 
 def run_pair(graph, tuples, cuts):
-    """(columnar outputs over a random batch partition, seed outputs)."""
-    columnar = graph.instantiate(SCHEMA)
-    got = []
-    for batch in partition(tuples, cuts):
-        got.extend(columnar.process_many(batch))
-    reference = oracle(graph, SCHEMA)
-    expected = []
-    for tup in tuples:
-        expected.extend(reference.process(tup))
-    return got, expected
+    """(production outputs over a random batch partition, seed outputs)."""
+    return production_and_oracle(graph, SCHEMA, partition(tuples, cuts))
 
 
 class TestTupleWindowEquivalence:
@@ -180,38 +173,6 @@ class TestTimeWindowEquivalence:
         assert_equivalent(*run_pair(graph, tuples, cuts))
 
 
-class TestEngineLevelEquivalence:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        values=values_strategy,
-        size=st.integers(min_value=1, max_value=6),
-        step=st.integers(min_value=1, max_value=6),
-        cuts=st.lists(st.integers(min_value=0, max_value=60), max_size=3),
-    )
-    def test_compiled_engine_matches_reference_engine(self, values, size, step, cuts):
-        """Acceptance criterion: the default engine path is
-        output-identical to StreamEngine.reference()."""
-        aggs = ["x:avg", "x:min", "x:max", "x:count", "i:sum"]
-        recs = make_tuples(values)
-        outputs = {}
-        for mode in ("reference", "compiled"):
-            engine = (
-                StreamEngine.reference() if mode == "reference" else StreamEngine()
-            )
-            engine.register_input_stream("w", SCHEMA)
-            handle = engine.register_query(
-                build_graph(WindowType.TUPLE, size, step, aggs)
-            )
-            if mode == "reference":
-                for tup in recs:
-                    engine.push("w", tup)
-            else:
-                for batch in partition(recs, cuts):
-                    engine.push_batch("w", batch)
-            outputs[mode] = engine.read(handle)
-        assert_equivalent(outputs["compiled"], outputs["reference"])
-
-
 def seeded_values(seed, count):
     """*count* float32-representable values; runs of repeats now and
     then, so constant windows (stdev's exact zero) and ties (min/max,
@@ -241,18 +202,7 @@ class TestDeepWindows:
         self, size, step, seed, surplus, aggs, cuts
     ):
         tuples = make_tuples(seeded_values(seed, size + surplus))
-        production, reference = StreamEngine(), StreamEngine.reference()
-        handles = []
-        for engine in (production, reference):
-            engine.register_input_stream("w", SCHEMA)
-            handles.append(
-                engine.register_query(build_graph(WindowType.TUPLE, size, step, aggs))
-            )
-        for batch in partition(tuples, cuts):
-            production.push_batch("w", batch)
-        for tup in tuples:
-            reference.push("w", tup)
-        got = production.read(handles[0])
-        expected = reference.read(handles[1])
+        graph = build_graph(WindowType.TUPLE, size, step, aggs)
+        got, expected = run_pair(graph, tuples, cuts)
         assert len(expected) == surplus // step + 1
         assert_equivalent(got, expected)

@@ -183,9 +183,8 @@ def window_outputs(aggregation, rows):
     operator = AggregateOperator(
         WindowSpec(WindowType.TUPLE, 4, 1), [AggregationSpec.parse(aggregation)]
     )
-    emitted = operator.process_batch(
-        [StreamTuple(WINDOW_SCHEMA, row) for row in rows],
-        operator.output_schema(WINDOW_SCHEMA),
+    emitted = operator.bind(WINDOW_SCHEMA, operator.output_schema(WINDOW_SCHEMA))(
+        [StreamTuple(WINDOW_SCHEMA, row) for row in rows]
     )
     return [tup.values[0] for tup in emitted]
 

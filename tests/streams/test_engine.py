@@ -296,14 +296,14 @@ class TestBatchedDispatch:
                 if batch[0]["x"] != 99:
                     return
                 if change == "register":
-                    box["handle"] = engine.register_query(graph.fresh_copy())
+                    box["handle"] = engine.register_query(graph)
                     box["sub"] = engine.subscribe(box["handle"])
                 else:
                     engine.withdraw(box["handle"])
 
             engine.catalog.get("s").add_batch_listener(on_marker)
             # A bystander, so the plan exists before the tap registers.
-            engine.register_query(graph.fresh_copy())
+            engine.register_query(graph)
             if change == "withdraw":
                 box["handle"] = engine.register_query(graph)
                 box["sub"] = engine.subscribe(box["handle"])

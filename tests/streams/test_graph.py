@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import GraphError, SchemaError
+from repro.streams.engine import StreamEngine
 from repro.streams.graph import QueryGraph
 from repro.streams.operators import (
     AggregateOperator,
@@ -14,7 +15,7 @@ from repro.streams.operators import (
 )
 from repro.streams.schema import WEATHER_SCHEMA
 from repro.streams.tuples import make_tuple
-from tests.conftest import build_nea_policy_graph
+from tests.conftest import build_nea_policy_graph, production_and_oracle
 
 
 def weather_tuple(rainrate, t=0.0, windspeed=1.0):
@@ -86,13 +87,20 @@ class TestValidation:
 
 
 class TestExecution:
+    """A graph runs by being registered: ``StreamEngine()`` fed batches
+    against ``StreamEngine.reference()`` fed tuple-at-a-time."""
+
+    def run(self, graph, tuples, batches=None):
+        got, expected = production_and_oracle(
+            graph, WEATHER_SCHEMA, batches or [[tup] for tup in tuples]
+        )
+        assert got == expected
+        return got
+
     def test_chain_execution(self):
-        graph = build_nea_policy_graph()
-        instance = graph.instantiate(WEATHER_SCHEMA)
-        outputs = []
         # 12 rainy tuples: windows of 5 advance 2 → outputs at 5,7,9,11.
-        for i in range(12):
-            outputs.extend(instance.process(weather_tuple(10.0 + i, t=float(i))))
+        tuples = [weather_tuple(10.0 + i, t=float(i)) for i in range(12)]
+        outputs = self.run(build_nea_policy_graph(), tuples)
         assert len(outputs) == 4
         assert outputs[0]["avgrainrate"] == pytest.approx(12.0)
 
@@ -105,36 +113,33 @@ class TestExecution:
                 [AggregationSpec.parse("rainrate:sum")],
             )
         )
-        instance = graph.instantiate(WEATHER_SCHEMA)
-        outputs = []
-        for rainrate in (10, 1, 1, 20):  # only 10 and 20 pass
-            outputs.extend(instance.process(weather_tuple(rainrate)))
+        tuples = [weather_tuple(rainrate) for rainrate in (10, 1, 1, 20)]
+        outputs = self.run(graph, tuples)  # only 10 and 20 pass
         assert [t["sumrainrate"] for t in outputs] == [30.0]
 
-    def test_process_many(self):
+    def test_one_batch(self):
         graph = QueryGraph("weather").append(FilterOperator("rainrate > 5"))
-        instance = graph.instantiate(WEATHER_SCHEMA)
-        outputs = instance.process_many([weather_tuple(1), weather_tuple(9)])
-        assert len(outputs) == 1
+        tuples = [weather_tuple(1), weather_tuple(9)]
+        assert len(self.run(graph, tuples, batches=[tuples])) == 1
 
-    def test_instances_do_not_share_state(self):
+    @pytest.mark.parametrize("build", [StreamEngine, StreamEngine.reference])
+    def test_registrations_do_not_share_window_state(self, build):
+        """One declaration registered twice: the late twin starts from
+        an empty window of its own."""
         graph = QueryGraph("weather").append(
             AggregateOperator(
                 WindowSpec(WindowType.TUPLE, 2, 2),
                 [AggregationSpec.parse("rainrate:sum")],
             )
         )
-        first = graph.instantiate(WEATHER_SCHEMA)
-        second = graph.instantiate(WEATHER_SCHEMA)
-        first.process(weather_tuple(1))
-        assert second.process(weather_tuple(2)) == []  # own window state
-
-    def test_fresh_copy_independent(self):
-        graph = build_nea_policy_graph()
-        clone = graph.fresh_copy("clone")
-        assert clone.name == "clone"
-        assert len(clone) == len(graph)
-        assert clone.operators[0] is not graph.operators[0]
+        engine = build()
+        engine.register_input_stream("weather", WEATHER_SCHEMA)
+        first = engine.register_query(graph)
+        engine.push("weather", weather_tuple(1))
+        second = engine.register_query(graph)
+        engine.push("weather", weather_tuple(2))
+        assert [t["sumrainrate"] for t in engine.read(first)] == [3.0]
+        assert engine.read(second) == []  # own window state
 
     def test_describe_mentions_operators(self):
         description = build_nea_policy_graph().describe()

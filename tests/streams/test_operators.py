@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import SchemaError, StreamError
+from repro.errors import SchemaError, StreamError, UnknownAttributeError
 from repro.streams.operators import (
     AggregateOperator,
     AggregationSpec,
@@ -11,9 +11,9 @@ from repro.streams.operators import (
     WindowSpec,
     WindowType,
 )
-from repro.streams.schema import Schema
+from repro.streams.schema import DataType, Schema
 from repro.streams.tuples import make_tuple
-from tests.conftest import oracle
+from tests.conftest import bound, oracle
 
 SCHEMA = Schema("s", [("t", "timestamp"), ("x", "double"), ("tag", "string")])
 
@@ -26,11 +26,12 @@ def tuples(*values):
 
 
 def run(operator, schema, tuples_in):
-    out_schema = operator.output_schema(schema)
+    """One bind of *operator*, fed one tuple per batch."""
+    process = bound(operator, schema)
     outputs = []
     for tup in tuples_in:
-        outputs.extend(operator.process(tup, out_schema))
-    return out_schema, outputs
+        outputs.extend(process([tup]))
+    return operator.output_schema(schema), outputs
 
 
 class TestFilterOperator:
@@ -52,16 +53,31 @@ class TestFilterOperator:
         with pytest.raises(SchemaError):
             FilterOperator("x = 'abc'").output_schema(SCHEMA)
 
+    def test_validation_errors_name_the_first_attribute_alphabetically(self):
+        """One pass over the leaves, in attribute order: texts and the
+        choice among several bad leaves are what they always were."""
+        schema = Schema("b", [("flag", "bool"), ("tag", "string"), ("x", "double")])
+        cases = {
+            "x = 'abc' AND tag > 2": "filter compares string attribute 'tag' "
+            "with numeric literal 2",
+            "x = 'abc'": "filter compares double attribute 'x' "
+            "with string literal 'abc'",
+            "x > 1 AND flag = 1": "filter conditions on boolean attribute 'flag' "
+            "are not supported; compare against 0/1 integers instead",
+            "flag = 'y'": "filter compares bool attribute 'flag' "
+            "with string literal 'y'",
+        }
+        for condition, message in cases.items():
+            with pytest.raises(SchemaError) as raised:
+                FilterOperator(condition).output_schema(schema)
+            assert str(raised.value) == message
+        with pytest.raises(UnknownAttributeError, match="aa"):
+            FilterOperator("zz > 1 OR x = 'abc' OR aa > 2").output_schema(schema)
+
     def test_string_filter(self):
         operator = FilterOperator("tag = 'a'")
         _, outputs = run(operator, SCHEMA, tuples(1, 2))
         assert len(outputs) == 2
-
-    def test_fresh_copy_shares_condition(self):
-        operator = FilterOperator("x > 2")
-        clone = operator.fresh_copy()
-        assert clone is not operator
-        assert clone.condition == operator.condition
 
 
 class TestMapOperator:
@@ -178,15 +194,39 @@ class TestTupleWindows:
         with pytest.raises(StreamError):
             AggregateOperator(WindowSpec(WindowType.TUPLE, 2, 2), [])
 
-    def test_fresh_copy_resets_state(self):
+    def test_every_bind_starts_from_an_empty_window(self):
         operator = AggregateOperator(
             WindowSpec(WindowType.TUPLE, 2, 2), [AggregationSpec.parse("x:sum")]
         )
         _, outputs = run(operator, SCHEMA, tuples(1, 2))
         assert len(outputs) == 1
-        clone = operator.fresh_copy()
-        _, outputs = run(clone, SCHEMA, tuples(3))
-        assert outputs == []  # fresh state: window not yet full
+        _, outputs = run(operator, SCHEMA, tuples(3))
+        assert outputs == []  # a bind of its own: window not yet full
+
+    def test_one_declaration_bound_to_two_schemas_coerces_per_bind(self):
+        """``x:sum`` over ``x:int`` emits ints, over ``x:double``
+        doubles, from the same declaration, in either order, interleaved.
+        Before PR 24 the spelling of this — ``process_batch(batch_A, out_A)``
+        then ``process_batch(batch_B, out_B)`` on one operator — kept the
+        first output schema's ``widen`` after rebinding positions and
+        raised ``SchemaError: value 4.0 (float) is not valid for data
+        type 'int'`` on this very input."""
+        operator = AggregateOperator(
+            WindowSpec(WindowType.TUPLE, 2, 2), [AggregationSpec.parse("x:sum")]
+        )
+        ints = Schema("a", [("x", "int")])
+        doubles = Schema("b", [("x", "double")])
+        as_int, as_double = bound(operator, ints), bound(operator, doubles)
+        outputs = []
+        for value in (1, 3, 5, 7):
+            outputs.append((
+                [t.values for t in as_int([make_tuple(ints, {"x": value})])],
+                [t.values for t in as_double([make_tuple(doubles, {"x": value + 0.5})])],
+            ))
+        assert outputs == [([], []), ([(4,)], [(5.0,)]), ([], []), ([(12,)], [(13.0,)])]
+        emitted = as_double([make_tuple(doubles, {"x": 1.5})] * 2)[0]
+        assert emitted.schema.field("sumx").dtype is DataType.DOUBLE
+        assert type(as_int([make_tuple(ints, {"x": 2})] * 2)[0].values[0]) is int
 
 
 class TestColumnarWindows:
@@ -215,14 +255,6 @@ class TestColumnarWindows:
         assert [t["medianx"] for t in outputs] == [4.0, 2.0, 4.0]
         assert all(t["countx"] == 3 for t in outputs)
 
-    def test_fresh_copy_resets_columnar_state(self):
-        operator = self.overlapping_operator()
-        _, outputs = run(operator, SCHEMA, tuples(1, 2, 3, 4, 5))
-        assert len(outputs) == 2
-        clone = operator.fresh_copy()
-        _, outputs = run(clone, SCHEMA, tuples(1, 2, 3))
-        assert outputs == []  # fresh state: window not yet full
-
     def test_gap_windows(self):
         """step > size leaves gaps; shares the sweep with step < size."""
         operator = AggregateOperator(
@@ -231,11 +263,10 @@ class TestColumnarWindows:
         _, outputs = run(operator, SCHEMA, tuples(*range(14)))
         assert [t["maxx"] for t in outputs] == [1.0, 6.0, 11.0]
 
-    def test_batch_vs_single_identical(self):
+    def test_one_batch_and_singleton_batches_identical(self):
         operator = self.overlapping_operator()
-        out_schema = operator.output_schema(SCHEMA)
-        batch_out = operator.process_batch(tuples(3, 1, 4, 1, 5, 9, 2), out_schema)
-        _, single_out = run(self.overlapping_operator(), SCHEMA, tuples(3, 1, 4, 1, 5, 9, 2))
+        batch_out = bound(operator, SCHEMA)(tuples(3, 1, 4, 1, 5, 9, 2))
+        _, single_out = run(operator, SCHEMA, tuples(3, 1, 4, 1, 5, 9, 2))
         assert [t.values for t in batch_out] == [t.values for t in single_out]
 
     def test_out_of_order_time_window_matches_reference(self):
@@ -273,10 +304,7 @@ class TestColumnarWindows:
                 if feed == "per_tuple":
                     _, outputs[mode] = run(operator, SCHEMA, tuples(*values))
                 else:
-                    out_schema = operator.output_schema(SCHEMA)
-                    outputs[mode] = operator.process_batch(
-                        tuples(*values), out_schema
-                    )
+                    outputs[mode] = bound(operator, SCHEMA)(tuples(*values))
             # Windows after the outlier left: [1,1,1], [1,1,2], [1,2,3].
             post_outlier = [t.values for t in outputs["columnar"]][2:]
             assert post_outlier == expected_post_outlier, feed
@@ -289,12 +317,10 @@ class TestColumnarWindows:
         operator = AggregateOperator(
             WindowSpec(WindowType.TUPLE, 8, 2), [AggregationSpec.parse("x:sum")]
         )
-        out_schema = operator.output_schema(SCHEMA)
+        process = bound(operator, SCHEMA)
         for chunk_start in range(0, 400, 16):
-            operator.process_batch(
-                tuples(*range(chunk_start, chunk_start + 16)), out_schema
-            )
-        buffered = len(operator._columnar.cols[0])
+            process(tuples(*range(chunk_start, chunk_start + 16)))
+        buffered = len(process.__self__.cols[0])
         assert buffered <= 8 + 16  # window tail + at most one batch
 
 
@@ -337,12 +363,9 @@ class TestTimeWindows:
             [AggregationSpec.parse("x:sum")],
             time_attribute="tick",
         )
-        out_schema = operator.output_schema(schema)
-        outputs = []
-        for tick in range(9):
-            outputs.extend(
-                operator.process(
-                    make_tuple(schema, {"tick": tick, "x": 1.0}), out_schema
-                )
-            )
+        _, outputs = run(
+            operator,
+            schema,
+            [make_tuple(schema, {"tick": tick, "x": 1.0}) for tick in range(9)],
+        )
         assert [t["sumx"] for t in outputs] == [4.0, 4.0]

@@ -457,7 +457,7 @@ class Worlds:
             #: (engine, handle, subscription) on each side.
             self.sides = []
             for engine in (together, solo):
-                handle = engine.register_query(graph.fresh_copy())
+                handle = engine.register_query(graph)
                 self.sides.append((engine, handle, engine.subscribe(handle)))
             self.live = True
 

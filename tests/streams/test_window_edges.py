@@ -14,10 +14,11 @@ mechanism instead of a shrunk counterexample:
   drains the disordered backlog (the retained buffer is ascending
   again) the instance re-arms the monotonic pointer path, and a later
   regression drops it back to scan — output-identical throughout;
-- empty and singleton batch partitions: ``process_batch`` on the real
-  batch path must tolerate degenerate partitions without corrupting
-  window state, and any partitioning must emit exactly the same tuples
-  as one monolithic batch and as the reference path;
+- empty and singleton batch partitions: a bound window (what
+  ``AggregateOperator.bind`` returns) must tolerate degenerate
+  partitions without corrupting window state, and any partitioning
+  must emit exactly the same tuples as one monolithic batch and as the
+  reference path;
 - a third-party ``compute`` over a deep window matches the oracle;
 - window size / step types: a tuple window counts tuples and refuses a
   non-int at construction, a time window keeps fractional seconds;
@@ -42,7 +43,7 @@ from repro.streams.operators.window import (
 )
 from repro.streams.schema import DataType, Field, Schema
 from repro.streams.tuples import StreamTuple, make_tuple
-from tests.conftest import oracle
+from tests.conftest import bound, oracle
 
 SCHEMA = Schema(
     "sensor",
@@ -71,12 +72,21 @@ def tuples_of(points):
     return [make_tuple(SCHEMA, {"ts": float(ts), "v": float(v)}) for ts, v in points]
 
 
-def run_batches(operator, batches):
-    output_schema = operator.output_schema(SCHEMA)
+def run_batches(subject, batches):
+    """Value rows emitted over *batches* by *subject*: a ``batch ->
+    batch`` bind the caller keeps (to inspect its window state), or an
+    operator, bound here."""
+    process = subject if callable(subject) else bound(subject, SCHEMA)
     emitted = []
     for batch in batches:
-        emitted.extend(operator.process_batch(batch, output_schema))
+        emitted.extend(process(batch))
     return [t.values for t in emitted]
+
+
+def bind_window(window_type, size, step):
+    """(``batch -> batch``, the columnar window state behind it)."""
+    process = bound(make_operator(window_type, size, step), SCHEMA)
+    return process, process.__self__
 
 
 def partitions(items, sizes):
@@ -97,24 +107,22 @@ class TestOutOfOrderTimeWindows:
     ]
 
     def test_first_regression_switches_to_scan_mode(self):
-        operator = make_operator(WindowType.TIME, 2, 2)
-        output_schema = operator.output_schema(SCHEMA)
-        operator.process_batch(tuples_of(self.OOO_POINTS[:3]), output_schema)
-        state = operator._columnar
+        process, state = bind_window(WindowType.TIME, 2, 2)
+        process(tuples_of(self.OOO_POINTS[:3]))
         assert isinstance(state, _ColumnarTimeWindow) and state.monotonic
-        operator.process_batch(tuples_of(self.OOO_POINTS[3:4]), output_schema)
+        process(tuples_of(self.OOO_POINTS[3:4]))
         assert not state.monotonic
 
     @pytest.mark.parametrize("size,step", [(2, 2), (3, 1), (1, 3)])
     def test_scan_fallback_matches_reference(self, size, step):
-        compiled = make_operator(WindowType.TIME, size, step)
+        process, state = bind_window(WindowType.TIME, size, step)
         reference = make_reference(WindowType.TIME, size, step)
         stream = tuples_of(self.OOO_POINTS)
-        got = run_batches(compiled, [stream])
+        got = run_batches(process, [stream])
         expected = run_batches(reference, [[t] for t in stream])
         assert got == expected
         assert got, "edge-case stream must actually emit windows"
-        assert not compiled._columnar.monotonic
+        assert not state.monotonic
 
     def test_scan_mode_survives_compaction_threshold(self):
         # > 64 retained entries forces the amortized compaction sweep;
@@ -126,13 +134,12 @@ class TestOutOfOrderTimeWindows:
             points.append((ts, float(i)))
             if i % 7 == 3:
                 points.append((ts - 0.25, float(-i)))  # persistent disorder
-        compiled = make_operator(WindowType.TIME, 4, 2)
+        process, state = bind_window(WindowType.TIME, 4, 2)
         reference = make_reference(WindowType.TIME, 4, 2)
         stream = tuples_of(points)
-        got = run_batches(compiled, partitions(stream, [50] * 7 + [len(stream) - 350]))
+        got = run_batches(process, partitions(stream, [50] * 7 + [len(stream) - 350]))
         expected = run_batches(reference, [[t] for t in stream])
         assert got == expected
-        state = compiled._columnar
         assert not state.monotonic
         # The compaction threshold moved off its initial value and the
         # buffer did not grow with the whole stream.
@@ -141,13 +148,9 @@ class TestOutOfOrderTimeWindows:
     def test_regression_inside_one_batch_is_detected(self):
         # The disorder check walks timestamps *within* a batch, not just
         # across batch boundaries.
-        operator = make_operator(WindowType.TIME, 2, 2)
-        output_schema = operator.output_schema(SCHEMA)
-        operator.process_batch(
-            tuples_of([(0.0, 1.0), (3.0, 2.0), (1.0, 3.0), (4.0, 4.0)]),
-            output_schema,
-        )
-        assert not operator._columnar.monotonic
+        process, state = bind_window(WindowType.TIME, 2, 2)
+        process(tuples_of([(0.0, 1.0), (3.0, 2.0), (1.0, 3.0), (4.0, 4.0)]))
+        assert not state.monotonic
 
 
 class TestScanFallbackReArms:
@@ -166,13 +169,11 @@ class TestScanFallbackReArms:
         return points
 
     def test_rearm_after_backlog_compacts_away(self):
-        operator = make_operator(WindowType.TIME, 2, 2)
-        output_schema = operator.output_schema(SCHEMA)
+        process, state = bind_window(WindowType.TIME, 2, 2)
         stream = tuples_of(self.ooo_then_clean(200))
-        operator.process_batch(stream[:5], output_schema)
-        state = operator._columnar
+        process(stream[:5])
         assert not state.monotonic  # the regression flipped it
-        operator.process_batch(stream[5:], output_schema)
+        process(stream[5:])
         # The clean tail pushed the buffer past the compaction threshold,
         # the sweep removed the stale disordered prefix, and the retained
         # ascending tail re-armed the pointer path.
@@ -190,25 +191,23 @@ class TestScanFallbackReArms:
             ts += 1.0
             points.append((ts, float(i)))
         for size, step in ((2, 2), (3, 1), (1, 3)):
-            compiled = make_operator(WindowType.TIME, size, step)
+            process, state = bind_window(WindowType.TIME, size, step)
             reference = make_reference(WindowType.TIME, size, step)
             stream = tuples_of(points)
-            got = run_batches(compiled, partitions(stream, [7] * 50 + [len(stream) - 350]))
+            got = run_batches(process, partitions(stream, [7] * 50 + [len(stream) - 350]))
             expected = run_batches(reference, [[t] for t in stream])
             assert got == expected
             assert got
             # Both bursts compacted away: the stream ends re-armed.
-            assert compiled._columnar.monotonic
+            assert state.monotonic
 
     def test_regression_after_rearm_falls_back_to_scan(self):
-        operator = make_operator(WindowType.TIME, 2, 2)
-        output_schema = operator.output_schema(SCHEMA)
+        process, state = bind_window(WindowType.TIME, 2, 2)
         stream = tuples_of(self.ooo_then_clean(200))
-        operator.process_batch(stream, output_schema)
-        state = operator._columnar
+        process(stream)
         assert state.monotonic
         last = stream[-1]["ts"]
-        operator.process_batch(tuples_of([(last - 0.25, 9.0)]), output_schema)
+        process(tuples_of([(last - 0.25, 9.0)]))
         assert not state.monotonic
 
     def test_no_rearm_while_disorder_is_still_buffered(self):
@@ -222,13 +221,13 @@ class TestScanFallbackReArms:
             ts += 0.5
             points.append((ts, float(i)))
             points.append((ts - 0.25, float(-i)))  # inversion every step
-        compiled = make_operator(WindowType.TIME, 4, 2)
+        process, state = bind_window(WindowType.TIME, 4, 2)
         reference = make_reference(WindowType.TIME, 4, 2)
         stream = tuples_of(points)
-        got = run_batches(compiled, [stream])
+        got = run_batches(process, [stream])
         expected = run_batches(reference, [[t] for t in stream])
         assert got == expected
-        assert not compiled._columnar.monotonic
+        assert not state.monotonic
 
 
 class TestDegenerateBatchPartitions:
@@ -256,16 +255,15 @@ class TestDegenerateBatchPartitions:
     @pytest.mark.parametrize("side", sorted(MAKERS))
     @pytest.mark.parametrize("window_type", [WindowType.TUPLE, WindowType.TIME])
     def test_empty_batch_is_a_no_op(self, window_type, side):
-        operator = MAKERS[side](window_type, 3, 1)
-        output_schema = operator.output_schema(SCHEMA)
+        process = bound(MAKERS[side](window_type, 3, 1), SCHEMA)
         stream = tuples_of(self.POINTS[:10])
         emitted = []
-        assert operator.process_batch([], output_schema) == []
+        assert process([]) == []
         for tup in stream[:5]:
-            emitted.extend(operator.process_batch([tup], output_schema))
-            assert operator.process_batch([], output_schema) == []
-            assert operator.process_batch((), output_schema) == []
-        emitted.extend(operator.process_batch(stream[5:], output_schema))
+            emitted.extend(process([tup]))
+            assert process([]) == []
+            assert process(()) == []
+        emitted.extend(process(stream[5:]))
 
         reference = MAKERS[side](window_type, 3, 1)
         expected = run_batches(reference, [stream])
@@ -306,7 +304,7 @@ class TestWindowSizeTypes:
         "size,step", [(2.5, 1), (2, 1.5), (2.0, 1), (True, 1), (3, True)]
     )
     def test_tuple_window_refuses_a_non_int_size_or_step(self, size, step):
-        """At the parent (2.5, 1) constructed, then ``process_batch``
+        """Before PR 21 (2.5, 1) constructed, then the first batch
         died with a raw ``TypeError`` out of ``range()``."""
         with pytest.raises(StreamError, match="counts tuples"):
             WindowSpec(WindowType.TUPLE, size, step)
@@ -338,9 +336,8 @@ class TestEmissionCoercion:
         for operator in (
             AggregateOperator(window, specs), oracle(AggregateOperator(window, specs))
         ):
-            schema = operator.output_schema(self.MIXED)
             try:
-                emitted = operator.process_batch(stream, schema)
+                emitted = bound(operator, self.MIXED)(stream)
             except SchemaError as error:
                 outcomes.append(("error", str(error)))
             else:
