@@ -11,23 +11,24 @@ timestamp of the first tuple, window *i* covers ``[t0+i·step,
 t0+i·step+size)`` and is emitted once a tuple at or past the window's end
 arrives (empty time windows emit nothing, matching StreamBase).
 
-Window state is columnar: per-attribute ring buffers (plain value lists
-with a logical base offset) filled batch-at-a-time.  Every window, of
+Window state is columnar: per-attribute value lists.  Every window, of
 either type, is evaluated one way: each aggregation's ``compute`` over
-the window's column slice — for the built-ins a C-speed
+the window's column values — for the built-ins a C-speed
 ``sum``/``min``/``max`` pass over ``size`` values, O(size) per emission
 and cheaper than Python-level per-tuple upkeep at every window depth a
 policy uses (``docs/performance.md`` records the sizing and the depth
-where that stops holding).  Time windows find their slice through
-monotonic buffer pointers, with a scan fallback for out-of-order
-timestamp streams.  Outputs are bit-identical to the oracle's row-buffer
-recompute (:mod:`repro.streams.reference`, which the differential tests
-compare this module against).
+where that stops holding).  A tuple window is a contiguous slice of its
+columns; a time window selects its members by timestamp value, in
+arrival order, whatever order the timestamps arrive in, and jumps over
+a gap of empty windows in one step.  Outputs are bit-identical to the
+oracle's row-buffer recompute (:mod:`repro.streams.reference`, which
+the differential tests compare this module against).
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import SchemaError, StreamError
@@ -61,10 +62,13 @@ class WindowSpec:
     __slots__ = ("window_type", "size", "step")
 
     def __init__(self, window_type: WindowType, size: int, step: int):
-        if size <= 0:
-            raise StreamError(f"window size must be positive, got {size}")
-        if step <= 0:
-            raise StreamError(f"window advance step must be positive, got {step}")
+        # Written so that NaN fails too: every comparison with it is false.
+        if not 0 < size < math.inf:
+            raise StreamError(f"window size must be positive and finite, got {size}")
+        if not 0 < step < math.inf:
+            raise StreamError(
+                f"window advance step must be positive and finite, got {step}"
+            )
         if window_type is WindowType.TUPLE and not (
             type(size) is int and type(step) is int
         ):
@@ -251,10 +255,9 @@ class _ColumnarWindow:
 
     The window's content lives in one plain value list per *distinct*
     aggregated attribute (specs over the same attribute share a
-    column), addressed by logical stream position minus ``base`` —
-    a ring buffer realised as an occasionally-trimmed list.  Attribute
-    positions and the output coercion are resolved once, for the two
-    schemas the window was bound between.
+    column) — a ring buffer realised as an occasionally-trimmed list.
+    Attribute positions and the output coercion are resolved once, for
+    the two schemas the window was bound between.
     """
 
     __slots__ = ("size", "step", "cols", "computes", "positions", "output_schema", "widen")
@@ -279,9 +282,6 @@ class _ColumnarWindow:
         type (an int sum widens into a DOUBLE field; a third-party
         function's mistyped result raises ``SchemaError``)."""
         return StreamTuple(self.output_schema, self.widen(values))
-
-    def _emit_slice(self, low: int, high: int) -> StreamTuple:
-        return self._coerced([compute(col[low:high]) for compute, col in self.computes])
 
 
 class _ColumnarTupleWindow(_ColumnarWindow):
@@ -321,36 +321,24 @@ class _ColumnarTupleWindow(_ColumnarWindow):
             self.base = new_base
         return outputs
 
+    def _emit_slice(self, low: int, high: int) -> StreamTuple:
+        return self._coerced([compute(col[low:high]) for compute, col in self.computes])
+
 
 class _ColumnarTimeWindow(_ColumnarWindow):
-    """Time-window state: columnar buffers + pointer-based eviction.
+    """Time-window state: columnar buffers in arrival order.
 
-    While timestamps arrive monotonically (the overwhelmingly common
-    case — and the only order the paper's sources produce), a closing
-    window is a contiguous column slice ``[low, high)`` found by two
-    pointers that only ever move forward, so eviction is O(1) amortized
-    and emission reads one slice per aggregation — no per-tuple buffer
-    rebuild, no per-tuple name lookups.  The first out-of-order
-    timestamp drops the instance into a scan mode that reproduces the
-    seed semantics exactly (membership by value, arrival order
-    preserved), with amortized compaction instead of the seed's
-    per-tuple rebuild.
-
-    Scan mode is not sticky: whenever a compaction sweep leaves the
-    retained buffer in ascending timestamp order (in particular when it
-    drains the disordered backlog entirely), the instance re-arms the
-    monotonic pointer path — on a sorted buffer, value-based membership
-    and contiguous pointer slices select identical windows, so the
-    switch is output-neutral, and the next late timestamp simply drops
-    back to scan mode.  A transient burst of disorder therefore costs
-    O(buffer) scans only while its evidence is still buffered, instead
-    of pinning the stream to scan mode forever.
+    Window membership is by timestamp value, exactly the oracle's: a
+    closing window selects every retained entry whose timestamp falls in
+    ``[start, end)``, in arrival order, whatever order the timestamps
+    came in.  Entries are appended one at a time, after the windows
+    their arrival closes (a batch-mate appended early could otherwise
+    leak into a window closing before it arrived).  Stale entries are
+    compacted away in amortized sweeps instead of the seed's per-tuple
+    rebuild.
     """
 
-    __slots__ = (
-        "tpos", "ts", "base", "low", "high",
-        "t0", "next_idx", "monotonic", "last_ts", "compact_at",
-    )
+    __slots__ = ("tpos", "ts", "t0", "next_idx", "compact_at")
 
     def __init__(
         self, operator: AggregateOperator, input_schema: Schema, output_schema: Schema
@@ -358,91 +346,25 @@ class _ColumnarTimeWindow(_ColumnarWindow):
         super().__init__(operator, input_schema, output_schema)
         self.tpos = input_schema.position(operator._time_field(input_schema).name)
         self.ts: List = []
-        self.base = 0
-        self.low = 0    # logical index of the first still-needed entry
-        self.high = 0   # logical index one past the last closed window's content
         self.t0: Optional[float] = None
         self.next_idx = 0
-        self.monotonic = True
-        self.last_ts: Optional[float] = None
         self.compact_at = 64
 
     def process(self, tuples: Sequence[StreamTuple]) -> List[StreamTuple]:
-        if not tuples:
-            return []
-        rows = [t.values for t in tuples]
-        tpos = self.tpos
-        new_ts = [row[tpos] for row in rows]
-        if self.monotonic:
-            previous = self.last_ts
-            for timestamp in new_ts:
-                if previous is not None and timestamp < previous:
-                    self.monotonic = False
-                    break
-                previous = timestamp
-        if self.monotonic:
-            return self._process_monotonic(rows, new_ts)
-        return self._process_scan(rows, new_ts)
-
-    def _process_monotonic(self, rows, new_ts) -> List[StreamTuple]:
-        # Appending the whole batch up-front is safe: any batch-mate
-        # after the tuple that closes a window has a timestamp at or
-        # past that tuple's, hence at or past the window's end, so the
-        # high pointer never admits it.
-        self.ts.extend(new_ts)
-        for col, position in zip(self.cols, self.positions):
-            col.extend([row[position] for row in rows])
-        size, step = self.size, self.step
-        ts_buffer = self.ts
-        outputs: List[StreamTuple] = []
-        for timestamp in new_ts:
-            if self.t0 is None:
-                self.t0 = timestamp
-            while True:
-                start = self.t0 + self.next_idx * step
-                end = start + size
-                if timestamp < end:
-                    break
-                base = self.base
-                low = self.low
-                while ts_buffer[low - base] < start:
-                    low += 1
-                high = self.high
-                if high < low:
-                    high = low
-                while ts_buffer[high - base] < end:
-                    high += 1
-                if high > low:
-                    outputs.append(self._emit_slice(low - base, high - base))
-                self.low = low
-                self.high = high
-                self.next_idx += 1
-        self.last_ts = new_ts[-1]
-        drop = self.low - self.base
-        if drop > 0:
-            del ts_buffer[:drop]
-            for col in self.cols:
-                del col[:drop]
-            self.base = self.low
-        return outputs
-
-    def _process_scan(self, rows, new_ts) -> List[StreamTuple]:
-        # Out-of-order timestamps: window membership is by value, so a
-        # closing window selects matching indices across the whole
-        # retained buffer — exactly the seed's semantics.  Entries are
-        # appended one at a time (a pre-appended batch-mate could
-        # otherwise leak into a window closing before its arrival).
         size, step = self.size, self.step
         ts_buffer = self.ts
         cols = self.cols
         positions = self.positions
+        tpos = self.tpos
         outputs: List[StreamTuple] = []
-        compacted = False
-        for row, timestamp in zip(rows, new_ts):
+        for tup in tuples:
+            row = tup.values
+            timestamp = row[tpos]
             if self.t0 is None:
                 self.t0 = timestamp
+            t0 = self.t0
             while True:
-                start = self.t0 + self.next_idx * step
+                start = t0 + self.next_idx * step
                 end = start + size
                 if timestamp < end:
                     break
@@ -452,7 +374,21 @@ class _ColumnarTimeWindow(_ColumnarWindow):
                 ]
                 if selected:
                     outputs.append(self._emit_selected(selected))
-                self.next_idx += 1
+                    self.next_idx += 1
+                    continue
+                # Every retained timestamp lies below the end of the
+                # window its own arrival left pending, so an empty
+                # window has nothing retained at or past its start, and
+                # neither has any later window this arrival closes: jump
+                # past all of them at once (a gap of days would
+                # otherwise be walked window by window).  The back-off
+                # keeps every skipped window's end, by the same
+                # ``t0 + k*step`` formula, at or below the arrival; an
+                # estimate that falls short just jumps again.
+                index = self.next_idx + 1 + int((timestamp - end) // step)
+                while t0 + (index - 1) * step + size > timestamp:
+                    index -= 1
+                self.next_idx = index
             ts_buffer.append(timestamp)
             for col, position in zip(cols, positions):
                 col.append(row[position])
@@ -462,7 +398,7 @@ class _ColumnarTimeWindow(_ColumnarWindow):
             # output-neutral; the doubling threshold bounds total
             # compaction work by the stream length.
             if len(ts_buffer) >= self.compact_at:
-                earliest = self.t0 + self.next_idx * step
+                earliest = t0 + self.next_idx * step
                 keep = [
                     index for index, value in enumerate(ts_buffer)
                     if value >= earliest
@@ -471,34 +407,8 @@ class _ColumnarTimeWindow(_ColumnarWindow):
                     ts_buffer[:] = [ts_buffer[index] for index in keep]
                     for col in cols:
                         col[:] = [col[index] for index in keep]
-                    compacted = True
                 self.compact_at = max(64, 2 * len(ts_buffer))
-        # Re-arm the pointer path once the disordered backlog is gone:
-        # only checked after a sweep actually removed entries (amortized,
-        # like the sweep itself), and only after the whole batch so the
-        # two modes never interleave within one dispatch.
-        if compacted and self._is_ascending(ts_buffer):
-            self._rearm()
         return outputs
-
-    @staticmethod
-    def _is_ascending(values: Sequence) -> bool:
-        return all(earlier <= later for earlier, later in zip(values, values[1:]))
-
-    def _rearm(self) -> None:
-        """Return to the monotonic pointer path on a sorted buffer.
-
-        The retained entries all sit at or after the next window's start
-        (compaction just enforced that), so "first still-needed entry"
-        is index 0; the high pointer recomputes forward from there on
-        the next window close.  ``last_ts`` re-seeds the disorder
-        detector, so a later regression drops straight back to scan.
-        """
-        self.monotonic = True
-        self.base = 0
-        self.low = 0
-        self.high = 0
-        self.last_ts = self.ts[-1] if self.ts else None
 
     def _emit_selected(self, selected) -> StreamTuple:
         values = [

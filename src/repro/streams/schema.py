@@ -9,6 +9,7 @@ statements list fields positionally (see the paper's Figure 4(b)).
 from __future__ import annotations
 
 import enum
+import math
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import SchemaError, UnknownAttributeError
@@ -38,8 +39,11 @@ class DataType(enum.Enum):
         """Coerce *value* to this data type, raising :class:`SchemaError`.
 
         Integers are accepted for ``DOUBLE``/``TIMESTAMP`` fields (they are
-        widened to float); all other mismatches are rejected rather than
-        silently converted, so a schema violation surfaces at ingress.
+        widened to float; one too large for a float is refused); a
+        ``TIMESTAMP`` must be finite (a NaN or infinite one would hold
+        every time window open, or walk it forever); all other
+        mismatches are rejected rather than silently converted, so a
+        schema violation surfaces at ingress.
         """
         if isinstance(value, bool):
             if self is DataType.BOOL:
@@ -50,7 +54,16 @@ class DataType(enum.Enum):
                 return value
         elif self in (DataType.DOUBLE, DataType.TIMESTAMP):
             if isinstance(value, (int, float)):
-                return float(value)
+                try:
+                    number = float(value)
+                except OverflowError:
+                    raise SchemaError(
+                        f"an int of {value.bit_length()} bits is too large for "
+                        f"data type {self.value!r}"
+                    ) from None
+                if not math.isfinite(number) and self is DataType.TIMESTAMP:
+                    raise SchemaError(f"timestamp {value!r} is not finite")
+                return number
         elif self is DataType.STRING:
             if isinstance(value, str):
                 return value
@@ -91,22 +104,37 @@ _PYTHON_TYPES: Dict[DataType, Tuple[type, ...]] = {
     DataType.TIMESTAMP: (int, float),
 }
 
-#: The type :meth:`DataType.coerce` returns per data type: a value of
-#: exactly this type (``int`` excludes ``bool``) passes through it
-#: unchanged.
-_RUNTIME_TYPES: Dict[DataType, type] = {
+#: Per data type, the type whose every value :meth:`DataType.coerce`
+#: passes through unchanged (``int`` excludes ``bool``).  ``TIMESTAMP``
+#: has none: a float must still prove finite.
+_RUNTIME_TYPES: Dict[DataType, Optional[type]] = {
     DataType.INT: int,
     DataType.DOUBLE: float,
     DataType.STRING: str,
     DataType.BOOL: bool,
-    DataType.TIMESTAMP: float,
+    DataType.TIMESTAMP: None,
 }
+
+
+def _timestamp(value, _coerce=DataType.TIMESTAMP.coerce, _low=-math.inf, _high=math.inf):
+    """``DataType.TIMESTAMP.coerce`` with a finite float — the common
+    case — answered first: every ingested record carries a timestamp, so
+    does a window output that aggregates one (``samplingtime:lastval``),
+    and the full method costs several times this check."""
+    if type(value) is float and _low < value < _high:
+        return value
+    return _coerce(value)
 
 
 def _widener(schema: "Schema") -> Callable[[Iterable], tuple]:
     """``widen(values)``: :meth:`DataType.coerce` applied per field of
-    *schema*, skipping the call for a value already of the exact type."""
-    types = tuple((_RUNTIME_TYPES[field.dtype], field.dtype.coerce) for field in schema)
+    *schema*, skipping the call for a value already of the exact type
+    (a timestamp goes through :func:`_timestamp`)."""
+    types = tuple(
+        (_RUNTIME_TYPES[field.dtype],
+         _timestamp if field.dtype is DataType.TIMESTAMP else field.dtype.coerce)
+        for field in schema
+    )
 
     def widen(values) -> tuple:
         return tuple([

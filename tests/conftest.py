@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import signal
 from collections import OrderedDict
+from contextlib import contextmanager
 
 import pytest
 
@@ -80,6 +82,27 @@ def production_and_oracle(graph, schema, batches):
         engine_outputs(StreamEngine(), graph, schema, batches),
         engine_outputs(StreamEngine.reference(), graph, schema, singles),
     )
+
+
+@contextmanager
+def wall_clock_guard(seconds):
+    """Fail the test if its body runs longer than *seconds* of wall time.
+
+    A regression that loops forever (a pure-Python loop: the alarm
+    interrupts it between bytecodes) then fails in seconds instead of
+    holding the whole run.  Main thread only, as pytest runs tests.
+    """
+
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s of wall-clock time")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class NoWalk(OrderedDict):

@@ -8,8 +8,9 @@ recompute-per-window path (the oracle, ``StreamEngine.reference()``,
 fed the same tuples one at a time) over hypothesis-generated streams
 and window specs — tuple and time windows,
 step < size (overlapping), step = size and step > size (gaps), random
-batch partitions, and out-of-order timestamps for the time-window scan
-fallback.
+batch partitions, and time windows over ascending and out-of-order
+timestamps with large gaps (hundreds of empty windows, which
+production jumps and the oracle walks one by one).
 
 Comparison discipline: **exact** equality, everywhere.  Production and
 oracle both hand the same values in the same order to the same
@@ -80,6 +81,25 @@ def build_graph(window_type, size, step, agg_texts):
     )
 
 
+#: (from index, seconds): every timestamp from that index on moves later
+#: by that much — a gap of up to 400 empty windows on the oracle's walk.
+gaps_strategy = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=60),
+        st.floats(min_value=0, max_value=400, allow_nan=False, width=16),
+    ),
+    max_size=3,
+)
+
+
+def with_gaps(timestamps, gaps):
+    shifted = list(timestamps)
+    for start, gap in gaps:
+        for index in range(start, len(shifted)):
+            shifted[index] += gap
+    return shifted
+
+
 def partition(items, cuts):
     batches, last = [], 0
     for cut in sorted(set(cuts)):
@@ -139,16 +159,17 @@ class TestTimeWindowEquivalence:
         step=st.integers(min_value=1, max_value=10),
         aggs=st.lists(st.sampled_from(AGG_POOL), min_size=1, max_size=4, unique=True),
         cuts=st.lists(st.integers(min_value=0, max_value=60), max_size=4),
+        gaps=gaps_strategy,
     )
-    def test_monotonic_timestamps(self, values, deltas, size, step, aggs, cuts):
-        """Monotonic timestamps (the pointer-eviction fast path)."""
+    def test_monotonic_timestamps(self, values, deltas, size, step, aggs, cuts, gaps):
+        """Ascending timestamps, the order the paper's sources produce."""
         n = min(len(values), len(deltas))
         timestamps, now = [], 0.0
         for delta in deltas[:n]:
             now += delta
             timestamps.append(now)
         graph = build_graph(WindowType.TIME, size, step, aggs)
-        tuples = make_tuples(values[:n], timestamps)
+        tuples = make_tuples(values[:n], with_gaps(timestamps, gaps))
         assert_equivalent(*run_pair(graph, tuples, cuts))
 
     @settings(max_examples=150, deadline=None)
@@ -163,13 +184,14 @@ class TestTimeWindowEquivalence:
         step=st.integers(min_value=1, max_value=10),
         aggs=st.lists(st.sampled_from(AGG_POOL), min_size=1, max_size=4, unique=True),
         cuts=st.lists(st.integers(min_value=0, max_value=60), max_size=4),
+        gaps=gaps_strategy,
     )
-    def test_out_of_order_timestamps(self, values, timestamps, size, step, aggs, cuts):
-        """Arbitrary (possibly non-monotonic) timestamps exercise the
-        scan fallback and the monotonic→scan mid-stream transition."""
+    def test_out_of_order_timestamps(self, values, timestamps, size, step, aggs, cuts, gaps):
+        """Arbitrary timestamps: late ones land in still-open windows by
+        value, across batch boundaries and gaps alike."""
         n = min(len(values), len(timestamps))
         graph = build_graph(WindowType.TIME, size, step, aggs)
-        tuples = make_tuples(values[:n], timestamps[:n])
+        tuples = make_tuples(values[:n], with_gaps(timestamps[:n], gaps))
         assert_equivalent(*run_pair(graph, tuples, cuts))
 
 

@@ -231,7 +231,7 @@ class TestTupleWindows:
 
 class TestColumnarWindows:
     """Columnar-path specifics: agreement with the oracle, recompute
-    fallback, state reset, gaps, and the time-window scan fallback."""
+    fallback, state reset, gaps, and out-of-order time windows."""
 
     def overlapping_operator(self):
         return AggregateOperator(
@@ -270,8 +270,8 @@ class TestColumnarWindows:
         assert [t.values for t in batch_out] == [t.values for t in single_out]
 
     def test_out_of_order_time_window_matches_reference(self):
-        """A late timestamp flips the columnar time path into scan mode
-        mid-stream; output must still match the seed row path."""
+        """Late timestamps mid-stream land in their windows by value;
+        output must still match the seed row path."""
         stamps = [(0.0, 1), (5.0, 2), (3.0, 7), (11.0, 4), (2.0, 9), (24.0, 5)]
         outputs = {}
         for mode, side in (("columnar", lambda op: op), ("reference", oracle)):

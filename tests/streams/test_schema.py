@@ -1,5 +1,7 @@
 """Tests for schemas, fields and data types."""
 
+import math
+
 import pytest
 
 from repro.errors import SchemaError, UnknownAttributeError
@@ -43,6 +45,20 @@ class TestDataType:
         assert DataType.STRING.coerce("abc") == "abc"
         with pytest.raises(SchemaError):
             DataType.STRING.coerce(42)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_timestamp_refuses_a_non_finite_value(self, value):
+        with pytest.raises(SchemaError, match="not finite"):
+            DataType.TIMESTAMP.coerce(value)
+        # A double may carry one (a missing reading); a timestamp may not.
+        assert repr(DataType.DOUBLE.coerce(value)) == repr(value)
+
+    @pytest.mark.parametrize("dtype", [DataType.DOUBLE, DataType.TIMESTAMP])
+    def test_an_int_too_large_for_a_float_is_a_schema_error(self, dtype):
+        """It used to escape as a raw ``OverflowError``."""
+        with pytest.raises(SchemaError, match="1329 bits is too large"):
+            dtype.coerce(10 ** 400)
+        assert dtype.coerce(10 ** 300) == 1e300
 
 
 class TestField:

@@ -1,19 +1,22 @@
-"""Regression pins for the PR 3 columnar-window edge cases.
+"""Regression pins for the columnar-window edge cases.
 
 The property/differential harnesses (``test_prop_window_equivalence``,
 the StreamSQL fuzzer) cover these paths statistically; this module pins
 them *directly at the operator level*, so a regression names the exact
 mechanism instead of a shrunk counterexample:
 
-- the out-of-order time-window path: the columnar instance must drop
-  from pointer eviction into the seed-semantics scan fallback on the
-  first timestamp regression — including mid-stream, including across
-  the amortized-compaction threshold — and stay output-identical to the
-  oracle's row path (``repro.streams.reference``);
-- the scan fallback must *not* be sticky: once a compaction sweep
-  drains the disordered backlog (the retained buffer is ascending
-  again) the instance re-arms the monotonic pointer path, and a later
-  regression drops it back to scan — output-identical throughout;
+- out-of-order timestamps: a time window selects its members by value,
+  so a late timestamp — mid-stream, inside one batch, across the
+  amortized-compaction threshold, in bursts or on every step — is
+  output-identical to the oracle's row path
+  (``repro.streams.reference``), and the retained buffer still shrinks;
+- one way to evaluate a time window: the census of its state, and no
+  trace of a second path under ``src/repro/streams``;
+- a gap of empty time windows is jumped, not walked: a record days (or
+  a millisecond epoch's worth of seconds) later returns at once, with
+  every window bound still ``t0 + k*step``;
+- a non-finite timestamp is refused at ingest, atomically, on both
+  engines, instead of holding a time window's loop forever;
 - empty and singleton batch partitions: a bound window (what
   ``AggregateOperator.bind`` returns) must tolerate degenerate
   partitions without corrupting window state, and any partitioning
@@ -21,14 +24,22 @@ mechanism instead of a shrunk counterexample:
   reference path;
 - a third-party ``compute`` over a deep window matches the oracle;
 - window size / step types: a tuple window counts tuples and refuses a
-  non-int at construction, a time window keeps fractional seconds;
+  non-int at construction, a time window keeps fractional seconds, and
+  neither takes a non-finite size or step;
 - emission coercion: a value whose type differs from its output field's
   is widened, or refused, exactly as ``DataType.coerce`` does it.
 """
 
+import math
+from pathlib import Path
+
 import pytest
 
+import repro.streams
 from repro.errors import SchemaError, StreamError
+from repro.serving.wire import decode_message
+from repro.streams.engine import StreamEngine
+from repro.streams.graph import QueryGraph
 from repro.streams.operators.aggregate import (
     AGGREGATE_FUNCTIONS,
     AggregateFunction,
@@ -43,7 +54,7 @@ from repro.streams.operators.window import (
 )
 from repro.streams.schema import DataType, Field, Schema
 from repro.streams.tuples import StreamTuple, make_tuple
-from tests.conftest import bound, oracle
+from tests.conftest import bound, oracle, wall_clock_guard
 
 SCHEMA = Schema(
     "sensor",
@@ -99,32 +110,35 @@ def partitions(items, sizes):
     return chunks
 
 
+def oracle_rows(size, step, stream):
+    """What the oracle emits for a time window over *stream*, fed one
+    tuple at a time."""
+    return run_batches(make_reference(WindowType.TIME, size, step), [[t] for t in stream])
+
+
 class TestOutOfOrderTimeWindows:
     OOO_POINTS = [
         (0.0, 1.0), (1.0, 2.0), (2.0, 3.0),
-        (1.5, 4.0),              # regression: drops into scan mode
+        (1.5, 4.0),              # the first regression
         (3.0, 5.0), (2.5, 6.0), (6.0, 7.0), (5.0, 8.0), (9.0, 9.0),
     ]
 
-    def test_first_regression_switches_to_scan_mode(self):
-        process, state = bind_window(WindowType.TIME, 2, 2)
-        process(tuples_of(self.OOO_POINTS[:3]))
-        assert isinstance(state, _ColumnarTimeWindow) and state.monotonic
-        process(tuples_of(self.OOO_POINTS[3:4]))
-        assert not state.monotonic
+    def test_first_regression_matches_reference(self):
+        process, _ = bind_window(WindowType.TIME, 2, 2)
+        stream = tuples_of(self.OOO_POINTS)
+        got = run_batches(process, [stream[:3], stream[3:4], stream[4:]])
+        assert got == oracle_rows(2, 2, stream)
+        assert got
 
     @pytest.mark.parametrize("size,step", [(2, 2), (3, 1), (1, 3)])
-    def test_scan_fallback_matches_reference(self, size, step):
-        process, state = bind_window(WindowType.TIME, size, step)
-        reference = make_reference(WindowType.TIME, size, step)
+    def test_disordered_stream_matches_reference(self, size, step):
+        process, _ = bind_window(WindowType.TIME, size, step)
         stream = tuples_of(self.OOO_POINTS)
         got = run_batches(process, [stream])
-        expected = run_batches(reference, [[t] for t in stream])
-        assert got == expected
+        assert got == oracle_rows(size, step, stream)
         assert got, "edge-case stream must actually emit windows"
-        assert not state.monotonic
 
-    def test_scan_mode_survives_compaction_threshold(self):
+    def test_disorder_survives_compaction_threshold(self):
         # > 64 retained entries forces the amortized compaction sweep;
         # stale-entry removal must stay output-neutral.
         points = []
@@ -135,28 +149,28 @@ class TestOutOfOrderTimeWindows:
             if i % 7 == 3:
                 points.append((ts - 0.25, float(-i)))  # persistent disorder
         process, state = bind_window(WindowType.TIME, 4, 2)
-        reference = make_reference(WindowType.TIME, 4, 2)
         stream = tuples_of(points)
         got = run_batches(process, partitions(stream, [50] * 7 + [len(stream) - 350]))
-        expected = run_batches(reference, [[t] for t in stream])
-        assert got == expected
-        assert not state.monotonic
+        assert got == oracle_rows(4, 2, stream)
         # The compaction threshold moved off its initial value and the
         # buffer did not grow with the whole stream.
         assert len(state.ts) < len(points)
 
-    def test_regression_inside_one_batch_is_detected(self):
-        # The disorder check walks timestamps *within* a batch, not just
-        # across batch boundaries.
-        process, state = bind_window(WindowType.TIME, 2, 2)
-        process(tuples_of([(0.0, 1.0), (3.0, 2.0), (1.0, 3.0), (4.0, 4.0)]))
-        assert not state.monotonic
+    def test_regression_inside_one_batch_matches_reference(self):
+        # A late timestamp *within* a batch, not just across batch
+        # boundaries: its batch-mates must not leak into windows that
+        # close before they arrive.
+        process, _ = bind_window(WindowType.TIME, 2, 2)
+        stream = tuples_of([(0.0, 1.0), (3.0, 2.0), (1.0, 3.0), (4.0, 4.0), (6.0, 5.0)])
+        got = run_batches(process, [stream])
+        assert got == oracle_rows(2, 2, stream)
+        assert got
 
 
-class TestScanFallbackReArms:
-    """The PR 5 regression pins: scan mode is left again once the
-    disordered backlog has been compacted away, instead of pinning the
-    stream to O(buffer) scans forever after one late timestamp."""
+class TestDisorderBursts:
+    """Bursts of disorder between long ascending runs: output-identical
+    to the oracle throughout, and a burst's late entries are compacted
+    away once no window can need them."""
 
     @staticmethod
     def ooo_then_clean(n_clean):
@@ -168,22 +182,20 @@ class TestScanFallbackReArms:
             ts += 1.0
         return points
 
-    def test_rearm_after_backlog_compacts_away(self):
+    def test_clean_tail_after_a_regression_compacts_the_backlog(self):
         process, state = bind_window(WindowType.TIME, 2, 2)
         stream = tuples_of(self.ooo_then_clean(200))
-        process(stream[:5])
-        assert not state.monotonic  # the regression flipped it
-        process(stream[5:])
-        # The clean tail pushed the buffer past the compaction threshold,
-        # the sweep removed the stale disordered prefix, and the retained
-        # ascending tail re-armed the pointer path.
-        assert state.monotonic
-        assert state.last_ts == stream[-1]["ts"]
+        got = run_batches(process, [stream[:5], stream[5:]])
+        assert got == oracle_rows(2, 2, stream)
+        # The clean tail pushed the buffer past the compaction threshold
+        # and the sweep removed the stale disordered prefix.
+        assert 1.5 not in state.ts
+        assert len(state.ts) < len(stream)
 
-    def test_rearm_is_output_identical_to_reference(self):
+    def test_two_disorder_bursts_match_reference(self):
         points = self.ooo_then_clean(200)
-        # ...and a second disorder burst *after* the re-arm, so the
-        # arm → scan → arm → scan → arm cycle is fully exercised.
+        # ...and a second disorder burst after the first has compacted
+        # away.
         ts = points[-1][0]
         points += [(ts - 0.5, -1.0), (ts + 1.0, -2.0)]
         ts += 1.0
@@ -191,43 +203,129 @@ class TestScanFallbackReArms:
             ts += 1.0
             points.append((ts, float(i)))
         for size, step in ((2, 2), (3, 1), (1, 3)):
-            process, state = bind_window(WindowType.TIME, size, step)
-            reference = make_reference(WindowType.TIME, size, step)
+            process, _ = bind_window(WindowType.TIME, size, step)
             stream = tuples_of(points)
             got = run_batches(process, partitions(stream, [7] * 50 + [len(stream) - 350]))
-            expected = run_batches(reference, [[t] for t in stream])
-            assert got == expected
+            assert got == oracle_rows(size, step, stream)
             assert got
-            # Both bursts compacted away: the stream ends re-armed.
-            assert state.monotonic
 
-    def test_regression_after_rearm_falls_back_to_scan(self):
-        process, state = bind_window(WindowType.TIME, 2, 2)
+    def test_regression_after_a_clean_tail_matches_reference(self):
+        process, _ = bind_window(WindowType.TIME, 2, 2)
         stream = tuples_of(self.ooo_then_clean(200))
-        process(stream)
-        assert state.monotonic
         last = stream[-1]["ts"]
-        process(tuples_of([(last - 0.25, 9.0)]))
-        assert not state.monotonic
+        stream += tuples_of([(last - 0.25, 9.0), (last + 4.0, 10.0)])
+        got = run_batches(process, [stream[:-2], stream[-2:]])
+        assert got == oracle_rows(2, 2, stream)
 
-    def test_no_rearm_while_disorder_is_still_buffered(self):
-        # Persistent disorder keeps inverted pairs inside the live tail,
-        # so every compaction sees a non-ascending buffer and scan mode
-        # survives — the old always-scan behaviour, now by necessity
-        # rather than stickiness.
+    def test_persistent_disorder_matches_reference(self):
+        # Persistent disorder keeps inverted pairs inside the live tail
+        # at every compaction.
         points = [(0.0, 0.0)]
         ts = 0.0
         for i in range(300):
             ts += 0.5
             points.append((ts, float(i)))
             points.append((ts - 0.25, float(-i)))  # inversion every step
-        process, state = bind_window(WindowType.TIME, 4, 2)
-        reference = make_reference(WindowType.TIME, 4, 2)
+        process, _ = bind_window(WindowType.TIME, 4, 2)
         stream = tuples_of(points)
         got = run_batches(process, [stream])
-        expected = run_batches(reference, [[t] for t in stream])
-        assert got == expected
-        assert not state.monotonic
+        assert got == oracle_rows(4, 2, stream)
+
+
+class TestOneTimeWindowPath:
+    """The census of the collapse: a time window has one way to
+    evaluate, and nothing of a second one survives."""
+
+    def test_time_window_state_is_exactly_five_slots(self):
+        assert set(_ColumnarTimeWindow.__slots__) == {
+            "tpos", "ts", "t0", "next_idx", "compact_at",
+        }
+
+    def test_no_second_path_is_named_under_streams(self):
+        gone = (
+            "_process_monotonic", "_process_scan", "_rearm", "_is_ascending",
+            "monotonic", "last_ts",
+        )
+        streams = Path(repro.streams.__file__).parent
+        found = [
+            (path.relative_to(streams).as_posix(), name)
+            for path in sorted(streams.rglob("*.py"))
+            for name in gone
+            if name in path.read_text()
+        ]
+        assert found == []
+
+
+class TestGapsAreJumped:
+    """A closing time window that selects nothing jumps every empty
+    window the arrival closes instead of walking them one by one."""
+
+    @pytest.mark.parametrize("gap", [3e9, 1.7e12])
+    def test_a_huge_gap_returns_at_once(self, gap):
+        """3e9 s on a 60 s / 30 s window is 1e8 empty windows (18 s on
+        the loop thread when they were walked); 1.7e12 is a millisecond
+        epoch sent as seconds.  Production only: the oracle walks."""
+        process, state = bind_window(WindowType.TIME, 60, 30)
+        stream = tuples_of([(0.0, 1.0), (10.0, 2.0), (gap, 3.0), (gap + 100.0, 4.0)])
+        with wall_clock_guard(5):
+            got = run_batches(process, [stream[:3], stream[3:]])
+        # (sum, min, max, count, lastval): [0, 60), then the two windows
+        # [gap - 30, gap + 30) and [gap, gap + 60) holding the gap record.
+        assert got == [(3.0, 1.0, 2.0, 2, 2.0), (3.0, 3.0, 3.0, 1, 3.0), (3.0, 3.0, 3.0, 1, 3.0)]
+        # Bounds keep the formula: the next window is t0 + k*step.
+        assert state.t0 + state.next_idx * 30 + 60 > gap + 100.0
+        assert state.t0 + (state.next_idx - 1) * 30 + 60 <= gap + 100.0
+
+    @pytest.mark.parametrize("size,step", [(60, 30), (7, 7), (2.5, 9.75), (45, 0.3)])
+    def test_gaps_match_the_oracle(self, size, step):
+        points = [(0.0, 1.0), (1.0, 2.0), (4000.0, 3.0), (3990.0, 4.0),
+                  (4001.5, 5.0), (11234.25, 6.0), (11234.0, 7.0), (12000.0, 8.0)]
+        process, _ = bind_window(WindowType.TIME, size, step)
+        stream = tuples_of(points)
+        got = run_batches(process, [stream[:3], stream[3:6], stream[6:]])
+        assert got == oracle_rows(size, step, stream)
+        assert got
+
+    def test_the_jump_backs_off_a_rounding_overshoot(self):
+        """The arrival sits one ulp below window 152's end, and the
+        estimate ``(arrival - end) // step`` rounds it onto that end: on
+        its own it would skip window 152, which the arrival leaves open
+        and then joins."""
+        t0 = -116.9
+        late = math.nextafter(t0 + 152 * 2.5 + 60, -math.inf)
+        stream = tuples_of([(t0, 1.0), (late, 2.0), (late + 1000.0, 3.0)])
+        process, _ = bind_window(WindowType.TIME, 60, 2.5)
+        got = run_batches(process, [stream])
+        assert got == oracle_rows(60, 2.5, stream)
+        assert len(got) == 1 + 24  # t0's window, then the 24 holding `late`
+
+
+class TestNonFiniteTimestampsAtIngest:
+    """A NaN or infinite timestamp held every time window's loop open
+    forever — production and oracle alike, and on the served path the
+    event loop for every connection.  It is refused at ingest."""
+
+    FRAME = (
+        '{"seq": 1, "op": "ingest", "body": {"stream": "sensor", "records": '
+        '[{"ts": 0.0, "v": 1.0}, {"ts": %s, "v": 2.0}, {"ts": 90.0, "v": 3.0}]}}'
+    )
+
+    @pytest.mark.parametrize("engine_kind", [StreamEngine, StreamEngine.reference])
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_decoded_frame_is_refused_whole(self, literal, engine_kind):
+        _, op = decode_message((self.FRAME % literal).encode())
+        engine = engine_kind()
+        stream = engine.register_input_stream("sensor", SCHEMA)
+        handle = engine.register_query(
+            QueryGraph("sensor").append(make_operator(WindowType.TIME, 60, 30))
+        )
+        with wall_clock_guard(5):
+            with pytest.raises(SchemaError, match="not finite"):
+                engine.push_batch(op.stream, op.records)
+        # Atomic: not even the valid record ahead of it was ingested.
+        assert stream.total_appended == 0
+        engine.push_batch("sensor", [{"ts": 0.0, "v": 1.0}, {"ts": 90.0, "v": 3.0}])
+        assert [t.values for t in engine.read(handle)] == [(1.0, 1.0, 1.0, 1, 1.0)]
 
 
 class TestDegenerateBatchPartitions:
@@ -309,6 +407,15 @@ class TestWindowSizeTypes:
         with pytest.raises(StreamError, match="counts tuples"):
             WindowSpec(WindowType.TUPLE, size, step)
 
+    @pytest.mark.parametrize("window_type", [WindowType.TUPLE, WindowType.TIME])
+    @pytest.mark.parametrize(
+        "size,step", [(math.nan, 1), (1, math.nan), (math.inf, 1), (1, math.inf)]
+    )
+    def test_a_non_finite_size_or_step_is_refused(self, window_type, size, step):
+        """``WindowSpec(TIME, nan, 1)`` used to construct."""
+        with pytest.raises(StreamError, match="positive and finite"):
+            WindowSpec(window_type, size, step)
+
     def test_time_window_keeps_fractional_seconds(self):
         stream = tuples_of([(i * 0.5, i) for i in range(12)])
         got = run_batches(make_operator(WindowType.TIME, 2.5, 0.5), [stream])
@@ -370,3 +477,25 @@ class TestEmissionCoercion:
             assert production == expected
             assert production[0] == "error"
         assert "is not valid for data type 'double'" in production[1]
+
+    def test_a_non_finite_timestamp_result_is_refused_on_both_sides(self):
+        """A timestamp output field refuses ``inf`` like a timestamp input
+        (no built-in can produce one; a third-party function can)."""
+        register_aggregate_function(
+            AggregateFunction("horizon", lambda v: math.inf, lambda d: d)
+        )
+        try:
+            schema = Schema("t", [Field("ts", DataType.TIMESTAMP)])
+            window = WindowSpec(WindowType.TUPLE, 2, 1)
+            stream = [StreamTuple(schema, (1.0,))] * 2
+            errors = []
+            for operator in (
+                AggregateOperator(window, [AggregationSpec.parse("ts:horizon")]),
+                oracle(AggregateOperator(window, [AggregationSpec.parse("ts:horizon")])),
+            ):
+                with pytest.raises(SchemaError, match="timestamp inf is not finite") as error:
+                    bound(operator, schema)(stream)
+                errors.append(str(error.value))
+        finally:
+            del AGGREGATE_FUNCTIONS["horizon"]
+        assert errors[0] == errors[1]

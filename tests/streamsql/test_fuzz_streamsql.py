@@ -4,8 +4,8 @@ A small grammar generator emits *valid* StreamSQL scripts — filter,
 map and window-aggregation SELECT chains with randomized conditions,
 projections, window shapes (tuple and time, overlapping and hopping)
 and keyword spellings — plus a matched random tuple stream (mostly
-monotone timestamps with occasional out-of-order regressions, so the
-columnar time-window scan fallback is exercised).  Each script runs
+ascending timestamps with occasional out-of-order regressions, which a
+time window places by value).  Each script runs
 through the full stack twice, parser → graph → engine:
 
 - on the default **compiled** engine, ingested through ``push_batch``
