@@ -31,7 +31,8 @@ the interpreter would at evaluation time: an unknown attribute raises
 attribute raises :class:`ExpressionTypeError`.  For any schema-valid
 expression and schema-conformant tuple the compiled closure is
 decision-identical to :func:`repro.expr.evaluate.evaluate` — the
-differential harness in ``tests/properties`` proves it.
+streams differential harness (``tests/properties/test_streams_equivalence.py``),
+whose oracle filters by the interpreter, proves it.
 """
 
 from __future__ import annotations

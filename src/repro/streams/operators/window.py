@@ -217,9 +217,12 @@ class AggregateOperator(Operator):
     def _time_field(self, schema: Schema) -> Field:
         if self.time_attribute:
             field = schema.field(self.time_attribute)
-            if field.dtype not in (DataType.TIMESTAMP, DataType.DOUBLE, DataType.INT):
+            # A DOUBLE may hold NaN or an infinity, which no window bound
+            # can be compared with; a TIMESTAMP is refused them at ingest.
+            if field.dtype not in (DataType.TIMESTAMP, DataType.INT):
                 raise SchemaError(
-                    f"time attribute {field.name!r} must be numeric/timestamp"
+                    f"time attribute {field.name!r} is {field.dtype.value}: a time "
+                    f"window reads a TIMESTAMP or INT column; declare it TIMESTAMP"
                 )
             return field
         for field in schema:

@@ -50,10 +50,9 @@ it alone on the stream.  The plan registers **one** batch listener on
 the source and gives every query the dispatch semantics of a ``Stream``
 batch listener of its own — which is how the oracle
 (:mod:`repro.streams.reference`) runs each query, so the differential
-harnesses (``tests/properties/test_prop_multiquery_equivalence.py``, the
-StreamSQL fuzzer's shared-prefix mode) pin the two implementations
-against each other under registration/withdrawal churn, from inside a
-dispatch too:
+harness (``tests/properties/test_streams_equivalence.py``) pins the two
+implementations against each other under registration/withdrawal
+churn, from inside a dispatch too:
 
 - Node outputs are delivered to sinks in global registration order —
   the order per-query batch listeners fire in.
@@ -454,10 +453,12 @@ class StreamPlan:
         the conjunction is equivalent to the full condition.  Dropping
         is only attempted when the condition normalises to a single
         conjunction; otherwise the full condition is kept — still
-        correct, merely without the re-test savings.
+        correct, merely without the re-test savings.  So is an
+        unsatisfiable conjunction: it may hold the literals ``NOT TRUE``
+        normalises to, which name no attribute and cannot be compiled.
         """
         residual: BooleanExpression = operator.condition
-        if len(dnf) == 1 and dnf[0]:
+        if len(dnf) == 1 and dnf[0] and not conjunction_unsatisfiable(dnf[0]):
             literals = [
                 literal
                 for literal in simplify_conjunction(dnf[0])

@@ -1,10 +1,11 @@
-"""Property-based tests for windows, merging and the attack arithmetic."""
+"""Property-based tests for merging, the attack arithmetic and the StreamSQL round trip."""
 
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.core.attack import reconstruct_from_windows
 from repro.core.merge import MergeOptions, merge_query_graphs
 from repro.errors import MergeError
+from repro.streams.engine import StreamEngine
 from repro.streams.graph import QueryGraph
 from repro.streams.operators import (
     AggregateOperator,
@@ -18,7 +19,7 @@ from repro.streams.schema import DataType, Field, Schema
 from repro.streams.streamsql.generator import generate_streamsql
 from repro.streams.streamsql.parser import parse_streamsql
 from repro.streams.tuples import make_tuple
-from tests.conftest import production_and_oracle
+from tests.conftest import engine_outputs
 
 SCHEMA = Schema(
     "s",
@@ -31,52 +32,14 @@ SCHEMA = Schema(
 
 
 def run_graph(graph, values):
+    """What ``StreamEngine()`` emits for *graph* over *values* (x; t and
+    y derived).  That it equals the oracle's is the streams harness's
+    question (``test_streams_equivalence``); here it is the input."""
     tuples = [
         make_tuple(SCHEMA, {"t": float(index), "x": value, "y": -value})
         for index, value in enumerate(values)
     ]
-    got, expected = production_and_oracle(graph, SCHEMA, [[tup] for tup in tuples])
-    assert got == expected
-    return got
-
-
-class TestWindowSemantics:
-    @given(
-        st.lists(st.integers(min_value=-100, max_value=100), min_size=0, max_size=60),
-        st.integers(min_value=1, max_value=8),
-        st.integers(min_value=1, max_value=8),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_tuple_windows_match_oracle(self, values, size, step):
-        graph = QueryGraph("s").append(
-            AggregateOperator(
-                WindowSpec(WindowType.TUPLE, size, step),
-                [AggregationSpec.parse("x:sum")],
-            )
-        )
-        outputs = [t["sumx"] for t in run_graph(graph, values)]
-        expected = []
-        k = 0
-        while k * step + size <= len(values):
-            expected.append(float(sum(values[k * step: k * step + size])))
-            k += 1
-        assert outputs == expected
-
-    @given(
-        st.lists(st.integers(min_value=-100, max_value=100), min_size=0, max_size=60),
-        st.integers(min_value=2, max_value=10),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_window_emission_count(self, values, size):
-        graph = QueryGraph("s").append(
-            AggregateOperator(
-                WindowSpec(WindowType.TUPLE, size, 1),
-                [AggregationSpec.parse("x:count")],
-            )
-        )
-        outputs = run_graph(graph, values)
-        assert len(outputs) == max(0, len(values) - size + 1)
-        assert all(t["countx"] == size for t in outputs)
+    return engine_outputs(StreamEngine(), graph, SCHEMA, [tuples])
 
 
 class TestAttackProperty:

@@ -1,10 +1,10 @@
 """Unit tests for the shared execution plan (repro.streams.plan).
 
-The differential harnesses (`tests/properties/test_prop_multiquery_
-equivalence.py`, the StreamSQL fuzzer) prove plan ≡ oracle on whole
-workloads; these tests pin the plan's *mechanics*: fingerprint
-canonicalization, prefix merging, subsumption feeds, clone-on-
-divergence for touched stateful nodes, and refcounted node release —
+The differential harness (`tests/properties/test_streams_equivalence.py`)
+proves plan ≡ oracle on whole workloads; these tests pin the plan's
+*mechanics*: fingerprint canonicalization, prefix merging, subsumption
+feeds, clone-on-divergence for touched stateful nodes, and refcounted
+node release —
 and that sharing is invisible *exactly*: one engine holding N queries ≡
 N engines holding one query each, bit for bit.
 """

@@ -1,9 +1,9 @@
 """Regression pins for the columnar-window edge cases.
 
-The property/differential harnesses (``test_prop_window_equivalence``,
-the StreamSQL fuzzer) cover these paths statistically; this module pins
-them *directly at the operator level*, so a regression names the exact
-mechanism instead of a shrunk counterexample:
+The streams differential harness (``test_streams_equivalence``) covers
+these paths statistically; this module pins them *directly at the
+operator level*, so a regression names the exact mechanism instead of a
+shrunk counterexample:
 
 - out-of-order timestamps: a time window selects its members by value,
   so a late timestamp — mid-stream, inside one batch, across the
@@ -16,7 +16,8 @@ mechanism instead of a shrunk counterexample:
   a millisecond epoch's worth of seconds) later returns at once, with
   every window bound still ``t0 + k*step``;
 - a non-finite timestamp is refused at ingest, atomically, on both
-  engines, instead of holding a time window's loop forever;
+  engines, instead of holding a time window's loop forever, and a DOUBLE
+  column (which takes NaN and ±inf) cannot time a window at all;
 - empty and singleton batch partitions: a bound window (what
   ``AggregateOperator.bind`` returns) must tolerate degenerate
   partitions without corrupting window state, and any partitioning
@@ -326,6 +327,24 @@ class TestNonFiniteTimestampsAtIngest:
         assert stream.total_appended == 0
         engine.push_batch("sensor", [{"ts": 0.0, "v": 1.0}, {"ts": 90.0, "v": 3.0}])
         assert [t.values for t in engine.read(handle)] == [(1.0, 1.0, 1.0, 1, 1.0)]
+
+    @pytest.mark.parametrize("engine_kind", [StreamEngine, StreamEngine.reference])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_a_double_time_attribute_is_refused_at_registration(self, value, engine_kind):
+        """A DOUBLE column takes NaN and ±inf at ingest; as a time
+        attribute one crashed the plan's gap jump and looped the oracle.
+        Only TIMESTAMP and INT columns may time a window."""
+        engine = engine_kind()
+        engine.register_input_stream("sensor", SCHEMA)
+        graph = QueryGraph("sensor").append(AggregateOperator(
+            WindowSpec(WindowType.TIME, 60, 30), [AggregationSpec.parse("v:sum")],
+            time_attribute="v",
+        ))
+        with wall_clock_guard(5):
+            with pytest.raises(SchemaError, match="declare it TIMESTAMP"):
+                engine.register_query(graph)
+                engine.push_batch("sensor", [{"ts": 0.0, "v": 0.0}, {"ts": 1.0, "v": value}])
+        assert engine.active_query_count == 0
 
 
 class TestDegenerateBatchPartitions:
