@@ -12,14 +12,14 @@ jump: a :class:`~repro.expr.ast.BooleanExpression` is compiled *once*
 against a resolved :class:`~repro.streams.schema.Schema` into Python
 source that
 
-- resolves every attribute reference to a positional index into the
-  tuple's value vector (``v[3]`` instead of a case-insensitive name
-  lookup),
+- resolves every attribute reference to the batch column at its
+  schema position, bound once per batch (``c3 = C[3]``, then
+  ``c3[i]`` per row instead of a case-insensitive name lookup),
 - specialises every comparison to the native operator for the leaf's
-  dtype (``v[3] > 5.0`` instead of ``Operator.GT.apply(...)``),
+  dtype (``c3[i] > 5.0`` instead of ``Operator.GT.apply(...)``),
 - short-circuits AND/OR through Python's own ``and``/``or``.
 
-The source is compiled with :func:`eval` in a restricted namespace: no
+The source is compiled with :func:`exec` in a restricted namespace: no
 builtins, and literals that cannot be embedded verbatim (non-finite
 floats) are passed through a constants tuple, so no user-controlled
 text is ever spliced into the generated code (string literals are
@@ -29,7 +29,7 @@ Compilation validates the expression against the schema exactly like
 the interpreter would at evaluation time: an unknown attribute raises
 :class:`UnknownAttributeError`, a string/numeric mismatch or a boolean
 attribute raises :class:`ExpressionTypeError`.  For any schema-valid
-expression and schema-conformant tuple the compiled closure is
+expression and schema-conformant row the compiled mask is
 decision-identical to :func:`repro.expr.evaluate.evaluate` — the
 streams differential harness (``tests/properties/test_streams_equivalence.py``),
 whose oracle filters by the interpreter, proves it.
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, List, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, List, Sequence, Set
 
 from repro.errors import ExpressionTypeError
 from repro.expr.ast import (
@@ -54,7 +54,6 @@ from repro.expr.ast import (
 
 if TYPE_CHECKING:  # deferred: repro.streams imports back into repro.expr
     from repro.streams.schema import Schema
-    from repro.streams.tuples import StreamTuple
 
 #: Comparison spellings in generated source (EQ/NE widen to Python's).
 _OP_SOURCE = {
@@ -72,15 +71,17 @@ def _literal_source(value, constants: List) -> str:
 
     ``repr`` round-trips ints, strings and finite floats exactly;
     non-finite floats (``nan``/``inf``) have no literal spelling in an
-    empty namespace, so they ride in via ``C``.
+    empty namespace, so they ride in via ``K``.
     """
     if isinstance(value, float) and not math.isfinite(value):
         constants.append(value)
-        return f"C[{len(constants) - 1}]"
+        return f"K[{len(constants) - 1}]"
     return repr(value)
 
 
-def _leaf_source(leaf: SimpleExpression, schema: "Schema", constants: List) -> str:
+def _leaf_source(
+    leaf: SimpleExpression, schema: "Schema", constants: List, columns: Set[int]
+) -> str:
     from repro.streams.schema import DataType
 
     field = schema.field(leaf.attribute)  # raises UnknownAttributeError
@@ -96,58 +97,63 @@ def _leaf_source(leaf: SimpleExpression, schema: "Schema", constants: List) -> s
             f"with literal {leaf.value!r}"
         )
     index = schema.position(leaf.attribute)
-    return f"v[{index}] {_OP_SOURCE[leaf.op]} {_literal_source(leaf.value, constants)}"
+    columns.add(index)
+    return f"c{index}[i] {_OP_SOURCE[leaf.op]} {_literal_source(leaf.value, constants)}"
 
 
 def _expression_source(
-    expression: BooleanExpression, schema: "Schema", constants: List
+    expression: BooleanExpression, schema: "Schema", constants: List, columns: Set[int]
 ) -> str:
-    """Recursively render *expression* as Python source over ``v``."""
+    """Render *expression* as source over row ``i`` of columns ``c<p>``."""
     if isinstance(expression, TrueExpression):
         return "True"
     if isinstance(expression, SimpleExpression):
-        return _leaf_source(expression, schema, constants)
+        return _leaf_source(expression, schema, constants, columns)
     if isinstance(expression, AndExpression):
         return "(" + " and ".join(
-            _expression_source(child, schema, constants)
+            _expression_source(child, schema, constants, columns)
             for child in expression.children
         ) + ")"
     if isinstance(expression, OrExpression):
         return "(" + " or ".join(
-            _expression_source(child, schema, constants)
+            _expression_source(child, schema, constants, columns)
             for child in expression.children
         ) + ")"
     if isinstance(expression, NotExpression):
-        return f"(not {_expression_source(expression.child, schema, constants)})"
+        return f"(not {_expression_source(expression.child, schema, constants, columns)})"
     raise ExpressionTypeError(f"cannot compile expression node {expression!r}")
 
 
 def _build(source: str, constants: List):
-    """Evaluate generated lambda *source* in a builtins-free namespace."""
-    namespace = {"__builtins__": {}, "C": tuple(constants)}
-    return eval(compile(source, "<compiled-condition>", "eval"), namespace)
+    """Define generated ``mask`` *source* in a builtins-free namespace."""
+    namespace = {"__builtins__": {}, "K": tuple(constants)}
+    exec(compile(source, "<compiled-condition>", "exec"), namespace)
+    return namespace["mask"]
 
 
 @lru_cache(maxsize=512)
 def compile_batch(
     expression: BooleanExpression, schema: "Schema"
-) -> Callable[[Sequence["StreamTuple"]], List[bool]]:
-    """Compile *expression* into a vectorized mask function.
+) -> Callable[[Sequence[Sequence], Iterable[int]], List[int]]:
+    """Compile *expression* into a vectorized mask over columns.
 
-    The returned closure maps a batch of tuples to one boolean per
-    tuple, evaluating the condition inside a single list comprehension
-    so the per-tuple cost is the specialised comparisons alone.  It
-    assumes the tuples conform to *schema* (the engine validates graphs
-    against stream schemas before execution).
+    ``mask(columns, rows)`` returns, in order, the row numbers among
+    *rows* whose values satisfy the condition, ``columns[p]`` holding
+    the values at schema position ``p`` (a ``Batch``'s layout).  Each
+    column the condition names is bound once per call and the condition
+    runs inside one list comprehension, so the per-row cost is the
+    specialised comparisons alone.  It assumes the values conform to
+    *schema* (the engine validates graphs against stream schemas first).
 
     Cached on the (expression, schema) pair — both are immutable and
     hashable — so every filter over the same condition and schema
     shares one compilation.
     """
     constants: List = []
-    body = _expression_source(expression, schema, constants)
-    # One inlined comprehension per batch: no per-row function call.
-    # ``for v in (t.values,)`` binds each tuple's value vector to ``v``
-    # without an intermediate list or an extra call frame.
-    return _build(f"lambda ts: [{body} for t in ts for v in (t.values,)]", constants)
+    columns: Set[int] = set()
+    body = _expression_source(expression, schema, constants, columns)
+    binds = "".join(f"    c{index} = C[{index}]\n" for index in sorted(columns))
+    return _build(
+        f"def mask(C, R):\n{binds}    return [i for i in R if {body}]\n", constants
+    )
 

@@ -87,10 +87,11 @@ class StreamEngine:
         """Append many records with one catalog lookup and one dispatch
         per :data:`~repro.streams.stream.INGEST_CHUNK` records.
 
-        Output-equivalent to pushing each record individually (tuples are
-        still delivered to every query in order, one at a time), but the
-        per-push overhead — catalog lookup, listener snapshot, schema
-        check, buffer trim — is amortized over each chunk.
+        Each dispatch hands the whole chunk to every query as one batch
+        (the plan runs it through each node as columns); the outputs are
+        what pushing each record individually would emit, in the same
+        order, while the per-push overhead — catalog lookup, listener
+        snapshot, schema check, buffer trim — is paid once per chunk.
 
         A list (or tuple) is ingested atomically: every record is
         converted before the first is appended, so a malformed one raises

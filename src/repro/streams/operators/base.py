@@ -8,14 +8,16 @@ compiled closures and window buffers live there, one per plan node.
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence
+from typing import Callable
 
 from repro.streams.schema import Schema
-from repro.streams.tuples import StreamTuple
+from repro.streams.tuples import Batch
 
-#: What :meth:`Operator.bind` returns: a batch of input tuples in, the
-#: tuples to emit out (never mutating its argument).
-BoundOperator = Callable[[Sequence[StreamTuple]], List[StreamTuple]]
+#: What :meth:`Operator.bind` returns: the :class:`Batch` on its input
+#: edge in (never empty, never mutated), the batch on its output edge
+#: out.  A filter narrows ``rows``, a map re-labels ``columns``, a
+#: window reads columns and emits its results as tuples.
+BoundOperator = Callable[[Batch], Batch]
 
 
 class Operator:
@@ -43,13 +45,14 @@ class Operator:
         raise NotImplementedError
 
     def bind(self, input_schema: Schema, output_schema: Schema) -> BoundOperator:
-        """One independent run of this declaration between two edges.
+        """One independent run of this declaration between two edges: a
+        :data:`BoundOperator`, ``Batch -> Batch``.
 
         *output_schema* is ``self.output_schema(input_schema)`` (or an
         equal schema object the caller wants emitted tuples to carry).
         Everything schema-dependent is resolved here, once; the result
         is batch-partition invariant — feeding a stream in any split of
-        batches emits the same tuples in the same order.
+        batches emits the same rows in the same order.
         """
         raise NotImplementedError
 

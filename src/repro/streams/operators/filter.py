@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from itertools import compress
 from typing import Union
 
 from repro.errors import SchemaError
@@ -17,6 +16,7 @@ from repro.expr.compile import compile_batch
 from repro.expr.parser import parse_condition
 from repro.streams.operators.base import BoundOperator, Operator
 from repro.streams.schema import DataType, Schema
+from repro.streams.tuples import Batch
 
 
 class FilterOperator(Operator):
@@ -26,9 +26,10 @@ class FilterOperator(Operator):
     grammar) or an already-built :class:`BooleanExpression`.
 
     :meth:`bind` compiles the condition against the input schema into a
-    plain Python closure (:mod:`repro.expr.compile`) — attribute
-    references become positional indexing, comparisons are specialised,
-    AND/OR short-circuit natively.
+    plain Python mask over a batch's columns (:mod:`repro.expr.compile`)
+    — attribute references become column reads, comparisons are
+    specialised, AND/OR short-circuit natively — and a bound filter
+    only narrows the batch's selected rows.
     """
 
     kind = "filter"
@@ -65,7 +66,12 @@ class FilterOperator(Operator):
 
     def bind(self, input_schema: Schema, output_schema: Schema) -> BoundOperator:
         mask = compile_batch(self.condition, input_schema)
-        return lambda tuples: list(compress(tuples, mask(tuples)))
+
+        def run(batch: Batch) -> Batch:
+            rows = range(len(batch)) if batch.rows is None else batch.rows
+            return Batch(batch.columns, mask(batch.columns, rows), batch.tuples)
+
+        return run
 
     def describe(self) -> str:
         return f"WHERE {self.condition.to_condition_string()}"

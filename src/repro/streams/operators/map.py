@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Iterable, List, Tuple
 
 from repro.errors import SchemaError
 from repro.streams.operators.base import BoundOperator, Operator
 from repro.streams.schema import Schema
-from repro.streams.tuples import StreamTuple
+from repro.streams.tuples import Batch
 
 
 class MapOperator(Operator):
@@ -17,10 +16,8 @@ class MapOperator(Operator):
     Attribute names are case-insensitive; output order follows the input
     schema's declaration order (Aurora's map box does not reorder).
 
-    :meth:`bind` resolves the output attributes to positional indices
-    into the incoming value vector, so per-tuple work is a single
-    ``itemgetter`` call instead of one case-insensitive name lookup per
-    attribute.
+    :meth:`bind` resolves the output attributes to input positions once,
+    so a bound map re-labels a batch's columns and touches no row.
     """
 
     kind = "map"
@@ -48,16 +45,7 @@ class MapOperator(Operator):
 
     def bind(self, input_schema: Schema, output_schema: Schema) -> BoundOperator:
         indices = input_schema.positions(output_schema.attribute_names)
-        if len(indices) == 1:
-            (index,) = indices
-
-            def project(values):
-                return (values[index],)
-        else:
-            project = itemgetter(*indices)
-        return lambda tuples: [
-            StreamTuple(output_schema, project(tup._values)) for tup in tuples
-        ]
+        return lambda batch: Batch([batch.columns[i] for i in indices], batch.rows)
 
     def describe(self) -> str:
         return f"SELECT {', '.join(self.attributes)}"

@@ -29,13 +29,13 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.errors import SchemaError, StreamError
 from repro.streams.operators.aggregate import AggregateFunction, get_aggregate_function
 from repro.streams.operators.base import BoundOperator, Operator
 from repro.streams.schema import DataType, Field, Schema, _widener
-from repro.streams.tuples import StreamTuple, extract_columns
+from repro.streams.tuples import Batch, StreamTuple
 
 
 class WindowType(enum.Enum):
@@ -258,9 +258,11 @@ class _ColumnarWindow:
 
     The window's content lives in one plain value list per *distinct*
     aggregated attribute (specs over the same attribute share a
-    column) — a ring buffer realised as an occasionally-trimmed list.
-    Attribute positions and the output coercion are resolved once, for
-    the two schemas the window was bound between.
+    column) — a ring buffer realised as an occasionally-trimmed list,
+    extended from the incoming batch's columns.  Attribute positions and
+    the output coercion are resolved once, for the two schemas the
+    window was bound between; each emission is built as a tuple here,
+    once, and handed on as it is.
     """
 
     __slots__ = ("size", "step", "cols", "computes", "positions", "output_schema", "widen")
@@ -271,9 +273,11 @@ class _ColumnarWindow:
         self.size = operator.window.size
         self.step = operator.window.step
         self.cols: List[List] = [[] for _ in operator._columns]
-        #: Per spec ``(compute, column)``, bound once.
+        #: Per spec ``(compute, column)``, bound once.  A window is never
+        #: empty, so this is the function itself, without the empty-input
+        #: guard of :meth:`AggregateFunction.compute`.
         self.computes = [
-            (spec.function.compute, self.cols[index])
+            (spec.function._compute, self.cols[index])
             for spec, index in zip(operator.aggregations, operator._column_of)
         ]
         self.positions = input_schema.positions(operator._columns)
@@ -306,13 +310,17 @@ class _ColumnarTupleWindow(_ColumnarWindow):
         self.count = 0
         self.win_start = 0
 
-    def process(self, tuples: Sequence[StreamTuple]) -> List[StreamTuple]:
-        for col, new_values in zip(self.cols, extract_columns(tuples, self.positions)):
-            col.extend(new_values)
-        self.count += len(tuples)
+    def process(self, batch: Batch) -> Batch:
+        for col, position in zip(self.cols, self.positions):
+            col.extend(batch.column(position))
+        self.count += len(batch)
         count, size, base = self.count, self.size, self.base
         starts = range(self.win_start - base, count - base - size + 1, self.step)
-        outputs = [self._emit_slice(low, low + size) for low in starts]
+        coerced, computes = self._coerced, self.computes
+        outputs = [
+            coerced([compute(col[low:low + size]) for compute, col in computes])
+            for low in starts
+        ]
         self.win_start += len(starts) * self.step
         # Trim the dead prefix no window can need again.  The base can
         # only advance to positions that already exist (a step>size
@@ -322,10 +330,7 @@ class _ColumnarTupleWindow(_ColumnarWindow):
             for col in self.cols:
                 del col[: new_base - base]
             self.base = new_base
-        return outputs
-
-    def _emit_slice(self, low: int, high: int) -> StreamTuple:
-        return self._coerced([compute(col[low:high]) for compute, col in self.computes])
+        return Batch.of(outputs)
 
 
 class _ColumnarTimeWindow(_ColumnarWindow):
@@ -353,16 +358,13 @@ class _ColumnarTimeWindow(_ColumnarWindow):
         self.next_idx = 0
         self.compact_at = 64
 
-    def process(self, tuples: Sequence[StreamTuple]) -> List[StreamTuple]:
+    def process(self, batch: Batch) -> Batch:
         size, step = self.size, self.step
         ts_buffer = self.ts
         cols = self.cols
-        positions = self.positions
-        tpos = self.tpos
+        arrivals = [batch.column(position) for position in self.positions]
         outputs: List[StreamTuple] = []
-        for tup in tuples:
-            row = tup.values
-            timestamp = row[tpos]
+        for row, timestamp in enumerate(batch.column(self.tpos)):
             if self.t0 is None:
                 self.t0 = timestamp
             t0 = self.t0
@@ -393,8 +395,8 @@ class _ColumnarTimeWindow(_ColumnarWindow):
                     index -= 1
                 self.next_idx = index
             ts_buffer.append(timestamp)
-            for col, position in zip(cols, positions):
-                col.append(row[position])
+            for col, values in zip(cols, arrivals):
+                col.append(values[row])
             # Amortized compaction: stale entries can never match the
             # membership predicate (every future window starts at or
             # after ``earliest``), so deferring their removal is
@@ -411,7 +413,7 @@ class _ColumnarTimeWindow(_ColumnarWindow):
                     for col in cols:
                         col[:] = [col[index] for index in keep]
                 self.compact_at = max(64, 2 * len(ts_buffer))
-        return outputs
+        return Batch.of(outputs)
 
     def _emit_selected(self, selected) -> StreamTuple:
         values = [

@@ -96,7 +96,7 @@ from repro.streams.operators.map import MapOperator
 from repro.streams.operators.window import AggregateOperator
 from repro.streams.schema import Schema
 from repro.streams.stream import Stream
-from repro.streams.tuples import StreamTuple
+from repro.streams.tuples import Batch, StreamTuple
 
 # ---------------------------------------------------------------------------
 # Operator fingerprinting
@@ -475,37 +475,46 @@ class StreamPlan:
     # -- dispatch ---------------------------------------------------------------
 
     def _on_batch(self, batch: Sequence[StreamTuple]) -> None:
-        """Run *batch* through the DAG.
+        """Run the pushed tuples of *batch* through the DAG as one
+        :class:`Batch`.
 
         Phase 1 computes every reachable node exactly once in feed-tree
-        order (each node's feed is computed before the node itself).
+        order (each node's feed is computed before the node itself);
+        what crosses an edge is a batch of columns and selected rows.
         Phase 2 delivers node outputs to sinks in global registration
         order — the order one ``Stream`` listener per query fires in,
         which keeps cross-query observable interleavings (and
-        sibling-withdrawal behaviour) identical to the oracle's.
+        sibling-withdrawal behaviour) identical to the oracle's.  A
+        node's output becomes tuples there, once, shared by its sinks;
+        a chain that has only filtered hands on the pushed tuples.
 
         Nodes and sinks registered while this dispatch was in flight are
         in its ``absent`` set and are skipped, subtree included (their
         children were registered no earlier).
         """
         absent = self.source._inflight.absent
-        outputs: Dict[PlanNode, Sequence[StreamTuple]] = {self.root: batch}
+        outputs: Dict[PlanNode, Batch] = {self.root: Batch.of(batch)}
         stack = list(self.root.feed_children)
         while stack:
             node = stack.pop()
             if node in absent:
                 continue
             inputs = outputs[node.feed]
-            if inputs:
-                node.consumed += len(inputs)
+            count = len(inputs)
+            if count:
+                node.consumed += count
                 outputs[node] = node.run(inputs)
             else:
                 outputs[node] = inputs
             stack.extend(node.feed_children)
+        built: Dict[PlanNode, Sequence[StreamTuple]] = {}
         for query in list(self.queries):
             if not query.active or query in absent:
                 continue
-            result = outputs.get(query.node)
+            node = query.node
+            result = built.get(node)
+            if result is None:
+                result = built[node] = outputs[node].to_tuples(node.out_schema)
             if result:
                 query.output.append_batch(result)
 

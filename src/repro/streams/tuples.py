@@ -7,7 +7,8 @@ operators always emit *new* tuples rather than mutating inputs.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from operator import is_
+from typing import Any, Callable, Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import SchemaError
 from repro.streams.schema import Schema, _widener
@@ -109,16 +110,22 @@ def make_tuple(schema: Schema, record: Mapping[str, Any]) -> StreamTuple:
 def _record_converter(schema: Schema) -> Callable[[Any], StreamTuple]:
     """``convert(record)``: :func:`make_tuple` with the per-record work
     hoisted out.  A mapping keyed by exactly the declared attribute
-    names is read positionally (values coerced as ever); a tuple passes
-    through.  Anything else goes through :func:`make_tuple`, so what is
-    accepted, what it becomes and every error message are the same.
+    names is read positionally (values coerced as ever).  A tuple's
+    values are coerced the same way: a conformant tuple passes through
+    as itself, a widened one is rebuilt, a bad one raises
+    ``SchemaError``.  Anything else goes through :func:`make_tuple`, so
+    what is accepted, what it becomes and every error message are the
+    same.
     """
     names = schema.attribute_names
     widen = _widener(schema)
 
     def convert(record) -> StreamTuple:
         if isinstance(record, StreamTuple):
-            return record
+            values = widen(record._values)
+            if all(map(is_, values, record._values)):
+                return record
+            return StreamTuple(record._schema, values)
         if len(record) == len(names):
             try:
                 values = [record[name] for name in names]
@@ -135,17 +142,50 @@ def make_tuples(schema: Schema, records: Iterable[Mapping[str, Any]]):
     return [make_tuple(schema, record) for record in records]
 
 
-def extract_columns(
-    tuples: Sequence[StreamTuple], positions: Sequence[int]
-) -> List[List[Any]]:
-    """Transpose a same-schema batch into per-position value columns.
+class Batch:
+    """What crosses one edge of a plan: a run of rows, as columns.
 
-    The row→column pivot shared by the batch execution paths: the
-    columnar window buffers extend their per-attribute ring buffers
-    with the result, and projection-style consumers get schema-ordered
-    vectors without one name lookup per tuple per attribute.  The rows
-    are materialized once, then each requested position is gathered in
-    its own tight pass.
+    ``columns[p]`` holds every row's value at schema position ``p``;
+    ``rows`` are the selected row numbers, in order (``None``: all of
+    them).  ``tuples``, when set, are the rows already built as tuples
+    of the edge's schema — the pushed tuples while a chain has only
+    filtered, a window's emissions — so a sink hands out those objects.
+    A batch is read-only: every node downstream of an edge shares it.
     """
-    rows = [t._values for t in tuples]
-    return [[row[position] for row in rows] for position in positions]
+
+    __slots__ = ("columns", "rows", "tuples")
+
+    def __init__(
+        self,
+        columns: Sequence[Sequence[Any]],
+        rows: Optional[Sequence[int]] = None,
+        tuples: Optional[Sequence[StreamTuple]] = None,
+    ):
+        self.columns = columns
+        self.rows = rows
+        self.tuples = tuples
+
+    @classmethod
+    def of(cls, tuples: Sequence[StreamTuple]) -> "Batch":
+        """The batch of *tuples* (one schema); no tuples select no rows."""
+        return cls(list(zip(*[t._values for t in tuples])), None if tuples else (), tuples)
+
+    def __len__(self) -> int:
+        rows = self.rows
+        return len(self.columns[0]) if rows is None else len(rows)
+
+    def column(self, position: int) -> Sequence[Any]:
+        """The selected rows' values at *position*, in row order."""
+        column = self.columns[position]
+        rows = self.rows
+        return column if rows is None else [column[i] for i in rows]
+
+    def to_tuples(self, schema: Schema) -> Sequence[StreamTuple]:
+        """The selected rows as tuples of *schema* (this edge's)."""
+        tuples, rows = self.tuples, self.rows
+        if tuples is not None:
+            return tuples if rows is None else [tuples[i] for i in rows]
+        columns = self.columns if rows is None else [
+            [column[i] for i in rows] for column in self.columns
+        ]
+        return [StreamTuple(schema, values) for values in zip(*columns)]

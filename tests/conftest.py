@@ -29,6 +29,7 @@ from repro.streams.operators import (
 from repro.streams.reference import reference_operator
 from repro.streams.schema import WEATHER_SCHEMA
 from repro.streams.sources import WeatherSource
+from repro.streams.tuples import Batch
 from repro.xacml.attributes import AttributeValue
 from repro.xacml.response import AttributeAssignment, Effect, Obligation
 
@@ -52,15 +53,23 @@ def oracle(operator):
 
 
 def bound(operator, input_schema):
-    """``batch -> batch`` for one box over *input_schema*: what
-    production runs (``operator.bind``), or — for an :func:`oracle`
-    operator — its per-tuple ``process`` walked over the batch."""
+    """Tuples in, tuples out for one box over *input_schema*: what
+    production runs (``operator.bind``, driven the plan's way — a
+    non-empty ``Batch.of`` the tuples in, ``to_tuples`` out, and
+    ``__self__`` for a window's state), or — for an :func:`oracle`
+    operator — its per-tuple ``process`` walked over the tuples."""
     output_schema = operator.output_schema(input_schema)
-    if type(operator) in (FilterOperator, MapOperator, AggregateOperator):
-        return operator.bind(input_schema, output_schema)
-    return lambda batch: [
-        out for tup in batch for out in operator.process(tup, output_schema)
-    ]
+    if type(operator) not in (FilterOperator, MapOperator, AggregateOperator):
+        return lambda batch: [
+            out for tup in batch for out in operator.process(tup, output_schema)
+        ]
+    run = operator.bind(input_schema, output_schema)
+
+    def process(tuples):
+        return run(Batch.of(tuples)).to_tuples(output_schema) if tuples else []
+
+    process.__self__ = getattr(run, "__self__", None)
+    return process
 
 
 def engine_outputs(engine, graph, schema, batches):

@@ -8,18 +8,28 @@ from repro.expr.compile import compile_batch
 from repro.expr.evaluate import evaluate
 from repro.expr.parser import parse_condition
 from repro.streams.schema import Schema
-from repro.streams.tuples import make_tuple
+from repro.streams.tuples import Batch, make_tuple
 
 SCHEMA = Schema(
     "s", [("t", "timestamp"), ("x", "double"), ("n", "int"), ("tag", "string")]
 )
 
 
+def selected(mask, batch):
+    """The row numbers *mask* keeps of *batch*, given as the columns a
+    plan node hands a bound filter — the only compiled form there is."""
+    return mask(Batch.of(batch).columns, range(len(batch)))
+
+
+def accepted(expression, batch):
+    """The row numbers the AST walk accepts."""
+    return [i for i, tup in enumerate(batch) if evaluate(expression, tup)]
+
+
 def single_verdict(expression, schema):
-    """One tuple's verdict through the batch mask — the only compiled
-    form there is (a bound filter runs it over whole batches)."""
+    """One tuple's verdict through the batch mask."""
     mask = compile_batch(expression, schema)
-    return lambda tup: mask([tup])[0]
+    return lambda tup: selected(mask, [tup]) == [0]
 
 
 def tuples(*rows):
@@ -44,11 +54,17 @@ class TestCompiledSemantics:
         expression = parse_condition(text)
         mask = compile_batch(expression, SCHEMA)
         batch = tuples((1.0, 1, "a"), (3.0, 3, "b"), (2.0, 0, "c"), (50.0, 9, "a"))
-        assert mask(batch) == [evaluate(expression, tup) for tup in batch]
+        assert selected(mask, batch) == accepted(expression, batch)
 
     def test_empty_batch_mask(self):
         mask = compile_batch(parse_condition("x > 2"), SCHEMA)
-        assert mask([]) == []
+        columns = Batch.of(tuples((3.0, 1, "a"))).columns
+        assert mask(columns, []) == []
+
+    def test_mask_tests_only_the_rows_it_is_given(self):
+        mask = compile_batch(parse_condition("x > 2"), SCHEMA)
+        columns = Batch.of(tuples((3.0, 1, "a"), (1.0, 1, "a"), (5.0, 1, "a"))).columns
+        assert mask(columns, [1, 2]) == [2]
 
     def test_short_circuit_like_interpreter(self):
         expression = parse_condition("x > 1 AND n > 2")

@@ -20,6 +20,7 @@ from repro.streams.operators.window import (
 )
 from repro.streams.schema import DataType, Field, Schema
 from repro.streams.tuples import StreamTuple
+from tests.conftest import bound
 
 
 class TestLookup:
@@ -183,9 +184,7 @@ def window_outputs(aggregation, rows):
     operator = AggregateOperator(
         WindowSpec(WindowType.TUPLE, 4, 1), [AggregationSpec.parse(aggregation)]
     )
-    emitted = operator.bind(WINDOW_SCHEMA, operator.output_schema(WINDOW_SCHEMA))(
-        [StreamTuple(WINDOW_SCHEMA, row) for row in rows]
-    )
+    emitted = bound(operator, WINDOW_SCHEMA)([StreamTuple(WINDOW_SCHEMA, row) for row in rows])
     return [tup.values[0] for tup in emitted]
 
 

@@ -1,5 +1,7 @@
 """Tests for the stream engine, catalog and handles."""
 
+import math
+
 import pytest
 
 from repro.errors import EngineError, SchemaError, UnknownHandleError, UnknownStreamError
@@ -7,10 +9,17 @@ from repro.streams.catalog import StreamCatalog
 from repro.streams.engine import StreamEngine
 from repro.streams.graph import QueryGraph
 from repro.streams.handles import StreamHandle
-from repro.streams.operators import FilterOperator
+from repro.streams.operators import (
+    AggregateOperator,
+    AggregationSpec,
+    FilterOperator,
+    WindowSpec,
+    WindowType,
+)
 from repro.streams.schema import WEATHER_SCHEMA, Schema
 from repro.streams.stream import INGEST_CHUNK
-from repro.streams.tuples import make_tuple
+from repro.streams.tuples import StreamTuple, make_tuple
+from tests.conftest import wall_clock_guard
 
 SIMPLE = Schema("s", [("x", "int")])
 
@@ -393,6 +402,56 @@ class TestIngressConversion:
         engine.push("m", {**self.GOOD, "T": 9})
         first, second, third = stream.snapshot()
         assert first == ready and second is ready and third["T"] == 9.0
+
+
+class TestHandBuiltTuplesAtIngest:
+    """A ``StreamTuple`` handed to ``push_batch`` is coerced like a
+    mapping: a conformant one goes in as itself, a widened one is
+    rebuilt, and a bad one is refused before anything is appended —
+    where it used to pass unchecked, hang the oracle's time window on an
+    infinite timestamp and crash the plan's after its append."""
+
+    TIMED = Schema("timed", [("ts", "timestamp"), ("x", "double"), ("n", "int")])
+
+    def engine(self, kind):
+        engine = kind()
+        stream = engine.register_input_stream("timed", self.TIMED)
+        handle = engine.register_query(QueryGraph("timed").append(AggregateOperator(
+            WindowSpec(WindowType.TIME, 10, 5), [AggregationSpec.parse("x:sum")]
+        )))
+        engine.push_batch("timed", [{"ts": 0.0, "x": 1.0, "n": 1}, {"ts": 1.0, "x": 2.0, "n": 2}])
+        return engine, stream, handle
+
+    @pytest.mark.parametrize("kind", [StreamEngine, StreamEngine.reference])
+    @pytest.mark.parametrize("values,refusal", [
+        ((math.inf, 1.0, 1), "not finite"),
+        ((math.nan, 1.0, 1), "not finite"),
+        (("yesterday", 1.0, 1), "is not valid for data type 'timestamp'"),
+        ((2.0, 1.0, 1.5), "is not valid for data type 'int'"),
+        ((2.0, True, 1), "cannot store bool"),
+    ], ids=["inf", "nan", "yesterday", "float-in-int", "bool-in-double"])
+    def test_a_bad_tuple_is_refused_before_anything_is_appended(self, kind, values, refusal):
+        engine, stream, handle = self.engine(kind)
+        bad = StreamTuple(self.TIMED, values)
+        with wall_clock_guard(5):
+            with pytest.raises(SchemaError, match=refusal):
+                engine.push_batch("timed", [{"ts": 2.0, "x": 3.0, "n": 3}, bad])
+            with pytest.raises(SchemaError, match=refusal):
+                engine.push("timed", bad)
+        assert stream.total_appended == 2
+        engine.push_batch("timed", [{"ts": 12.0, "x": 4.0, "n": 4}, {"ts": 20.0, "x": 8.0, "n": 8}])
+        # [0, 10), [5, 15), [10, 20): none holds the refused batch's record.
+        assert [t.values for t in engine.read(handle)] == [(3.0,), (4.0,), (4.0,)]
+
+    @pytest.mark.parametrize("kind", [StreamEngine, StreamEngine.reference])
+    def test_a_conformant_tuple_goes_in_as_itself_and_ints_are_widened(self, kind):
+        engine, stream, _ = self.engine(kind)
+        ready = StreamTuple(self.TIMED, (2.0, 3.0, 3))
+        narrow = StreamTuple(self.TIMED, (3, 4, 4))
+        engine.push_batch("timed", [ready, narrow])
+        last, widened = stream.snapshot()[-2:]
+        assert last is ready
+        assert [(type(v), v) for v in widened.values] == [(float, 3.0), (float, 4.0), (int, 4)]
 
 
 class TestAtomicIngest:

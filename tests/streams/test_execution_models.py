@@ -34,7 +34,7 @@ from repro.streams.operators import (
 )
 from repro.streams.reference import ReferenceEngine
 from repro.streams.schema import Schema
-from repro.streams.tuples import make_tuple
+from repro.streams.tuples import Batch, make_tuple
 
 MODE_OPTIONS = {"compiled", "shared", "use_compiled"}
 STREAMS_DIR = Path(repro.streams.__file__).parent
@@ -153,9 +153,13 @@ def test_running_an_operator_assigns_nothing_on_it(operator):
     first = operator.bind(CENSUS_SCHEMA, out_schema)
     second = operator.bind(CENSUS_SCHEMA, out_schema)
     assert first is not second
-    head = first(batch[:3])
-    whole = second(batch)
-    assert head + first(batch[3:]) == whole and whole
+
+    def run(bind, tuples):
+        return list(bind(Batch.of(tuples)).to_tuples(out_schema))
+
+    head = run(first, batch[:3])
+    whole = run(second, batch)
+    assert head + run(first, batch[3:]) == whole and whole
     assert vars(operator) == before
     assert all(vars(operator)[name] is value for name, value in before.items())
 

@@ -85,9 +85,9 @@ def tuples_of(points):
 
 
 def run_batches(subject, batches):
-    """Value rows emitted over *batches* by *subject*: a ``batch ->
-    batch`` bind the caller keeps (to inspect its window state), or an
-    operator, bound here."""
+    """Value rows emitted over *batches* by *subject*: a
+    :func:`tests.conftest.bound` run the caller keeps (to inspect its
+    window state), or an operator, bound here."""
     process = subject if callable(subject) else bound(subject, SCHEMA)
     emitted = []
     for batch in batches:
@@ -96,7 +96,8 @@ def run_batches(subject, batches):
 
 
 def bind_window(window_type, size, step):
-    """(``batch -> batch``, the columnar window state behind it)."""
+    """(tuples in, tuples out through a bind, the columnar window state
+    behind it)."""
     process = bound(make_operator(window_type, size, step), SCHEMA)
     return process, process.__self__
 
