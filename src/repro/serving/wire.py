@@ -21,12 +21,18 @@ Payloads reuse the XML document forms of ``framework/messages.py``
 (requests, user queries and policies travel exactly as the simulated
 network sizes them), so a served deployment and the simulation exchange
 byte-identical documents.
+
+:func:`encode_message` is the only encoder and writes ``{"seq":N,``
+first, so a repeated message differs from frame to frame by its seq
+alone: both directions memoise the bytes after the seq (see there).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+import re
 import struct
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple, Type, get_type_hints
@@ -159,18 +165,40 @@ _JSON_TYPES = {
 
 # The codec's tables, built once: what ``dataclasses.fields`` /
 # ``asdict`` would re-derive on every frame.
-#: message class → (op name, field names in declaration order)
-_ENCODE_TABLE = {
-    cls: (name, tuple(f.name for f in dataclasses.fields(cls)))
-    for name, cls in MESSAGE_TYPES.items()
-}
-#: op name → (message class, field name → its ``_JSON_TYPES`` entry)
+#: op name → (message class, field name → its ``_JSON_TYPES`` entry),
+#: fields in declaration order
 _DECODE_TABLE = {
     name: (cls, {f.name: _JSON_TYPES[get_type_hints(cls)[f.name]]
                  for f in dataclasses.fields(cls)})
     for name, cls in MESSAGE_TYPES.items()
 }
+#: Message classes with a list-typed field (``IngestOp.records``): a
+#: decoded list is its receiver's to keep, so no memo ever shares one.
+_LIST_TYPED = frozenset(
+    cls for cls, fields in _DECODE_TABLE.values()
+    if any(element is not None for _, element in fields.values())
+)
+#: message class → (op name, field names, and — unless list-typed —
+#: ``(field name, exact JSON types)`` pairs: the encode memo's gate)
+_ENCODE_TABLE = {
+    cls: (name, tuple(fields), None if cls in _LIST_TYPED else tuple(
+        (field_name, accepted) for field_name, (accepted, _) in fields.items()
+    ))
+    for name, (cls, fields) in _DECODE_TABLE.items()
+}
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+#: Payloads (decode) and rendered tails (encode) longer than this many
+#: bytes take the unmemoised path, so no peer can pin large frames in
+#: either memo (``docs/performance.md`` states the worst-case footprint).
+FRAME_MEMO_MAX_BYTES = 2048
+#: Entries each of the two memos keeps, least recently used evicted.
+FRAME_MEMO_ENTRIES = 4096
+
+#: The prefix :func:`encode_message` writes: ``{"seq":`` and a JSON int
+#: of at most 18 digits, then the comma.
+_CANONICAL_SEQ = re.compile(rb'\{"seq":(-?(?:0|[1-9][0-9]{0,17})),')
+_MEMO_SEQ_BOUND = 10 ** 18
 
 
 # -- framing -------------------------------------------------------------------------
@@ -230,27 +258,127 @@ class FrameDecoder:
 
 # -- codec ---------------------------------------------------------------------------
 
+class _Unkept(Exception):
+    """A memoised function's result that its memo must not keep.
+
+    ``functools.lru_cache`` stores nothing for a call that raised; the
+    caller uses ``args[0]`` once.
+    """
+
+
 def encode_message(seq: int, message) -> bytes:
-    """Encode one op/reply object into a complete frame."""
+    """Encode one op/reply object into a complete frame.
+
+    Raises :class:`TransportError` for exactly the messages the peer's
+    :func:`decode_message` would refuse — a ``bool`` seq, an ``ok`` of
+    ``1``, a ``count`` of ``1.5`` — and for an unregistered type; a
+    ``str`` subclass goes out as the plain string it is.
+
+    A message whose fields all hold exactly their declared JSON types
+    (``True`` is no count, so an equal value of another type never
+    shares its bytes) and whose seq has at most 18 digits is rendered
+    once: the bytes after ``{"seq":N`` are memoised, bounded like
+    :func:`decode_message`'s memo.  ``encode_message.cache_info()`` /
+    ``.cache_clear()`` / ``.__wrapped__`` (the unmemoised encoder) are
+    the memo's, as on any :func:`functools.lru_cache` function.
+    """
+    entry = _ENCODE_TABLE.get(type(message))
+    if (entry is None or entry[2] is None or type(seq) is not int
+            or not -_MEMO_SEQ_BOUND < seq < _MEMO_SEQ_BOUND):
+        return _encode(seq, message)
+    for name, accepted in entry[2]:
+        if type(getattr(message, name)) not in accepted:
+            return _encode(seq, message)
+    try:
+        tail = _memoised_tail(message)
+    except _Unkept as unkept:   # longer than the memo keeps
+        tail = unkept.args[0]
+    return encode_frame(b'{"seq":%d' % seq + tail)
+
+
+def _encode(seq: int, message) -> bytes:
+    """The unmemoised encoder (``encode_message.__wrapped__``)."""
     entry = _ENCODE_TABLE.get(type(message))
     if entry is None:
         raise TransportError(f"unregistered message type {type(message).__name__}")
-    op, names = entry
+    op, names, _ = entry
     body = {name: getattr(message, name) for name in names}
-    return encode_frame(_ENCODER.encode({"seq": seq, "op": op, "body": body}).encode())
+    payload = _render({"seq": seq, "op": op, "body": body})
+    frame = encode_frame(payload)
+    _decode(payload)    # refuses what the peer would refuse
+    return frame
+
+
+def _render_tail(message) -> bytes:
+    """The bytes :func:`_encode` writes after ``{"seq":N``."""
+    op, names, _ = _ENCODE_TABLE[type(message)]
+    body = {name: getattr(message, name) for name in names}
+    tail = b"," + _render({"op": op, "body": body})[1:]
+    if len(tail) > FRAME_MEMO_MAX_BYTES:
+        raise _Unkept(tail)
+    return tail
+
+
+def _render(envelope: dict) -> bytes:
+    try:
+        return _ENCODER.encode(envelope).encode()
+    except (TypeError, ValueError, RecursionError) as error:
+        raise TransportError(f"unencodable message: {error}") from error
 
 
 def decode_message(payload: bytes) -> Tuple[int, object]:
     """Decode one frame payload into ``(seq, message)``.
 
-    Every way the payload can be malformed — bad UTF-8, bad JSON, a
-    non-object envelope, a missing/invalid ``seq``/``op``, an unknown
-    op, body fields that do not match the message type in name or in
-    JSON type — raises :class:`TransportError`.
+    Every way the payload can be malformed — bad UTF-8, bad JSON, an
+    integer past CPython's int-string limit, nesting past the recursion
+    limit, a non-object envelope, a missing/invalid ``seq``/``op``, an
+    unknown op, body fields that do not match the message type in name
+    or in JSON type — raises :class:`TransportError`.
+
+    A payload of at most :data:`FRAME_MEMO_MAX_BYTES` that starts the
+    way :func:`encode_message` starts one, ``{"seq":N,`` with at most 18
+    digits, is looked up by the bytes after ``N``: a repeated request is
+    parsed and checked once.  The memo never stores a failure, nor a
+    body that carries another ``seq`` key or a list-typed field; any
+    failure on that path is decoded again whole, so every error and its
+    text is the unmemoised decoder's.  Each call returns a fresh message
+    object sharing the memoised field values.
+    ``decode_message.cache_info()`` / ``.cache_clear()`` /
+    ``.__wrapped__`` (the unmemoised decoder) are the memo's.
     """
+    if len(payload) <= FRAME_MEMO_MAX_BYTES:
+        canonical = _CANONICAL_SEQ.match(payload)
+        if canonical is not None:
+            try:
+                prototype = _memoised_body(bytes(payload[canonical.end(1):]))
+            except _Unkept as unkept:   # decoded, with records of its own
+                return int(canonical[1]), unkept.args[0]
+            except (ValueError, RecursionError, TransportError):
+                return _decode(payload)
+            message = object.__new__(type(prototype))
+            message.__dict__.update(prototype.__dict__)
+            return int(canonical[1]), message
+    return _decode(payload)
+
+
+def _decode_body(tail: bytes):
+    """The message of a payload whose bytes after ``{"seq":N`` are *tail*."""
+    envelope = json.loads(str(b"{" + tail[1:], "utf-8"))
+    if "seq" in envelope:
+        # A later (or escaped) seq key overrides the first: only the
+        # whole payload knows which seq the frame carries.
+        raise TransportError("seq key after the canonical prefix")
+    message = _message(envelope.get("op"), envelope.get("body"))
+    if type(message) in _LIST_TYPED:
+        raise _Unkept(message)
+    return message
+
+
+def _decode(payload: bytes) -> Tuple[int, object]:
+    """The unmemoised decoder (``decode_message.__wrapped__``)."""
     try:
-        envelope = json.loads(payload.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        envelope = json.loads(str(payload, "utf-8"))
+    except (ValueError, RecursionError) as error:
         raise TransportError(f"undecodable frame payload: {error}") from error
     if not isinstance(envelope, dict):
         raise TransportError(
@@ -259,12 +387,15 @@ def decode_message(payload: bytes) -> Tuple[int, object]:
     seq = envelope.get("seq")
     if not isinstance(seq, int) or isinstance(seq, bool):
         raise TransportError(f"invalid sequence number {seq!r}")
-    op = envelope.get("op")
+    return seq, _message(envelope.get("op"), envelope.get("body"))
+
+
+def _message(op, body):
+    """The message an envelope's ``op`` and ``body`` name, type-checked."""
     entry = _DECODE_TABLE.get(op) if isinstance(op, str) else None
     if entry is None:
         raise TransportError(f"unknown op {op!r}")
     message_type, fields = entry
-    body = envelope.get("body")
     if not isinstance(body, dict):
         raise TransportError(f"op {op!r} body must be an object")
     unknown = body.keys() - fields.keys()
@@ -283,10 +414,21 @@ def decode_message(payload: bytes) -> Tuple[int, object]:
                 f"op {op!r} field {name!r} must hold only {element.__name__} items"
             )
     try:
-        message = message_type(**body)
+        return message_type(**body)
     except TypeError as error:
         raise TransportError(f"op {op!r} body mismatch: {error}") from error
-    return seq, message
+
+
+# The stdlib LRU, as for ``parse_request_xml``: bounded, safe to call
+# from any thread, and it stores nothing for a call that raised.
+_memoised_body = functools.lru_cache(maxsize=FRAME_MEMO_ENTRIES)(_decode_body)
+decode_message.cache_info = _memoised_body.cache_info
+decode_message.cache_clear = _memoised_body.cache_clear
+decode_message.__wrapped__ = _decode
+_memoised_tail = functools.lru_cache(maxsize=FRAME_MEMO_ENTRIES)(_render_tail)
+encode_message.cache_info = _memoised_tail.cache_info
+encode_message.cache_clear = _memoised_tail.cache_clear
+encode_message.__wrapped__ = _encode
 
 
 def iter_messages(decoder: FrameDecoder, data: bytes) -> Iterator[Tuple[int, object]]:
