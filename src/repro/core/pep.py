@@ -59,6 +59,7 @@ from repro.core.merge import MergeOptions, MergeResult, merge_query_graphs
 from repro.core.obligations import obligations_to_graph
 from repro.core.user_query import UserQuery
 from repro.core.warnings_check import WarningReport
+from repro.obs import pdp_counters, pdp_tag, spans
 from repro.streams.engine import StreamEngine
 from repro.streams.graph import QueryGraph
 from repro.streams.handles import StreamHandle
@@ -151,6 +152,17 @@ class TemplateMemo:
         self.entries.clear()
 
 
+#: The spans of :meth:`PolicyEnforcementPoint.handle_request`, one per
+#: :class:`PepTimings` stage.
+_STAGES = ("pdp.evaluate", "pep.graph", "pep.submit")
+
+
+def _stage_times(marks: List[float]) -> PepTimings:
+    """The stages between consecutive *marks*; those never reached are 0."""
+    marks = marks + marks[-1:] * (4 - len(marks))
+    return PepTimings(marks[1] - marks[0], marks[2] - marks[1], marks[3] - marks[2])
+
+
 class PolicyEnforcementPoint:
     """Marshals requests, PDP results and the stream engine."""
 
@@ -195,7 +207,31 @@ class PolicyEnforcementPoint:
         evaluator such as a shard worker pool) re-enters on-loop
         enforcement.  It charges zero PDP time, so an inline evaluator
         is not pre-evaluated but called — and timed — here.
+
+        A refusal carries the stage times elapsed until it was raised
+        as ``error.timings`` (a :class:`PepTimings`).
         """
+        sink = spans.sink
+        if sink is not None:
+            memo = self.templates
+            before = pdp_counters(self.pdp), memo.hits, memo.misses
+        marks = [time.perf_counter()]   # each stage's start, then the end
+        try:
+            return self._handle(request, user_query, pdp_response, marks)
+        except Exception as error:
+            marks.append(time.perf_counter())
+            error.timings = _stage_times(marks)
+            raise
+        finally:
+            if sink is not None:
+                template = ("hit" if memo.hits > before[1]
+                            else "miss" if memo.misses > before[2] else None)
+                tags = (pdp_tag(self.pdp, before[0]), template, None)
+                for name, tag, started, ended in zip(_STAGES, tags, marks, marks[1:]):
+                    if pdp_response is None or name != "pdp.evaluate":
+                        sink(name, started, ended, tag)
+
+    def _handle(self, request, user_query, pdp_response, marks) -> PepResult:
         subject = request.require_subject()
         stream_name = request.resource_id
         if stream_name is None:
@@ -204,15 +240,14 @@ class PolicyEnforcementPoint:
             )
 
         # Step 1/2: PDP evaluation (unless a precomputed decision rides in).
-        started = time.perf_counter()
+        marks[0] = time.perf_counter()
         response = pdp_response if pdp_response is not None else self.pdp.evaluate(request)
-        pdp_elapsed = time.perf_counter() - started
+        marks.append(time.perf_counter())
         if response.decision is not Decision.PERMIT:
             raise AccessDeniedError(response.decision)
 
         # Per request: the query/stream mismatch check and step 3, the
         # single-access check.
-        started = time.perf_counter()
         if user_query is not None and user_query.stream.lower() != stream_name.lower():
             raise AccessDeniedError(
                 Decision.NOT_APPLICABLE,
@@ -245,11 +280,10 @@ class PolicyEnforcementPoint:
                 "tuples will be withheld (PR)",
                 conflicts=list(warnings),
             )
-        graph_elapsed = time.perf_counter() - started
+        marks.append(time.perf_counter())
 
         # Step 5: StreamSQL generation (once per distinct grant), then a
         # graph of this request's own, submission, handle return.
-        started = time.perf_counter()
         if template is None:
             template = GrantTemplate(
                 merged.graph.operators,
@@ -271,7 +305,7 @@ class PolicyEnforcementPoint:
             self.graph_manager.record(
                 handle, response.policy_id, subject, stream_name, graph
             )
-        submit_elapsed = time.perf_counter() - started
+        marks.append(time.perf_counter())
 
         return PepResult(
             handle=handle,
@@ -279,7 +313,7 @@ class PolicyEnforcementPoint:
             merged_graph=graph,
             response=response,
             warnings=list(template.warnings),
-            timings=PepTimings(pdp_elapsed, graph_elapsed, submit_elapsed),
+            timings=_stage_times(marks),
         )
 
     def _merge(self, obligations, stream_name, schema, user_query) -> MergeResult:

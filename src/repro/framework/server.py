@@ -119,21 +119,21 @@ class DataServer:
             )
         except AccessDeniedError as error:
             decision = getattr(error.decision, "value", None)
-            return self._error_response("denied", str(error), started, decision)
+            return self._error_response("denied", error, started, decision)
         except UnknownStreamError as error:
             # A policy may permit a stream this engine does not host.
-            return self._error_response("denied", str(error), started)
+            return self._error_response("denied", error, started)
         except ConcurrentAccessError as error:
-            return self._error_response("concurrent", str(error), started)
+            return self._error_response("concurrent", error, started)
         except (EmptyResultWarning, MergeError) as error:
-            return self._error_response("nr", str(error), started)
+            return self._error_response("nr", error, started)
         except PartialResultWarning as error:
-            return self._error_response("pr", str(error), started)
+            return self._error_response("pr", error, started)
         except (ObligationError, ExpressionError, SchemaError) as error:
             # The permitting policy's obligations (or the user's query)
             # cannot be turned into a graph over this stream: malformed,
             # or naming an attribute / comparing a type the stream lacks.
-            return self._error_response("invalid", str(error), started)
+            return self._error_response("invalid", error, started)
         timing = ServerTiming(
             pdp=result.timings.pdp,
             query_graph=result.timings.query_graph,
@@ -148,12 +148,14 @@ class DataServer:
         )
         return response, timing
 
-    def _error_response(
-        self, kind: str, detail: str, started: float, decision=None
-    ):
+    def _error_response(self, kind: str, error, started: float, decision=None):
+        """A refusal, its compute split by the stage times the PEP
+        attached: PDP and submit as timed, the rest query graph."""
         compute = time.perf_counter() - started
-        timing = ServerTiming(0.0, compute, 0.0, compute)
-        return StreamResponseMessage(None, kind, detail, decision=decision), timing
+        pdp, _, submit = getattr(error, "timings", (0.0, 0.0, 0.0))
+        timing = ServerTiming(pdp, compute - pdp - submit, submit, compute)
+        response = StreamResponseMessage(None, kind, str(error), decision=decision)
+        return response, timing
 
 
 def _policy_of(policy: Union[Policy, str, PolicyLoadMessage]) -> Policy:

@@ -4,9 +4,12 @@ Topology
     ``processes`` worker processes (spawned, so the parent's serving
     thread is never forked mid-flight), each running an asyncio loop
     with ``connections`` pipelined :class:`AsyncClient` connections.
-    Workers stream per-op latency samples and counter deltas back to
-    the parent over a multiprocessing queue; the parent folds them
-    into one :class:`LatencyRecorder` and renders the live tables.
+    Workers stream per-op latency histogram deltas and counter deltas
+    back to the parent over a multiprocessing queue; the parent folds
+    them into one :class:`LatencyRecorder` and renders the live tables.
+    Once the workers are done, the parent asks the server for its
+    registry snapshot with a ``stats`` op — the report's ``server``
+    section, self-served or ``--host``.
 
 Pacing
     Open-loop arrivals, closed-loop admission.  Each connection owns a
@@ -46,7 +49,7 @@ from repro.loadgen.config import LoadgenConfig
 from repro.loadgen.mix import OpMixStream, churn_graph, op_kind, stream_name, subject_name
 from repro.loadgen.report import LiveReporter, build_report, write_report
 from repro.serving.client import RETRYABLE_OPS, AsyncClient
-from repro.serving.wire import ErrorReply
+from repro.serving.wire import ErrorReply, StatsOp, StatsReply
 from repro.serving.server import AsyncDataServer
 from repro.serving.stats import LatencyRecorder
 from repro.streams.engine import StreamEngine
@@ -101,14 +104,12 @@ class ServedInstance:
     """An :class:`AsyncDataServer` on a background thread's event loop.
 
     The harness's self-serve mode: the parent process owns the server
-    (so its :class:`LatencyRecorder` is readable after the run) while
-    worker processes drive it over real loopback sockets.
+    while worker processes drive it over real loopback sockets.
     """
 
     def __init__(self, config: LoadgenConfig):
         self.config = config
         self.port: Optional[int] = None  # guarded by: owner
-        self.front: Optional[AsyncDataServer] = None  # guarded by: owner
         self.error: Optional[BaseException] = None  # guarded by: owner
         self._ready = None  # guarded by: owner
         self._loop = None  # guarded by: owner
@@ -139,7 +140,6 @@ class ServedInstance:
             self._loop = asyncio.get_running_loop()
             self._stopped = asyncio.Event()
             async with AsyncDataServer(server, max_in_flight=1024) as front:
-                self.front = front
                 self.port = front.port
                 self._ready.set()
                 await self._stopped.wait()
@@ -153,22 +153,28 @@ class ServedInstance:
         if self._thread is not None:
             self._thread.join(timeout=30)
 
-    def server_stats(self) -> Optional[Dict[str, Dict[str, float]]]:
-        return self.front.stats.to_dict() if self.front is not None else None
+
+def server_snapshot(host: str, port: int, timeout: float) -> Dict[str, object]:
+    """The server's registry snapshot, asked over the wire (empty when
+    the server does not answer ``stats``)."""
+    async def ask():
+        client = await AsyncClient.connect(host, port, timeout=timeout, max_retries=0)
+        async with client:
+            return await client.call(StatsOp())
+
+    reply = asyncio.run(ask())
+    return reply.values if isinstance(reply, StatsReply) else {}
 
 
 # -- worker processes -----------------------------------------------------------------
 
 
 class _WorkerState:
-    """Samples + counters shared by one worker's connection tasks."""
+    """Latencies + counters shared by one worker's connection tasks."""
 
     def __init__(self) -> None:
-        self.samples: Dict[str, List[float]] = {}  # guarded by: owner
+        self.latency = LatencyRecorder()  # guarded by: owner
         self.counters = new_counters()  # guarded by: owner
-
-    def record(self, op_name: str, seconds: float) -> None:
-        self.samples.setdefault(op_name, []).append(seconds)
 
     def bump(self, key: str, by: int = 1) -> None:
         self.counters[key] += by
@@ -177,10 +183,11 @@ class _WorkerState:
         errors = self.counters["errors"]
         errors[kind] = errors.get(kind, 0) + 1
 
-    def drain(self) -> Tuple[Dict[str, List[float]], Dict[str, object]]:
-        samples, self.samples = self.samples, {}
+    def drain(self) -> Dict[str, object]:
+        """The deltas since the last drain, ready to ship."""
+        latency, self.latency = self.latency, LatencyRecorder()
         counters, self.counters = self.counters, new_counters()
-        return samples, counters
+        return {"latency": latency.histograms(), "counters": counters}
 
 
 async def _drive_connection(
@@ -258,7 +265,7 @@ async def _drive_connection(
                     continue
                 state.bump("completed")
                 if measured:
-                    state.record(op_kind(op), seconds)
+                    state.latency.record(op_kind(op), seconds)
     finally:
         await client.aclose()
 
@@ -268,11 +275,10 @@ async def _report_ticks(
 ) -> None:
     while True:
         await asyncio.sleep(config.report_interval)
-        samples, counters = state.drain()
-        if samples or any(counters[key] for key in COUNTER_KEYS):
+        delta = state.drain()
+        if delta["latency"] or any(delta["counters"][key] for key in COUNTER_KEYS):
             # analysis: allow[async-blocking] mp.Queue.put hands off to the feeder thread; effectively non-blocking
-            out_queue.put(("tick", worker_id, {"samples": samples,
-                                               "counters": counters}))
+            out_queue.put(("tick", worker_id, delta))
 
 
 async def _worker(config: LoadgenConfig, worker_id: int, host: str, port: int,
@@ -300,10 +306,8 @@ async def _worker(config: LoadgenConfig, worker_id: int, host: str, port: int,
             await reporter
         except asyncio.CancelledError:
             pass
-    samples, counters = state.drain()
     # analysis: allow[async-blocking] mp.Queue.put hands off to the feeder thread; effectively non-blocking
-    out_queue.put(("done", worker_id, {"samples": samples,
-                                       "counters": counters}))
+    out_queue.put(("done", worker_id, state.drain()))
 
 
 def _worker_entry(config: LoadgenConfig, worker_id: int, host: str, port: int,
@@ -376,8 +380,7 @@ def run_loadgen(
             if kind == "error":
                 failure = payload
                 break
-            for op_name, samples in payload["samples"].items():
-                recorder.record_many(op_name, samples)
+            recorder.merge(payload["latency"])
             merge_counters(counters, payload["counters"])
             if kind == "done":
                 done += 1
@@ -391,13 +394,8 @@ def run_loadgen(
             raise RuntimeError(f"loadgen worker failed:\n{failure}")
         wall_seconds = time.monotonic() - started
 
-        report = build_report(
-            config,
-            recorder,
-            counters,
-            wall_seconds=wall_seconds,
-            server_stats=served.server_stats() if served is not None else None,
-        )
+        report = build_report(config, recorder, counters, wall_seconds=wall_seconds)
+        report["server"] = server_snapshot(host, port, config.timeout)
         if live:
             reporter.print_final(report)
         if config.output:

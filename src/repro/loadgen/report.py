@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.loadgen.config import LoadgenConfig
 from repro.serving.stats import LatencyRecorder
@@ -89,7 +89,6 @@ def build_report(
     recorder: LatencyRecorder,
     counters: Dict[str, object],
     wall_seconds: float,
-    server_stats: Optional[Dict[str, Dict[str, float]]] = None,
 ) -> Dict[str, object]:
     """The machine-readable run summary (the artifact's content).
 
@@ -120,8 +119,6 @@ def build_report(
         "latency_ms": recorder.to_dict(),
         "table": recorder.table(),
     }
-    if server_stats is not None:
-        report["server_side_latency_ms"] = server_stats
     return report
 
 

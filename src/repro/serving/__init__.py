@@ -15,8 +15,8 @@ of the same :class:`~repro.framework.server.DataServer`:
     :class:`AsyncClient` — pipelined batches over one connection, with
     per-call deadlines and retry/backoff on retryable errors.
 ``stats``
-    :class:`LatencyRecorder` — per-op p50/p90/p99 in the dbworkload
-    run-table shape.
+    :class:`LatencyRecorder` — per-op fixed-memory histograms in the
+    dbworkload run-table shape — and the registry a ``stats`` op reads.
 """
 
 from repro.serving.client import RETRYABLE_OPS, AsyncClient

@@ -52,13 +52,15 @@ import asyncio
 import logging
 import socket
 import time
+from operator import add
 from typing import List, Optional, Set, Tuple
 
 from repro.core.user_query import UserQuery
 from repro.errors import ShardUnavailableError, TransportError
 from repro.framework.messages import StreamRequestMessage
-from repro.framework.server import DataServer
-from repro.serving.stats import LatencyRecorder
+from repro.framework.server import DataServer, ServerTiming
+from repro.obs import pdp_counters, pdp_tag, spans
+from repro.serving.stats import LatencyRecorder, server_registry
 from repro.serving.wire import (
     HEADER_BYTES,
     MAX_FRAME_BYTES,
@@ -70,6 +72,8 @@ from repro.serving.wire import (
     LoadOp,
     PingOp,
     RevokeOp,
+    StatsOp,
+    StatsReply,
     UpdateOp,
     _HEADER,
     decode_message,
@@ -86,7 +90,7 @@ _CLOSE = object()
 class _ReplyBurst:
     """One connection's replies between two flushes (responder-owned)."""
 
-    __slots__ = ("frames", "held", "broken")
+    __slots__ = ("frames", "held", "broken", "encoded")
 
     def __init__(self) -> None:
         #: Encoded replies not yet written, in request order.
@@ -96,6 +100,8 @@ class _ReplyBurst:
         self.held: List[Tuple[Optional[str], float]] = []
         #: The peer stopped reading: execute on, write nothing more.
         self.broken = False
+        #: Encode-done stamps, kept only while a span sink is attached.
+        self.encoded: List[float] = []
 
 
 class AsyncDataServer:
@@ -131,6 +137,8 @@ class AsyncDataServer:
         #: decides when backpressure engages.  Tests use this.
         self.sndbuf = sndbuf
         self.stats = LatencyRecorder()
+        #: The sum of every :class:`ServerTiming` ``server.process`` returned.
+        self.timing = ServerTiming(0.0, 0.0, 0.0, 0.0, 0)
         self.connections_total = 0  # guarded by: event-loop
         self.active_connections = 0  # guarded by: event-loop
         #: Reader stalls: how often the pipeline queue or the in-flight
@@ -141,6 +149,9 @@ class AsyncDataServer:
         self._in_flight = asyncio.Semaphore(max(1, max_in_flight))
         self._asyncio_server: Optional[asyncio.base_events.Server] = None
         self._connection_tasks: Set[asyncio.Task] = set()
+        self.queues: Set[asyncio.Queue] = set()  # guarded by: event-loop
+        #: What a ``stats`` op answers with.
+        self.registry = server_registry(self)
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -184,10 +195,14 @@ class AsyncDataServer:
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, self.sndbuf)
         writer.transport.set_write_buffer_limits(high=self.write_high_water)
         queue: asyncio.Queue = asyncio.Queue(self.pipeline_depth)
+        self.queues.add(queue)
         responder = asyncio.create_task(self._respond_loop(queue, writer))
         clean_eof = False
         try:
             while True:
+                sink = spans.sink
+                if sink is not None:
+                    reading = time.perf_counter()
                 try:
                     header = await reader.readexactly(HEADER_BYTES)
                 except asyncio.IncompleteReadError as error:
@@ -209,13 +224,20 @@ class AsyncDataServer:
                     raise TransportError(
                         "connection closed mid-frame (truncated body)"
                     )
+                if sink is not None:
+                    decoding = time.perf_counter()
                 try:
                     seq, message = decode_message(payload)
                 except TransportError as error:
                     # An intact frame with a garbage payload: answer it
                     # (in order, like any op) and keep serving.
                     seq, message = -1, ErrorReply("TransportError", str(error))
-                await self._enqueue(queue, (seq, time.perf_counter(), message))
+                received = time.perf_counter()
+                await self._enqueue(queue, (seq, received, message))
+                if sink is not None:
+                    sink("server.read", reading, decoding, None)
+                    sink("wire.decode", decoding, received, None)
+                    sink("server.enqueue", received, time.perf_counter(), None)
         except (TransportError, ConnectionResetError, OSError):
             self.protocol_errors += 1
         except asyncio.CancelledError:
@@ -254,6 +276,7 @@ class AsyncDataServer:
                 writer.close()
             finally:
                 self.active_connections -= 1
+                self.queues.discard(queue)
 
     async def _enqueue(self, queue: asyncio.Queue, item) -> None:
         """Admit one decoded op, pausing the reader when saturated."""
@@ -289,7 +312,12 @@ class AsyncDataServer:
             while True:
                 if queue.empty():
                     await self._flush(burst, writer)
+                sink = spans.sink
+                if sink is not None:
+                    waiting = time.perf_counter()
                 item = await queue.get()  # suspends only on an empty queue
+                if sink is not None:
+                    sink("server.dequeue", waiting, time.perf_counter(), None)
                 if item is _CLOSE:
                     await self._flush(burst, writer)
                     return
@@ -303,7 +331,12 @@ class AsyncDataServer:
                 else:
                     burst.held.append((type(message).__name__, received))
                     reply = await self.execute(message)
+                if sink is not None:
+                    encoding = time.perf_counter()
                 burst.frames.append(encode_message(seq, reply))
+                if sink is not None:
+                    burst.encoded.append(time.perf_counter())
+                    sink("wire.encode", encoding, burst.encoded[-1], None)
                 if not coalescable:
                     await self._flush(burst, writer)
         finally:
@@ -333,6 +366,7 @@ class AsyncDataServer:
         """Write the held replies at once; account for them once drained."""
         if not burst.held:
             return
+        flushing = time.perf_counter()
         if not burst.broken:
             try:
                 writer.write(b"".join(burst.frames))
@@ -343,10 +377,16 @@ class AsyncDataServer:
                 logger.debug("reply write failed, connection broken: %s", error)
                 burst.broken = True
         drained = time.perf_counter()
-        for op_name, received in burst.held:
-            if op_name is not None and not burst.broken:
-                self.stats.record(op_name, drained - received)
+        if not burst.broken:
+            self.stats.record_since(drained, burst.held)
+        for _ in burst.held:
             self._in_flight.release()
+        sink = spans.sink
+        if sink is not None:
+            for encoded in burst.encoded:
+                sink("server.flush_wait", encoded, flushing, None)
+                sink("server.drain", flushing, drained, None)
+        burst.encoded.clear()
         burst.frames.clear()
         burst.held.clear()
 
@@ -392,31 +432,55 @@ class AsyncDataServer:
             return AckReply("ingest", count=count)
         if isinstance(message, PingOp):
             return AckReply("ping")
+        if isinstance(message, StatsOp):
+            return StatsReply(await self.snapshot())
         return ErrorReply("TransportError", f"unserveable op {type(message).__name__}")
 
+    async def snapshot(self) -> dict:
+        """``registry.snapshot()``; a blocking evaluator's view (a pool
+        asks its workers) is read off the loop, as ``evaluate`` is."""
+        registry = self.registry
+        if not getattr(self.server.instance.pdp, "blocking", False):
+            return registry.snapshot()
+        values = await asyncio.get_running_loop().run_in_executor(
+            None, registry.snapshot, ["pdp"]
+        )
+        values.update(registry.snapshot([p for p in registry.prefixes if p != "pdp"]))
+        return values
+
     async def _evaluate(self, op: EvaluateOp):
+        sink = spans.sink
+        if sink is not None:
+            parsing = time.perf_counter()
         request = parse_request_xml(op.request_xml)
         pdp = self.server.instance.pdp
+        if sink is not None:
+            evaluating = time.perf_counter()
+            sink("xml_io.parse_request", parsing, evaluating, None)
+            before = pdp_counters(pdp)
         pdp_response = None
         if getattr(pdp, "blocking", False):
             # Executor threads are drivers of the (multi-driver) pool.
             pdp_response = await asyncio.get_running_loop().run_in_executor(
                 None, pdp.evaluate, request
             )
+        elif op.decide_only:
+            pdp_response = pdp.evaluate(request)
+        # Otherwise the PEP calls (and stamps) the inline evaluator.
+        if sink is not None and pdp_response is not None:
+            sink("pdp.evaluate", evaluating, time.perf_counter(), pdp_tag(pdp, before))
         if op.decide_only:
-            response = (
-                pdp_response if pdp_response is not None else pdp.evaluate(request)
-            )
             return EvaluateReply(
-                ok=response.decision is Decision.PERMIT,
-                decision=response.decision.value,
-                policy_id=response.policy_id,
+                ok=pdp_response.decision is Decision.PERMIT,
+                decision=pdp_response.decision.value,
+                policy_id=pdp_response.policy_id,
             )
         user_query = (
             UserQuery.from_xml(op.user_query_xml) if op.user_query_xml else None
         )
         message = StreamRequestMessage(request, user_query)
-        response, _timing = self.server.process(message, pdp_response=pdp_response)
+        response, timing = self.server.process(message, pdp_response=pdp_response)
+        self.timing = ServerTiming._make(map(add, self.timing, timing))
         return EvaluateReply(
             ok=response.ok,
             handle_uri=response.handle_uri,

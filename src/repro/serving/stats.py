@@ -2,72 +2,88 @@
 
 The report follows the dbworkload run-table shape — one row per op
 type with throughput-free latency columns (mean / p50 / p90 / p99 /
-max, in milliseconds) — reusing the repository's canonical
-:func:`repro.framework.metrics.summarize` so served numbers and the
-simulation's EXPERIMENTS tables are computed identically.
+max, in milliseconds) — in the
+:class:`~repro.framework.metrics.DistributionSummary` shape the
+simulation's EXPERIMENTS tables use.  Each op is one fixed-memory
+:class:`repro.obs.Histogram`: recording never grows memory, and a
+report costs the same at a thousand samples as at a billion.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from repro.framework.metrics import DistributionSummary, summarize
+from repro.core.user_query import _memoised_parse
+from repro.expr.compile import compile_batch
+from repro.framework.metrics import DistributionSummary, percentile
+from repro.obs import Histogram, Registry
+from repro.serving.wire import decode_message, encode_message
+from repro.xacml.xml_io import parse_request_xml
 
 
 class LatencyRecorder:
-    """Accumulates per-op latency samples (seconds); reports percentiles.
+    """Accumulates per-op latencies (seconds); reports percentiles.
 
     Thread-safe: the asyncio server records from its event loop while
     benchmarks snapshot from the driving thread.
     """
 
     def __init__(self) -> None:
-        self._samples: Dict[str, List[float]] = {}  # guarded by: self._lock
+        self._histograms: Dict[str, Histogram] = {}  # guarded by: self._lock
         self._lock = threading.Lock()
 
     def record(self, op: str, seconds: float) -> None:
+        self.record_since(seconds, ((op, 0.0),))
+
+    def record_since(self, ended: float, stamps: Iterable[Tuple[Optional[str], float]]) -> None:
+        """Record ``ended - started`` for every ``(op, started)`` of
+        *stamps* whose op is not ``None``, under one lock acquisition
+        (the server records a flushed burst of replies at once)."""
         with self._lock:
-            self._samples.setdefault(op, []).append(seconds)
+            histograms = self._histograms
+            for op, started in stamps:
+                if op is not None:
+                    histogram = histograms.get(op)
+                    if histogram is None:
+                        histogram = histograms[op] = Histogram()
+                    histogram.record(ended - started)
 
     def record_many(self, op: str, seconds: Sequence[float]) -> None:
-        """Fold a batch of samples in under one lock acquisition (the
-        load-generation parent merges per-worker sample deltas)."""
-        if not seconds:
-            return
+        # 0.0 - (-value) is value exactly.
+        self.record_since(0.0, ((op, -value) for value in seconds))
+
+    def merge(self, histograms: Dict[str, Histogram]) -> None:
+        """Fold per-op histogram deltas in (a load-generation worker's)."""
         with self._lock:
-            self._samples.setdefault(op, []).extend(seconds)
+            for op, histogram in histograms.items():
+                mine = self._histograms.get(op)
+                self._histograms[op] = (
+                    histogram.copy() if mine is None else mine.merge(histogram)
+                )
+
+    def histograms(self) -> Dict[str, Histogram]:
+        """Copies of every op's histogram, taken at one instant."""
+        with self._lock:
+            return {op: h.copy() for op, h in sorted(self._histograms.items())}
 
     def count(self, op: Optional[str] = None) -> int:
         with self._lock:
             if op is not None:
-                return len(self._samples.get(op, ()))
-            return sum(len(samples) for samples in self._samples.values())
-
-    @property
-    def ops(self) -> Sequence[str]:
-        with self._lock:
-            return sorted(self._samples)
+                histogram = self._histograms.get(op)
+                return histogram.count if histogram is not None else 0
+            return sum(h.count for h in self._histograms.values())
 
     def summary(self, op: str) -> DistributionSummary:
         with self._lock:
-            samples = list(self._samples.get(op, ()))
-        return summarize(samples)
+            histogram = self._histograms.get(op, Histogram()).copy()
+        return _summarize(histogram)
 
     def snapshot(self) -> Dict[str, DistributionSummary]:
-        """Summaries of every op seen so far — one consistent instant.
-
-        All samples are copied under a *single* lock acquisition, so a
-        mid-run snapshot can never mix counts from different moments
-        (summarizing per op via :meth:`summary` would take the lock
-        once per op, letting a concurrent recorder slip samples in
-        between rows).  The summarizing itself runs outside the lock.
-        """
-        with self._lock:
-            samples = {
-                op: list(values) for op, values in sorted(self._samples.items())
-            }
-        return {op: summarize(values) for op, values in samples.items()}
+        """Summaries of every op seen so far — one consistent instant:
+        every histogram is copied under a single lock acquisition, so a
+        concurrent recorder cannot slip samples in between rows."""
+        return {op: _summarize(h) for op, h in self.histograms().items()}
 
     def to_dict(self) -> Dict[str, Dict[str, float]]:
         """JSON-ready percentiles in milliseconds (for ``BENCH_*.json``)."""
@@ -97,3 +113,73 @@ class LatencyRecorder:
                 f"{stats.p99 * 1e3:>10.3f} {stats.maximum * 1e3:>10.3f}"
             )
         return "\n".join(lines)
+
+
+def _summarize(histogram: Histogram) -> DistributionSummary:
+    n = histogram.count
+    if n == 0:
+        return DistributionSummary(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    p50, p90, p99 = (percentile(histogram, q) for q in (0.50, 0.90, 0.99))
+    return DistributionSummary(
+        n, histogram.sum / n, histogram.stdev(), histogram.min,
+        p50, p90, p99, histogram.max,
+    )
+
+
+def server_registry(front) -> Registry:
+    """The registry an :class:`~repro.serving.server.AsyncDataServer`
+    answers a ``stats`` op with.  Every view re-reads its component at
+    snapshot time (``front.stats`` may be replaced, an evaluator may be
+    attached); the census test pins the names."""
+    registry = Registry()
+
+    def instance():
+        return front.server.instance
+
+    registry.register("server", lambda: {
+        "ops": front.stats.count(),
+        "latency": front.stats.to_dict(),
+        "read_pauses": front.read_pauses,
+        "protocol_errors": front.protocol_errors,
+        "connections_total": front.connections_total,
+        "active_connections": front.active_connections,
+        "queue_depth": sum(queue.qsize() for queue in front.queues),
+    })
+    registry.register("timing", lambda: {
+        "requests": front.server.requests_processed, **front.timing._asdict()
+    })
+    registry.register("pdp", lambda: _evaluator_view(instance().pdp))
+    registry.register("store", lambda: _store_view(instance().store))
+    registry.register("pep.templates", lambda: {
+        "hits": instance().pep.templates.hits,
+        "misses": instance().pep.templates.misses,
+        "entries": len(instance().pep.templates),
+    })
+    registry.register("engine.active_queries", lambda: instance().engine.active_query_count)
+    registry.register("plan", lambda: instance().engine.plan_stats())
+    registry.register("graph_manager.revocations", lambda: instance().graph_manager.revocations)
+    registry.register("memo", lambda: {
+        "request_parse": parse_request_xml.cache_info(),
+        "user_query_parse": _memoised_parse.cache_info(),
+        "compile_batch": compile_batch.cache_info(),
+        "frame_decode": decode_message.cache_info(),
+        "frame_encode": encode_message.cache_info(),
+    })
+    return registry
+
+
+def _evaluator_view(pdp) -> dict:
+    view = {"cache": pdp.cache_stats()}
+    if hasattr(pdp, "health"):  # a worker pool: per-shard supervision
+        view["health"] = pdp.health()
+    return view
+
+
+def _store_view(store) -> dict:
+    if not hasattr(store, "shards"):
+        return {"index": store.index.stats()}
+    view = store.stats()
+    view["index"] = [shard.index.stats() for shard in store.shards]
+    if hasattr(store.partitioner, "stats"):
+        view["partition"] = store.partitioner.stats()
+    return view

@@ -97,6 +97,11 @@ class PingOp:
     """Liveness probe; the server acks without touching the instance."""
 
 
+@dataclass(frozen=True)
+class StatsOp:
+    """Ask a live server for its :class:`StatsReply`."""
+
+
 # -- replies (server → client) -------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -136,6 +141,14 @@ class ErrorReply:
     retryable: bool = False
 
 
+@dataclass(frozen=True)
+class StatsReply:
+    """The server's registry snapshot: one flat mapping of dotted names
+    (``docs/serving.md`` lists them) to JSON values."""
+
+    values: Dict[str, object]
+
+
 #: op-name → message class, both directions; the single source of truth
 #: the codec and the property tests iterate over.
 MESSAGE_TYPES: Dict[str, Type] = {
@@ -145,9 +158,11 @@ MESSAGE_TYPES: Dict[str, Type] = {
     "revoke": RevokeOp,
     "ingest": IngestOp,
     "ping": PingOp,
+    "stats": StatsOp,
     "evaluate_reply": EvaluateReply,
     "ack": AckReply,
     "error": ErrorReply,
+    "stats_reply": StatsReply,
 }
 
 #: Field annotation → (exact types a decoded JSON value may have, exact
@@ -161,6 +176,7 @@ _JSON_TYPES = {
     bool: ((bool,), None),
     int: ((int,), None),
     List[dict]: ((list,), dict),
+    Dict[str, object]: ((dict,), None),
 }
 
 # The codec's tables, built once: what ``dataclasses.fields`` /
@@ -172,16 +188,17 @@ _DECODE_TABLE = {
                  for f in dataclasses.fields(cls)})
     for name, cls in MESSAGE_TYPES.items()
 }
-#: Message classes with a list-typed field (``IngestOp.records``): a
-#: decoded list is its receiver's to keep, so no memo ever shares one.
-_LIST_TYPED = frozenset(
+#: Message classes with a list- or dict-typed field (``IngestOp.records``,
+#: ``StatsReply.values``): a decoded container is its receiver's to
+#: keep, so no memo ever shares one.
+_CONTAINER_TYPED = frozenset(
     cls for cls, fields in _DECODE_TABLE.values()
-    if any(element is not None for _, element in fields.values())
+    if any(accepted[0] in (list, dict) for accepted, _ in fields.values())
 )
-#: message class → (op name, field names, and — unless list-typed —
+#: message class → (op name, field names, and — unless container-typed —
 #: ``(field name, exact JSON types)`` pairs: the encode memo's gate)
 _ENCODE_TABLE = {
-    cls: (name, tuple(fields), None if cls in _LIST_TYPED else tuple(
+    cls: (name, tuple(fields), None if cls in _CONTAINER_TYPED else tuple(
         (field_name, accepted) for field_name, (accepted, _) in fields.items()
     ))
     for name, (cls, fields) in _DECODE_TABLE.items()
@@ -339,7 +356,7 @@ def decode_message(payload: bytes) -> Tuple[int, object]:
     way :func:`encode_message` starts one, ``{"seq":N,`` with at most 18
     digits, is looked up by the bytes after ``N``: a repeated request is
     parsed and checked once.  The memo never stores a failure, nor a
-    body that carries another ``seq`` key or a list-typed field; any
+    body that carries another ``seq`` key or a list- or dict-typed field; any
     failure on that path is decoded again whole, so every error and its
     text is the unmemoised decoder's.  Each call returns a fresh message
     object sharing the memoised field values.
@@ -369,7 +386,7 @@ def _decode_body(tail: bytes):
         # whole payload knows which seq the frame carries.
         raise TransportError("seq key after the canonical prefix")
     message = _message(envelope.get("op"), envelope.get("body"))
-    if type(message) in _LIST_TYPED:
+    if type(message) in _CONTAINER_TYPED:
         raise _Unkept(message)
     return message
 

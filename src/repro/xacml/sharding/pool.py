@@ -864,13 +864,14 @@ class ProcessShardPool(ShardRouter):
     # -- monitoring -------------------------------------------------------------
 
     def health(self) -> dict:
-        """A pure snapshot of supervision state, per shard and pooled."""
+        """A pure snapshot of supervision state, per shard and pooled;
+        every shard of a closed pool reads ``closed``."""
         shards = []
         for runtime in self._runtimes:
             with runtime.lock:
                 shards.append({
                     "shard_id": runtime.shard_id,
-                    "status": runtime.status,
+                    "status": "closed" if self._closed else runtime.status,
                     "restarts": runtime.restarts,
                     "catchup_pending": len(runtime.catchup),
                     "last_error": runtime.last_error,
@@ -902,13 +903,13 @@ class ProcessShardPool(ShardRouter):
         for shard_id in range(self.n_shards):
             try:
                 calls.append(self._submit(shard_id, op))
-            except ShardUnavailableError:
+            except PolicyStoreError:    # down, degraded, or the pool closed
                 continue
         answers = []
         for call in calls:
             try:
                 answers.append(self._await(call))
-            except ShardUnavailableError:
+            except PolicyStoreError:    # died, or the pool closed meanwhile
                 continue
         return answers
 

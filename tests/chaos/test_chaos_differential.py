@@ -32,6 +32,7 @@ unpinned seed, printed as ``CHAOS_SEED=...`` for replay via the
 import asyncio
 import os
 import random
+import threading
 
 import pytest
 
@@ -46,6 +47,8 @@ from repro.serving.wire import (
     LoadOp,
     PingOp,
     RevokeOp,
+    StatsOp,
+    StatsReply,
     UpdateOp,
     encode_frame,
     encode_message,
@@ -430,6 +433,80 @@ class TestUnshardedChaos:
             asyncio.wait_for(run_inprocess_serial(scripts, None), TIMEOUT)
         )
         assert served == serial
+
+
+class TestStatsUnderChaos:
+    def test_stats_reports_a_killed_worker_through_its_restart(self, chaos_counters):
+        """A ``stats`` op asked while a pool worker is killed and
+        restarted is answered every time, and its per-shard status walks
+        the transition (``up`` → down / restarting → ``up``) while the
+        restart count rises."""
+        server = make_env(2)
+        pool = ProcessShardPool(server.instance.store, restart_backoff=0.3)
+        server.instance.attach_evaluator(pool)
+
+        async def scenario():
+            async with AsyncDataServer(server) as front:
+                async with await AsyncClient.connect("127.0.0.1", front.port) as client:
+                    first = (await client.call(StatsOp())).values
+                    pool.kill_worker(0)
+                    seen = []
+                    while True:
+                        reply = await client.call(StatsOp())
+                        assert isinstance(reply, StatsReply)
+                        seen.append(reply.values["pdp.health.shards.0.status"])
+                        if reply.values["pdp.health.shards.0.restarts"] and seen[-1] == "up":
+                            return first, seen, reply.values
+                        await asyncio.sleep(0.02)
+
+        try:
+            first, seen, last = asyncio.run(asyncio.wait_for(scenario(), TIMEOUT))
+        finally:
+            pool.close()
+        assert first["pdp.health.statuses"] == ["up", "up"]
+        assert first["pdp.health.shards.0.restarts"] == 0
+        assert set(seen[:-1]) & {"down", "restarting"}, seen
+        assert last["pdp.health.worker_restarts"] >= 1
+        assert last["pdp.health.statuses"] == ["up", "up"]
+        chaos_counters["worker_kills"] += 1
+        chaos_counters["worker_restarts"] += last["pdp.health.worker_restarts"]
+
+    def test_a_blocking_evaluator_never_blocks_the_loop_on_stats(self):
+        """The evaluator's view runs in the executor, as ``evaluate``
+        does: while its ``cache_stats`` waits, another connection's ping
+        is answered."""
+        released = threading.Event()
+        server = make_env(None)
+        inline = server.instance.pdp
+
+        class BlockingEvaluator:
+            blocking = True
+            store = inline.store
+            evaluate = inline.evaluate
+
+            def cache_stats(self):
+                released.wait(5.0)
+                return inline.cache_stats()
+
+            def detach(self):
+                inline.detach()
+
+        server.instance.attach_evaluator(BlockingEvaluator())
+
+        async def scenario():
+            async with AsyncDataServer(server) as front:
+                async with await AsyncClient.connect("127.0.0.1", front.port) as first, \
+                        await AsyncClient.connect("127.0.0.1", front.port) as second:
+                    stats = asyncio.ensure_future(first.call(StatsOp()))
+                    await asyncio.sleep(0.05)
+                    assert await second.ping() == AckReply("ping")
+                    answered_first = stats.done()
+                    released.set()
+                    return answered_first, await stats
+
+        answered_first, reply = asyncio.run(asyncio.wait_for(scenario(), TIMEOUT))
+        assert not answered_first
+        assert reply.values["pdp.cache.entries"] == 0
 
 
 def test_seeded_scripts_are_reproducible():

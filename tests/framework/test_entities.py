@@ -1,5 +1,7 @@
 """Tests for server, proxy, client and the direct-query baseline."""
 
+import time
+
 import pytest
 
 from repro.core import UserQuery, stream_policy
@@ -162,6 +164,58 @@ class TestServer:
         assert server.instance.engine.active_queries() == []
         assert server.instance.access_registry.active_count() == 0
         assert server.instance.graph_manager.active_count() == 0
+
+
+#: One request per refusal kind, after *setup* (subject, user query).
+REFUSALS = [
+    pytest.param("denied", lambda server: None, "nobody", None, id="denied"),
+    pytest.param(
+        "concurrent",
+        lambda server: server.process(StreamRequestMessage(Request.simple("LTA", "weather"), None)),
+        "LTA", None, id="concurrent",
+    ),
+    pytest.param("nr", lambda server: None, "LTA",
+                 UserQuery("weather", filter_condition="rainrate < 2"), id="nr"),
+    pytest.param(
+        "pr",
+        lambda server: setattr(server.instance.pep, "allow_partial_results", False),
+        "LTA", UserQuery("weather", filter_condition="rainrate > 3"), id="pr",
+    ),
+    pytest.param(
+        "invalid",
+        lambda server: server.load_policy(Policy(
+            "p:broken",
+            target=Target.for_ids(subject="NEA", resource="weather", action="read"),
+            rules=[Rule("p:broken:rule", Effect.PERMIT)],
+            obligations=[_filter_obligation("nosuch > 5")],
+        )),
+        "NEA", None, id="invalid",
+    ),
+]
+
+
+class TestRefusalTiming:
+    @pytest.mark.parametrize("kind, setup, subject, query", REFUSALS)
+    def test_a_refusal_bills_its_pdp_time_to_pdp(self, kind, setup, subject, query, monkeypatch):
+        """A refused request used to report ``pdp=0`` and its PDP time
+        as query-graph time; the PEP's stage times now travel with the
+        refusal and split ``compute_total`` (which keeps its value)."""
+        _, server, _, _ = deploy(enforce_single_access=kind == "concurrent")
+        setup(server)
+        pdp = server.instance.pdp
+        evaluate = pdp.evaluate
+
+        def slow_evaluate(request):
+            time.sleep(0.02)
+            return evaluate(request)
+
+        monkeypatch.setattr(pdp, "evaluate", slow_evaluate)
+        message = StreamRequestMessage(Request.simple(subject, "weather"), query)
+        response, timing = server.process(message)
+        assert response.error_kind == kind
+        assert timing.pdp >= 0.02 > timing.query_graph >= 0
+        assert timing.dsms_submit == 0.0
+        assert timing.pdp + timing.query_graph == pytest.approx(timing.compute_total)
 
 
 class TestProxyCache:

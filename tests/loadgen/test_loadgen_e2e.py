@@ -91,8 +91,16 @@ class TestEndToEnd:
 
     def test_self_served_run_includes_server_side_latency(self, report_and_path):
         report, _ = report_and_path
-        assert "server_side_latency_ms" in report
-        assert report["server_side_latency_ms"].get("EvaluateOp", {}).get("count")
+        server = report["server"]
+        assert server["server.latency.EvaluateOp.count"]
+        # The server section is the server's own registry: its per-op
+        # counts add up to the ops it answered, which cover every op the
+        # workers saw completed.
+        counts = sum(
+            value for name, value in server.items()
+            if name.startswith("server.latency.") and name.endswith(".count")
+        )
+        assert counts == server["server.ops"] >= report["completed"]
 
 
 class TestConfigValidation:

@@ -1,0 +1,162 @@
+"""Census of every monitoring key a reader outside its module uses.
+
+Each component keeps its counters and its ``stats()`` /
+``cache_stats()`` / ``health()`` / ``plan_stats()`` / ``cache_info()``
+view; an :class:`~repro.serving.server.AsyncDataServer`'s registry reads
+them at snapshot time into one flat schema of dotted names (what a
+``stats`` op answers).  This module pins both ends by name: the key set
+of every view, and the dotted name each key has in
+``front.registry.snapshot()`` — a renamed or dropped key fails here, not
+in a dashboard.
+"""
+
+from repro.core import stream_policy
+from repro.core.pep import TemplateMemo
+from repro.framework.server import DataServer
+from repro.serving.server import AsyncDataServer
+from repro.serving.stats import LatencyRecorder
+from repro.streams.engine import StreamEngine
+from repro.streams.graph import QueryGraph
+from repro.streams.operators import FilterOperator
+from repro.streams.schema import WEATHER_SCHEMA
+from repro.xacml.request import Request
+from repro.xacml.sharding import ProcessShardPool
+from repro.xacml.sharding.partition import CompositeKeyPartitioner
+
+#: ``DecisionCache.stats()`` = ``PolicyDecisionPoint.cache_stats()``.
+DECISION_CACHE = {"entries", "hits", "misses", "invalidations", "full_flushes",
+                  "targeted_evictions", "hit_rate"}
+#: ``ScatterEvaluator.stats()``.
+SCATTER = DECISION_CACHE | {"merges", "coalesced", "retries"}
+#: ``ShardRouter.cache_stats()`` (a ``ShardedPDP``'s).
+ROUTER = DECISION_CACHE | {f"scatter_{key}" for key in SCATTER} | {
+    "routed", "scattered", "evaluations"}
+#: ``ProcessShardPool.cache_stats()`` and ``.health()``.
+ROBUSTNESS = {"worker_restarts", "fallback_evaluations", "unavailable_errors"}
+POOL_CACHE = ROUTER | ROBUSTNESS | {"shards_unavailable"}
+POOL_HEALTH = ROBUSTNESS | {"closed", "on_unavailable", "shards", "statuses",
+                            "degraded_shards"}
+POOL_SHARD = {"shard_id", "status", "restarts", "catchup_pending", "last_error"}
+#: ``ShardedPolicyStore.stats()``, ``CompositeKeyPartitioner.stats()``,
+#: ``PolicyIndex.stats()``.
+STORE = {"n_shards", "partitioner", "policies", "replicated", "per_shard",
+         "events_published"}
+PARTITION = {"resource", "subject"}
+INDEX = {"policies"} | {f"{category}_{kind}" for category in ("subject", "resource", "action")
+                        for kind in ("buckets", "wildcards")}
+#: ``StreamPlan.stats()``, per stream in ``StreamEngine.plan_stats()``.
+PLAN = {"queries", "live_nodes", "nodes_created", "nodes_shared", "nodes_subsumed"}
+#: ``functools.lru_cache``'s ``cache_info()``, of the five memos.
+CACHE_INFO = {"hits", "misses", "maxsize", "currsize"}
+MEMOS = {"request_parse", "user_query_parse", "compile_batch", "frame_decode",
+         "frame_encode"}
+#: A ``LatencyRecorder.to_dict()`` row.
+ROW = {"count", "mean_ms", "p50_ms", "p90_ms", "p99_ms", "max_ms"}
+
+
+def front_of(pdp_shards=None):
+    engine = StreamEngine()
+    engine.register_input_stream("weather", WEATHER_SCHEMA)
+    server = DataServer(
+        engine=engine, enforce_single_access=False, allow_partial_results=True,
+        pdp_shards=pdp_shards,
+        pdp_partitioner=CompositeKeyPartitioner() if pdp_shards else None,
+    )
+    server.load_policy(stream_policy(
+        "p1", "weather", QueryGraph("weather").append(FilterOperator("rainrate > 5")),
+        subject="LTA",
+    ))
+    return AsyncDataServer(server)
+
+
+def assert_published(snapshot, prefix, keys):
+    missing = {key for key in keys if f"{prefix}.{key}" not in snapshot}
+    assert not missing, f"{prefix}: {sorted(missing)}"
+
+
+class TestSingleStore:
+    def test_every_view_keeps_its_keys_and_its_dotted_names(self):
+        front = front_of()
+        instance = front.server.instance
+        instance.request_stream(Request.simple("LTA", "weather"))
+        snapshot = front.registry.snapshot()
+
+        assert set(instance.pdp.cache.stats()) == DECISION_CACHE
+        assert set(instance.pdp.cache_stats()) == DECISION_CACHE
+        assert_published(snapshot, "pdp.cache", DECISION_CACHE)
+        assert set(instance.store.index.stats()) == INDEX
+        assert_published(snapshot, "store.index", INDEX)
+        plans = instance.engine.plan_stats()
+        assert set(plans) == {"weather"} and set(plans["weather"]) == PLAN
+        assert_published(snapshot, "plan.weather", PLAN)
+        assert snapshot["plan.weather.queries"] == 1
+        for memo in MEMOS:
+            assert_published(snapshot, f"memo.{memo}", CACHE_INFO)
+
+    def test_template_memo_counters(self):
+        assert {"hits", "misses"} <= set(TemplateMemo.__slots__)
+        front = front_of()
+        instance = front.server.instance
+        for _ in range(2):
+            instance.request_stream(Request.simple("LTA", "weather"))
+        snapshot = front.registry.snapshot()
+        assert (snapshot["pep.templates.hits"], snapshot["pep.templates.misses"]) == (1, 1)
+        assert snapshot["pep.templates.entries"] == 1
+
+    def test_what_the_end_to_end_benchmark_reads(self):
+        """``benchmarks/e2e/serve.py`` reads ``front.stats`` (and
+        replaces it), ``count()``, ``read_pauses``, ``cache_stats()``,
+        ``plan_stats()``, ``active_query_count`` and
+        ``graph_manager.revocations``."""
+        front = front_of()
+        instance = front.server.instance
+        instance.request_stream(Request.simple("LTA", "weather"))
+        front.stats.record("EvaluateOp", 0.001)
+        front.stats = LatencyRecorder()     # the benchmark resets it so
+        front.stats.record("PingOp", 0.002)
+        front.read_pauses = 3
+        snapshot = front.registry.snapshot()
+        assert front.stats.count() == snapshot["server.ops"] == 1
+        assert set(front.stats.to_dict()["PingOp"]) == ROW
+        assert_published(snapshot, "server.latency.PingOp", ROW)
+        assert "server.latency.EvaluateOp.count" not in snapshot
+        assert snapshot["server.read_pauses"] == 3
+        assert snapshot["engine.active_queries"] == instance.engine.active_query_count == 1
+        assert snapshot["graph_manager.revocations"] == instance.graph_manager.revocations
+        assert snapshot["pdp.cache.misses"] == instance.pdp.cache_stats()["misses"] == 1
+
+
+class TestSharded:
+    def test_sharded_views_keep_their_keys_and_dotted_names(self):
+        front = front_of(pdp_shards=2)
+        instance = front.server.instance
+        instance.pdp.evaluate(Request.simple("LTA", "weather"))
+        snapshot = front.registry.snapshot()
+
+        assert set(instance.pdp.scatter.stats()) == SCATTER
+        assert set(instance.pdp.cache_stats()) == ROUTER
+        assert_published(snapshot, "pdp.cache", ROUTER)
+        assert set(instance.store.stats()) == STORE
+        assert_published(snapshot, "store", STORE)
+        assert set(instance.store.partitioner.stats()) == PARTITION
+        assert_published(snapshot, "store.partition", PARTITION)
+        for shard in range(2):
+            assert set(instance.store.shards[shard].index.stats()) == INDEX
+            assert_published(snapshot, f"store.index.{shard}", INDEX)
+
+    def test_pool_views_keep_their_keys_and_dotted_names(self):
+        front = front_of(pdp_shards=2)
+        instance = front.server.instance
+        with ProcessShardPool(instance.store) as pool:
+            instance.attach_evaluator(pool)
+            pool.evaluate(Request.simple("LTA", "weather"))
+            snapshot = front.registry.snapshot()
+            assert set(pool.cache_stats()) == POOL_CACHE
+            health = pool.health()
+        assert set(health) == POOL_HEALTH
+        assert all(set(shard) == POOL_SHARD for shard in health["shards"])
+        assert_published(snapshot, "pdp.cache", POOL_CACHE)
+        assert_published(snapshot, "pdp.health", POOL_HEALTH - {"shards"})
+        for shard in range(2):
+            assert_published(snapshot, f"pdp.health.shards.{shard}", POOL_SHARD)
+        assert snapshot["pdp.health.statuses"] == ["up", "up"]

@@ -1,16 +1,26 @@
-"""Pins for :class:`repro.serving.stats.LatencyRecorder`.
+"""Pins for :class:`repro.serving.stats.LatencyRecorder` and the
+``stats`` op a live :class:`AsyncDataServer` answers.
 
-The snapshot-atomicity regression (ISSUE 9): ``snapshot()`` used to
-take the lock once per op (``ops`` + one ``summary()`` each), so a
-mid-run snapshot could mix counts from different instants — an op
-recorded *after* an earlier row was summarized still showed up in a
-later row.  The fix copies every op's samples under a single lock
-acquisition.
+The snapshot-atomicity regression: ``snapshot()`` used to take the lock
+once per op (``ops`` + one ``summary()`` each), so a mid-run snapshot
+could mix counts from different instants — an op recorded *after* an
+earlier row was summarized still showed up in a later row.  Every op's
+histogram is now copied under a single lock acquisition.
 """
 
+import asyncio
 import threading
+from collections import Counter
 
+from repro import obs
+from repro.core.user_query import UserQuery
+from repro.serving import AsyncClient, AsyncDataServer
 from repro.serving.stats import LatencyRecorder
+from repro.serving.wire import StatsOp, StatsReply
+from repro.xacml.request import Request
+from repro.xacml.sharding import ProcessShardPool
+
+from serving_helpers import TIMEOUT, make_data_server
 
 
 class CountingLock:
@@ -92,3 +102,133 @@ class TestSnapshotAtomicity:
         recorder.record_many("EvaluateOp", [])
         assert recorder.count() == 0
         assert recorder.snapshot() == {}
+
+
+def served(server, scenario):
+    """Run ``scenario(client)`` against *server* behind a live front-end."""
+    async def run():
+        async with AsyncDataServer(server) as front:
+            async with await AsyncClient.connect("127.0.0.1", front.port) as client:
+                return await scenario(client)
+
+    return asyncio.run(asyncio.wait_for(run(), TIMEOUT))
+
+
+async def traffic(client):
+    """Grants, decisions and a ping, then the server's own snapshot."""
+    query = UserQuery("weather", filter_condition="rainrate > 7")
+    for _ in range(3):
+        await client.evaluate(Request.simple("LTA", "weather"), query)
+    await client.evaluate(Request.simple("LTA", "weather"), decide_only=True)
+    await client.ping()
+    reply = await client.call(StatsOp())
+    assert isinstance(reply, StatsReply)
+    return reply.values
+
+
+class TestStatsOp:
+    def test_a_live_server_answers_one_flat_schema(self):
+        values = served(make_data_server(), traffic)
+        assert all(isinstance(name, str) and not isinstance(value, dict)
+                   for name, value in values.items())
+        # per-op latency, and the front-end's own counters and gauges
+        assert values["server.latency.EvaluateOp.count"] == 4
+        assert values["server.latency.PingOp.count"] == 1
+        assert values["server.ops"] == 5
+        for name in ("read_pauses", "protocol_errors", "queue_depth"):
+            assert values[f"server.{name}"] == 0
+        assert values["server.connections_total"] == values["server.active_connections"] == 1
+        # decision cache, grant templates, the five memos, the plan
+        assert (values["pdp.cache.hits"], values["pdp.cache.misses"]) == (3, 1)
+        assert (values["pep.templates.hits"], values["pep.templates.misses"]) == (2, 1)
+        for memo in ("request_parse", "user_query_parse", "compile_batch",
+                     "frame_decode", "frame_encode"):
+            assert values[f"memo.{memo}.maxsize"] > 0
+        assert values["plan.weather.queries"] == values["engine.active_queries"] == 3
+        assert values["plan.weather.live_nodes"] >= 1
+        # the ServerTiming of every grant, summed per layer
+        assert values["timing.requests"] == 3
+        layers = [values[f"timing.{layer}"] for layer in ("pdp", "query_graph", "dsms_submit")]
+        assert all(seconds > 0 for seconds in layers)
+        assert values["timing.compute_total"] >= sum(layers)
+        assert values["timing.script_bytes"] > 0
+        # the collector
+        assert len(values["gc.collections"]) == 3 and values["gc.pause_s"] >= 0
+
+    def test_a_pool_adds_per_shard_status_restarts_and_backlog(self):
+        server = make_data_server(pdp_shards=2)
+        with ProcessShardPool(server.instance.store) as pool:
+            server.instance.attach_evaluator(pool)
+            values = served(server, traffic)
+        assert values["pdp.health.statuses"] == ["up", "up"]
+        for shard in range(2):
+            assert values[f"pdp.health.shards.{shard}.status"] == "up"
+            assert values[f"pdp.health.shards.{shard}.restarts"] == 0
+            assert values[f"pdp.health.shards.{shard}.catchup_pending"] == 0
+        assert values["pdp.cache.shards_unavailable"] == 0
+        assert values["pdp.cache.evaluations"] == 4
+
+
+#: What one evaluate stamps, by path.
+DECIDE_SPANS = {"server.read", "wire.decode", "server.enqueue", "server.dequeue",
+                "xml_io.parse_request", "pdp.evaluate", "wire.encode",
+                "server.flush_wait", "server.drain"}
+GRANT_SPANS = DECIDE_SPANS | {"pep.graph", "pep.submit"}
+
+
+class TestSpans:
+    N = 6
+
+    def spans_of(self, pdp_shards=None, **evaluate):
+        """Every span stamped over N evaluates, then none once detached."""
+        stamped = []
+
+        async def scenario(client):
+            for _ in range(self.N):
+                await client.evaluate(Request.simple("LTA", "weather"), **evaluate)
+            await asyncio.sleep(0)
+            obs.spans.sink = None
+            spans = list(stamped)
+            # A stamp begun under the sink still completes: the reader
+            # and the responder were already waiting for the next op.
+            await client.evaluate(Request.simple("LTA", "weather"), **evaluate)
+            settled = len(stamped)
+            for _ in range(3):
+                await client.evaluate(Request.simple("LTA", "weather"), **evaluate)
+            await client.ping()
+            assert len(stamped) == settled
+            return spans
+
+        server = make_data_server(pdp_shards=pdp_shards)
+        # Attached before the connection opens: the reader's first wait
+        # for a frame is already stamped.
+        obs.spans.sink = lambda *span: stamped.append(span)
+        try:
+            if pdp_shards is None:
+                spans = served(server, scenario)
+            else:
+                with ProcessShardPool(server.instance.store) as pool:
+                    server.instance.attach_evaluator(pool)
+                    spans = served(server, scenario)
+        finally:
+            obs.spans.sink = None
+        assert all(started <= ended for _, started, ended, _ in spans)
+        return spans
+
+    def test_each_decide_span_appears_once_per_op(self):
+        spans = self.spans_of(decide_only=True)
+        assert Counter(name for name, *_ in spans) == {name: self.N for name in DECIDE_SPANS}
+        assert Counter(tag for name, _, _, tag in spans if name == "pdp.evaluate") == {
+            "miss": 1, "hit": self.N - 1}
+
+    def test_each_grant_span_appears_once_per_op(self):
+        spans = self.spans_of()
+        assert Counter(name for name, *_ in spans) == {name: self.N for name in GRANT_SPANS}
+        tags = Counter((name, tag) for name, _, _, tag in spans if tag is not None)
+        assert tags == {("pdp.evaluate", "miss"): 1, ("pdp.evaluate", "hit"): self.N - 1,
+                        ("pep.graph", "miss"): 1, ("pep.graph", "hit"): self.N - 1}
+
+    def test_a_pool_hop_is_tagged(self):
+        spans = self.spans_of(pdp_shards=2)
+        assert Counter(name for name, *_ in spans) == {name: self.N for name in GRANT_SPANS}
+        assert {tag for name, _, _, tag in spans if name == "pdp.evaluate"} == {"pool"}

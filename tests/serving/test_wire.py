@@ -42,6 +42,8 @@ from repro.serving.wire import (
     LoadOp,
     PingOp,
     RevokeOp,
+    StatsOp,
+    StatsReply,
     UpdateOp,
     decode_message,
     encode_frame,
@@ -80,6 +82,10 @@ MESSAGE_STRATEGIES = {
     ),
     AckReply: st.builds(AckReply, text, opt_text, st.integers(0, 10**9)),
     ErrorReply: st.builds(ErrorReply, text, text),
+    StatsOp: st.just(StatsOp()),
+    StatsReply: st.builds(StatsReply, st.dictionaries(
+        text, json_scalar | st.lists(json_scalar, max_size=3), max_size=6
+    )),
 }
 
 any_message = st.one_of(*MESSAGE_STRATEGIES.values())
@@ -436,6 +442,18 @@ class TestFrameMemo:
         assert first.records is not second.records
         assert decode_message.cache_info().currsize == 0
 
+    def test_a_stats_reply_bypasses_both_memos(self):
+        decode_message.cache_clear()
+        encode_message.cache_clear()
+        reply = StatsReply({"server.ops": 3, "gc.collections": [1, 0, 0]})
+        frames = [encode_message(1, reply) for _ in range(2)]
+        assert frames[0] == frames[1] == encode_message.__wrapped__(1, reply)
+        (_, first), (_, second) = (decode_message(f[HEADER_BYTES:]) for f in frames)
+        assert first == second == reply
+        assert first.values is not second.values
+        assert decode_message.cache_info().currsize == 0
+        assert encode_message.cache_info().currsize == 0
+
     @pytest.mark.parametrize("key", [b'"seq"', b'"\\u0073eq"'], ids=["seq", "escaped-seq"])
     def test_a_seq_key_in_the_body_defers_to_the_whole_payload(self, key):
         decode_message.cache_clear()
@@ -607,7 +625,7 @@ class TestMemoisedCodecMatchesUnmemoised:
         if first is not None:
             assert first is not second
             for name, value in vars(first).items():
-                if isinstance(value, list):
+                if isinstance(value, (list, dict)):
                     assert value is not getattr(second, name)
 
     @seed(SEED)

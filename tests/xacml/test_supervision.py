@@ -196,6 +196,29 @@ class TestHealthAndStats:
             )
             assert pool.cache_stats()["shards_unavailable"] in (0, 1)
 
+    @staticmethod
+    def closed_pool():
+        store = ShardedPolicyStore(2)
+        store.load(policy("p:a", "alpha"))
+        pool = ProcessShardPool(store)
+        pool.evaluate(Request.simple("alice", "alpha"))
+        pool.close()
+        return pool
+
+    def test_a_closed_pool_reports_closed_shards(self):
+        """A closed pool used to report its shards ``up``."""
+        health = self.closed_pool().health()
+        assert health["closed"] is True
+        assert health["statuses"] == ["closed", "closed"]
+        assert [shard["status"] for shard in health["shards"]] == ["closed", "closed"]
+
+    def test_a_closed_pools_cache_snapshot_counts_every_shard_unavailable(self):
+        """It used to raise "the shard pool is closed"."""
+        pool = self.closed_pool()
+        stats = pool.cache_stats()
+        assert stats["shards_unavailable"] == pool.n_shards == 2
+        assert stats["hits"] == stats["misses"] == stats["entries"] == 0
+
     def test_unavailable_errors_counted_in_error_mode(self):
         store = ShardedPolicyStore(1)
         store.load(policy("p:a", "alpha"))
