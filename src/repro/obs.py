@@ -106,15 +106,18 @@ class Histogram:
         return math.sqrt(spread / n) if n else 0.0
 
 
-#: ``[collection start, total pause]`` in seconds, once a registry exists.
-_gc_pause = [0.0, 0.0]
+#: ``[collection start, total pause, longest pause]`` in seconds, once a
+#: registry exists.
+_gc_pause = [0.0, 0.0, 0.0]
 
 
 def _on_gc(phase: str, info: dict) -> None:
     if phase == "start":
         _gc_pause[0] = time.perf_counter()
     else:
-        _gc_pause[1] += time.perf_counter() - _gc_pause[0]
+        pause = time.perf_counter() - _gc_pause[0]
+        _gc_pause[1] += pause
+        _gc_pause[2] = max(_gc_pause[2], pause)
 
 
 def _gc_view() -> Dict[str, object]:
@@ -123,7 +126,35 @@ def _gc_view() -> Dict[str, object]:
         "collections": [generation["collections"] for generation in generations],
         "collected": sum(generation["collected"] for generation in generations),
         "pause_s": _gc_pause[1],
+        "pause_max_s": _gc_pause[2],
+        "threshold": list(gc.get_threshold()),
     }
+
+
+#: ``[owners, the thresholds before the first owner]``.
+_young_owners: List = [0, None]
+
+
+def own_young_generation() -> None:
+    """Until the matching :func:`release_young_generation`, a young
+    collection waits for a quarter of the heap as read now (CPython's
+    own ratio for full collections), never for fewer than CPython's 700
+    objects; the older generations keep their thresholds.  CPython
+    counts allocations minus deallocations, so a heap that frees an old
+    tuple for each new one crosses 700 only by drift, when the young
+    list is full of live tuples a scan cannot free.  Cyclic garbage
+    still waits for at most the threshold.  The first owner sets it;
+    the last to release restores the thresholds the first found."""
+    if not _young_owners[0]:
+        _young_owners[1] = gc.get_threshold()
+        gc.set_threshold(max(700, len(gc.get_objects()) // 4), *_young_owners[1][1:])
+    _young_owners[0] += 1
+
+
+def release_young_generation() -> None:
+    _young_owners[0] -= 1
+    if not _young_owners[0]:
+        gc.set_threshold(*_young_owners[1])
 
 
 class Registry:

@@ -59,7 +59,9 @@ from repro.core.user_query import UserQuery
 from repro.errors import ShardUnavailableError, TransportError
 from repro.framework.messages import StreamRequestMessage
 from repro.framework.server import DataServer, ServerTiming
-from repro.obs import pdp_counters, pdp_tag, spans
+from repro.obs import (
+    own_young_generation, pdp_counters, pdp_tag, release_young_generation, spans,
+)
 from repro.serving.stats import LatencyRecorder, server_registry
 from repro.serving.wire import (
     HEADER_BYTES,
@@ -160,6 +162,7 @@ class AsyncDataServer:
             self._handle_connection, self.host, self.port
         )
         self.port = self._asyncio_server.sockets[0].getsockname()[1]
+        own_young_generation()
         return self
 
     async def __aenter__(self) -> "AsyncDataServer":
@@ -170,11 +173,12 @@ class AsyncDataServer:
 
     async def aclose(self) -> None:
         """Stop accepting, then tear down every live connection."""
-        if self._asyncio_server is None:
+        listener, self._asyncio_server = self._asyncio_server, None
+        if listener is None:
             return
-        self._asyncio_server.close()
-        await self._asyncio_server.wait_closed()
-        self._asyncio_server = None
+        release_young_generation()
+        listener.close()
+        await listener.wait_closed()
         for task in list(self._connection_tasks):
             task.cancel()
         if self._connection_tasks:

@@ -10,6 +10,9 @@ of every view, and the dotted name each key has in
 in a dashboard.
 """
 
+import gc
+
+from repro import obs
 from repro.core import stream_policy
 from repro.core.pep import TemplateMemo
 from repro.framework.server import DataServer
@@ -50,6 +53,8 @@ PLAN = {"queries", "live_nodes", "nodes_created", "nodes_shared", "nodes_subsume
 CACHE_INFO = {"hits", "misses", "maxsize", "currsize"}
 MEMOS = {"request_parse", "user_query_parse", "compile_batch", "frame_decode",
          "frame_encode"}
+#: The collector's view (``repro.obs._gc_view``).
+GC = {"collections", "collected", "pause_s", "pause_max_s", "threshold"}
 #: A ``LatencyRecorder.to_dict()`` row.
 ROW = {"count", "mean_ms", "p50_ms", "p90_ms", "p99_ms", "max_ms"}
 
@@ -92,6 +97,9 @@ class TestSingleStore:
         assert snapshot["plan.weather.queries"] == 1
         for memo in MEMOS:
             assert_published(snapshot, f"memo.{memo}", CACHE_INFO)
+        assert set(obs._gc_view()) == GC
+        assert_published(snapshot, "gc", GC)
+        assert snapshot["gc.threshold"] == list(gc.get_threshold())
 
     def test_template_memo_counters(self):
         assert {"hits", "misses"} <= set(TemplateMemo.__slots__)

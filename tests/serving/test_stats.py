@@ -9,6 +9,7 @@ histogram is now copied under a single lock acquisition.
 """
 
 import asyncio
+import gc
 import threading
 from collections import Counter
 
@@ -154,6 +155,16 @@ class TestStatsOp:
         assert values["timing.script_bytes"] > 0
         # the collector
         assert len(values["gc.collections"]) == 3 and values["gc.pause_s"] >= 0
+        assert 0 <= values["gc.pause_max_s"] <= values["gc.pause_s"]
+        assert len(values["gc.threshold"]) == 3
+
+    def test_the_collector_reports_the_threshold_derived_at_start(self, monkeypatch):
+        heap = [None] * (4 * 25_000)
+        monkeypatch.setattr(gc, "get_objects", lambda *generation: heap)
+        defaults = gc.get_threshold()
+        values = served(make_data_server(), traffic)
+        assert values["gc.threshold"] == [25_000, *defaults[1:]]
+        assert gc.get_threshold() == defaults
 
     def test_a_pool_adds_per_shard_status_restarts_and_backlog(self):
         server = make_data_server(pdp_shards=2)
