@@ -22,8 +22,8 @@ obligations, the stream and its schema, the user query, the merge
 options), and a deployment grants the same few combinations over and
 over (one policy, many subjects; one subject, many sessions).  The PEP
 therefore *compiles* a :class:`GrantTemplate` with exactly those calls
-the first time a combination is granted and keeps it in a bounded
-per-PEP memo (:class:`TemplateMemo`) keyed by that content; every grant,
+the first time a combination is granted and keeps it in a per-PEP
+:class:`repro.obs.Memo` (``pep.templates``) keyed by that content; every grant,
 first or repeated, is then *stamped* from the template: a
 :class:`~repro.streams.graph.QueryGraph` of its own (own name, own
 operator list) carrying the template's plan trace, registered under a
@@ -44,7 +44,6 @@ framework's metrics layer can reproduce the paper's Figure 7 breakdown
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from typing import List, NamedTuple, Optional, Tuple
 
 from repro.errors import (
@@ -59,14 +58,14 @@ from repro.core.merge import MergeOptions, MergeResult, merge_query_graphs
 from repro.core.obligations import obligations_to_graph
 from repro.core.user_query import UserQuery
 from repro.core.warnings_check import WarningReport
-from repro.obs import pdp_counters, pdp_tag, spans
+from repro.obs import MEMO_MAX_TEXT, Memo, pdp_counters, pdp_tag, spans
 from repro.streams.engine import StreamEngine
 from repro.streams.graph import QueryGraph
 from repro.streams.handles import StreamHandle
 from repro.streams.operators.base import Operator
 from repro.streams.plan import ChainTrace, trace_chain
 from repro.streams.streamsql.generator import generate_streamsql
-from repro.xacml.pdp import DEFAULT_CACHE_SIZE, PolicyDecisionPoint
+from repro.xacml.pdp import PolicyDecisionPoint
 from repro.xacml.request import Request
 from repro.xacml.response import Decision, Response
 
@@ -75,10 +74,10 @@ class PepTimings(NamedTuple):
     """Wall-clock seconds spent in each stage of one request.
 
     ``pdp``          — PDP evaluation (Figure 7's "PDP" series);
-    ``query_graph``  — graph construction, single-access check, merge and
-                       NR/PR analysis (Figure 7's "QueryGraph" series);
-    ``dsms_submit``  — StreamSQL generation and engine registration
-                       (Figure 7's "StreamBase" series).
+    ``query_graph``  — graph construction, single-access check, merge, NR/PR
+                       analysis and a new template's StreamSQL (Figure 7's
+                       "QueryGraph" series);
+    ``dsms_submit``  — engine registration (Figure 7's "StreamBase" series).
     """
 
     pdp: float
@@ -114,42 +113,12 @@ class GrantTemplate(NamedTuple):
     trace: ChainTrace
 
 
-class TemplateMemo:
-    """A bounded LRU of grant key → :class:`GrantTemplate`.
-
-    Single-threaded, like the PEP that owns it; ``hits`` / ``misses``
-    count lookups and ``len()`` is the resident size.
-    """
-
-    __slots__ = ("capacity", "hits", "misses", "entries")
-
-    def __init__(self, capacity: int = DEFAULT_CACHE_SIZE):
-        self.capacity = capacity
-        self.hits = 0  # guarded by: owner
-        self.misses = 0  # guarded by: owner
-        self.entries: "OrderedDict[tuple, GrantTemplate]" = OrderedDict()  # guarded by: owner
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def get(self, key: tuple) -> Optional[GrantTemplate]:
-        """The template under *key*, refreshed to most-recent, or None."""
-        template = self.entries.get(key)
-        if template is None:
-            self.misses += 1
-            return None
-        self.entries.move_to_end(key)
-        self.hits += 1
-        return template
-
-    def put(self, key: tuple, template: GrantTemplate) -> None:
-        self.entries[key] = template
-        while len(self.entries) > self.capacity:
-            self.entries.popitem(last=False)
-
-    def clear(self) -> None:
-        """Drop every template; count nothing."""
-        self.entries.clear()
+def _weigh_template(key: tuple, template: GrantTemplate) -> Optional[int]:
+    """The template memo's ``weigh``, by the texts that bound an entry:
+    the user query (its ``repr`` spells all of it) and the StreamSQL
+    (every condition of the merged chain)."""
+    texts = (template.streamsql, repr(key[3]))
+    return None if max(map(len, texts)) > MEMO_MAX_TEXT else 12 * sum(map(len, texts)) + 2048
 
 
 #: The spans of :meth:`PolicyEnforcementPoint.handle_request`, one per
@@ -187,7 +156,7 @@ class PolicyEnforcementPoint:
         self.allow_partial_results = allow_partial_results
         #: Compiled grants, by content.  On the PEP, not the module: the
         #: templates of a discarded PEP go with it.
-        self.templates = TemplateMemo()
+        self.templates = Memo(self._compile, _weigh_template)
 
     def handle_request(
         self,
@@ -259,39 +228,14 @@ class PolicyEnforcementPoint:
         if user_query is not None and user_query.is_empty:
             user_query = None
 
-        # Steps 2 and 4, once per distinct grant: obligations → policy
-        # graph, user query → graph, merge with NR/PR analysis.
+        # Steps 2, 4 and 5's StreamSQL, once per distinct grant:
+        # obligations and user query → graphs, merge with NR/PR analysis.
         key = (response.obligations, stream_name, schema, user_query, self.merge_options)
         template = self.templates.get(key)
-        if template is None:
-            merged = self._merge(response.obligations, stream_name, schema, user_query)
-            warnings = merged.warnings
-        else:
-            warnings = template.warnings
-        if any(w.is_nr for w in warnings):
-            raise EmptyResultWarning(
-                "user query conflicts with policy: no tuples can ever be "
-                "returned (NR)",
-                conflicts=list(warnings),
-            )
-        if not self.allow_partial_results and any(w.is_pr for w in warnings):
-            raise PartialResultWarning(
-                "user query partially conflicts with policy: some expected "
-                "tuples will be withheld (PR)",
-                conflicts=list(warnings),
-            )
+        self._gate(template.warnings)   # allow_partial_results may have changed
         marks.append(time.perf_counter())
 
-        # Step 5: StreamSQL generation (once per distinct grant), then a
-        # graph of this request's own, submission, handle return.
-        if template is None:
-            template = GrantTemplate(
-                merged.graph.operators,
-                tuple(warnings),
-                generate_streamsql(merged.graph),
-                trace_chain(merged.graph, schema),
-            )
-            self.templates.put(key, template)
+        # Step 5: a graph of this request's own, submission, handle return.
         user_name = f"user:{subject}" if user_query is not None else f"user:{subject}:empty"
         graph = QueryGraph(
             stream_name,
@@ -316,7 +260,28 @@ class PolicyEnforcementPoint:
             timings=_stage_times(marks),
         )
 
-    def _merge(self, obligations, stream_name, schema, user_query) -> MergeResult:
+    def _compile(self, key: tuple) -> GrantTemplate:
+        """One distinct grant's template; a refused grant raises."""
+        merged = self._merge(*key)
+        self._gate(merged.warnings)
+        return GrantTemplate(
+            merged.graph.operators,
+            tuple(merged.warnings),
+            generate_streamsql(merged.graph),
+            trace_chain(merged.graph, key[2]),
+        )
+
+    def _gate(self, warnings) -> None:
+        """Step 5's condition: refuse on NR, and on PR unless allowed."""
+        if any(w.is_nr for w in warnings):
+            raise EmptyResultWarning("user query conflicts with policy: no tuples can "
+                                     "ever be returned (NR)", conflicts=list(warnings))
+        if not self.allow_partial_results and any(w.is_pr for w in warnings):
+            raise PartialResultWarning("user query partially conflicts with policy: some "
+                                       "expected tuples will be withheld (PR)",
+                                       conflicts=list(warnings))
+
+    def _merge(self, obligations, stream_name, schema, user_query, options) -> MergeResult:
         """Steps 2 and 4 for one distinct grant.  The graph names are
         placeholders: every grant is stamped with its own."""
         policy_graph = obligations_to_graph(obligations, stream_name, name="policy")
@@ -327,7 +292,7 @@ class PolicyEnforcementPoint:
         )
         try:
             merged = merge_query_graphs(
-                policy_graph, user_graph, schema=schema, options=self.merge_options
+                policy_graph, user_graph, schema=schema, options=options
             )
         except MergeError as error:
             # Impossible merges (finer-than-policy windows, disjoint

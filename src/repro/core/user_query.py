@@ -25,13 +25,14 @@ policy allows".
 
 from __future__ import annotations
 
-import functools
+import sys
 import xml.etree.ElementTree as ET
 from typing import List, Optional, Sequence, Union
 
 from repro.errors import PolicyParseError
 from repro.expr.ast import BooleanExpression
 from repro.expr.parser import parse_condition
+from repro.obs import MEMO_MAX_TEXT, Memo
 from repro.streams.graph import QueryGraph
 from repro.streams.operators.filter import FilterOperator
 from repro.streams.operators.map import MapOperator
@@ -41,8 +42,6 @@ from repro.streams.operators.window import (
     WindowSpec,
     WindowType,
 )
-from repro.xacml.pdp import DEFAULT_CACHE_SIZE
-from repro.xacml.xml_io import REQUEST_MEMO_MAX_CHARS
 
 
 class UserQuery:
@@ -128,15 +127,10 @@ class UserQuery:
         """Parse a ``<UserQuery>`` document.
 
         Memoised by document text under the discipline of
-        :func:`~repro.xacml.xml_io.parse_request_xml`, whose two bounds
-        it shares: as many documents as a PDP caches decisions, none
-        longer than ``REQUEST_MEMO_MAX_CHARS`` characters (those are
-        parsed on every call), and a document that fails to parse is
-        never stored — it raises on every call.
+        :func:`~repro.xacml.xml_io.parse_request_xml` (a
+        :class:`repro.obs.Memo` named ``user_query_parse``).
         """
-        if len(text) > REQUEST_MEMO_MAX_CHARS:
-            return cls._parse(text)
-        return _memoised_parse(cls, text)
+        return _memo.get(text)
 
     @classmethod
     def _parse(cls, text: str) -> "UserQuery":
@@ -210,14 +204,13 @@ class UserQuery:
             parts.append(f"map={list(self.map_attributes)!r}")
         if self.window is not None:
             parts.append(f"window={self.window!r}")
+            parts.append(f"aggregations={list(self.aggregations)!r}")
         return f"UserQuery({', '.join(parts)})"
 
 
-# The stdlib LRU, as for requests: bounded, safe to call from any thread,
-# and it stores nothing for a call that raised.
-@functools.lru_cache(maxsize=DEFAULT_CACHE_SIZE)
-def _memoised_parse(cls, text: str) -> UserQuery:
-    return cls._parse(text)
+# A filter's parse tree weighs up to ~18 bytes a document character.
+_memo = Memo(UserQuery._parse, lambda text, query: None if len(text) > MEMO_MAX_TEXT
+             else 24 * sys.getsizeof(text), name="user_query_parse")
 
 
 def _required_text(parent: ET.Element, tag: str) -> str:

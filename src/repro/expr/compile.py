@@ -38,7 +38,6 @@ whose oracle filters by the interpreter, proves it.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterable, List, Sequence, Set
 
 from repro.errors import ExpressionTypeError
@@ -51,6 +50,7 @@ from repro.expr.ast import (
     SimpleExpression,
     TrueExpression,
 )
+from repro.obs import MEMO_MAX_TEXT, Memo
 
 if TYPE_CHECKING:  # deferred: repro.streams imports back into repro.expr
     from repro.streams.schema import Schema
@@ -131,7 +131,6 @@ def _build(source: str, constants: List):
     return namespace["mask"]
 
 
-@lru_cache(maxsize=512)
 def compile_batch(
     expression: BooleanExpression, schema: "Schema"
 ) -> Callable[[Sequence[Sequence], Iterable[int]], List[int]]:
@@ -145,10 +144,16 @@ def compile_batch(
     specialised comparisons alone.  It assumes the values conform to
     *schema* (the engine validates graphs against stream schemas first).
 
-    Cached on the (expression, schema) pair — both are immutable and
+    Memoised on the (expression, schema) pair — both are immutable and
     hashable — so every filter over the same condition and schema
-    shares one compilation.
+    shares one compilation (a :class:`repro.obs.Memo` named
+    ``compile_batch``; no condition longer than
+    :data:`~repro.obs.MEMO_MAX_TEXT` characters is kept).
     """
+    return _memo.get((expression, schema))
+
+
+def _compile_batch(expression, schema) -> Callable[[Sequence[Sequence], Iterable[int]], List[int]]:
     constants: List = []
     columns: Set[int] = set()
     body = _expression_source(expression, schema, constants, columns)
@@ -157,3 +162,8 @@ def compile_batch(
         f"def mask(C, R):\n{binds}    return [i for i in R if {body}]\n", constants
     )
 
+
+# The parse tree and the mask weigh up to ~23 bytes a rendered character.
+_memo = Memo(lambda key: _compile_batch(*key),
+             lambda key, mask: None if (n := len(key[0].to_condition_string())) > MEMO_MAX_TEXT
+             else 32 * n + 1024, name="compile_batch")

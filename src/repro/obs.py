@@ -1,4 +1,5 @@
-"""One observability core: a fixed-memory histogram, a registry, spans.
+"""One observability core: a fixed-memory histogram, a registry, spans,
+and the one memo type (:class:`Memo`) of client-sent content.
 
 :class:`Histogram` cuts each octave of seconds into :data:`SUB_BUCKETS`
 equal buckets between :data:`LOWEST` and :data:`HIGHEST`, plus one
@@ -22,11 +23,13 @@ from __future__ import annotations
 
 import gc
 import math
+import threading
 import time
 from bisect import bisect_right
+from collections import OrderedDict, namedtuple
 from itertools import accumulate
 from types import SimpleNamespace
-from typing import Callable, Dict, Iterable, List, Mapping, Optional
+from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional
 
 SUB_BUCKETS = 64
 LOWEST = 2.0 ** -24     # ≈ 60 ns
@@ -195,6 +198,71 @@ def _flatten(prefix: str, value, into: Dict[str, object]) -> None:
 
 
 spans = SimpleNamespace(sink=None)
+
+#: Entries one memo keeps; bytes they may weigh (``docs/performance.md``,
+#: *One memo type*); the longest client text (characters or bytes) kept.
+MEMO_ENTRIES, MEMO_BUDGET, MEMO_MAX_TEXT = 4096, 8 << 20, 2048
+#: Every named :class:`Memo` (``memo.<name>`` in a ``stats`` reply).
+MEMOS: Dict[str, "Memo"] = {}
+MemoInfo = namedtuple("MemoInfo", "hits misses maxsize currsize bytes")
+
+
+class Memo:
+    """``get(key)`` is ``function(key)``, least recently used first out
+    past :data:`MEMO_ENTRIES` entries or :data:`MEMO_BUDGET` bytes.
+
+    ``weigh(key, value)`` upper-bounds what ``tracemalloc`` charges the
+    entry, or is ``None``: return the value, keep nothing (nor is a call
+    that raised kept).  Safe from any thread: a hit takes no lock
+    (``move_to_end`` never lets a key go absent), a miss computes outside
+    the lock and inserts and evicts under it, so ``bytes`` is always the
+    resident weights (a racing count may drop an increment).
+    """
+
+    def __init__(self, function: Callable, weigh: Callable, name: Optional[str] = None):
+        self.function, self.weigh = function, weigh
+        self.hits = self.misses = 0  # guarded by: owner
+        self.bytes = 0  # guarded by: self._lock
+        self.entries: "OrderedDict" = OrderedDict()  # guarded by: self._lock
+        self._weights: Dict[Hashable, int] = {}  # guarded by: self._lock
+        self._lock = threading.Lock()
+        if name is not None:
+            MEMOS[name] = self
+
+    def get(self, key: Hashable):
+        entries = self.entries
+        try:
+            value = entries[key]
+            entries.move_to_end(key)
+            self.hits += 1
+            return value
+        except KeyError:
+            self.misses += 1
+        value = self.function(key)
+        weight = self.weigh(key, value)
+        if weight is None or weight > MEMO_BUDGET:
+            return value
+        with self._lock:
+            self.bytes += weight - self._weights.get(key, 0)
+            self._weights[key] = weight
+            entries[key] = value
+            entries.move_to_end(key)
+            while self.bytes > MEMO_BUDGET or len(entries) > MEMO_ENTRIES:
+                self.bytes -= self._weights.pop(entries.popitem(last=False)[0])
+        return value
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def info(self) -> MemoInfo:
+        return MemoInfo(self.hits, self.misses, MEMO_ENTRIES, len(self.entries), self.bytes)
+
+    def clear(self) -> None:
+        """Drop every entry and zero every count."""
+        with self._lock:
+            self.entries.clear()
+            self._weights.clear()
+            self.hits = self.misses = self.bytes = 0
 
 
 def pdp_counters(pdp) -> tuple:

@@ -14,12 +14,8 @@ from __future__ import annotations
 import threading
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from repro.core.user_query import _memoised_parse
-from repro.expr.compile import compile_batch
 from repro.framework.metrics import DistributionSummary, percentile
-from repro.obs import Histogram, Registry
-from repro.serving.wire import decode_message, encode_message
-from repro.xacml.xml_io import parse_request_xml
+from repro.obs import MEMOS, Histogram, Registry
 
 
 class LatencyRecorder:
@@ -158,13 +154,8 @@ def server_registry(front) -> Registry:
     registry.register("engine.active_queries", lambda: instance().engine.active_query_count)
     registry.register("plan", lambda: instance().engine.plan_stats())
     registry.register("graph_manager.revocations", lambda: instance().graph_manager.revocations)
-    registry.register("memo", lambda: {
-        "request_parse": parse_request_xml.cache_info(),
-        "user_query_parse": _memoised_parse.cache_info(),
-        "compile_batch": compile_batch.cache_info(),
-        "frame_decode": decode_message.cache_info(),
-        "frame_encode": encode_message.cache_info(),
-    })
+    registry.register("memo", lambda: {name: memo.info() for name, memo in MEMOS.items()}
+                      | {"templates": instance().pep.templates.info()})
     return registry
 
 

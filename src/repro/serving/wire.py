@@ -30,14 +30,15 @@ alone: both directions memoise the bytes after the seq (see there).
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import re
 import struct
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple, Type, get_type_hints
 
 from repro.errors import TransportError
+from repro.obs import MEMO_MAX_TEXT, Memo
 
 #: Frames above this are protocol violations — reject before buffering,
 #: so a corrupt or hostile length prefix cannot balloon memory.
@@ -196,21 +197,14 @@ _CONTAINER_TYPED = frozenset(
     if any(accepted[0] in (list, dict) for accepted, _ in fields.values())
 )
 #: message class → (op name, field names, and — unless container-typed —
-#: ``(field name, exact JSON types)`` pairs: the encode memo's gate)
+#: each field's exact JSON types: the encode memo's gate)
 _ENCODE_TABLE = {
     cls: (name, tuple(fields), None if cls in _CONTAINER_TYPED else tuple(
-        (field_name, accepted) for field_name, (accepted, _) in fields.items()
+        accepted for accepted, _ in fields.values()
     ))
     for name, (cls, fields) in _DECODE_TABLE.items()
 }
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
-
-#: Payloads (decode) and rendered tails (encode) longer than this many
-#: bytes take the unmemoised path, so no peer can pin large frames in
-#: either memo (``docs/performance.md`` states the worst-case footprint).
-FRAME_MEMO_MAX_BYTES = 2048
-#: Entries each of the two memos keeps, least recently used evicted.
-FRAME_MEMO_ENTRIES = 4096
 
 #: The prefix :func:`encode_message` writes: ``{"seq":`` and a JSON int
 #: of at most 18 digits, then the comma.
@@ -275,14 +269,6 @@ class FrameDecoder:
 
 # -- codec ---------------------------------------------------------------------------
 
-class _Unkept(Exception):
-    """A memoised function's result that its memo must not keep.
-
-    ``functools.lru_cache`` stores nothing for a call that raised; the
-    caller uses ``args[0]`` once.
-    """
-
-
 def encode_message(seq: int, message) -> bytes:
     """Encode one op/reply object into a complete frame.
 
@@ -294,23 +280,20 @@ def encode_message(seq: int, message) -> bytes:
     A message whose fields all hold exactly their declared JSON types
     (``True`` is no count, so an equal value of another type never
     shares its bytes) and whose seq has at most 18 digits is rendered
-    once: the bytes after ``{"seq":N`` are memoised, bounded like
-    :func:`decode_message`'s memo.  ``encode_message.cache_info()`` /
-    ``.cache_clear()`` / ``.__wrapped__`` (the unmemoised encoder) are
-    the memo's, as on any :func:`functools.lru_cache` function.
+    once: the bytes after ``{"seq":N`` are memoised under the type and
+    the field values (``frame_encode``, weighed by :func:`_weigh_frame`).
+    ``encode_message.cache_info()`` / ``.cache_clear()`` /
+    ``.__wrapped__`` (the unmemoised encoder) are the memo's.
     """
     entry = _ENCODE_TABLE.get(type(message))
     if (entry is None or entry[2] is None or type(seq) is not int
             or not -_MEMO_SEQ_BOUND < seq < _MEMO_SEQ_BOUND):
         return _encode(seq, message)
-    for name, accepted in entry[2]:
-        if type(getattr(message, name)) not in accepted:
+    key = (type(message), *vars(message).values())    # the fields, in order
+    for value, accepted in zip(key[1:], entry[2]):
+        if type(value) not in accepted:
             return _encode(seq, message)
-    try:
-        tail = _memoised_tail(message)
-    except _Unkept as unkept:   # longer than the memo keeps
-        tail = unkept.args[0]
-    return encode_frame(b'{"seq":%d' % seq + tail)
+    return encode_frame(b'{"seq":%d' % seq + _tail_memo.get(key))
 
 
 def _encode(seq: int, message) -> bytes:
@@ -326,14 +309,11 @@ def _encode(seq: int, message) -> bytes:
     return frame
 
 
-def _render_tail(message) -> bytes:
-    """The bytes :func:`_encode` writes after ``{"seq":N``."""
-    op, names, _ = _ENCODE_TABLE[type(message)]
-    body = {name: getattr(message, name) for name in names}
-    tail = b"," + _render({"op": op, "body": body})[1:]
-    if len(tail) > FRAME_MEMO_MAX_BYTES:
-        raise _Unkept(tail)
-    return tail
+def _render_tail(key: tuple) -> bytes:
+    """The bytes :func:`_encode` writes after ``{"seq":N`` for the
+    message of type ``key[0]`` and field values ``key[1:]``."""
+    op, names, _ = _ENCODE_TABLE[key[0]]
+    return b"," + _render({"op": op, "body": dict(zip(names, key[1:]))})[1:]
 
 
 def _render(envelope: dict) -> bytes:
@@ -352,30 +332,27 @@ def decode_message(payload: bytes) -> Tuple[int, object]:
     unknown op, body fields that do not match the message type in name
     or in JSON type — raises :class:`TransportError`.
 
-    A payload of at most :data:`FRAME_MEMO_MAX_BYTES` that starts the
-    way :func:`encode_message` starts one, ``{"seq":N,`` with at most 18
-    digits, is looked up by the bytes after ``N``: a repeated request is
-    parsed and checked once.  The memo never stores a failure, nor a
-    body that carries another ``seq`` key or a list- or dict-typed field; any
-    failure on that path is decoded again whole, so every error and its
-    text is the unmemoised decoder's.  Each call returns a fresh message
-    object sharing the memoised field values.
+    A payload of at most :data:`~repro.obs.MEMO_MAX_TEXT` bytes that
+    starts as :func:`encode_message` starts one, ``{"seq":N,`` with at
+    most 18 digits, is looked up by the bytes after ``N``
+    (``frame_decode``, weighed by :func:`_weigh_frame`): a repeated
+    request is parsed and checked once.  A failure on that path, or a
+    body that carries another ``seq`` key, is decoded again whole, so
+    every error and its text is the unmemoised decoder's.  Each call
+    returns a fresh message object sharing the memoised field values.
     ``decode_message.cache_info()`` / ``.cache_clear()`` /
     ``.__wrapped__`` (the unmemoised decoder) are the memo's.
     """
-    if len(payload) <= FRAME_MEMO_MAX_BYTES:
-        canonical = _CANONICAL_SEQ.match(payload)
-        if canonical is not None:
-            try:
-                prototype = _memoised_body(bytes(payload[canonical.end(1):]))
-            except _Unkept as unkept:   # decoded, with records of its own
-                return int(canonical[1]), unkept.args[0]
-            except (ValueError, RecursionError, TransportError):
-                return _decode(payload)
-            message = object.__new__(type(prototype))
-            message.__dict__.update(prototype.__dict__)
-            return int(canonical[1]), message
-    return _decode(payload)
+    canonical = len(payload) <= MEMO_MAX_TEXT and _CANONICAL_SEQ.match(payload)
+    if not canonical:
+        return _decode(payload)
+    try:
+        prototype = _body_memo.get(bytes(payload[canonical.end(1):]))
+    except (ValueError, RecursionError, TransportError):
+        return _decode(payload)
+    message = object.__new__(type(prototype))
+    message.__dict__.update(prototype.__dict__)
+    return int(canonical[1]), message
 
 
 def _decode_body(tail: bytes):
@@ -385,10 +362,7 @@ def _decode_body(tail: bytes):
         # A later (or escaped) seq key overrides the first: only the
         # whole payload knows which seq the frame carries.
         raise TransportError("seq key after the canonical prefix")
-    message = _message(envelope.get("op"), envelope.get("body"))
-    if type(message) in _CONTAINER_TYPED:
-        raise _Unkept(message)
-    return message
+    return _message(envelope.get("op"), envelope.get("body"))
 
 
 def _decode(payload: bytes) -> Tuple[int, object]:
@@ -436,15 +410,24 @@ def _message(op, body):
         raise TransportError(f"op {op!r} body mismatch: {error}") from error
 
 
-# The stdlib LRU, as for ``parse_request_xml``: bounded, safe to call
-# from any thread, and it stores nothing for a call that raised.
-_memoised_body = functools.lru_cache(maxsize=FRAME_MEMO_ENTRIES)(_decode_body)
-decode_message.cache_info = _memoised_body.cache_info
-decode_message.cache_clear = _memoised_body.cache_clear
+def _weigh_frame(tail: bytes, cls: type, values) -> Optional[int]:
+    """Either frame memo's entry: the tail, the field values and at most
+    ~700 bytes of objects around them; ``None`` for a long tail, a
+    container the receiver keeps, or a reply naming a stream handle
+    (each handle is new, so its reply never repeats)."""
+    fields = dict(zip(_ENCODE_TABLE[cls][1], values))
+    if len(tail) > MEMO_MAX_TEXT or cls in _CONTAINER_TYPED or fields.get("handle_uri"):
+        return None
+    return len(tail) + sum(map(sys.getsizeof, fields.values())) + 768
+
+
+_body_memo = Memo(_decode_body, lambda tail, message: _weigh_frame(
+    tail, type(message), vars(message).values()), name="frame_decode")
+decode_message.cache_info, decode_message.cache_clear = _body_memo.info, _body_memo.clear
 decode_message.__wrapped__ = _decode
-_memoised_tail = functools.lru_cache(maxsize=FRAME_MEMO_ENTRIES)(_render_tail)
-encode_message.cache_info = _memoised_tail.cache_info
-encode_message.cache_clear = _memoised_tail.cache_clear
+_tail_memo = Memo(_render_tail, lambda key, tail: _weigh_frame(tail, key[0], key[1:]),
+                  name="frame_encode")
+encode_message.cache_info, encode_message.cache_clear = _tail_memo.info, _tail_memo.clear
 encode_message.__wrapped__ = _encode
 
 

@@ -301,23 +301,29 @@ class TestGrantTemplates:
             instance.engine.read(first.handle)
         instance.engine.read(other.handle)
 
-    def test_memo_is_bounded(self):
-        from repro.core.pep import TemplateMemo
+    def test_memo_is_bounded(self, monkeypatch):
+        from repro import obs
 
+        capacity = 8
+        monkeypatch.setattr(obs, "MEMO_ENTRIES", capacity)
         instance = make_instance(enforce_single_access=False)
-        memo = instance.pep.templates = TemplateMemo(capacity=8)
-        for n in range(memo.capacity + 20):
+        memo = instance.pep.templates
+        for n in range(capacity + 20):
             load_simple_policy(instance, condition=f"rainrate > {n}", policy_id=f"p{n}",
                                subject=f"u{n}")
             instance.request_stream(Request.simple(f"u{n}", "weather"))
-            assert len(memo) <= memo.capacity
-        assert (memo.hits, memo.misses, len(memo)) == (0, memo.capacity + 20, memo.capacity)
+            assert len(memo) <= capacity
+        assert (memo.hits, memo.misses, len(memo)) == (0, capacity + 20, capacity)
+        assert memo.bytes == sum(map(memo.weigh, memo.entries, memo.entries.values()))
         # Least recently granted goes first: the newest is a hit, the oldest not.
-        instance.request_stream(Request.simple(f"u{memo.capacity + 19}", "weather"))
+        instance.request_stream(Request.simple(f"u{capacity + 19}", "weather"))
         instance.request_stream(Request.simple("u0", "weather"))
-        assert (memo.hits, memo.misses) == (1, memo.capacity + 21)
+        assert (memo.hits, memo.misses) == (1, capacity + 21)
 
-    def test_default_capacity_is_the_decision_caches(self):
-        from repro.xacml.pdp import DEFAULT_CACHE_SIZE
+    def test_templates_are_a_memo_of_this_pep_with_the_shared_bounds(self):
+        from repro.obs import MEMO_ENTRIES, MEMOS, Memo
 
-        assert make_instance().pep.templates.capacity == DEFAULT_CACHE_SIZE
+        templates = make_instance().pep.templates
+        assert isinstance(templates, Memo) and templates not in MEMOS.values()
+        assert templates.info().maxsize == MEMO_ENTRIES
+        assert make_instance().pep.templates is not templates

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.core.user_query import UserQuery, _memoised_parse
+from repro.core.user_query import UserQuery
 from repro.errors import PolicyParseError
+from repro.obs import MEMO_ENTRIES, MEMO_MAX_TEXT, MEMOS
 from repro.streams.operators import WindowSpec, WindowType
-from repro.xacml.pdp import DEFAULT_CACHE_SIZE
-from repro.xacml.xml_io import REQUEST_MEMO_MAX_CHARS
+
+MEMO = MEMOS["user_query_parse"]
 
 #: The paper's Figure 4(a) document (typos normalised).
 FIGURE_4A = """
@@ -178,18 +179,20 @@ class TestParseMemo:
         assert fresh is not first and fresh == first
 
     def test_a_failing_document_raises_on_every_call(self):
-        before = _memoised_parse.cache_info().currsize
+        before = MEMO.info().currsize
         for _ in range(3):
             with pytest.raises(PolicyParseError):
                 UserQuery.from_xml("<UserQuery><Stream name='s'/><Map></Map></UserQuery>")
-        assert _memoised_parse.cache_info().currsize == before
+        assert MEMO.info().currsize == before
 
     def test_oversize_document_parses_but_is_not_retained(self):
-        padded = FIGURE_4A + " " * REQUEST_MEMO_MAX_CHARS
-        before = _memoised_parse.cache_info()
+        padded = FIGURE_4A + " " * MEMO_MAX_TEXT
+        before = MEMO.info()
         first, second = UserQuery.from_xml(padded), UserQuery.from_xml(padded)
         assert first is not second and first == second
-        assert _memoised_parse.cache_info() == before
+        after = MEMO.info()
+        assert after._replace(misses=before.misses) == before
+        assert after.misses == before.misses + 2
 
-    def test_memo_is_capped_like_the_decision_cache(self):
-        assert _memoised_parse.cache_info().maxsize == DEFAULT_CACHE_SIZE
+    def test_memo_is_capped_by_the_shared_entry_cap(self):
+        assert MEMO.info().maxsize == MEMO_ENTRIES

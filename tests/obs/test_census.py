@@ -1,7 +1,7 @@
 """Census of every monitoring key a reader outside its module uses.
 
 Each component keeps its counters and its ``stats()`` /
-``cache_stats()`` / ``health()`` / ``plan_stats()`` / ``cache_info()``
+``cache_stats()`` / ``health()`` / ``plan_stats()`` / ``Memo.info()``
 view; an :class:`~repro.serving.server.AsyncDataServer`'s registry reads
 them at snapshot time into one flat schema of dotted names (what a
 ``stats`` op answers).  This module pins both ends by name: the key set
@@ -14,7 +14,6 @@ import gc
 
 from repro import obs
 from repro.core import stream_policy
-from repro.core.pep import TemplateMemo
 from repro.framework.server import DataServer
 from repro.serving.server import AsyncDataServer
 from repro.serving.stats import LatencyRecorder
@@ -49,10 +48,11 @@ INDEX = {"policies"} | {f"{category}_{kind}" for category in ("subject", "resour
                         for kind in ("buckets", "wildcards")}
 #: ``StreamPlan.stats()``, per stream in ``StreamEngine.plan_stats()``.
 PLAN = {"queries", "live_nodes", "nodes_created", "nodes_shared", "nodes_subsumed"}
-#: ``functools.lru_cache``'s ``cache_info()``, of the five memos.
-CACHE_INFO = {"hits", "misses", "maxsize", "currsize"}
+#: ``repro.obs.Memo.info()``, of the six memos: the five in
+#: ``repro.obs.MEMOS`` and the serving PEP's templates.
+CACHE_INFO = {"hits", "misses", "maxsize", "currsize", "bytes"}
 MEMOS = {"request_parse", "user_query_parse", "compile_batch", "frame_decode",
-         "frame_encode"}
+         "frame_encode", "templates"}
 #: The collector's view (``repro.obs._gc_view``).
 GC = {"collections", "collected", "pause_s", "pause_max_s", "threshold"}
 #: A ``LatencyRecorder.to_dict()`` row.
@@ -95,21 +95,23 @@ class TestSingleStore:
         assert set(plans) == {"weather"} and set(plans["weather"]) == PLAN
         assert_published(snapshot, "plan.weather", PLAN)
         assert snapshot["plan.weather.queries"] == 1
+        assert set(obs.MEMOS) | {"templates"} == MEMOS
         for memo in MEMOS:
             assert_published(snapshot, f"memo.{memo}", CACHE_INFO)
+        assert set(instance.pep.templates.info()._fields) == CACHE_INFO
         assert set(obs._gc_view()) == GC
         assert_published(snapshot, "gc", GC)
         assert snapshot["gc.threshold"] == list(gc.get_threshold())
 
     def test_template_memo_counters(self):
-        assert {"hits", "misses"} <= set(TemplateMemo.__slots__)
         front = front_of()
         instance = front.server.instance
         for _ in range(2):
             instance.request_stream(Request.simple("LTA", "weather"))
         snapshot = front.registry.snapshot()
         assert (snapshot["pep.templates.hits"], snapshot["pep.templates.misses"]) == (1, 1)
-        assert snapshot["pep.templates.entries"] == 1
+        assert snapshot["pep.templates.entries"] == snapshot["memo.templates.currsize"] == 1
+        assert snapshot["memo.templates.bytes"] == instance.pep.templates.bytes > 0
 
     def test_what_the_end_to_end_benchmark_reads(self):
         """``benchmarks/e2e/serve.py`` reads ``front.stats`` (and

@@ -40,9 +40,10 @@ from repro.core.obligations import (
     WINDOW_OBLIGATION,
     graph_to_obligations,
 )
-from repro.core.pep import PolicyEnforcementPoint, TemplateMemo
+from repro.core.pep import PolicyEnforcementPoint
 from repro.core.user_query import UserQuery
 from repro.errors import ReproError
+from repro.obs import Memo
 from repro.streams.engine import StreamEngine
 from repro.streams.graph import QueryGraph
 from repro.streams.operators import (
@@ -193,10 +194,11 @@ def records(count=40):
 
 
 def run_sequence(policies, queries, steps, memo=None):
-    """Drive both PEPs through *steps*; see the module docstring."""
+    """Drive both PEPs through *steps*; see the module docstring.
+    *memo*, if given, makes the remembering PEP's memo from the PEP."""
     remembering = make_pep(make_engine())
     if memo is not None:
-        remembering.templates = memo
+        remembering.templates = memo(remembering)
     forgetting = make_pep(make_engine())
     oracle = make_engine(StreamEngine.reference())
     live = []       # (remembering result, forgetting result, oracle handle)
@@ -239,21 +241,21 @@ def run_sequence(policies, queries, steps, memo=None):
 EXAMPLES = 500 if os.environ.get("FUZZ_LONG") else 80
 
 
-class ForgetfulKeyMemo(TemplateMemo):
-    """The mutant: a memo that ignores one element of the grant key."""
+class ForgetfulKeyMemo(Memo):
+    """The mutant: a memo that ignores one element of the grant key
+    (it compiles from the whole key, and files the result without it)."""
 
-    def __init__(self, dropped: int):
-        super().__init__()
+    def __init__(self, pep, dropped: int):
+        super().__init__(lambda cut: pep._compile(self.key), lambda cut, template: 1)
         self.dropped = dropped
 
-    def _cut(self, key):
-        return key[:self.dropped] + key[self.dropped + 1:]
-
     def get(self, key):
-        return super().get(self._cut(key))
+        self.key = key
+        return super().get(key[:self.dropped] + key[self.dropped + 1:])
 
-    def put(self, key, template):
-        super().put(self._cut(key), template)
+
+def forgetful(dropped: int):
+    return lambda pep: ForgetfulKeyMemo(pep, dropped)
 
 
 #: Positions in ``handle_request``'s key.
@@ -313,7 +315,7 @@ class TestGrantEquivalence:
     def test_the_harness_catches_a_key_that_forgets(self, scenario, dropped):
         run_sequence(*scenario)
         with pytest.raises(AssertionError):
-            run_sequence(*scenario, memo=ForgetfulKeyMemo(dropped))
+            run_sequence(*scenario, memo=forgetful(dropped))
 
 
 class TestKeyCoversWhatAPepMayBeReassigned:
@@ -336,7 +338,7 @@ class TestKeyCoversWhatAPepMayBeReassigned:
         )
         pep = make_pep(make_engine())
         if memo is not None:
-            pep.templates = memo
+            pep.templates = memo(pep)
         timed, _ = grant(pep, *args)
         assert "lastval(t)" in timed[3]
         pep.engine = untimed
@@ -347,7 +349,7 @@ class TestKeyCoversWhatAPepMayBeReassigned:
 
     def test_the_check_catches_a_key_that_forgets_the_schema(self):
         with pytest.raises(AssertionError):
-            self.regrant(ForgetfulKeyMemo(SOURCE_SCHEMA))
+            self.regrant(forgetful(SOURCE_SCHEMA))
 
     def remerge(self, memo=None):
         args = (
@@ -356,7 +358,7 @@ class TestKeyCoversWhatAPepMayBeReassigned:
         )
         pep = make_pep(make_engine())
         if memo is not None:
-            pep.templates = memo
+            pep.templates = memo(pep)
         pep.allow_partial_results = True    # the paper's rule: differing projections are PR
         narrow, _ = grant(pep, *args)
         pep.merge_options = MergeOptions(map_semantics="union")
@@ -368,4 +370,4 @@ class TestKeyCoversWhatAPepMayBeReassigned:
 
     def test_the_check_catches_a_key_that_forgets_the_options(self):
         with pytest.raises(AssertionError):
-            self.remerge(ForgetfulKeyMemo(MERGE_OPTIONS))
+            self.remerge(forgetful(MERGE_OPTIONS))

@@ -139,12 +139,13 @@ class TestStatsOp:
         for name in ("read_pauses", "protocol_errors", "queue_depth"):
             assert values[f"server.{name}"] == 0
         assert values["server.connections_total"] == values["server.active_connections"] == 1
-        # decision cache, grant templates, the five memos, the plan
+        # decision cache, grant templates, the six memos, the plan
         assert (values["pdp.cache.hits"], values["pdp.cache.misses"]) == (3, 1)
         assert (values["pep.templates.hits"], values["pep.templates.misses"]) == (2, 1)
         for memo in ("request_parse", "user_query_parse", "compile_batch",
-                     "frame_decode", "frame_encode"):
+                     "frame_decode", "frame_encode", "templates"):
             assert values[f"memo.{memo}.maxsize"] > 0
+        assert values["memo.templates.currsize"] == 1 and values["memo.templates.bytes"] > 0
         assert values["plan.weather.queries"] == values["engine.active_queries"] == 3
         assert values["plan.weather.live_nodes"] >= 1
         # the ServerTiming of every grant, summed per layer

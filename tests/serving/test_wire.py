@@ -27,9 +27,9 @@ import pytest
 from hypothesis import HealthCheck, given, note, seed, settings, strategies as st
 
 from repro.errors import TransportError
+from repro.obs import MEMO_ENTRIES, MEMO_MAX_TEXT
+from repro.serving.server import AsyncDataServer
 from repro.serving.wire import (
-    FRAME_MEMO_ENTRIES,
-    FRAME_MEMO_MAX_BYTES,
     HEADER_BYTES,
     MAX_FRAME_BYTES,
     MESSAGE_TYPES,
@@ -49,6 +49,8 @@ from repro.serving.wire import (
     encode_frame,
     encode_message,
 )
+from repro.xacml.request import Request
+from repro.xacml.xml_io import request_to_xml
 
 from serving_helpers import TIMEOUT, make_data_server
 
@@ -423,7 +425,7 @@ class TestFrameMemo:
         # The request-parse memo is handed one str, its hash cached.
         assert second.request_xml is first.request_xml
         info = decode_message.cache_info()
-        assert (info.hits, info.misses, info.maxsize) == (1, 1, FRAME_MEMO_ENTRIES)
+        assert (info.hits, info.misses, info.maxsize) == (1, 1, MEMO_ENTRIES)
 
     def test_a_repeated_reply_is_rendered_once(self):
         encode_message.cache_clear()
@@ -431,7 +433,7 @@ class TestFrameMemo:
         for seq in (1, 2, -0, 10**18 - 1):
             assert encode_message(seq, reply) == encode_message.__wrapped__(seq, reply)
         info = encode_message.cache_info()
-        assert (info.hits, info.misses, info.maxsize) == (3, 1, FRAME_MEMO_ENTRIES)
+        assert (info.hits, info.misses, info.maxsize) == (3, 1, MEMO_ENTRIES)
 
     def test_ingest_records_are_never_shared(self):
         decode_message.cache_clear()
@@ -463,10 +465,23 @@ class TestFrameMemo:
         assert decode_message.__wrapped__(payload) == (2, PingOp())
         assert decode_message.cache_info().currsize == 0
 
+    def test_a_reply_naming_a_handle_is_rendered_but_never_kept(self):
+        """A grant's handle is process-unique, so its reply cannot
+        repeat: keeping it would only push out replies that can."""
+        front = AsyncDataServer(make_data_server())
+        grant = EvaluateOp(request_to_xml(Request.simple("LTA", "weather")))
+        encode_message.cache_clear()
+        for seq in range(20):
+            reply = asyncio.run(front.execute(grant))
+            assert reply.handle_uri is not None
+            assert encode_message(seq, reply) == encode_message.__wrapped__(seq, reply)
+        info = encode_message.cache_info()
+        assert (info.hits, info.misses, info.currsize, info.bytes) == (0, 20, 0, 0)
+
     def test_failures_and_long_frames_are_never_memoised(self):
         decode_message.cache_clear()
         encode_message.cache_clear()
-        long_op = EvaluateOp("x" * FRAME_MEMO_MAX_BYTES)
+        long_op = EvaluateOp("x" * MEMO_MAX_TEXT)
         assert decode_message(canonical(1, long_op)) == (1, long_op)
         canonical_mistyped = b'{"seq":1,"op":"ack","body":{"op":"x","count":true}}'
         for payload in MISTYPED_PAYLOADS + [canonical_mistyped, b'{"seq":1,}']:

@@ -4,12 +4,11 @@ import pytest
 
 from repro.errors import PolicyParseError, XacmlError
 from repro.xacml.attributes import Attribute, AttributeCategory, AttributeValue
-from repro.xacml.pdp import DEFAULT_CACHE_SIZE
+from repro.obs import MEMO_ENTRIES, MEMO_MAX_TEXT
 from repro.xacml.policy import Condition, Policy, Rule, Target
 from repro.xacml.request import Request
 from repro.xacml.response import AttributeAssignment, Effect, Obligation
 from repro.xacml.xml_io import (
-    REQUEST_MEMO_MAX_CHARS,
     parse_policy_xml,
     parse_request_xml,
     policy_to_xml,
@@ -210,26 +209,26 @@ class TestRequestParseMemo:
 
     def test_memo_never_holds_more_than_its_cap(self):
         parse_request_xml.cache_clear()
-        assert parse_request_xml.cache_info().maxsize == DEFAULT_CACHE_SIZE
-        for n in range(DEFAULT_CACHE_SIZE + 20):
+        assert parse_request_xml.cache_info().maxsize == MEMO_ENTRIES
+        for n in range(MEMO_ENTRIES + 20):
             parse_request_xml(
                 f'<Request><Subject><Attribute AttributeId="n{n}"/></Subject></Request>'
             )
         info = parse_request_xml.cache_info()
-        assert info.currsize == DEFAULT_CACHE_SIZE
-        assert info.misses == DEFAULT_CACHE_SIZE + 20
+        assert info.currsize == MEMO_ENTRIES
+        assert info.misses == MEMO_ENTRIES + 20
         parse_request_xml.cache_clear()
 
     def test_oversize_document_parses_but_is_not_retained(self):
-        padding = "x" * REQUEST_MEMO_MAX_CHARS
+        padding = "x" * MEMO_MAX_TEXT
         xml = request_xml(note=padding)
-        assert len(xml) > REQUEST_MEMO_MAX_CHARS
+        assert len(xml) > MEMO_MAX_TEXT
         before = parse_request_xml.cache_info()
         first, second = parse_request_xml(xml), parse_request_xml(xml)
         assert first is not second
         assert first.first_value(AttributeCategory.ENVIRONMENT, "note") == padding
         assert first.fingerprint() == second.fingerprint()
-        assert parse_request_xml.cache_info() == before
+        assert parse_request_xml.cache_info() == before._replace(misses=before.misses + 2)
 
     def test_fingerprint_follows_add_on_an_unsealed_request(self):
         request = Request.simple("LTA", "weather")
