@@ -13,6 +13,7 @@ and a writer that records every ``write`` — no socket, no sleeps.
 """
 
 import asyncio
+import threading
 import time
 
 from repro.serving import AsyncClient, AsyncDataServer
@@ -30,6 +31,29 @@ from repro.xacml.request import Request
 from repro.xacml.xml_io import request_to_xml
 
 from serving_helpers import TIMEOUT, make_data_server
+
+
+class HeldEvaluator(PolicyDecisionPoint):
+    """A blocking evaluator that holds every decision until ``release``
+    is set; ``inside`` counts the decisions it is holding."""
+
+    blocking = True
+
+    def __init__(self, store):
+        super().__init__(store)
+        self.release = threading.Event()
+        self.inside = 0
+        self._lock = threading.Lock()
+
+    def evaluate(self, request):
+        with self._lock:
+            self.inside += 1
+        try:
+            self.release.wait(TIMEOUT)
+            return super().evaluate(request)
+        finally:
+            with self._lock:
+                self.inside -= 1
 
 
 def evaluate_op(subject="LTA", stream="weather", decide_only=True):
@@ -77,28 +101,63 @@ class TestBackpressure:
 
         run(scenario())
 
-    def test_in_flight_semaphore_pauses_the_reader(self):
+    def test_in_flight_cap_pauses_reading_across_connections(self):
+        # Only the cap can pause reading here: the backlog and the write
+        # watermark are far above anything this test pipelines, and
+        # every decision is held until the test releases it.
+        cap, per_connection = 3, 10
+
         async def scenario():
             server = make_data_server()
+            evaluator = HeldEvaluator(server.instance.store)
+            server.instance.attach_evaluator(evaluator)
             front = AsyncDataServer(
                 server,
-                max_in_flight=2,
+                max_in_flight=cap,
                 pipeline_depth=64,
-                write_high_water=1024,
-                sndbuf=4096,
+                write_high_water=1 << 20,
             )
+            samples = []
+
+            def in_flight():
+                """Decoded-but-unanswered ops: waiting, or being decided."""
+                queued = front.registry.snapshot(["server"])["server.queue_depth"]
+                samples.append(queued + evaluator.inside)
+                return samples[-1]
+
+            async def sample(done):
+                while not done.is_set():
+                    in_flight()
+                    await asyncio.sleep(0.002)
+
             async with front:
-                async with await AsyncClient.connect(
-                    "127.0.0.1", front.port, rcvbuf=4096
-                ) as client:
-                    seqs = [client.send_nowait(evaluate_op()) for _ in range(300)]
+                clients = [
+                    await AsyncClient.connect("127.0.0.1", front.port) for _ in range(2)
+                ]
+                sent = []
+                for client in clients:
+                    sent.append([client.send_nowait(evaluate_op())
+                                 for _ in range(per_connection)])
                     await client._writer.drain()
-                    deadline = asyncio.get_running_loop().time() + TIMEOUT
-                    while front.read_pauses == 0:
-                        assert asyncio.get_running_loop().time() < deadline
-                        await asyncio.sleep(0.01)
-                    replies = [await client._read_reply(seq) for seq in seqs]
-                    assert all(r.ok for r in replies)
+                deadline = asyncio.get_running_loop().time() + TIMEOUT
+                while in_flight() < cap:
+                    assert asyncio.get_running_loop().time() < deadline
+                    await asyncio.sleep(0.01)
+                done = asyncio.Event()
+                sampler = asyncio.create_task(sample(done))
+                await asyncio.sleep(0.2)    # stalled: nothing more is decoded
+                evaluator.release.set()
+                replies = [
+                    [await client._read_reply(seq) for seq in seqs]
+                    for client, seqs in zip(clients, sent)
+                ]
+                done.set()
+                await sampler
+                for client in clients:
+                    await client.aclose()
+            assert all(r.ok for per_client in replies for r in per_client)
+            assert max(samples) == cap
+            assert front.read_pauses > 0
 
         run(scenario())
 
