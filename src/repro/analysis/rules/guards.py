@@ -20,7 +20,8 @@ Three guard kinds, each with a statically checkable discipline:
 
 ``event-loop``
     The attribute belongs to one asyncio event loop: it may only be
-    mutated inside ``async def`` bodies (everything on the loop is
+    mutated inside ``async def`` bodies or methods of an
+    ``asyncio.Protocol`` subclass (everything on the loop is
     serialized) or the declaring function.
 
 ``owner``
@@ -223,6 +224,7 @@ class _MutationChecker(ast.NodeVisitor):
         self.registry = registry
         self.findings: List[Finding] = []
         self.class_stack: List[str] = []
+        self.protocols: List[bool] = []  # per class: transport callbacks run on the loop
         self.func_stack: List[ast.AST] = []
         self.held: List[str] = []  # unparsed `with` context expressions
         self.reported: Set[Tuple[str, int]] = set()
@@ -231,7 +233,9 @@ class _MutationChecker(ast.NodeVisitor):
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         self.class_stack.append(node.name)
+        self.protocols.append("asyncio.Protocol" in map(ast.unparse, node.bases))
         self.generic_visit(node)
+        self.protocols.pop()
         self.class_stack.pop()
 
     def _visit_function(self, node) -> None:
@@ -301,7 +305,7 @@ class _MutationChecker(ast.NodeVisitor):
             on_loop = any(
                 isinstance(func, ast.AsyncFunctionDef)
                 for func in self.func_stack
-            )
+            ) or any(self.protocols[-1:])
             if not on_loop:
                 self.reported.add((attr, line))
                 self.findings.append(Finding(

@@ -34,6 +34,7 @@ from repro.expr.ast import BooleanExpression
 from repro.expr.parser import parse_condition
 from repro.obs import MEMO_MAX_TEXT, Memo
 from repro.streams.graph import QueryGraph
+from repro.xacml.xml_io import pretty
 from repro.streams.operators.filter import FilterOperator
 from repro.streams.operators.map import MapOperator
 from repro.streams.operators.window import (
@@ -119,8 +120,7 @@ class UserQuery:
             ET.SubElement(aggregation, "WindowStep").text = str(self.window.step)
             for spec in self.aggregations:
                 ET.SubElement(aggregation, "Attribute").text = spec.to_call_syntax()
-        ET.indent(root)
-        return ET.tostring(root, encoding="unicode") + "\n"
+        return pretty(root)
 
     @classmethod
     def from_xml(cls, text: str) -> "UserQuery":

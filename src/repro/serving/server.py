@@ -5,24 +5,24 @@ module puts a real TCP listener in front of the reproduction's data
 server.  Design:
 
 Connection anatomy
-    Each accepted connection runs two tasks.  The *reader* parses
-    length-prefixed frames and enqueues decoded operations onto a
-    bounded per-connection queue (the pipeline); the *responder* —
-    exactly one per connection — executes operations and writes replies
-    in arrival order, so a pipelined client never observes reordering
-    within its connection.  The replies of a pipelined burst of cheap,
-    state-free ops leave in one ``write`` + ``drain()``; anything that
-    changes state or can suspend is preceded and followed by a flush.
+    Each accepted connection is one :class:`asyncio.Protocol` whose
+    ``data_received`` feeds a sans-IO :class:`FrameDecoder`.  While
+    nothing is pending on the connection, a *run* of coalescable ops
+    (see :meth:`AsyncDataServer._coalescable`) is executed where it is
+    decoded — one ``send`` completes each ``execute`` coroutine — and
+    answered with one ``transport.write``.  Any other op, and every op
+    behind it, goes to the connection's *backlog*, which one task drains
+    in order, writing the held replies before and after every op that
+    is not coalescable.  A client never observes reordering.
 
 Backpressure
-    Three mechanisms compose, each pausing the reader when saturated:
-    a global in-flight semaphore (``max_in_flight`` decoded-but-
-    unanswered operations across all connections), the bounded pipeline
-    queue (``pipeline_depth`` per connection), and the transport's
-    write-buffer high watermark — ``drain()`` in the responder blocks
-    once ``write_high_water`` bytes sit unsent, which keeps the queue
-    full, which pauses the reader.  ``read_pauses`` counts reader
-    stalls so tests can observe the watermark engaging.
+    Reading pauses while a connection's backlog holds ``pipeline_depth``
+    ops, while all connections' decoded-but-unanswered ops number
+    ``max_in_flight``, and from ``pause_writing`` to ``resume_writing``
+    (``write_high_water`` unsent bytes); frames read meanwhile wait
+    undecoded, and ``read_pauses`` counts every pause.  An op is
+    answered once its reply is handed to the transport, or once
+    writing resumes if it was paused.
 
 Execution
     The front-end owns no evaluator: what evaluates is
@@ -41,19 +41,18 @@ Failure containment
     Payload-level garbage inside an intact frame produces an in-order
     :class:`ErrorReply` and the connection lives on.  Framing-level
     corruption (oversized length prefix, truncated frame) kills only
-    that connection.  A client vanishing mid-pipeline cancels its
-    responder and releases its in-flight permits; other connections
-    never notice.
+    that connection.  A client vanishing mid-pipeline drops its backlog
+    and releases its in-flight ops; other connections never notice.
 """
 
 from __future__ import annotations
 
 import asyncio
-import logging
 import socket
 import time
+from collections import deque
 from operator import add
-from typing import List, Optional, Set, Tuple
+from typing import Deque, List, Optional, Set, Tuple
 
 from repro.core.user_query import UserQuery
 from repro.errors import ShardUnavailableError, TransportError
@@ -64,12 +63,11 @@ from repro.obs import (
 )
 from repro.serving.stats import LatencyRecorder, server_registry
 from repro.serving.wire import (
-    HEADER_BYTES,
-    MAX_FRAME_BYTES,
     AckReply,
     ErrorReply,
     EvaluateOp,
     EvaluateReply,
+    FrameDecoder,
     IngestOp,
     LoadOp,
     PingOp,
@@ -77,33 +75,226 @@ from repro.serving.wire import (
     StatsOp,
     StatsReply,
     UpdateOp,
-    _HEADER,
     decode_message,
     encode_message,
 )
 from repro.xacml.response import Decision
 from repro.xacml.xml_io import parse_request_xml
 
-logger = logging.getLogger(__name__)
 
-_CLOSE = object()
+def _complete(step):
+    """Run a coroutine that cannot suspend; return its result."""
+    try:
+        step.send(None)
+    except StopIteration as done:
+        return done.value
+    raise RuntimeError("a coalescable op suspended")
 
 
-class _ReplyBurst:
-    """One connection's replies between two flushes (responder-owned)."""
+class _Connection(asyncio.Protocol):
+    """One accepted connection; see the module docstring."""
 
-    __slots__ = ("frames", "held", "broken", "encoded")
-
-    def __init__(self) -> None:
-        #: Encoded replies not yet written, in request order.
+    def __init__(self, front: "AsyncDataServer"):
+        self.front = front
+        self.decoder = FrameDecoder()
+        self.transport = None
+        self.unread: Deque[bytes] = deque()    # frames read while a cap held
+        #: ``(seq, decode-done stamp, message)`` of ops behind a pending one.
+        self.backlog: Deque[tuple] = deque()
+        self.drainer: Optional[asyncio.Task] = None     # while the backlog lasts
+        #: Held replies: frames, ``(op class name or None, decode-done
+        #: stamp)`` and, while a span sink is attached, encode-done stamps.
         self.frames: List[bytes] = []
-        #: ``(op class name or None, decode-done stamp)`` of every op
-        #: taken off the queue whose in-flight permit is still held.
         self.held: List[Tuple[Optional[str], float]] = []
-        #: The peer stopped reading: execute on, write nothing more.
-        self.broken = False
-        #: Encode-done stamps, kept only while a span sink is attached.
         self.encoded: List[float] = []
+        self.unsent: List[tuple] = []   # ``(held, encoded, flush stamp)`` while paused
+        self.owed = 0   # admitted ops not yet answered
+        self.writable: Optional[asyncio.Future] = None  # while writing is paused
+        self.paused = self.eof = False
+
+    def connection_made(self, transport) -> None:
+        front = self.front
+        self.transport = transport
+        front.connections.add(self)
+        front.connections_total += 1
+        front.active_connections += 1
+        sock = transport.get_extra_info("socket")
+        if front.sndbuf is not None and sock is not None:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, front.sndbuf)
+        transport.set_write_buffer_limits(high=front.write_high_water)
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            self.unread.extend(self.decoder.feed(data))
+        except TransportError:
+            return self._fail()
+        self._admit()
+
+    def eof_received(self) -> bool:
+        try:
+            self.decoder.eof()
+        except TransportError:
+            return self._fail()
+        self.eof = True
+        self._close_when_done()
+        return True     # keep writing: the pipelined tail is still owed
+
+    def connection_lost(self, exc) -> None:
+        self.front.protocol_errors += exc is not None
+        self._drop()
+        self.front.connections.discard(self)
+        self.front.waiting.discard(self)
+        self.front.active_connections -= 1
+
+    def pause_writing(self) -> None:
+        self.writable = asyncio.get_running_loop().create_future()
+        self._steer()
+
+    def resume_writing(self) -> None:
+        writable, self.writable = self.writable, None
+        if not writable.done():
+            writable.set_result(None)
+        self._answered()
+        self._admit()
+
+    def _admit(self) -> None:
+        """Decode what the caps allow; answer a run or backlog each op."""
+        front, unread, backlog = self.front, self.unread, self.backlog
+        sink = spans.sink
+        while unread and self.writable is None and len(backlog) < front.pipeline_depth:
+            if front.in_flight >= front.max_in_flight:
+                if not self.held:
+                    break
+                self._flush()       # the run's replies free their slots
+                continue
+            if sink is not None:
+                decoding = time.perf_counter()
+            try:
+                seq, message = decode_message(unread.popleft())
+            except TransportError as error:
+                # An intact frame with a garbage payload: answer it
+                # (in order, like any op) and keep serving.
+                seq, message = -1, ErrorReply("TransportError", str(error))
+            received = time.perf_counter()
+            if sink is not None:
+                sink("wire.decode", decoding, received, None)
+            front.in_flight += 1
+            self.owed += 1
+            if self.drainer is None and front._coalescable(message):
+                self._answer(seq, received, message, None if isinstance(
+                    message, ErrorReply) else _complete(front.execute(message)))
+                if len(self.held) >= front.pipeline_depth:
+                    self._flush()
+            else:
+                backlog.append((seq, received, message))
+                if self.drainer is None:
+                    self.drainer = asyncio.get_running_loop().create_task(self._drain())
+        self._flush()
+        self._steer()
+        self._close_when_done()
+
+    async def _drain(self) -> None:
+        """Answer the backlog in order, awaiting each op; write the held
+        replies around every op that is not coalescable and whenever
+        the backlog runs dry."""
+        front, backlog = self.front, self.backlog
+        try:
+            while backlog:
+                seq, received, message = backlog.popleft()
+                sink = spans.sink
+                if sink is not None:
+                    sink("server.backlog", received, time.perf_counter(), None)
+                if self.paused:
+                    self._admit()
+                coalescable = front._coalescable(message)
+                if not coalescable:
+                    await self._written()
+                self._answer(seq, received, message, None if isinstance(
+                    message, ErrorReply) else await front.execute(message))
+                if not coalescable or not backlog:
+                    await self._written()
+        finally:
+            self.drainer = None
+        self._close_when_done()
+
+    def _answer(self, seq: int, received: float, message, reply) -> None:
+        """Hold the encoded reply to *message* (``None``: a decode failure)."""
+        self.held.append((None if reply is None else type(message).__name__, received))
+        sink = spans.sink
+        if sink is not None:
+            encoding = time.perf_counter()
+        self.frames.append(encode_message(seq, message if reply is None else reply))
+        if sink is not None:
+            self.encoded.append(time.perf_counter())
+            sink("wire.encode", encoding, self.encoded[-1], None)
+
+    def _flush(self) -> None:
+        """Hand the held replies to the transport in one write."""
+        if self.held:
+            self.transport.write(b"".join(self.frames))
+            self.unsent.append((self.held, self.encoded, time.perf_counter()))
+            self.frames, self.held, self.encoded = [], [], []
+            if self.writable is None:
+                self._answered()
+
+    async def _written(self) -> None:
+        self._flush()
+        while self.writable is not None:
+            await self.writable
+
+    def _answered(self) -> None:
+        """Record and release every reply handed to the transport."""
+        drained, sink, count = time.perf_counter(), spans.sink, 0
+        for held, encoded, flushing in self.unsent:
+            self.front.stats.record_since(drained, held)
+            count += len(held)
+            for stamp in encoded if sink is not None else ():
+                sink("server.flush_wait", stamp, flushing, None)
+                sink("server.drain", flushing, drained, None)
+        self.unsent.clear()
+        self._release(count)
+
+    def _release(self, count: int) -> None:
+        front = self.front
+        self.owed -= count
+        front.in_flight -= count
+        if front.waiting and front.in_flight < front.max_in_flight:
+            for connection in front.waiting:
+                asyncio.get_running_loop().call_soon(connection._admit)
+            front.waiting = set()
+
+    def _steer(self) -> None:
+        """Read only while every cap has room; count each pause."""
+        front = self.front
+        if self.transport.is_closing():
+            return
+        capped = front.in_flight >= front.max_in_flight
+        if capped:
+            front.waiting.add(self)
+        stop = (capped or bool(self.unread) or self.writable is not None
+                or len(self.backlog) >= front.pipeline_depth)
+        if stop != self.paused and not self.eof:
+            self.paused = stop
+            front.read_pauses += stop
+            (self.transport.pause_reading if stop else self.transport.resume_reading)()
+
+    def _close_when_done(self) -> None:
+        if self.eof and self.drainer is None and not self.unread:
+            self.transport.close()
+
+    def _fail(self) -> None:
+        """A framing-level violation: drop this connection only."""
+        self.front.protocol_errors += 1
+        self._drop()
+        self.transport.close()
+
+    def _drop(self) -> None:
+        """Forget every op this connection still owes; stop its drainer."""
+        if self.drainer is not None:
+            self.drainer.cancel()
+        for pending in (self.unread, self.backlog, self.unsent, self.held):
+            pending.clear()
+        self._release(self.owed)
 
 
 class AsyncDataServer:
@@ -132,6 +323,7 @@ class AsyncDataServer:
         self.server = server
         self.host = host
         self.port = port
+        self.max_in_flight = max(1, max_in_flight)
         self.pipeline_depth = max(1, pipeline_depth)
         self.write_high_water = write_high_water
         #: Shrink the kernel send buffer (per accepted socket) so the
@@ -143,23 +335,24 @@ class AsyncDataServer:
         self.timing = ServerTiming(0.0, 0.0, 0.0, 0.0, 0)
         self.connections_total = 0  # guarded by: event-loop
         self.active_connections = 0  # guarded by: event-loop
-        #: Reader stalls: how often the pipeline queue or the in-flight
-        #: semaphore made the reader wait (the backpressure signal).
+        #: Read pauses: how often a cap or the write watermark stopped
+        #: a connection's reading (the backpressure signal).
         self.read_pauses = 0  # guarded by: event-loop
         #: Connections dropped for framing-level protocol violations.
         self.protocol_errors = 0  # guarded by: event-loop
-        self._in_flight = asyncio.Semaphore(max(1, max_in_flight))
+        self.in_flight = 0  # guarded by: event-loop
+        self.connections: Set[_Connection] = set()  # guarded by: event-loop
+        #: Connections paused until ``in_flight`` drops below the cap.
+        self.waiting: Set[_Connection] = set()  # guarded by: event-loop
         self._asyncio_server: Optional[asyncio.base_events.Server] = None
-        self._connection_tasks: Set[asyncio.Task] = set()
-        self.queues: Set[asyncio.Queue] = set()  # guarded by: event-loop
         #: What a ``stats`` op answers with.
         self.registry = server_registry(self)
 
     # -- lifecycle --------------------------------------------------------------
 
     async def start(self) -> "AsyncDataServer":
-        self._asyncio_server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+        self._asyncio_server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.host, self.port
         )
         self.port = self._asyncio_server.sockets[0].getsockname()[1]
         own_young_generation()
@@ -178,221 +371,29 @@ class AsyncDataServer:
             return
         release_young_generation()
         listener.close()
+        drainers = [c.drainer for c in self.connections if c.drainer is not None]
+        for connection in list(self.connections):
+            connection.transport.abort()
+        await asyncio.sleep(0)      # every connection_lost runs first
+        await asyncio.gather(*drainers, return_exceptions=True)
         await listener.wait_closed()
-        for task in list(self._connection_tasks):
-            task.cancel()
-        if self._connection_tasks:
-            await asyncio.gather(*self._connection_tasks, return_exceptions=True)
-        self._connection_tasks.clear()
-
-    # -- connection handling -----------------------------------------------------
-
-    async def _handle_connection(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connection_tasks.add(task)
-            task.add_done_callback(self._connection_tasks.discard)
-        self.connections_total += 1
-        self.active_connections += 1
-        sock = writer.get_extra_info("socket")
-        if self.sndbuf is not None and sock is not None:
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, self.sndbuf)
-        writer.transport.set_write_buffer_limits(high=self.write_high_water)
-        queue: asyncio.Queue = asyncio.Queue(self.pipeline_depth)
-        self.queues.add(queue)
-        responder = asyncio.create_task(self._respond_loop(queue, writer))
-        clean_eof = False
-        try:
-            while True:
-                sink = spans.sink
-                if sink is not None:
-                    reading = time.perf_counter()
-                try:
-                    header = await reader.readexactly(HEADER_BYTES)
-                except asyncio.IncompleteReadError as error:
-                    if error.partial:
-                        raise TransportError(
-                            "connection closed mid-frame (truncated header)"
-                        )
-                    clean_eof = True
-                    break
-                (length,) = _HEADER.unpack(header)
-                if length > MAX_FRAME_BYTES:
-                    raise TransportError(
-                        f"declared frame length {length} exceeds the "
-                        f"{MAX_FRAME_BYTES}-byte limit"
-                    )
-                try:
-                    payload = await reader.readexactly(length)
-                except asyncio.IncompleteReadError:
-                    raise TransportError(
-                        "connection closed mid-frame (truncated body)"
-                    )
-                if sink is not None:
-                    decoding = time.perf_counter()
-                try:
-                    seq, message = decode_message(payload)
-                except TransportError as error:
-                    # An intact frame with a garbage payload: answer it
-                    # (in order, like any op) and keep serving.
-                    seq, message = -1, ErrorReply("TransportError", str(error))
-                received = time.perf_counter()
-                await self._enqueue(queue, (seq, received, message))
-                if sink is not None:
-                    sink("server.read", reading, decoding, None)
-                    sink("wire.decode", decoding, received, None)
-                    sink("server.enqueue", received, time.perf_counter(), None)
-        except (TransportError, ConnectionResetError, OSError):
-            self.protocol_errors += 1
-        except asyncio.CancelledError:
-            # Server shutdown cancelled this connection; finish the
-            # teardown below and end the task cleanly (re-raising only
-            # trips asyncio's noisy connection-callback logging).
-            pass
-        finally:
-            try:
-                if clean_eof:
-                    # Let the responder flush the pipelined tail first.
-                    await queue.put(_CLOSE)
-                    try:
-                        await responder
-                    except Exception as error:
-                        logger.debug("responder failed during drain: %s", error)
-                else:
-                    responder.cancel()
-                    try:
-                        await responder
-                    except (asyncio.CancelledError, Exception) as error:
-                        logger.debug("responder cancel teardown: %r", error)
-                    # Permits of dropped (still-queued) items.
-                    while not queue.empty():
-                        if queue.get_nowait() is not _CLOSE:
-                            self._in_flight.release()
-                writer.close()
-                try:
-                    await writer.wait_closed()
-                except Exception as error:
-                    logger.debug("wait_closed after teardown: %s", error)
-            except asyncio.CancelledError:
-                # Cancelled mid-teardown (server shutdown): finish with
-                # the synchronous essentials and end cleanly.
-                responder.cancel()
-                writer.close()
-            finally:
-                self.active_connections -= 1
-                self.queues.discard(queue)
-
-    async def _enqueue(self, queue: asyncio.Queue, item) -> None:
-        """Admit one decoded op, pausing the reader when saturated."""
-        if self._in_flight.locked():
-            self.read_pauses += 1
-        await self._in_flight.acquire()
-        try:
-            if queue.full():
-                self.read_pauses += 1
-            await queue.put(item)
-        except BaseException:
-            self._in_flight.release()
-            raise
-
-    async def _respond_loop(self, queue: asyncio.Queue, writer) -> None:
-        """The single per-connection responder: strict arrival order.
-
-        Each wake-up serves the whole burst already sitting in the
-        queue and writes its replies with one ``write`` and one
-        ``drain()``; a reply never waits behind anything but ops that
-        :meth:`_coalescable` admits (see there), because held replies
-        are flushed before and after every other op.  An op's latency is
-        recorded, and its in-flight permit released, once its reply has
-        drained.
-
-        Exits only on the close sentinel or cancellation — a peer that
-        stops reading breaks the *writes*, not the loop, so already-
-        pipelined operations still execute and release their permits
-        (and a full queue can never deadlock the reader's shutdown).
-        """
-        burst = _ReplyBurst()
-        try:
-            while True:
-                if queue.empty():
-                    await self._flush(burst, writer)
-                sink = spans.sink
-                if sink is not None:
-                    waiting = time.perf_counter()
-                item = await queue.get()  # suspends only on an empty queue
-                if sink is not None:
-                    sink("server.dequeue", waiting, time.perf_counter(), None)
-                if item is _CLOSE:
-                    await self._flush(burst, writer)
-                    return
-                seq, received, message = item
-                coalescable = self._coalescable(message)
-                if not coalescable:
-                    await self._flush(burst, writer)
-                if isinstance(message, ErrorReply):
-                    burst.held.append((None, received))  # decode failure, pre-made
-                    reply = message
-                else:
-                    burst.held.append((type(message).__name__, received))
-                    reply = await self.execute(message)
-                if sink is not None:
-                    encoding = time.perf_counter()
-                burst.frames.append(encode_message(seq, reply))
-                if sink is not None:
-                    burst.encoded.append(time.perf_counter())
-                    sink("wire.encode", encoding, burst.encoded[-1], None)
-                if not coalescable:
-                    await self._flush(burst, writer)
-        finally:
-            # Cancelled (or failed) mid-burst: the permits of ops taken
-            # off the queue whose replies never drained.
-            for _ in burst.held:
-                self._in_flight.release()
 
     def _coalescable(self, message) -> bool:
-        """Whether *message*'s reply may wait for the rest of its burst.
+        """Whether *message* may be answered in a run.
 
         Only ops that change no state and cannot suspend: a decide-only
         evaluate on an inline evaluator, a ping, a pre-made decode-error
-        reply.  Their cost is bounded and no ``await`` separates them,
-        so a burst is at most one queue-full (``pipeline_depth``) of
-        cheap ops; anything else — a grant, a load, an ingest, an
-        evaluate that hops to a worker pool — gets the held replies
-        written before it starts and its own reply written when it ends.
+        reply: one ``send`` completes each, and a run holds at most
+        ``pipeline_depth`` replies.  Anything else — a grant, a load, an
+        ingest, an evaluate that hops to a worker pool — goes to the
+        backlog, which writes the held replies before it starts and its
+        own reply when it ends.
         """
         if isinstance(message, EvaluateOp):
             return message.decide_only and not getattr(
                 self.server.instance.pdp, "blocking", False
             )
         return isinstance(message, (PingOp, ErrorReply))
-
-    async def _flush(self, burst: _ReplyBurst, writer) -> None:
-        """Write the held replies at once; account for them once drained."""
-        if not burst.held:
-            return
-        flushing = time.perf_counter()
-        if not burst.broken:
-            try:
-                writer.write(b"".join(burst.frames))
-                await writer.drain()
-            except asyncio.CancelledError:
-                raise
-            except Exception as error:
-                logger.debug("reply write failed, connection broken: %s", error)
-                burst.broken = True
-        drained = time.perf_counter()
-        if not burst.broken:
-            self.stats.record_since(drained, burst.held)
-        for _ in burst.held:
-            self._in_flight.release()
-        sink = spans.sink
-        if sink is not None:
-            for encoded in burst.encoded:
-                sink("server.flush_wait", encoded, flushing, None)
-                sink("server.drain", flushing, drained, None)
-        burst.encoded.clear()
-        burst.frames.clear()
-        burst.held.clear()
 
     # -- operation execution -----------------------------------------------------
 

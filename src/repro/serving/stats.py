@@ -139,7 +139,7 @@ def server_registry(front) -> Registry:
         "protocol_errors": front.protocol_errors,
         "connections_total": front.connections_total,
         "active_connections": front.active_connections,
-        "queue_depth": sum(queue.qsize() for queue in front.queues),
+        "queue_depth": sum(len(connection.backlog) for connection in front.connections),
     })
     registry.register("timing", lambda: {
         "requests": front.server.requests_processed, **front.timing._asdict()

@@ -26,6 +26,7 @@ from __future__ import annotations
 import threading
 from typing import Dict, Optional
 
+from repro.errors import ShardUnavailableError
 from repro.xacml.pdp import DecisionCache, decide
 from repro.xacml.request import Request
 from repro.xacml.response import Response
@@ -55,6 +56,10 @@ class ScatterEvaluator:
     still coalesce single-flight.
     """
 
+    #: Seconds a waiter waits for a leader's merge before it gives up
+    #: with a retryable :class:`ShardUnavailableError`.
+    WAIT_TIMEOUT = 120.0
+
     def __init__(self, store: ShardedPolicyStore, combining: str, cache_size: int):
         self.store = store
         self.combining = combining
@@ -69,6 +74,8 @@ class ScatterEvaluator:
         self.coalesced = 0  # guarded by: self._lock
         #: Waiters that re-evaluated because an invalidation overlapped.
         self.retries = 0  # guarded by: self._lock
+        #: Waiters that gave up on a leader after :attr:`WAIT_TIMEOUT`.
+        self.timeouts = 0  # guarded by: self._lock
         store.bus.add_listener(self._on_bus_event)
 
     def _on_bus_event(self, event: str, policy) -> None:
@@ -106,7 +113,10 @@ class ScatterEvaluator:
                     self._inflight[key] = call
                     break  # this thread leads the merge
                 self.coalesced += 1
-            call.done.wait()
+            if not call.done.wait(self.WAIT_TIMEOUT):
+                with self._lock:
+                    self.timeouts += 1
+                raise ShardUnavailableError("scatter", f"no merge in {self.WAIT_TIMEOUT} s")
             if not call.stale:
                 return call.response
             # An invalidation (or a leader failure) overlapped the merge:
@@ -140,4 +150,5 @@ class ScatterEvaluator:
             snapshot["merges"] = self.merges
             snapshot["coalesced"] = self.coalesced
             snapshot["retries"] = self.retries
+            snapshot["timeouts"] = self.timeouts
             return snapshot

@@ -51,7 +51,7 @@ def policy_to_xml(policy: Policy) -> str:
         obligations = ET.SubElement(root, "Obligations")
         for obligation in policy.obligations:
             obligations.append(_obligation_element(obligation))
-    return _pretty(root)
+    return pretty(root)
 
 
 def _target_element(target: Target) -> ET.Element:
@@ -144,12 +144,26 @@ def request_to_xml(request: Request) -> str:
             )
             value = ET.SubElement(attribute_element, "AttributeValue")
             value.text = attribute.value.serialize()
-    return _pretty(root)
+    return pretty(root)
 
 
-def _pretty(root: ET.Element) -> str:
-    ET.indent(root)
+def pretty(root: ET.Element) -> str:
+    _indent(root, "\n")
     return ET.tostring(root, encoding="unicode") + "\n"
+
+
+def _indent(element: ET.Element, newline: str) -> None:
+    """``ElementTree.indent``'s text, without the self-referencing
+    closure it leaves for the collector on every call."""
+    inner = newline + "  "
+    if len(element) and not (element.text or "").strip():
+        element.text = inner
+    for child in element:
+        _indent(child, inner)
+        if not (child.tail or "").strip():
+            child.tail = inner
+    if len(element) and not child.tail.strip():
+        child.tail = newline
 
 
 # ---------------------------------------------------------------------------

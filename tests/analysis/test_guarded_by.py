@@ -200,6 +200,28 @@ class TestEventLoopGuard:
         # scheduled on that same loop.
         assert findings == []
 
+    def test_protocol_callbacks_run_on_the_loop(self):
+        findings = findings_for(
+            """
+            import asyncio
+
+            class Server:
+                def __init__(self):
+                    self.read_pauses = 0  # guarded by: event-loop
+
+            class Connection(asyncio.Protocol):
+                def data_received(self, data):
+                    self.front.read_pauses += 1
+
+            class Plain:
+                def data_received(self, data):
+                    self.front.read_pauses += 1
+            """
+        )
+        # asyncio calls a protocol's methods on its loop; a look-alike
+        # that is not one stays flagged.
+        assert [f.line for f in findings] == [14]   # Plain.data_received
+
 
 class TestOwnerGuard:
     def test_external_mutation_flagged(self):

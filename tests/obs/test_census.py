@@ -29,7 +29,7 @@ from repro.xacml.sharding.partition import CompositeKeyPartitioner
 DECISION_CACHE = {"entries", "hits", "misses", "invalidations", "full_flushes",
                   "targeted_evictions", "hit_rate"}
 #: ``ScatterEvaluator.stats()``.
-SCATTER = DECISION_CACHE | {"merges", "coalesced", "retries"}
+SCATTER = DECISION_CACHE | {"merges", "coalesced", "retries", "timeouts"}
 #: ``ShardRouter.cache_stats()`` (a ``ShardedPDP``'s).
 ROUTER = DECISION_CACHE | {f"scatter_{key}" for key in SCATTER} | {
     "routed", "scattered", "evaluations"}

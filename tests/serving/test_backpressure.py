@@ -3,13 +3,14 @@ serving front-end.
 
 The knobs make the effects observable at test scale: tiny kernel
 buffers (``sndbuf``/``rcvbuf``) so the network path absorbs only a few
-KB, a low write watermark so ``drain()`` blocks early, and a shallow
-pipeline queue so the reader pause (``read_pauses``) is the visible
-symptom of the responder being backed up.
+KB, a low write watermark so the transport pauses writing early, and a
+shallow backlog so the read pause (``read_pauses``) is the visible
+symptom of a connection being backed up.
 
-The responder's write coalescing is pinned by *counts*, not timing:
-``TestCoalescedReplies`` runs ``_respond_loop`` over a hand-filled queue
-and a writer that records every ``write`` — no socket, no sleeps.
+Write coalescing is pinned by *counts*, not timing:
+``TestCoalescedReplies`` feeds frames straight to one connection's
+protocol over a transport that records every ``write`` — no socket, no
+sleeps.
 """
 
 import asyncio
@@ -17,12 +18,13 @@ import threading
 import time
 
 from repro.serving import AsyncClient, AsyncDataServer
-from repro.serving.server import _CLOSE
+from repro.serving.server import _Connection
 from repro.serving.wire import (
     EvaluateOp,
     FrameDecoder,
     IngestOp,
     PingOp,
+    encode_message,
     iter_messages,
 )
 from repro.streams.sources import WeatherSource
@@ -239,54 +241,72 @@ class TestCancellationMidPipeline:
         run(scenario())
 
 
-class RecordingWriter:
-    """What the responder needs of a ``StreamWriter``; keeps every
-    ``write``.  ``stall`` makes ``drain()`` wait forever (a peer that
-    stopped reading) and sets ``draining`` when the responder gets there."""
+class RecordingTransport:
+    """What a connection needs of its transport; keeps every ``write``.
+    ``stall`` makes the first write pause writing for good (a peer that
+    stopped reading)."""
 
     def __init__(self, stall=False):
         self.writes = []
         self.stall = stall
-        self.draining = asyncio.Event()
+        self.connection = None
+        self.reading = True
 
     def write(self, data):
         self.writes.append(data)
+        if self.stall and len(self.writes) == 1:
+            self.connection.pause_writing()
 
-    async def drain(self):
-        self.draining.set()
-        if self.stall:
-            await asyncio.Event().wait()
+    def pause_reading(self):
+        self.reading = False
+
+    def resume_reading(self):
+        self.reading = True
+
+    def is_closing(self):
+        return False
+
+    def get_extra_info(self, name):
+        return None
+
+    def set_write_buffer_limits(self, high):
+        pass
 
     def replies(self):
         """``(seq, reply)`` of every frame written, in wire order."""
         return list(iter_messages(FrameDecoder(), b"".join(self.writes)))
 
 
-async def queued(front, ops, close=True):
-    """A pipeline queue holding *ops* as the reader would leave them."""
-    queue = asyncio.Queue(front.pipeline_depth)
-    for seq, op in enumerate(ops):
-        await front._enqueue(queue, (seq, time.perf_counter(), op))
-    if close:
-        await queue.put(_CLOSE)
-    return queue
+def connected(front, ops, stall=False):
+    """One connection of *front* that has just read *ops* in one chunk."""
+    transport = RecordingTransport(stall)
+    transport.connection = connection = _Connection(front)
+    connection.connection_made(transport)
+    connection.data_received(
+        b"".join(encode_message(seq, op) for seq, op in enumerate(ops))
+    )
+    return connection, transport
+
+
+async def drained(connection):
+    """Wait for the connection's backlog to be answered."""
+    if connection.drainer is not None:
+        await connection.drainer
 
 
 class TestCoalescedReplies:
     def test_a_queued_burst_is_answered_in_order_through_fewer_writes(self):
         async def scenario():
             front = AsyncDataServer(make_data_server())
-            permits = front._in_flight._value
-            writer = RecordingWriter()
-            queue = await queued(front, [evaluate_op() for _ in range(16)])
-            await front._respond_loop(queue, writer)
-            replies = writer.replies()
+            connection, transport = connected(front, [evaluate_op() for _ in range(16)])
+            await drained(connection)
+            replies = transport.replies()
             assert [seq for seq, _ in replies] == list(range(16))
             assert all(reply.policy_id == "p:LTA" for _, reply in replies)
-            assert len(writer.writes) < len(replies)
-            # Latency is recorded, and the permit returned, per op.
+            assert len(transport.writes) < len(replies)
+            # Latency is recorded, and the in-flight slot returned, per op.
             assert front.stats.count("EvaluateOp") == 16
-            assert front._in_flight._value == permits
+            assert front.in_flight == connection.owed == 0
 
         run(scenario())
 
@@ -294,33 +314,35 @@ class TestCoalescedReplies:
         async def scenario():
             server = make_data_server()
             front = AsyncDataServer(server)
-            writer = RecordingWriter()
+            transports = []
             engine = server.instance.engine
             written_at_entry = []
             push_batch = engine.push_batch
 
             def recording_push_batch(stream, records):
-                written_at_entry.append(writer.replies())
+                written_at_entry.append(transports[0].replies())
                 return push_batch(stream, records)
 
             engine.push_batch = recording_push_batch
             ingest = IngestOp("weather", WeatherSource(seed=3).records(2))
             ops = [evaluate_op(), PingOp(), ingest, evaluate_op()]
-            await front._respond_loop(await queued(front, ops), writer)
-            # Entering push_batch, the two cheap replies queued ahead of
+            connection, transport = connected(front, ops)
+            transports.append(transport)
+            await drained(connection)
+            # Entering push_batch, the two cheap replies read ahead of
             # the ingest were already on the wire (in one write)...
             (before_ingest,) = written_at_entry
             assert [seq for seq, _ in before_ingest] == [0, 1]
             # ...and the ingest's own reply did not wait for the op behind it.
-            assert [len(FrameDecoder().feed(w)) for w in writer.writes] == [2, 1, 1]
-            assert [seq for seq, _ in writer.replies()] == [0, 1, 2, 3]
-            assert writer.replies()[2][1].count == 2
+            assert [len(FrameDecoder().feed(w)) for w in transport.writes] == [2, 1, 1]
+            assert [seq for seq, _ in transport.replies()] == [0, 1, 2, 3]
+            assert transport.replies()[2][1].count == 2
 
         run(scenario())
 
     def test_an_evaluate_that_leaves_the_loop_is_never_held(self):
         # A blocking evaluator's decision comes back through an executor
-        # hop: the reader refills the queue meanwhile, so holding such
+        # hop: the connection reads on meanwhile, so holding such
         # replies for "the rest of the burst" could hold them for as long
         # as the client keeps sending.
         class BlockingEvaluator(PolicyDecisionPoint):
@@ -330,28 +352,31 @@ class TestCoalescedReplies:
             server = make_data_server()
             server.instance.attach_evaluator(BlockingEvaluator(server.instance.store))
             front = AsyncDataServer(server)
-            writer = RecordingWriter()
-            queue = await queued(front, [evaluate_op() for _ in range(4)])
-            await front._respond_loop(queue, writer)
-            assert [seq for seq, _ in writer.replies()] == [0, 1, 2, 3]
-            assert len(writer.writes) == 4
+            connection, transport = connected(front, [evaluate_op() for _ in range(4)])
+            await drained(connection)
+            assert [seq for seq, _ in transport.replies()] == [0, 1, 2, 3]
+            assert len(transport.writes) == 4
 
         run(scenario())
 
     def test_client_vanishing_mid_burst_returns_every_permit(self):
         async def scenario():
             front = AsyncDataServer(make_data_server())
-            permits = front._in_flight._value
-            writer = RecordingWriter(stall=True)
-            queue = await queued(front, [evaluate_op() for _ in range(16)], close=False)
-            assert front._in_flight._value == permits - 16
-            responder = asyncio.create_task(front._respond_loop(queue, writer))
-            await writer.draining.wait()    # the whole burst is held, undrained
-            responder.cancel()
-            await asyncio.gather(responder, return_exceptions=True)
-            assert responder.cancelled()
-            assert queue.empty()
-            assert front._in_flight._value == permits
+            ingest = IngestOp("weather", WeatherSource(seed=3).records(2))
+            ops = [evaluate_op() for _ in range(16)] + [ingest] + [evaluate_op()] * 3
+            connection, transport = connected(front, ops, stall=True)
+            # The run's replies are written but unsent, the ingest and
+            # the ops behind it wait in the backlog, and reading paused.
+            assert front.in_flight == 20 and len(connection.backlog) == 4
+            assert not transport.reading and front.read_pauses == 1
+            await asyncio.sleep(0)      # the drainer waits for the writes
+            drainer = connection.drainer
+            connection.connection_lost(ConnectionResetError())
+            await asyncio.gather(drainer, return_exceptions=True)
+            assert drainer.cancelled()
+            assert not connection.backlog and not connection.unread
+            assert front.in_flight == connection.owed == 0
             assert front.stats.count() == 0     # nothing drained, nothing recorded
+            assert front.active_connections == 0 and front.protocol_errors == 1
 
         run(scenario())

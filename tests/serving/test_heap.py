@@ -164,35 +164,51 @@ class TestTheServedPathLeavesNoCycles:
     decide-only evaluate, a full grant, load, update, revoke, ingest,
     ping, stats, an undecodable frame and an op whose execute raises —
     and ``gc.collect()`` then finds nothing.  Connecting and closing
-    stay outside the counted span, and so does rendering the XML, as a
-    load generator renders its frames before it sends them:
-    ``ElementTree.indent`` leaves one self-referencing closure per call
-    on the client's side."""
+    stay outside the counted span; the client renders every document
+    inside it."""
+
+    def test_rendering_xml_leaves_no_garbage(self):
+        policy = stream_policy("p:NEA", "weather", weather_graph(7), subject="NEA")
+        query = UserQuery("weather", filter_condition="rainrate > 7")
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            for _ in range(100):
+                request_to_xml(Request.simple("LTA", "weather"))
+                policy_to_xml(policy)
+                query.to_xml()
+            garbage = gc.collect()
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert garbage == 0
 
     def test_every_op_kind_leaves_no_garbage(self):
-        records = WeatherSource(seed=5).records(40)
-        lta = request_to_xml(Request.simple("LTA", "weather"))
-        script = [
-            EvaluateOp(lta, None, True),
-            EvaluateOp(lta, UserQuery("weather", filter_condition="rainrate > 7").to_xml()),
-            LoadOp(policy_to_xml(stream_policy("p:NEA", "weather", weather_graph(7),
-                                               subject="NEA"))),
-            EvaluateOp(request_to_xml(Request.simple("NEA", "weather"))),
-            UpdateOp(policy_to_xml(stream_policy("p:NEA", "weather", weather_graph(9),
-                                                 subject="NEA"))),
-            IngestOp("weather", records),
-            RevokeOp("p:NEA"),
-            PingOp(),
-            StatsOp(),
-            IngestOp("weather", [dict(records[0], samplingtime="yesterday")]),
-        ]
+        def render():
+            records = WeatherSource(seed=5).records(40)
+            lta = request_to_xml(Request.simple("LTA", "weather"))
+            return [
+                EvaluateOp(lta, None, True),
+                EvaluateOp(lta, UserQuery("weather", filter_condition="rainrate > 7").to_xml()),
+                LoadOp(policy_to_xml(stream_policy("p:NEA", "weather", weather_graph(7),
+                                                   subject="NEA"))),
+                EvaluateOp(request_to_xml(Request.simple("NEA", "weather"))),
+                UpdateOp(policy_to_xml(stream_policy("p:NEA", "weather", weather_graph(9),
+                                                     subject="NEA"))),
+                IngestOp("weather", records),
+                RevokeOp("p:NEA"),
+                PingOp(),
+                StatsOp(),
+                IngestOp("weather", [dict(records[0], samplingtime="yesterday")]),
+            ]
 
         async def scenario():
             async with AsyncDataServer(make_data_server()) as front:
                 async with await AsyncClient.connect("127.0.0.1", front.port) as client:
                     await client.ping()
                     gc.collect()
-                    replies = [await client.call(op) for op in script]
+                    replies = [await client.call(op) for op in render()]
                     client._writer.write(encode_frame(b"\xff not a frame payload"))
                     await client._writer.drain()
                     replies.append(await client._read_reply(-1))

@@ -1,0 +1,205 @@
+"""Socket-level pins for the front end's two paths.
+
+A connection answers a run of cheap ops (decide-only evaluates, pings,
+undecodable frames) where it decodes them, and backlogs everything from
+the first op that changes state or can suspend.  Whatever the split,
+the replies are the same and leave in request order, however the bytes
+of one pipelined script arrive: in one write, one byte at a time, or cut
+at random boundaries.
+"""
+
+import asyncio
+import dataclasses
+import random
+import socket
+
+import pytest
+
+from repro.core import stream_policy
+from repro.core.user_query import UserQuery
+from repro.serving import AsyncDataServer
+from repro.serving.wire import (
+    EvaluateOp,
+    FrameDecoder,
+    IngestOp,
+    LoadOp,
+    PingOp,
+    decode_message,
+    encode_frame,
+    encode_message,
+)
+from repro.streams.sources import WeatherSource
+from repro.xacml.request import Request
+from repro.xacml.xml_io import policy_to_xml, request_to_xml
+
+from serving_helpers import TIMEOUT, make_data_server, weather_graph
+
+
+def run(coroutine):
+    return asyncio.run(asyncio.wait_for(coroutine, TIMEOUT))
+
+
+def decide(subject="LTA"):
+    return EvaluateOp(request_to_xml(Request.simple(subject, "weather")), None, True)
+
+
+UNDECODABLE = b"\xff not a frame payload"
+
+#: Decide-only runs around every op that goes to the backlog.
+SCRIPT = [
+    decide(),
+    decide(),
+    PingOp(),
+    UNDECODABLE,
+    decide(),
+    IngestOp("weather", WeatherSource(seed=5).records(3)),
+    decide(),
+    EvaluateOp(
+        request_to_xml(Request.simple("LTA", "weather")),
+        UserQuery("weather", filter_condition="rainrate > 7").to_xml(),
+    ),
+    LoadOp(policy_to_xml(stream_policy("p:NEA", "weather", weather_graph(7),
+                                       subject="NEA"))),
+    decide("NEA"),
+    PingOp(),
+]
+SEQS = [-1 if op is UNDECODABLE else seq for seq, op in enumerate(SCRIPT)]
+WIRE = b"".join(
+    encode_frame(op) if op is UNDECODABLE else encode_message(seq, op)
+    for seq, op in enumerate(SCRIPT)
+)
+
+
+def one_write():
+    return [WIRE]
+
+
+def byte_by_byte():
+    return [WIRE[i:i + 1] for i in range(len(WIRE))]
+
+
+def random_cuts(seed):
+    rng = random.Random(seed)
+    cuts = sorted(rng.sample(range(1, len(WIRE)), 40))
+    return [WIRE[a:b] for a, b in zip([0, *cuts], [*cuts, len(WIRE)])]
+
+
+async def replies_to(chunks):
+    """Send *chunks*, each as its own write, to a fresh server; read
+    every reply of :data:`SCRIPT` in wire order."""
+    async with AsyncDataServer(make_data_server()) as front:
+        reader, writer = await asyncio.open_connection("127.0.0.1", front.port)
+        for chunk in chunks:
+            writer.write(chunk)
+            await writer.drain()
+            if len(chunk) < len(WIRE):
+                await asyncio.sleep(0)      # let the server read this chunk alone
+        decoder, replies = FrameDecoder(), []
+        while len(replies) < len(SCRIPT):
+            replies.extend(decoder.feed(await reader.read(1 << 16)))
+        writer.close()
+        await writer.wait_closed()
+        assert front.protocol_errors == 0 and front.in_flight == 0
+    return [comparable(*decode_message(payload)) for payload in replies]
+
+
+def comparable(seq, reply):
+    """A grant's handle numbers queries process-wide: keep only that it has one."""
+    if getattr(reply, "handle_uri", None):
+        reply = dataclasses.replace(reply, handle_uri="stream://")
+    return seq, reply
+
+
+@pytest.fixture(scope="module")
+def expected():
+    replies = run(replies_to(one_write()))
+    assert [seq for seq, _ in replies] == SEQS
+    kinds = [type(reply).__name__ for _, reply in replies]
+    assert kinds == ["EvaluateReply"] * 2 + ["AckReply", "ErrorReply", "EvaluateReply",
+                     "AckReply", "EvaluateReply", "EvaluateReply", "AckReply",
+                     "EvaluateReply", "AckReply"]
+    assert replies[5][1].count == 3 and replies[7][1].handle_uri == "stream://"
+    assert replies[9][1].policy_id == "p:NEA"
+    return replies
+
+
+class TestSameRepliesHoweverTheBytesArrive:
+    def test_one_write(self, expected):
+        assert run(replies_to(one_write())) == expected
+
+    def test_one_byte_per_write(self, expected):
+        assert run(replies_to(byte_by_byte())) == expected
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_cuts(self, expected, seed):
+        assert run(replies_to(random_cuts(seed))) == expected
+
+
+def received_now(sock):
+    try:
+        return sock.recv(1 << 20)
+    except BlockingIOError:
+        return b""
+
+
+class TestHeldRepliesAndOrdering:
+    def test_a_run_is_on_the_wire_before_the_ingest_and_its_tail_after(self):
+        ingest = IngestOp("weather", WeatherSource(seed=3).records(2))
+        ops = [decide(), PingOp(), ingest, decide()]
+
+        async def scenario():
+            server = make_data_server()
+            engine = server.instance.engine
+            push_batch = engine.push_batch
+            loop = asyncio.get_running_loop()
+            async with AsyncDataServer(server) as front:
+                with socket.create_connection(("127.0.0.1", front.port)) as sock:
+                    sock.setblocking(False)
+                    on_entry = []
+
+                    def recording_push_batch(stream, records):
+                        on_entry.append(received_now(sock))
+                        return push_batch(stream, records)
+
+                    engine.push_batch = recording_push_batch
+                    await loop.sock_sendall(sock, b"".join(
+                        encode_message(seq, op) for seq, op in enumerate(ops)))
+                    decoder = FrameDecoder()
+                    while not on_entry:
+                        await asyncio.sleep(0.001)
+                    before = [decode_message(p) for p in decoder.feed(on_entry[0])]
+                    after = []
+                    while len(before) + len(after) < len(ops):
+                        after.extend(decode_message(p) for p in decoder.feed(
+                            await loop.sock_recv(sock, 1 << 16)))
+            return before, after
+
+        before, after = run(scenario())
+        # Entering push_batch, the run read ahead of the ingest is on the
+        # wire; the decide behind the ingest is answered after it.
+        assert [seq for seq, _ in before] == [0, 1]
+        assert [seq for seq, _ in after] == [2, 3]
+        assert after[0][1].count == 2 and after[1][1].policy_id == "p:LTA"
+
+
+class TestHalfClose:
+    def test_a_pipelined_tail_is_answered_after_the_peer_stops_sending(self):
+        grants = [EvaluateOp(request_to_xml(Request.simple("LTA", "weather")))] * 6
+        ops = [decide(), *grants, PingOp(), decide()]
+
+        async def scenario():
+            front = AsyncDataServer(make_data_server(), max_in_flight=2, pipeline_depth=2)
+            async with front:
+                reader, writer = await asyncio.open_connection("127.0.0.1", front.port)
+                writer.write(b"".join(encode_message(seq, op) for seq, op in enumerate(ops)))
+                writer.write_eof()
+                wire = await reader.read()      # every reply, then the server's EOF
+                writer.close()
+                await writer.wait_closed()
+                return front, [decode_message(p) for p in FrameDecoder().feed(wire)]
+
+        front, replies = run(scenario())
+        assert [seq for seq, _ in replies] == list(range(len(ops)))
+        assert all(reply.handle_uri for _, reply in replies[1:7])
+        assert front.read_pauses > 0 and front.in_flight == 0
+        assert front.protocol_errors == 0 and front.active_connections == 0

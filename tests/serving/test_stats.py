@@ -181,11 +181,13 @@ class TestStatsOp:
         assert values["pdp.cache.evaluations"] == 4
 
 
-#: What one evaluate stamps, by path.
-DECIDE_SPANS = {"server.read", "wire.decode", "server.enqueue", "server.dequeue",
-                "xml_io.parse_request", "pdp.evaluate", "wire.encode",
-                "server.flush_wait", "server.drain"}
-GRANT_SPANS = DECIDE_SPANS | {"pep.graph", "pep.submit"}
+#: What one evaluate stamps, by path: a decide-only evaluate on an inline
+#: evaluator is answered in a run where it is decoded; a grant, or any
+#: evaluate that hops to a pool, waits in the backlog for the drainer.
+RUN_SPANS = {"wire.decode", "xml_io.parse_request", "pdp.evaluate", "wire.encode",
+             "server.flush_wait", "server.drain"}
+BACKLOG_SPANS = RUN_SPANS | {"server.backlog"}
+GRANT_SPANS = BACKLOG_SPANS | {"pep.graph", "pep.submit"}
 
 
 class TestSpans:
@@ -201,19 +203,15 @@ class TestSpans:
             await asyncio.sleep(0)
             obs.spans.sink = None
             spans = list(stamped)
-            # A stamp begun under the sink still completes: the reader
-            # and the responder were already waiting for the next op.
-            await client.evaluate(Request.simple("LTA", "weather"), **evaluate)
-            settled = len(stamped)
-            for _ in range(3):
+            # Nothing waits for the next op under the sink: once it is
+            # detached, no op stamps anything.
+            for _ in range(4):
                 await client.evaluate(Request.simple("LTA", "weather"), **evaluate)
             await client.ping()
-            assert len(stamped) == settled
+            assert len(stamped) == len(spans)
             return spans
 
         server = make_data_server(pdp_shards=pdp_shards)
-        # Attached before the connection opens: the reader's first wait
-        # for a frame is already stamped.
         obs.spans.sink = lambda *span: stamped.append(span)
         try:
             if pdp_shards is None:
@@ -229,7 +227,7 @@ class TestSpans:
 
     def test_each_decide_span_appears_once_per_op(self):
         spans = self.spans_of(decide_only=True)
-        assert Counter(name for name, *_ in spans) == {name: self.N for name in DECIDE_SPANS}
+        assert Counter(name for name, *_ in spans) == {name: self.N for name in RUN_SPANS}
         assert Counter(tag for name, _, _, tag in spans if name == "pdp.evaluate") == {
             "miss": 1, "hit": self.N - 1}
 
@@ -239,6 +237,10 @@ class TestSpans:
         tags = Counter((name, tag) for name, _, _, tag in spans if tag is not None)
         assert tags == {("pdp.evaluate", "miss"): 1, ("pdp.evaluate", "hit"): self.N - 1,
                         ("pep.graph", "miss"): 1, ("pep.graph", "hit"): self.N - 1}
+
+    def test_a_decide_that_hops_to_a_pool_waits_in_the_backlog(self):
+        spans = self.spans_of(pdp_shards=2, decide_only=True)
+        assert Counter(name for name, *_ in spans) == {name: self.N for name in BACKLOG_SPANS}
 
     def test_a_pool_hop_is_tagged(self):
         spans = self.spans_of(pdp_shards=2)

@@ -25,7 +25,7 @@ import time
 
 import pytest
 
-from repro.errors import PolicyStoreError
+from repro.errors import PolicyStoreError, ShardUnavailableError
 from repro.xacml.attributes import (
     RESOURCE_ID,
     Attribute,
@@ -36,7 +36,8 @@ from repro.xacml.policy import Policy, Rule, Target
 from repro.xacml.request import Request
 from repro.xacml.response import Decision, Effect
 from repro.xacml.sharding import ShardedPDP, ShardedPolicyStore, shard_of
-from tests.conftest import NoWalk, live_keys
+from repro.xacml.sharding.scatter import ScatterEvaluator
+from tests.conftest import NoWalk, live_keys, wall_clock_guard
 
 N_SHARDS = 4
 
@@ -366,6 +367,39 @@ class TestSingleFlight:
         assert len(errors) == 1  # the leader surfaced the failure
         assert len(responses) == 1  # the waiter retried and succeeded
         assert responses[0].policy_id == "pa"
+
+    def test_a_waiter_gives_up_on_a_hung_leader(self, monkeypatch):
+        store, pdp, request, _ = make_engine()
+        monkeypatch.setattr(ScatterEvaluator, "WAIT_TIMEOUT", 0.1)
+        original = store.policies_for
+        entered, release = threading.Event(), threading.Event()
+
+        def hung_policies_for(req):
+            entered.set()
+            assert release.wait(timeout=10)
+            return original(req)
+
+        store.policies_for = hung_policies_for
+        responses = []
+        with wall_clock_guard(5):
+            leader_thread = threading.Thread(
+                target=lambda: responses.append(pdp.evaluate(request))
+            )
+            leader_thread.start()
+            assert entered.wait(timeout=10)
+            # This thread joins the leader's merge, then gives up on it.
+            with pytest.raises(ShardUnavailableError) as raised:
+                pdp.evaluate(request)
+            assert raised.value.retryable
+            assert pdp.cache_stats()["scatter_timeouts"] == 1
+            release.set()
+            leader_thread.join(timeout=10)
+        assert not leader_thread.is_alive()
+        # The leader's later merge is cached exactly once, and serves.
+        assert pdp.evaluate(request).policy_id == responses[0].policy_id
+        stats = pdp.cache_stats()
+        assert (stats["scatter_merges"], stats["scatter_coalesced"]) == (1, 1)
+        assert (stats["scatter_entries"], stats["scatter_hits"]) == (1, 1)
 
 
 class TestStormsWithMutations:
