@@ -34,7 +34,6 @@ from repro.expr.ast import BooleanExpression
 from repro.expr.parser import parse_condition
 from repro.obs import MEMO_MAX_TEXT, Memo
 from repro.streams.graph import QueryGraph
-from repro.xacml.xml_io import pretty
 from repro.streams.operators.filter import FilterOperator
 from repro.streams.operators.map import MapOperator
 from repro.streams.operators.window import (
@@ -43,6 +42,7 @@ from repro.streams.operators.window import (
     WindowSpec,
     WindowType,
 )
+from repro.xacml.xml_io import pretty
 
 
 class UserQuery:

@@ -8,9 +8,9 @@ of the same :class:`~repro.framework.server.DataServer`:
     Length-prefixed frames and the JSON codec for the five operation
     types (evaluate / load / update / revoke / ingest) plus replies.
 ``server``
-    :class:`AsyncDataServer` — ``asyncio.start_server`` front-end with
-    per-connection pipelining, a bounded in-flight semaphore and
-    write-buffer backpressure.
+    :class:`AsyncDataServer` — one ``asyncio.Protocol`` per connection
+    with pipelining, a bounded in-flight count and write-buffer
+    backpressure.
 ``client``
     :class:`AsyncClient` — pipelined batches over one connection, with
     per-call deadlines and retry/backoff on retryable errors.

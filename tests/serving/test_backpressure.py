@@ -77,7 +77,7 @@ class TestBackpressure:
                 pipeline_depth=4,
                 write_high_water=1024,
                 sndbuf=4096,
-                max_in_flight=1024,  # the queue, not the semaphore, pauses
+                max_in_flight=1024,  # the watermark and the backlog, not the cap
             )
             async with front:
                 client = await AsyncClient.connect(
@@ -89,8 +89,8 @@ class TestBackpressure:
                     n = 400
                     seqs = [client.send_nowait(evaluate_op()) for _ in range(n)]
                     await client._writer.drain()
-                    # The responder's drain() must block, the pipeline
-                    # queue fill, and the reader stall.
+                    # Writing must pause at the watermark, and reading
+                    # with it.
                     deadline = asyncio.get_running_loop().time() + TIMEOUT
                     while front.read_pauses == 0:
                         assert asyncio.get_running_loop().time() < deadline
