@@ -294,7 +294,7 @@ class PolicyDecisionPoint:
         cache_size: int = DEFAULT_CACHE_SIZE,
     ):
         self.store = store if store is not None else PolicyStore()
-        self.combining = combining
+        self._combining = combining
         self.cache_size = cache_size
         #: Number of evaluations performed (exported to the benchmarks).
         self.evaluations = 0
@@ -324,6 +324,16 @@ class PolicyDecisionPoint:
         self.store.remove_listener(self._on_store_event)
         self.cache.clear()
 
+    @property
+    def combining(self) -> str:
+        return self._combining
+
+    @combining.setter
+    def combining(self, name: str) -> None:
+        # Cached decisions are keyed by request fingerprint only.
+        self._combining = name
+        self.flush_cache()
+
     # -- invalidation -----------------------------------------------------------
 
     def _on_store_event(self, event: str, policy) -> None:
@@ -333,7 +343,7 @@ class PolicyDecisionPoint:
         """Drop every cached decision (counted as a full flush).
 
         For callers that change decision-relevant state the store cannot
-        observe — e.g. switching the combining algorithm — and for
+        observe — the :attr:`combining` setter calls it — and for
         benchmarks that need cold caches between rounds.
         """
         self.cache.flush()
@@ -360,7 +370,7 @@ class PolicyDecisionPoint:
         return self.store.policies_for(request)
 
     def _decide(self, candidates, request: Request) -> Response:
-        return decide(candidates, request, self.combining)
+        return decide(candidates, request, self._combining)
 
     def cache_stats(self) -> dict:
         """A fresh counter snapshot for monitoring, benchmarks and tests."""

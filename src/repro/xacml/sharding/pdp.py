@@ -172,13 +172,11 @@ class ShardedPDP(ShardRouter):
 
     @ShardRouter.combining.setter
     def combining(self, name: str) -> None:
-        # Cached decisions are keyed by request fingerprint only, so a
-        # combining change must drop them on every shard and in the
-        # scatter cache.
+        # A shard PDP's setter flushes its decision cache, and
+        # set_combining flushes the scatter cache.
         self._combining = name
         for pdp in self.shard_pdps:
             pdp.combining = name
-            pdp.flush_cache()
         self.scatter.set_combining(name)
 
     def _evaluate_routed(self, requests, per_shard, responses, merge_scatter) -> None:

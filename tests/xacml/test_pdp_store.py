@@ -1,6 +1,7 @@
 """Tests for the policy store, target index, decision cache and PDP."""
 
 import pytest
+from hypothesis import given, note, seed, settings, strategies as st
 
 from repro.errors import PolicyStoreError
 from repro.xacml.attributes import (
@@ -12,13 +13,15 @@ from repro.xacml.attributes import (
     AttributeValue,
 )
 from repro.xacml.functions import STRING_REGEXP_MATCH
-from repro.xacml.index import PolicyIndex
+from repro.xacml.index import PolicyIndex, target_keys
 from repro.xacml.pdp import DecisionCache, PolicyDecisionPoint
 from repro.xacml.policy import Match, Policy, Rule, Target
 from repro.xacml.request import Request
 from repro.xacml.response import Decision, Effect, Obligation
 from repro.xacml.store import PolicyStore
+from repro.xacml.xml_io import parse_request_xml, request_to_xml
 from tests.conftest import NoWalk, live_keys
+from tests.properties.test_xacml_equivalence import LONG, SEED, build_policy, policy_specs, requests
 
 
 def make_policy(policy_id, subject=None, resource=None, effect=Effect.PERMIT,
@@ -624,3 +627,55 @@ class TestNoEventWalksTheCache:
         reachable = {r.fingerprint() for (_, res), r in grid.items() if res == "res3"}
         assert before - live_keys(pdp.cache) == reachable
         assert pdp.cache_stats()["targeted_evictions"] == len(reachable) == 200
+
+
+class TestProperties:
+    @seed(SEED)
+    @settings(max_examples=480 if LONG else 60, deadline=None, database=None)
+    @given(spec=policy_specs, request_list=st.lists(requests(), min_size=1, max_size=8))
+    def test_request_index_is_the_dual_of_the_policy_index(self, spec, request_list):
+        """``key ∈ reach(policy)`` ⇔ ``policy ∈ candidate_ids(request)``
+        on a single-policy index: the two inverted indexes agree
+        exactly (reach is None for the all-wildcard target, which is a
+        candidate for every request)."""
+        note(f"FUZZ_SEED={SEED}")
+        policy = build_policy("p", spec)
+        index = PolicyIndex()
+        index.add(policy)
+        cache = DecisionCache(64)
+        for request in request_list:
+            cache.put(request.fingerprint(), None, frozenset())
+        reached = cache.reach(policy)
+        candidates_of = {
+            request.fingerprint() for request in request_list
+            if index.candidate_ids(request)
+        }
+        if reached is None:
+            assert all(keys is None for keys in target_keys(policy.target).values())
+            reached = set(cache.entries)
+        assert reached == candidates_of
+
+    @seed(SEED)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        specs=st.lists(policy_specs, min_size=0, max_size=6),
+        request_list=st.lists(requests(), min_size=1, max_size=6),
+    )
+    def test_memoised_request_parse_matches_a_fresh_parse(self, specs, request_list):
+        note(f"FUZZ_SEED={SEED}")
+        store = PolicyStore()
+        for i, spec in enumerate(specs):
+            store.load(build_policy(f"p{i}", spec))
+        fast = PolicyDecisionPoint(store, cache_size=8)
+        reference = PolicyDecisionPoint.reference(store)
+        for request in request_list + request_list:
+            xml = request_to_xml(request)
+            fresh = parse_request_xml.__wrapped__(xml)
+            memoised = parse_request_xml(xml)
+            assert parse_request_xml(xml) is memoised
+            assert memoised.fingerprint() == fresh.fingerprint() == request.fingerprint()
+            assert memoised.all_attributes() == fresh.all_attributes()
+            expected = reference.evaluate(fresh)
+            actual = fast.evaluate(memoised)
+            assert actual.decision is expected.decision
+            assert actual.policy_id == expected.policy_id

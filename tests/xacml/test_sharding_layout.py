@@ -15,19 +15,9 @@ from pathlib import Path
 import pytest
 
 import repro.xacml.sharding as sharding
-from repro.xacml.attributes import RESOURCE_ID, Attribute, AttributeCategory, AttributeValue
-from repro.xacml.pdp import PolicyDecisionPoint
 from repro.xacml.policy import Policy, Rule, Target
-from repro.xacml.request import Request
 from repro.xacml.response import Effect
-from repro.xacml.sharding import (
-    ProcessShardPool,
-    ScatterEvaluator,
-    ShardedPDP,
-    ShardedPolicyStore,
-    shard_of,
-)
-from repro.xacml.store import PolicyStore
+from repro.xacml.sharding import ProcessShardPool, ScatterEvaluator, ShardedPDP, ShardedPolicyStore
 
 ROOT = Path(__file__).resolve().parents[2]
 PACKAGE = "repro.xacml.sharding"
@@ -151,82 +141,15 @@ def test_routing_core_is_written_once():
         assert shared not in vars(ProcessShardPool), shared
 
 
-# -- (d), (e) one monitoring shape, one batch entry point -----------------------------
-
-N_SHARDS = 4
-
-
-def permit_policy(policy_id, resource):
-    return Policy(
-        policy_id,
-        target=Target.for_ids(resource=resource),
-        rules=[Rule(f"{policy_id}:r", Effect.PERMIT)],
-    )
-
-
-def two_resources_on_distinct_shards():
-    first = "weather0"
-    second = next(
-        f"weather{i}" for i in range(1, 64)
-        if shard_of(f"weather{i}", N_SHARDS) != shard_of(first, N_SHARDS)
-    )
-    return first, second
-
-
-def spanning_request(subject, first, second):
-    request = Request.simple(subject, first)
-    request.add(
-        Attribute(AttributeCategory.RESOURCE, RESOURCE_ID, AttributeValue.string(second))
-    )
-    return request
-
-
-def populated(cache_size):
-    first, second = two_resources_on_distinct_shards()
-    store, single = ShardedPolicyStore(N_SHARDS), PolicyStore()
-    for policy in (permit_policy("pa", first), permit_policy("pb", second)):
-        store.load(policy)
-        single.load(policy)
-    requests = [
-        Request.simple("alice", first),
-        spanning_request("alice", first, second),
-        Request.simple("bob", second),
-        Request.simple("carol", "elsewhere"),
-        spanning_request("bob", second, first),
-        spanning_request("alice", first, second),
-    ]
-    return store, ShardedPDP(store, cache_size=cache_size), single, requests
+# -- (d) one monitoring shape ------------------------------------------------------
 
 
 def test_cache_stats_shapes_differ_by_exactly_the_robustness_keys():
-    store, pdp, _, _ = populated(cache_size=16)
+    store = ShardedPolicyStore(4)
+    rules = [Rule("p:r", Effect.PERMIT)]
+    store.load(Policy("p", target=Target.for_ids(resource="weather0"), rules=rules))
     with ProcessShardPool(store) as pool:
         pool_keys = set(pool.cache_stats())
-    assert set(pdp.cache_stats()) < pool_keys
-    assert pool_keys - set(pdp.cache_stats()) == ROBUSTNESS_KEYS
-
-
-def test_sharded_pdp_evaluate_many_is_evaluate_per_request():
-    store, pdp, single, requests = populated(cache_size=16)
-    one_by_one = [ShardedPDP(store, cache_size=16).evaluate(r) for r in requests]
-    batch = pdp.evaluate_many(requests)
-    reference = PolicyDecisionPoint.reference(single)
-    for got, alone, request in zip(batch, one_by_one, requests):
-        want = reference.evaluate(request)
-        assert (got.decision, got.policy_id) == (want.decision, want.policy_id)
-        assert (alone.decision, alone.policy_id) == (want.decision, want.policy_id)
-    stats = pdp.cache_stats()
-    assert (stats["routed"], stats["scattered"]) == (3, 3)
-    assert stats["evaluations"] == pdp.evaluations == len(requests)
-
-
-def test_zero_cache_size_still_answers_spanning_requests():
-    _, pdp, single, requests = populated(cache_size=0)
-    reference = PolicyDecisionPoint.reference(single)
-    for _ in range(2):
-        for request in requests:
-            got, want = pdp.evaluate(request), reference.evaluate(request)
-            assert (got.decision, got.policy_id) == (want.decision, want.policy_id)
-    stats = pdp.cache_stats()
-    assert stats["scatter_entries"] == 0 and stats["scatter_hits"] == 0
-    assert stats["scatter_merges"] == stats["scattered"] == 6
+    pdp_keys = set(ShardedPDP(store, cache_size=16).cache_stats())
+    assert pdp_keys < pool_keys
+    assert pool_keys - pdp_keys == ROBUSTNESS_KEYS
