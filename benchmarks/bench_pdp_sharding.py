@@ -11,7 +11,7 @@ machine, and the aggregate throughput is ``requests / max(shard_time)``
 i.e. a *model* that assumes one host per shard.
 
 **Scatter caching (measured).**  A scatter-heavy workload — ≥50 % of
-requests carry two resource-id values hashing to different shards, and
+requests carry two subject-id values hashing to different shards, and
 the stream revisits a zipf-skewed working set of distinct requests —
 run with every spanning request re-gathered and re-merged (a direct
 ``decide(store.policies_for(request), ...)``, no scatter cache) versus
@@ -30,18 +30,19 @@ regardless, so a single-core run still reports honest measurements
 instead of a model.
 
 Workload: 1,200 literal-target policies over 400 resource streams and
-300 subjects plus 24 wildcard-resource policies (replicated to every
-shard, the over-approximation tax), and 4,000 *distinct* routed
-requests so the decision caches cannot mask evaluation cost.  A
-500-request sample is asserted decision-identical between every engine
-pair before anything is timed.
+300 subjects plus 24 wildcard-subject policies (resource-only targets,
+replicated to every shard: the over-approximation tax), and 4,000
+*distinct* routed requests so the decision caches cannot mask
+evaluation cost.  Placement hashes the subject-id.  A 500-request
+sample is asserted decision-identical between every engine pair before
+anything is timed.
 """
 
 import os
 import random
 
 from benchmarks.harness import best_of, emit, gate, print_header
-from repro.xacml.attributes import RESOURCE_ID, Attribute, AttributeCategory, AttributeValue
+from repro.xacml.attributes import SUBJECT_ID, Attribute, AttributeCategory, AttributeValue
 from repro.xacml.pdp import PolicyDecisionPoint, decide
 from repro.xacml.policy import Policy, Rule, Target
 from repro.xacml.request import Request
@@ -61,18 +62,18 @@ N_SUBJECTS = 300
 N_REQUESTS = 4_000
 SHARD_COUNTS = (1, 2, 4, 8)
 
-#: Scatter-heavy workload: an ACL-shaped population (per-resource
-#: policies whose *rules* discriminate subjects, so every request
-#: touching a resource gathers all of its policies as candidates) and a
-#: multi-resource request stream — the dashboard shape that motivates
-#: scatter caching.
+#: Scatter-heavy workload: an ACL-shaped population (per-subject
+#: policies whose *rules* discriminate resources, so every request by a
+#: subject gathers all of its policies as candidates) and a
+#: multi-subject request stream (a group acting together) — the shape
+#: that motivates scatter caching.
 N_SCATTER_STREAM = 4_000
 N_SCATTER_DISTINCT = 600
 SCATTER_SHARE = 0.5
 SCATTER_SHARDS = 4
-N_SCATTER_RESOURCES = 120
-POLICIES_PER_RESOURCE = 8
-N_SCATTER_SUBJECTS = 40
+N_SCATTER_SUBJECTS = 120
+POLICIES_PER_SUBJECT = 8
+N_SCATTER_RESOURCES = 40
 
 
 def cpu_count() -> int:
@@ -105,7 +106,7 @@ def build_policies(seed=2012):
         policies.append(
             Policy(
                 f"wildcard:{i}",
-                target=Target.for_ids(subject=f"user{rng.randrange(N_SUBJECTS)}"),
+                target=Target.for_ids(resource=f"stream{rng.randrange(N_RESOURCES)}"),
                 rules=[Rule(f"wildcard:{i}:r", Effect.PERMIT)],
             )
         )
@@ -124,30 +125,30 @@ def build_requests(seed, n_subjects, n_resources):
 
 
 def build_scatter_policies(seed=31):
-    """ACL-shaped policies: per-resource targets, per-subject rules.
+    """ACL-shaped policies: per-subject targets, per-resource rules.
 
-    The policy *target* names only the resource, so the index (and the
-    shard gather) returns every policy of every requested resource as a
-    candidate; the rule-level subject targets are only resolved inside
+    The policy *target* names only the subject, so the index (and the
+    shard gather) returns every policy of every requesting subject as a
+    candidate; the rule-level resource targets are only resolved inside
     ``decide`` — the uncached scatter path pays that merge-and-combine
     work on every spanning request, which is exactly what the decision
     cache amortises.
     """
     rng = random.Random(seed)
     policies = []
-    for r in range(N_SCATTER_RESOURCES):
-        for i in range(POLICIES_PER_RESOURCE):
-            subject = f"user{rng.randrange(N_SCATTER_SUBJECTS)}"
+    for s in range(N_SCATTER_SUBJECTS):
+        for i in range(POLICIES_PER_SUBJECT):
+            resource = f"stream{rng.randrange(N_SCATTER_RESOURCES)}"
             effect = Effect.PERMIT if rng.random() < 0.85 else Effect.DENY
             policies.append(
                 Policy(
-                    f"acl:{r}:{i}",
-                    target=Target.for_ids(resource=f"stream{r}"),
+                    f"acl:{s}:{i}",
+                    target=Target.for_ids(subject=f"user{s}"),
                     rules=[
                         Rule(
-                            f"acl:{r}:{i}:r",
+                            f"acl:{s}:{i}:r",
                             effect,
-                            target=Target.for_ids(subject=subject),
+                            target=Target.for_ids(resource=resource),
                         )
                     ],
                 )
@@ -158,24 +159,24 @@ def build_scatter_policies(seed=31):
 def build_scatter_stream(seed=5, n_shards=SCATTER_SHARDS):
     """A zipf-skewed stream whose working set is ≥50 % shard-spanning.
 
-    Spanning requests carry two resource-id values chosen to hash to
+    Spanning requests carry two subject-id values chosen to hash to
     *different* shards, so they genuinely take the scatter path.
     """
     rng = random.Random(seed)
     distinct = []
     spanning = 0
     while len(distinct) < N_SCATTER_DISTINCT:
-        subject = f"user{rng.randrange(N_SCATTER_SUBJECTS)}"
-        first = f"stream{rng.randrange(N_SCATTER_RESOURCES)}"
-        request = Request.simple(subject, first)
+        resource = f"stream{rng.randrange(N_SCATTER_RESOURCES)}"
+        first = f"user{rng.randrange(N_SCATTER_SUBJECTS)}"
+        request = Request.simple(first, resource)
         if len(distinct) < N_SCATTER_DISTINCT * SCATTER_SHARE:
-            second = f"stream{rng.randrange(N_SCATTER_RESOURCES)}"
+            second = f"user{rng.randrange(N_SCATTER_SUBJECTS)}"
             while shard_of(second, n_shards) == shard_of(first, n_shards):
-                second = f"stream{rng.randrange(N_SCATTER_RESOURCES)}"
+                second = f"user{rng.randrange(N_SCATTER_SUBJECTS)}"
             request.add(
                 Attribute(
-                    AttributeCategory.RESOURCE,
-                    RESOURCE_ID,
+                    AttributeCategory.SUBJECT,
+                    SUBJECT_ID,
                     AttributeValue.string(second),
                 )
             )
@@ -214,7 +215,7 @@ def sharded_makespan_seconds(policies, requests, n_shards):
     queues = [[] for _ in range(n_shards)]
     for request in requests:
         shard_ids = store.shards_for_request(request)
-        assert len(shard_ids) == 1  # single-resource requests always route
+        assert len(shard_ids) == 1  # single-subject requests always route
         queues[shard_ids[0]].append(request)
 
     shard_seconds = []

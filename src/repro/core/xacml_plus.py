@@ -15,13 +15,10 @@ idle evaluator beside it.
 :mod:`repro.xacml.sharding` (N hash-partitioned shard stores, requests
 routed to the owning shard's PDP — scatter-cached with single-flight
 when they span shards — one invalidation bus feeding graph revocation
-and every cross-shard observer).  ``pdp_partitioner`` selects the
-placement strategy (``"resource"`` — the default — ``"subject"`` or
-``"composite"``, or a :class:`~repro.xacml.sharding.PartitionStrategy`
-instance), so subject-heavy policy populations can co-partition on
-subject keys and keep routing single-shard.  The default single-store
-wiring is unchanged and remains the reference mode the sharding
-differential harness compares against.
+and every cross-shard observer).  Policies are placed by their
+subject-id literals, so a request for one subject routes to one shard.
+The default single-store wiring is unchanged and remains the
+reference mode the XACML differential harness compares against.
 """
 
 from __future__ import annotations
@@ -52,7 +49,6 @@ class XacmlPlusInstance:
         enforce_single_access: bool = True,
         allow_partial_results: bool = False,
         pdp_shards: Optional[int] = None,
-        pdp_partitioner=None,
     ):
         self.engine = engine if engine is not None else StreamEngine()
         if pdp_shards is not None and pdp_shards < 1:
@@ -64,14 +60,9 @@ class XacmlPlusInstance:
             # contract, so the graph manager, audit trails and proxies
             # subscribe to it exactly as to a single store (they observe
             # one logical event per mutation via the invalidation bus).
-            self.store = ShardedPolicyStore(pdp_shards, partitioner=pdp_partitioner)
+            self.store = ShardedPolicyStore(pdp_shards)
             self.pdp = ShardedPDP(self.store)
         else:
-            if pdp_partitioner is not None:
-                raise ValueError(
-                    "pdp_partitioner requires pdp_shards > 1 (the single-store "
-                    "instance has nothing to partition)"
-                )
             self.store = PolicyStore()
             self.pdp = PolicyDecisionPoint(self.store)
         self.access_registry = AccessRegistry(enforce=enforce_single_access)

@@ -68,7 +68,6 @@ class DataServer:
         allow_partial_results: bool = False,
         name: str = "server",
         pdp_shards: Optional[int] = None,
-        pdp_partitioner=None,
     ):
         self.network = network
         self.name = name
@@ -78,7 +77,6 @@ class DataServer:
             enforce_single_access=enforce_single_access,
             allow_partial_results=allow_partial_results,
             pdp_shards=pdp_shards,
-            pdp_partitioner=pdp_partitioner,
         )
         #: Count of requests processed (all outcomes).
         self.requests_processed = 0

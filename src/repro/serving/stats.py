@@ -171,6 +171,4 @@ def _store_view(store) -> dict:
         return {"index": store.index.stats()}
     view = store.stats()
     view["index"] = [shard.index.stats() for shard in store.shards]
-    if hasattr(store.partitioner, "stats"):
-        view["partition"] = store.partitioner.stats()
     return view

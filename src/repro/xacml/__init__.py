@@ -23,15 +23,11 @@ from repro.xacml.combining import RuleCombiningAlgorithm, PolicyCombiningAlgorit
 from repro.xacml.index import PolicyIndex
 from repro.xacml.pdp import DecisionCache, PolicyDecisionPoint
 from repro.xacml.sharding import (
-    CompositeKeyPartitioner,
     InvalidationBus,
-    PartitionStrategy,
     ProcessShardPool,
-    ResourceKeyPartitioner,
     ScatterEvaluator,
     ShardedPDP,
     ShardedPolicyStore,
-    SubjectKeyPartitioner,
 )
 from repro.xacml.store import PolicyStore
 from repro.xacml.xml_io import (
@@ -57,19 +53,15 @@ __all__ = [
     "Target",
     "RuleCombiningAlgorithm",
     "PolicyCombiningAlgorithm",
-    "CompositeKeyPartitioner",
     "DecisionCache",
     "InvalidationBus",
-    "PartitionStrategy",
     "PolicyDecisionPoint",
     "PolicyIndex",
     "PolicyStore",
     "ProcessShardPool",
-    "ResourceKeyPartitioner",
     "ScatterEvaluator",
     "ShardedPDP",
     "ShardedPolicyStore",
-    "SubjectKeyPartitioner",
     "parse_policy_xml",
     "parse_request_xml",
     "policy_to_xml",

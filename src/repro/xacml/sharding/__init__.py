@@ -7,8 +7,9 @@ instances each own a slice of the decision work.  This package provides
 the partitioned analogues of :class:`~repro.xacml.store.PolicyStore` and
 :class:`~repro.xacml.pdp.PolicyDecisionPoint` — the unsharded pair
 survives unchanged as the reference mode for differential testing
-(``PolicyDecisionPoint.reference()`` over a single store; the sharding
-equivalence harness in ``tests/properties`` pins the two bit-identical).
+(``PolicyDecisionPoint.reference()`` over a single store;
+``tests/properties/test_xacml_equivalence.py`` pins the two
+bit-identical).
 
 One concern per module, each importing only the ones before it —
 ``partition`` ← ``store`` ← ``scatter`` ← ``pdp`` ← ``pool``, pinned by
@@ -16,15 +17,7 @@ One concern per module, each importing only the ones before it —
 carries the argument for its own concern.
 """
 
-from repro.xacml.sharding.partition import (
-    PARTITIONERS,
-    CompositeKeyPartitioner,
-    PartitionStrategy,
-    ResourceKeyPartitioner,
-    SubjectKeyPartitioner,
-    make_partitioner,
-    shard_of,
-)
+from repro.xacml.sharding.partition import shard_of
 from repro.xacml.sharding.store import (
     InvalidationBus,
     ShardedPolicyStore,
@@ -35,17 +28,11 @@ from repro.xacml.sharding.pdp import ShardedPDP
 from repro.xacml.sharding.pool import ProcessShardPool
 
 __all__ = [
-    "PARTITIONERS",
-    "CompositeKeyPartitioner",
     "InvalidationBus",
-    "PartitionStrategy",
     "ProcessShardPool",
-    "ResourceKeyPartitioner",
     "ScatterEvaluator",
     "ShardListener",
     "ShardedPDP",
     "ShardedPolicyStore",
-    "SubjectKeyPartitioner",
-    "make_partitioner",
     "shard_of",
 ]

@@ -146,10 +146,10 @@ class ShardedPDP(ShardRouter):
     de-duplication.  Decision- and obligation-identical to a single
     ``PolicyDecisionPoint`` over the same policy population for the
     built-in combining algorithms (the property harness proves it
-    across partitioners, shard counts and interleaved mutations); a
-    single-store ``PolicyDecisionPoint.reference()`` remains the
-    reference mode.  Placement belongs to the store: construct the
-    :class:`ShardedPolicyStore` with the shard count and strategy.
+    across shard counts and interleaved mutations); a single-store
+    ``PolicyDecisionPoint.reference()`` remains the reference mode.
+    Placement belongs to the store: construct the
+    :class:`ShardedPolicyStore` with the shard count.
 
     Concurrency: the scatter path is thread-safe (single-flight plus
     the store's mutation lock).  Each shard PDP is serial state — drive

@@ -33,12 +33,12 @@ from __future__ import annotations
 
 import logging
 import threading
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.errors import PolicyStoreError
 from repro.xacml.policy import Policy
 from repro.xacml.request import Request
-from repro.xacml.sharding.partition import PartitionStrategy, make_partitioner
+from repro.xacml.sharding.partition import shards_for_policy, shards_for_request
 from repro.xacml.store import ChangeListener, PolicyStore
 
 logger = logging.getLogger(__name__)
@@ -117,15 +117,10 @@ class ShardedPolicyStore:
     shard is driven serially, in-process or by its worker).
     """
 
-    def __init__(
-        self,
-        n_shards: int,
-        partitioner: Union[None, str, PartitionStrategy] = None,
-    ):
+    def __init__(self, n_shards: int):
         if n_shards <= 0:
             raise PolicyStoreError(f"shard count must be positive, got {n_shards}")
         self.n_shards = n_shards
-        self.partitioner = make_partitioner(partitioner)
         self.shards: List[PolicyStore] = [PolicyStore() for _ in range(n_shards)]
         self.bus = InvalidationBus()
         #: Logical view: id → policy, in load order (updates keep position).
@@ -136,7 +131,7 @@ class ShardedPolicyStore:
         self._sequence: Dict[str, int] = {}  # guarded by: self._mutation_lock
         self._next_sequence = 0  # guarded by: self._mutation_lock
         #: Policies currently replicated to every shard (wildcard /
-        #: non-indexable targets under the strategy) — a balance metric.
+        #: non-indexable subject targets) — a balance metric.
         self.replicated = 0  # guarded by: self._mutation_lock
         self._shard_listeners: List[ShardListener] = []  # guarded by: owner
         self._mutation_lock = threading.Lock()
@@ -146,11 +141,11 @@ class ShardedPolicyStore:
     def shards_for_request(self, request: Request) -> Tuple[int, ...]:
         """The shards whose policies could match *request*, ascending.
 
-        A request with no value in any partitioned dimension can only
-        match fully-replicated policies, which every shard holds — any
-        single shard is authoritative, so shard 0 is returned.
+        A request with no subject-id can only match fully-replicated
+        policies, which every shard holds — any single shard is
+        authoritative, so shard 0 is returned.
         """
-        return self.partitioner.shards_for_request(request, self.n_shards)
+        return shards_for_request(request, self.n_shards)
 
     def placement_of(self, policy_id: str) -> FrozenSet[int]:
         """The shards holding *policy_id* (empty frozenset if unknown)."""
@@ -213,7 +208,7 @@ class ShardedPolicyStore:
                 raise PolicyStoreError(
                     f"policy {policy.policy_id!r} is already loaded"
                 )
-            shard_ids = self.partitioner.shards_for_policy(policy, self.n_shards)
+            shard_ids = shards_for_policy(policy, self.n_shards)
             sequence = self._next_sequence
             self._next_sequence += 1
             shard_ops = []
@@ -225,7 +220,6 @@ class ShardedPolicyStore:
             self._sequence[policy.policy_id] = sequence
             if len(shard_ids) == self.n_shards:
                 self.replicated += 1
-            self.partitioner.policy_placed(policy)
             self._finish_mutation(shard_ops, "loaded", policy)
 
     def update(self, policy: Policy) -> None:
@@ -241,9 +235,8 @@ class ShardedPolicyStore:
                 raise PolicyStoreError(
                     f"policy {policy.policy_id!r} is not loaded"
                 )
-            old_policy = self._policies[policy.policy_id]
             old_shards = self._placement[policy.policy_id]
-            new_shards = self.partitioner.shards_for_policy(policy, self.n_shards)
+            new_shards = shards_for_policy(policy, self.n_shards)
             sequence = self._sequence[policy.policy_id]
             shard_ops = []
             for shard_id in sorted(old_shards - new_shards):
@@ -261,8 +254,6 @@ class ShardedPolicyStore:
                 self.replicated -= 1
             elif len(old_shards) < self.n_shards and len(new_shards) == self.n_shards:
                 self.replicated += 1
-            self.partitioner.policy_removed(old_policy)
-            self.partitioner.policy_placed(policy)
             self._finish_mutation(shard_ops, "updated", policy)
 
     def remove(self, policy_id: str) -> Policy:
@@ -278,7 +269,6 @@ class ShardedPolicyStore:
             self._sequence.pop(policy_id, None)
             if len(shard_ids) == self.n_shards:
                 self.replicated -= 1
-            self.partitioner.policy_removed(policy)
             self._finish_mutation(shard_ops, "removed", policy)
             return policy
 
@@ -343,7 +333,6 @@ class ShardedPolicyStore:
         """Placement balance and bus counters, for monitoring and tests."""
         return {
             "n_shards": self.n_shards,
-            "partitioner": self.partitioner.name,
             "policies": len(self._policies),
             "replicated": self.replicated,
             "per_shard": [len(shard) for shard in self.shards],
@@ -359,6 +348,5 @@ class ShardedPolicyStore:
     def __repr__(self) -> str:
         return (
             f"ShardedPolicyStore(shards={self.n_shards}, "
-            f"partitioner={self.partitioner.name!r}, "
             f"policies={len(self._policies)}, replicated={self.replicated})"
         )

@@ -109,16 +109,16 @@ class TestShardedDeployment:
         store.add_listener(
             lambda event, policy: events.append((event, policy.policy_id))
         )
-        # A literal stream policy lives on exactly one shard...
+        # A subject-literal stream policy lives on exactly one shard...
         server.load_policy(
             stream_policy("p:ANY", "weather", weather_graph(), subject="ANY")
         )
         assert len(store.placement_of("p:ANY")) == 1
-        # ...while a subject-only target (wildcard resource) replicates
+        # ...while a resource-only target (wildcard subject) replicates
         # to all four — yet both produce exactly one logical event.
         wildcard = Policy(
             "p:WILD",
-            target=Target.for_ids(subject="ANY"),
+            target=Target.for_ids(resource="weather"),
             rules=[Rule("p:WILD:r", Effect.PERMIT)],
         )
         server.load_policy(wildcard)
@@ -133,36 +133,6 @@ class TestShardedDeployment:
         with pytest.raises(ValueError):
             XacmlPlusInstance(pdp_shards=pdp_shards)
         assert isinstance(XacmlPlusInstance(pdp_shards=1).pdp, PolicyDecisionPoint)
-
-    def test_partitioner_wires_through_server(self):
-        network = SimulatedNetwork()
-        engine = StreamEngine()
-        engine.register_input_stream("weather", WEATHER_SCHEMA)
-        server = DataServer(
-            network,
-            engine=engine,
-            enforce_single_access=False,
-            allow_partial_results=True,
-            pdp_shards=4,
-            pdp_partitioner="subject",
-        )
-        store = server.instance.store
-        assert store.partitioner.name == "subject"
-        # The Table-3 shape: a subject-keyed stream policy (wildcard
-        # resource under the paper's stream targets is rare, but the
-        # subject literal is what places it) lands on one shard, not 4.
-        server.load_policy(
-            stream_policy("p:LTA", "weather", weather_graph(), subject="LTA")
-        )
-        proxy = Proxy(server, network)
-        result = proxy.process(request_for("LTA"))
-        assert result.response.ok
-
-    def test_partitioner_requires_sharding(self):
-        from repro.core import XacmlPlusInstance
-
-        with pytest.raises(ValueError):
-            XacmlPlusInstance(pdp_partitioner="subject")
 
     def test_detached_proxy_stops_observing(self):
         server, proxy = deploy(pdp_shards=4, subjects=("LTA", "NEA"))

@@ -23,7 +23,6 @@ from repro.streams.operators import FilterOperator
 from repro.streams.schema import WEATHER_SCHEMA
 from repro.xacml.request import Request
 from repro.xacml.sharding import ProcessShardPool
-from repro.xacml.sharding.partition import CompositeKeyPartitioner
 
 #: ``DecisionCache.stats()`` = ``PolicyDecisionPoint.cache_stats()``.
 DECISION_CACHE = {"entries", "hits", "misses", "invalidations", "full_flushes",
@@ -39,11 +38,8 @@ POOL_CACHE = ROUTER | ROBUSTNESS | {"shards_unavailable"}
 POOL_HEALTH = ROBUSTNESS | {"closed", "on_unavailable", "shards", "statuses",
                             "degraded_shards"}
 POOL_SHARD = {"shard_id", "status", "restarts", "catchup_pending", "last_error"}
-#: ``ShardedPolicyStore.stats()``, ``CompositeKeyPartitioner.stats()``,
-#: ``PolicyIndex.stats()``.
-STORE = {"n_shards", "partitioner", "policies", "replicated", "per_shard",
-         "events_published"}
-PARTITION = {"resource", "subject"}
+#: ``ShardedPolicyStore.stats()``, ``PolicyIndex.stats()``.
+STORE = {"n_shards", "policies", "replicated", "per_shard", "events_published"}
 INDEX = {"policies"} | {f"{category}_{kind}" for category in ("subject", "resource", "action")
                         for kind in ("buckets", "wildcards")}
 #: ``StreamPlan.stats()``, per stream in ``StreamEngine.plan_stats()``.
@@ -65,7 +61,6 @@ def front_of(pdp_shards=None):
     server = DataServer(
         engine=engine, enforce_single_access=False, allow_partial_results=True,
         pdp_shards=pdp_shards,
-        pdp_partitioner=CompositeKeyPartitioner() if pdp_shards else None,
     )
     server.load_policy(stream_policy(
         "p1", "weather", QueryGraph("weather").append(FilterOperator("rainrate > 5")),
@@ -148,8 +143,7 @@ class TestSharded:
         assert_published(snapshot, "pdp.cache", ROUTER)
         assert set(instance.store.stats()) == STORE
         assert_published(snapshot, "store", STORE)
-        assert set(instance.store.partitioner.stats()) == PARTITION
-        assert_published(snapshot, "store.partition", PARTITION)
+        assert not any(name.startswith("store.partition") for name in snapshot)
         for shard in range(2):
             assert set(instance.store.shards[shard].index.stats()) == INDEX
             assert_published(snapshot, f"store.index.{shard}", INDEX)

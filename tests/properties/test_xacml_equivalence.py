@@ -12,16 +12,16 @@ asks whether each decides exactly as the oracle, the seed linear scan
   against the policies loaded at its step.  Targets are literal,
   multi-alternative, regex (non-indexable) or wildcard; rules carry
   environment conditions; policies carry obligations.  Requests are
-  simple, multi-subject, multi-resource or resource-less.  The Table 3
-  workload, replayed as a Zipf stream through removals and re-targeting
-  updates, is a second source, and ``MUTANTS`` pins one script per known
-  way of breaking an evaluator.
+  simple, multi-subject, multi-resource, resource-less or subject-less.
+  The Table 3 workload, replayed as a Zipf stream through removals and
+  re-targeting updates, is a second source, and ``MUTANTS`` pins one
+  script per known way of breaking an evaluator.
 - **The axis.**  Every script runs on every member of ``AXIS``: the PDP
   uncached and at two cache sizes (one evicting under the Table 3
-  stream), ``ShardedPDP`` over shard counts {1, 2, 8} × every
-  partitioner (and once uncached), and ``ProcessShardPool`` over shard
-  counts {1, 2, 4} (fewer drawn scripts, as each forks workers; the
-  Table 3 replay on the widest pool under one algorithm).
+  stream), ``ShardedPDP`` over shard counts {1, 2, 8} (and once
+  uncached), and ``ProcessShardPool`` over shard counts {1, 2, 4}
+  (fewer drawn scripts, as each forks workers; the Table 3 replay on
+  the widest pool under one algorithm).
 - **The check.**  After the load, and again after every mutation (a
   churn counts as one), the request list is evaluated one request at a
   time and then as one batch (served from the caches the first pass
@@ -64,7 +64,6 @@ SEED = int(os.environ.get("FUZZ_SEED") or (random.SystemRandom().randrange(2**31
 SETTINGS = dict(deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
 
 COMBINING = ("first-applicable", "permit-overrides", "deny-overrides")
-PARTITIONERS = ("resource", "subject", "composite")
 SUBJECTS = ("alice", "bob", "carol", "dave")
 RESOURCES = ("weather0", "weather1", "gps0")
 ACTIONS = ("read", "write")
@@ -74,9 +73,10 @@ SUBJECT, RESOURCE = AttributeCategory.SUBJECT, AttributeCategory.RESOURCE
 
 
 #: A target's subject: any, one value, two alternatives (multi-key index
-#: buckets) or a regex (non-indexable: the wildcard fallback), a quarter
-#: of the time each; its resource: any half the time, else one value or,
-#: an eighth of the time, a regex (replicated under resource keys).
+#: buckets, a replica on each literal's shard) or a regex (non-indexable:
+#: the wildcard fallback, replicated to every shard), a quarter of the
+#: time each; its resource: any half the time, else one value or, an
+#: eighth of the time, a regex.
 #: Tables keep a spec one draw: action, rule subject and condition are
 #: each a wildcard half the time.
 SUBJECT_SPECS = (
@@ -154,7 +154,7 @@ def permit(policy_id, subject=None, resource=None, effect=Effect.PERMIT):
 
 # -- requests ---------------------------------------------------------------------
 
-SHAPES = ("simple", "multi-subject", "multi-resource", "no-resource")
+SHAPES = ("simple", "multi-subject", "multi-resource", "no-resource", "no-subject")
 REQUEST_SPECS = list(product(SUBJECTS + ("eve",), RESOURCES + ("other",), ACTIONS, range(6)))
 
 
@@ -165,6 +165,8 @@ def add_value(request, category, value):
 
 
 def shape_of(request):
+    if not request.values_of(SUBJECT, SUBJECT_ID):
+        return "no-subject"
     if not request.values_of(RESOURCE, RESOURCE_ID):
         return "no-resource"
     if len(request.values_of(RESOURCE, RESOURCE_ID)) > 1:
@@ -174,13 +176,15 @@ def shape_of(request):
 
 @st.composite
 def requests(draw):
-    """A subject-only request (the wildcard-only route under resource
-    keys), or a full one with an environment clearance and, now and then,
-    a second subject-id or resource-id (several index buckets; a scatter
-    on the partitioner's own dimension)."""
+    """A subject-only request, a resource-only one (no subject-id: the
+    wildcard-only route to shard 0), or a full one with an environment
+    clearance and, now and then, a second subject-id (a scatter when the
+    two hash apart) or resource-id (several index buckets)."""
     shape = draw(st.sampled_from(SHAPES))
     if shape == "no-resource":
         return add_value(Request(), SUBJECT, draw(st.sampled_from(SUBJECTS)))
+    if shape == "no-subject":
+        return add_value(Request(), RESOURCE, draw(st.sampled_from(RESOURCES)))
     subject, resource, action, clearance = draw(st.sampled_from(REQUEST_SPECS))
     request = Request.simple(subject, resource, action, environment={"clearance": clearance})
     if shape == "multi-subject":
@@ -290,10 +294,6 @@ class Member(NamedTuple):
     cache_size: int
 
 
-def sharded(n_shards, partitioner):
-    return partial(ShardedPolicyStore, n_shards, partitioner=partitioner)
-
-
 AXIS = {
     "pdp": Member(PolicyStore, PolicyDecisionPoint, DEFAULT_CACHE_SIZE),
     "pdp-uncached": Member(PolicyStore, PolicyDecisionPoint, 0),
@@ -301,13 +301,13 @@ AXIS = {
     # pass hits) but not the Table 3 stream's 39 distinct requests.
     "pdp-32": Member(PolicyStore, PolicyDecisionPoint, 32),
     **{
-        f"sharded-{n}-{partitioner}": Member(sharded(n, partitioner), ShardedPDP, 16)
-        for n in (1, 2, 8) for partitioner in PARTITIONERS
+        f"sharded-{n}": Member(partial(ShardedPolicyStore, n), ShardedPDP, 16)
+        for n in (1, 2, 8)
     },
-    "sharded-2-resource-uncached": Member(sharded(2, "resource"), ShardedPDP, 0),
+    "sharded-2-uncached": Member(partial(ShardedPolicyStore, 2), ShardedPDP, 0),
     **{
-        f"pool-{n}-{partitioner}": Member(sharded(n, partitioner), Pool, DEFAULT_CACHE_SIZE)
-        for n, partitioner in ((1, "subject"), (2, "resource"), (4, "composite"))
+        f"pool-{n}": Member(partial(ShardedPolicyStore, n), Pool, DEFAULT_CACHE_SIZE)
+        for n in (1, 2, 4)
     },
 }
 
@@ -437,9 +437,12 @@ def test_table3_replay_matches_the_oracle(combining):
 
 # -- pinned scripts ---------------------------------------------------------------
 
-#: Two resources on distinct shards at every shard count the axis has.
-RES_A = "res0"
-RES_B = next(f"res{i}" for i in count(1) if shard_of(f"res{i}", 2) != shard_of(RES_A, 2))
+#: Two subjects on distinct shards at every shard count the axis has
+#: (2 divides 4 and 8, so hashing apart mod 2 is hashing apart there too).
+SUBJECT_A = "user0"
+SUBJECT_B = next(
+    f"user{i}" for i in count(1) if shard_of(f"user{i}", 2) != shard_of(SUBJECT_A, 2)
+)
 
 
 #: One script per known break, each failing under it on the members the
@@ -469,24 +472,23 @@ MUTANTS = {
     # Update migration loads the replica under a fresh sequence: p0,
     # migrated away and back behind p1, must stay first-applicable.
     "update-migration-keeps-load-order": Script(
-        [permit("p0", resource=RES_A), permit("p1", resource=RES_A)],
-        [Request.simple("alice", RES_A)],
-        mutations=[
-            ("update", permit("p0", resource=RES_B)), ("update", permit("p0", resource=RES_A)),
-        ],
+        [permit("p0", SUBJECT_A), permit("p1", SUBJECT_A)],
+        [Request.simple(SUBJECT_A, "weather0")],
+        mutations=[("update", permit("p0", SUBJECT_B)), ("update", permit("p0", SUBJECT_A))],
     ),
     # A cross-shard cache keeps its decisions through an update that
     # migrates pa onto pb's shard (ahead of pb in load order) and through
     # pa's removal.
     "cross-shard-cache-invalidation": Script(
-        [permit("pa", "alice", RES_A), permit("pb", resource=RES_B)],
-        [Request.simple("alice", RES_A), Request.simple("alice", RES_B),
-         add_value(Request.simple("alice", RES_A), RESOURCE, RES_B)],
-        mutations=[("update", permit("pa", "alice", RES_B)), ("remove", "pa")],
+        [permit("pa", SUBJECT_A, "weather0"), permit("pb", SUBJECT_B)],
+        [Request.simple(SUBJECT_A, "weather0"), Request.simple(SUBJECT_B, "weather0"),
+         add_value(Request.simple(SUBJECT_A, "weather0"), SUBJECT, SUBJECT_B)],
+        mutations=[("update", permit("pa", SUBJECT_B, "weather0")), ("remove", "pa")],
     ),
-    # Not one break: every target kind (literal, subject-keyed, wildcard,
-    # a resource regex no index holds) through a migrating update, a
-    # composite resource → subject flip and the regex policy's removal.
+    # Not one break: every target kind (resource-only, subject-keyed,
+    # wildcard, a resource regex no index holds) through a migrating
+    # update (p2: bob → carol), a target narrowed to its subject (p1) and
+    # the regex policy's removal.
     "every-target-kind-through-migration": Script(
         [permit("p0", resource="weather0"), permit("p1", "alice", "weather1"), permit("p2", "bob"),
          permit("p3"), permit("rex", resource=("regex", "wea.*"), effect=Effect.DENY),

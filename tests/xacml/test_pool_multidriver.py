@@ -39,23 +39,23 @@ N_SHARDS = 2
 JOIN_TIMEOUT = 30.0
 
 
-def permit_policy(policy_id, resource):
+def permit_policy(policy_id, subject):
     return Policy(
         policy_id,
-        target=Target.for_ids(resource=resource),
+        target=Target.for_ids(subject=subject),
         rules=[Rule(f"{policy_id}:r", Effect.PERMIT)],
     )
 
 
 def make_store():
     store = ShardedPolicyStore(N_SHARDS)
-    store.load(permit_policy("p:alpha", "alpha-stream"))
-    store.load(permit_policy("p:beta", "beta-stream"))
+    store.load(permit_policy("p:alpha", "alpha"))
+    store.load(permit_policy("p:beta", "beta"))
     return store
 
 
-def shard_of_resource(store, resource):
-    (shard_id,) = store.shards_for_request(Request.simple("u", resource))
+def shard_of_subject(store, subject):
+    (shard_id,) = store.shards_for_request(Request.simple(subject, "weather"))
     return shard_id
 
 
@@ -84,11 +84,11 @@ def evaluate_with_retries(pool, request, timeout=15.0):
 class _Driver(threading.Thread):
     """Hammers the pool with its own requests; checks every response."""
 
-    def __init__(self, pool, resource, policy_id, batch, rounds=40):
+    def __init__(self, pool, subject, policy_id, batch, rounds=40):
         super().__init__(daemon=True)
         self.pool = pool
         self.requests = [
-            Request.simple(f"user{i}", resource) for i in range(batch)
+            Request.simple(subject, f"stream{i}") for i in range(batch)
         ]
         self.policy_id = policy_id
         self.rounds = rounds
@@ -119,15 +119,15 @@ class TestTwoConcurrentDrivers:
         monkeypatch.setattr(ProcessShardPool, "BATCH_SIZE", 3)
         store = make_store()
         with ProcessShardPool(store) as pool:
-            alpha = _Driver(pool, "alpha-stream", "p:alpha", batch=7)
-            beta = _Driver(pool, "beta-stream", "p:beta", batch=5)
+            alpha = _Driver(pool, "alpha", "p:alpha", batch=7)
+            beta = _Driver(pool, "beta", "p:beta", batch=5)
             alpha.start()
             beta.start()
             # Interleave mutations from a third thread (the listener
             # fan-out is synchronous, so every one of these round-trips
             # through the workers between the drivers' batches).
             for i in range(20):
-                store.load(permit_policy(f"p:churn{i}", f"churn-{i}"))
+                store.load(permit_policy(f"p:churn{i}", f"churner{i}"))
                 store.remove(f"p:churn{i}")
             alpha.join(JOIN_TIMEOUT)
             beta.join(JOIN_TIMEOUT)
@@ -144,19 +144,19 @@ class TestTwoConcurrentDrivers:
         store = make_store()
         errors = []
 
-        def probe(resource, policy_id):
+        def probe(subject, policy_id):
             try:
                 for _ in range(25):
-                    response = pool.evaluate(Request.simple("u", resource))
+                    response = pool.evaluate(Request.simple(subject, "weather"))
                     assert response.policy_id == policy_id
             except Exception as error:  # noqa: BLE001 — collected for assert
                 errors.append(error)
 
         with ProcessShardPool(store) as pool:
             threads = [
-                threading.Thread(target=probe, args=("alpha-stream", "p:alpha")),
-                threading.Thread(target=probe, args=("beta-stream", "p:beta")),
-                threading.Thread(target=probe, args=("alpha-stream", "p:alpha")),
+                threading.Thread(target=probe, args=("alpha", "p:alpha")),
+                threading.Thread(target=probe, args=("beta", "p:beta")),
+                threading.Thread(target=probe, args=("alpha", "p:alpha")),
             ]
             for thread in threads:
                 thread.start()
@@ -169,8 +169,8 @@ class TestCloseDrainsAllDrivers:
     def test_close_during_concurrent_driving_fails_both_promptly(self):
         store = make_store()
         pool = ProcessShardPool(store)
-        alpha = _Driver(pool, "alpha-stream", "p:alpha", batch=4, rounds=10**6)
-        beta = _Driver(pool, "beta-stream", "p:beta", batch=4, rounds=10**6)
+        alpha = _Driver(pool, "alpha", "p:alpha", batch=4, rounds=10**6)
+        beta = _Driver(pool, "beta", "p:beta", batch=4, rounds=10**6)
         alpha.start()
         beta.start()
         # Let both drivers get in flight, then yank the pool.
@@ -188,25 +188,25 @@ class TestCloseDrainsAllDrivers:
         store = make_store()
         pool = ProcessShardPool(store)
         assert pool.evaluate(
-            Request.simple("u", "alpha-stream")
+            Request.simple("alpha", "weather")
         ).policy_id == "p:alpha"
         pool.close()
         pool.close()  # second close is a no-op, not an error
         with pytest.raises(PolicyStoreError, match="closed"):
-            pool.evaluate(Request.simple("u", "alpha-stream"))
+            pool.evaluate(Request.simple("alpha", "weather"))
         # The store detached exactly once and stays fully usable: a
         # fresh pool can attach to it again.
-        store.load(permit_policy("p:after", "after-stream"))
+        store.load(permit_policy("p:after", "after"))
         with ProcessShardPool(store) as second:
             assert second.evaluate(
-                Request.simple("u", "after-stream")
+                Request.simple("after", "weather")
             ).policy_id == "p:after"
 
     def test_concurrent_double_close_under_drivers(self):
         store = make_store()
         pool = ProcessShardPool(store)
-        alpha = _Driver(pool, "alpha-stream", "p:alpha", batch=4, rounds=10**6)
-        beta = _Driver(pool, "beta-stream", "p:beta", batch=4, rounds=10**6)
+        alpha = _Driver(pool, "alpha", "p:alpha", batch=4, rounds=10**6)
+        beta = _Driver(pool, "beta", "p:beta", batch=4, rounds=10**6)
         alpha.start()
         beta.start()
         while alpha.completed == 0 or beta.completed == 0:
@@ -243,10 +243,10 @@ class TestCloseDrainsAllDrivers:
 class TestSupervisedRecovery:
     def test_worker_death_fails_only_its_shard_then_recovers(self):
         store = make_store()
-        alpha_request = Request.simple("u", "alpha-stream")
-        beta_request = Request.simple("u", "beta-stream")
-        alpha_sid = shard_of_resource(store, "alpha-stream")
-        beta_sid = shard_of_resource(store, "beta-stream")
+        alpha_request = Request.simple("alpha", "weather")
+        beta_request = Request.simple("beta", "weather")
+        alpha_sid = shard_of_subject(store, "alpha")
+        beta_sid = shard_of_subject(store, "beta")
         assert alpha_sid != beta_sid
         with ProcessShardPool(
             store, on_unavailable="error", restart_backoff=0.5
@@ -274,12 +274,12 @@ class TestSupervisedRecovery:
 
     def test_fallback_mode_serves_through_crash_and_restart(self):
         store = make_store()
-        alpha_sid = shard_of_resource(store, "alpha-stream")
+        alpha_sid = shard_of_subject(store, "alpha")
         with ProcessShardPool(store, restart_backoff=0.5) as pool:
             alpha = _Driver(
-                pool, "alpha-stream", "p:alpha", batch=4, rounds=300
+                pool, "alpha", "p:alpha", batch=4, rounds=300
             )
-            beta = _Driver(pool, "beta-stream", "p:beta", batch=4, rounds=300)
+            beta = _Driver(pool, "beta", "p:beta", batch=4, rounds=300)
             alpha.start()
             beta.start()
             while alpha.completed == 0 or beta.completed == 0:
@@ -302,11 +302,11 @@ class TestSupervisedRecovery:
 
     def test_unavailable_error_is_prompt_and_typed_not_a_timeout(self):
         store = make_store()
-        alpha_sid = shard_of_resource(store, "alpha-stream")
+        alpha_sid = shard_of_subject(store, "alpha")
         with ProcessShardPool(
             store, on_unavailable="error", restart_backoff=30.0
         ) as pool:
-            request = Request.simple("u", "alpha-stream")
+            request = Request.simple("alpha", "weather")
             assert pool.evaluate(request).policy_id == "p:alpha"
             pool.kill_worker(alpha_sid)
             started = time.perf_counter()
@@ -320,9 +320,9 @@ class TestSupervisedRecovery:
 
     def test_budget_exhaustion_degrades_only_that_shard(self):
         store = make_store()
-        alpha_request = Request.simple("u", "alpha-stream")
-        beta_request = Request.simple("u", "beta-stream")
-        alpha_sid = shard_of_resource(store, "alpha-stream")
+        alpha_request = Request.simple("alpha", "weather")
+        beta_request = Request.simple("beta", "weather")
+        alpha_sid = shard_of_subject(store, "alpha")
         with ProcessShardPool(
             store, on_unavailable="error", max_restarts=0
         ) as pool:
@@ -345,8 +345,8 @@ class TestSupervisedRecovery:
 
     def test_degraded_shard_falls_back_decision_identically(self):
         store = make_store()
-        alpha_request = Request.simple("u", "alpha-stream")
-        alpha_sid = shard_of_resource(store, "alpha-stream")
+        alpha_request = Request.simple("alpha", "weather")
+        alpha_sid = shard_of_subject(store, "alpha")
         with ProcessShardPool(store, max_restarts=0) as pool:
             pool.kill_worker(alpha_sid)
             assert wait_for_status(pool, alpha_sid, "degraded")
@@ -357,7 +357,7 @@ class TestSupervisedRecovery:
             store.update(
                 Policy(
                     "p:alpha",
-                    target=Target.for_ids(resource="alpha-stream"),
+                    target=Target.for_ids(subject="alpha"),
                     rules=[Rule("p:alpha:deny", Effect.DENY)],
                 )
             )

@@ -27,7 +27,7 @@ import pytest
 
 from repro.errors import PolicyStoreError, ShardUnavailableError
 from repro.xacml.attributes import (
-    RESOURCE_ID,
+    SUBJECT_ID,
     Attribute,
     AttributeCategory,
     AttributeValue,
@@ -42,26 +42,26 @@ from tests.conftest import NoWalk, live_keys, wall_clock_guard
 N_SHARDS = 4
 
 
-def permit_policy(policy_id, resource=None, effect=Effect.PERMIT):
+def permit_policy(policy_id, subject=None, effect=Effect.PERMIT):
     return Policy(
         policy_id,
-        target=Target.for_ids(resource=resource),
+        target=Target.for_ids(subject=subject),
         rules=[Rule(f"{policy_id}:r", effect)],
     )
 
 
-def subject_policy(policy_id, subject, resource, effect=Effect.PERMIT):
+def stream_policy(policy_id, stream, subject, effect=Effect.PERMIT):
     return Policy(
         policy_id,
-        target=Target.for_ids(subject=subject, resource=resource),
+        target=Target.for_ids(subject=subject, resource=stream),
         rules=[Rule(f"{policy_id}:r", effect)],
     )
 
 
-def distinct_shard_resources(count, n_shards=N_SHARDS):
+def distinct_shard_subjects(count, n_shards=N_SHARDS):
     chosen, seen, i = [], set(), 0
     while len(chosen) < count:
-        name = f"res{i}"
+        name = f"user{i}"
         shard = shard_of(name, n_shards)
         if shard not in seen:
             seen.add(shard)
@@ -70,13 +70,13 @@ def distinct_shard_resources(count, n_shards=N_SHARDS):
     return chosen
 
 
-def spanning_request(resources, subject="alice"):
-    """A request whose resource values span the given (multi-)shards."""
-    request = Request.simple(subject, resources[0])
-    for resource in resources[1:]:
+def spanning_request(subjects, stream="weather0"):
+    """A request whose subject values span the given (multi-)shards."""
+    request = Request.simple(subjects[0], stream)
+    for subject in subjects[1:]:
         request.add(
             Attribute(
-                AttributeCategory.RESOURCE, RESOURCE_ID, AttributeValue.string(resource)
+                AttributeCategory.SUBJECT, SUBJECT_ID, AttributeValue.string(subject)
             )
         )
     return request
@@ -85,10 +85,10 @@ def spanning_request(resources, subject="alice"):
 def make_engine():
     store = ShardedPolicyStore(N_SHARDS)
     pdp = ShardedPDP(store, cache_size=64)
-    res_a, res_b = distinct_shard_resources(2)
-    store.load(permit_policy("pa", resource=res_a))
-    store.load(permit_policy("pb", resource=res_b))
-    return store, pdp, spanning_request([res_a, res_b]), (res_a, res_b)
+    subject_a, subject_b = distinct_shard_subjects(2)
+    store.load(permit_policy("pa", subject=subject_a))
+    store.load(permit_policy("pb", subject=subject_b))
+    return store, pdp, spanning_request([subject_a, subject_b]), (subject_a, subject_b)
 
 
 def run_threads(n, target):
@@ -114,11 +114,11 @@ class TestScatterCacheBasics:
     def test_lru_capacity_bounds_scatter_entries(self):
         store = ShardedPolicyStore(N_SHARDS)
         pdp = ShardedPDP(store, cache_size=4)
-        res_a, res_b = distinct_shard_resources(2)
-        store.load(permit_policy("pa", resource=res_a))
-        store.load(permit_policy("pb", resource=res_b))
+        subject_a, subject_b = distinct_shard_subjects(2)
+        store.load(permit_policy("pa", subject=subject_a))
+        store.load(permit_policy("pb", subject=subject_b))
         for i in range(10):
-            pdp.evaluate(spanning_request([res_a, res_b], subject=f"user{i}"))
+            pdp.evaluate(spanning_request([subject_a, subject_b], stream=f"stream{i}"))
         assert pdp.cache_stats()["scatter_entries"] <= 4
 
     def test_cache_stats_is_a_pure_snapshot(self):
@@ -135,10 +135,10 @@ class TestScatterCacheBasics:
 
 class TestInvalidation:
     def test_update_and_remove_evict_through_bus_buckets(self):
-        store, pdp, request, (res_a, res_b) = make_engine()
+        store, pdp, request, (subject_a, subject_b) = make_engine()
         assert pdp.evaluate(request).policy_id == "pa"  # first-applicable
         # Flip pa to DENY: its bucket must evict the cached entry.
-        store.update(permit_policy("pa", resource=res_a, effect=Effect.DENY))
+        store.update(permit_policy("pa", subject=subject_a, effect=Effect.DENY))
         response = pdp.evaluate(request)
         assert response.decision is Decision.DENY and response.policy_id == "pa"
         store.remove("pa")
@@ -147,18 +147,18 @@ class TestInvalidation:
         assert pdp.cache_stats()["scatter_targeted_evictions"] >= 2
 
     def test_load_evicts_the_reachable_scatter_entry_and_keeps_the_rest_warm(self):
-        store, pdp, request, (res_a, res_b) = make_engine()
-        bystander = spanning_request([res_a, res_b], subject="bob")
+        store, pdp, request, (subject_a, subject_b) = make_engine()
+        bystander = spanning_request([subject_a, subject_b], stream="gps0")
         pdp.evaluate(request)
         pdp.evaluate(bystander)
         assert pdp.cache_stats()["scatter_entries"] == 2
-        # A load for a never-requested subject reaches nothing.
-        store.load(subject_policy("p-stranger", "mallory", res_a))
+        # A load for a never-requested stream reaches nothing.
+        store.load(stream_policy("p-stranger", "nowhere", subject_a))
         stats = pdp.cache_stats()
         assert stats["scatter_entries"] == 2
         assert (stats["scatter_full_flushes"], stats["scatter_targeted_evictions"]) == (0, 0)
-        # A load for alice evicts alice's entry alone ...
-        store.load(subject_policy("p-alice", "alice", res_a, effect=Effect.DENY))
+        # A load for weather0 evicts weather0's entry alone ...
+        store.load(stream_policy("p-weather", "weather0", subject_a, effect=Effect.DENY))
         assert bystander.fingerprint() in pdp.scatter.cache.entries
         assert request.fingerprint() not in pdp.scatter.cache.entries
         # ... (loaded after pa: first-applicable still decides at pa)
@@ -169,12 +169,12 @@ class TestInvalidation:
         assert stats["scatter_hits"] == hits_before + 1
         assert (stats["scatter_full_flushes"], stats["scatter_targeted_evictions"]) == (0, 1)
 
-    def test_load_reaches_a_spanning_request_through_either_resource(self):
-        store, pdp, request, (res_a, res_b) = make_engine()
-        for index, resource in enumerate((res_b, res_a)):
+    def test_load_reaches_a_spanning_request_through_either_subject(self):
+        store, pdp, request, (subject_a, subject_b) = make_engine()
+        for index, subject in enumerate((subject_b, subject_a)):
             pdp.evaluate(request)
             assert pdp.cache_stats()["scatter_entries"] == 1
-            store.load(permit_policy(f"pc{index}", resource=resource, effect=Effect.DENY))
+            store.load(permit_policy(f"pc{index}", subject=subject, effect=Effect.DENY))
             assert pdp.cache_stats()["scatter_entries"] == 0
         assert pdp.cache_stats()["scatter_full_flushes"] == 0
 
@@ -199,13 +199,13 @@ class TestInvalidation:
         update evicts exactly what it reaches."""
         store = ShardedPolicyStore(N_SHARDS)
         pdp = ShardedPDP(store, cache_size=2048)
-        res_a, res_b, res_c = distinct_shard_resources(3)
-        store.load(permit_policy("pa", resource=res_a))
-        store.load(subject_policy("p-victim", "mallory", "nowhere"))
+        subject_a, subject_b, subject_c = distinct_shard_subjects(3)
+        store.load(permit_policy("pa", subject=subject_a))
+        store.load(stream_policy("p-victim", "nowhere", "mallory"))
         requests = {
-            (subject, pair): spanning_request(list(pair), subject=subject)
-            for subject in (f"user{i}" for i in range(500))
-            for pair in ((res_a, res_b), (res_b, res_c))
+            (stream, pair): spanning_request(list(pair), stream=stream)
+            for stream in (f"stream{i}" for i in range(500))
+            for pair in ((subject_a, subject_b), (subject_b, subject_c))
         }
         for request in requests.values():
             pdp.evaluate(request)
@@ -214,26 +214,26 @@ class TestInvalidation:
         cache.entries = NoWalk(cache.entries)
         before = live_keys(cache)
 
-        store.load(subject_policy("p-new", "trent", res_a))
-        store.update(subject_policy("p-victim", "mallory", "elsewhere"))
+        store.load(stream_policy("p-new", "trent", subject_a))
+        store.update(stream_policy("p-victim", "elsewhere", "mallory"))
         store.remove("p-new")
         assert live_keys(cache) == before
         stats = pdp.cache_stats()
         assert (stats["scatter_full_flushes"], stats["scatter_targeted_evictions"]) == (0, 0)
 
-        store.update(permit_policy("p-victim", resource=res_c))
+        store.update(permit_policy("p-victim", subject=subject_c))
         reachable = {
             request.fingerprint()
-            for (_, pair), request in requests.items() if res_c in pair
+            for (_, pair), request in requests.items() if subject_c in pair
         }
         assert before - live_keys(cache) == reachable
         assert pdp.cache_stats()["scatter_targeted_evictions"] == len(reachable) == 500
 
     def test_unrelated_policy_churn_keeps_entry_warm(self):
-        store, pdp, request, (res_a, res_b) = make_engine()
-        store.load(permit_policy("px", resource="unrelated-res"))
+        store, pdp, request, (subject_a, subject_b) = make_engine()
+        store.load(permit_policy("px", subject="unrelated-user"))
         pdp.evaluate(request)
-        store.update(permit_policy("px", resource="unrelated-res", effect=Effect.DENY))
+        store.update(permit_policy("px", subject="unrelated-user", effect=Effect.DENY))
         store.remove("px")
         assert pdp.evaluate(request).policy_id == "pa"
         stats = pdp.cache_stats()
@@ -272,7 +272,7 @@ class TestSingleFlight:
         assert stats["scattered"] == 8
 
     def test_overlapped_merge_is_not_cached_and_waiter_rereads(self):
-        store, pdp, request, (res_a, _) = make_engine()
+        store, pdp, request, (subject_a, _) = make_engine()
         merge_entered = threading.Event()
         merge_release = threading.Event()
         original = store.policies_for
@@ -296,7 +296,7 @@ class TestSingleFlight:
         leader_thread.start()
         assert merge_entered.wait(timeout=10)
         # The mutation completes while the leader's merge is in flight.
-        store.update(permit_policy("pa", resource=res_a, effect=Effect.DENY))
+        store.update(permit_policy("pa", subject=subject_a, effect=Effect.DENY))
         waiter_response = []
 
         def waiter():
@@ -408,7 +408,7 @@ class TestStormsWithMutations:
         toggles the deciding policy; after every mutation returns, the
         very next evaluation must reflect it — cached, coalesced or
         merged."""
-        store, pdp, request, (res_a, _) = make_engine()
+        store, pdp, request, (subject_a, _) = make_engine()
         stop = threading.Event()
         failures = []
 
@@ -430,7 +430,7 @@ class TestStormsWithMutations:
         try:
             for i in range(200):
                 effect = effects[i % 2]
-                store.update(permit_policy("pa", resource=res_a, effect=effect))
+                store.update(permit_policy("pa", subject=subject_a, effect=effect))
                 response = pdp.evaluate(request)
                 assert response.decision is effect.decision, f"round {i}"
         finally:
@@ -446,7 +446,7 @@ class TestStormsWithMutations:
         """Loads that reach the cached entry interleaved with the storm: readers
         may see either regime mid-flight but the main thread always sees
         its own mutation."""
-        store, pdp, request, (res_a, res_b) = make_engine()
+        store, pdp, request, (subject_a, subject_b) = make_engine()
         stop = threading.Event()
         failures = []
 
@@ -462,7 +462,7 @@ class TestStormsWithMutations:
             thread.start()
         try:
             for i in range(60):
-                extra = permit_policy(f"extra{i}", resource=res_a)
+                extra = permit_policy(f"extra{i}", subject=subject_a)
                 store.load(extra)
                 assert pdp.evaluate(request).decision is Decision.PERMIT
                 store.remove(extra.policy_id)

@@ -17,16 +17,16 @@ import threading
 from repro.errors import PolicyStoreError
 from repro.xacml.policy import Policy, Rule, Target
 from repro.xacml.response import Effect
-from repro.xacml.sharding import ShardedPolicyStore
+from repro.xacml.sharding import ShardedPolicyStore, shard_of
 
 TIMEOUT = 10.0
-RESOURCE = "weather0"
+SUBJECT = "alice"
 
 
 def policy(policy_id, effect=Effect.PERMIT):
     return Policy(
         policy_id,
-        target=Target.for_ids(resource=RESOURCE),
+        target=Target.for_ids(subject=SUBJECT),
         rules=[Rule(f"{policy_id}:r", effect)],
     )
 
@@ -52,7 +52,7 @@ def race(store, shard_method, winner, loser):
     until *loser* is waiting on the mutation lock; return both outcomes
     as ``(value, exception)`` pairs."""
     lock = store._mutation_lock = _ContentionSignallingLock()
-    (shard_id,) = store.partitioner.shards_for_policy(policy("p"), store.n_shards)
+    shard_id = shard_of(SUBJECT, store.n_shards)
     shard = store.shards[shard_id]
     original = getattr(shard, shard_method)
     entered, release = threading.Event(), threading.Event()

@@ -14,7 +14,10 @@ from pathlib import Path
 
 import pytest
 
+import repro.xacml as xacml
 import repro.xacml.sharding as sharding
+from repro.core import XacmlPlusInstance
+from repro.framework.server import DataServer
 from repro.xacml.policy import Policy, Rule, Target
 from repro.xacml.response import Effect
 from repro.xacml.sharding import ProcessShardPool, ScatterEvaluator, ShardedPDP, ShardedPolicyStore
@@ -26,12 +29,17 @@ PACKAGE_DIR = Path(sharding.__file__).parent
 #: Import order: a module may import only from the modules before it.
 ORDER = ("partition", "store", "scatter", "pdp", "pool")
 
-#: The public names ``sharding.py`` exported before it became a package.
+#: The package's public names.
 PUBLIC_NAMES = {
-    "PARTITIONERS", "CompositeKeyPartitioner", "InvalidationBus",
-    "PartitionStrategy", "ProcessShardPool", "ResourceKeyPartitioner",
-    "ScatterEvaluator", "ShardListener", "ShardedPDP", "ShardedPolicyStore",
-    "SubjectKeyPartitioner", "make_partitioner", "shard_of",
+    "InvalidationBus", "ProcessShardPool", "ScatterEvaluator", "ShardListener",
+    "ShardedPDP", "ShardedPolicyStore", "shard_of",
+}
+
+#: The placement strategies and their registry, deleted for one
+#: placement on subject-id keys.
+DELETED_NAMES = {
+    "PARTITIONERS", "CompositeKeyPartitioner", "PartitionStrategy",
+    "ResourceKeyPartitioner", "SubjectKeyPartitioner", "make_partitioner",
 }
 
 ROBUSTNESS_KEYS = {
@@ -129,6 +137,23 @@ def test_deleted_options_stay_deleted():
     ]
     assert not hasattr(ScatterEvaluator(ShardedPolicyStore(2), "first-applicable", 0), "enabled")
     assert ProcessShardPool.BATCH_SIZE == 256
+    assert list(inspect.signature(ShardedPolicyStore).parameters) == ["n_shards"]
+    for cls in (XacmlPlusInstance, DataServer):
+        assert "pdp_partitioner" not in inspect.signature(cls).parameters, cls
+
+
+def test_one_placement_remains():
+    partition = importlib.import_module(f"{PACKAGE}.partition")
+    functions = {name for name, member in vars(partition).items()
+                 if inspect.isfunction(member) and member.__module__ == partition.__name__}
+    assert functions == {"shard_of", "shards_for_policy", "shards_for_request"}
+    assert not any(inspect.isclass(member) and member.__module__ == partition.__name__
+                   for member in vars(partition).values())
+    for module in (sharding, xacml):
+        assert not DELETED_NAMES & set(module.__all__), module
+        assert not any(hasattr(module, name) for name in DELETED_NAMES), module
+    assert not hasattr(ShardedPolicyStore(2), "partitioner")
+    assert "partitioner" not in ShardedPolicyStore(2).stats()
 
 
 def test_routing_core_is_written_once():

@@ -1,5 +1,5 @@
 """Sharding mechanics: placement, the invalidation bus, routing, the
-partitioning strategies and the worker pool's lifecycle.
+balance of the paper's populations and the worker pool's lifecycle.
 
 That every sharded evaluator *decides* as the oracle is the XACML
 differential harness's job (``tests/properties/test_xacml_equivalence.py``);
@@ -11,6 +11,8 @@ import time
 import pytest
 
 from repro.errors import PolicyStoreError
+from repro.workload.generator import TABLE3, WorkloadGenerator
+from repro.workload.zipf import zipf_sequence
 from repro.xacml.attributes import (
     RESOURCE_ID, SUBJECT_ID, Attribute, AttributeCategory, AttributeValue,
 )
@@ -18,171 +20,150 @@ from repro.xacml.functions import STRING_REGEXP_MATCH
 from repro.xacml.policy import Match, Policy, Rule, Target
 from repro.xacml.request import Request
 from repro.xacml.response import Effect
-from repro.xacml.sharding import (
-    CompositeKeyPartitioner, ProcessShardPool, ShardedPDP, ShardedPolicyStore,
-    SubjectKeyPartitioner, shard_of,
-)
+from repro.xacml.sharding import ProcessShardPool, ShardedPDP, ShardedPolicyStore, shard_of
 
 
 def resource_value(value):
     return Attribute(AttributeCategory.RESOURCE, RESOURCE_ID, AttributeValue.string(value))
 
 
-def permit_policy(policy_id, resource=None, subject=None, regex_resource=None):
-    """A single-PERMIT policy targeting *resource* (or a regex, or any)."""
+def subject_value(value):
+    return Attribute(AttributeCategory.SUBJECT, SUBJECT_ID, AttributeValue.string(value))
+
+
+def permit_policy(policy_id, subject=None, resource=None, regex_subject=None):
+    """A single-PERMIT policy targeting *subject* (or a regex, or any)."""
     target = Target.for_ids(subject=subject, resource=resource)
-    if regex_resource is not None:
-        regex = AttributeValue.string(regex_resource)
-        match = Match(AttributeCategory.RESOURCE, RESOURCE_ID, regex, STRING_REGEXP_MATCH)
-        target.resources = [[match]]
+    if regex_subject is not None:
+        regex = AttributeValue.string(regex_subject)
+        match = Match(AttributeCategory.SUBJECT, SUBJECT_ID, regex, STRING_REGEXP_MATCH)
+        target.subjects = [[match]]
     return Policy(policy_id, target=target, rules=[Rule(f"{policy_id}:r", Effect.PERMIT)])
 
 
-def distinct_shard_resources(n_shards, count):
-    """Resource names hashing to *count* pairwise distinct shards."""
+def distinct_shard_subjects(n_shards, count):
+    """Subject names hashing to *count* pairwise distinct shards."""
     first_by_shard = {}
     for i in range(1000):
-        first_by_shard.setdefault(shard_of(f"res{i}", n_shards), f"res{i}")
+        first_by_shard.setdefault(shard_of(f"user{i}", n_shards), f"user{i}")
     return list(first_by_shard.values())[:count]
 
 
 class TestShardingMechanics:
     def test_literal_targets_placed_by_hash_and_wildcards_replicated(self):
         store = ShardedPolicyStore(4)
-        store.load(permit_policy("lit", resource="weather0"))
-        store.load(permit_policy("any"))                       # any-resource
-        store.load(permit_policy("rex", regex_resource="we.*"))  # non-indexable
-        assert store.placement_of("lit") == frozenset({shard_of("weather0", 4)})
+        store.load(permit_policy("lit", subject="alice"))
+        store.load(permit_policy("any", resource="weather0"))  # any subject
+        store.load(permit_policy("rex", regex_subject="ali.*"))  # non-indexable
+        assert store.placement_of("lit") == frozenset({shard_of("alice", 4)})
         assert store.placement_of("any") == frozenset(range(4))
         assert store.placement_of("rex") == frozenset(range(4))
         assert store.replicated == 2
         stats = store.stats()
-        assert stats["per_shard"][shard_of("weather0", 4)] == 3
+        assert stats["per_shard"][shard_of("alice", 4)] == 3
         assert sorted(p.policy_id for p in store.policies()) == ["any", "lit", "rex"]
+
+    def test_multi_literal_target_lives_on_each_literal_shard(self):
+        alice, bob = distinct_shard_subjects(4, 2)
+        store = ShardedPolicyStore(4)
+        policy = permit_policy("both")
+        policy.target.subjects = [[Match(AttributeCategory.SUBJECT, SUBJECT_ID,
+                                         AttributeValue.string(name))] for name in (alice, bob)]
+        store.load(policy)
+        assert store.placement_of("both") == frozenset({shard_of(alice, 4), shard_of(bob, 4)})
+        assert store.replicated == 0
 
     def test_one_logical_event_per_mutation_despite_replication(self):
         store = ShardedPolicyStore(8)
         events = []
         store.add_listener(lambda event, policy: events.append((event, policy.policy_id)))
         store.load(permit_policy("w"))            # replicated to all 8 shards
-        store.update(permit_policy("w", resource="res0"))  # shrinks to 1 shard
+        store.update(permit_policy("w", subject="user0"))  # shrinks to 1 shard
         store.remove("w")
         assert events == [("loaded", "w"), ("updated", "w"), ("removed", "w")]
         assert store.bus.published == 3
 
-    def test_multi_resource_request_takes_scatter_path(self):
+    def test_multi_subject_request_takes_scatter_path(self):
         n_shards = 4
-        res_a, res_b = distinct_shard_resources(n_shards, 2)
+        subject_a, subject_b = distinct_shard_subjects(n_shards, 2)
         store = ShardedPolicyStore(n_shards)
-        store.load(permit_policy("pa", resource=res_a))
-        store.load(permit_policy("pb", resource=res_b))
+        store.load(permit_policy("pa", subject=subject_a))
+        store.load(permit_policy("pb", subject=subject_b))
         sharded = ShardedPDP(store)
-        request = Request.simple("alice", res_a)
-        request.add(resource_value(res_b))
+        request = Request.simple(subject_a, "weather0")
+        request.add(subject_value(subject_b))
         assert len(store.shards_for_request(request)) == 2
         assert sharded.evaluate(request).policy_id == "pa"
         assert sharded.scatter_evaluations == 1
         # Scatter candidates are de-duplicated and globally ordered.
         assert [p.policy_id for p in store.policies_for(request)] == ["pa", "pb"]
         # A batch routes each single-shard request and scatters each spanning one.
-        spanning = Request.simple("bob", res_b)
-        spanning.add(resource_value(res_a))
-        batch = [Request.simple("alice", res_a), request, Request.simple("bob", res_b),
-                 Request.simple("carol", "elsewhere"), spanning, request]
+        spanning = Request.simple(subject_b, "gps0")
+        spanning.add(subject_value(subject_a))
+        batch = [Request.simple(subject_a, "weather0"), request, Request.simple(subject_b, "gps0"),
+                 Request.simple("nobody", "weather0"), spanning, request]
         responses = sharded.evaluate_many(batch)
         assert [r.policy_id for r in responses] == ["pa", "pa", "pb", None, "pa", "pa"]
         assert (sharded.routed_evaluations, sharded.scatter_evaluations) == (3, 1 + 3)
 
-    def test_no_resource_request_routes_to_shard_zero(self):
+    def test_no_subject_request_routes_to_shard_zero(self):
         store = ShardedPolicyStore(8)
-        store.load(permit_policy("lit", resource="res1"))
+        store.load(permit_policy("lit", subject="user1"))
         store.load(permit_policy("any"))
-        request = Request(
-            [Attribute(AttributeCategory.SUBJECT, SUBJECT_ID, AttributeValue.string("alice"))]
-        )
+        request = Request([resource_value("weather0")])
         assert store.shards_for_request(request) == (0,)
         assert ShardedPDP(store).evaluate(request).policy_id == "any"
 
     def test_store_facade_rejects_duplicates_and_unknown(self):
         store = ShardedPolicyStore(2)
-        store.load(permit_policy("p", resource="res0"))
+        store.load(permit_policy("p", subject="alice"))
         with pytest.raises(PolicyStoreError):
-            store.load(permit_policy("p", resource="res0"))
+            store.load(permit_policy("p", subject="alice"))
         with pytest.raises(PolicyStoreError):
-            store.update(permit_policy("q", resource="res0"))
+            store.update(permit_policy("q", subject="alice"))
         with pytest.raises(PolicyStoreError):
             store.remove("q")
         assert "p" in store and len(store) == 1
         assert store.get("p").policy_id == "p"
 
 
-class TestPartitionStrategies:
-    def test_subject_keys_spread_subject_policies(self):
-        # The Table-3 shape: per-subject grants over wildcard resources.
-        # Resource keys would replicate all of these to every shard;
-        # subject keys spread them and keep requests routed.
-        store = ShardedPolicyStore(4, partitioner="subject")
-        for i in range(16):
-            store.load(permit_policy(f"p{i}", subject=f"user{i}"))
-        stats = store.stats()
-        assert stats["partitioner"] == "subject"
-        assert stats["replicated"] == 0
-        assert sum(stats["per_shard"]) == 16  # one replica each, no copies
-        sharded = ShardedPDP(store)
-        response = sharded.evaluate(Request.simple("user3", "weather0"))
-        assert response.policy_id == "p3"
-        assert sharded.routed_evaluations == 1
-        assert sharded.scatter_evaluations == 0
+def paper_populations():
+    """The Table 3 population with its Zipf stream (α = 0.223 over the
+    first 300 requests), and a 1,500-policy population over the same six
+    streams with a Zipf stream over all 1,500 of its requests."""
+    table3 = WorkloadGenerator(seed=2012).generate()
+    city = WorkloadGenerator(seed=2012, parameters=TABLE3._replace(n_policies=1500)).generate()
+    yield "table3", table3, zipf_sequence(
+        [item.request for item in table3], length=len(table3),
+        alpha=TABLE3.zipf_alpha, max_rank=TABLE3.zipf_max_rank, seed=2012,
+    )
+    yield "city1500", city, zipf_sequence(
+        [item.request for item in city], length=len(city),
+        alpha=TABLE3.zipf_alpha, max_rank=len(city), seed=2012,
+    )
 
-    def test_subject_partitioner_replicates_resource_only_targets(self):
-        store = ShardedPolicyStore(4, partitioner="subject")
-        store.load(permit_policy("r-only", resource="weather0"))
-        assert store.placement_of("r-only") == frozenset(range(4))
-        assert store.replicated == 1
 
-    def test_composite_picks_dimension_per_policy(self):
-        store = ShardedPolicyStore(4, partitioner="composite")
-        store.load(permit_policy("by-res", resource="weather0", subject="alice"))
-        store.load(permit_policy("by-subj", subject="bob"))
-        store.load(permit_policy("wild"))
-        assert store.placement_of("by-res") == frozenset({shard_of("weather0", 4)})
-        assert store.placement_of("by-subj") == frozenset({shard_of("bob", 4)})
-        assert store.placement_of("wild") == frozenset(range(4))
-        assert store.partitioner.stats() == {"resource": 1, "subject": 1}
-
-    def test_composite_routing_narrows_with_the_population(self):
-        # With only subject-placed policies live, requests route on the
-        # subject value alone — single shard, no scatter — and start
-        # consulting resource shards only once a resource-keyed policy
-        # exists.
-        store = ShardedPolicyStore(4, partitioner="composite")
-        store.load(permit_policy("s", subject="alice"))
-        request = Request.simple("alice", "weather0")
-        assert store.shards_for_request(request) == (shard_of("alice", 4),)
-        store.load(permit_policy("r", resource="weather0"))
-        expected = tuple(sorted({shard_of("alice", 4), shard_of("weather0", 4)}))
-        assert store.shards_for_request(request) == expected
-        store.remove("r")
-        assert store.shards_for_request(request) == (shard_of("alice", 4),)
-
-    def test_composite_update_can_flip_dimension(self):
-        store = ShardedPolicyStore(4, partitioner="composite")
-        sharded = ShardedPDP(store)
-        store.load(permit_policy("p", resource="weather0"))
-        store.update(permit_policy("p", subject="alice"))  # res → subj
-        assert store.placement_of("p") == frozenset({shard_of("alice", 4)})
-        assert store.partitioner.stats() == {"resource": 0, "subject": 1}
-        assert sharded.evaluate(Request.simple("alice", "weather0")).policy_id == "p"
-
-    def test_unknown_partitioner_name_rejected(self):
-        with pytest.raises(PolicyStoreError):
-            ShardedPolicyStore(2, partitioner="no-such-strategy")
-
-    def test_strategy_instances_accepted(self):
-        store = ShardedPolicyStore(2, partitioner=SubjectKeyPartitioner())
-        assert store.partitioner.name == "subject"
-        store = ShardedPolicyStore(2, partitioner=CompositeKeyPartitioner())
-        assert store.partitioner.name == "composite"
+def test_placement_balances_the_paper_populations():
+    """Per-(subject, stream) grants over six streams: every shard holds
+    and evaluates at least a quarter, nothing replicates, nothing
+    scatters — at the two shard counts a small deployment runs."""
+    for name, items, stream in paper_populations():
+        policies = list({item.policy.policy_id: item.policy for item in items}.values())
+        assert len({item.stream for item in items}) == 6
+        for n_shards in (2, 3):
+            store = ShardedPolicyStore(n_shards)
+            for policy in policies:
+                store.load(policy)
+            sharded = ShardedPDP(store)
+            sharded.evaluate_many(stream)
+            where = f"{name} at n = {n_shards}"
+            stats = store.stats()
+            assert min(stats["per_shard"]) >= 0.25 * len(policies), (where, stats)
+            evaluated = [pdp.evaluations for pdp in sharded.shard_pdps]
+            assert min(evaluated) >= 0.25 * len(stream), (where, evaluated)
+            assert stats["replicated"] == 0, where
+            assert sharded.scatter_evaluations == 0, where
+            assert sharded.routed_evaluations == sum(evaluated) == len(stream), where
 
 
 class _BoomRequest(Request):
