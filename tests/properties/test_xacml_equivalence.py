@@ -443,6 +443,25 @@ SUBJECT_A = "user0"
 SUBJECT_B = next(
     f"user{i}" for i in count(1) if shard_of(f"user{i}", 2) != shard_of(SUBJECT_A, 2)
 )
+#: ``SPREAD[k]`` lives on shard k at n = 8, hence on k mod n at every
+#: shard count the axis has: the draw's four subjects reach only shards
+#: 0 and 3 of four.
+SPREAD = tuple(next(f"user{i}" for i in count() if shard_of(f"user{i}", 8) == k) for k in range(8))
+
+
+def with_role(request):
+    """*request* carrying the role "admin", a subject attribute no index
+    keys on."""
+    request.add(Attribute(SUBJECT, "role", AttributeValue.string("admin")))
+    return request
+
+
+def role_permit(policy_id, role, resource=None):
+    """A permit whose subject is a role: a string-equal match, but not on
+    subject-id, so neither the index nor placement can key on it."""
+    policy = permit(policy_id, resource=resource)
+    policy.target.subjects = [[Match(SUBJECT, "role", AttributeValue.string(role))]]
+    return policy
 
 
 #: One script per known break, each failing under it on the members the
@@ -502,6 +521,53 @@ MUTANTS = {
             ("remove", "p3"), ("load", permit("p5", "dave")),
             ("update", permit("p1", "alice")), ("remove", "rex"),
         ],
+    ),
+    # An update that narrows a wildcard leaves its replica on the shards
+    # the new placement drops: every other subject, and the subject-less
+    # request on shard 0, keep their stale Permit.
+    "update-off-a-wildcard-target": Script(
+        [permit("p0", resource="weather0")],
+        [*(Request.simple(subject, "weather0") for subject in SPREAD),
+         add_value(Request(), RESOURCE, "weather0")],
+        mutations=[("update", permit("p0", SPREAD[1], "weather0")),
+                   ("update", permit("p0", SPREAD[2], "weather0"))],
+    ),
+    # A non-indexable subject (a regex, then a wildcard) placed on one
+    # shard rather than replicated: subjects elsewhere lose their Permit.
+    "non-indexable-subject-replicates": Script(
+        [permit("rex", ("regex", "user.*"), "weather0"),
+         permit("p0", SPREAD[0], "weather0", effect=Effect.DENY)],
+        [Request.simple(subject, "weather0") for subject in SPREAD],
+        mutations=[("update", permit("rex", resource="weather0")), ("remove", "rex")],
+    ),
+    # A multi-literal target placed on one literal's shard (the smallest):
+    # the other literals' subjects route to shards without it, through
+    # updates that move it onto the even shards and then the odd ones.
+    "every-literal-of-a-target": Script(
+        [permit("all", SPREAD, "weather0")],
+        [Request.simple(subject, "weather0") for subject in SPREAD],
+        mutations=[("update", permit("all", SPREAD[::2], "weather0")),
+                   ("update", permit("all", SPREAD[1::2], "weather0"))],
+    ),
+    # A scatter merge left in shard order rather than global load order:
+    # "hi" (loaded first, on the highest shard) must stay first-applicable
+    # over "lo" on shard 0 until it is removed and loaded again behind it.
+    "scatter-keeps-load-order": Script(
+        [permit("hi", SPREAD[7]), permit("lo", SPREAD[0], effect=Effect.DENY)],
+        [add_value(Request.simple(SPREAD[7], "weather0"), SUBJECT, SPREAD[0]),
+         add_value(Request.simple(SPREAD[0], "weather1"), SUBJECT, SPREAD[7])],
+        mutations=[("remove", "hi"), ("load", permit("hi", SPREAD[7]))],
+    ),
+    # A subject match on another attribute (a role) keyed as if it were
+    # subject-id: the index buckets it, and placement hashes it, under
+    # "admin", so no request carrying the role finds it.
+    "role-subject-is-not-a-key": Script(
+        [role_permit("admin", "admin", "weather0")],
+        [*(with_role(Request.simple(subject, "weather0")) for subject in SPREAD),
+         with_role(add_value(Request(), RESOURCE, "weather0")),
+         Request.simple("admin", "weather0")],
+        mutations=[("update", role_permit("admin", "ops", "weather0")),
+                   ("load", role_permit("ops", "admin"))],
     ),
     # A combining switch answered from the old algorithm's cached
     # decisions (a pool's algorithm is fixed when it is built).
