@@ -1,4 +1,4 @@
-"""Pool-recovery benchmark — one shard worker SIGKILLed under load.
+"""Pool-recovery benchmark — one shard worker killed under load.
 
 One real :class:`AsyncDataServer` (loopback TCP, ephemeral port) over a
 4-shard ``ProcessShardPool`` in ``on_unavailable="error"`` mode serves
@@ -74,9 +74,7 @@ async def run_recovery_benchmark():
     progress = {"completed": 0}
     retry_kw = dict(max_retries=200, retry_base_delay=0.01, retry_max_delay=0.1)
 
-    with ProcessShardPool(
-        store, on_unavailable="error", restart_backoff=0.05
-    ) as pool:
+    with ProcessShardPool(store, on_unavailable="error") as pool:
         server.instance.attach_evaluator(pool)
         async with AsyncDataServer(server, max_in_flight=512) as front:
             loop = asyncio.get_running_loop()
@@ -108,7 +106,7 @@ async def run_recovery_benchmark():
                     marks["killed_at"] = loop.time()
                     pool.kill_worker(target_shard, reason="bench: mid-run kill")
                     # One logical call whose retry loop rides through
-                    # detection, backoff, respawn and replay: its
+                    # the backoff, respawn and replay: its
                     # completion IS the first post-kill success on the
                     # killed shard.
                     reply = await client.call(target_op)
@@ -162,9 +160,9 @@ def test_pool_recovery(benchmark):
 
     # The kill really happened and really healed — without pool
     # reconstruction and without exhausting the retry budget — and
-    # recovery stayed within the supervision design envelope (detection
-    # ≤ 0.1 s + backoff + respawn/replay; generous headroom on shared
-    # runners).  The p99 numbers are reported, not gated: client-observed
+    # recovery stayed within the supervision design envelope (the kill
+    # takes the shard down at once, then RESTART_BACKOFF + respawn and
+    # replay; generous headroom on shared runners).  The p99 numbers are reported, not gated: client-observed
     # latency through a retry loop is too noisy to gate on.
     assert recovery["worker_restarts"] >= 1
     assert recovery["degraded_shards"] == []

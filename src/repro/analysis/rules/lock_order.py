@@ -35,11 +35,11 @@ from repro.analysis.core import Finding, ModuleContext, Rule
 
 #: Documented lock orders, keyed by module basename: (outer, inner)
 #: pairs that must exist exactly in that direction.  The pool entry
-#: (``repro/xacml/sharding/pool.py``) encodes the module's written
-#: invariant "acquire ``runtime.lock`` before ``_pending_lock`` (never
-#: the reverse)".
+#: (``repro/xacml/sharding/pool.py``) encodes its one nesting: a
+#: restarted worker is readmitted under ``runtime.lock`` and counted
+#: under ``_counter_lock`` inside it (never the reverse).
 REQUIRED_EDGES: Dict[str, List[Tuple[str, str]]] = {
-    "pool.py": [("lock", "_pending_lock")],
+    "pool.py": [("lock", "_counter_lock")],
 }
 
 
@@ -128,7 +128,7 @@ class LockOrderRule(Rule):
     rule_id = "lock-order"
     description = (
         "nested lock acquisitions must form an acyclic order; documented "
-        "orders (runtime.lock before _pending_lock in sharding/pool.py) are "
+        "orders (runtime.lock before _counter_lock in sharding/pool.py) are "
         "checked as required edges"
     )
     also_emits = ("lock-order-edge",)

@@ -12,10 +12,10 @@ A :class:`~repro.xacml.sharding.ProcessShardPool` accepts a
 
 ``on_mirror(pool, shard_id, op) -> Optional[str]``
     Called when a shard-level store mutation is about to be mirrored
-    into its worker.  Returning ``"drop"`` suppresses the mirror — the
-    pool responds by killing that worker (a replica that missed a
-    mutation is unknowable), so a dropped invalidation ack converts
-    into a supervised crash-rebuild instead of silent staleness.
+    into its live worker.  Returning ``"drop"`` suppresses the mirror —
+    the pool retires that worker before the mutation returns (a replica
+    that missed a mutation is unknowable), so a dropped invalidation
+    ack converts into a supervised rebuild instead of silent staleness.
     :class:`MirrorChaos` drops and/or delays acks this way.
 
 The wire-level faults are plain helpers: :func:`garble_payload`
@@ -45,8 +45,8 @@ class FaultInjector:
         """A command is about to ship to *shard_id*'s worker."""
 
     def on_mirror(self, pool, shard_id: int, op: str) -> Optional[str]:
-        """A mutation is about to mirror into *shard_id*'s worker.
-        Return ``"drop"`` to suppress it (the pool kills the worker)."""
+        """A mutation is about to mirror into *shard_id*'s live worker.
+        Return ``"drop"`` to suppress it (the pool retires the worker)."""
         return None
 
 
@@ -96,7 +96,7 @@ class MirrorChaos(FaultInjector):
     A *delay* stretches the synchronous mutation fan-out (mutation
     latency, never correctness — the ack still happens); a *drop*
     suppresses the mirror entirely, which the pool converts into a
-    worker kill + supervised rebuild.  Seeded, with an optional drop
+    worker retirement + supervised rebuild.  Seeded, with an optional drop
     budget so a run cannot degrade every shard.
     """
 

@@ -16,37 +16,35 @@ concurrent serving front-end (:mod:`repro.serving`) can fan request
 work across cores.
 
 **Multi-driver protocol.**  The pool is safe to drive from many
-threads at once.  Every command a driver sends carries a *tag* —
-``(driver_id, sequence)``, where each driver thread is lazily assigned
-its own id — and every worker response echoes the tag of the command
-that produced it.  A single dispatcher thread per shard drains that
-shard's response queue and completes the matching
-:class:`_PendingCall`, so two drivers' interleaved batches can never
-be cross-matched: a response resolves exactly the call that registered
-its tag, and a response whose tag is no longer registered (its caller
-timed out and gave up) is dropped on the floor.  Each worker remains
-internally serial, like a real one-process-per-shard deployment;
-concurrency comes from interleaving *batches* of different drivers in
-the worker's command queue.
+threads at once.  Every command carries an integer *tag* its shard
+hands out, every worker response echoes it, and each shard keeps its
+own table of pending calls.  One dispatcher thread per worker
+generation completes the call registered under each echoed tag, so two
+drivers' interleaved batches can never be cross-matched; a response
+whose tag is no longer registered (its caller timed out, or its worker
+was retired) is dropped.  Each worker remains internally serial, like
+a real one-process-per-shard deployment.
 
-**Supervision and self-healing.**  A worker failure is *contained*,
-never pool-fatal (PR 6 poisoned the whole pool on any worker death;
-a serving stack cannot afford that).  The shard's dispatcher detects
-the dead process within a poll interval, fails only *that shard's*
-in-flight commands with a retryable
-:class:`~repro.errors.ShardUnavailableError`, and hands the shard to
-the supervisor, which — after an exponential restart backoff — rebuilds
-the worker from authoritative parent state: a consistent snapshot of
-the shard's :class:`PolicyStore` replica (policies *with their pinned
-global load sequences*) taken under the store's mutation lock, plus a
-catch-up replay of every shard-level operation that arrived while the
-worker was down or restarting.  Mutations therefore never block on a
-dead shard (they queue for catch-up and return), and the rebuilt
-worker is bit-identical to a worker that observed every event live —
-the chaos differential suite pins decisions *through* crashes.
+**One way out of service.**  A worker failure is *contained*, never
+pool-fatal.  Whatever takes a worker out of service — its dispatcher
+finding it dead, :meth:`ProcessShardPool.kill_worker`, a dropped or
+rejected mirror, a rejected catch-up op, a failed respawn, a respawn
+that lost the race with ``close()`` — calls ``_retire``: the shard is
+marked ``down`` and its pending calls fail with a retryable
+:class:`~repro.errors.ShardUnavailableError` before the caller goes
+on.  So a mutation whose mirror was lost returns with its shard
+already down, and no evaluation that starts after it reads the
+replica that missed it.  The supervisor then rebuilds the worker,
+after an exponential backoff, from authoritative parent state: a
+snapshot of the shard's :class:`PolicyStore` replica (policies *with
+their pinned global load sequences*) taken under the store's mutation
+lock, plus a catch-up replay of every shard-level operation that
+arrived meanwhile.  Mutations never block on a dead shard (they queue
+for catch-up and return), and the rebuilt worker is bit-identical to
+one that observed every event live.
 
-Restarts are budgeted: at most ``max_restarts`` within
-``restart_window`` seconds; a shard that exhausts the budget is
+Restarts are budgeted: at most ``MAX_RESTARTS`` within
+``RESTART_WINDOW`` seconds; a shard that exhausts the budget is
 declared **degraded** and stops being respawned (``revive()`` re-arms
 it).  While a shard is down, restarting, or degraded, its traffic
 follows the ``on_unavailable`` policy: ``"fallback"`` (the default)
@@ -61,6 +59,12 @@ crash-restart cycle.
 
 from __future__ import annotations
 
+# Imported for its at-fork hooks, before any worker is forked: the
+# executor module registers them on import, and an import that lands
+# while a restart thread is forking runs the after-fork release of the
+# executor's global lock without the before-fork acquire, releasing the
+# lock under a thread that holds it ("release unlocked lock").
+import concurrent.futures.thread  # noqa: F401
 import logging
 import multiprocessing
 import queue as pyqueue
@@ -138,12 +142,16 @@ class _PendingCall:
 
     __slots__ = ("shard_id", "tag", "event", "value", "error")
 
-    def __init__(self, shard_id: int, tag: Tuple[int, int]):
+    def __init__(self, shard_id: int, tag: int):
         self.shard_id = shard_id
         self.tag = tag
         self.event = threading.Event()
         self.value = None
         self.error: Optional[BaseException] = None
+
+    def fail(self, error: BaseException) -> None:
+        self.error = error
+        self.event.set()
 
     def wait(self, timeout: float):
         """Block for the response; raises on worker error or timeout."""
@@ -162,18 +170,19 @@ class _ShardRuntime:
     Every spawn gets *fresh* command/result queues and a fresh
     dispatcher thread, so stale messages from a dead generation can
     never be matched against the next one.  ``lock`` guards every
-    field; the pool's lock order is ``runtime.lock`` →
-    ``_pending_lock`` (never the reverse).
+    field, the pending calls included.
     """
 
     __slots__ = (
-        "shard_id", "process", "commands", "results", "dispatcher",
-        "status", "restarts", "restart_times", "catchup", "lock",
+        "shard_id", "process", "commands", "results", "dispatcher", "status",
+        "restarts", "restart_times", "catchup", "pending", "next_tag", "lock",
         "last_error", "restart_thread",
     )
 
     def __init__(self, shard_id: int):
         self.shard_id = shard_id
+        #: The live generation's process; ``None`` while a restart
+        #: is between its snapshot and its spawn.
         self.process = None  # guarded by: self.lock
         self.commands = None  # guarded by: self.lock
         self.results = None  # guarded by: self.lock
@@ -187,6 +196,9 @@ class _ShardRuntime:
         #: Shard ops that arrived while not ``up``: ``(op, payload,
         #: sequence)`` in arrival order, replayed before readmission.
         self.catchup: List[Tuple[str, object, Optional[int]]] = []  # guarded by: self.lock
+        #: Commands in flight on this shard, keyed by their tag.
+        self.pending: Dict[int, _PendingCall] = {}  # guarded by: self.lock
+        self.next_tag = 0  # guarded by: self.lock
         self.lock = threading.Lock()
         self.last_error: Optional[str] = None  # guarded by: self.lock
         self.restart_thread: Optional[threading.Thread] = None  # guarded by: self.lock
@@ -201,40 +213,49 @@ class ProcessShardPool(ShardRouter):
     requests merge parent-side through the shared cached single-flight
     path.  Mutating the attached :class:`ShardedPolicyStore` fans the
     shard-level operations out synchronously — the mutation returns
-    only after every affected *live* worker acknowledged, so no later
-    evaluation can observe a pre-mutation worker cache.
+    only after every affected *live* worker acknowledged, or after the
+    worker that could not was retired, so no later evaluation can
+    observe a pre-mutation worker cache.
 
     Safe to drive from many threads at once, and a worker death is
     contained to its shard — the module docstring gives the tagged
-    *multi-driver protocol*, *supervision* and the ``on_unavailable``
-    traffic policy.  Use as a context manager or call :meth:`close`.
+    *multi-driver protocol*, the one way out of service and the
+    ``on_unavailable`` traffic policy.  Use as a context manager or
+    call :meth:`close`.
     """
 
     #: ``evaluate`` waits on a worker: an event loop calls it from an
     #: executor thread (a driver); evaluators without this run inline.
     blocking = True
 
-    #: Seconds to wait for any single worker response before declaring
-    #: the worker dead.
+    #: Seconds a caller waits for one worker response.  A timeout
+    #: unregisters the call's tag and raises; it does not retire the
+    #: worker.
     RESPONSE_TIMEOUT = 120.0
 
     #: Dispatcher poll interval — the cadence at which a dispatcher
-    #: notices a stop request or a dead worker process.
+    #: notices a stop request or a worker process that died by itself.
     POLL_INTERVAL = 0.1
 
     #: Requests per ``eval`` command — one pickle and one queue hop
     #: amortised over this many evaluations.
     BATCH_SIZE = 256
 
+    #: The restart budget: at most this many attempts per shard within
+    #: ``RESTART_WINDOW`` seconds, or the shard is declared degraded.
+    MAX_RESTARTS = 5
+    RESTART_WINDOW = 60.0
+
+    #: Seconds before restart attempt *k* inside the window:
+    #: ``min(RESTART_BACKOFF * 2 ** (k - 1), RESTART_BACKOFF_CAP)``.
+    RESTART_BACKOFF = 0.05
+    RESTART_BACKOFF_CAP = 2.0
+
     def __init__(
         self,
         store: ShardedPolicyStore,
         combining: str = "first-applicable",
         cache_size: int = DEFAULT_CACHE_SIZE,
-        max_restarts: int = 5,
-        restart_window: float = 60.0,
-        restart_backoff: float = 0.05,
-        restart_backoff_cap: float = 2.0,
         on_unavailable: str = "fallback",
         fault_injector=None,
     ):
@@ -245,10 +266,6 @@ class ProcessShardPool(ShardRouter):
             )
         super().__init__(store, combining, cache_size)
         self._cache_size = cache_size
-        self.max_restarts = max_restarts
-        self.restart_window = restart_window
-        self.restart_backoff = restart_backoff
-        self.restart_backoff_cap = restart_backoff_cap
         self.on_unavailable = on_unavailable
         self._injector = fault_injector
         # fork skips re-pickling the initial policy population and is
@@ -265,16 +282,7 @@ class ProcessShardPool(ShardRouter):
         self.unavailable_errors = 0  # guarded by: self._counter_lock
         #: Successful supervised worker restarts, pool-wide.
         self.worker_restarts = 0  # guarded by: self._counter_lock
-        #: Tag bookkeeping: commands in flight, keyed by their
-        #: (driver_id, sequence) tag; guarded by ``_pending_lock``.
-        self._pending: Dict[Tuple[int, int], _PendingCall] = {}  # guarded by: self._pending_lock
-        self._pending_lock = threading.Lock()
-        #: Per-thread driver identity (lazily assigned ids + sequence
-        #: counters) — the "per-driver batch tags" of the protocol.
-        self._local = threading.local()
-        self._driver_ids = 0  # guarded by: self._pending_lock
-        self._closed = False  # guarded by: self._pending_lock
-        #: Set at close; interrupts any restart backoff sleep promptly.
+        #: Set once, by :meth:`close`; interrupts any restart backoff.
         self._shutdown = threading.Event()
         self._runtimes = [
             _ShardRuntime(shard_id) for shard_id in range(store.n_shards)
@@ -299,18 +307,20 @@ class ProcessShardPool(ShardRouter):
         so concurrent drivers observe a closed pool as a prompt
         :class:`~repro.errors.PolicyStoreError`, not a timeout.
         Supervisor restart threads are interrupted mid-backoff and
-        joined; a worker respawned in the race window is terminated by
-        its own restart thread (which re-checks ``_closed`` after the
-        launch), so no process outlives the pool.
+        joined; a worker respawned in the race window is retired by
+        its own restart thread, so no process outlives the pool.
         """
-        with self._pending_lock:
-            if self._closed:
+        with self._counter_lock:
+            if self._shutdown.is_set():
                 return
-            self._closed = True
-        self._shutdown.set()
+            self._shutdown.set()
         self.store.remove_shard_listener(self._on_shard_op)
         self.scatter.detach()
-        self._fail_pending("the shard pool is closed")
+        for runtime in self._runtimes:
+            with runtime.lock:
+                pending, runtime.pending = runtime.pending, {}
+            for call in pending.values():
+                call.fail(PolicyStoreError("the shard pool is closed"))
         current = threading.current_thread()
         for runtime in self._runtimes:
             with runtime.lock:
@@ -344,8 +354,9 @@ class ProcessShardPool(ShardRouter):
 
     # -- worker lifecycle -------------------------------------------------------
 
-    def _launch(self, runtime: _ShardRuntime, initial) -> None:
-        """Spawn one worker generation: process, queues, dispatcher."""
+    def _launch(self, runtime: _ShardRuntime, initial):
+        """Spawn one worker generation — process, queues, dispatcher —
+        and return its process."""
         commands, results = self._ctx.Queue(), self._ctx.Queue()
         process = self._ctx.Process(
             target=_shard_worker_main,
@@ -369,24 +380,35 @@ class ProcessShardPool(ShardRouter):
             runtime.results = results
             runtime.dispatcher = dispatcher
         dispatcher.start()
+        return process
 
-    def _on_worker_death(self, runtime: _ShardRuntime, reason: str) -> None:
-        """A dispatcher noticed its generation's process is gone.
+    def _retire(self, runtime: _ShardRuntime, process, reason: str) -> None:
+        """Take *process*'s generation out of service: the one way a
+        shard leaves ``up`` or ``restarting``.
 
-        Fails only this shard's pending calls and (for a death out of
-        ``up``) schedules the supervised restart.  A death while
-        ``restarting`` — the fresh worker crashed during catch-up — is
-        observed by the restart thread through the failed catch-up
-        call, which reschedules itself; acting here too would race it.
+        Marks the shard ``down`` and takes its pending calls in one
+        critical section, then fails those calls with the retryable
+        typed error, terminates the process and, for a shard that was
+        ``up``, schedules the supervised restart.  Out of
+        ``restarting`` the restart thread reschedules itself.  A
+        generation that is no longer the live one (a stale dispatcher
+        after a rebuild) or a shard already out of service is left
+        alone.
         """
         with runtime.lock:
-            if self._closed or runtime.status not in ("up", "restarting"):
+            if runtime.process is not process or runtime.status not in (
+                "up", "restarting"
+            ):
                 return
             schedule = runtime.status == "up"
             runtime.status = "down"
             runtime.last_error = reason
-        logger.warning("shard %d worker died: %s", runtime.shard_id, reason)
-        self._fail_shard_pending(runtime.shard_id, reason)
+            pending, runtime.pending = runtime.pending, {}
+        logger.warning("shard %d worker retired: %s", runtime.shard_id, reason)
+        for call in pending.values():
+            call.fail(ShardUnavailableError(runtime.shard_id, reason))
+        if process is not None:
+            process.terminate()
         if schedule:
             self._schedule_restart(runtime)
 
@@ -394,50 +416,51 @@ class ProcessShardPool(ShardRouter):
         """Arm one restart attempt, or declare the shard degraded.
 
         The budget is sliding-window: attempts older than
-        ``restart_window`` seconds no longer count.  Backoff doubles
+        ``RESTART_WINDOW`` seconds no longer count.  Backoff doubles
         per attempt within the window, capped at
-        ``restart_backoff_cap``.
+        ``RESTART_BACKOFF_CAP``.
         """
         now = time.monotonic()
         with runtime.lock:
-            if self._closed or runtime.status != "down":
+            if self._shutdown.is_set() or runtime.status != "down":
                 return
             runtime.restart_times = [
                 stamp for stamp in runtime.restart_times
-                if now - stamp < self.restart_window
+                if now - stamp < self.RESTART_WINDOW
             ]
-            if len(runtime.restart_times) >= self.max_restarts:
+            attempt = len(runtime.restart_times) + 1
+            if attempt > self.MAX_RESTARTS:
                 runtime.status = "degraded"
                 # The parent store is authoritative and the fallback
                 # reads it live; queued catch-up is obsolete the moment
                 # nothing will replay it.
                 runtime.catchup.clear()
-                runtime.restart_thread = None
-                degraded = True
             else:
                 runtime.restart_times.append(now)
-                attempt = len(runtime.restart_times)
-                backoff = min(
-                    self.restart_backoff * (2 ** (attempt - 1)),
-                    self.restart_backoff_cap,
-                )
-                thread = threading.Thread(
-                    target=self._restart_worker,
-                    args=(runtime, backoff),
-                    daemon=True,
-                    name=f"pdp-shard-supervise-{runtime.shard_id}",
-                )
-                runtime.restart_thread = thread
-                degraded = False
-        if degraded:
+        if attempt > self.MAX_RESTARTS:
             logger.error(
                 "shard %d exhausted its restart budget (%d in %.1fs); "
                 "declared degraded (%s traffic policy)",
-                runtime.shard_id, self.max_restarts, self.restart_window,
+                runtime.shard_id, self.MAX_RESTARTS, self.RESTART_WINDOW,
                 self.on_unavailable,
             )
         else:
-            thread.start()
+            self._start_restart(runtime, min(
+                self.RESTART_BACKOFF * 2 ** (attempt - 1),
+                self.RESTART_BACKOFF_CAP,
+            ))
+
+    def _start_restart(self, runtime: _ShardRuntime, backoff: float) -> None:
+        """Run one restart attempt on its own thread after *backoff*."""
+        thread = threading.Thread(
+            target=self._restart_worker,
+            args=(runtime, backoff),
+            daemon=True,
+            name=f"pdp-shard-supervise-{runtime.shard_id}",
+        )
+        with runtime.lock:
+            runtime.restart_thread = thread
+        thread.start()
 
     def _restart_worker(self, runtime: _ShardRuntime, backoff: float) -> None:
         """One supervised restart attempt (runs on its own thread).
@@ -448,15 +471,25 @@ class ProcessShardPool(ShardRouter):
         in the snapshot) happen atomically under the store's mutation
         lock, so the snapshot plus the queued catch-up ops is exactly
         the shard's authoritative history — nothing lost, nothing
-        applied twice.
+        applied twice.  Every failure retires this attempt's
+        generation and arms the next attempt.
         """
-        if self._shutdown.wait(backoff) or self._closed:
+        if self._shutdown.wait(backoff):
             return
 
         def mark_restarting() -> None:
             with runtime.lock:
                 runtime.catchup.clear()
                 runtime.status = "restarting"
+                stale = (runtime.commands, runtime.results)
+                # The generation being spawned has no process yet.
+                runtime.process = runtime.commands = runtime.results = None
+            # The dead generation's queues go with it; late stale
+            # messages died with its dispatcher.
+            for q in stale:
+                if q is not None:
+                    q.close()
+                    q.cancel_join_thread()
 
         try:
             initial = self.store.snapshot_shard(
@@ -467,30 +500,18 @@ class ProcessShardPool(ShardRouter):
                 "shard %d restart aborted: snapshot failed", runtime.shard_id
             )
             return
-        # The dead generation's queues go with it; late stale messages
-        # died with its dispatcher.
-        with runtime.lock:
-            stale = (runtime.commands, runtime.results)
-        for q in stale:
-            if q is None:
-                continue
-            try:
-                q.close()
-                q.cancel_join_thread()
-            except Exception as error:
-                logger.debug("stale queue close failed: %s", error)
         try:
-            self._launch(runtime, initial)
+            process = self._launch(runtime, initial)
         except Exception as error:
             with runtime.lock:
-                runtime.status = "down"
-                runtime.last_error = f"respawn failed: {error}"
+                process = runtime.process
+            self._retire(runtime, process, f"respawn failed: {error}")
             self._schedule_restart(runtime)
             return
-        if self._closed:
+        if self._shutdown.is_set():
             # Lost the race with close(): it may have joined the old
             # process; this generation is ours to reap.
-            self.kill_worker(runtime.shard_id)
+            self._retire(runtime, process, "the shard pool is closed")
             return
         # Catch-up replay: drain ops that arrived while down, then
         # readmit.  New ops may keep arriving (queued under the store
@@ -498,10 +519,8 @@ class ProcessShardPool(ShardRouter):
         # is observed empty under the runtime lock.
         while True:
             with runtime.lock:
-                if self._closed:
-                    return
                 if runtime.status == "down":
-                    break  # the fresh worker died already
+                    break  # the fresh worker was retired already
                 if not runtime.catchup:
                     runtime.status = "up"
                     runtime.restarts += 1
@@ -519,89 +538,44 @@ class ProcessShardPool(ShardRouter):
                     runtime.shard_id, op, payload, sequence, during_restart=True
                 )
             except ShardUnavailableError:
-                break  # died mid catch-up; status is already "down"
+                break  # retired mid catch-up
             except PolicyStoreError as error:
-                if self._closed:
-                    return
-                # The fresh replica rejected an authoritative op: it
-                # cannot be trusted.  Kill this generation ourselves
-                # (status already "down" ⇒ its dispatcher won't
-                # double-schedule) and burn another budget slot.
-                with runtime.lock:
-                    runtime.status = "down"
-                    runtime.last_error = f"catch-up {op} failed: {error}"
-                self.kill_worker(runtime.shard_id)
+                # The fresh replica rejected an authoritative op (or the
+                # pool closed under it): it cannot be trusted.
+                self._retire(runtime, process, f"catch-up {op} failed: {error}")
                 break
         self._schedule_restart(runtime)
 
     def kill_worker(self, shard_id: int, reason: str = "killed") -> None:
-        """Terminate one shard's live worker process (chaos aid).
-
-        The supervisor observes the death within a poll interval and
-        handles restart/degradation exactly as for a spontaneous crash.
-        """
+        """Retire one shard's live worker (chaos aid), exactly as the
+        supervisor retires a worker that crashed by itself."""
         runtime = self._runtimes[shard_id]
         with runtime.lock:
             process = runtime.process
         if process is not None:
-            try:
-                process.terminate()
-            except Exception as error:
-                logger.debug("kill_worker terminate failed: %s", error)
+            self._retire(runtime, process, reason)
 
     def revive(self, shard_id: int) -> None:
         """Re-arm a degraded shard: reset its budget and restart it.
 
         The revive itself is one explicit restart attempt outside the
-        budget (so a ``max_restarts=0`` pool can still be revived by an
-        operator); if the revived worker dies again, the sliding-window
-        budget applies afresh.
+        budget (so a ``MAX_RESTARTS = 0`` pool can still be revived by
+        an operator); if the revived worker dies again, the
+        sliding-window budget applies afresh.
         """
         runtime = self._runtimes[shard_id]
         with runtime.lock:
-            if self._closed:
+            if self._shutdown.is_set():
                 raise PolicyStoreError("the shard pool is closed")
             if runtime.status != "degraded":
                 raise PolicyStoreError(
                     f"shard {shard_id} is {runtime.status}, not degraded"
                 )
-            runtime.status = "down"
+            runtime.status = "restarting"
             runtime.restart_times = []
-            thread = threading.Thread(
-                target=self._restart_worker,
-                args=(runtime, 0.0),
-                daemon=True,
-                name=f"pdp-shard-supervise-{shard_id}",
-            )
-            runtime.restart_thread = thread
-        thread.start()
+        self._start_restart(runtime, 0.0)
 
     # -- worker protocol --------------------------------------------------------
-
-    def _driver_tag(self) -> Tuple[int, int]:
-        """The calling thread's next command tag.
-
-        Each driver thread gets its own id on first use and a private
-        monotonically increasing sequence, so tags are unique across the
-        pool's lifetime without any cross-driver coordination beyond the
-        one-time id assignment.
-        """
-        local = self._local
-        driver_id = getattr(local, "driver_id", None)
-        if driver_id is None:
-            with self._pending_lock:
-                driver_id = self._driver_ids
-                self._driver_ids += 1
-            local.driver_id = driver_id
-            local.sequence = 0
-        sequence = local.sequence
-        local.sequence = sequence + 1
-        return (driver_id, sequence)
-
-    @property
-    def drivers(self) -> int:
-        """Distinct driver threads that have issued commands so far."""
-        return self._driver_ids
 
     def _unavailable(self, runtime: _ShardRuntime) -> ShardUnavailableError:
         """The typed error for *runtime*'s current (non-up) status.
@@ -619,31 +593,31 @@ class ProcessShardPool(ShardRouter):
     ) -> _PendingCall:
         """Register a pending call and ship its tagged command.
 
-        The admission check, pending registration and command-queue
-        capture happen atomically under the runtime lock, so a call
-        can never be registered against a generation whose death was
-        already handled: the death path flips ``status`` under the
-        same lock *before* failing that shard's pending calls.
+        The admission check, the tag and the registration happen under
+        the runtime lock, so a call can never be registered against a
+        generation that was already retired: :meth:`_retire` flips
+        ``status`` and takes the pending calls under the same lock.
         """
         runtime = self._runtimes[shard_id]
-        tag = self._driver_tag()
-        call = _PendingCall(shard_id, tag)
         with runtime.lock:
-            if self._closed:
+            if self._shutdown.is_set():
                 raise PolicyStoreError("the shard pool is closed")
             admissible = ("up", "restarting") if during_restart else ("up",)
             if runtime.status not in admissible:
                 raise self._unavailable(runtime)
+            call = _PendingCall(shard_id, runtime.next_tag)
+            runtime.next_tag += 1
+            runtime.pending[call.tag] = call
             commands = runtime.commands
-            with self._pending_lock:
-                self._pending[tag] = call
         if self._injector is not None:
             self._injector.on_command(self, shard_id, op)
+            if call.event.is_set():
+                return call  # the injector retired this generation
         try:
-            commands.put((op, tag, *args))
+            commands.put((op, call.tag, *args))
         except BaseException:
-            with self._pending_lock:
-                self._pending.pop(tag, None)
+            with runtime.lock:
+                runtime.pending.pop(call.tag, None)
             raise
         return call
 
@@ -654,8 +628,9 @@ class ProcessShardPool(ShardRouter):
         try:
             return call.wait(self.RESPONSE_TIMEOUT)
         except PolicyStoreError:
-            with self._pending_lock:
-                self._pending.pop(call.tag, None)
+            runtime = self._runtimes[call.shard_id]
+            with runtime.lock:
+                runtime.pending.pop(call.tag, None)
             raise
 
     def _replicate(
@@ -669,49 +644,27 @@ class ProcessShardPool(ShardRouter):
             self._submit(shard_id, op, *args, during_restart=during_restart)
         )
 
-    def _fail_pending(self, reason: str) -> None:
-        """Fail every driver's pending calls promptly (pool teardown)."""
-        with self._pending_lock:
-            failed = list(self._pending.items())
-            self._pending.clear()
-        for _, call in failed:
-            call.error = PolicyStoreError(reason)
-            call.event.set()
-
-    def _fail_shard_pending(self, shard_id: int, reason: str) -> None:
-        """Fail only *shard_id*'s pending calls, with the retryable
-        typed error — other shards' drivers are untouched."""
-        with self._pending_lock:
-            failed = [
-                item for item in self._pending.items()
-                if item[1].shard_id == shard_id
-            ]
-            for tag, _ in failed:
-                del self._pending[tag]
-        for _, call in failed:
-            call.error = ShardUnavailableError(shard_id, reason)
-            call.event.set()
-
     def _dispatch_loop(self, runtime: _ShardRuntime, process, results) -> None:
         """One worker generation's dispatcher: route responses to their
         pending tag.
 
         Also the liveness monitor for its generation — a worker that
-        died without responding is detected within a poll interval and
-        handed to the supervisor, so no driver ever waits out the full
-        response timeout on a queue that cannot fill.  The dispatcher
-        dies with its generation; the restart spawns a fresh one.
+        died without responding is retired within a poll interval, so
+        no driver ever waits out the full response timeout on a queue
+        that cannot fill.  The dispatcher dies with its generation; the
+        restart spawns a fresh one.
         """
         shard_id = runtime.shard_id
         while True:
             try:
                 message = results.get(timeout=self.POLL_INTERVAL)
             except pyqueue.Empty:
-                if self._closed:
+                if self._shutdown.is_set():
                     return
                 if not process.is_alive():
-                    self._on_worker_death(
+                    self._retire(
                         runtime,
+                        process,
                         f"shard worker {shard_id} died "
                         f"(exit code {process.exitcode})",
                     )
@@ -720,17 +673,17 @@ class ProcessShardPool(ShardRouter):
             except (OSError, ValueError, EOFError):
                 return  # queue torn down under us: generation replaced
             kind, tag, payload = message
-            with self._pending_lock:
-                call = self._pending.pop(tag, None)
+            with runtime.lock:
+                call = runtime.pending.pop(tag, None)
             if call is None:
                 continue  # caller gave up on this tag; drop the response
             if kind == "error":
-                call.error = PolicyStoreError(
+                call.fail(PolicyStoreError(
                     f"shard worker {shard_id} failed on {tag!r}: {payload}"
-                )
+                ))
             else:
                 call.value = payload
-            call.event.set()
+                call.event.set()
 
     def _on_shard_op(self, shard_id: int, op: str, payload, sequence) -> None:
         """Mirror one shard-level store operation into its worker.
@@ -739,24 +692,13 @@ class ProcessShardPool(ShardRouter):
         restarting queues the op for catch-up replay and returns — a
         mutation never blocks on (or fails because of) a dead shard; a
         degraded shard drops it (the parent store stays authoritative
-        and the fallback reads it live).  A *live* worker that rejects
-        its mirrored op has a diverged replica and is killed — the
-        supervised rebuild from parent state is the repair.  The store
-        itself is never affected: it applied the mutation before
-        notifying, and the bus event still goes out.
+        and the fallback reads it live).  A live worker whose mirror is
+        dropped or rejected has a diverged replica and is retired
+        before the mutation returns — the supervised rebuild from
+        parent state is the repair.  The store itself is never
+        affected: it applied the mutation before notifying, and the
+        bus event still goes out.
         """
-        if self._closed:
-            return
-        if self._injector is not None:
-            action = self._injector.on_mirror(self, shard_id, op)
-            if action == "drop":
-                # A dropped mirror leaves the worker's replica
-                # unknowable; kill it and let supervision rebuild from
-                # post-mutation parent state.
-                self.kill_worker(
-                    shard_id, reason="mirror dropped by fault injection"
-                )
-                return
         runtime = self._runtimes[shard_id]
         with runtime.lock:
             if runtime.status == "degraded":
@@ -764,18 +706,22 @@ class ProcessShardPool(ShardRouter):
             if runtime.status != "up":
                 runtime.catchup.append((op, payload, sequence))
                 return
+            process = runtime.process
+        if self._injector is not None:
+            if self._injector.on_mirror(self, shard_id, op) == "drop":
+                self._retire(runtime, process, "mirror dropped by fault injection")
+                return
         try:
             self._replicate(shard_id, op, payload, sequence)
         except ShardUnavailableError:
-            # The worker died under the mirror; harmless — the rebuild
+            # Retired under the mirror; harmless — the rebuild
             # snapshots the store *after* this mutation was applied.
             pass
         except PolicyStoreError as error:
-            if self._closed:
-                return
-            self.kill_worker(
-                shard_id, reason=f"worker rejected mirrored {op}: {error}"
-            )
+            if not self._shutdown.is_set():
+                self._retire(
+                    runtime, process, f"worker rejected mirrored {op}: {error}"
+                )
 
     # -- evaluation -------------------------------------------------------------
 
@@ -808,7 +754,7 @@ class ProcessShardPool(ShardRouter):
         other chunk has been collected (never stranding results
         mid-protocol).
         """
-        if self._closed:
+        if self._shutdown.is_set():
             raise PolicyStoreError("the shard pool is closed")
         # Ship every chunk before collecting anything: queue puts are
         # asynchronous (feeder threads), so all workers start promptly
@@ -866,18 +812,19 @@ class ProcessShardPool(ShardRouter):
     def health(self) -> dict:
         """A pure snapshot of supervision state, per shard and pooled;
         every shard of a closed pool reads ``closed``."""
+        closed = self._shutdown.is_set()
         shards = []
         for runtime in self._runtimes:
             with runtime.lock:
                 shards.append({
                     "shard_id": runtime.shard_id,
-                    "status": "closed" if self._closed else runtime.status,
+                    "status": "closed" if closed else runtime.status,
                     "restarts": runtime.restarts,
                     "catchup_pending": len(runtime.catchup),
                     "last_error": runtime.last_error,
                 })
         return {
-            "closed": self._closed,
+            "closed": closed,
             "on_unavailable": self.on_unavailable,
             "shards": shards,
             "statuses": [entry["status"] for entry in shards],
@@ -932,7 +879,7 @@ class ProcessShardPool(ShardRouter):
         return totals
 
     def __repr__(self) -> str:
-        if self._closed:
+        if self._shutdown.is_set():
             return f"ProcessShardPool(shards={self.n_shards}, closed)"
         statuses = ",".join(
             runtime.status for runtime in self._runtimes

@@ -214,4 +214,4 @@ class TestRequiredEdges:
     def test_default_required_edges_target_sharding(self):
         from repro.analysis.rules.lock_order import REQUIRED_EDGES
 
-        assert REQUIRED_EDGES == {"pool.py": [("lock", "_pending_lock")]}
+        assert REQUIRED_EDGES == {"pool.py": [("lock", "_counter_lock")]}

@@ -17,8 +17,9 @@ Covered for ``pdp_shards ∈ {None, 4}`` (the acceptance matrix):
   authoritative store);
 - worker kills under mutation churn, ``"error"`` mode — clients see
   retryable errors and settle to identical decisions by retrying;
-- dropped invalidation mirrors — converted to kill + supervised
-  rebuild, so no worker ever serves from a silently-stale replica;
+- dropped invalidation mirrors — the shard is retired before the
+  mutation returns and rebuilt under supervision, so no worker ever
+  serves from a silently-stale replica;
 - garbled frames and stalled readers on the unsharded path — contained
   to an in-order error reply / a backpressure stall, never corrupting
   neighbouring replies.
@@ -217,16 +218,19 @@ async def run_inprocess_serial(scripts, pdp_shards):
     return outcomes
 
 
+class QuickRestartPool(ProcessShardPool):
+    """Restarts a retired worker after 10 ms, so every scheduled kill
+    finds a live generation within the scripts."""
+
+    RESTART_BACKOFF = 0.01
+
+
 async def run_served_with_pool(scripts, pool_kwargs, chaos_counters):
     """Drive the scripts concurrently against a server whose PDP work
     runs on a supervised ProcessShardPool under fault injection.
     Returns (per-client signatures, pool health snapshot)."""
     server = make_env(N_SHARDS)
-    pool = ProcessShardPool(
-        server.instance.store,
-        restart_backoff=0.01,
-        **pool_kwargs,
-    )
+    pool = QuickRestartPool(server.instance.store, **pool_kwargs)
     server.instance.attach_evaluator(pool)
     try:
         async with AsyncDataServer(server) as front:
@@ -336,9 +340,9 @@ class TestShardedChaos:
         assert chaos.dropped >= 1, "drop rate never fired — no chaos happened"
         chaos_counters["mirror_drops"] += chaos.dropped
         chaos_counters["worker_kills"] += chaos.dropped
-        # A dropped mirror converts to a supervised rebuild, never to a
-        # stale decision: equivalence with the fault-free reference is
-        # exactly the no-staleness property.
+        # A dropped mirror retires its worker before the mutation
+        # returns, never leaving a stale decision: equivalence with the
+        # fault-free reference is exactly the no-staleness property.
         assert health["worker_restarts"] >= 1
         assert_streams_equal(served, serial)
 
@@ -438,13 +442,14 @@ class TestUnshardedChaos:
 
 
 class TestStatsUnderChaos:
-    def test_stats_reports_a_killed_worker_through_its_restart(self, chaos_counters):
+    def test_stats_reports_a_killed_worker_through_its_restart(self, chaos_counters, monkeypatch):
         """A ``stats`` op asked while a pool worker is killed and
         restarted is answered every time, and its per-shard status walks
         the transition (``up`` → down / restarting → ``up``) while the
         restart count rises."""
         server = make_env(2)
-        pool = ProcessShardPool(server.instance.store, restart_backoff=0.3)
+        monkeypatch.setattr(ProcessShardPool, "RESTART_BACKOFF", 0.3)
+        pool = ProcessShardPool(server.instance.store)
         server.instance.attach_evaluator(pool)
 
         async def scenario():

@@ -64,7 +64,12 @@ SEED = int(os.environ.get("FUZZ_SEED") or (random.SystemRandom().randrange(2**31
 SETTINGS = dict(deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
 
 COMBINING = ("first-applicable", "permit-overrides", "deny-overrides")
-SUBJECTS = ("alice", "bob", "carol", "dave")
+#: The drawn subjects: ``SUBJECTS[k]`` lives on shard k at n = 4 (so on
+#: k mod 2 at n = 2), and every pool shard holds drawn literal subjects.
+SUBJECTS = tuple(
+    next(f"{stem}{i}" for i in count() if shard_of(f"{stem}{i}", 4) == k)
+    for k, stem in enumerate(("alice", "bob", "carol", "dave"))
+)
 RESOURCES = ("weather0", "weather1", "gps0")
 ACTIONS = ("read", "write")
 SUBJECT, RESOURCE = AttributeCategory.SUBJECT, AttributeCategory.RESOURCE
@@ -81,7 +86,7 @@ SUBJECT, RESOURCE = AttributeCategory.SUBJECT, AttributeCategory.RESOURCE
 #: each a wildcard half the time.
 SUBJECT_SPECS = (
     (None,) * 12 + SUBJECTS * 3 + tuple(combinations(SUBJECTS, 2)) * 2
-    + tuple(("regex", pattern) for pattern in ("ali.*", "(bob|carol)", "z.*")) * 4
+    + tuple(("regex", pattern) for pattern in ("ali.*", "(bob|carol).*", "z.*")) * 4
 )
 RESOURCE_SPECS = (None,) * 4 + RESOURCES + (("regex", "wea.*"),)
 TARGET_SPECS = list(product(SUBJECT_SPECS, RESOURCE_SPECS, (None,) * 2 + ACTIONS))
@@ -444,8 +449,7 @@ SUBJECT_B = next(
     f"user{i}" for i in count(1) if shard_of(f"user{i}", 2) != shard_of(SUBJECT_A, 2)
 )
 #: ``SPREAD[k]`` lives on shard k at n = 8, hence on k mod n at every
-#: shard count the axis has: the draw's four subjects reach only shards
-#: 0 and 3 of four.
+#: shard count the axis has.
 SPREAD = tuple(next(f"user{i}" for i in count() if shard_of(f"user{i}", 8) == k) for k in range(8))
 
 
@@ -615,6 +619,8 @@ def test_generator_census():
         tally.update(run_script([], script))  # the oracle's decisions
 
     draw()
+    assert [shard_of(subject, 4) for subject in SUBJECTS] == [0, 1, 2, 3]
+    assert [shard_of(subject, 2) for subject in SUBJECTS] == [0, 1, 0, 1]
     wanted = {*SHAPES, "SUBJECT regex", "RESOURCE regex", "load", "update", "remove"}
     wanted |= {"Permit", "Deny", "NotApplicable"}
     assert wanted - set(tally) == set()

@@ -335,7 +335,7 @@ class TestConnectCleanup:
 
 
 class TestServedShardUnavailable:
-    def test_server_maps_shard_unavailable_to_retryable_wire_error(self):
+    def test_server_maps_shard_unavailable_to_retryable_wire_error(self, monkeypatch):
         server = make_data_server(pdp_shards=4)
         store = server.instance.store
         request_xml = request_to_xml(Request.simple("LTA", "weather"))
@@ -366,12 +366,11 @@ class TestServedShardUnavailable:
                     # The connection survived the mapped error.
                     assert isinstance(await client.ping(), AckReply)
 
-        with ProcessShardPool(
-            store, on_unavailable="error", restart_backoff=30.0
-        ) as pool:
+        monkeypatch.setattr(ProcessShardPool, "RESTART_BACKOFF", 30.0)
+        with ProcessShardPool(store, on_unavailable="error") as pool:
             asyncio.run(asyncio.wait_for(scenario(pool), TIMEOUT))
 
-    def test_degraded_shard_maps_to_fatal_wire_error(self):
+    def test_degraded_shard_maps_to_fatal_wire_error(self, monkeypatch):
         server = make_data_server(pdp_shards=4)
         store = server.instance.store
         request_xml = request_to_xml(Request.simple("LTA", "weather"))
@@ -398,12 +397,11 @@ class TestServedShardUnavailable:
                     assert reply.error_kind == "ShardUnavailableError"
                     assert not reply.retryable  # degraded: retry won't help
 
-        with ProcessShardPool(
-            store, on_unavailable="error", max_restarts=0
-        ) as pool:
+        monkeypatch.setattr(ProcessShardPool, "MAX_RESTARTS", 0)
+        with ProcessShardPool(store, on_unavailable="error") as pool:
             asyncio.run(asyncio.wait_for(scenario(pool), TIMEOUT))
 
-    def test_client_retries_ride_through_a_supervised_restart(self):
+    def test_client_retries_ride_through_a_supervised_restart(self, monkeypatch):
         server = make_data_server(pdp_shards=4)
         store = server.instance.store
         request_xml = request_to_xml(Request.simple("LTA", "weather"))
@@ -429,7 +427,6 @@ class TestServedShardUnavailable:
                     assert reply.ok and reply.policy_id == "p:LTA"
             assert pool.health()["worker_restarts"] >= 1
 
-        with ProcessShardPool(
-            store, on_unavailable="error", restart_backoff=0.3
-        ) as pool:
+        monkeypatch.setattr(ProcessShardPool, "RESTART_BACKOFF", 0.3)
+        with ProcessShardPool(store, on_unavailable="error") as pool:
             asyncio.run(asyncio.wait_for(scenario(pool), TIMEOUT))

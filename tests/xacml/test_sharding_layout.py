@@ -137,6 +137,11 @@ def test_deleted_options_stay_deleted():
     ]
     assert not hasattr(ScatterEvaluator(ShardedPolicyStore(2), "first-applicable", 0), "enabled")
     assert ProcessShardPool.BATCH_SIZE == 256
+    assert list(inspect.signature(ProcessShardPool).parameters) == [
+        "store", "combining", "cache_size", "on_unavailable", "fault_injector",
+    ]
+    assert (ProcessShardPool.MAX_RESTARTS, ProcessShardPool.RESTART_WINDOW) == (5, 60.0)
+    assert (ProcessShardPool.RESTART_BACKOFF, ProcessShardPool.RESTART_BACKOFF_CAP) == (0.05, 2.0)
     assert list(inspect.signature(ShardedPolicyStore).parameters) == ["n_shards"]
     for cls in (XacmlPlusInstance, DataServer):
         assert "pdp_partitioner" not in inspect.signature(cls).parameters, cls
@@ -154,6 +159,27 @@ def test_one_placement_remains():
         assert not any(hasattr(module, name) for name in DELETED_NAMES), module
     assert not hasattr(ShardedPolicyStore(2), "partitioner")
     assert "partitioner" not in ShardedPolicyStore(2).stats()
+
+
+def test_one_way_out_of_service():
+    """The pool-wide pending table, its lock, the per-thread driver ids
+    and the hand-written death paths are gone; one method of ``pool.py``
+    marks a shard ``down``."""
+    tree = ast.parse((PACKAGE_DIR / "pool.py").read_text())
+    names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    gone = {"drivers", "_pending", "_pending_lock", "_local", "_driver_tag", "_driver_ids",
+            "_closed", "_on_worker_death", "_fail_pending", "_fail_shard_pending"}
+    assert not gone & names
+    marks_down = {
+        function.name
+        for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function) if isinstance(node, ast.Assign)
+        if isinstance(node.value, ast.Constant) and node.value.value == "down"
+        and any(isinstance(target, ast.Attribute) and target.attr == "status"
+                for target in node.targets)
+    }
+    assert marks_down == {"_retire"}
 
 
 def test_routing_core_is_written_once():

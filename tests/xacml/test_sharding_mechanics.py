@@ -209,7 +209,7 @@ class TestWorkerPool:
             responses = pool.evaluate_many(good)
             assert [r.policy_id for r in responses] == ["p"] * 6
 
-    def test_rejected_mutation_fanout_heals_the_worker_not_the_pool(self):
+    def test_rejected_mutation_fanout_heals_the_worker_not_the_pool(self, monkeypatch):
         # A worker that rejects its mirrored op has a diverged replica.
         # Supervision kills just that worker and rebuilds it from
         # authoritative parent state — the pool object stays usable
@@ -217,13 +217,14 @@ class TestWorkerPool:
         store = ShardedPolicyStore(2)
         store.load(permit_policy("p", resource="weather0"))
         request = Request.simple("alice", "weather0")
-        with ProcessShardPool(store, restart_backoff=0.01) as pool:
+        monkeypatch.setattr(ProcessShardPool, "RESTART_BACKOFF", 0.01)
+        with ProcessShardPool(store) as pool:
             # Drive the shard listener with an op the worker must
             # reject (its mirrored store has no such policy).  The
             # fan-out must not raise: the store already applied its
             # side, and the worker repair is supervision's job.
             pool._on_shard_op(0, "remove", "no-such-policy", None)
-            assert not pool._closed
+            assert not pool._shutdown.is_set()
             deadline = time.perf_counter() + 15.0
             while (
                 pool.health()["worker_restarts"] < 1
