@@ -23,7 +23,7 @@ reference mode the XACML differential harness compares against.
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import Optional, Union
 
 from repro.core.access_registry import AccessRegistry
 from repro.core.graph_manager import QueryGraphManager
@@ -131,9 +131,6 @@ class XacmlPlusInstance:
         self.pep.release(handle)
 
     # -- introspection -------------------------------------------------------------
-
-    def active_handles(self) -> List[StreamHandle]:
-        return [query.handle for query in self.engine.active_queries()]
 
     def __repr__(self) -> str:
         return (

@@ -82,6 +82,7 @@ class ExpressionSyntaxError(ExpressionError):
     """A condition string could not be parsed."""
 
     def __init__(self, message, position=None):
+        self.reason = message
         self.position = position
         if position is not None:
             message = f"{message} (at position {position})"

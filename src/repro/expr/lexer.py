@@ -1,15 +1,24 @@
-"""Tokenizer for filter-condition strings.
+"""The one tokenizer for conditions and StreamSQL scripts.
 
-Accepts the condition syntax used throughout the paper: identifiers,
-numeric literals, single-quoted string literals, the six comparison
+It reads the condition syntax used throughout the paper: identifiers,
+numeric literals (optional sign, decimals, exponent), single-quoted
+string literals with ``''`` as the escaped quote, the six comparison
 operators (plus ``==`` and ``<>`` aliases), AND / OR / NOT (case
-insensitive), TRUE, and parentheses.
+insensitive), TRUE, and parentheses.  It also reads the rest of the
+StreamSQL script syntax: ``[ ] , ; . *`` and ``--`` comments, which run
+to the end of the line and become :attr:`TokenType.COMMENT` tokens.
+
+A WHERE clause is therefore read from the script's own tokens: the
+StreamSQL parser drops comments and hands the clause to
+:func:`repro.expr.parser.parse_tokens`, whose grammar refuses every
+token it has no place for (a comment inside a condition string among
+them).
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple
 
 from repro.errors import ExpressionSyntaxError
 
@@ -25,6 +34,13 @@ class TokenType(enum.Enum):
     TRUE = "true"
     LPAREN = "("
     RPAREN = ")"
+    LBRACKET = "["
+    RBRACKET = "]"
+    COMMA = ","
+    SEMI = ";"
+    DOT = "."
+    STAR = "*"
+    COMMENT = "comment"
     END = "end"
 
 
@@ -42,6 +58,16 @@ _KEYWORDS = {
     "true": TokenType.TRUE,
 }
 
+_PUNCT = {
+    "(": TokenType.LPAREN,
+    ")": TokenType.RPAREN,
+    "[": TokenType.LBRACKET,
+    "]": TokenType.RBRACKET,
+    ",": TokenType.COMMA,
+    ";": TokenType.SEMI,
+    "*": TokenType.STAR,
+}
+
 _TWO_CHAR_OPS = ("<=", ">=", "!=", "<>", "==")
 _ONE_CHAR_OPS = ("<", ">", "=")
 
@@ -55,15 +81,17 @@ def tokenize(text: str) -> Iterator[Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch == "(":
-            yield Token(TokenType.LPAREN, "(", None, i)
-            i += 1
-            continue
-        if ch == ")":
-            yield Token(TokenType.RPAREN, ")", None, i)
+        if ch in _PUNCT:
+            yield Token(_PUNCT[ch], ch, None, i)
             i += 1
             continue
         two = text[i : i + 2]
+        if two == "--":
+            end = text.find("\n", i)
+            end = n if end < 0 else end
+            yield Token(TokenType.COMMENT, text[i:end], None, i)
+            i = end
+            continue
         if two in _TWO_CHAR_OPS:
             yield Token(TokenType.OP, two, None, i)
             i += 2
@@ -81,6 +109,10 @@ def tokenize(text: str) -> Iterator[Token]:
             value, consumed = _read_number(text, i)
             yield Token(TokenType.NUMBER, text[i : i + consumed], value, i)
             i += consumed
+            continue
+        if ch == ".":
+            yield Token(TokenType.DOT, ".", None, i)
+            i += 1
             continue
         if ch.isalpha() or ch == "_":
             j = i

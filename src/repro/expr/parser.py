@@ -14,7 +14,7 @@ and normalised into the canonical ``IDENT op literal`` orientation.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Sequence
 
 from repro.errors import ExpressionSyntaxError
 from repro.expr.ast import (
@@ -40,7 +40,7 @@ _MIRROR = {
 
 
 class _Parser:
-    def __init__(self, tokens: List[Token]):
+    def __init__(self, tokens: Sequence[Token]):
         self._tokens = tokens
         self._index = 0
 
@@ -142,4 +142,13 @@ def parse_condition(text: str) -> BooleanExpression:
     """
     if not text or not text.strip():
         raise ExpressionSyntaxError("empty condition")
-    return _Parser(list(tokenize(text))).parse()
+    return parse_tokens(list(tokenize(text)))
+
+
+def parse_tokens(tokens: Sequence[Token]) -> BooleanExpression:
+    """Parse already-read *tokens*, ending with an END token.
+
+    A StreamSQL WHERE clause comes here as the script's own tokens, so
+    an error's ``position`` is an offset into the script.
+    """
+    return _Parser(tokens).parse()

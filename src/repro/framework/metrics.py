@@ -10,7 +10,7 @@ two thirds of the total to.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence
 
 
 class RequestTrace(NamedTuple):
@@ -73,13 +73,6 @@ def percentile(ordered: Sequence[float], q: float) -> float:
     return ordered[lower] * (1 - fraction) + ordered[upper] * fraction
 
 
-def cdf_points(samples: Sequence[float]) -> List[Tuple[float, float]]:
-    """(value, cumulative fraction) pairs — the curves of Figure 6."""
-    ordered = sorted(samples)
-    n = len(ordered)
-    return [(value, (index + 1) / n) for index, value in enumerate(ordered)]
-
-
 class MetricsCollector:
     """Accumulates request traces and renders evaluation tables."""
 
@@ -99,37 +92,8 @@ class MetricsCollector:
             if (system is None or t.system == system) and t.outcome == "ok"
         ]
 
-    def by_system(self) -> Dict[str, List[RequestTrace]]:
-        grouped: Dict[str, List[RequestTrace]] = {}
-        for trace in self.traces:
-            grouped.setdefault(trace.system, []).append(trace)
-        return grouped
-
     def summary(self, system: Optional[str] = None) -> DistributionSummary:
         return summarize(self.totals(system))
-
-    def network_share(self, system: str) -> float:
-        """Mean fraction of total response time spent on the network."""
-        rows = [t for t in self.traces if t.system == system and t.outcome == "ok"]
-        if not rows:
-            return 0.0
-        return sum(t.network / t.total for t in rows if t.total > 0) / len(rows)
-
-    def submit_share(self, system: str) -> float:
-        """Mean fraction of total response time spent on DSMS submission."""
-        rows = [t for t in self.traces if t.system == system and t.outcome == "ok"]
-        if not rows:
-            return 0.0
-        return sum(t.dsms_submit / t.total for t in rows if t.total > 0) / len(rows)
-
-    def cache_hit_rate(self, system: str = "exacml+cache") -> float:
-        rows = [t for t in self.traces if t.system == system and t.outcome == "ok"]
-        if not rows:
-            return 0.0
-        return sum(1 for t in rows if t.cache_hit) / len(rows)
-
-    def cdf(self, system: str) -> List[Tuple[float, float]]:
-        return cdf_points(self.totals(system))
 
     def ascii_cdf(
         self,

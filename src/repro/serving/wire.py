@@ -262,10 +262,6 @@ class FrameDecoder:
                 "buffered bytes"
             )
 
-    @property
-    def pending_bytes(self) -> int:
-        return len(self._buffer)
-
 
 # -- codec ---------------------------------------------------------------------------
 

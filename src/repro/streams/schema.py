@@ -30,11 +30,6 @@ class DataType(enum.Enum):
     BOOL = "bool"
     TIMESTAMP = "timestamp"
 
-    @property
-    def python_types(self) -> Tuple[type, ...]:
-        """Python types accepted for values of this data type."""
-        return _PYTHON_TYPES[self]
-
     def coerce(self, value):
         """Coerce *value* to this data type, raising :class:`SchemaError`.
 
@@ -95,14 +90,6 @@ class DataType(enum.Enum):
             raise SchemaError(f"unknown data type {text!r}")
         return aliases[normalized]
 
-
-_PYTHON_TYPES: Dict[DataType, Tuple[type, ...]] = {
-    DataType.INT: (int,),
-    DataType.DOUBLE: (int, float),
-    DataType.STRING: (str,),
-    DataType.BOOL: (bool,),
-    DataType.TIMESTAMP: (int, float),
-}
 
 #: Per data type, the type whose every value :meth:`DataType.coerce`
 #: passes through unchanged (``int`` excludes ``bool``).  ``TIMESTAMP``

@@ -13,6 +13,13 @@ package implements the dialect exercised by the paper's Figure 4(b):
 :func:`generate_streamsql` renders a :class:`~repro.streams.graph.QueryGraph`
 into a script in exactly the paper's style; :func:`parse_streamsql` parses
 a script back into a graph, so the two are inverse up to naming.
+
+There is one lexical grammar: a script is read by the condition
+tokenizer, :func:`repro.expr.lexer.tokenize`, and a WHERE clause is
+parsed from the script's own tokens by the condition grammar
+(:func:`repro.expr.parser.parse_tokens`), stream qualifiers and ``--``
+comments dropped.  Any error, in a condition too, is a
+:class:`~repro.errors.StreamSQLError` at the script's line and column.
 """
 
 from repro.streams.streamsql.generator import generate_streamsql

@@ -12,11 +12,12 @@ stream and lowers each SELECT into Aurora boxes:
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, NoReturn, Optional, Tuple
 
-from repro.errors import StreamSQLError
+from repro.errors import ExpressionError, ExpressionSyntaxError, StreamSQLError
 from repro.expr.ast import BooleanExpression
-from repro.expr.parser import parse_condition
+from repro.expr.lexer import Token, TokenType, tokenize
+from repro.expr.parser import parse_tokens
 from repro.streams.graph import QueryGraph
 from repro.streams.operators.aggregate import get_aggregate_function
 from repro.streams.operators.filter import FilterOperator
@@ -29,7 +30,12 @@ from repro.streams.operators.window import (
 )
 from repro.streams.schema import Field, Schema
 from repro.streams.streamsql import ast as sql_ast
-from repro.streams.streamsql.lexer import SqlToken, SqlTokenType, tokenize_sql
+
+#: Token types a script name may have: a stream, field or window may be
+#: spelled like a condition keyword (``and``, ``not``, ``true``).
+_WORDS = frozenset(
+    (TokenType.IDENT, TokenType.AND, TokenType.OR, TokenType.NOT, TokenType.TRUE)
+)
 
 
 class ParsedScript(NamedTuple):
@@ -46,63 +52,71 @@ class ParsedScript(NamedTuple):
 
 
 class _TokenCursor:
-    def __init__(self, text: str, tokens: List[SqlToken]):
+    """The script's tokens, comments dropped.
+
+    A token carries only its offset into the script; :meth:`where` works
+    out the line and column when an error is raised.
+    """
+
+    def __init__(self, text: str):
         self.text = text
-        self._tokens = tokens
+        try:
+            tokens = list(tokenize(text))
+        except ExpressionSyntaxError as exc:
+            raise StreamSQLError(exc.reason, **self.where(exc.position)) from exc
+        self._tokens = [t for t in tokens if t.type is not TokenType.COMMENT]
         self._index = 0
 
-    def peek(self, ahead: int = 0) -> SqlToken:
-        index = min(self._index + ahead, len(self._tokens) - 1)
-        return self._tokens[index]
+    def where(self, position: int) -> Dict[str, int]:
+        """``line`` and ``column`` (both from 1) of *position*."""
+        return {
+            "line": self.text.count("\n", 0, position) + 1,
+            "column": position - self.text.rfind("\n", 0, position),
+        }
 
-    def advance(self) -> SqlToken:
+    def peek(self) -> Token:
+        return self._tokens[self._index]
+
+    def advance(self) -> Token:
         token = self._tokens[self._index]
-        if token.type is not SqlTokenType.END:
+        if token.type is not TokenType.END:
             self._index += 1
         return token
 
     def at_keyword(self, *words: str) -> bool:
         token = self.peek()
-        return token.type is SqlTokenType.IDENT and token.upper in words
+        return token.type in _WORDS and token.text.upper() in words
 
-    def expect_keyword(self, word: str) -> SqlToken:
-        token = self.peek()
-        if token.type is not SqlTokenType.IDENT or token.upper != word:
-            raise StreamSQLError(
-                f"expected {word}, found {token.text or 'end of script'!r}",
-                line=token.line,
-                column=token.column,
-            )
+    def expect_keyword(self, word: str) -> Token:
+        if not self.at_keyword(word):
+            self.refuse(word)
         return self.advance()
 
-    def expect(self, token_type: SqlTokenType) -> SqlToken:
-        token = self.peek()
-        if token.type is not token_type:
-            raise StreamSQLError(
-                f"expected {token_type.value!r}, found {token.text or 'end of script'!r}",
-                line=token.line,
-                column=token.column,
-            )
+    def expect(self, token_type: TokenType) -> Token:
+        if self.peek().type is not token_type:
+            self.refuse(repr(token_type.value))
         return self.advance()
 
-    def expect_ident(self) -> SqlToken:
-        token = self.peek()
-        if token.type is not SqlTokenType.IDENT:
-            raise StreamSQLError(
-                f"expected an identifier, found {token.text or 'end of script'!r}",
-                line=token.line,
-                column=token.column,
-            )
+    def expect_ident(self) -> Token:
+        if self.peek().type not in _WORDS:
+            self.refuse("an identifier")
         return self.advance()
+
+    def refuse(self, wanted: str) -> NoReturn:
+        token = self.peek()
+        raise StreamSQLError(
+            f"expected {wanted}, found {token.text or 'end of script'!r}",
+            **self.where(token.position),
+        )
 
     @property
     def done(self) -> bool:
-        return self.peek().type is SqlTokenType.END
+        return self.peek().type is TokenType.END
 
 
 def parse_script(text: str) -> sql_ast.Script:
     """Phase 1: parse *text* into a list of statements."""
-    cursor = _TokenCursor(text, tokenize_sql(text))
+    cursor = _TokenCursor(text)
     statements: List[object] = []
     while not cursor.done:
         if cursor.at_keyword("CREATE"):
@@ -110,12 +124,7 @@ def parse_script(text: str) -> sql_ast.Script:
         elif cursor.at_keyword("SELECT"):
             statements.append(_parse_select(cursor))
         else:
-            token = cursor.peek()
-            raise StreamSQLError(
-                f"expected CREATE or SELECT, found {token.text!r}",
-                line=token.line,
-                column=token.column,
-            )
+            cursor.refuse("CREATE or SELECT")
     return sql_ast.Script(statements)
 
 
@@ -135,78 +144,69 @@ def _parse_create(cursor: _TokenCursor):
     name = cursor.expect_ident().text
     if is_input:
         schema = _parse_schema_fields(cursor, name)
-        cursor.expect(SqlTokenType.SEMI)
+        cursor.expect(TokenType.SEMI)
         return sql_ast.CreateInputStream(schema)
     # CREATE [OUTPUT] STREAM name [(fields)] ;  — fields optional for
     # internal/output streams (the engine infers their schemas).
-    if cursor.peek().type is SqlTokenType.LPAREN:
+    if cursor.peek().type is TokenType.LPAREN:
         _parse_schema_fields(cursor, name)
-    cursor.expect(SqlTokenType.SEMI)
+    cursor.expect(TokenType.SEMI)
     return sql_ast.CreateStream(name, is_output)
 
 
 def _parse_schema_fields(cursor: _TokenCursor, stream_name: str) -> Schema:
-    cursor.expect(SqlTokenType.LPAREN)
+    cursor.expect(TokenType.LPAREN)
     fields: List[Field] = []
     while True:
         field_name = cursor.expect_ident().text
         type_name = cursor.expect_ident().text
         fields.append(Field(field_name, type_name))
-        if cursor.peek().type is SqlTokenType.COMMA:
+        if cursor.peek().type is TokenType.COMMA:
             cursor.advance()
             continue
         break
-    cursor.expect(SqlTokenType.RPAREN)
+    cursor.expect(TokenType.RPAREN)
     return Schema(stream_name, fields)
 
 
 def _parse_create_window(cursor: _TokenCursor) -> sql_ast.CreateWindow:
     cursor.expect_keyword("WINDOW")
     name = cursor.expect_ident().text
-    cursor.expect(SqlTokenType.LPAREN)
+    cursor.expect(TokenType.LPAREN)
     cursor.expect_keyword("SIZE")
     size = _expect_int(cursor)
     cursor.expect_keyword("ADVANCE")
     step = _expect_int(cursor)
-    unit_token = cursor.expect_ident()
-    if unit_token.upper in ("TUPLE", "TUPLES"):
+    if cursor.at_keyword("TUPLE", "TUPLES"):
         window_type = WindowType.TUPLE
-    elif unit_token.upper in ("SECOND", "SECONDS", "TIME"):
+    elif cursor.at_keyword("SECOND", "SECONDS", "TIME"):
         window_type = WindowType.TIME
     else:
-        raise StreamSQLError(
-            f"expected TUPLES or SECONDS, found {unit_token.text!r}",
-            line=unit_token.line,
-            column=unit_token.column,
-        )
-    cursor.expect(SqlTokenType.RPAREN)
-    cursor.expect(SqlTokenType.SEMI)
+        cursor.refuse("TUPLES or SECONDS")
+    cursor.advance()
+    cursor.expect(TokenType.RPAREN)
+    cursor.expect(TokenType.SEMI)
     return sql_ast.CreateWindow(name, WindowSpec(window_type, size, step))
 
 
 def _expect_int(cursor: _TokenCursor) -> int:
-    token = cursor.expect(SqlTokenType.NUMBER)
-    try:
-        return int(token.text)
-    except ValueError:
-        raise StreamSQLError(
-            f"expected an integer, found {token.text!r}",
-            line=token.line,
-            column=token.column,
-        ) from None
+    token = cursor.peek()
+    if token.type is not TokenType.NUMBER or not token.text.isdigit():
+        cursor.refuse("an integer")
+    return cursor.advance().value
 
 
 def _parse_select(cursor: _TokenCursor) -> sql_ast.SelectStatement:
     cursor.expect_keyword("SELECT")
     star = False
     items: List[sql_ast.SelectItem] = []
-    if cursor.peek().type is SqlTokenType.STAR:
+    if cursor.peek().type is TokenType.STAR:
         cursor.advance()
         star = True
     else:
         while True:
             items.append(_parse_select_item(cursor))
-            if cursor.peek().type is SqlTokenType.COMMA:
+            if cursor.peek().type is TokenType.COMMA:
                 cursor.advance()
                 # Tolerate a trailing comma before FROM (the paper's own
                 # Figure 4(b) contains one).
@@ -217,17 +217,17 @@ def _parse_select(cursor: _TokenCursor) -> sql_ast.SelectStatement:
     cursor.expect_keyword("FROM")
     source = cursor.expect_ident().text
     window_name: Optional[str] = None
-    if cursor.peek().type is SqlTokenType.LBRACKET:
+    if cursor.peek().type is TokenType.LBRACKET:
         cursor.advance()
         window_name = cursor.expect_ident().text
-        cursor.expect(SqlTokenType.RBRACKET)
+        cursor.expect(TokenType.RBRACKET)
     condition: Optional[BooleanExpression] = None
     if cursor.at_keyword("WHERE"):
         cursor.advance()
         condition = _parse_where(cursor)
     cursor.expect_keyword("INTO")
     target = cursor.expect_ident().text
-    cursor.expect(SqlTokenType.SEMI)
+    cursor.expect(TokenType.SEMI)
     return sql_ast.SelectStatement(
         star, tuple(items), source, window_name, condition, target
     )
@@ -237,12 +237,12 @@ def _parse_select_item(cursor: _TokenCursor) -> sql_ast.SelectItem:
     first = cursor.expect_ident()
     function: Optional[str] = None
     attribute = first.text
-    if cursor.peek().type is SqlTokenType.LPAREN:
+    if cursor.peek().type is TokenType.LPAREN:
         function = first.text
         cursor.advance()
         attribute = _parse_attribute_ref(cursor)
-        cursor.expect(SqlTokenType.RPAREN)
-    elif cursor.peek().type is SqlTokenType.DOT:
+        cursor.expect(TokenType.RPAREN)
+    elif cursor.peek().type is TokenType.DOT:
         cursor.advance()
         attribute = cursor.expect_ident().text  # drop the stream qualifier
     alias: Optional[str] = None
@@ -254,47 +254,44 @@ def _parse_select_item(cursor: _TokenCursor) -> sql_ast.SelectItem:
 
 def _parse_attribute_ref(cursor: _TokenCursor) -> str:
     name = cursor.expect_ident().text
-    if cursor.peek().type is SqlTokenType.DOT:
+    if cursor.peek().type is TokenType.DOT:
         cursor.advance()
         name = cursor.expect_ident().text
     return name
 
 
 def _parse_where(cursor: _TokenCursor) -> BooleanExpression:
-    """Parse a WHERE clause by delegating to the condition grammar.
+    """Parse a WHERE clause from the script's own tokens.
 
-    The clause runs until the INTO keyword; the raw substring between is
-    handed to :func:`repro.expr.parser.parse_condition`, keeping one
-    authoritative grammar for conditions.
+    The clause runs to the INTO keyword outside parentheses.  Each stream
+    qualifier (``internal_0.`` in ``internal_0.rainrate``) is dropped and
+    the rest goes to :func:`repro.expr.parser.parse_tokens`, the one
+    grammar for conditions; its error is raised at the script's line and
+    column.
     """
-    start_token = cursor.peek()
+    clause: List[Token] = []
     depth = 0
-    end_position = start_token.position
-    while True:
-        token = cursor.peek()
-        if token.type is SqlTokenType.END:
+    while depth or not cursor.at_keyword("INTO"):
+        token = cursor.advance()
+        if token.type is TokenType.END:
             raise StreamSQLError(
-                "WHERE clause not terminated by INTO",
-                line=token.line,
-                column=token.column,
+                "WHERE clause not terminated by INTO", **cursor.where(token.position)
             )
-        if token.type is SqlTokenType.LPAREN:
+        if token.type is TokenType.LPAREN:
             depth += 1
-        elif token.type is SqlTokenType.RPAREN:
+        elif token.type is TokenType.RPAREN:
             depth -= 1
-        elif depth == 0 and token.type is SqlTokenType.IDENT and token.upper == "INTO":
-            break
-        end_position = token.position + len(token.text)
-        cursor.advance()
-    clause = cursor.text[start_token.position : end_position]
-    # Strip stream qualifiers ("internal_0.rainrate" → "rainrate").
-    return parse_condition(_strip_qualifiers(clause))
-
-
-def _strip_qualifiers(clause: str) -> str:
-    import re
-
-    return re.sub(r"\b([A-Za-z_][A-Za-z0-9_]*)\s*\.\s*([A-Za-z_][A-Za-z0-9_]*)", r"\2", clause)
+        elif token.type in _WORDS and cursor.peek().type is TokenType.DOT:
+            cursor.advance()
+            continue
+        clause.append(token)
+    clause.append(Token(TokenType.END, "", None, cursor.peek().position))
+    try:
+        return parse_tokens(clause)
+    except ExpressionSyntaxError as exc:
+        raise StreamSQLError(exc.reason, **cursor.where(exc.position)) from exc
+    except ExpressionError as exc:
+        raise StreamSQLError(str(exc), **cursor.where(clause[0].position)) from exc
 
 
 # ---------------------------------------------------------------------------

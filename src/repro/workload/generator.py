@@ -299,10 +299,6 @@ class WorkloadGenerator:
             )
         return items
 
-    def direct_queries(self, items: Sequence[WorkloadItem]) -> List[str]:
-        """The StreamSQL scripts for the direct-query baseline."""
-        return [item.direct_sql for item in items]
-
     def unique_policies(self, items: Sequence[WorkloadItem]) -> List[Policy]:
         seen = set()
         policies = []

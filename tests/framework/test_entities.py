@@ -339,9 +339,14 @@ class TestDirectQuery:
     def test_bad_script_is_error_response(self):
         network, server, _, _ = deploy()
         direct = DirectQuerySystem(server.instance.engine, network)
-        response, trace = direct.submit("SELECT FROM nothing")
-        assert not response.ok
-        assert trace.outcome == "error"
+        for script in (
+            "SELECT FROM nothing",
+            "CREATE OUTPUT STREAM output;\n"
+            "SELECT * FROM weather WHERE rainrate >> 5 INTO output;\n",
+        ):
+            response, trace = direct.submit(script)
+            assert not response.ok
+            assert trace.outcome == "error"
 
     def test_direct_faster_than_exacml(self):
         network, server, proxy, client = deploy()

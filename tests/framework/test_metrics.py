@@ -1,11 +1,8 @@
 """Tests for metrics, summaries and CDFs."""
 
-import pytest
-
 from repro.framework.metrics import (
     MetricsCollector,
     RequestTrace,
-    cdf_points,
     percentile,
     summarize,
 )
@@ -37,10 +34,6 @@ class TestSummaries:
     def test_percentile_single(self):
         assert percentile([7.0], 0.99) == 7.0
 
-    def test_cdf_points(self):
-        points = cdf_points([3.0, 1.0, 2.0])
-        assert points == [(1.0, 1 / 3), (2.0, 2 / 3), (3.0, 1.0)]
-
 
 class TestCollector:
     def build(self):
@@ -57,31 +50,7 @@ class TestCollector:
         assert collector.totals("direct") == [0.2]
         assert len(collector.totals()) == 3
 
-    def test_by_system(self):
-        grouped = self.build().by_system()
-        assert set(grouped) == {"direct", "exacml+"}
-        assert len(grouped["exacml+"]) == 3
-
-    def test_network_and_submit_shares(self):
-        collector = MetricsCollector()
-        collector.add(trace(1.0, network=0.6, submit=0.3))
-        assert collector.network_share("exacml+") == pytest.approx(0.6)
-        assert collector.submit_share("exacml+") == pytest.approx(0.3)
-
-    def test_cache_hit_rate(self):
-        collector = MetricsCollector()
-        collector.add(trace(0.1, system="exacml+cache", cache_hit=True))
-        collector.add(trace(0.5, system="exacml+cache", cache_hit=False))
-        assert collector.cache_hit_rate() == 0.5
-
     def test_ascii_cdf_renders(self):
         rendered = self.build().ascii_cdf(["direct", "exacml+"])
         assert "direct" in rendered
         assert "0.50" in rendered
-
-    def test_cdf_monotone(self):
-        collector = self.build()
-        points = collector.cdf("exacml+")
-        fractions = [f for _, f in points]
-        assert fractions == sorted(fractions)
-        assert fractions[-1] == 1.0

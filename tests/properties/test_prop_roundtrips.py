@@ -5,6 +5,13 @@ from hypothesis import given, settings, strategies as st
 from repro.core.obligations import graph_to_obligations, obligations_to_graph
 from repro.core.user_query import UserQuery
 from repro.core.audit import AuditLog
+from repro.expr.ast import (
+    AndExpression,
+    NotExpression,
+    Operator,
+    OrExpression,
+    SimpleExpression,
+)
 from repro.streams.graph import QueryGraph
 from repro.streams.operators import (
     AggregateOperator,
@@ -14,7 +21,8 @@ from repro.streams.operators import (
     WindowSpec,
     WindowType,
 )
-from repro.streams.schema import WEATHER_SCHEMA
+from repro.streams.schema import WEATHER_SCHEMA, Field, Schema
+from repro.streams.streamsql import generate_streamsql, parse_streamsql
 from repro.xacml.policy import Policy, Rule, Target
 from repro.xacml.response import Effect
 from repro.xacml.xml_io import parse_policy_xml, policy_to_xml
@@ -134,6 +142,46 @@ class TestUserQueryRoundTrip:
         assert again.aggregations == query.aggregations
         # The value as a whole — what the PEP keys compiled grants by.
         assert again == query and hash(again) == hash(query)
+
+
+SENSOR_SCHEMA = Schema("sensor", [Field("reading", "double"), Field("city", "string")])
+
+#: Negative, fractional and exponent-form numbers, and strings holding
+#: what a script would read as a qualifier dot, a comment or a quote.
+numbers = (
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.integers(-10**6, 10**6)
+    | st.sampled_from([-2.5e6, -0.5, 1e-7, -3.25e-12])
+)
+strings = st.sampled_from(["", "sg.west", "a--b", "it's", "''", "x.y -- z"]) | st.text(
+    alphabet="ab.-' ;", max_size=8
+)
+condition_leaves = st.builds(
+    SimpleExpression, st.just("reading"), st.sampled_from(tuple(Operator)), numbers
+) | st.builds(
+    SimpleExpression, st.just("city"), st.sampled_from((Operator.EQ, Operator.NE)), strings
+)
+condition_trees = st.recursive(
+    condition_leaves,
+    lambda children: st.builds(NotExpression, children)
+    | st.lists(children, min_size=2, max_size=3).map(lambda c: AndExpression(tuple(c)))
+    | st.lists(children, min_size=2, max_size=3).map(lambda c: OrExpression(tuple(c))),
+    max_leaves=8,
+)
+
+
+class TestStreamSQLRoundTrip:
+    """A generated WHERE clause parses back to the condition it was
+    generated from: ``==``, not merely the same rendering."""
+
+    @given(condition_trees)
+    @settings(max_examples=300, deadline=None)
+    def test_generated_condition_parses_back(self, condition):
+        graph = QueryGraph("sensor").append(FilterOperator(condition))
+        script = generate_streamsql(graph, SENSOR_SCHEMA)
+        parsed = parse_streamsql(script)
+        assert parsed.graph.filter_operator.condition == condition
+        assert parsed.input_schema == SENSOR_SCHEMA
 
 
 class TestAuditChainProperty:

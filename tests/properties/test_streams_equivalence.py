@@ -165,15 +165,6 @@ MIRROR = {"<": ">", ">": "<", "<=": ">=", ">=": "<=", "=": "=", "!=": "!="}
 SPELLINGS = {"=": ("=", "=="), "!=": ("!=", "<>")}
 
 
-def leaves_of(expression):
-    if isinstance(expression, SimpleExpression):
-        yield expression
-    for child in getattr(expression, "children", ()):
-        yield from leaves_of(child)
-    if isinstance(expression, NotExpression):
-        yield from leaves_of(expression.child)
-
-
 class Query(NamedTuple):
     """One query's declaration, and how it is registered."""
 
@@ -185,16 +176,13 @@ class Query(NamedTuple):
     sql: Optional[int] = None
 
     def spellable(self):
-        """Whether StreamSQL can say it: a chain of at least one stage, no
-        negative literal, a window of whole tuples or seconds over the
-        first TIMESTAMP."""
+        """Whether StreamSQL can say it: a chain of at least one stage, a
+        window of whole tuples or seconds over the first TIMESTAMP."""
         if self.window:
             _, size, step, _, time_attribute = self.window
             if not (type(size) is int and type(step) is int and time_attribute is None):
                 return False
-        return (self.filter is not None or bool(self.map or self.window)) and all(
-            isinstance(leaf.value, str) or leaf.value >= 0 for leaf in leaves_of(self.filter)
-        )
+        return self.filter is not None or bool(self.map or self.window)
 
     def graph(self):
         operators = []
@@ -279,7 +267,6 @@ def literals(field):
         return st.integers(-6, 6) if field.name == "i" else st.integers(995, 1100)
     if field.dtype is TIMESTAMP:
         return st.integers(1990, 2200).map(lambda k: k / 2)
-    # Three in four are non-negative, which StreamSQL can spell.
     return st.integers(0, 24).map(lambda k: k / 2) | st.integers(-12, 12)
 
 

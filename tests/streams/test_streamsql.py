@@ -1,8 +1,16 @@
-"""Tests for the StreamSQL dialect: lexer, parser, generator, round trip."""
+"""Tests for the StreamSQL dialect: tokens, parser, generator, round trip."""
+
+import ast
+import re
+from pathlib import Path
 
 import pytest
 
-from repro.errors import StreamSQLError
+import repro
+from repro.errors import ExpressionSyntaxError, StreamSQLError
+from repro.expr.ast import Operator, SimpleExpression
+from repro.expr.lexer import TokenType, tokenize
+from repro.expr.parser import parse_condition
 from repro.streams.graph import QueryGraph
 from repro.streams.operators import (
     AggregateOperator,
@@ -14,7 +22,6 @@ from repro.streams.operators import (
 )
 from repro.streams.schema import WEATHER_SCHEMA, DataType
 from repro.streams.streamsql.generator import generate_streamsql
-from repro.streams.streamsql.lexer import SqlTokenType, tokenize_sql
 from repro.streams.streamsql.parser import parse_script, parse_streamsql
 from tests.conftest import build_nea_policy_graph
 
@@ -39,27 +46,87 @@ FROM internal_1[_10tuple] INTO output;
 
 
 class TestLexer:
+    """A script is read by the one tokenizer, ``repro.expr.lexer.tokenize``."""
+
     def test_statement_tokens(self):
-        tokens = tokenize_sql("SELECT * FROM w INTO o;")
+        tokens = list(tokenize("SELECT * FROM w INTO o;"))
         kinds = [t.type for t in tokens[:-1]]
         assert kinds == [
-            SqlTokenType.IDENT, SqlTokenType.STAR, SqlTokenType.IDENT,
-            SqlTokenType.IDENT, SqlTokenType.IDENT, SqlTokenType.IDENT,
-            SqlTokenType.SEMI,
+            TokenType.IDENT, TokenType.STAR, TokenType.IDENT,
+            TokenType.IDENT, TokenType.IDENT, TokenType.IDENT,
+            TokenType.SEMI,
         ]
 
     def test_comments_skipped(self):
-        tokens = tokenize_sql("SELECT -- comment\n *")
+        tokens = list(tokenize("SELECT -- comment\n *"))
+        assert tokens[1].type is TokenType.COMMENT
+        assert tokens[1].text == "-- comment"
+        tokens = [t for t in tokens if t.type is not TokenType.COMMENT]
         assert len(tokens) == 3  # SELECT, *, END
+        assert len(parse_script("SELECT -- comment\n * FROM w -- x\nINTO o;").statements) == 1
 
     def test_line_column_tracking(self):
-        tokens = tokenize_sql("a\nbb ccc")
-        assert tokens[1].line == 2
-        assert tokens[2].column == 4
+        with pytest.raises(StreamSQLError) as at_bb:
+            parse_script("SELECT *\nbb ccc")
+        assert at_bb.value.line == 2
+        with pytest.raises(StreamSQLError) as at_ccc:
+            parse_script("SELECT * FROM\nbb ccc")
+        assert at_ccc.value.column == 4
 
     def test_bad_character(self):
         with pytest.raises(StreamSQLError):
-            tokenize_sql("SELECT $")
+            parse_script("SELECT $")
+
+
+def where_condition(where):
+    script = parse_script(f"SELECT * FROM w WHERE {where} INTO o;")
+    return script.statements[0].condition
+
+
+class TestWhereClause:
+    """A WHERE clause is read from the script's own tokens."""
+
+    def test_dotted_string_literal_is_kept(self):
+        assert where_condition("city = 'sg.west'") == SimpleExpression(
+            "city", Operator.EQ, "sg.west"
+        )
+
+    def test_generated_negative_literal_parses(self):
+        graph = QueryGraph("weather").append(FilterOperator("temperature > -5"))
+        sql = generate_streamsql(graph, WEATHER_SCHEMA)
+        assert "WHERE temperature > -5 INTO" in sql
+        condition = parse_streamsql(sql).graph.filter_operator.condition
+        assert condition == SimpleExpression("temperature", Operator.GT, -5)
+
+    def test_comment_between_conjuncts(self):
+        condition = where_condition("rainrate > 5 -- heavy rain\n AND w.windspeed < 3")
+        assert condition.to_condition_string() == "rainrate > 5 AND windspeed < 3"
+
+    def test_qualifiers_dropped_from_the_tokens(self):
+        condition = where_condition("w . rainrate > 5 OR (internal_0.city = 'a.b')")
+        assert condition.to_condition_string() == "rainrate > 5 OR city = 'a.b'"
+
+    def test_condition_error_at_script_line_and_column(self):
+        with pytest.raises(StreamSQLError) as excinfo:
+            parse_script("SELECT * FROM w\nWHERE rainrate >> 5 INTO o;")
+        assert (excinfo.value.line, excinfo.value.column) == (2, 17)
+        with pytest.raises(StreamSQLError) as excinfo:
+            parse_script("SELECT * FROM w WHERE city > 'a' INTO o;")
+        assert (excinfo.value.line, excinfo.value.column) == (1, 23)
+
+    def test_condition_grammar_refuses_comments(self):
+        with pytest.raises(ExpressionSyntaxError):
+            parse_condition("rainrate > 5 -- x")
+
+    def test_names_spelled_like_condition_keywords(self):
+        script = parse_script(
+            "CREATE STREAM and;\n"
+            "SELECT not, or AS true FROM and WHERE not.x > 1 INTO or;"
+        )
+        select = script.statements[1]
+        assert [item.attribute for item in select.items] == ["not", "or"]
+        assert (select.source, select.target) == ("and", "or")
+        assert select.condition == SimpleExpression("x", Operator.GT, 1)
 
 
 class TestParsePaperScript:
@@ -209,3 +276,29 @@ class TestRoundTrip:
         assert "SECONDS" in sql
         parsed = parse_streamsql(sql)
         assert parsed.graph.aggregate_operator.window.window_type is WindowType.TIME
+
+
+class TestOneTokenizer:
+    """``repro.expr.lexer.tokenize`` is the only tokenizer under ``src/``:
+    the StreamSQL lexer and its WHERE-clause qualifier regex are gone."""
+
+    SRC = Path(repro.__file__).resolve().parent
+
+    def test_streamsql_lexer_is_gone(self):
+        assert not (self.SRC / "streams" / "streamsql" / "lexer.py").exists()
+        parser_source = (self.SRC / "streams" / "streamsql" / "parser.py").read_text()
+        assert "_strip_qualifiers" not in parser_source
+        assert "import re" not in parser_source
+
+    def test_one_tokenize_and_one_token_type(self):
+        found = set()
+        for path in sorted(self.SRC.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                named = isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                if named and re.fullmatch(r"\w*(tokeni[sz]e\w*|Token|TokenType)", node.name):
+                    found.add((path.relative_to(self.SRC).as_posix(), node.name))
+        assert found == {
+            ("expr/lexer.py", "tokenize"),
+            ("expr/lexer.py", "Token"),
+            ("expr/lexer.py", "TokenType"),
+        }
