@@ -16,7 +16,7 @@ from repro.streams.tuples import Batch
 #: What :meth:`Operator.bind` returns: the :class:`Batch` on its input
 #: edge in (never empty, never mutated), the batch on its output edge
 #: out.  A filter narrows ``rows``, a map re-labels ``columns``, a
-#: window reads columns and emits its results as tuples.
+#: window reads columns and emits one column per aggregation.
 BoundOperator = Callable[[Batch], Batch]
 
 

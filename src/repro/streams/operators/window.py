@@ -34,8 +34,8 @@ from typing import Iterable, List, Optional, Tuple
 from repro.errors import SchemaError, StreamError
 from repro.streams.operators.aggregate import AggregateFunction, get_aggregate_function
 from repro.streams.operators.base import BoundOperator, Operator
-from repro.streams.schema import DataType, Field, Schema, _widener
-from repro.streams.tuples import Batch, StreamTuple
+from repro.streams.schema import _COLUMN_COERCERS, DataType, Field, Schema
+from repro.streams.tuples import Batch
 
 
 class WindowType(enum.Enum):
@@ -261,11 +261,13 @@ class _ColumnarWindow:
     column) — a ring buffer realised as an occasionally-trimmed list,
     extended from the incoming batch's columns.  Attribute positions and
     the output coercion are resolved once, for the two schemas the
-    window was bound between; each emission is built as a tuple here,
-    once, and handed on as it is.
+    window was bound between.  A batch's emissions leave as one column
+    per aggregation, each coerced to its field's type in one pass (an
+    int sum widens into a DOUBLE field; a third-party function's
+    mistyped result raises ``SchemaError``).
     """
 
-    __slots__ = ("size", "step", "cols", "computes", "positions", "output_schema", "widen")
+    __slots__ = ("size", "step", "cols", "computes", "positions", "coercers")
 
     def __init__(
         self, operator: AggregateOperator, input_schema: Schema, output_schema: Schema
@@ -281,14 +283,8 @@ class _ColumnarWindow:
             for spec, index in zip(operator.aggregations, operator._column_of)
         ]
         self.positions = input_schema.positions(operator._columns)
-        self.output_schema = output_schema
-        self.widen = _widener(output_schema)
-
-    def _coerced(self, values) -> StreamTuple:
-        """The output tuple for *values*, each coerced to its field's
-        type (an int sum widens into a DOUBLE field; a third-party
-        function's mistyped result raises ``SchemaError``)."""
-        return StreamTuple(self.output_schema, self.widen(values))
+        #: Per spec, the coercion of its output column.
+        self.coercers = [_COLUMN_COERCERS[field.dtype] for field in output_schema]
 
 
 class _ColumnarTupleWindow(_ColumnarWindow):
@@ -316,11 +312,10 @@ class _ColumnarTupleWindow(_ColumnarWindow):
         self.count += len(batch)
         count, size, base = self.count, self.size, self.base
         starts = range(self.win_start - base, count - base - size + 1, self.step)
-        coerced, computes = self._coerced, self.computes
-        outputs = [
-            coerced([compute(col[low:low + size]) for compute, col in computes])
-            for low in starts
-        ]
+        columns = [
+            coerce([compute(col[low:low + size]) for low in starts])
+            for (compute, col), coerce in zip(self.computes, self.coercers)
+        ] if starts else [[] for _ in self.computes]
         self.win_start += len(starts) * self.step
         # Trim the dead prefix no window can need again.  The base can
         # only advance to positions that already exist (a step>size
@@ -330,7 +325,7 @@ class _ColumnarTupleWindow(_ColumnarWindow):
             for col in self.cols:
                 del col[: new_base - base]
             self.base = new_base
-        return Batch.of(outputs)
+        return Batch(columns)
 
 
 class _ColumnarTimeWindow(_ColumnarWindow):
@@ -363,7 +358,7 @@ class _ColumnarTimeWindow(_ColumnarWindow):
         ts_buffer = self.ts
         cols = self.cols
         arrivals = [batch.column(position) for position in self.positions]
-        outputs: List[StreamTuple] = []
+        emitted: List[List] = [[] for _ in self.computes]
         for row, timestamp in enumerate(batch.column(self.tpos)):
             if self.t0 is None:
                 self.t0 = timestamp
@@ -378,7 +373,8 @@ class _ColumnarTimeWindow(_ColumnarWindow):
                     if start <= value < end
                 ]
                 if selected:
-                    outputs.append(self._emit_selected(selected))
+                    for (compute, col), column in zip(self.computes, emitted):
+                        column.append(compute([col[index] for index in selected]))
                     self.next_idx += 1
                     continue
                 # Every retained timestamp lies below the end of the
@@ -413,11 +409,6 @@ class _ColumnarTimeWindow(_ColumnarWindow):
                     for col in cols:
                         col[:] = [col[index] for index in keep]
                 self.compact_at = max(64, 2 * len(ts_buffer))
-        return Batch.of(outputs)
-
-    def _emit_selected(self, selected) -> StreamTuple:
-        values = [
-            compute([col[index] for index in selected])
-            for compute, col in self.computes
-        ]
-        return self._coerced(values)
+        if not emitted[0]:
+            return Batch(emitted)
+        return Batch([coerce(column) for coerce, column in zip(self.coercers, emitted)])

@@ -484,9 +484,9 @@ class StreamPlan:
         Phase 2 delivers node outputs to sinks in global registration
         order — the order one ``Stream`` listener per query fires in,
         which keeps cross-query observable interleavings (and
-        sibling-withdrawal behaviour) identical to the oracle's.  A
-        node's output becomes tuples there, once, shared by its sinks;
-        a chain that has only filtered hands on the pushed tuples.
+        sibling-withdrawal behaviour) identical to the oracle's.  Each
+        sink gets its node's batch (:meth:`Stream.append_rows`), kept as
+        columns until its output is read or has a listener.
 
         Nodes and sinks registered while this dispatch was in flight are
         in its ``absent`` set and are skipped, subtree included (their
@@ -507,16 +507,9 @@ class StreamPlan:
             else:
                 outputs[node] = inputs
             stack.extend(node.feed_children)
-        built: Dict[PlanNode, Sequence[StreamTuple]] = {}
         for query in list(self.queries):
-            if not query.active or query in absent:
-                continue
-            node = query.node
-            result = built.get(node)
-            if result is None:
-                result = built[node] = outputs[node].to_tuples(node.out_schema)
-            if result:
-                query.output.append_batch(result)
+            if query.active and query not in absent:
+                query.output.append_rows(outputs[query.node])
 
     # -- withdrawal -------------------------------------------------------------
 

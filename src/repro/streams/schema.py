@@ -132,6 +132,25 @@ def _widener(schema: "Schema") -> Callable[[Iterable], tuple]:
     return widen
 
 
+def _column_coercer(dtype: DataType) -> Callable[[list], list]:
+    """``coerce(column)``: *column* itself when its values are all of
+    *dtype*'s exact type (finite floats for a timestamp), else a copy
+    with every other value passed through :meth:`DataType.coerce`."""
+    exact = _RUNTIME_TYPES[dtype]
+    kinds, coerce = {exact or float}, dtype.coerce if exact else _timestamp
+
+    def coerce_column(column: list) -> list:
+        if set(map(type, column)) == kinds and (exact or all(map(math.isfinite, column))):
+            return column
+        return [value if type(value) is exact else coerce(value) for value in column]
+
+    return coerce_column
+
+
+#: One column coercion per data type, shared by every window.
+_COLUMN_COERCERS = {dtype: _column_coercer(dtype) for dtype in DataType}
+
+
 #: Data types on which arithmetic aggregation (avg, sum, ...) is defined.
 NUMERIC_TYPES = (DataType.INT, DataType.DOUBLE, DataType.TIMESTAMP)
 

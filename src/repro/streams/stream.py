@@ -13,16 +13,18 @@ and a tap (control hook, test, third party) is a batch listener too.
 
 Streams keep a bounded in-memory tail (``max_buffer``) because real data
 streams are unbounded; a subscription that falls behind the retained tail
-raises rather than silently skipping data.
+raises rather than silently skipping data; a query's output keeps the
+rows nobody has read as columns (:meth:`Stream.append_rows`).
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Callable, Iterable, List, Optional, Sequence
 
 from repro.errors import StreamError
 from repro.streams.schema import Schema
-from repro.streams.tuples import StreamTuple
+from repro.streams.tuples import Batch, StreamTuple
 
 BatchListener = Callable[[Sequence[StreamTuple]], None]
 
@@ -71,6 +73,9 @@ class Stream:
         self._buffer: List[StreamTuple] = []  # guarded by: owner
         #: Index (in the unbounded logical stream) of ``_buffer[0]``.
         self._base = 0  # guarded by: owner
+        #: Rows after ``_buffer`` not built yet, a list per field; ``()``
+        #: when there are none, so a stream with none holds no lists.
+        self._unread: Sequence[List] = ()  # guarded by: owner
         self._batch_listeners: List[BatchListener] = []  # guarded by: owner
         self._inflight: Optional[_InflightDispatch] = None  # guarded by: owner
         self._closed = False  # guarded by: owner
@@ -78,7 +83,8 @@ class Stream:
     @property
     def total_appended(self) -> int:
         """Number of tuples ever appended (the logical stream length)."""
-        return self._base + len(self._buffer)
+        unread = len(self._unread[0]) if self._unread else 0
+        return self._base + len(self._buffer) + unread
 
     @property
     def closed(self) -> bool:
@@ -117,6 +123,8 @@ class Stream:
                     f"tuple schema {tup.schema.name!r} does not match stream "
                     f"{self.name!r} schema {self.schema.name!r}"
                 )
+        if self._unread:
+            self._build_unread()
         self._buffer.extend(batch)
         previous = self._inflight
         inflight = self._inflight = _InflightDispatch(previous)
@@ -126,11 +134,56 @@ class Stream:
                     listener(batch)
         finally:
             self._inflight = previous
-        if len(self._buffer) > self.max_buffer:
-            overflow = len(self._buffer) - self.max_buffer
+        self._trim()
+        return len(batch)
+
+    def append_rows(self, batch: Batch) -> int:
+        """Append the selected rows of *batch*, columns of this stream's
+        schema; returns the count.  With a listener, or rows that are
+        tuples already, this is ``append_batch(batch.to_tuples(schema))``.
+        Otherwise only the selected values are copied (nothing of *batch*
+        is held) into one unread list per field, cut back to
+        ``max_buffer`` rows whenever they pass twice that; a reader builds
+        them first (:meth:`_build_unread`)."""
+        if self._batch_listeners or batch.tuples is not None:
+            return self.append_batch(batch.to_tuples(self.schema))
+        count = len(batch)
+        if not count:
+            return 0
+        if self._closed:
+            raise StreamError(f"stream {self.name!r} is closed")
+        if not self._unread:
+            self._unread = [[] for _ in self.schema]
+        unread, rows = self._unread, batch.rows
+        for values, column in zip(unread, batch.columns):
+            values.extend(column if rows is None else map(column.__getitem__, rows))
+        if len(unread[0]) > 2 * self.max_buffer:
+            self._forget(len(unread[0]) - self.max_buffer)
+        return count
+
+    def _build_unread(self) -> None:
+        """Build the unread rows as tuples onto the retained tail, which is
+        trimmed to ``max_buffer``: what appending them at once would have
+        left.  Rows the trim would drop are never built."""
+        unread = self._unread
+        if len(unread[0]) > self.max_buffer:
+            self._forget(len(unread[0]) - self.max_buffer)
+        self._buffer.extend(map(StreamTuple, repeat(self.schema), zip(*unread)))
+        self._unread = ()
+        self._trim()
+
+    def _forget(self, count: int) -> None:
+        """Drop the retained tail and the first *count* unread rows."""
+        self._base += len(self._buffer) + count
+        self._buffer = []
+        for values in self._unread:
+            del values[:count]
+
+    def _trim(self) -> None:
+        overflow = len(self._buffer) - self.max_buffer
+        if overflow > 0:
             del self._buffer[:overflow]
             self._base += overflow
-        return len(batch)
 
     def extend(self, tuples: Iterable[StreamTuple]) -> int:
         """Append from an iterable, one dispatch per :data:`INGEST_CHUNK`
@@ -187,14 +240,20 @@ class Stream:
         the stream and only sees tuples appended afterwards — matching how
         a newly-registered continuous query sees a live feed.
         """
+        if self._unread:
+            self._build_unread()
         position = self._base if from_start else self.total_appended
         return StreamSubscription(self, position)
 
     def snapshot(self) -> List[StreamTuple]:
         """Return a copy of the currently retained tail."""
+        if self._unread:
+            self._build_unread()
         return list(self._buffer)
 
     def _read_from(self, position: int) -> List[StreamTuple]:
+        if self._unread:
+            self._build_unread()
         if position < self._base:
             raise StreamError(
                 f"subscription on {self.name!r} fell behind the retained "

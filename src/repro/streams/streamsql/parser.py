@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, NoReturn, Optional, Tuple
 
-from repro.errors import ExpressionError, ExpressionSyntaxError, StreamSQLError
+from repro.errors import ExpressionError, ExpressionSyntaxError, SchemaError, StreamSQLError
 from repro.expr.ast import BooleanExpression
 from repro.expr.lexer import Token, TokenType, tokenize
 from repro.expr.parser import parse_tokens
@@ -156,17 +156,22 @@ def _parse_create(cursor: _TokenCursor):
 
 def _parse_schema_fields(cursor: _TokenCursor, stream_name: str) -> Schema:
     cursor.expect(TokenType.LPAREN)
-    fields: List[Field] = []
+    fields: Dict[str, Field] = {}
     while True:
-        field_name = cursor.expect_ident().text
-        type_name = cursor.expect_ident().text
-        fields.append(Field(field_name, type_name))
+        name, type_name = cursor.expect_ident(), cursor.expect_ident()
+        try:
+            if name.text.lower() in fields:
+                raise SchemaError(f"duplicate field {name.text!r} in schema {stream_name!r}")
+            fields[name.text.lower()] = Field(name.text, type_name.text)
+        except SchemaError as exc:
+            at = name if name.text.lower() in fields else type_name
+            raise StreamSQLError(str(exc), **cursor.where(at.position)) from exc
         if cursor.peek().type is TokenType.COMMA:
             cursor.advance()
             continue
         break
     cursor.expect(TokenType.RPAREN)
-    return Schema(stream_name, fields)
+    return Schema(stream_name, fields.values())
 
 
 def _parse_create_window(cursor: _TokenCursor) -> sql_ast.CreateWindow:
@@ -191,8 +196,8 @@ def _parse_create_window(cursor: _TokenCursor) -> sql_ast.CreateWindow:
 
 def _expect_int(cursor: _TokenCursor) -> int:
     token = cursor.peek()
-    if token.type is not TokenType.NUMBER or not token.text.isdigit():
-        cursor.refuse("an integer")
+    if token.type is not TokenType.NUMBER or not token.text.isdigit() or not int(token.text):
+        cursor.refuse("a positive integer")
     return cursor.advance().value
 
 

@@ -149,7 +149,8 @@ class Batch:
     ``rows`` are the selected row numbers, in order (``None``: all of
     them).  ``tuples``, when set, are the rows already built as tuples
     of the edge's schema — the pushed tuples while a chain has only
-    filtered, a window's emissions — so a sink hands out those objects.
+    filtered — so a sink hands out those objects; any other batch stays
+    columns until its output is read (:meth:`Stream.append_rows`).
     A batch is read-only: every node downstream of an edge shares it.
     """
 

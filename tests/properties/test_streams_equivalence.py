@@ -21,14 +21,20 @@ draw, so a failure shrinks to a short script.
 - **Actions.**  register, twin (a live query's declaration again),
   withdraw and push; and the same three changes made from inside a
   dispatch, by a tap on the source (ahead of every query) or on a live
-  query's output.
+  query's output.  A read compares every live query's retained output
+  (``engine.read``) and its ``total_appended``, mid-script, while the
+  production side holds unread rows as columns.  One script in four
+  first sets a small output retention (``max_buffer`` 1–8) for every
+  query it registers, so reads see trimmed tails and a subscription
+  may fall behind — on both sides alike.
 - **Data.**  The production side gets each push cut into random batches
   (empty and singleton ones included); the oracle gets one tuple at a
   time.  Timestamps mostly ascend in decimal steps, now and then arrive
   late or jump a gap of up to 400 s, and values come in runs (constant
   windows, ties).
 
-Every script compares each query's drained output and output schema and
+Every script compares each query's drained output (or the error a
+subscription that fell behind raises), its output schema and length and
 the engines' registration counters, then withdraws everything and checks
 that the plan drained to zero nodes.  Comparison is ``==`` over
 ``(type, value)`` pairs: both sides hand the same values in the same
@@ -51,7 +57,7 @@ from typing import NamedTuple, Optional, Tuple
 import pytest
 from hypothesis import HealthCheck, Phase, given, note, seed, settings, strategies as st
 
-from repro.errors import UnknownHandleError
+from repro.errors import StreamError, UnknownHandleError
 from repro.expr.ast import (
     AndExpression,
     BooleanExpression,
@@ -358,6 +364,8 @@ def draw_query(draw, schema, grammar, vocabulary):
 ACTION_DISTRIBUTION = {
     "register": 3, "twin": 2, "withdraw": 2, "push": 3, "from-source": 3, "from-output": 3,
 }
+#: The output retention a script sets first, if any (one in four).
+RETENTIONS = st.integers(0, 3).flatmap(lambda roll: st.integers(1, 8) if roll == 0 else st.none())
 KINDS = st.sampled_from(
     [kind for kind, weight in ACTION_DISTRIBUTION.items() for _ in range(weight)]
 )
@@ -400,7 +408,12 @@ def scripts(draw):
     actions = [("register", query()) for _ in range(draw(st.integers(1, 4)))]
     for kind in draw(st.lists(KINDS, min_size=1, max_size=16)):
         actions.append((kind, PRODUCTIONS[kind](draw, query)))
-    return schema, actions
+    # Reads and the retention are drawn last, so they leave the rest of
+    # a script what it was before they were.
+    for at in sorted(draw(st.lists(st.integers(0, len(actions)), max_size=3)), reverse=True):
+        actions.insert(at, ("read", None))
+    retention = draw(RETENTIONS)
+    return schema, actions if retention is None else [("retain", retention), *actions]
 
 
 # -- running a script ---------------------------------------------------------------
@@ -431,6 +444,7 @@ class Side:
         self.engine, self.schema, self.tap = engine, schema, Tap()
         engine.register_input_stream("sensor", schema).add_batch_listener(self.tap)
         self.queries = []  # (handle, subscription, output schema)
+        self.retention = None  # every output's max_buffer, when set
 
     def apply(self, change):
         kind, payload = change
@@ -441,8 +455,17 @@ class Side:
             handle = self.engine.register_streamsql(payload.streamsql(self.schema))
         else:
             handle = self.engine.register_query(payload.graph())
+        if self.retention is not None:
+            self.engine.lookup(handle).output.max_buffer = self.retention
         output_schema = self.engine.lookup(handle).output_schema
         self.queries.append((handle, self.engine.subscribe(handle), output_schema))
+
+    def read(self, index):
+        """Query *index*'s logical length, then its retained tail (the
+        length first: a read builds what is unread)."""
+        handle = self.queries[index][0]
+        total = self.engine.lookup(handle).output.total_appended
+        return total, typed([t.values for t in self.engine.read(handle)])
 
     def push(self, batches):
         for batch in batches:
@@ -478,6 +501,15 @@ def check_closed_form(query, inputs, rows):
             assert [row[position] for row in rows] == [sum(r[attr] for r in w) for w in windows]
 
 
+def drained(subscription):
+    """A subscription's unread rows, or the error of one that fell behind
+    (its stream's name, which is the engine's to choose, left out)."""
+    try:
+        return typed([t.values for t in subscription.drain()])
+    except StreamError as error:
+        return str(error).replace(repr(subscription.stream.name), "")
+
+
 def typed(rows):
     """*rows* with each value paired with its type: ``5 == 5.0`` and
     ``True == 1``, but an INT field's value is no DOUBLE field's."""
@@ -486,7 +518,8 @@ def typed(rows):
 
 def run_script(script):
     """Drive both engines through *script* and compare them; returns the
-    production plan's stats and the number of output rows compared."""
+    production plan's stats, the number of output rows compared and the
+    number of reads that saw a trimmed tail."""
     schema, script_actions = script
     production = Side(StreamEngine(), schema)
     oracle = Side(StreamEngine.reference(), schema)
@@ -494,6 +527,7 @@ def run_script(script):
     clock, log = Clock(), []  # every record pushed, in order
     declared, live = [], []  # per registration its Query; indices of the live ones
     spans = []  # per registration [first record, end] it saw; None when a tap withdrew it
+    trimmed = 0  # reads of a tail shorter than its output
 
     def resolve(change):
         """*change* with its query named; None when it needs a live one."""
@@ -504,6 +538,13 @@ def run_script(script):
             return None
         index = live[payload % len(live)]
         return ("register", declared[index]) if kind == "twin" else (kind, index)
+
+    def compare_reads():
+        nonlocal trimmed
+        for index in live:
+            got, expected = (side.read(index) for side in sides)
+            assert got == expected, f"query #{index} read diverged: {declared[index]}"
+            trimmed += expected[0] > len(expected[1])
 
     def account(change, at):
         kind, payload = change
@@ -516,6 +557,13 @@ def run_script(script):
             spans[payload] = None if at is None else [spans[payload][0], at]
 
     for action, payload in [*script_actions, ("push", CLOSING)]:
+        if action == "retain":
+            for side in sides:
+                side.retention = payload
+            continue
+        if action == "read":
+            compare_reads()
+            continue
         if action == "push":
             rows = clock.records(schema, payload)
             production.push(cut(rows, getattr(payload, "cuts", ())))
@@ -548,17 +596,21 @@ def run_script(script):
         if fired[0]:
             account(change, len(log) if change[0] == "register" else None)
 
+    compare_reads()
     compared = 0
     for index, (query, span, (_, got, got_schema), (_, expected, expected_schema)) in enumerate(
         zip(declared, spans, production.queries, oracle.queries)
     ):
-        rows = [t.values for t in expected.drain()]
-        assert typed([t.values for t in got.drain()]) == typed(rows), (
-            f"query #{index} diverged: {query}"
+        assert got.stream.total_appended == expected.stream.total_appended, (
+            f"query #{index} length diverged: {query}"
         )
+        rows = drained(expected)
+        assert drained(got) == rows, f"query #{index} diverged: {query}"
         assert got_schema == expected_schema, f"query #{index}: {query}"
+        if isinstance(rows, str):
+            continue
         if span and query.filter is None and query.window and query.window[0] is TUPLE:
-            check_closed_form(query, log[span[0]:span[1]], rows)
+            check_closed_form(query, log[span[0]:span[1]], [[v for _, v in row] for row in rows])
         compared += len(rows)
 
     for side in sides:
@@ -575,7 +627,7 @@ def run_script(script):
         for handle, _, _ in side.queries:
             with pytest.raises(UnknownHandleError):
                 side.engine.read(handle)
-    return stats, compared
+    return stats, compared, trimmed
 
 
 @seed(SEED)
@@ -741,6 +793,17 @@ MUTANTS = {
         ("from-output", (0, ("register", window(TUPLE, 4, 2, *EVERY_AGGREGATE)), Feed(13, 9))),
         ("push", Feed(14, 7)),
     ],
+    # An output retaining 3 rows holds what arrives unread as columns: it
+    # trims them one off, counts them twice in ``total_appended`` or
+    # builds them out of order.  Read mid-stream, beside a listener on
+    # one output (whose rows are built at once) and subscriptions that
+    # fall behind.
+    "small-retention-read-mid-stream": [
+        ("retain", 3), ("register", CHAIN), ("register", window(TUPLE, 2, 1, ("sum", "i"))),
+        ("register", Query(map=("ts", "x"))), ("push", Feed(16, 9, (4,))), ("read", None),
+        ("from-output", (1, ("register", PASS), Feed(17, 5))),
+        ("push", Feed(18, 11, (2, 7))), ("read", None), ("push", Feed(19, 2)), ("read", None),
+    ],
     # One chain registered as StreamSQL and as a graph, beside a filter
     # that subsumes its own.
     "streamsql-and-graph-share-a-chain": [
@@ -820,13 +883,16 @@ def test_generator_census():
     @given(script=scripts())
     def draw(script):
         census(script, tally)
-        stats, compared = run_script(script)
-        tally.update(shared=stats["nodes_shared"], subsumed=stats["nodes_subsumed"], rows=compared)
+        stats, compared, trimmed = run_script(script)
+        tally.update(
+            shared=stats["nodes_shared"], subsumed=stats["nodes_subsumed"], rows=compared,
+            trimmed=trimmed,
+        )
 
     draw()
     wanted = {"filter", "map", "tuple-window", "time-window", "sql", "graph"}
     wanted |= {"time:timestamp", "time:int"}
-    wanted |= {f"action:{kind}" for kind in ACTION_DISTRIBUTION}
+    wanted |= {f"action:{kind}" for kind in (*ACTION_DISTRIBUTION, "read", "retain")}
     wanted |= {*NUMERIC_FNS, *ANY_FNS, "double", "int"}
     if LONG:
         wanted.add("deep")
@@ -836,3 +902,5 @@ def test_generator_census():
     # rendering StreamSQL or emitting rows does not.
     assert tally["shared"] >= 20 and tally["subsumed"] >= 3
     assert tally["sql"] >= 15 and tally["rows"] >= 1000
+    # Reads of a tail its retention trimmed (every seed 7-11 draws 46+).
+    assert tally["trimmed"] >= 15

@@ -1,13 +1,17 @@
 """Census of what crosses a plan edge: a ``Batch``, and tuples are built
-once, at the sinks.
+when an output is read.
 
 A bound operator is ``Batch -> Batch``: a filter narrows the selected
-rows, a map re-labels columns, a window reads columns and builds one
-tuple per emission.  The plan turns a node's output into tuples once,
-shared by every sink on the node, and a chain that has only filtered
-hands on the pushed tuple objects themselves.  Pinned here so a per-row
-``StreamTuple`` does not grow back inside a node.
+rows, a map re-labels columns, a window reads columns and emits one
+column per aggregation.  A sink's output stream keeps the rows unread
+as columns and builds its tuples when a reader asks — one per retained
+row, per sink — except for a listener of its own, which is handed tuples
+inside the dispatch.  A chain that has only filtered hands on the pushed
+tuple objects themselves.  Pinned here so a per-row ``StreamTuple`` does
+not grow back inside a node or at a sink nobody reads.
 """
+
+import weakref
 
 import repro.streams.tuples as tuples_module
 from repro.streams.engine import StreamEngine
@@ -21,6 +25,7 @@ from repro.streams.operators import (
     WindowType,
 )
 from repro.streams.schema import Schema
+from repro.streams.stream import INGEST_CHUNK
 from repro.streams.tuples import Batch, StreamTuple
 
 SCHEMA = Schema("s", [("ts", "timestamp"), ("x", "double"), ("i", "int"), ("tag", "string")])
@@ -34,18 +39,8 @@ def positive():
     return FilterOperator("x > 0")
 
 
-def test_tuples_are_built_once_at_the_sinks(monkeypatch):
-    engine = StreamEngine()
-    engine.register_input_stream("s", SCHEMA)
-    windowed = engine.register_query(chain(
-        positive(), MapOperator(["ts", "x"]),
-        AggregateOperator(WindowSpec(WindowType.TUPLE, 3, 1), [AggregationSpec.parse("x:sum")]),
-    ))
-    mapped = [engine.register_query(chain(positive(), MapOperator(["x", "i"]))) for _ in range(2)]
-    filtered = [engine.register_query(chain(positive())) for _ in range(2)]
-    pushed = [
-        StreamTuple(SCHEMA, (float(n), float(n % 5 - 1), n, "a")) for n in range(12)
-    ]
+def counting_constructor(monkeypatch):
+    """Every ``StreamTuple`` built from here on, by schema name."""
     built = []
     construct = StreamTuple.__init__
 
@@ -54,23 +49,95 @@ def test_tuples_are_built_once_at_the_sinks(monkeypatch):
         construct(self, schema, values)
 
     monkeypatch.setattr(StreamTuple, "__init__", counting)
+    return built
+
+
+def test_tuples_are_built_when_an_output_is_read(monkeypatch):
+    engine = StreamEngine()
+    engine.register_input_stream("s", SCHEMA)
+    windowed = engine.register_query(chain(
+        positive(), MapOperator(["ts", "x"]),
+        AggregateOperator(WindowSpec(WindowType.TUPLE, 3, 1), [AggregationSpec.parse("x:sum")]),
+    ))
+    mapped = [engine.register_query(chain(positive(), MapOperator(["x", "i"]))) for _ in range(2)]
+    filtered = [engine.register_query(chain(positive())) for _ in range(2)]
+    engine.lookup(mapped[1]).output.max_buffer = 2
+    pushed = [
+        StreamTuple(SCHEMA, (float(n), float(n % 5 - 1), n, "a")) for n in range(12)
+    ]
+    built = counting_constructor(monkeypatch)
+
     engine.push_batch("s", pushed)
-    monkeypatch.undo()
+    # Nobody listens and nobody has read: no sink built a tuple, and
+    # neither did ingest, a filter, a map or the window.
+    assert built == []
 
     kept = [tup for tup in pushed if tup["x"] > 0]
     emissions = engine.read(windowed)
-    first_map, second_map = (engine.read(handle) for handle in mapped)
     assert [t["sumx"] for t in emissions] == [6.0] * (len(kept) - 2)
+    assert len(built) == len(emissions)
+    first_map, second_map = (engine.read(handle) for handle in mapped)
     assert [t.values for t in first_map] == [(t["x"], t["i"]) for t in kept]
-    # One tuple per window emission, one per row reaching the map's
-    # sinks (two sinks, one node: built once, shared); the map feeding
-    # the window and every filter build none, and ingest none.
-    assert len(built) == len(emissions) + len(first_map)
-    assert all(a is b for a, b in zip(first_map, second_map))
+    assert [t.values for t in second_map] == [(t["x"], t["i"]) for t in kept[-2:]]
+    # One tuple per retained row per sink: two sinks on one node build
+    # their own, and the rows a retention of two drops are never built.
+    assert len(built) == len(emissions) + len(first_map) + 2
+    assert engine.read(windowed) == emissions and len(built) == len(emissions) + len(first_map) + 2
     for handle in filtered:
         outputs = engine.read(handle)
         assert len(outputs) == len(kept)
         assert all(out is tup for out, tup in zip(outputs, kept))
+    assert len(built) == len(emissions) + len(first_map) + 2
+
+
+class Column(list):
+    """A column that can be watched with a ``weakref``."""
+
+
+class Rows(list):
+    """A pushed batch that can be watched with a ``weakref``."""
+
+
+def test_an_unread_output_is_bounded_and_keeps_nothing_of_the_push(monkeypatch):
+    engine = StreamEngine()
+    source = engine.register_input_stream("s", SCHEMA)
+    sparse = engine.register_query(chain(FilterOperator("x > 0.9"), MapOperator(["ts", "x"])))
+    output = engine.lookup(sparse).output
+    output.max_buffer = 8
+    listened = engine.register_query(chain(MapOperator(["i"])))
+    heard = []
+    engine.lookup(listened).output.add_batch_listener(heard.append)
+    watched = []
+    make_batch = Batch.of.__func__
+
+    def watched_batch(cls, tuples):
+        batch = make_batch(cls, tuples)
+        batch.columns = [Column(column) for column in batch.columns]
+        watched.extend(weakref.ref(column) for column in batch.columns)
+        return batch
+
+    monkeypatch.setattr(Batch, "of", classmethod(watched_batch))
+    expected = []
+    for push in range(3):
+        rows = Rows(
+            StreamTuple(SCHEMA, (float(n), (n * 37 % 100) / 100, n, "a"))
+            for n in range(push * INGEST_CHUNK, (push + 1) * INGEST_CHUNK)
+        )
+        expected += [(t["ts"], t["x"]) for t in rows if t["x"] > 0.9]
+        pushed = weakref.ref(rows)
+        del watched[:]
+        source.append_batch(rows)
+        # A listener is handed tuples inside the dispatch.
+        assert all(type(t) is StreamTuple for t in heard[-1])
+        assert [t.values for t in heard[-1]] == [(t["i"],) for t in rows]
+        del rows
+        assert pushed() is None
+        assert len(watched) == len(SCHEMA) and all(ref() is None for ref in watched)
+        unread = output._unread  # one value list per field of (ts, x)
+        assert len(unread) == 2 and all(len(values) <= 2 * output.max_buffer for values in unread)
+        assert output.total_appended == len(expected) > 2 * output.max_buffer
+    assert [t.values for t in engine.read(sparse)] == expected[-8:]
+    assert output.total_appended == len(expected)
 
 
 def test_a_batch_is_columns_selected_rows_and_the_tuples_it_came_as():

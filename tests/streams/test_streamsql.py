@@ -202,6 +202,20 @@ class TestParserErrors:
         script = parse_script("CREATE STREAM a;\nCREATE OUTPUT STREAM b;")
         assert len(script.statements) == 2
 
+    @pytest.mark.parametrize("script,at,message", [
+        ("CREATE WINDOW w (SIZE 4\n  ADVANCE 0 TUPLES);", (2, 11), "positive integer, found '0'"),
+        ("CREATE WINDOW w (SIZE 0 ADVANCE 2 SECONDS);", (1, 23), "positive integer, found '0'"),
+        ("CREATE INPUT STREAM s (x int,\n  X double);", (2, 3), "duplicate field 'X' in schema 's'"),
+        ("CREATE INPUT STREAM s (x int, y decimal);", (1, 33), "unknown data type 'decimal'"),
+        ("CREATE STREAM t (x int, x int);", (1, 25), "duplicate field 'x' in schema 't'"),
+    ])
+    def test_a_bad_declaration_is_refused_at_its_line_and_column(self, script, at, message):
+        """These raised a bare ``StreamError`` / ``SchemaError``, with no
+        position, out of the window and schema declarations."""
+        with pytest.raises(StreamSQLError, match=message) as excinfo:
+            parse_script(script)
+        assert (excinfo.value.line, excinfo.value.column) == at
+
 
 class TestGenerator:
     def test_nea_graph_generates_paper_shape(self):
