@@ -127,8 +127,8 @@ def main():
         print(f" public ← gps      DENIED ({error})")
 
     # -- data flows -------------------------------------------------------------
-    engine.push_many("weather", WeatherSource(seed=3).records(800))
-    engine.push_many("gps", GpsSource(seed=11).records(400))
+    engine.push_batch("weather", WeatherSource(seed=3).records(800))
+    engine.push_batch("gps", GpsSource(seed=11).records(400))
 
     print("\n=== What each tenant sees ===")
     lta = engine.read(handles[("LTA", "weather")])

@@ -54,7 +54,7 @@ def main():
         f"stream={spawned.stream}"
     )
 
-    instance.engine.push_many("weather", WeatherSource(seed=3).records(150))
+    instance.engine.push_batch("weather", WeatherSource(seed=3).records(150))
     before = len(instance.engine.read(result.handle))
     print(f"press has received {before} tuples under the v1 policy")
 
@@ -69,7 +69,7 @@ def main():
 
     # -- the press re-requests and now sees only heavy rain ----------------
     result2 = instance.request_stream(Request.simple("press", "weather"))
-    instance.engine.push_many("weather", WeatherSource(seed=5).records(150))
+    instance.engine.push_batch("weather", WeatherSource(seed=5).records(150))
     tuples = instance.engine.read(result2.handle)
     assert all(t["rainrate"] > 50 for t in tuples)
     print(f"re-granted under v2: {len(tuples)} tuples, all with rainrate > 50")

@@ -67,7 +67,7 @@ def main():
 
     # -- 4. Weather data flows; LTA reads its authorized view -------------
     source = WeatherSource(seed=3, interval_seconds=30.0)
-    instance.engine.push_many("weather", source.records(400))
+    instance.engine.push_batch("weather", source.records(400))
     outputs = instance.engine.read(result.handle)
     print(f"=== First 5 of {len(outputs)} windowed records visible to LTA ===")
     for tup in outputs[:5]:

@@ -89,7 +89,7 @@ def main():
             print(f"  [{warning.verdict.name}] {warning.operator}: {warning.detail}")
 
     # -- Alerts fire only on heavy rain -------------------------------------
-    instance.engine.push_many("weather", WeatherSource(seed=3).records(600))
+    instance.engine.push_batch("weather", WeatherSource(seed=3).records(600))
     alerts = instance.engine.read(result.handle)
     print(f"\n{len(alerts)} heavy-rain windows reached the warning system:")
     for tup in alerts[:5]:

@@ -4,9 +4,12 @@ This is the reproduction's StreamBase stand-in.  The engine owns a
 :class:`~repro.streams.catalog.StreamCatalog` of input streams, accepts
 continuous queries either as :class:`~repro.streams.graph.QueryGraph`
 objects or as StreamSQL scripts, runs each registered query continuously
-(push-based: every appended input tuple flows through every attached
-query), and exposes query outputs through
-:class:`~repro.streams.handles.StreamHandle` URIs.
+(push-based: every pushed record flows through every attached query),
+and exposes query outputs through
+:class:`~repro.streams.handles.StreamHandle` URIs.  Ingress is columns:
+a pushed list of records becomes one ``Batch``, gathered per field and
+coerced per column, and is a row only when someone reads it
+(:meth:`StreamEngine.push_batch`).
 
 Queries can be *withdrawn* — the revocation primitive that Section 3.3's
 query-graph management relies on when a policy is removed or modified.
@@ -19,7 +22,7 @@ reachable only through :meth:`StreamEngine.reference`.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Union
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.errors import EngineError, UnknownHandleError
 from repro.streams.catalog import StreamCatalog
@@ -27,8 +30,8 @@ from repro.streams.graph import QueryGraph
 from repro.streams.handles import StreamHandle
 from repro.streams.plan import SharedQuery, StreamPlan
 from repro.streams.schema import Schema
-from repro.streams.stream import Stream
-from repro.streams.tuples import StreamTuple, _record_converter
+from repro.streams.stream import INGEST_CHUNK, Stream
+from repro.streams.tuples import StreamTuple, _record_ingress
 
 
 class StreamEngine:
@@ -51,8 +54,8 @@ class StreamEngine:
         #: One plan per input stream (keyed by stream identity), created
         #: lazily at first registration.
         self._plans: Dict[int, StreamPlan] = {}
-        #: Record → tuple converter per input stream, built at first push.
-        self._converters: Dict[int, Callable[[Any], StreamTuple]] = {}
+        #: ``(gather, convert)`` per input stream, built at first push.
+        self._ingress: Dict[int, Tuple[Callable, Callable]] = {}
         #: Count of queries ever registered (for monitoring/benchmarks).
         self.total_registered = 0
         #: Count of queries withdrawn; ``total_registered -
@@ -87,30 +90,34 @@ class StreamEngine:
         """Append many records with one catalog lookup and one dispatch
         per :data:`~repro.streams.stream.INGEST_CHUNK` records.
 
-        Each dispatch hands the whole chunk to every query as one batch
-        (the plan runs it through each node as columns); the outputs are
-        what pushing each record individually would emit, in the same
-        order, while the per-push overhead — catalog lookup, listener
-        snapshot, schema check, buffer trim — is paid once per chunk.
+        A list (or tuple) of ``dict`` s keyed by exactly the schema's
+        names is ingress as columns: one :class:`~repro.streams.tuples.Batch`
+        per chunk, one gather per field, each column coerced in one pass,
+        retained unread and dispatched as is — no tuple is built unless a
+        tuple listener or a reader asks.  Any other record, or a column
+        the coercion refuses, sends the list through
+        :func:`~repro.streams.tuples.make_tuple` record by record, so
+        every accepted input and every error is the same.  The outputs
+        are what pushing each record individually would emit.
 
-        A list (or tuple) is ingested atomically: every record is
-        converted before the first is appended, so a malformed one raises
-        with nothing ingested.  Any other iterable is converted chunk by
-        chunk (memory stays O(chunk) for unbounded generators), so a
-        malformed record raises after the chunks before it were ingested.
+        A list is ingested atomically: all of it is gathered or converted
+        before the first append, so a malformed record raises with
+        nothing ingested.  Any other iterable is converted chunk by chunk
+        (memory stays O(chunk) for unbounded generators), so a malformed
+        record raises after the chunks before it were ingested.
         """
         stream = self.catalog.get(stream_name)
-        convert = self._converters.get(id(stream))
-        if convert is None:
-            convert = self._converters[id(stream)] = _record_converter(stream.schema)
-        if isinstance(records, (list, tuple)):
+        ingress = self._ingress.get(id(stream))
+        if ingress is None:
+            ingress = self._ingress[id(stream)] = _record_ingress(stream.schema)
+        gather, convert = ingress
+        if not isinstance(records, (list, tuple)):
+            return stream.extend(map(convert, records))
+        batches = [gather(records[low:low + INGEST_CHUNK])
+                   for low in range(0, len(records), INGEST_CHUNK)]
+        if None in batches:
             return stream.extend([convert(record) for record in records])
-        return stream.extend(map(convert, records))
-
-    def push_many(
-        self, stream_name: str, records: Iterable[Union[StreamTuple, Mapping[str, Any]]]
-    ) -> int:
-        return self.push_batch(stream_name, records)
+        return sum(map(stream.append_rows, batches))
 
     # -- continuous queries ------------------------------------------------------
 

@@ -69,7 +69,7 @@ class FilterOperator(Operator):
 
         def run(batch: Batch) -> Batch:
             rows = range(len(batch)) if batch.rows is None else batch.rows
-            return Batch(batch.columns, mask(batch.columns, rows), batch.tuples)
+            return Batch(batch.columns, mask(batch.columns, rows))
 
         return run
 

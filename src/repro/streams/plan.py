@@ -75,7 +75,7 @@ before the stream's first registration, or on output streams.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.expr.ast import (
     AndExpression,
@@ -96,7 +96,7 @@ from repro.streams.operators.map import MapOperator
 from repro.streams.operators.window import AggregateOperator
 from repro.streams.schema import Schema
 from repro.streams.stream import Stream
-from repro.streams.tuples import Batch, StreamTuple
+from repro.streams.tuples import Batch
 
 # ---------------------------------------------------------------------------
 # Operator fingerprinting
@@ -342,6 +342,7 @@ class StreamPlan:
         self.nodes_created = 0  # guarded by: owner
         self.nodes_shared = 0  # guarded by: owner
         self.nodes_subsumed = 0  # guarded by: owner
+        source._column_listeners = source._column_listeners | {self._on_batch}
         source.add_batch_listener(self._on_batch)
 
     # -- registration -----------------------------------------------------------
@@ -474,9 +475,8 @@ class StreamPlan:
 
     # -- dispatch ---------------------------------------------------------------
 
-    def _on_batch(self, batch: Sequence[StreamTuple]) -> None:
-        """Run the pushed tuples of *batch* through the DAG as one
-        :class:`Batch`.
+    def _on_batch(self, batch: Batch) -> None:
+        """Run the pushed *batch* (columns) through the DAG.
 
         Phase 1 computes every reachable node exactly once in feed-tree
         order (each node's feed is computed before the node itself);
@@ -493,7 +493,7 @@ class StreamPlan:
         children were registered no earlier).
         """
         absent = self.source._inflight.absent
-        outputs: Dict[PlanNode, Batch] = {self.root: Batch.of(batch)}
+        outputs: Dict[PlanNode, Batch] = {self.root: batch}
         stack = list(self.root.feed_children)
         while stack:
             node = stack.pop()

@@ -22,7 +22,8 @@ Production imports this module only in ``StreamEngine.reference()``.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from operator import is_
+from typing import Iterable, List, Optional, Sequence
 
 from repro.expr.evaluate import evaluate
 from repro.streams.engine import StreamEngine
@@ -34,7 +35,7 @@ from repro.streams.operators.map import MapOperator
 from repro.streams.operators.window import AggregateOperator, WindowType
 from repro.streams.schema import Schema
 from repro.streams.stream import Stream
-from repro.streams.tuples import StreamTuple
+from repro.streams.tuples import StreamTuple, make_tuple
 
 
 class _ReferenceOperator(Operator):
@@ -268,7 +269,23 @@ class RegisteredQuery:
 class ReferenceEngine(StreamEngine):
     """The engine surface over per-query reference pipelines: catalog
     and handle bookkeeping are inherited, no plan is ever built (so
-    ``plan_stats()`` is empty)."""
+    ``plan_stats()`` is empty), and ingress is the seed's: one tuple per
+    record, then ``append_batch``."""
+
+    def push_batch(self, stream_name: str, records: Iterable) -> int:
+        """:func:`make_tuple` per record (a tuple: its values through
+        :meth:`DataType.coerce`), a list converted whole, then ``extend``."""
+        stream = self.catalog.get(stream_name)
+
+        def convert(record) -> StreamTuple:
+            if not isinstance(record, StreamTuple):
+                return make_tuple(stream.schema, record)
+            values = tuple(f.dtype.coerce(v) for f, v in zip(stream.schema, record.values))
+            same = all(map(is_, values, record.values))
+            return record if same else StreamTuple(record.schema, values)
+
+        listed = isinstance(records, (list, tuple))
+        return stream.extend([convert(r) for r in records] if listed else map(convert, records))
 
     def _install(
         self, source: Stream, graph: QueryGraph, handle: StreamHandle

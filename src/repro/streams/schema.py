@@ -134,14 +134,23 @@ def _widener(schema: "Schema") -> Callable[[Iterable], tuple]:
 
 def _column_coercer(dtype: DataType) -> Callable[[list], list]:
     """``coerce(column)``: *column* itself when its values are all of
-    *dtype*'s exact type (finite floats for a timestamp), else a copy
-    with every other value passed through :meth:`DataType.coerce`."""
+    *dtype*'s exact type (finite floats for a timestamp); for a DOUBLE or
+    TIMESTAMP column of ``int`` s only, one ``float`` pass (an int too
+    large for a float falls through); else a copy with every other value
+    passed through :meth:`DataType.coerce`."""
     exact = _RUNTIME_TYPES[dtype]
     kinds, coerce = {exact or float}, dtype.coerce if exact else _timestamp
+    widens = {int} if dtype in (DataType.DOUBLE, DataType.TIMESTAMP) else None
 
     def coerce_column(column: list) -> list:
-        if set(map(type, column)) == kinds and (exact or all(map(math.isfinite, column))):
+        seen = set(map(type, column))
+        if seen == kinds and (exact or all(map(math.isfinite, column))):
             return column
+        if seen == widens:
+            try:
+                return list(map(float, column))
+            except OverflowError:
+                pass
         return [value if type(value) is exact else coerce(value) for value in column]
 
     return coerce_column

@@ -9,12 +9,15 @@ same stream without interfering.
 Push consumers are *batch listeners*: one callback per appended batch,
 in the order the listeners were added.  The batch is the only unit of
 dispatch — a registered query runs one pipeline invocation per batch,
-and a tap (control hook, test, third party) is a batch listener too.
+and a tap (control hook, test, third party) is a batch listener too.  A
+plan's listener is handed the batch as columns; a tap, tuples built once
+per dispatch and shared.
 
 Streams keep a bounded in-memory tail (``max_buffer``) because real data
 streams are unbounded; a subscription that falls behind the retained tail
-raises rather than silently skipping data; a query's output keeps the
-rows nobody has read as columns (:meth:`Stream.append_rows`).
+raises rather than silently skipping data.  An input stream fed columns
+(ingress) and a query's output both keep the rows nobody has read as
+columns (:meth:`Stream.append_rows`).
 """
 
 from __future__ import annotations
@@ -63,6 +66,10 @@ class Stream:
     - a listener removed before its turn receives nothing of that batch;
     - ``append(t)`` *is* ``append_batch([t])``.
     """
+
+    #: The listeners handed a :class:`Batch` of columns, not tuples (a
+    #: plan's), each in ``_batch_listeners`` too; shared while empty.
+    _column_listeners: frozenset = frozenset()
 
     def __init__(self, name: str, schema: Schema, max_buffer: int = 1_000_000):
         if max_buffer <= 0:
@@ -123,35 +130,24 @@ class Stream:
                     f"tuple schema {tup.schema.name!r} does not match stream "
                     f"{self.name!r} schema {self.schema.name!r}"
                 )
-        if self._unread:
-            self._build_unread()
-        self._buffer.extend(batch)
-        previous = self._inflight
-        inflight = self._inflight = _InflightDispatch(previous)
-        try:
-            for listener in list(self._batch_listeners):
-                if listener not in inflight.absent:
-                    listener(batch)
-        finally:
-            self._inflight = previous
-        self._trim()
-        return len(batch)
+        return self._dispatch(batch, Batch.of(batch) if self._column_listeners else None)
 
     def append_rows(self, batch: Batch) -> int:
         """Append the selected rows of *batch*, columns of this stream's
-        schema; returns the count.  With a listener, or rows that are
-        tuples already, this is ``append_batch(batch.to_tuples(schema))``.
-        Otherwise only the selected values are copied (nothing of *batch*
-        is held) into one unread list per field, cut back to
-        ``max_buffer`` rows whenever they pass twice that; a reader builds
-        them first (:meth:`_build_unread`)."""
-        if self._batch_listeners or batch.tuples is not None:
-            return self.append_batch(batch.to_tuples(self.schema))
+        schema, in one dispatch; returns the count.  With a tuple
+        listener the rows are built once, retained and shared by every
+        such listener.  Otherwise only the selected values are copied
+        (nothing of *batch* is held) into one unread list per field, cut
+        back to ``max_buffer`` rows whenever they pass twice that; a
+        reader builds them first (:meth:`_build_unread`)."""
         count = len(batch)
         if not count:
             return 0
         if self._closed:
             raise StreamError(f"stream {self.name!r} is closed")
+        listeners = self._batch_listeners
+        if listeners and not self._column_listeners.issuperset(listeners):
+            return self._dispatch(batch.to_tuples(self.schema), batch)
         if not self._unread:
             self._unread = [[] for _ in self.schema]
         unread, rows = self._unread, batch.rows
@@ -159,7 +155,25 @@ class Stream:
             values.extend(column if rows is None else map(column.__getitem__, rows))
         if len(unread[0]) > 2 * self.max_buffer:
             self._forget(len(unread[0]) - self.max_buffer)
-        return count
+        return self._dispatch(None, batch) if listeners else count
+
+    def _dispatch(self, tuples: Optional[List[StreamTuple]], batch: Optional[Batch]) -> int:
+        """Retain *tuples* (if any), then hand a column listener *batch*
+        and any other listener *tuples*."""
+        if tuples is not None:
+            if self._unread:
+                self._build_unread()
+            self._buffer.extend(tuples)
+        previous, columnar = self._inflight, self._column_listeners
+        inflight = self._inflight = _InflightDispatch(previous)
+        try:
+            for listener in list(self._batch_listeners):
+                if listener not in inflight.absent:
+                    listener(batch if listener in columnar else tuples)
+        finally:
+            self._inflight = previous
+        self._trim()
+        return len(tuples) if batch is None else len(batch)
 
     def _build_unread(self) -> None:
         """Build the unread rows as tuples onto the retained tail, which is
@@ -224,6 +238,7 @@ class Stream:
             self._batch_listeners.remove(callback)
         except ValueError:
             pass
+        self._column_listeners = self._column_listeners - {callback}
         self._miss_inflight(callback)
 
     def _miss_inflight(self, consumer) -> None:

@@ -2,16 +2,19 @@
 
 A :class:`StreamTuple` pairs a schema with one value per field.  Tuples are
 immutable — the Aurora model treats streams as append-only sequences and
-operators always emit *new* tuples rather than mutating inputs.
+operators always emit *new* tuples rather than mutating inputs.  Inside
+the engine rows travel as a :class:`Batch` of columns, from ingress
+(:func:`_record_ingress`) to a stream's reader, who gets tuples.
 """
 
 from __future__ import annotations
 
-from operator import is_
-from typing import Any, Callable, Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from itertools import repeat
+from operator import is_, itemgetter
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import SchemaError
-from repro.streams.schema import Schema, _widener
+from repro.streams.schema import _COLUMN_COERCERS, Schema, _widener
 
 
 class StreamTuple:
@@ -107,18 +110,24 @@ def make_tuple(schema: Schema, record: Mapping[str, Any]) -> StreamTuple:
     return StreamTuple(schema, tuple(values))
 
 
-def _record_converter(schema: Schema) -> Callable[[Any], StreamTuple]:
-    """``convert(record)``: :func:`make_tuple` with the per-record work
-    hoisted out.  A mapping keyed by exactly the declared attribute
-    names is read positionally (values coerced as ever).  A tuple's
-    values are coerced the same way: a conformant tuple passes through
-    as itself, a widened one is rebuilt, a bad one raises
-    ``SchemaError``.  Anything else goes through :func:`make_tuple`, so
-    what is accepted, what it becomes and every error message are the
-    same.
-    """
-    names = schema.attribute_names
+def _record_ingress(schema: Schema) -> Tuple[Callable, Callable[[Any], StreamTuple]]:
+    """``(gather, convert)``.  ``gather(records)`` is the :class:`Batch`
+    of ``dict`` s keyed by exactly *schema*'s names (a gather and a
+    ``_COLUMN_COERCERS`` pass per field), else ``None``: another record
+    or a refused column sends the list through ``convert`` per record —
+    a tuple's values coerced (a conformant one passes as itself), else
+    :func:`make_tuple` — which accepts the same and raises the same."""
     widen = _widener(schema)
+    fields = [(itemgetter(field.name), _COLUMN_COERCERS[field.dtype]) for field in schema]
+    kinds, arity = {dict}, {schema._arity}
+
+    def gather(records) -> Optional[Batch]:
+        if set(map(type, records)) != kinds or set(map(len, records)) != arity:
+            return None
+        try:
+            return Batch([coerce(list(map(get, records))) for get, coerce in fields])
+        except (KeyError, SchemaError):
+            return None
 
     def convert(record) -> StreamTuple:
         if isinstance(record, StreamTuple):
@@ -126,15 +135,9 @@ def _record_converter(schema: Schema) -> Callable[[Any], StreamTuple]:
             if all(map(is_, values, record._values)):
                 return record
             return StreamTuple(record._schema, values)
-        if len(record) == len(names):
-            try:
-                values = [record[name] for name in names]
-            except KeyError:
-                return make_tuple(schema, record)
-            return StreamTuple(schema, widen(values))
         return make_tuple(schema, record)
 
-    return convert
+    return gather, convert
 
 
 def make_tuples(schema: Schema, records: Iterable[Mapping[str, Any]]):
@@ -143,33 +146,27 @@ def make_tuples(schema: Schema, records: Iterable[Mapping[str, Any]]):
 
 
 class Batch:
-    """What crosses one edge of a plan: a run of rows, as columns.
+    """What crosses one edge of a plan, and what a pushed list of records
+    becomes: a run of rows, as columns.
 
     ``columns[p]`` holds every row's value at schema position ``p``;
     ``rows`` are the selected row numbers, in order (``None``: all of
-    them).  ``tuples``, when set, are the rows already built as tuples
-    of the edge's schema — the pushed tuples while a chain has only
-    filtered — so a sink hands out those objects; any other batch stays
-    columns until its output is read (:meth:`Stream.append_rows`).
-    A batch is read-only: every node downstream of an edge shares it.
+    them).  Rows become tuples only when someone asks
+    (:meth:`to_tuples`): a tuple listener, or a reader of a stream
+    (:meth:`Stream.append_rows`).  A batch is read-only: every node
+    downstream of an edge shares it.
     """
 
-    __slots__ = ("columns", "rows", "tuples")
+    __slots__ = ("columns", "rows")
 
-    def __init__(
-        self,
-        columns: Sequence[Sequence[Any]],
-        rows: Optional[Sequence[int]] = None,
-        tuples: Optional[Sequence[StreamTuple]] = None,
-    ):
+    def __init__(self, columns: Sequence[Sequence[Any]], rows: Optional[Sequence[int]] = None):
         self.columns = columns
         self.rows = rows
-        self.tuples = tuples
 
     @classmethod
     def of(cls, tuples: Sequence[StreamTuple]) -> "Batch":
         """The batch of *tuples* (one schema); no tuples select no rows."""
-        return cls(list(zip(*[t._values for t in tuples])), None if tuples else (), tuples)
+        return cls(list(zip(*[t._values for t in tuples])), None if tuples else ())
 
     def __len__(self) -> int:
         rows = self.rows
@@ -181,12 +178,7 @@ class Batch:
         rows = self.rows
         return column if rows is None else [column[i] for i in rows]
 
-    def to_tuples(self, schema: Schema) -> Sequence[StreamTuple]:
+    def to_tuples(self, schema: Schema) -> List[StreamTuple]:
         """The selected rows as tuples of *schema* (this edge's)."""
-        tuples, rows = self.tuples, self.rows
-        if tuples is not None:
-            return tuples if rows is None else [tuples[i] for i in rows]
-        columns = self.columns if rows is None else [
-            [column[i] for i in rows] for column in self.columns
-        ]
-        return [StreamTuple(schema, values) for values in zip(*columns)]
+        columns = self.columns if self.rows is None else map(self.column, range(len(self.columns)))
+        return list(map(StreamTuple, repeat(schema), zip(*columns)))

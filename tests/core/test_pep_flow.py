@@ -14,7 +14,7 @@ from repro.errors import (
 from repro.streams.engine import StreamEngine
 from repro.streams.graph import QueryGraph
 from repro.streams.handles import StreamHandle
-from repro.streams.operators import FilterOperator, WindowSpec, WindowType
+from repro.streams.operators import FilterOperator, MapOperator, WindowSpec, WindowType
 from repro.streams.schema import WEATHER_SCHEMA
 from repro.xacml.request import Request
 from tests.conftest import build_lta_user_query, build_nea_policy_graph, engine_outputs
@@ -152,7 +152,7 @@ class TestPepWorkflow:
         )
         from repro.streams.sources import WeatherSource
 
-        instance.engine.push_many("weather", WeatherSource(seed=3).records(400))
+        instance.engine.push_batch("weather", WeatherSource(seed=3).records(400))
         outputs = instance.engine.read(result.handle)
         assert outputs
         assert set(outputs[0].schema.attribute_names) == {
@@ -255,7 +255,7 @@ class TestGrantTemplates:
         records = WeatherSource(seed=3).records(400)
         untouched = self.nea_instance()
         expected = self.grant(untouched)
-        untouched.engine.push_many("weather", records)
+        untouched.engine.push_batch("weather", records)
 
         instance = self.nea_instance()
         first = self.grant(instance)
@@ -276,7 +276,7 @@ class TestGrantTemplates:
         assert len(second.merged_graph) == len(first.merged_graph) - 1
         assert second.streamsql == expected.streamsql
         assert second.warnings == expected.warnings
-        instance.engine.push_many("weather", records)
+        instance.engine.push_batch("weather", records)
         outputs = [t.values for t in instance.engine.read(second.handle)]
         assert outputs == [t.values for t in untouched.engine.read(expected.handle)]
         assert outputs == [t.values for t in instance.engine.read(first.handle)]
@@ -327,3 +327,31 @@ class TestGrantTemplates:
         assert isinstance(templates, Memo) and templates not in MEMOS.values()
         assert templates.info().maxsize == MEMO_ENTRIES
         assert make_instance().pep.templates is not templates
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 20: the merge lets a user "
+                   "filter on an attribute the policy withholds")
+def test_a_user_filter_cannot_read_a_withheld_attribute():
+    """Noninterference (ROADMAP item 20).  The policy releases
+    ``samplingtime, rainrate`` of rows with ``rainrate > 5``, so two
+    inputs that differ only in ``temperature`` look the same through it,
+    and the merged query must answer both alike.  Today the merge keeps
+    the user's ``temperature > 25``, which reads the withheld attribute:
+    ten such rows return 4 or 10."""
+    policy = (QueryGraph("weather").append(FilterOperator("rainrate > 5"))
+              .append(MapOperator(["samplingtime", "rainrate"])))
+    query = UserQuery("weather", filter_condition="temperature > 25",
+                      map_attributes=("samplingtime", "rainrate"))
+    returned = []
+    for temperatures in ([30.0] * 10, [30.0] * 4 + [20.0] * 6):
+        instance = make_instance()
+        instance.load_policy(stream_policy("p1", "weather", policy, subject="LTA"))
+        handle = instance.request_stream(Request.simple("LTA", "weather"), query).handle
+        instance.engine.push_batch("weather", [
+            dict.fromkeys(WEATHER_SCHEMA.attribute_names, 1.0)
+            | {"samplingtime": 1000.0, "rainrate": 8.0, "winddirection": 90,
+               "temperature": temperature}
+            for temperature in temperatures
+        ])
+        returned.append([t.values for t in instance.engine.read(handle)])
+    assert returned[0] == returned[1]

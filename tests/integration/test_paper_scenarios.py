@@ -45,7 +45,7 @@ class TestNeaLtaScenario:
 
     def test_policy_only_request(self, instance):
         result = instance.request_stream(Request.simple("LTA", "weather"))
-        instance.engine.push_many("weather", WeatherSource(seed=3).records(200))
+        instance.engine.push_batch("weather", WeatherSource(seed=3).records(200))
         outputs = instance.engine.read(result.handle)
         assert outputs
         # Policy semantics: windows of 5 rainy tuples, advance 2.
@@ -59,7 +59,7 @@ class TestNeaLtaScenario:
             Request.simple("LTA", "weather"), build_lta_user_query()
         )
         assert "rainrate > 50" in result.streamsql
-        instance.engine.push_many("weather", WeatherSource(seed=3).records(400))
+        instance.engine.push_batch("weather", WeatherSource(seed=3).records(400))
         outputs = instance.engine.read(result.handle)
         assert outputs
         assert all(t["avgrainrate"] > 50 for t in outputs)
@@ -70,7 +70,7 @@ class TestNeaLtaScenario:
         result = instance.request_stream(
             Request.simple("LTA", "weather"), build_lta_user_query()
         )
-        instance.engine.push_many("weather", records)
+        instance.engine.push_batch("weather", records)
         merged_outputs = instance.engine.read(result.handle)
 
         # Manual oracle: rainrate>50, then windows of 10 advance 2 of
@@ -122,7 +122,7 @@ class TestFullFrameworkFlow:
             Request.simple("LTA", "weather"), build_lta_user_query()
         )
         assert response.ok
-        server.instance.engine.push_many(
+        server.instance.engine.push_batch(
             "weather", WeatherSource(seed=3).records(400)
         )
         outputs = server.instance.engine.read(response.handle_uri)

@@ -54,7 +54,7 @@ class TestTimeWindowPolicies:
         result = instance.request_stream(Request.simple("u", "weather"))
         assert "SECONDS" in result.streamsql
         # 30-second sampling: 300 s windows close every 10 tuples.
-        instance.engine.push_many(
+        instance.engine.push_batch(
             "weather", WeatherSource(seed=3, interval_seconds=30.0).records(100)
         )
         outputs = instance.engine.read(result.handle)

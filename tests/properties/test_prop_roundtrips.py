@@ -236,7 +236,7 @@ class TestDirectVsPepEquivalence:
             generate_streamsql(graph)
         )
         records = WeatherSource(seed=11).records(120)
-        instance.engine.push_many("weather", records)
+        instance.engine.push_batch("weather", records)
         pep_output = instance.engine.read(pep_result.handle)
         direct_output = instance.engine.read(direct_handle)
         assert [t.values for t in pep_output] == [t.values for t in direct_output]

@@ -26,7 +26,18 @@ draw, so a failure shrinks to a short script.
   production side holds unread rows as columns.  One script in four
   first sets a small output retention (``max_buffer`` 1–8) for every
   query it registers, so reads see trimmed tails and a subscription
-  may fall behind — on both sides alike.
+  may fall behind — on both sides alike; the input stream is read too,
+  and keeps that retention.
+- **Ingress.**  An ingest pushes one list per fault, whole, to both
+  engines: a key in another case, a missing or extra key, an ``int`` in
+  a DOUBLE or TIMESTAMP field (a whole column, or one value), a ``bool``
+  in an INT field or among ints, a non-finite timestamp, an int too
+  large for a float, or a ``StreamTuple`` among the records.  The production
+  engine gathers a list of exact records into columns and falls back to
+  converting record by record; the oracle always converts.  Both must
+  accept the same lists as the same rows, or refuse them with the same
+  error and nothing ingested.  A script with no tap on its source takes
+  the production engine's columnar path end to end.
 - **Data.**  The production side gets each push cut into random batches
   (empty and singleton ones included); the oracle gets one tuple at a
   time.  Timestamps mostly ascend in decimal steps, now and then arrive
@@ -47,11 +58,17 @@ failure reports the seed it ran under).  ``MUTANTS`` pins one script per
 known way of breaking the plan, the windows or the compiled filters.
 """
 
+import importlib
+import json
 import math
 import os
+import pkgutil
 import random
+import subprocess
+import sys
 from collections import Counter
 from functools import lru_cache
+from pathlib import Path
 from typing import NamedTuple, Optional, Tuple
 
 import pytest
@@ -79,6 +96,7 @@ from repro.streams.operators import (
     WindowType,
 )
 from repro.streams.schema import DataType, Field, Schema
+from repro.streams.tuples import StreamTuple
 
 LONG = bool(os.environ.get("FUZZ_LONG"))
 SEED = int(os.environ.get("FUZZ_SEED") or (random.SystemRandom().randrange(2**31) if LONG else 0))
@@ -302,8 +320,10 @@ def condition_grammar(fields):
 
 
 def extents(small):
-    """(size, step): small, or one time in ten deep (size ≤ DEEP, step ≤ 3)."""
-    deep = st.tuples(st.integers(9, DEEP), st.integers(1, 3))
+    """(size, step): small, or one time in ten deep (size ≤ DEEP, step ≤ 3).
+    A deep size is spread over 9..DEEP by an index, because Hypothesis
+    draws a wide bounded integer mostly at its bounds and at constants."""
+    deep = st.tuples(INDEX.map(lambda k: 9 + (DEEP - 9) * k // 63), st.integers(1, 3))
     return st.integers(0, 9).flatmap(lambda roll: deep if roll == 0 else st.tuples(small, small))
 
 
@@ -413,7 +433,51 @@ def scripts(draw):
     for at in sorted(draw(st.lists(st.integers(0, len(actions)), max_size=3)), reverse=True):
         actions.insert(at, ("read", None))
     retention = draw(RETENTIONS)
+    for at, ingest in sorted(draw(st.lists(INGESTS, max_size=2)), key=lambda a: -a[0]):
+        actions.insert(min(at, len(actions)), ("ingest", ingest))
     return schema, actions if retention is None else [("retain", retention), *actions]
+
+
+# -- ingress ------------------------------------------------------------------------
+
+#: An ingest pushes one list per fault, each with that fault in it; every
+#: fault takes the production engine off its column gather, or through
+#: its int widening.
+FAULTS = ("case", "missing", "extra", "int", "bool", "non-finite", "huge", "tuple")
+#: (where in the script, (data, which record and field))
+INGESTS = st.tuples(st.integers(0, 40), st.tuples(TAP_FEEDS, INDEX))
+
+
+def spoil(schema, rows, fault, index):
+    """The records an ingest of *rows* pushes under *fault*.  Ints go
+    into a DOUBLE or TIMESTAMP column (all of it, or one value) first for
+    the faults about ints; a fault that changes an accepted value
+    changes it in *rows* too."""
+    names = [field.name for field in schema]
+    name, at = names[index % len(names)], index % len(rows)
+    wide = [field.name for field in schema if field.dtype in (DOUBLE, TIMESTAMP)]
+    column = "x" if fault == "tuple" else wide[index % len(wide)]
+    if fault in ("int", "bool", "huge", "tuple"):
+        for row in rows if index % 2 or fault == "huge" else rows[at:at + 1]:
+            row[column] = math.floor(row[column])
+    records = [dict(row) for row in rows]
+    record = records[at]
+    if fault == "case":
+        record[name.swapcase()] = record.pop(name)
+    elif fault == "missing":
+        del record[name]
+    elif fault == "extra":
+        record["extra" if index % 2 else name.swapcase()] = record[name]
+    elif fault == "bool":
+        record[("n", "i", column)[index % 3]] = bool(index % 2)
+    elif fault == "non-finite":
+        record["ts"] = (math.inf, -math.inf, math.nan)[index % 3]
+    elif fault == "huge":
+        record[column] = 10**400
+    elif fault == "tuple":
+        named = schema if index % 3 else Schema("other", list(schema)[::-1])
+        records[at] = StreamTuple(named, tuple(record[name] for name in names))
+    return records
 
 
 # -- running a script ---------------------------------------------------------------
@@ -436,13 +500,15 @@ class Tap:
 
 
 class Side:
-    """One engine, its queries in registration order, and a tap on the
-    source attached before the first registration — so it fires ahead of
-    the plan's listener and of every oracle query's."""
+    """One engine, its queries in registration order, and (when *tapped*)
+    a tap on the source attached before the first registration — so it
+    fires ahead of the plan's listener and of every oracle query's."""
 
-    def __init__(self, engine, schema):
+    def __init__(self, engine, schema, tapped=True):
         self.engine, self.schema, self.tap = engine, schema, Tap()
-        engine.register_input_stream("sensor", schema).add_batch_listener(self.tap)
+        self.source = engine.register_input_stream("sensor", schema)
+        if tapped:
+            self.source.add_batch_listener(self.tap)
         self.queries = []  # (handle, subscription, output schema)
         self.retention = None  # every output's max_buffer, when set
 
@@ -466,6 +532,20 @@ class Side:
         handle = self.queries[index][0]
         total = self.engine.lookup(handle).output.total_appended
         return total, typed([t.values for t in self.engine.read(handle)])
+
+    def read_source(self):
+        """The input stream's logical length, then its retained tail."""
+        return self.source.total_appended, typed([t.values for t in self.source.snapshot()])
+
+    def ingest(self, records):
+        """Push *records* as one list: the count, or the error's type and
+        message — with nothing ingested."""
+        before = self.source.total_appended
+        try:
+            return self.engine.push_batch("sensor", records)
+        except Exception as error:
+            assert self.source.total_appended == before, f"a refused list was ingested: {error}"
+            return type(error), str(error)
 
     def push(self, batches):
         for batch in batches:
@@ -521,8 +601,9 @@ def run_script(script):
     production plan's stats, the number of output rows compared and the
     number of reads that saw a trimmed tail."""
     schema, script_actions = script
-    production = Side(StreamEngine(), schema)
-    oracle = Side(StreamEngine.reference(), schema)
+    tapped = any(action == "from-source" for action, _ in script_actions)
+    production = Side(StreamEngine(), schema, tapped)
+    oracle = Side(StreamEngine.reference(), schema, tapped)
     sides = (production, oracle)
     clock, log = Clock(), []  # every record pushed, in order
     declared, live = [], []  # per registration its Query; indices of the live ones
@@ -545,6 +626,8 @@ def run_script(script):
             got, expected = (side.read(index) for side in sides)
             assert got == expected, f"query #{index} read diverged: {declared[index]}"
             trimmed += expected[0] > len(expected[1])
+        got, expected = (side.read_source() for side in sides)
+        assert got == expected, "the input stream's read diverged"
 
     def account(change, at):
         kind, payload = change
@@ -559,7 +642,17 @@ def run_script(script):
     for action, payload in [*script_actions, ("push", CLOSING)]:
         if action == "retain":
             for side in sides:
-                side.retention = payload
+                side.retention = side.source.max_buffer = payload
+            continue
+        if action == "ingest":
+            data, index = payload
+            for shift, fault in enumerate(FAULTS):
+                rows = clock.records(schema, data)
+                records = spoil(schema, rows, fault, index + shift)
+                got, expected = (side.ingest(records) for side in sides)
+                assert got == expected, f"ingest diverged ({fault}): {got!r} != {expected!r}"
+                if expected == len(rows):
+                    log.extend(rows)
             continue
         if action == "read":
             compare_reads()
@@ -804,6 +897,19 @@ MUTANTS = {
         ("from-output", (1, ("register", PASS), Feed(17, 5))),
         ("push", Feed(18, 11, (2, 7))), ("read", None), ("push", Feed(19, 2)), ("read", None),
     ],
+    # Every ingress fault, with no tap on the source (so the production
+    # engine ingests columns end to end) and the input stream retaining
+    # 4 rows: a refused list leaves nothing ingested, an accepted one the
+    # rows the oracle converted one by one.  Caught here: a column
+    # gathered from the wrong field, a refused list half-ingested, an
+    # input retention one off, an int widening that lets an overflow
+    # through or widens a bool.
+    "ingress-faults": [
+        ("retain", 4), ("register", CHAIN), ("register", where("x > 1")),
+        ("register", window(TIME, 3, 1, ("sum", "x"), ("lastval", "ts"), ("count", "n"))),
+        ("ingest", (Feed(20, 6), 1)), ("read", None), ("push", Feed(21, 30, (9,))), ("read", None),
+        ("ingest", (Feed(22, 9), 2)), ("ingest", (Feed(23, 4), 6)), ("read", None),
+    ],
     # One chain registered as StreamSQL and as a graph, beside a filter
     # that subsumes its own.
     "streamsql-and-graph-share-a-chain": [
@@ -848,8 +954,11 @@ def census(script, tally):
     the column types they aggregate."""
     schema, script_actions = script
     dtypes = {field.name: field.dtype.value for field in schema}
+    tally["untapped"] += all(kind != "from-source" for kind, _ in script_actions)
     for kind, payload in script_actions:
         tally[f"action:{kind}"] += 1
+        if kind == "ingest":
+            continue
         change = (kind, payload)
         if kind in ("from-source", "from-output"):
             change = payload[0] if kind == "from-source" else payload[1]
@@ -870,12 +979,8 @@ def census(script, tally):
                 tally[dtypes[attr]] += 1
 
 
-def test_generator_census():
-    """A silent generator is a broken harness.  At a fixed seed the
-    grammar must draw every stage shape, rendering, aggregate function,
-    DOUBLE and INT aggregated columns, time-attribute dtype and action
-    kind (and, under ``FUZZ_LONG``, a deep window); its scripts must
-    share and subsume plan nodes and compare output rows."""
+def census_tally():
+    """What the census draws at its fixed seed, drawn in this process."""
     tally = Counter()
 
     @seed(7)
@@ -890,9 +995,52 @@ def test_generator_census():
         )
 
     draw()
-    wanted = {"filter", "map", "tuple-window", "time-window", "sql", "graph"}
+    return tally
+
+
+#: The census draws in a child interpreter whose imports are this
+#: module's, and the two the engines load lazily.  Hypothesis (6.155)
+#: mixes constants harvested from every local module in ``sys.modules``
+#: into its draws, so in process the scripts drawn at a fixed seed
+#: depended on which tests ran before.
+CENSUS_CHILD = """
+import json, sys
+sys.path[:0] = sys.argv[1:]
+import test_streams_equivalence as harness
+import repro.streams.reference, repro.streams.streamsql.parser
+print(json.dumps(harness.census_tally()))
+"""
+
+
+def drawn_census():
+    """:func:`census_tally` in a child interpreter with a fixed import set."""
+    import repro
+
+    paths = [str(Path(__file__).parent), str(Path(repro.__file__).parents[1])]
+    child = subprocess.run(
+        [sys.executable, "-c", CENSUS_CHILD, *paths],
+        capture_output=True, text=True, timeout=600,
+    )
+    assert child.returncode == 0, child.stderr
+    return Counter(json.loads(child.stdout.splitlines()[-1]))
+
+
+@lru_cache(maxsize=None)
+def first_census():
+    return drawn_census()
+
+
+def test_generator_census():
+    """A silent generator is a broken harness.  At a fixed seed the
+    grammar must draw every stage shape, rendering, aggregate function,
+    DOUBLE and INT aggregated columns, time-attribute dtype and action
+    kind, and a script with no tap on its source (and, under
+    ``FUZZ_LONG``, a deep window); its
+    scripts must share and subsume plan nodes and compare output rows."""
+    tally = first_census()
+    wanted = {"filter", "map", "tuple-window", "time-window", "sql", "graph", "untapped"}
     wanted |= {"time:timestamp", "time:int"}
-    wanted |= {f"action:{kind}" for kind in (*ACTION_DISTRIBUTION, "read", "retain")}
+    wanted |= {f"action:{kind}" for kind in (*ACTION_DISTRIBUTION, "read", "retain", "ingest")}
     wanted |= {*NUMERIC_FNS, *ANY_FNS, "double", "int"}
     if LONG:
         wanted.add("deep")
@@ -904,3 +1052,13 @@ def test_generator_census():
     assert tally["sql"] >= 15 and tally["rows"] >= 1000
     # Reads of a tail its retention trimmed (every seed 7-11 draws 46+).
     assert tally["trimmed"] >= 15
+
+
+def test_the_census_draw_does_not_depend_on_what_was_imported_before():
+    """Importing every ``repro`` module (and the e2e workloads) into this
+    process leaves the census draw as it was."""
+    before = first_census()
+    for module in pkgutil.walk_packages(importlib.import_module("repro").__path__, "repro."):
+        importlib.import_module(module.name)
+    importlib.import_module("benchmarks.e2e.workloads")
+    assert drawn_census() == before

@@ -71,20 +71,20 @@ class TestEngine:
     def test_register_and_read(self):
         engine = self.make_engine()
         handle = engine.register_query(QueryGraph("s").append(FilterOperator("x > 2")))
-        engine.push_many("s", [{"x": v} for v in (1, 3, 5)])
+        engine.push_batch("s", [{"x": v} for v in (1, 3, 5)])
         assert [t["x"] for t in engine.read(handle)] == [3, 5]
 
     def test_read_limit(self):
         engine = self.make_engine()
         handle = engine.register_query(QueryGraph("s").append(FilterOperator("x > 0")))
-        engine.push_many("s", [{"x": v} for v in range(1, 6)])
+        engine.push_batch("s", [{"x": v} for v in range(1, 6)])
         assert [t["x"] for t in engine.read(handle, limit=2)] == [4, 5]
         assert [t["x"] for t in engine.read(handle, limit=9)] == [1, 2, 3, 4, 5]
 
     def test_read_limit_zero_and_negative(self):
         engine = self.make_engine()
         handle = engine.register_query(QueryGraph("s").append(FilterOperator("x > 0")))
-        engine.push_many("s", [{"x": v} for v in range(1, 6)])
+        engine.push_batch("s", [{"x": v} for v in range(1, 6)])
         assert engine.read(handle, limit=0) == []  # used to be all five
         with pytest.raises(EngineError):
             engine.read(handle, limit=-1)  # used to be all but the first
@@ -100,7 +100,7 @@ class TestEngine:
         engine = self.make_engine()
         low = engine.register_query(QueryGraph("s").append(FilterOperator("x < 3")))
         high = engine.register_query(QueryGraph("s").append(FilterOperator("x >= 3")))
-        engine.push_many("s", [{"x": v} for v in (1, 3)])
+        engine.push_batch("s", [{"x": v} for v in (1, 3)])
         assert len(engine.read(low)) == 1
         assert len(engine.read(high)) == 1
 
@@ -200,7 +200,7 @@ class TestBatchedDispatch:
 
     RECORDS = [{"x": v} for v in (1, 3, 5, 2, 7, 0, 4, 6, 9, 8)]
 
-    def dual_run(self, build_queries, records=None, batch_via="push_batch"):
+    def dual_run(self, build_queries, records=None):
         """Run the same input per-tuple and batched; return both outputs."""
         records = records if records is not None else self.RECORDS
         outputs = []
@@ -210,10 +210,8 @@ class TestBatchedDispatch:
             if mode == "single":
                 for record in records:
                     engine.push("s", record)
-            elif batch_via == "push_batch":
-                assert engine.push_batch("s", records) == len(records)
             else:
-                assert engine.push_many("s", records) == len(records)
+                assert engine.push_batch("s", records) == len(records)
             outputs.append([tuple(engine.read(h)) for h in handles])
         return outputs
 
@@ -237,13 +235,6 @@ class TestBatchedDispatch:
             ] + [engine.register_query(make_windowed_graph())]
 
         single, batched = self.dual_run(build)
-        assert single == batched
-
-    def test_push_many_uses_batched_path(self):
-        single, batched = self.dual_run(
-            lambda e: [e.register_query(make_windowed_graph())],
-            batch_via="push_many",
-        )
         assert single == batched
 
     def test_empty_batch(self):
