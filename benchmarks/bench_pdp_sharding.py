@@ -27,7 +27,11 @@ the same stream.  Gate: ≥ 1.5x measured speedup at 4 shards — asserted
 only when the machine exposes ≥ 4 CPUs, because real parallel speedup
 cannot exist below that; the numbers (and the CPU count) are recorded
 regardless, so a single-core run still reports honest measurements
-instead of a model.
+instead of a model.  Beside each wall number it reports the parent's
+CPU per pooled request (``getrusage``), and its ratio to one in-process
+PDP's CPU per request: the rule ``docs/performance.md`` decides the
+pool by (*the pool is a batch evaluator*), re-checkable after any
+transport change.  Report only, no gate.
 
 Workload: 1,200 literal-target policies over 400 resource streams and
 300 subjects plus 24 wildcard-subject policies (resource-only targets,
@@ -41,7 +45,7 @@ anything is timed.
 import os
 import random
 
-from benchmarks.harness import best_of, emit, gate, print_header
+from benchmarks.harness import best_of, best_wall_and_cpu, emit, gate, print_header
 from repro.xacml.attributes import SUBJECT_ID, Attribute, AttributeCategory, AttributeValue
 from repro.xacml.pdp import PolicyDecisionPoint, decide
 from repro.xacml.policy import Policy, Rule, Target
@@ -199,11 +203,12 @@ def single_instance(policies, requests):
         pdp = PolicyDecisionPoint(loaded(PolicyStore(), policies))
         return lambda: [pdp.evaluate(request) for request in requests]
 
-    seconds = best_of(3, make)
+    seconds, cpu = best_wall_and_cpu(3, make)
     return {
         "seconds": seconds,
         "requests": len(requests),
         "throughput_rps": len(requests) / seconds,
+        "cpu_us_per_request": cpu / len(requests) * 1e6,
     }
 
 
@@ -250,14 +255,15 @@ def scatter_path_seconds(policies, stream, cached):
 
 
 def worker_pool_seconds(policies, requests, n_shards):
-    """Measured wall clock of the full stream through a live pool."""
+    """Measured wall clock of the full stream through a live pool, and
+    the parent's CPU seconds for it."""
     with ProcessShardPool(loaded(ShardedPolicyStore(n_shards), policies)) as pool:
 
         def make():
             pool.flush_caches()
             return lambda: pool.evaluate_many(requests)
 
-        return best_of(3, make)
+        return best_wall_and_cpu(3, make)
 
 
 def assert_equivalent_sample(policies, requests, n_shards, pool=False, sample=500):
@@ -336,16 +342,20 @@ def test_sharded_vs_single_instance_throughput(benchmark):
         # belong in-process — docs/performance.md quantifies the floor.
         results["single_acl"] = single_instance(scatter_policies, pool_requests)
         acl_baseline = results["single_acl"]["seconds"]
+        acl_cpu = results["single_acl"]["cpu_us_per_request"]
         for n_shards in (2, 4, 8):
-            pool_seconds = worker_pool_seconds(
+            pool_seconds, parent_cpu = worker_pool_seconds(
                 scatter_policies, pool_requests, n_shards
             )
+            parent_cpu_us = parent_cpu / len(pool_requests) * 1e6
             results[f"worker_pool_{n_shards}"] = {
                 "model": "measured",
                 "cpus": cpus,
                 "seconds": pool_seconds,
                 "throughput_rps": len(pool_requests) / pool_seconds,
                 "speedup_vs_single": acl_baseline / pool_seconds,
+                "parent_cpu_us_per_request": parent_cpu_us,
+                "parent_cpu_vs_in_process": parent_cpu_us / acl_cpu,
             }
         return results
 
@@ -374,12 +384,17 @@ def test_sharded_vs_single_instance_throughput(benchmark):
         f"   ({row['speedup_vs_uncached']:.1f}x vs uncached)"
     )
     row = results["single_acl"]
-    print(f"  single, ACL     : {row['throughput_rps']:>10.0f} req/s")
+    print(
+        f"  single, ACL     : {row['throughput_rps']:>10.0f} req/s"
+        f"   (CPU {row['cpu_us_per_request']:.1f} us/request)"
+    )
     for n_shards in (2, 4, 8):
         row = results[f"worker_pool_{n_shards}"]
         print(
             f"  pool, {n_shards} worker(s): {row['throughput_rps']:>10.0f} req/s"
-            f"   ({row['speedup_vs_single']:.1f}x measured)"
+            f"   ({row['speedup_vs_single']:.1f}x measured; parent CPU "
+            f"{row['parent_cpu_us_per_request']:.1f} us/request, "
+            f"{row['parent_cpu_vs_in_process']:.2f}x in-process)"
         )
     for section, row in results.items():
         emit("pdp_sharding", section, row)

@@ -1,41 +1,42 @@
 """Pool-recovery benchmark — one shard worker killed under load.
 
-One real :class:`AsyncDataServer` (loopback TCP, ephemeral port) over a
-4-shard ``ProcessShardPool`` in ``on_unavailable="error"`` mode serves
-seeded decide-only evaluates to retrying clients while one worker is
-killed mid-run.  Reported in ``BENCH_pool_recovery.json``: recovery
-time (kill → first successful reply routed to the killed shard) and
-the p99 impact on client-observed evaluate latency (post-kill window
-vs pre-kill baseline).
+Driver threads push the loadgen population's seeded evaluates through
+a 4-shard ``ProcessShardPool`` in ``on_unavailable="error"`` mode, in
+``evaluate_many`` batches, retrying each batch on a retryable
+``ShardUnavailableError``, while one worker is killed mid-run.  The
+pool is a batch evaluator and no served path reaches it, so it is
+driven directly.  Reported in ``BENCH_pool_recovery.json``: recovery
+time (kill → first successful answer routed to the killed shard) and
+the p99 impact on driver-observed batch latency (post-kill window vs
+pre-kill baseline).
 
-This is the one served number ``benchmarks/e2e`` cannot produce — none
-of its workloads attaches a pool.  Served throughput and latency are
-its ``decide_hot`` / ``mixed_churn`` workloads' business, served ≡
-in-process equivalence that of ``tests/serving/test_served_equivalence.py``
-and the e2e oracle.
+Served throughput and latency are ``benchmarks/e2e``'s business, and
+the pool's decisions under faults are ``tests/chaos``'.
 """
 
-import asyncio
+import threading
+import time
 
 from benchmarks.harness import emit, gate, print_header
+from repro.errors import ShardUnavailableError
 from repro.framework.metrics import summarize
-from repro.framework.server import DataServer
 from repro.loadgen.config import LoadgenConfig, MixWeights
 from repro.loadgen.driver import build_server
 from repro.loadgen.mix import OpMixStream, stream_name, subject_name
-from repro.serving import AsyncClient, AsyncDataServer
-from repro.serving.wire import EvaluateOp, EvaluateReply
-from repro.streams.engine import StreamEngine
 from repro.xacml.request import Request
-from repro.xacml.sharding import ProcessShardPool
-from repro.xacml.xml_io import request_to_xml
+from repro.xacml.response import Decision
+from repro.xacml.sharding import ProcessShardPool, ShardedPolicyStore
+from repro.xacml.xml_io import parse_request_xml
 
 N_SHARDS = 4
-N_CONNECTIONS = 4
-OPS_PER_CONNECTION = 400
-WARMUP_OPS = 300                    # completed ops before the kill
-#: The loadgen population and its seeded evaluate stream (decide-only:
-#: pure PDP latency, no engine registration), 1 in 5 from a stranger.
+N_DRIVERS = 4
+REQUESTS_PER_DRIVER = 400
+BATCH = 8                           # requests per evaluate_many call
+WARMUP_REQUESTS = 300               # answered requests before the kill
+MAX_RETRIES, RETRY_BASE_DELAY, RETRY_MAX_DELAY = 200, 0.01, 0.1
+JOIN_TIMEOUT = 120.0
+#: The loadgen population and its seeded evaluate stream, 1 in 5 from
+#: a stranger.
 WORKLOAD = LoadgenConfig(
     seed=4_1_2012,
     streams=8,
@@ -45,114 +46,135 @@ WORKLOAD = LoadgenConfig(
 )
 
 
-def make_server() -> DataServer:
-    """The loadgen population over a sharded store (decide-only
-    evaluates never reach the engine, so it registers no stream)."""
-    server = DataServer(engine=StreamEngine(), pdp_shards=N_SHARDS)
+def make_store() -> ShardedPolicyStore:
+    """The loadgen population over a sharded store."""
+    store = ShardedPolicyStore(N_SHARDS)
     for policy in build_server(WORKLOAD).instance.store.policies():
-        server.load_policy(policy)
-    return server
+        store.load(policy)
+    return store
 
 
-async def run_recovery_benchmark():
+def driver_requests(driver_id):
+    ops = OpMixStream(WORKLOAD, 0, driver_id)
+    return [parse_request_xml(ops.next_op().request_xml) for _ in range(REQUESTS_PER_DRIVER)]
+
+
+def evaluate_with_retries(pool, requests, retries):
+    """``pool.evaluate_many(requests)``, retried with doubling backoff
+    on a retryable ``ShardUnavailableError``; each retry is appended
+    to *retries*."""
+    delay = RETRY_BASE_DELAY
+    for _ in range(MAX_RETRIES):
+        try:
+            return pool.evaluate_many(requests)
+        except ShardUnavailableError as error:
+            if not error.retryable:
+                raise
+        retries.append(delay)
+        time.sleep(delay)
+        delay = min(2 * delay, RETRY_MAX_DELAY)
+    return pool.evaluate_many(requests)
+
+
+def run_recovery_benchmark():
     """Kill one shard worker mid-run; measure recovery and p99 impact.
 
     ``on_unavailable="error"`` is deliberate: fallback mode would hide
     the outage entirely, so nothing could be measured.  The retrying
-    clients see retryable errors until the supervisor's rebuild
+    drivers see retryable errors until the supervisor's rebuild
     readmits the worker — recovery time is the kill-to-first-success
     gap on a request pinned to the killed shard.
     """
-    server = make_server()
-    store = server.instance.store
+    store = make_store()
     target_request = Request.simple(subject_name(0, 0), stream_name(0))
     (target_shard,) = store.shards_for_request(target_request)
-    target_op = EvaluateOp(request_to_xml(target_request), None, True)
+    streams = [driver_requests(driver_id) for driver_id in range(N_DRIVERS)]
 
     latencies = {"pre": [], "post": []}
     marks = {"killed_at": None, "recovered_at": None}
-    progress = {"completed": 0}
-    retry_kw = dict(max_retries=200, retry_base_delay=0.01, retry_max_delay=0.1)
+    answered = [0]
+    retries, failures = [], []
+    lock = threading.Lock()
 
     with ProcessShardPool(store, on_unavailable="error") as pool:
-        server.instance.attach_evaluator(pool)
-        async with AsyncDataServer(server, max_in_flight=512) as front:
-            loop = asyncio.get_running_loop()
 
-            async def driver(connection_id):
-                ops = OpMixStream(WORKLOAD, 0, connection_id)
-                client = await AsyncClient.connect(
-                    "127.0.0.1", front.port, **retry_kw
-                )
-                async with client:
-                    for _ in range(OPS_PER_CONNECTION):
-                        op = ops.next_op()
-                        started = loop.time()
-                        reply = await client.call(op)
-                        elapsed = loop.time() - started
-                        assert isinstance(reply, EvaluateReply), reply
-                        window = "post" if marks["killed_at"] else "pre"
-                        latencies[window].append(elapsed)
-                        progress["completed"] += 1
-                    return client.retries_performed
+        def driver(requests):
+            for start in range(0, len(requests), BATCH):
+                batch = requests[start:start + BATCH]
+                started = time.monotonic()
+                responses = evaluate_with_retries(pool, batch, retries)
+                elapsed = time.monotonic() - started
+                assert len(responses) == len(batch)
+                with lock:
+                    window = "post" if marks["killed_at"] else "pre"
+                    latencies[window].append(elapsed)
+                    answered[0] += len(batch)
 
-            async def assassin():
-                while progress["completed"] < WARMUP_OPS:
-                    await asyncio.sleep(0.005)
-                client = await AsyncClient.connect(
-                    "127.0.0.1", front.port, **retry_kw
-                )
-                async with client:
-                    marks["killed_at"] = loop.time()
-                    pool.kill_worker(target_shard, reason="bench: mid-run kill")
-                    # One logical call whose retry loop rides through
-                    # the backoff, respawn and replay: its
-                    # completion IS the first post-kill success on the
-                    # killed shard.
-                    reply = await client.call(target_op)
-                    assert isinstance(reply, EvaluateReply) and reply.ok, reply
-                    marks["recovered_at"] = loop.time()
-                    return client.retries_performed
+        def assassin():
+            while answered[0] < WARMUP_REQUESTS:
+                time.sleep(0.005)
+            with lock:
+                marks["killed_at"] = time.monotonic()
+            pool.kill_worker(target_shard, reason="bench: mid-run kill")
+            # One logical call whose retry loop rides through the
+            # backoff, respawn and replay: its completion IS the first
+            # post-kill success on the killed shard.
+            (response,) = evaluate_with_retries(pool, [target_request], retries)
+            assert response.decision is Decision.PERMIT, response
+            marks["recovered_at"] = time.monotonic()
 
-            outcomes = await asyncio.gather(
-                assassin(),
-                *(driver(cid) for cid in range(N_CONNECTIONS)),
-            )
+        def guarded(body, *args):
+            try:
+                body(*args)
+            except Exception as error:
+                failures.append(error)
+
+        threads = [threading.Thread(target=guarded, args=(assassin,))] + [
+            threading.Thread(target=guarded, args=(driver, requests))
+            for requests in streams
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(JOIN_TIMEOUT)
+        assert not any(thread.is_alive() for thread in threads), "a driver hung"
         health = pool.health()
+    if failures:
+        raise failures[0]
 
     p99_pre = summarize(latencies["pre"]).p99 * 1000.0
     p99_post = summarize(latencies["post"]).p99 * 1000.0
     return {
         "model": "measured",
         "shards": N_SHARDS,
-        "connections": N_CONNECTIONS,
-        "requests": progress["completed"],
+        "drivers": N_DRIVERS,
+        "batch": BATCH,
+        "requests": answered[0],
         "killed_shard": target_shard,
         "recovery_seconds": marks["recovered_at"] - marks["killed_at"],
         "p99_ms_pre_kill": p99_pre,
         "p99_ms_post_kill": p99_post,
         "p99_impact": p99_post / p99_pre,
-        "client_retries": sum(outcomes),
+        "client_retries": len(retries),
         "worker_restarts": health["worker_restarts"],
         "degraded_shards": health["degraded_shards"],
     }
 
 
 def test_pool_recovery(benchmark):
-    recovery = benchmark.pedantic(
-        lambda: asyncio.run(run_recovery_benchmark()), rounds=1, iterations=1
-    )
+    recovery = benchmark.pedantic(run_recovery_benchmark, rounds=1, iterations=1)
     print_header(
-        f"Pool recovery — {recovery['requests']} evaluates over "
-        f"{recovery['connections']} retrying connections, {recovery['shards']} shards"
+        f"Pool recovery — {recovery['requests']} evaluates in batches of "
+        f"{recovery['batch']} from {recovery['drivers']} retrying driver threads, "
+        f"{recovery['shards']} shards"
     )
     print(
         f"  worker kill     : shard {recovery['killed_shard']} of "
         f"{recovery['shards']}, recovered in "
         f"{recovery['recovery_seconds'] * 1000:.0f} ms "
         f"({recovery['worker_restarts']} restart(s), "
-        f"{recovery['client_retries']} client retries)\n"
-        f"  evaluate p99    : {recovery['p99_ms_pre_kill']:.2f} ms pre-kill, "
+        f"{recovery['client_retries']} driver retries)\n"
+        f"  batch p99       : {recovery['p99_ms_pre_kill']:.2f} ms pre-kill, "
         f"{recovery['p99_ms_post_kill']:.2f} ms post-kill "
         f"({recovery['p99_impact']:.1f}x)"
     )
@@ -162,8 +184,9 @@ def test_pool_recovery(benchmark):
     # reconstruction and without exhausting the retry budget — and
     # recovery stayed within the supervision design envelope (the kill
     # takes the shard down at once, then RESTART_BACKOFF + respawn and
-    # replay; generous headroom on shared runners).  The p99 numbers are reported, not gated: client-observed
-    # latency through a retry loop is too noisy to gate on.
+    # replay; generous headroom on shared runners).  The p99 numbers
+    # are reported, not gated: latency through a retry loop is too
+    # noisy to gate on.
     assert recovery["worker_restarts"] >= 1
     assert recovery["degraded_shards"] == []
     assert recovery["client_retries"] >= 1

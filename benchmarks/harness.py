@@ -17,6 +17,7 @@ benchmarks use pytest-benchmark's default calibration.
 
 import gc
 import json
+import resource
 import time
 from pathlib import Path
 
@@ -32,36 +33,54 @@ ROUNDS = 3
 LONG_ROUND_S = 0.5
 
 
-def timed(fn) -> float:
-    """Wall-clock seconds of one ``fn()`` with the GC collected, then
+def _cpu_seconds() -> float:
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return usage.ru_utime + usage.ru_stime
+
+
+def timed_cpu(fn):
+    """``(wall, cpu)`` seconds of one ``fn()`` with the GC collected, then
     held off the measured window: single-shot timings are otherwise at
     the mercy of a wandering gen2 pause against the session's
-    accumulated heap, landing in an arbitrary side of a comparison."""
+    accumulated heap, landing in an arbitrary side of a comparison.
+    *cpu* is ``getrusage(RUSAGE_SELF)`` user + system time: every thread
+    of this process and none of its children, so under a worker pool
+    it is the parent's share alone."""
     was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
-        started = time.perf_counter()
+        started, cpu = time.perf_counter(), _cpu_seconds()
         fn()
-        return time.perf_counter() - started
+        return time.perf_counter() - started, _cpu_seconds() - cpu
     finally:
         if was_enabled:
             gc.enable()
 
 
-def best_of(n, make) -> float:
-    """Best of up to *n* timings, each of a callable freshly built by
-    ``make()`` — so setup (cold caches, new engines) is redone every
-    round and stays outside the measured window.  A round of
-    ``LONG_ROUND_S`` or more is not repeated: repetition guards against
-    a preemption flipping a short measurement, and costs seconds where
-    it guards nothing."""
-    best = timed(make())
+def timed(fn) -> float:
+    """Wall-clock seconds of one ``fn()``, as :func:`timed_cpu`."""
+    return timed_cpu(fn)[0]
+
+
+def best_wall_and_cpu(n, make):
+    """The least wall and the least CPU seconds (:func:`timed_cpu`) over
+    up to *n* rounds, each of a callable freshly built by ``make()`` —
+    so setup (cold caches, new engines) is redone every round and stays
+    outside the measured window.  A round of ``LONG_ROUND_S`` or more
+    is not repeated: repetition guards against a preemption flipping a
+    short measurement, and costs seconds where it guards nothing."""
+    best = timed_cpu(make())
     for _ in range(n - 1):
-        if best >= LONG_ROUND_S:
+        if best[0] >= LONG_ROUND_S:
             break
-        best = min(best, timed(make()))
+        best = tuple(map(min, best, timed_cpu(make())))
     return best
+
+
+def best_of(n, make) -> float:
+    """The least wall-clock seconds of :func:`best_wall_and_cpu`."""
+    return best_wall_and_cpu(n, make)[0]
 
 
 def _ingest(build, graphs, tuples):

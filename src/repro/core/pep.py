@@ -171,11 +171,10 @@ class PolicyEnforcementPoint:
         the corresponding failures; on success returns a
         :class:`PepResult` with the stream handle.
 
-        *pdp_response* short-circuits step 2: the one seam where a
-        decision an async front-end awaited off its loop (a blocking
-        evaluator such as a shard worker pool) re-enters on-loop
-        enforcement.  It charges zero PDP time, so an inline evaluator
-        is not pre-evaluated but called — and timed — here.
+        *pdp_response* short-circuits step 2 with a given decision; the
+        grant harness (``tests/properties/test_prop_grant_equivalence.py``)
+        feeds its drawn obligations through it.  It charges zero PDP
+        time and stamps no ``pdp.evaluate`` span.
 
         A refusal carries the stage times elapsed until it was raised
         as ``error.timings`` (a :class:`PepTimings`).

@@ -6,10 +6,8 @@ It is the unit the eXACML+ framework deploys on the data server — "new
 XACML+ instances are added into the framework to handle access control
 needs on data streams".
 
-Whatever evaluates requests is ``instance.pdp`` — by default a
-:class:`~repro.xacml.pdp.PolicyDecisionPoint`, or a worker pool put
-there by :meth:`XacmlPlusInstance.attach_evaluator` — never a second,
-idle evaluator beside it.
+Whatever evaluates requests is ``instance.pdp``, the one PDP the
+instance is built with, which its PEP shares.
 
 ``pdp_shards=N`` swaps the store/PDP pair for the sharded analogues of
 :mod:`repro.xacml.sharding` (N hash-partitioned shard stores, requests
@@ -78,15 +76,6 @@ class XacmlPlusInstance:
             allow_partial_results=allow_partial_results,
         )
 
-    def attach_evaluator(self, evaluator) -> None:
-        """Make *evaluator* — anything over ``self.store`` with
-        ``evaluate``, ``cache_stats`` and ``detach``, in practice a
-        :class:`~repro.xacml.sharding.ProcessShardPool` — this
-        instance's one PDP.  The replaced evaluator is detached, so no
-        idle PDP keeps invalidating caches nobody queries."""
-        self.pdp.detach()
-        self.pdp = self.pep.pdp = evaluator
-
     # -- policy management (data-owner side) -----------------------------------
 
     def load_policy(self, policy: Union[Policy, str]) -> Policy:
@@ -113,19 +102,17 @@ class XacmlPlusInstance:
         self,
         request: Union[Request, str],
         user_query: Optional[Union[UserQuery, str]] = None,
-        pdp_response=None,
     ) -> PepResult:
         """Process one access request (optionally with a customised query).
 
         Accepts live objects or the XML documents of the paper's workload
-        files.  *pdp_response* feeds a decision evaluated out-of-band
-        (e.g. on a shard worker pool) into the PEP workflow.
+        files.
         """
         if isinstance(request, str):
             request = parse_request_xml(request)
         if isinstance(user_query, str):
             user_query = UserQuery.from_xml(user_query)
-        return self.pep.handle_request(request, user_query, pdp_response=pdp_response)
+        return self.pep.handle_request(request, user_query)
 
     def release_stream(self, handle: StreamHandle) -> None:
         self.pep.release(handle)

@@ -98,23 +98,17 @@ class DataServer:
 
     # -- request processing --------------------------------------------------------
 
-    def process(self, message: StreamRequestMessage, pdp_response=None):
+    def process(self, message: StreamRequestMessage):
         """Process one request; returns (response, :class:`ServerTiming`).
 
         All failures the PEP can signal are mapped onto error responses
         rather than exceptions — the entity at the other end of a socket
         only ever sees a response message.
-
-        *pdp_response* threads a decision evaluated out-of-band (e.g. on
-        the shard worker pool by an async front-end) into the PEP, which
-        then skips its own PDP call.
         """
         self.requests_processed += 1
         started = time.perf_counter()
         try:
-            result = self.instance.request_stream(
-                message.request, message.user_query, pdp_response=pdp_response
-            )
+            result = self.instance.request_stream(message.request, message.user_query)
         except AccessDeniedError as error:
             decision = getattr(error.decision, "value", None)
             return self._error_response("denied", error, started, decision)

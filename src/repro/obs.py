@@ -267,19 +267,14 @@ class Memo:
 
 def pdp_counters(pdp) -> tuple:
     """What :func:`pdp_tag` compares across one evaluation."""
-    if getattr(pdp, "blocking", False):
-        return (getattr(pdp, "fallback_evaluations", 0),)
     shards = getattr(pdp, "shard_pdps", (pdp,))
     return sum(shard.cache.hits for shard in shards), getattr(pdp, "scatter_evaluations", 0)
 
 
 def pdp_tag(pdp, before: tuple) -> str:
-    """How *pdp* answered since *before*: a worker-pool ``pool`` hop (or
-    its ``fallback`` while the shard was down), a ``scatter`` across
-    shards, or a decision-cache ``hit`` / ``miss``."""
+    """How *pdp* answered since *before*: a ``scatter`` across shards,
+    or a decision-cache ``hit`` / ``miss``."""
     after = pdp_counters(pdp)
-    if len(after) == 1:
-        return "fallback" if after[0] > before[0] else "pool"
     if after[1] > before[1]:
         return "scatter"
     return "hit" if after[0] > before[0] else "miss"

@@ -26,16 +26,13 @@ Backpressure
 
 Execution
     The front-end owns no evaluator: what evaluates is
-    ``server.instance.pdp`` (see ``XacmlPlusInstance.attach_evaluator``).
-    Operations run on the event-loop thread, which serializes them
-    exactly like the in-process :class:`DataServer` (whose engine and
-    registries are not thread-safe) — the differential harness relies
-    on this.  The one hop off the loop: an evaluator declaring
-    ``blocking = True`` (a :class:`ProcessShardPool`, multi-driver safe)
-    is called from an executor thread and its decision re-enters on-loop
-    enforcement through ``process(..., pdp_response=)``; an inline one
-    is left for the PEP to call and time, so ``ServerTiming.pdp`` keeps
-    meaning.  Nothing here simulates anything: no virtual clock.
+    ``server.instance.pdp``, the one PDP the instance was built with.
+    Every operation runs on the event-loop thread, which serializes
+    them exactly like the in-process :class:`DataServer` (whose engine
+    and registries are not thread-safe) — the differential harness
+    relies on this.  A grant leaves its PDP call to the PEP, which
+    times it, so ``ServerTiming.pdp`` keeps meaning.  Nothing here
+    simulates anything: no virtual clock.
 
 Failure containment
     Payload-level garbage inside an intact frame produces an in-order
@@ -381,18 +378,14 @@ class AsyncDataServer:
     def _coalescable(self, message) -> bool:
         """Whether *message* may be answered in a run.
 
-        Only ops that change no state and cannot suspend: a decide-only
-        evaluate on an inline evaluator, a ping, a pre-made decode-error
-        reply: one ``send`` completes each, and a run holds at most
-        ``pipeline_depth`` replies.  Anything else — a grant, a load, an
-        ingest, an evaluate that hops to a worker pool — goes to the
-        backlog, which writes the held replies before it starts and its
-        own reply when it ends.
+        Only a decide-only evaluate, a ping and a pre-made decode-error
+        reply: none changes state, one ``send`` completes each, and a
+        run holds at most ``pipeline_depth`` replies.  Anything else — a
+        grant, a load, an ingest — goes to the backlog, which writes the
+        held replies before it starts and its own reply when it ends.
         """
         if isinstance(message, EvaluateOp):
-            return message.decide_only and not getattr(
-                self.server.instance.pdp, "blocking", False
-            )
+            return message.decide_only
         return isinstance(message, (PingOp, ErrorReply))
 
     # -- operation execution -----------------------------------------------------
@@ -407,11 +400,9 @@ class AsyncDataServer:
         except asyncio.CancelledError:
             raise
         except ShardUnavailableError as error:
-            # A dead/restarting shard is a transient, *retryable* fault
-            # (unless the shard was declared degraded): flag it so
-            # resilient clients back off and retry while the supervisor
-            # respawns the worker — the connection stays usable either
-            # way.
+            # A scatter that waited out its leader is a transient,
+            # *retryable* fault: flag it so resilient clients back off
+            # and retry — the connection stays usable either way.
             return ErrorReply(
                 type(error).__name__, str(error), retryable=error.retryable
             )
@@ -438,53 +429,35 @@ class AsyncDataServer:
         if isinstance(message, PingOp):
             return AckReply("ping")
         if isinstance(message, StatsOp):
-            return StatsReply(await self.snapshot())
+            return StatsReply(self.registry.snapshot())
         return ErrorReply("TransportError", f"unserveable op {type(message).__name__}")
-
-    async def snapshot(self) -> dict:
-        """``registry.snapshot()``; a blocking evaluator's view (a pool
-        asks its workers) is read off the loop, as ``evaluate`` is."""
-        registry = self.registry
-        if not getattr(self.server.instance.pdp, "blocking", False):
-            return registry.snapshot()
-        values = await asyncio.get_running_loop().run_in_executor(
-            None, registry.snapshot, ["pdp"]
-        )
-        values.update(registry.snapshot([p for p in registry.prefixes if p != "pdp"]))
-        return values
 
     async def _evaluate(self, op: EvaluateOp):
         sink = spans.sink
         if sink is not None:
             parsing = time.perf_counter()
         request = parse_request_xml(op.request_xml)
-        pdp = self.server.instance.pdp
         if sink is not None:
             evaluating = time.perf_counter()
             sink("xml_io.parse_request", parsing, evaluating, None)
-            before = pdp_counters(pdp)
-        pdp_response = None
-        if getattr(pdp, "blocking", False):
-            # Executor threads are drivers of the (multi-driver) pool.
-            pdp_response = await asyncio.get_running_loop().run_in_executor(
-                None, pdp.evaluate, request
-            )
-        elif op.decide_only:
-            pdp_response = pdp.evaluate(request)
-        # Otherwise the PEP calls (and stamps) the inline evaluator.
-        if sink is not None and pdp_response is not None:
-            sink("pdp.evaluate", evaluating, time.perf_counter(), pdp_tag(pdp, before))
         if op.decide_only:
+            pdp = self.server.instance.pdp
+            if sink is not None:
+                before = pdp_counters(pdp)
+            response = pdp.evaluate(request)
+            if sink is not None:
+                sink("pdp.evaluate", evaluating, time.perf_counter(), pdp_tag(pdp, before))
             return EvaluateReply(
-                ok=pdp_response.decision is Decision.PERMIT,
-                decision=pdp_response.decision.value,
-                policy_id=pdp_response.policy_id,
+                ok=response.decision is Decision.PERMIT,
+                decision=response.decision.value,
+                policy_id=response.policy_id,
             )
+        # A grant: the PEP calls (and stamps) the evaluator.
         user_query = (
             UserQuery.from_xml(op.user_query_xml) if op.user_query_xml else None
         )
         message = StreamRequestMessage(request, user_query)
-        response, timing = self.server.process(message, pdp_response=pdp_response)
+        response, timing = self.server.process(message)
         self.timing = ServerTiming._make(map(add, self.timing, timing))
         return EvaluateReply(
             ok=response.ok,

@@ -144,7 +144,7 @@ def server_registry(front) -> Registry:
     registry.register("timing", lambda: {
         "requests": front.server.requests_processed, **front.timing._asdict()
     })
-    registry.register("pdp", lambda: _evaluator_view(instance().pdp))
+    registry.register("pdp", lambda: {"cache": instance().pdp.cache_stats()})
     registry.register("store", lambda: _store_view(instance().store))
     registry.register("pep.templates", lambda: {
         "hits": instance().pep.templates.hits,
@@ -157,13 +157,6 @@ def server_registry(front) -> Registry:
     registry.register("memo", lambda: {name: memo.info() for name, memo in MEMOS.items()}
                       | {"templates": instance().pep.templates.info()})
     return registry
-
-
-def _evaluator_view(pdp) -> dict:
-    view = {"cache": pdp.cache_stats()}
-    if hasattr(pdp, "health"):  # a worker pool: per-shard supervision
-        view["health"] = pdp.health()
-    return view
 
 
 def _store_view(store) -> dict:

@@ -9,11 +9,13 @@ fan out synchronously through the shard-listener feed (the store
 mutation does not return until every affected worker has applied and
 acknowledged its shard-local operation), so worker caches invalidate
 coherently; scatter requests are merged parent-side through the same
-cached single-flight path as the in-process engine.  The pool exists so
-``benchmarks/bench_pdp_sharding.py`` can *measure* multi-core scale-out
-wall-clock instead of assuming it via the makespan model, and so a
-concurrent serving front-end (:mod:`repro.serving`) can fan request
-work across cores.
+cached single-flight path as the in-process engine.  The pool is a
+batch evaluator: a caller hands it whole batches through
+``evaluate_many``, as ``benchmarks/bench_pdp_sharding.py`` does to
+*measure* multi-core scale-out instead of assuming it via the makespan
+model.  No served path reaches it: called once per request, its
+parent's share alone costs more than evaluating in process
+(``docs/performance.md``, *the pool is a batch evaluator*).
 
 **Multi-driver protocol.**  The pool is safe to drive from many
 threads at once.  Every command carries an integer *tag* its shard
@@ -224,10 +226,6 @@ class ProcessShardPool(ShardRouter):
     call :meth:`close`.
     """
 
-    #: ``evaluate`` waits on a worker: an event loop calls it from an
-    #: executor thread (a driver); evaluators without this run inline.
-    blocking = True
-
     #: Seconds a caller waits for one worker response.  A timeout
     #: unregisters the call's tag and raises; it does not retire the
     #: worker.
@@ -350,7 +348,7 @@ class ProcessShardPool(ShardRouter):
                 # buffers.
                 q.cancel_join_thread()
 
-    detach = close  # the name ``XacmlPlusInstance.attach_evaluator`` calls
+    detach = close  # the teardown name every evaluator answers to
 
     # -- worker lifecycle -------------------------------------------------------
 

@@ -4,7 +4,10 @@ Every chaos test folds its fault/recovery observations into
 :data:`COUNTERS`; when ``CHAOS_REPORT=<path>`` is set (the CI
 chaos-smoke job sets it), the session teardown writes them as a JSON
 artifact, so each PR records how many worker kills and supervised
-restarts its chaos pass actually exercised.
+restarts its chaos pass actually exercised.  ``client_retries`` counts
+the retries of the pool's driver threads (a retryable
+``ShardUnavailableError`` from ``evaluate_many``); the wire cases
+add none.
 """
 
 import json

@@ -21,6 +21,7 @@ from repro.streams.engine import StreamEngine
 from repro.streams.graph import QueryGraph
 from repro.streams.operators import FilterOperator
 from repro.streams.schema import WEATHER_SCHEMA
+from repro.xacml.attributes import SUBJECT_ID, Attribute, AttributeCategory, AttributeValue
 from repro.xacml.request import Request
 from repro.xacml.sharding import ProcessShardPool
 
@@ -148,19 +149,33 @@ class TestSharded:
             assert set(instance.store.shards[shard].index.stats()) == INDEX
             assert_published(snapshot, f"store.index.{shard}", INDEX)
 
-    def test_pool_views_keep_their_keys_and_dotted_names(self):
+    def test_pool_views_keep_their_keys(self):
+        """No served instance reaches a pool, so its views are pinned on
+        the pool itself."""
         front = front_of(pdp_shards=2)
-        instance = front.server.instance
-        with ProcessShardPool(instance.store) as pool:
-            instance.attach_evaluator(pool)
+        with ProcessShardPool(front.server.instance.store) as pool:
             pool.evaluate(Request.simple("LTA", "weather"))
-            snapshot = front.registry.snapshot()
             assert set(pool.cache_stats()) == POOL_CACHE
             health = pool.health()
         assert set(health) == POOL_HEALTH
         assert all(set(shard) == POOL_SHARD for shard in health["shards"])
-        assert_published(snapshot, "pdp.cache", POOL_CACHE)
-        assert_published(snapshot, "pdp.health", POOL_HEALTH - {"shards"})
-        for shard in range(2):
-            assert_published(snapshot, f"pdp.health.shards.{shard}", POOL_SHARD)
-        assert snapshot["pdp.health.statuses"] == ["up", "up"]
+
+    def test_no_served_snapshot_publishes_a_health_view(self):
+        for pdp_shards in (None, 2):
+            snapshot = front_of(pdp_shards).registry.snapshot()
+            assert not any(name.startswith("pdp.health") for name in snapshot)
+
+
+def test_a_pdp_tag_is_a_hit_a_miss_or_a_scatter():
+    request = Request.simple("LTA", "weather")
+    spanning = Request.simple("LTA", "weather")
+    spanning.add(Attribute(AttributeCategory.SUBJECT, SUBJECT_ID, AttributeValue.string("guest")))
+    tags = []
+    for pdp_shards in (None, 2):
+        pdp = front_of(pdp_shards).server.instance.pdp
+        for probe in (request, request, spanning):
+            before = obs.pdp_counters(pdp)
+            pdp.evaluate(probe)
+            tags.append(obs.pdp_tag(pdp, before))
+    # One store: the spanning request is one more miss.
+    assert tags == ["miss", "hit", "miss", "miss", "hit", "scatter"]

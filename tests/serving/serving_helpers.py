@@ -13,6 +13,8 @@ from repro.streams.engine import StreamEngine
 from repro.streams.graph import QueryGraph
 from repro.streams.operators import FilterOperator
 from repro.streams.schema import WEATHER_SCHEMA
+from repro.xacml.attributes import SUBJECT_ID, Attribute, AttributeCategory, AttributeValue
+from repro.xacml.request import Request
 
 #: Generous against CI jitter, far below any human-noticeable hang.
 TIMEOUT = 30.0
@@ -46,3 +48,12 @@ def make_data_server(
             )
         )
     return server
+
+
+def spanning_request(second: str) -> Request:
+    """LTA's weather request with a second subject-id, *second*: a
+    sharded PDP answers it by scatter when the two subjects are placed
+    on different shards."""
+    request = Request.simple("LTA", "weather")
+    request.add(Attribute(AttributeCategory.SUBJECT, SUBJECT_ID, AttributeValue.string(second)))
+    return request

@@ -14,8 +14,6 @@ sleeps.
 """
 
 import asyncio
-import threading
-import time
 
 from repro.serving import AsyncClient, AsyncDataServer
 from repro.serving.server import _Connection
@@ -28,34 +26,10 @@ from repro.serving.wire import (
     iter_messages,
 )
 from repro.streams.sources import WeatherSource
-from repro.xacml.pdp import PolicyDecisionPoint
 from repro.xacml.request import Request
 from repro.xacml.xml_io import request_to_xml
 
 from serving_helpers import TIMEOUT, make_data_server
-
-
-class HeldEvaluator(PolicyDecisionPoint):
-    """A blocking evaluator that holds every decision until ``release``
-    is set; ``inside`` counts the decisions it is holding."""
-
-    blocking = True
-
-    def __init__(self, store):
-        super().__init__(store)
-        self.release = threading.Event()
-        self.inside = 0
-        self._lock = threading.Lock()
-
-    def evaluate(self, request):
-        with self._lock:
-            self.inside += 1
-        try:
-            self.release.wait(TIMEOUT)
-            return super().evaluate(request)
-        finally:
-            with self._lock:
-                self.inside -= 1
 
 
 def evaluate_op(subject="LTA", stream="weather", decide_only=True):
@@ -104,62 +78,35 @@ class TestBackpressure:
         run(scenario())
 
     def test_in_flight_cap_pauses_reading_across_connections(self):
-        # Only the cap can pause reading here: the backlog and the write
-        # watermark are far above anything this test pipelines, and
-        # every decision is held until the test releases it.
+        # A peer that stopped reading holds the cap's worth of answered
+        # but unsent replies.  The other connection's backlog and writes
+        # are far from their own limits, so only the cap can pause it.
         cap, per_connection = 3, 10
 
         async def scenario():
-            server = make_data_server()
-            evaluator = HeldEvaluator(server.instance.store)
-            server.instance.attach_evaluator(evaluator)
             front = AsyncDataServer(
-                server,
+                make_data_server(),
                 max_in_flight=cap,
                 pipeline_depth=64,
                 write_high_water=1 << 20,
             )
-            samples = []
-
-            def in_flight():
-                """Decoded-but-unanswered ops: waiting, or being decided."""
-                queued = front.registry.snapshot(["server"])["server.queue_depth"]
-                samples.append(queued + evaluator.inside)
-                return samples[-1]
-
-            async def sample(done):
-                while not done.is_set():
-                    in_flight()
-                    await asyncio.sleep(0.002)
-
-            async with front:
-                clients = [
-                    await AsyncClient.connect("127.0.0.1", front.port) for _ in range(2)
-                ]
-                sent = []
-                for client in clients:
-                    sent.append([client.send_nowait(evaluate_op())
-                                 for _ in range(per_connection)])
-                    await client._writer.drain()
-                deadline = asyncio.get_running_loop().time() + TIMEOUT
-                while in_flight() < cap:
-                    assert asyncio.get_running_loop().time() < deadline
-                    await asyncio.sleep(0.01)
-                done = asyncio.Event()
-                sampler = asyncio.create_task(sample(done))
-                await asyncio.sleep(0.2)    # stalled: nothing more is decoded
-                evaluator.release.set()
-                replies = [
-                    [await client._read_reply(seq) for seq in seqs]
-                    for client, seqs in zip(clients, sent)
-                ]
-                done.set()
-                await sampler
-                for client in clients:
-                    await client.aclose()
-            assert all(r.ok for per_client in replies for r in per_client)
-            assert max(samples) == cap
-            assert front.read_pauses > 0
+            stalled, _ = connected(front, [evaluate_op()] * per_connection, stall=True)
+            assert front.in_flight == cap and front.read_pauses == 1
+            other, transport = connected(front, [evaluate_op()] * per_connection)
+            assert not transport.reading and front.read_pauses == 2
+            assert transport.writes == [] and len(other.unread) == per_connection
+            assert other.writable is None and not other.backlog
+            # Every write of the other connection samples what is in flight.
+            in_flight, write = [], transport.write
+            transport.write = lambda data: (in_flight.append(front.in_flight), write(data))
+            stalled.resume_writing()
+            await asyncio.sleep(0)      # the cap's release readmits the other
+            assert transport.reading and not other.unread
+            replies = transport.replies()
+            assert [seq for seq, _ in replies] == list(range(per_connection))
+            assert all(reply.ok for _, reply in replies)
+            assert max(in_flight) == cap
+            assert front.in_flight == stalled.owed == other.owed == 0
 
         run(scenario())
 
@@ -337,25 +284,6 @@ class TestCoalescedReplies:
             assert [len(FrameDecoder().feed(w)) for w in transport.writes] == [2, 1, 1]
             assert [seq for seq, _ in transport.replies()] == [0, 1, 2, 3]
             assert transport.replies()[2][1].count == 2
-
-        run(scenario())
-
-    def test_an_evaluate_that_leaves_the_loop_is_never_held(self):
-        # A blocking evaluator's decision comes back through an executor
-        # hop: the connection reads on meanwhile, so holding such
-        # replies for "the rest of the burst" could hold them for as long
-        # as the client keeps sending.
-        class BlockingEvaluator(PolicyDecisionPoint):
-            blocking = True
-
-        async def scenario():
-            server = make_data_server()
-            server.instance.attach_evaluator(BlockingEvaluator(server.instance.store))
-            front = AsyncDataServer(server)
-            connection, transport = connected(front, [evaluate_op() for _ in range(4)])
-            await drained(connection)
-            assert [seq for seq, _ in transport.replies()] == [0, 1, 2, 3]
-            assert len(transport.writes) == 4
 
         run(scenario())
 

@@ -3,15 +3,15 @@ and retry-on-retryable semantics (PR 7).
 
 A scripted wire-speaking stub server stands in for the real one where
 reply content must be forced (retryable errors on demand, a server
-that never answers); the end-to-end retry-through-restart case runs
-against a real :class:`AsyncDataServer` over a supervised pool.
+that never answers); the end-to-end retry case runs against a real
+:class:`AsyncDataServer` whose sharded PDP's scatter fails on demand.
 """
 
 import asyncio
 
 import pytest
 
-from repro.errors import ClientTimeoutError, TransportError
+from repro.errors import ClientTimeoutError, ShardUnavailableError, TransportError
 from repro.serving import AsyncClient, AsyncDataServer
 from repro.serving.client import RETRYABLE_OPS
 from repro.serving.wire import (
@@ -27,10 +27,9 @@ from repro.serving.wire import (
     encode_message,
 )
 from repro.xacml.request import Request
-from repro.xacml.sharding import ProcessShardPool
 from repro.xacml.xml_io import request_to_xml
 
-from serving_helpers import TIMEOUT, make_data_server
+from serving_helpers import TIMEOUT, make_data_server, spanning_request
 
 
 async def start_scripted_server(reply_for):
@@ -334,99 +333,76 @@ class TestConnectCleanup:
         assert inet[0].fileno() == -1, "raw socket leaked on failed connect"
 
 
+def scatter_op():
+    """A decide-only evaluate that four shards answer by scatter
+    ("stranger" is placed apart from LTA)."""
+    return EvaluateOp(request_to_xml(spanning_request("stranger")), None, True)
+
+
+def failing_scatter(monkeypatch, server, failures, **error):
+    """Make the first *failures* scatters of *server*'s sharded PDP raise
+    the :class:`ShardUnavailableError` a waiter raises once its leader's
+    merge outlived ``WAIT_TIMEOUT``; returns the list of calls."""
+    scatter = server.instance.pdp.scatter
+    evaluate, calls = scatter.evaluate, []
+
+    def flaky(request):
+        calls.append(request)
+        if len(calls) <= failures:
+            raise ShardUnavailableError("scatter", "no merge in time", **error)
+        return evaluate(request)
+
+    monkeypatch.setattr(scatter, "evaluate", flaky)
+    return calls
+
+
+async def served_call(server, op, **client_options):
+    """One call to a served *server*; the connection must survive it."""
+    async with AsyncDataServer(server) as front:
+        client = await AsyncClient.connect("127.0.0.1", front.port, **client_options)
+        async with client:
+            reply = await client.call(op)
+            assert isinstance(await client.ping(), AckReply)
+            return reply, client.retries_performed
+
+
 class TestServedShardUnavailable:
     def test_server_maps_shard_unavailable_to_retryable_wire_error(self, monkeypatch):
         server = make_data_server(pdp_shards=4)
-        store = server.instance.store
-        request_xml = request_to_xml(Request.simple("LTA", "weather"))
-        (shard_id,) = store.shards_for_request(Request.simple("LTA", "weather"))
+        failing_scatter(monkeypatch, server, failures=1)
+        reply, _ = asyncio.run(asyncio.wait_for(
+            served_call(server, scatter_op(), max_retries=0), TIMEOUT
+        ))
+        assert isinstance(reply, ErrorReply)
+        assert reply.error_kind == "ShardUnavailableError"
+        assert reply.retryable
 
-        async def scenario(pool):
-            server.instance.attach_evaluator(pool)
-            async with AsyncDataServer(server) as front:
-                client = await AsyncClient.connect(
-                    "127.0.0.1", front.port, max_retries=0
-                )
-                async with client:
-                    reply = await client.call(
-                        EvaluateOp(request_xml, None, True)
-                    )
-                    assert isinstance(reply, EvaluateReply) and reply.ok
-                    pool.kill_worker(shard_id)
-                    deadline = asyncio.get_running_loop().time() + 10.0
-                    while asyncio.get_running_loop().time() < deadline:
-                        reply = await client.call(
-                            EvaluateOp(request_xml, None, True)
-                        )
-                        if isinstance(reply, ErrorReply):
-                            break
-                    assert isinstance(reply, ErrorReply)
-                    assert reply.error_kind == "ShardUnavailableError"
-                    assert reply.retryable
-                    # The connection survived the mapped error.
-                    assert isinstance(await client.ping(), AckReply)
-
-        monkeypatch.setattr(ProcessShardPool, "RESTART_BACKOFF", 30.0)
-        with ProcessShardPool(store, on_unavailable="error") as pool:
-            asyncio.run(asyncio.wait_for(scenario(pool), TIMEOUT))
-
-    def test_degraded_shard_maps_to_fatal_wire_error(self, monkeypatch):
+    def test_a_non_retryable_shard_error_maps_to_a_fatal_wire_error(self, monkeypatch):
         server = make_data_server(pdp_shards=4)
-        store = server.instance.store
-        request_xml = request_to_xml(Request.simple("LTA", "weather"))
-        (shard_id,) = store.shards_for_request(Request.simple("LTA", "weather"))
+        calls = failing_scatter(
+            monkeypatch, server, failures=1, retryable=False, degraded=True
+        )
+        reply, retries = asyncio.run(asyncio.wait_for(
+            served_call(server, scatter_op(), max_retries=5, retry_base_delay=0.01),
+            TIMEOUT,
+        ))
+        assert isinstance(reply, ErrorReply)
+        assert reply.error_kind == "ShardUnavailableError"
+        assert not reply.retryable  # retry won't help
+        assert retries == 0 and len(calls) == 1
 
-        async def scenario(pool):
-            server.instance.attach_evaluator(pool)
-            async with AsyncDataServer(server) as front:
-                client = await AsyncClient.connect(
-                    "127.0.0.1", front.port, max_retries=0
-                )
-                async with client:
-                    pool.kill_worker(shard_id)
-                    deadline = asyncio.get_running_loop().time() + 10.0
-                    while (
-                        pool.health()["statuses"][shard_id] != "degraded"
-                        and asyncio.get_running_loop().time() < deadline
-                    ):
-                        await asyncio.sleep(0.01)
-                    reply = await client.call(
-                        EvaluateOp(request_xml, None, True)
-                    )
-                    assert isinstance(reply, ErrorReply)
-                    assert reply.error_kind == "ShardUnavailableError"
-                    assert not reply.retryable  # degraded: retry won't help
-
-        monkeypatch.setattr(ProcessShardPool, "MAX_RESTARTS", 0)
-        with ProcessShardPool(store, on_unavailable="error") as pool:
-            asyncio.run(asyncio.wait_for(scenario(pool), TIMEOUT))
-
-    def test_client_retries_ride_through_a_supervised_restart(self, monkeypatch):
+    def test_client_retries_ride_through_a_failing_scatter(self, monkeypatch):
         server = make_data_server(pdp_shards=4)
-        store = server.instance.store
-        request_xml = request_to_xml(Request.simple("LTA", "weather"))
-        (shard_id,) = store.shards_for_request(Request.simple("LTA", "weather"))
-
-        async def scenario(pool):
-            server.instance.attach_evaluator(pool)
-            async with AsyncDataServer(server) as front:
-                client = await AsyncClient.connect(
-                    "127.0.0.1", front.port,
-                    max_retries=40, retry_base_delay=0.02,
-                    retry_max_delay=0.25,
-                )
-                async with client:
-                    pool.kill_worker(shard_id)
-                    # One logical call: the retry loop rides through
-                    # death detection, backoff and catch-up, and comes
-                    # back with the correct decision.
-                    reply = await client.call(
-                        EvaluateOp(request_xml, None, True)
-                    )
-                    assert isinstance(reply, EvaluateReply)
-                    assert reply.ok and reply.policy_id == "p:LTA"
-            assert pool.health()["worker_restarts"] >= 1
-
-        monkeypatch.setattr(ProcessShardPool, "RESTART_BACKOFF", 0.3)
-        with ProcessShardPool(store, on_unavailable="error") as pool:
-            asyncio.run(asyncio.wait_for(scenario(pool), TIMEOUT))
+        calls = failing_scatter(monkeypatch, server, failures=3)
+        # One logical call: the retry loop rides through the failures
+        # and comes back with the correct decision.
+        reply, retries = asyncio.run(asyncio.wait_for(
+            served_call(
+                server, scatter_op(),
+                max_retries=10, retry_base_delay=0.01, retry_max_delay=0.05,
+            ),
+            TIMEOUT,
+        ))
+        assert isinstance(reply, EvaluateReply)
+        assert reply.ok and reply.policy_id == "p:LTA"
+        assert retries == 3 and len(calls) == 4

@@ -12,6 +12,7 @@ import ast
 import asyncio
 import inspect
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,8 @@ from repro.serving.wire import (
     LoadOp,
     PingOp,
     RevokeOp,
+    StatsOp,
+    StatsReply,
 )
 from repro.streams.engine import StreamEngine
 from repro.streams.graph import QueryGraph
@@ -41,7 +44,7 @@ from repro.streams.sources import WeatherSource
 from repro.streams.stream import INGEST_CHUNK
 from repro.xacml.pdp import PolicyDecisionPoint
 from repro.xacml.request import Request
-from repro.xacml.sharding import ProcessShardPool, ShardedPolicyStore
+from repro.xacml.sharding import ShardedPDP, ShardedPolicyStore
 from repro.xacml.xml_io import policy_to_xml, request_to_xml
 
 from serving_helpers import TIMEOUT, make_data_server, weather_graph
@@ -169,40 +172,63 @@ def listener_census(store: ShardedPolicyStore):
 
 
 class TestOneEvaluator:
-    def test_attached_pool_is_the_only_subscribed_evaluator(self):
+    def test_the_built_pdp_is_the_only_subscribed_evaluator(self):
         bare = ShardedPolicyStore(4)
-        with ProcessShardPool(bare):
-            pool_bus, pool_shards, pool_shard_listeners = listener_census(bare)
+        ShardedPDP(bare)
+        pdp_bus, pdp_shards, pdp_shard_listeners = listener_census(bare)
 
         server = make_data_server(pdp_shards=4)
         instance = server.instance
-        replaced = instance.pdp
-        with ProcessShardPool(instance.store) as pool:
-            instance.attach_evaluator(pool)
-            assert instance.pdp is pool and instance.pep.pdp is pool
-            bus, shards, shard_listeners = listener_census(instance.store)
-            # The instance adds exactly its graph manager to the bus; the
-            # replaced ShardedPDP (N shard PDPs + a scatter cache) is gone.
-            assert bus == pool_bus + 1
-            # (each shard store's one listener is its own index maintenance)
-            assert shards == pool_shards == [1] * 4
-            assert shard_listeners == pool_shard_listeners == 1
+        assert instance.pep.pdp is instance.pdp
+        bus, shards, shard_listeners = listener_census(instance.store)
+        # The instance adds exactly its graph manager to the bus.
+        assert bus == pdp_bus + 1
+        assert shards == pdp_shards and shard_listeners == pdp_shard_listeners
 
-            front = AsyncDataServer(server)
-            decided = run(front.execute(evaluate_op(decide_only=True)))
-            granted = run(front.execute(evaluate_op()))
-            assert decided.ok and granted.ok and granted.handle_uri
-            assert instance.pdp.cache_stats()["evaluations"] == 2
-            assert replaced.evaluations == 0
+        front = AsyncDataServer(server)
+        decided = run(front.execute(evaluate_op(decide_only=True)))
+        granted = run(front.execute(evaluate_op()))
+        assert decided.ok and granted.ok and granted.handle_uri
+        assert instance.pdp.cache_stats()["evaluations"] == 2
 
-    def test_attach_detaches_the_single_store_pdp_too(self):
-        instance = XacmlPlusInstance()
-        first = instance.pdp
-        second = PolicyDecisionPoint(instance.store)
-        instance.attach_evaluator(second)
-        assert instance.pdp is second and instance.pep.pdp is second
-        assert first._on_store_event not in instance.store._listeners
-        assert second._on_store_event in instance.store._listeners
+    def test_no_served_op_leaves_the_event_loop(self):
+        calls = [
+            str(path.relative_to(ROOT))
+            for path in sorted((SRC / "serving").rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr == "run_in_executor"
+        ]
+        assert calls == []
+
+
+class TestEveryOpRunsOnTheLoop:
+    @pytest.mark.parametrize("pdp_shards", [None, 4])
+    def test_evaluates_and_stats_run_on_the_loop_thread(self, pdp_shards):
+        server = make_data_server(pdp_shards=pdp_shards)
+        threads = []
+
+        def on_thread(call):
+            def recorded(*args):
+                threads.append((call.__name__, threading.get_ident()))
+                return call(*args)
+            return recorded
+
+        pdp = server.instance.pdp
+        pdp.evaluate = on_thread(pdp.evaluate)
+
+        async def scenario():
+            async with AsyncDataServer(server) as front:
+                front.registry.snapshot = on_thread(front.registry.snapshot)
+                async with await AsyncClient.connect("127.0.0.1", front.port) as client:
+                    decided = await client.evaluate(Request.simple("LTA", "weather"),
+                                                    decide_only=True)
+                    granted = await client.evaluate(Request.simple("LTA", "weather"))
+                    stats = await client.call(StatsOp())
+            assert decided.ok and granted.ok and isinstance(stats, StatsReply)
+            return threading.get_ident()
+
+        loop_thread = run(scenario())
+        assert threads == [("evaluate", loop_thread)] * 2 + [("snapshot", loop_thread)]
 
 
 class TestRefusedIngestIsAtomic:

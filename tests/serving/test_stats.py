@@ -19,9 +19,8 @@ from repro.serving import AsyncClient, AsyncDataServer
 from repro.serving.stats import LatencyRecorder
 from repro.serving.wire import StatsOp, StatsReply
 from repro.xacml.request import Request
-from repro.xacml.sharding import ProcessShardPool
 
-from serving_helpers import TIMEOUT, make_data_server
+from serving_helpers import TIMEOUT, make_data_server, spanning_request
 
 
 class CountingLock:
@@ -167,23 +166,17 @@ class TestStatsOp:
         assert values["gc.threshold"] == [25_000, *defaults[1:]]
         assert gc.get_threshold() == defaults
 
-    def test_a_pool_adds_per_shard_status_restarts_and_backlog(self):
-        server = make_data_server(pdp_shards=2)
-        with ProcessShardPool(server.instance.store) as pool:
-            server.instance.attach_evaluator(pool)
-            values = served(server, traffic)
-        assert values["pdp.health.statuses"] == ["up", "up"]
-        for shard in range(2):
-            assert values[f"pdp.health.shards.{shard}.status"] == "up"
-            assert values[f"pdp.health.shards.{shard}.restarts"] == 0
-            assert values[f"pdp.health.shards.{shard}.catchup_pending"] == 0
-        assert values["pdp.cache.shards_unavailable"] == 0
-        assert values["pdp.cache.evaluations"] == 4
+    def test_a_sharded_instance_reports_its_routing_split(self):
+        values = served(make_data_server(pdp_shards=2), traffic)
+        assert values["pdp.cache.evaluations"] == values["pdp.cache.routed"] == 4
+        assert values["pdp.cache.scattered"] == 0
+        assert values["store.n_shards"] == 2
+        assert not any(name.startswith("pdp.health") for name in values)
 
 
-#: What one evaluate stamps, by path: a decide-only evaluate on an inline
-#: evaluator is answered in a run where it is decoded; a grant, or any
-#: evaluate that hops to a pool, waits in the backlog for the drainer.
+#: What one evaluate stamps, by path: a decide-only evaluate is answered
+#: in a run where it is decoded; a grant waits in the backlog for the
+#: drainer.
 RUN_SPANS = {"wire.decode", "xml_io.parse_request", "pdp.evaluate", "wire.encode",
              "server.flush_wait", "server.drain"}
 BACKLOG_SPANS = RUN_SPANS | {"server.backlog"}
@@ -193,20 +186,21 @@ GRANT_SPANS = BACKLOG_SPANS | {"pep.graph", "pep.submit"}
 class TestSpans:
     N = 6
 
-    def spans_of(self, pdp_shards=None, **evaluate):
+    def spans_of(self, pdp_shards=None, request=None, **evaluate):
         """Every span stamped over N evaluates, then none once detached."""
         stamped = []
+        request = request or Request.simple("LTA", "weather")
 
         async def scenario(client):
             for _ in range(self.N):
-                await client.evaluate(Request.simple("LTA", "weather"), **evaluate)
+                await client.evaluate(request, **evaluate)
             await asyncio.sleep(0)
             obs.spans.sink = None
             spans = list(stamped)
             # Nothing waits for the next op under the sink: once it is
             # detached, no op stamps anything.
             for _ in range(4):
-                await client.evaluate(Request.simple("LTA", "weather"), **evaluate)
+                await client.evaluate(request, **evaluate)
             await client.ping()
             assert len(stamped) == len(spans)
             return spans
@@ -214,12 +208,7 @@ class TestSpans:
         server = make_data_server(pdp_shards=pdp_shards)
         obs.spans.sink = lambda *span: stamped.append(span)
         try:
-            if pdp_shards is None:
-                spans = served(server, scenario)
-            else:
-                with ProcessShardPool(server.instance.store) as pool:
-                    server.instance.attach_evaluator(pool)
-                    spans = served(server, scenario)
+            spans = served(server, scenario)
         finally:
             obs.spans.sink = None
         assert all(started <= ended for _, started, ended, _ in spans)
@@ -238,11 +227,14 @@ class TestSpans:
         assert tags == {("pdp.evaluate", "miss"): 1, ("pdp.evaluate", "hit"): self.N - 1,
                         ("pep.graph", "miss"): 1, ("pep.graph", "hit"): self.N - 1}
 
-    def test_a_decide_that_hops_to_a_pool_waits_in_the_backlog(self):
+    def test_a_sharded_decide_is_answered_in_a_run(self):
         spans = self.spans_of(pdp_shards=2, decide_only=True)
-        assert Counter(name for name, *_ in spans) == {name: self.N for name in BACKLOG_SPANS}
+        assert Counter(name for name, *_ in spans) == {name: self.N for name in RUN_SPANS}
+        assert Counter(tag for name, _, _, tag in spans if name == "pdp.evaluate") == {
+            "miss": 1, "hit": self.N - 1}
 
-    def test_a_pool_hop_is_tagged(self):
-        spans = self.spans_of(pdp_shards=2)
+    def test_a_scatter_is_tagged(self):
+        # "guest" is placed on the other shard of two.
+        spans = self.spans_of(pdp_shards=2, request=spanning_request("guest"))
         assert Counter(name for name, *_ in spans) == {name: self.N for name in GRANT_SPANS}
-        assert {tag for name, _, _, tag in spans if name == "pdp.evaluate"} == {"pool"}
+        assert {tag for name, _, _, tag in spans if name == "pdp.evaluate"} == {"scatter"}

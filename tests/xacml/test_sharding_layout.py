@@ -145,6 +145,12 @@ def test_deleted_options_stay_deleted():
     assert list(inspect.signature(ShardedPolicyStore).parameters) == ["n_shards"]
     for cls in (XacmlPlusInstance, DataServer):
         assert "pdp_partitioner" not in inspect.signature(cls).parameters, cls
+    # The pool is a batch evaluator: nothing marks it for an executor
+    # hop, and no instance can swap its PDP for one.
+    assert not hasattr(ProcessShardPool, "blocking")
+    assert not hasattr(XacmlPlusInstance, "attach_evaluator")
+    for method in (DataServer.process, XacmlPlusInstance.request_stream):
+        assert "pdp_response" not in inspect.signature(method).parameters, method
 
 
 def test_one_placement_remains():
