@@ -7,7 +7,7 @@ constant overhead dominated by network traffic (~2/3 of response time).
 """
 
 from benchmarks.harness import make_runner, print_header
-from repro.workload.report import breakdown_summary, cdf_table, summary_table
+from repro.workload.report import breakdown_summary, summary_table
 
 
 def run_unique_experiment():
@@ -26,7 +26,7 @@ def test_fig6a_unique_sequence(benchmark):
     metrics = runner.metrics
 
     print_header("Figure 6(a) — CDF of time to fulfil requests (unique sequence)")
-    print(cdf_table(metrics, ["direct", "exacml+"]))
+    print(metrics.ascii_cdf(["direct", "exacml+"]))
     print()
     print(summary_table(metrics, ["direct", "exacml+"]))
 

@@ -8,7 +8,7 @@ improvement for the rest".
 """
 
 from benchmarks.harness import make_runner, print_header
-from repro.workload.report import cdf_table, improvement_histogram, summary_table
+from repro.workload.report import improvement_histogram, summary_table
 
 
 def run_zipf_experiment():
@@ -35,8 +35,7 @@ def test_fig6b_zipf_cache(benchmark):
     print_header("Figure 6(b) — CDF under Zipf sequence (α=0.223, maxRank=300)")
     # Merge both runs' metrics for a single CDF table.
     runner_off.metrics.extend(on_traces)
-    print(cdf_table(
-        runner_off.metrics,
+    print(runner_off.metrics.ascii_cdf(
         ["direct", "exacml+ cache off", "exacml+ cache on"],
     ))
     print()

@@ -21,7 +21,6 @@ from repro.workload.runner import ExperimentRunner
 from repro.workload.report import (
     breakdown_summary,
     breakdown_table,
-    cdf_table,
     improvement_histogram,
     policy_load_summary,
     summary_table,
@@ -43,7 +42,7 @@ def cmd_fig6a(args) -> int:
     runner.load_policies(items)
     runner.run_direct(items)
     traces = runner.run_unique(items)
-    print(cdf_table(runner.metrics, ["direct", "exacml+"]))
+    print(runner.metrics.ascii_cdf(["direct", "exacml+"]))
     print()
     print(summary_table(runner.metrics, ["direct", "exacml+"]))
     stats = breakdown_summary(traces)
@@ -71,8 +70,8 @@ def cmd_fig6b(args) -> int:
     )
 
     runner_off.metrics.extend(on)
-    print(cdf_table(
-        runner_off.metrics, ["direct", "exacml+ cache off", "exacml+ cache on"]
+    print(runner_off.metrics.ascii_cdf(
+        ["direct", "exacml+ cache off", "exacml+ cache on"]
     ))
     histogram = improvement_histogram(on, off)
     print(f"\nhit rate: {runner_on.proxy.hit_rate:.2f}   "

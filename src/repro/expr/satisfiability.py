@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 from typing import Iterable, List, Sequence, Tuple
 
-from repro.expr.ast import BooleanExpression, Operator, SimpleExpression
+from repro.expr.ast import Operator, SimpleExpression
 
 
 class PairVerdict(enum.IntEnum):
@@ -180,66 +180,6 @@ def conjunction_unsatisfiable(literals: Sequence[SimpleExpression]) -> bool:
             if intersection_empty(literals[i], literals[j]):
                 return True
     return False
-
-
-def _conjunction_implies_literal(
-    conjunction: Sequence[SimpleExpression], literal: SimpleExpression
-) -> bool:
-    """True when some literal of *conjunction* alone implies *literal*.
-
-    Sound but incomplete: two literals on the same attribute may jointly
-    imply a third even when neither does alone.  Good enough for the
-    subsumption feed, which only needs "provably implies".
-    """
-    return any(is_subset(candidate, literal) for candidate in conjunction)
-
-
-def implies(first: "BooleanExpression", second: "BooleanExpression") -> bool:
-    """True when *first* **provably** implies *second* (first ⇒ second).
-
-    ``dnf_implies(to_dnf(first), to_dnf(second))``: this form normalises
-    both sides on every call, so a caller that asks about the same
-    expression repeatedly (the shared plan, one question per sibling
-    filter) keeps the DNFs and calls :func:`dnf_implies` itself.
-    """
-    from repro.expr.normalize import to_dnf
-
-    return dnf_implies(to_dnf(first), to_dnf(second))
-
-
-def dnf_implies(
-    first_dnf: Sequence[Sequence[SimpleExpression]],
-    second_dnf: Sequence[Sequence[SimpleExpression]],
-) -> bool:
-    """:func:`implies` over two expressions already in DNF.
-
-    ``first ⇒ second`` holds when every satisfiable conjunction of
-    *first* implies some conjunction of *second*, each literal of which
-    must be implied by a same-attribute literal of the first-side
-    conjunction (:func:`is_subset`).
-
-    The check is **sound** (a True answer is always correct — the
-    property the shared-plan subsumption feed depends on, pinned by a
-    hypothesis test) but **incomplete**: it may answer False for
-    implications that need cross-literal or cross-conjunction reasoning.
-    """
-    for first_conj in first_dnf:
-        if not first_conj:
-            # TRUE conjunction on the left: second must contain TRUE too.
-            if any(not conj for conj in second_dnf):
-                continue
-            return False
-        if conjunction_unsatisfiable(first_conj):
-            continue  # an unsatisfiable disjunct implies anything
-        if not any(
-            all(
-                _conjunction_implies_literal(first_conj, literal)
-                for literal in second_conj
-            )
-            for second_conj in second_dnf
-        ):
-            return False
-    return True
 
 
 def check_two_simple_expressions(

@@ -41,8 +41,8 @@ class StreamEngine:
     (:class:`~repro.streams.plan.StreamPlan`): filter conditions
     compiled to closures per schema, pipelines evaluated
     batch-at-a-time, window aggregation recomputed per emission from
-    columnar buffers, and queries with identical — or provably
-    subsuming — operator prefixes sharing DAG nodes, so a pushed batch
+    columnar buffers, and queries with identical operator prefixes
+    sharing DAG nodes, so a pushed batch
     is filtered/windowed once per distinct prefix instead of once per
     query.
     """
@@ -221,8 +221,9 @@ class StreamEngine:
         Each entry reports ``queries`` (live sinks), ``live_nodes``
         (operator nodes currently in the DAG — the churn harness asserts
         this returns to zero once every handle withdraws),
-        ``nodes_created`` / ``nodes_shared`` (prefix-merge hits) /
-        ``nodes_subsumed`` (subsumption-fed filters), cumulatively.
+        ``nodes_created`` / ``nodes_shared`` (prefix-merge hits),
+        cumulatively, and ``nodes_subsumed``, which always reads 0 (the
+        plan shares exact prefixes only; the key stays for its readers).
         """
         return {plan.source.name: plan.stats() for plan in self._plans.values()}
 

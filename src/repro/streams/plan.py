@@ -23,14 +23,6 @@ that query's private pipeline.
   :meth:`StreamPlan.attach` neither validates nor fingerprints again;
   a graph without a trace is traced on attach.
 
-- **Predicate subsumption.**  When a new filter provably implies an
-  existing sibling filter (:func:`repro.expr.satisfiability.dnf_implies`
-  — sound, incomplete), the new node feeds from the *host's output* with
-  a residual predicate (the literals the host does not already
-  guarantee) instead of re-scanning the whole input.  Every filter node
-  owns its condition's DNF, so finding a host normalises the newcomer
-  once and no sibling at all.
-
 - **Bind-on-divergence for state.**  An operator is a declaration; a
   node runs what ``operator.bind(in_schema, out_schema)`` returned when
   the node was created (``node.run``).  Stateless nodes (filter, map)
@@ -85,8 +77,8 @@ from repro.expr.ast import (
     SimpleExpression,
     TrueExpression,
 )
-from repro.expr.normalize import DNF, to_dnf
-from repro.expr.satisfiability import conjunction_unsatisfiable, dnf_implies
+from repro.expr.normalize import to_dnf
+from repro.expr.satisfiability import conjunction_unsatisfiable
 from repro.expr.simplify import simplify_conjunction
 from repro.streams.graph import QueryGraph
 from repro.streams.handles import StreamHandle
@@ -105,7 +97,7 @@ from repro.streams.tuples import Batch
 #: Leaf budget for condition canonicalization.  DNF conversion is
 #: exponential in AND/OR alternation depth, so conditions over this
 #: budget fall back to a textual key (identical text still shares; the
-#: equivalence and subsumption analyses are skipped).
+#: equivalence analysis is skipped).
 CANON_LEAF_LIMIT = 16
 
 
@@ -141,9 +133,8 @@ def condition_fingerprint(condition: BooleanExpression) -> tuple:
     by DNF conversion, dropping unsatisfiable conjunctions, simplifying
     each conjunction (literals implied by a same-attribute neighbour are
     dropped), and sorting literals and conjunctions — every step an
-    equivalence transform.  The converse does not hold (two equivalent
-    conditions may key differently); such pairs may still merge through
-    the subsumption feed, which checks implication both ways.
+    equivalence transform.  The converse does not hold: two equivalent
+    conditions may key differently, and then get a node each.
     """
     if isinstance(condition, TrueExpression):
         return ("true",)
@@ -222,17 +213,14 @@ def trace_chain(graph: QueryGraph, input_schema: Schema) -> ChainTrace:
 class PlanNode:
     """One bound operator, shared by every query whose chain reaches it.
 
-    ``logical_parent`` is the node whose *output set* this node's input
-    is defined on (the previous chain position); ``feed`` is the node
-    whose output is physically consumed.  They differ only for
-    subsumption-fed filters, where ``feed`` is the host filter and the
-    operator holds the residual predicate.  ``run`` is the operator bound
-    between the feed's output schema and ``out_schema`` — the one thing
-    the dispatch calls.  ``children_by_fp`` is the
-    share registry (fingerprint → nodes, a list because touched stateful
-    nodes force same-fingerprint twins); ``feed_children`` are the
-    physical consumers.  A node stays alive while it has sinks or feed
-    children (see :meth:`StreamPlan._release`).
+    ``feed`` is the node at the previous chain position, whose output
+    this node consumes.  ``run`` is the operator bound between the feed's
+    output schema and ``out_schema`` — the one thing the dispatch calls.
+    ``children_by_fp`` is the share registry (fingerprint → nodes, a list
+    because touched stateful nodes force same-fingerprint twins);
+    ``feed_children`` are all consumers, fingerprinted or not.  A node
+    stays alive while it has sinks or feed children (see
+    :meth:`StreamPlan._release`).
     """
 
     __slots__ = (
@@ -240,10 +228,7 @@ class PlanNode:
         "operator",
         "run",
         "out_schema",
-        "dnf",
-        "logical_parent",
         "feed",
-        "host",
         "children_by_fp",
         "feed_children",
         "sinks",
@@ -255,10 +240,7 @@ class PlanNode:
         fingerprint: Optional[tuple],
         operator: Optional[Operator],
         out_schema,
-        logical_parent: Optional["PlanNode"],
         feed: Optional["PlanNode"],
-        dnf: Optional[DNF] = None,
-        host: Optional["PlanNode"] = None,
     ):
         self.fingerprint = fingerprint
         self.operator = operator
@@ -266,15 +248,7 @@ class PlanNode:
             None if operator is None else operator.bind(feed.out_schema, out_schema)
         )
         self.out_schema = out_schema
-        #: DNF of the full logical condition (filter nodes within
-        #: :data:`CANON_LEAF_LIMIT` only) — what the subsumption analysis
-        #: compares; ``operator.condition`` holds only the residual for a
-        #: subsumption-fed node.  Owned by the node: normalised once, when
-        #: the node is created, and freed with it.
-        self.dnf = dnf
-        self.logical_parent = logical_parent
         self.feed = feed
-        self.host = host
         self.children_by_fp: Dict[tuple, List[PlanNode]] = {}
         self.feed_children: List[PlanNode] = []
         self.sinks: List[SharedQuery] = []
@@ -331,17 +305,16 @@ class StreamPlan:
     Owns a single batch listener on the source (never removed — an empty
     plan is just a no-op listener) and the DAG rooted at the pseudo-node
     ``root`` (the source itself).  See the module docstring for the
-    sharing, subsumption and equivalence rules.
+    sharing and equivalence rules.
     """
 
     def __init__(self, source: Stream):
         self.source = source
-        self.root = PlanNode(("source",), None, source.schema, None, None)
+        self.root = PlanNode(("source",), None, source.schema, None)
         #: Delivery order == global registration order.
         self.queries: List[SharedQuery] = []  # guarded by: owner
         self.nodes_created = 0  # guarded by: owner
         self.nodes_shared = 0  # guarded by: owner
-        self.nodes_subsumed = 0  # guarded by: owner
         source._column_listeners = source._column_listeners | {self._on_batch}
         source.add_batch_listener(self._on_batch)
 
@@ -387,91 +360,18 @@ class StreamPlan:
             # Same-fingerprint candidates exist but have consumed input,
             # or are about to consume a batch in flight that the newcomer
             # must miss: fall through and bind a node of its own.
-        feed = parent
-        dnf: Optional[DNF] = None
-        host: Optional[PlanNode] = None
         if fingerprint is not None and fingerprint[0] == "filter":
-            if _count_leaves(operator.condition) <= CANON_LEAF_LIMIT:
-                dnf = to_dnf(operator.condition)
-                host = self._find_host(parent, dnf)
-            if host is not None:
-                operator = self._residual_filter(operator, dnf, host.dnf)
-                feed = host
-                self.nodes_subsumed += 1
             # Filters preserve their input schema; reusing the parent's
             # schema object keeps ``Stream.append_batch``'s per-tuple
             # schema check at one `is`.
             out_schema = parent.out_schema
-        node = PlanNode(
-            fingerprint,
-            operator,
-            out_schema,
-            parent,
-            feed,
-            dnf=dnf,
-            host=host,
-        )
+        node = PlanNode(fingerprint, operator, out_schema, parent)
         self.source._miss_inflight(node)
         if fingerprint is not None:
             parent.children_by_fp.setdefault(fingerprint, []).append(node)
-        feed.feed_children.append(node)
+        parent.feed_children.append(node)
         self.nodes_created += 1
         return node
-
-    def _find_host(self, parent: PlanNode, dnf: DNF) -> Optional[PlanNode]:
-        """The tightest sibling filter provably implied by the condition
-        whose DNF is *dnf*.
-
-        ``condition ⇒ host`` means the new filter's output is a subset
-        of the host's, so it can be computed from the host's (smaller)
-        output instead of re-scanning the parent's.  Among multiple
-        candidates the tightest is kept (host A beats host B when
-        ``A ⇒ B``), minimising the tuples the residual must re-test.
-        Siblings are compared through the DNF each one owns (non-filter
-        and over-budget siblings have none), so the scan normalises
-        nothing.
-        """
-        host: Optional[PlanNode] = None
-        for siblings in parent.children_by_fp.values():
-            for candidate in siblings:
-                if candidate.dnf is None:
-                    continue
-                if not dnf_implies(dnf, candidate.dnf):
-                    continue
-                if host is None or dnf_implies(candidate.dnf, host.dnf):
-                    host = candidate
-        return host
-
-    def _residual_filter(
-        self, operator: FilterOperator, dnf: DNF, host_dnf: DNF
-    ) -> FilterOperator:
-        """A filter equivalent to *operator* (whose condition's DNF is
-        *dnf*) on the host's output.
-
-        The host's output is exactly the tuples satisfying the host's
-        condition, so literals the host already guarantees
-        (``host ⇒ literal``) can be dropped: on that domain the rest of
-        the conjunction is equivalent to the full condition.  Dropping
-        is only attempted when the condition normalises to a single
-        conjunction; otherwise the full condition is kept — still
-        correct, merely without the re-test savings.  So is an
-        unsatisfiable conjunction: it may hold the literals ``NOT TRUE``
-        normalises to, which name no attribute and cannot be compiled.
-        """
-        residual: BooleanExpression = operator.condition
-        if len(dnf) == 1 and dnf[0] and not conjunction_unsatisfiable(dnf[0]):
-            literals = [
-                literal
-                for literal in simplify_conjunction(dnf[0])
-                if not dnf_implies(host_dnf, [(literal,)])
-            ]
-            if not literals:
-                residual = TrueExpression()
-            elif len(literals) == 1:
-                residual = literals[0]
-            else:
-                residual = AndExpression(tuple(literals))
-        return FilterOperator(residual)
 
     # -- dispatch ---------------------------------------------------------------
 
@@ -540,11 +440,11 @@ class StreamPlan:
             feed = node.feed
             feed.feed_children.remove(node)
             if node.fingerprint is not None:
-                siblings = node.logical_parent.children_by_fp[node.fingerprint]
+                siblings = feed.children_by_fp[node.fingerprint]
                 siblings.remove(node)
                 if not siblings:
-                    del node.logical_parent.children_by_fp[node.fingerprint]
-            node.feed = node.logical_parent = node.host = None
+                    del feed.children_by_fp[node.fingerprint]
+            node.feed = None
             node = feed
 
     # -- introspection ----------------------------------------------------------
@@ -566,7 +466,8 @@ class StreamPlan:
             "live_nodes": len(self.live_nodes()),
             "nodes_created": self.nodes_created,
             "nodes_shared": self.nodes_shared,
-            "nodes_subsumed": self.nodes_subsumed,
+            # Always 0: nothing is subsumed; benchmarks/e2e/run.py reads the key.
+            "nodes_subsumed": 0,
         }
 
     def __repr__(self) -> str:

@@ -22,7 +22,6 @@ from repro.workload.zipf import zipf_ranks, zipf_sequence
 from repro.workload.runner import ExperimentRunner
 from repro.workload.report import (
     breakdown_table,
-    cdf_table,
     improvement_histogram,
     summary_table,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "zipf_sequence",
     "ExperimentRunner",
     "breakdown_table",
-    "cdf_table",
     "improvement_histogram",
     "summary_table",
 ]

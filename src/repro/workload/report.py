@@ -28,11 +28,6 @@ def summary_table(metrics: MetricsCollector, systems: Sequence[str]) -> str:
     return "\n".join(lines)
 
 
-def cdf_table(metrics: MetricsCollector, systems: Sequence[str]) -> str:
-    """Figure-6-style CDF grid (log-spaced time points)."""
-    return metrics.ascii_cdf(systems)
-
-
 def breakdown_table(traces: Sequence[RequestTrace], sample_every: int = 1) -> str:
     """Figure-7-style per-request rows: total / PDP / QueryGraph / submit."""
     header = (

@@ -2,8 +2,8 @@
 
 The differential harness (`tests/properties/test_streams_equivalence.py`)
 proves plan ≡ oracle on whole workloads; these tests pin the plan's
-*mechanics*: fingerprint canonicalization, prefix merging, subsumption
-feeds, clone-on-divergence for touched stateful nodes, and refcounted
+*mechanics*: fingerprint canonicalization, prefix merging, one feed
+per node, clone-on-divergence for touched stateful nodes, and refcounted
 node release —
 and that sharing is invisible *exactly*: one engine holding N queries ≡
 N engines holding one query each, bit for bit.
@@ -145,29 +145,34 @@ class TestPlanSharing:
         assert stats["nodes_created"] == 2  # one filter + one map, total
         assert stats["nodes_shared"] == 4
 
-    def test_subsumed_filter_feeds_from_host(self):
+    def test_tighter_filter_feeds_from_its_chain_parent(self):
         engine = self.engine()
         weak = engine.register_query(QueryGraph("s", [FilterOperator("x > 10")]))
-        strong = engine.register_query(
-            QueryGraph("s", [FilterOperator("x > 20 AND y < 5")])
-        )
-        assert self.stats(engine)["nodes_subsumed"] == 1
+        tighter = FilterOperator("x > 20 AND y < 5")
+        strong = engine.register_query(QueryGraph("s", [tighter]))
+        # x > 20 AND y < 5 implies x > 10, yet the tighter filter scans
+        # the source itself with its own condition: every node consumes
+        # its chain parent.
+        query = engine.lookup(strong)
+        assert query.node.feed is query.plan.root
+        assert query.node.operator is tighter
+        assert self.stats(engine)["nodes_subsumed"] == 0
         engine.push_batch("s", self.rows([5, 15, 25, -25]))
         assert [t["x"] for t in engine.read(weak)] == [15.0, 25.0]
         # y = -x, so x=25 has y=-25 < 5: only that row passes.
         assert [t["x"] for t in engine.read(strong)] == [25.0]
 
-    def test_host_withdrawal_keeps_subsumed_child_correct(self):
+    def test_looser_filter_withdrawal_keeps_tighter_correct(self):
         engine = self.engine()
         weak = engine.register_query(QueryGraph("s", [FilterOperator("x > 10")]))
         strong = engine.register_query(QueryGraph("s", [FilterOperator("x > 20")]))
         engine.withdraw(weak)
         engine.push_batch("s", self.rows([15, 25]))
         assert [t["x"] for t in engine.read(strong)] == [25.0]
-        # The host node survives (it feeds the child) even though its
-        # own query is gone...
-        assert self.stats(engine)["live_nodes"] == 2
-        # ...and is released once the child goes too.
+        # The looser filter's node goes with its query: nothing feeds
+        # from it...
+        assert self.stats(engine)["live_nodes"] == 1
+        # ...and the tighter one's is released when its query goes too.
         engine.withdraw(strong)
         assert self.stats(engine)["live_nodes"] == 0
 
@@ -357,23 +362,26 @@ class TestAttachCost:
         return calls
 
     @pytest.mark.parametrize("siblings", [10, 500])
-    def test_one_more_filter_normalises_once_whatever_the_siblings(
+    def test_one_more_traced_filter_normalises_nothing_whatever_the_siblings(
         self, monkeypatch, siblings
     ):
         engine = StreamEngine()
         engine.register_input_stream("s", SCHEMA)
         for n in range(siblings):
-            # Half imply the newcomer's host, none is implied by it.
+            # The newcomer implies the n = 3 sibling and still scans the
+            # source: nothing compares it with any sibling.
             engine.register_query(
                 QueryGraph("s", [FilterOperator(f"x > {n} AND y < {n % 7}")])
             )
         newcomer = QueryGraph("s", [FilterOperator("x > 3 AND y < 3 AND t > 0")])
         newcomer.trace = trace_chain(newcomer, SCHEMA)
         normalised = self.counting(monkeypatch, "to_dnf")
-        engine.register_query(newcomer)
+        handle = engine.register_query(newcomer)
         (stats,) = engine.plan_stats().values()
-        assert stats["nodes_subsumed"] >= 1      # the sibling scan did run
-        assert len(normalised) == 1
+        assert stats["nodes_created"] == siblings + 1
+        query = engine.lookup(handle)
+        assert query.node.feed is query.plan.root
+        assert len(normalised) == 0
 
     def test_a_traced_graph_is_not_derived_again(self, monkeypatch):
         engine = StreamEngine()
@@ -548,7 +556,7 @@ class TestSharingIsInvisible:
             worlds.assert_identical()
         assert emitted, "churn script must emit output"
         (stats,) = worlds.together.plan_stats().values()
-        assert stats["nodes_shared"] + stats["nodes_subsumed"] > 0
+        assert stats["nodes_shared"] > 0
 
     def test_withdrawal_from_a_tap_leaves_co_tenants_exact(self):
         """One of three queries sharing a float aggregate node is
@@ -565,3 +573,16 @@ class TestSharingIsInvisible:
         worlds.push(batch(rng, 65, 25))
         assert all(sub.pending for q in worlds.queries for _, _, sub in q.sides)
         worlds.assert_identical()
+
+
+def test_one_feed_per_node_census():
+    """Every node consumes its chain parent: no filter is fed from a
+    sibling it implies, and nothing is left to decide such a feed."""
+    import repro.expr.satisfiability as satisfiability
+    from repro.streams.plan import PlanNode, StreamPlan
+
+    assert not hasattr(StreamPlan, "_find_host")
+    assert not hasattr(StreamPlan, "_residual_filter")
+    assert not {"host", "dnf", "logical_parent"} & set(PlanNode.__slots__)
+    assert not hasattr(satisfiability, "implies")
+    assert not hasattr(satisfiability, "dnf_implies")
