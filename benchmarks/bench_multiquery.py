@@ -28,10 +28,21 @@ sibling filters.  An attach looks its fingerprint up and compares no
 sibling, so the 1,000-sibling attach is gated at under 3x the
 100-sibling one (a per-sibling scan measures ~5x).
 
+The ``ingest_runs`` section prices the served path's ingest runs in
+process: lane 0 of the end-to-end ``ingest_fanout`` workload on the
+``city1500`` fixture (seed 7; three streams, 240 standing queries),
+pushed once as one ``push_batch`` per op and once as one
+``push_batches`` per stream for every 5 ops of each stream, on two
+servers built alike, the sides alternating per quarter of the lane.
+Every query's output is asserted equal, and the runs' time over the
+single pushes is gated (measured ≈ 0.53; one dispatch per op measures
+≈ 1).
+
 Results land in ``BENCH_multiquery.json``; the fan-out-100 speed-up is
 gated (measured ~25x, so the oracle's seconds-long run is not repeated).
 """
 
+from benchmarks.e2e import serve, workloads
 from benchmarks.harness import (
     AGGREGATIONS,
     best_of,
@@ -40,6 +51,7 @@ from benchmarks.harness import (
     print_header,
     production_vs_oracle,
     timed,
+    timed_cpu,
     window_aggregate,
 )
 from repro.core import UserQuery, XacmlPlusInstance, stream_policy
@@ -245,3 +257,60 @@ def test_grant_cost(benchmark):
     # An attach that scanned its siblings would grow ~5x from 100 to 1,000.
     attach_ratio = results["attach_1000_us"] / results["attach_100_us"]
     gate("multiquery", "grant.attach_1000_over_100", attach_ratio, ceiling=3.0)
+
+
+RUN_OPS_PER_STREAM = 5
+RUN_ROUNDS = 4
+
+
+def ingest_run_seconds():
+    """Wall seconds to push lane 0 of ``ingest_fanout`` one op at a time
+    and in runs of :data:`RUN_OPS_PER_STREAM` ops per stream, and the op
+    count.  Both sides push the same lists in the same order."""
+    workload = workloads.build("ingest_fanout", workloads.City(7))
+    ops = [(stream, records) for _, stream, records in workload.lanes[0].ingests]
+    span = RUN_OPS_PER_STREAM * len({stream for stream, _ in ops})
+    single, batched = (serve.build_server(workload.fixture).instance.engine for _ in range(2))
+
+    def one_by_one(chunk):
+        for stream, records in chunk:
+            single.push_batch(stream, records)
+
+    def in_runs(chunk):
+        for low in range(0, len(chunk), span):
+            lists = {}
+            for stream, records in chunk[low:low + span]:
+                lists.setdefault(stream, []).append(records)
+            for stream, record_lists in lists.items():
+                batched.push_batches(stream, record_lists)
+
+    seconds = {"push_batch": 0.0, "push_batches": 0.0}
+    quarter = len(ops) // RUN_ROUNDS
+    for round_ in range(RUN_ROUNDS):
+        chunk = ops[round_ * quarter:(round_ + 1) * quarter]
+        sides = [("push_batch", one_by_one), ("push_batches", in_runs)]
+        for name, push in sides if round_ % 2 == 0 else sides[::-1]:
+            seconds[name] += timed_cpu(lambda: push(chunk))[0]
+    outputs = [[query.output.snapshot() for query in engine.active_queries()]
+               for engine in (single, batched)]
+    assert outputs[0] == outputs[1] and any(outputs[0])
+    return seconds, quarter * RUN_ROUNDS
+
+
+def test_ingest_runs(benchmark):
+    """One dispatch per stream for a run of ingests vs one per ingest."""
+    seconds, ops = benchmark.pedantic(ingest_run_seconds, rounds=1, iterations=1)
+    ratio = seconds["push_batches"] / seconds["push_batch"]
+    print_header(f"Ingest runs — {ops} ingests of ingest_fanout lane 0 (city1500, seed 7)")
+    print(
+        f"  one push_batch per op {seconds['push_batch'] / ops * 1e6:>7.1f} us/op   "
+        f"push_batches per {RUN_OPS_PER_STREAM} ops per stream "
+        f"{seconds['push_batches'] / ops * 1e6:>7.1f} us/op   ({ratio:.2f}x)"
+    )
+    emit("multiquery", "ingest_runs", {
+        "ops": ops, "ops_per_stream": RUN_OPS_PER_STREAM,
+        **{f"{name}_us_per_op": value / ops * 1e6 for name, value in seconds.items()},
+        "runs_over_single": ratio,
+    })
+    # A run that dispatched each list alone would measure ~1x.
+    gate("multiquery", "ingest_runs.runs_over_single", ratio, ceiling=0.8)

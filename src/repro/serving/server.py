@@ -12,8 +12,9 @@ Connection anatomy
     decoded — one ``send`` completes each ``execute`` coroutine — and
     answered with one ``transport.write``.  Any other op, and every op
     behind it, goes to the connection's *backlog*, which one task drains
-    in order, writing the held replies before and after every op that
-    is not coalescable.  A client never observes reordering.
+    in order (consecutive ingests as one :class:`IngestRun`), writing the
+    held replies around every op that is not coalescable.  A client
+    never observes reordering.
 
 Backpressure
     Reading pauses while a connection's backlog holds ``pipeline_depth``
@@ -49,7 +50,7 @@ import socket
 import time
 from collections import deque
 from operator import add
-from typing import Deque, List, Optional, Set, Tuple
+from typing import Deque, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.core.user_query import UserQuery
 from repro.errors import ShardUnavailableError, TransportError
@@ -77,6 +78,14 @@ from repro.serving.wire import (
 )
 from repro.xacml.response import Decision
 from repro.xacml.xml_io import parse_request_xml
+
+
+class IngestRun(NamedTuple):
+    """Consecutive backlogged ingests as one op, answered with the list
+    of their replies: each stream's lists go in one ``push_batches``, in
+    order of first appearance (``docs/serving.md``, *Runs and the backlog*)."""
+
+    ops: List[IngestOp]
 
 
 def _complete(step):
@@ -191,18 +200,29 @@ class _Connection(asyncio.Protocol):
         self._close_when_done()
 
     async def _drain(self) -> None:
-        """Answer the backlog in order, awaiting each op; write the held
-        replies around every op that is not coalescable and whenever
-        the backlog runs dry."""
+        """Answer the backlog in order, awaiting each op (the ingests at
+        its head: one :class:`IngestRun`); write the held replies around
+        every op that is not coalescable and whenever it runs dry."""
         front, backlog = self.front, self.backlog
         try:
             while backlog:
-                seq, received, message = backlog.popleft()
+                run = [backlog.popleft()]
+                while isinstance(run[0][2], IngestOp) and backlog and isinstance(
+                        backlog[0][2], IngestOp):
+                    run.append(backlog.popleft())
                 sink = spans.sink
-                if sink is not None:
+                for _, received, _ in run if sink is not None else ():
                     sink("server.backlog", received, time.perf_counter(), None)
                 if self.paused:
                     self._admit()
+                if isinstance(run[0][2], IngestOp):
+                    await self._written()
+                    for (seq, received, message), reply in zip(run, await front.execute(
+                            IngestRun([message for _, _, message in run]))):
+                        self._answer(seq, received, message, reply)
+                    await self._written()
+                    continue
+                (seq, received, message), = run
                 coalescable = front._coalescable(message)
                 if not coalescable:
                     await self._written()
@@ -338,6 +358,8 @@ class AsyncDataServer:
         #: Connections dropped for framing-level protocol violations.
         self.protocol_errors = 0  # guarded by: event-loop
         self.in_flight = 0  # guarded by: event-loop
+        #: Ingest runs answered and the ops in them (a lone ingest is a run).
+        self.ingest_runs = self.ingest_run_ops = 0  # guarded by: event-loop
         self.connections: Set[_Connection] = set()  # guarded by: event-loop
         #: Connections paused until ``in_flight`` drops below the cap.
         self.waiting: Set[_Connection] = set()  # guarded by: event-loop
@@ -382,7 +404,8 @@ class AsyncDataServer:
         reply: none changes state, one ``send`` completes each, and a
         run holds at most ``pipeline_depth`` replies.  Anything else — a
         grant, a load, an ingest — goes to the backlog, which writes the
-        held replies before it starts and its own reply when it ends.
+        held replies before it starts and its replies (an ingest run's,
+        :class:`IngestRun`, in one write) when it ends.
         """
         if isinstance(message, EvaluateOp):
             return message.decide_only
@@ -391,9 +414,9 @@ class AsyncDataServer:
     # -- operation execution -----------------------------------------------------
 
     async def execute(self, message):
-        """Execute one decoded op; never raises — failures become
-        :class:`ErrorReply`, exactly what goes on the wire.  Public so
-        differential harnesses can replay served semantics in-process.
+        """Execute one decoded op or :class:`IngestRun`; never raises —
+        failures become :class:`ErrorReply`, exactly what goes on the
+        wire.  Public so harnesses can replay served semantics in-process.
         """
         try:
             return await self._execute(message)
@@ -422,10 +445,22 @@ class AsyncDataServer:
             self.server.remove_policy(message.policy_id)
             return AckReply("revoke", detail=message.policy_id)
         if isinstance(message, IngestOp):
-            count = self.server.instance.engine.push_batch(
-                message.stream, message.records
-            )
-            return AckReply("ingest", count=count)
+            return (await self._execute(IngestRun([message])))[0]
+        if isinstance(message, IngestRun):
+            self.ingest_runs += 1
+            self.ingest_run_ops += len(message.ops)
+            lists: Dict[str, list] = {}
+            for op in message.ops:
+                lists.setdefault(op.stream, []).append(op.records)
+            engine, outcomes = self.server.instance.engine, {}
+            for stream, records in lists.items():
+                try:
+                    outcomes[stream] = iter(engine.push_batches(stream, records))
+                except Exception as error:     # a kept traceback holds this frame
+                    outcomes[stream] = iter([error.with_traceback(None)] * len(records))
+            return [AckReply("ingest", count=outcome) if isinstance(outcome, int)
+                    else ErrorReply(type(outcome).__name__, str(outcome))
+                    for outcome in (next(outcomes[op.stream]) for op in message.ops)]
         if isinstance(message, PingOp):
             return AckReply("ping")
         if isinstance(message, StatsOp):

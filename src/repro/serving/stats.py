@@ -140,6 +140,8 @@ def server_registry(front) -> Registry:
         "connections_total": front.connections_total,
         "active_connections": front.active_connections,
         "queue_depth": sum(len(connection.backlog) for connection in front.connections),
+        "ingest_runs": front.ingest_runs,
+        "ingest_run_ops": front.ingest_run_ops,
     })
     registry.register("timing", lambda: {
         "requests": front.server.requests_processed, **front.timing._asdict()

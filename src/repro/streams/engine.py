@@ -22,7 +22,8 @@ reachable only through :meth:`StreamEngine.reference`.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from itertools import chain, islice
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import EngineError, UnknownHandleError
 from repro.streams.catalog import StreamCatalog
@@ -31,7 +32,7 @@ from repro.streams.handles import StreamHandle
 from repro.streams.plan import SharedQuery, StreamPlan
 from repro.streams.schema import Schema
 from repro.streams.stream import INGEST_CHUNK, Stream
-from repro.streams.tuples import StreamTuple, _record_ingress
+from repro.streams.tuples import Batch, StreamTuple, _record_ingress
 
 
 class StreamEngine:
@@ -87,37 +88,69 @@ class StreamEngine:
     def push_batch(
         self, stream_name: str, records: Iterable[Union[StreamTuple, Mapping[str, Any]]]
     ) -> int:
-        """Append many records with one catalog lookup and one dispatch
-        per :data:`~repro.streams.stream.INGEST_CHUNK` records.
+        """Append many records: a list (or tuple) is :meth:`push_batches`
+        of that one list, and is ingested atomically — all of it gathered
+        or converted before the first append, so a malformed record raises
+        with nothing ingested.  Any other iterable is pushed as lists of
+        :data:`~repro.streams.stream.INGEST_CHUNK` records (memory stays
+        O(chunk) for unbounded generators), so a malformed record raises
+        after the chunks before it were ingested.  The outputs are what
+        pushing each record individually would emit.
+        """
+        if not isinstance(records, (list, tuple)):
+            records = iter(records)
+            chunks = iter(lambda: list(islice(records, INGEST_CHUNK)), [])
+            return sum(self.push_batch(stream_name, chunk) for chunk in chunks)
+        outcomes = self.push_batches(stream_name, [records])
+        if isinstance(outcomes[0], Exception):
+            raise outcomes.pop()    # popped: its traceback keeps this frame
+        return outcomes[0]
 
-        A list (or tuple) of ``dict`` s keyed by exactly the schema's
-        names is ingress as columns: one :class:`~repro.streams.tuples.Batch`
-        per chunk, one gather per field, each column coerced in one pass,
-        retained unread and dispatched as is — no tuple is built unless a
-        tuple listener or a reader asks.  Any other record, or a column
-        the coercion refuses, sends the list through
-        :func:`~repro.streams.tuples.make_tuple` record by record, so
-        every accepted input and every error is the same.  The outputs
-        are what pushing each record individually would emit.
-
-        A list is ingested atomically: all of it is gathered or converted
-        before the first append, so a malformed record raises with
-        nothing ingested.  Any other iterable is converted chunk by chunk
-        (memory stays O(chunk) for unbounded generators), so a malformed
-        record raises after the chunks before it were ingested.
+    def push_batches(self, stream_name: str, record_lists: Iterable[Sequence]) -> List:
+        """:meth:`push_batch` of each list, in order, with one dispatch for
+        the lists gathered as columns (``dict`` s keyed by exactly the
+        schema's names: no tuple is built unless a listener or a reader
+        asks); any other list goes through ``make_tuple`` per record and
+        is dispatched alone, in its place.  Returns per list its count or
+        the exception ``push_batch`` would raise, without its traceback
+        (which would hold this frame in a cycle).  A refused list changes
+        nothing; if a dispatch raises, every list in it gets that error.
+        A plan's output does not depend on where its input is cut into
+        batches: only a listener at a batch boundary (a tap) can tell.
         """
         stream = self.catalog.get(stream_name)
         ingress = self._ingress.get(id(stream))
         if ingress is None:
             ingress = self._ingress[id(stream)] = _record_ingress(stream.schema)
         gather, convert = ingress
-        if not isinstance(records, (list, tuple)):
-            return stream.extend(map(convert, records))
-        batches = [gather(records[low:low + INGEST_CHUNK])
-                   for low in range(0, len(records), INGEST_CHUNK)]
-        if None in batches:
-            return stream.extend([convert(record) for record in records])
-        return sum(map(stream.append_rows, batches))
+        outcomes: List[Union[int, Exception]] = []
+        group, batches = [], []     # gathered lists awaiting one dispatch; their columns
+
+        def dispatch(members, append, rows) -> None:
+            try:
+                append(stream, rows)
+            except Exception as error:
+                for index in members:
+                    outcomes[index] = error.with_traceback(None)
+
+        for records in record_lists:
+            batch = gather(records)
+            if batch is not None:
+                group.append(len(outcomes))
+                outcomes.append(len(records))
+                batches.append(batch)
+                continue
+            try:
+                tuples = [convert(record) for record in records]
+            except Exception as error:
+                outcomes.append(error.with_traceback(None))
+                continue
+            dispatch(group, _append_columns, batches)
+            group, batches = [], []
+            outcomes.append(len(tuples))
+            dispatch([len(outcomes) - 1], Stream.extend, tuples)
+        dispatch(group, _append_columns, batches)
+        return outcomes
 
     # -- continuous queries ------------------------------------------------------
 
@@ -229,3 +262,12 @@ class StreamEngine:
 
     def __len__(self) -> int:
         return len(self._queries)
+
+
+def _append_columns(stream: Stream, batches: List[Batch]) -> None:
+    """Append the rows of *batches*, gathered lists, in one dispatch."""
+    if len(batches) > 1:
+        batches = [Batch([list(chain.from_iterable(parts))
+                          for parts in zip(*(batch.columns for batch in batches))])]
+    for batch in batches:
+        stream.append_rows(batch)

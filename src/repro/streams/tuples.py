@@ -122,7 +122,7 @@ def _record_ingress(schema: Schema) -> Tuple[Callable, Callable[[Any], StreamTup
     kinds, arity = {dict}, {schema._arity}
 
     def gather(records) -> Optional[Batch]:
-        if set(map(type, records)) != kinds or set(map(len, records)) != arity:
+        if set(map(type, records)) - kinds or set(map(len, records)) - arity:
             return None
         try:
             return Batch([coerce(list(map(get, records))) for get, coerce in fields])

@@ -10,17 +10,20 @@ of every view, and the dotted name each key has in
 in a dashboard.
 """
 
+import asyncio
 import gc
 
 from repro import obs
 from repro.core import stream_policy
 from repro.framework.server import DataServer
-from repro.serving.server import AsyncDataServer
+from repro.serving.server import AsyncDataServer, IngestRun
 from repro.serving.stats import LatencyRecorder
+from repro.serving.wire import IngestOp
 from repro.streams.engine import StreamEngine
 from repro.streams.graph import QueryGraph
 from repro.streams.operators import FilterOperator
 from repro.streams.schema import WEATHER_SCHEMA
+from repro.streams.sources import WeatherSource
 from repro.xacml.attributes import SUBJECT_ID, Attribute, AttributeCategory, AttributeValue
 from repro.xacml.request import Request
 from repro.xacml.sharding import ProcessShardPool
@@ -54,6 +57,9 @@ MEMOS = {"request_parse", "user_query_parse", "compile_batch", "frame_decode",
 GC = {"collections", "collected", "pause_s", "pause_max_s", "threshold"}
 #: A ``LatencyRecorder.to_dict()`` row.
 ROW = {"count", "mean_ms", "p50_ms", "p90_ms", "p99_ms", "max_ms"}
+#: The front end's own counters in the ``server`` view.
+SERVER = {"ops", "read_pauses", "protocol_errors", "connections_total",
+          "active_connections", "queue_depth", "ingest_runs", "ingest_run_ops"}
 
 
 def front_of(pdp_shards=None):
@@ -130,6 +136,19 @@ class TestSingleStore:
         assert snapshot["engine.active_queries"] == instance.engine.active_query_count == 1
         assert snapshot["graph_manager.revocations"] == instance.graph_manager.revocations
         assert snapshot["pdp.cache.misses"] == instance.pdp.cache_stats()["misses"] == 1
+
+
+    def test_ingest_run_counters_give_the_mean_run_size(self):
+        """``server.ingest_runs`` / ``server.ingest_run_ops``: a lone
+        ingest is a run of one."""
+        front = front_of()
+        records = WeatherSource(seed=3).records(4)
+        run = IngestRun([IngestOp("weather", records[:2]), IngestOp("weather", records[2:])])
+        assert [reply.count for reply in asyncio.run(front.execute(run))] == [2, 2]
+        assert asyncio.run(front.execute(IngestOp("weather", records))).count == 4
+        snapshot = front.registry.snapshot()
+        assert_published(snapshot, "server", SERVER)
+        assert (snapshot["server.ingest_runs"], snapshot["server.ingest_run_ops"]) == (2, 3)
 
 
 class TestSharded:

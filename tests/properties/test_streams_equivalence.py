@@ -37,7 +37,12 @@ draw, so a failure shrinks to a short script.
   converting record by record; the oracle always converts.  Both must
   accept the same lists as the same rows, or refuse them with the same
   error and nothing ingested.  A script with no tap on its source takes
-  the production engine's columnar path end to end.
+  the production engine's columnar path end to end.  An ingest run is
+  one to four lists, clean or with one fault each, that the production
+  engine takes in one ``push_batches`` (one dispatch for the gathered
+  lists, a list converted per record dispatched alone, in its place)
+  and the oracle one ``push_batch`` per list: the same counts or errors
+  per list, then the same reads.
 - **Data.**  The production side gets each push cut into random batches
   (empty and singleton ones included); the oracle gets one tuple at a
   time.  Timestamps mostly ascend in decimal steps, now and then arrive
@@ -436,6 +441,8 @@ def scripts(draw):
     retention = draw(RETENTIONS)
     for at, ingest in sorted(draw(st.lists(INGESTS, max_size=2)), key=lambda a: -a[0]):
         actions.insert(min(at, len(actions)), ("ingest", ingest))
+    for at, run in sorted(draw(st.lists(RUNS, max_size=2)), key=lambda a: -a[0]):
+        actions.insert(min(at, len(actions)), ("ingest-run", run))
     return schema, actions if retention is None else [("retain", retention), *actions]
 
 
@@ -447,6 +454,11 @@ def scripts(draw):
 FAULTS = ("case", "missing", "extra", "int", "bool", "non-finite", "huge", "tuple")
 #: (where in the script, (data, which record and field))
 INGESTS = st.tuples(st.integers(0, 40), st.tuples(TAP_FEEDS, INDEX))
+#: (where in the script, per list of one run (data, a fault or None, which
+#: record and field)); clean lists weigh double.
+RUNS = st.tuples(st.integers(0, 40), st.lists(
+    st.tuples(FEEDS, st.sampled_from((None, None, *FAULTS)), INDEX), min_size=1, max_size=4,
+).map(tuple))
 
 
 def spoil(schema, rows, fault, index):
@@ -547,6 +559,16 @@ class Side:
         except Exception as error:
             assert self.source.total_appended == before, f"a refused list was ingested: {error}"
             return type(error), str(error)
+
+    def ingest_run(self, record_lists):
+        """Push *record_lists* in one ``push_batches``: per list the count,
+        or the error's type and message; a refused list ingested nothing."""
+        before = self.source.total_appended
+        outcomes = self.engine.push_batches("sensor", record_lists)
+        accepted = sum(outcome for outcome in outcomes if type(outcome) is int)
+        assert self.source.total_appended == before + accepted, "a refused list was ingested"
+        return [outcome if type(outcome) is int else (type(outcome), str(outcome))
+                for outcome in outcomes]
 
     def push(self, batches):
         for batch in batches:
@@ -665,6 +687,20 @@ def run_script(script):
                 assert got == expected, f"ingest diverged ({fault}): {got!r} != {expected!r}"
                 if expected == len(rows):
                     log.extend(rows)
+            continue
+        if action == "ingest-run":
+            rows = [clock.records(schema, data) for data, _, _ in payload]
+            record_lists = [
+                spoil(schema, data, fault, index) if fault and data else [dict(r) for r in data]
+                for data, (_, fault, index) in zip(rows, payload)
+            ]
+            got = production.ingest_run(record_lists)
+            expected = [oracle.ingest(records) for records in record_lists]
+            assert got == expected, f"ingest run diverged: {got!r} != {expected!r}"
+            for data, outcome in zip(rows, expected):
+                if outcome == len(data):
+                    log.extend(data)
+            compare_reads()
             continue
         if action == "read":
             compare_reads()
@@ -923,6 +959,24 @@ MUTANTS = {
         ("ingest", (Feed(20, 6), 1)), ("read", None), ("push", Feed(21, 30, (9,))), ("read", None),
         ("ingest", (Feed(22, 9), 2)), ("ingest", (Feed(23, 4), 6)), ("read", None),
     ],
+    # Ingest runs, untapped: gathered lists around a list converted per
+    # record (a key in another case, a conformant tuple), refused lists
+    # and an empty one.  Caught here: two lists of a run swapped, a
+    # refused list's rows dispatched, a per-record list dispatched after
+    # the lists behind it.
+    "ingest-runs": [
+        ("retain", 5), ("register", CHAIN),
+        ("register", window(TUPLE, 3, 1, ("sum", "i"), ("lastval", "ts"))),
+        ("register", window(TIME, 4, 2, ("avg", "x"), ("count", "n"))),
+        ("ingest-run", ((Feed(30, 4), None, 0), (Feed(31, 3), None, 0),
+                        (Feed(32, 3), "case", 1), (Feed(33, 5), None, 0))),
+        ("read", None),
+        ("ingest-run", ((Feed(34, 0), None, 0), (Feed(35, 6), "tuple", 1),
+                        (Feed(36, 3), "huge", 3), (Feed(37, 2), None, 0))),
+        ("push", Feed(38, 7, (3,))),
+        ("ingest-run", ((Feed(39, 9), "int", 1), (Feed(40, 4), None, 0),
+                        (Feed(41, 4), "extra", 0), (Feed(42, 5), None, 0))),
+    ],
     # One chain registered as StreamSQL and as a graph, beside a looser
     # filter that shares no node with it.
     "streamsql-and-graph-share-a-chain": [
@@ -970,7 +1024,11 @@ def census(script, tally):
     tally["untapped"] += all(kind != "from-source" for kind, _ in script_actions)
     for kind, payload in script_actions:
         tally[f"action:{kind}"] += 1
-        if kind == "ingest":
+        if kind == "ingest-run":
+            faults = [fault for _, fault, _ in payload]
+            tally["run:lists"] += len(faults)
+            tally["run:mixed"] += None in faults and len(set(faults)) > 1
+        if kind in ("ingest", "ingest-run"):
             continue
         change = (kind, payload)
         if kind in ("from-source", "from-output"):
@@ -1052,7 +1110,8 @@ def test_generator_census():
     tally = first_census()
     wanted = {"filter", "map", "tuple-window", "time-window", "sql", "graph", "untapped"}
     wanted |= {"time:timestamp", "time:int"}
-    wanted |= {f"action:{kind}" for kind in (*ACTION_DISTRIBUTION, "read", "retain", "ingest")}
+    wanted |= {f"action:{kind}" for kind in (
+        *ACTION_DISTRIBUTION, "read", "retain", "ingest", "ingest-run")}
     wanted |= {*NUMERIC_FNS, *ANY_FNS, "double", "int"}
     if LONG:
         wanted.add("deep")
@@ -1064,6 +1123,7 @@ def test_generator_census():
     # sharing, rendering StreamSQL, emitting rows or trimming does not.
     assert tally["shared"] >= 18 and tally["sql"] >= 15
     assert tally["rows"] >= 900 and tally["trimmed"] >= 30
+    assert tally["run:lists"] >= 45 and tally["run:mixed"] >= 6
 
 
 def test_the_census_draw_does_not_depend_on_what_was_imported_before():

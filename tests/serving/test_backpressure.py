@@ -16,20 +16,17 @@ sleeps.
 import asyncio
 
 from repro.serving import AsyncClient, AsyncDataServer
-from repro.serving.server import _Connection
 from repro.serving.wire import (
     EvaluateOp,
     FrameDecoder,
     IngestOp,
     PingOp,
-    encode_message,
-    iter_messages,
 )
 from repro.streams.sources import WeatherSource
 from repro.xacml.request import Request
 from repro.xacml.xml_io import request_to_xml
 
-from serving_helpers import TIMEOUT, make_data_server
+from serving_helpers import TIMEOUT, connected, drained, make_data_server
 
 
 def evaluate_op(subject="LTA", stream="weather", decide_only=True):
@@ -188,59 +185,6 @@ class TestCancellationMidPipeline:
         run(scenario())
 
 
-class RecordingTransport:
-    """What a connection needs of its transport; keeps every ``write``.
-    ``stall`` makes the first write pause writing for good (a peer that
-    stopped reading)."""
-
-    def __init__(self, stall=False):
-        self.writes = []
-        self.stall = stall
-        self.connection = None
-        self.reading = True
-
-    def write(self, data):
-        self.writes.append(data)
-        if self.stall and len(self.writes) == 1:
-            self.connection.pause_writing()
-
-    def pause_reading(self):
-        self.reading = False
-
-    def resume_reading(self):
-        self.reading = True
-
-    def is_closing(self):
-        return False
-
-    def get_extra_info(self, name):
-        return None
-
-    def set_write_buffer_limits(self, high):
-        pass
-
-    def replies(self):
-        """``(seq, reply)`` of every frame written, in wire order."""
-        return list(iter_messages(FrameDecoder(), b"".join(self.writes)))
-
-
-def connected(front, ops, stall=False):
-    """One connection of *front* that has just read *ops* in one chunk."""
-    transport = RecordingTransport(stall)
-    transport.connection = connection = _Connection(front)
-    connection.connection_made(transport)
-    connection.data_received(
-        b"".join(encode_message(seq, op) for seq, op in enumerate(ops))
-    )
-    return connection, transport
-
-
-async def drained(connection):
-    """Wait for the connection's backlog to be answered."""
-    if connection.drainer is not None:
-        await connection.drainer
-
-
 class TestCoalescedReplies:
     def test_a_queued_burst_is_answered_in_order_through_fewer_writes(self):
         async def scenario():
@@ -264,19 +208,19 @@ class TestCoalescedReplies:
             transports = []
             engine = server.instance.engine
             written_at_entry = []
-            push_batch = engine.push_batch
+            push_batches = engine.push_batches
 
-            def recording_push_batch(stream, records):
+            def recording_push_batches(stream, record_lists):
                 written_at_entry.append(transports[0].replies())
-                return push_batch(stream, records)
+                return push_batches(stream, record_lists)
 
-            engine.push_batch = recording_push_batch
+            engine.push_batches = recording_push_batches
             ingest = IngestOp("weather", WeatherSource(seed=3).records(2))
             ops = [evaluate_op(), PingOp(), ingest, evaluate_op()]
             connection, transport = connected(front, ops)
             transports.append(transport)
             await drained(connection)
-            # Entering push_batch, the two cheap replies read ahead of
+            # Entering push_batches, the two cheap replies read ahead of
             # the ingest were already on the wire (in one write)...
             (before_ingest,) = written_at_entry
             assert [seq for seq, _ in before_ingest] == [0, 1]

@@ -5,7 +5,9 @@ undecodable frames) where it decodes them, and backlogs everything from
 the first op that changes state or can suspend.  Whatever the split,
 the replies are the same and leave in request order, however the bytes
 of one pipelined script arrive: in one write, one byte at a time, or cut
-at random boundaries.
+at random boundaries.  The ingests at the head of the backlog are one
+run: each stream's lists reach its plan in one dispatch, and the run is
+answered in one write (``TestIngestRuns``).
 """
 
 import asyncio
@@ -28,11 +30,13 @@ from repro.serving.wire import (
     encode_frame,
     encode_message,
 )
+from repro.streams.graph import QueryGraph
+from repro.streams.operators import AggregateOperator, AggregationSpec, WindowSpec, WindowType
 from repro.streams.sources import WeatherSource
 from repro.xacml.request import Request
 from repro.xacml.xml_io import policy_to_xml, request_to_xml
 
-from serving_helpers import TIMEOUT, make_data_server, weather_graph
+from serving_helpers import TIMEOUT, connected, drained, make_data_server, weather_graph
 
 
 def run(coroutine):
@@ -150,18 +154,18 @@ class TestHeldRepliesAndOrdering:
         async def scenario():
             server = make_data_server()
             engine = server.instance.engine
-            push_batch = engine.push_batch
+            push_batches = engine.push_batches
             loop = asyncio.get_running_loop()
             async with AsyncDataServer(server) as front:
                 with socket.create_connection(("127.0.0.1", front.port)) as sock:
                     sock.setblocking(False)
                     on_entry = []
 
-                    def recording_push_batch(stream, records):
+                    def recording_push_batches(stream, record_lists):
                         on_entry.append(received_now(sock))
-                        return push_batch(stream, records)
+                        return push_batches(stream, record_lists)
 
-                    engine.push_batch = recording_push_batch
+                    engine.push_batches = recording_push_batches
                     await loop.sock_sendall(sock, b"".join(
                         encode_message(seq, op) for seq, op in enumerate(ops)))
                     decoder = FrameDecoder()
@@ -175,11 +179,79 @@ class TestHeldRepliesAndOrdering:
             return before, after
 
         before, after = run(scenario())
-        # Entering push_batch, the run read ahead of the ingest is on the
+        # Entering push_batches, the run read ahead of the ingest is on the
         # wire; the decide behind the ingest is answered after it.
         assert [seq for seq, _ in before] == [0, 1]
         assert [seq for seq, _ in after] == [2, 3]
         assert after[0][1].count == 2 and after[1][1].policy_id == "p:LTA"
+
+
+STREAMS = ("w0", "w1", "w2")
+
+
+def recorded_dispatches(engine):
+    """Record ``(stream, record lists)`` per ``push_batches`` call."""
+    calls, push_batches = [], engine.push_batches
+
+    def recording(stream, record_lists):
+        calls.append((stream, list(record_lists)))
+        return push_batches(stream, record_lists)
+
+    engine.push_batches = recording
+    return calls
+
+
+class TestIngestRuns:
+    def test_fifteen_ingests_over_three_streams_are_three_dispatches_and_one_write(self):
+        records = WeatherSource(seed=4).records(30)
+        ops = [IngestOp(STREAMS[n % 3], records[2 * n:2 * n + 2]) for n in range(15)]
+
+        async def scenario():
+            server = make_data_server(subjects=(), streams=STREAMS)
+            front = AsyncDataServer(server)
+            calls = recorded_dispatches(server.instance.engine)
+            connection, transport = connected(front, ops)
+            await drained(connection)
+            return front, server.instance.engine, calls, transport
+
+        front, engine, calls, transport = run(scenario())
+        # Each stream's five lists, in seq order, in one dispatch.
+        assert calls == [(stream, [op.records for op in ops if op.stream == stream])
+                         for stream in STREAMS]
+        assert len(transport.writes) == 1
+        replies = transport.replies()
+        assert [seq for seq, _ in replies] == list(range(15))
+        assert all(reply.op == "ingest" and reply.count == 2 for _, reply in replies)
+        assert [engine.catalog.get(s).total_appended for s in STREAMS] == [10, 10, 10]
+        assert (front.ingest_runs, front.ingest_run_ops) == (1, 15)
+
+    def test_a_dispatch_that_raises_answers_every_op_of_its_stream_with_the_error(self):
+        """The one divergence from in-process serial: the ingest ahead of
+        the overflow would have been acknowledged; in the run, every op
+        on that stream shares the dispatch and its error.  Another
+        stream's ops and a refused list keep their own replies."""
+        good = WeatherSource(seed=4).records(8)
+        huge = [dict(good[4], winddirection=10**400)]
+        refused = [dict(good[5], samplingtime="yesterday")]
+        ops = [PingOp(), IngestOp("w0", good[2:4]), IngestOp("w1", good[:2]),
+               IngestOp("w0", huge), IngestOp("w0", refused), IngestOp("w0", good[6:])]
+
+        async def scenario():
+            server = make_data_server(subjects=(), streams=STREAMS)
+            server.instance.engine.push_batch("w0", good[:2])
+            server.instance.engine.register_query(QueryGraph("w0").append(AggregateOperator(
+                WindowSpec(WindowType.TUPLE, 2, 1), [AggregationSpec.parse("winddirection:avg")])))
+            front = AsyncDataServer(server)
+            connection, transport = connected(front, ops)
+            await drained(connection)
+            return transport
+
+        transport = run(scenario())
+        replies = [reply for _, reply in transport.replies()]
+        assert replies[0].op == "ping" and replies[2].count == 2
+        assert [replies[n].error_kind for n in (1, 3, 5)] == ["OverflowError"] * 3
+        assert replies[4].error_kind == "SchemaError"
+        assert len(transport.writes) == 2    # the ping, then the run
 
 
 class TestHalfClose:
