@@ -14,6 +14,11 @@ The third (``churn``) prices what a store event costs a *warm* decision
 cache: invalidation is targeted through the cache's request-side
 literal index, so an event for a policy no cached request can reach
 must cost the same whatever the cache holds, and must evict nothing.
+
+The fourth (``cold_lookup``) prices a decision-cache miss's candidate
+lookup: every policy shares the ``read`` action, so the lookup may
+build only the smallest category's union and must cost the same at
+180 and at 18,000 loaded policies.
 """
 
 from benchmarks.harness import ROUNDS, best_of, emit, gate, make_runner, print_header, timed
@@ -21,6 +26,7 @@ from repro.framework.metrics import summarize
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.report import policy_load_summary
 from repro.workload.zipf import zipf_sequence
+from repro.xacml.index import PolicyIndex
 from repro.xacml.pdp import PolicyDecisionPoint
 from repro.xacml.policy import Policy, Rule, Target
 from repro.xacml.request import Request
@@ -117,10 +123,10 @@ CHURN_EVENTS = 1000
 CHURN_EVENT_KINDS = ("loaded", "updated", "removed")
 
 
-def _permit(policy_id, subject=None, resource=None):
+def _permit(policy_id, subject=None, resource=None, action=None):
     return Policy(
         policy_id,
-        target=Target.for_ids(subject=subject, resource=resource),
+        target=Target.for_ids(subject=subject, resource=resource, action=action),
         rules=[Rule(f"{policy_id}:r", Effect.PERMIT)],
     )
 
@@ -225,3 +231,41 @@ def test_churn_invalidation_cost(benchmark):
     gate("policy_loading", "churn.unrelated_cost_4096_vs_256",
          unrelated_cost(result["sizes"]["4096"]) / unrelated_cost(result["sizes"]["256"]),
          ceiling=3.0)
+
+
+COLD_SIZES = (180, 1800, 18000)
+COLD_LOOKUPS = 5000
+
+
+def _lookup_cost(policies):
+    """µs per ``candidate_ids`` over *policies* subject-keyed policies
+    that share one action and ``CHURN_RESOURCES``."""
+    index = PolicyIndex()
+    for i in range(policies):
+        index.add(_permit(f"p{i}", subject=f"user{i}",
+                          resource=CHURN_RESOURCES[i % len(CHURN_RESOURCES)],
+                          action="read"))
+    request = Request.simple("user7", CHURN_RESOURCES[7 % len(CHURN_RESOURCES)])
+    assert index.candidate_ids(request) == {"p7"}
+
+    def burst():
+        for _ in range(COLD_LOOKUPS):
+            index.candidate_ids(request)
+
+    return best_of(ROUNDS, lambda: burst) / COLD_LOOKUPS * 1e6
+
+
+def test_cold_lookup_flat_in_store_size(benchmark):
+    """A decision-cache miss's candidate lookup, by store size: the
+    shared action bucket holds every policy, so a lookup that copied it
+    would grow with the store (the per-category copy it replaced read
+    3.01 / 12.85 / 359 µs)."""
+    result = benchmark.pedantic(
+        lambda: {str(n): _lookup_cost(n) for n in COLD_SIZES}, rounds=1, iterations=1
+    )
+    emit("policy_loading", "cold_lookup", result)
+    print_header("Candidate lookup on a cache miss (µs per lookup)")
+    for policies, us in result.items():
+        print(f"  {policies:>6s} policies: {us:6.2f}")
+    gate("policy_loading", "cold_lookup.cost_18000_vs_180",
+         result["18000"] / result["180"], ceiling=2.0)

@@ -222,6 +222,9 @@ class Schema:
             raise SchemaError(f"schema {name!r} must have at least one field")
         self._names: Tuple[str, ...] = tuple(field.name for field in self._fields)
         self._arity = len(self._fields)  # StreamTuple's per-tuple arity check
+        #: Nothing changes a schema after construction, so the hash — a
+        #: walk of every field — is taken once, when first asked for.
+        self._hash: Optional[int] = None
 
     @property
     def fields(self) -> Tuple[Field, ...]:
@@ -286,7 +289,15 @@ class Schema:
         return isinstance(other, Schema) and self._fields == other._fields
 
     def __hash__(self) -> int:
-        return hash(tuple(self._fields))
+        value = self._hash
+        if value is None:
+            value = self._hash = hash(tuple(self._fields))
+        return value
+
+    def __reduce__(self):
+        # String hashes are salted per process: a pickled schema must
+        # not carry this process's hash.
+        return Schema, (self.name, self._fields)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{f.name}:{f.dtype.value}" for f in self._fields)

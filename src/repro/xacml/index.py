@@ -89,6 +89,25 @@ def target_keys(target) -> Dict[AttributeCategory, Optional[Set[str]]]:
     }
 
 
+def intersect_unions(unions: List[List[Set]]) -> Set:
+    """The intersection, over *unions*, of each one's union of holder
+    sets (every list non-empty) — a fresh set, never a holder.
+
+    The one lookup both inverted indexes share.  Only the smallest
+    union is built; each member is membership-tested against the other
+    unions' holders, and the walk stops once nothing is left, so a
+    bucket nearly everything is in (``read``) is never copied.
+    """
+    smallest = min(unions, key=lambda holders: sum(map(len, holders)))
+    result = set().union(*smallest)
+    for holders in unions:
+        if not result:
+            break
+        if holders is not smallest:
+            result = {key for key in result for held in holders if key in held}
+    return result
+
+
 class PolicyIndex:
     """Maps target literals to candidate policy ids, one bucket set per
     indexed category plus a wildcard bucket for unconstrained targets."""
@@ -141,23 +160,22 @@ class PolicyIndex:
         self.add(policy)
 
     def candidate_ids(self, request: Request) -> Set[str]:
-        """Ids of every policy whose target could match *request*."""
-        candidates: Optional[Set[str]] = None
+        """Ids of every policy whose target could match *request* — a
+        fresh set, never a bucket."""
+        unions = []
         for category, attribute_id in INDEXED_CATEGORIES:
-            eligible = set(self._wildcards[category])
+            wildcards = self._wildcards[category]
+            holders = [wildcards] if wildcards else []
             buckets = self._buckets[category]
             if buckets:
                 for value in request.values_of(category, attribute_id):
                     bucket = buckets.get(str(value.value))
                     if bucket:
-                        eligible |= bucket
-            if candidates is None:
-                candidates = eligible
-            else:
-                candidates &= eligible
-            if not candidates:
-                return candidates
-        return candidates if candidates is not None else set()
+                        holders.append(bucket)
+            if not holders:
+                return set()
+            unions.append(holders)
+        return intersect_unions(unions)
 
     def stats(self) -> Dict[str, int]:
         """Bucket counts, for monitoring and tests."""

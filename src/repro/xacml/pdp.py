@@ -59,7 +59,7 @@ from collections import OrderedDict
 from typing import Dict, FrozenSet, Optional, Set, Tuple
 
 from repro.xacml.combining import PolicyCombiningAlgorithm
-from repro.xacml.index import INDEXED_CATEGORIES, target_keys
+from repro.xacml.index import INDEXED_CATEGORIES, intersect_unions, target_keys
 from repro.xacml.request import Request
 from repro.xacml.response import Decision, Response
 from repro.xacml.store import PolicyStore
@@ -246,9 +246,7 @@ class DecisionCache:
 
         Per constrained category, an entry must carry one of the
         target's literals: the intersection, over those categories, of
-        the unions of holders.  Only the smallest union is built; the
-        others are membership-tested, so a bucket nearly every entry is
-        in (``read``) is never copied.
+        the unions of holders (:func:`~repro.xacml.index.intersect_unions`).
         """
         constrained = []
         for category, literals in target_keys(policy.target).items():
@@ -264,11 +262,7 @@ class DecisionCache:
             constrained.append(holders)
         if not constrained:
             return None
-        constrained.sort(key=lambda holders: sum(map(len, holders)))
-        reached = set().union(*constrained[0])
-        for holders in constrained[1:]:
-            reached = {key for key in reached if any(key in held for held in holders)}
-        return reached
+        return intersect_unions(constrained)
 
     def stats(self) -> dict:
         """A fresh counter snapshot (never a live/shared mapping)."""

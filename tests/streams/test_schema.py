@@ -1,9 +1,15 @@
 """Tests for schemas, fields and data types."""
 
 import math
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.errors import SchemaError, UnknownAttributeError
 from repro.streams.schema import (
     GPS_SCHEMA,
@@ -118,3 +124,55 @@ class TestSchema:
     def test_equality_by_fields(self):
         clone = Schema("other", WEATHER_SCHEMA.fields)
         assert clone == WEATHER_SCHEMA
+
+
+class TestSchemaHash:
+    """The PEP keys compiled grants by the source schema, so a schema's
+    hash is asked for on every grant."""
+
+    def test_hash_walks_the_fields_once(self, monkeypatch):
+        schema = Schema("weather", WEATHER_SCHEMA.fields)
+        walks = []
+        original = Field.__hash__
+        monkeypatch.setattr(
+            Field, "__hash__", lambda self: walks.append(self) or original(self)
+        )
+        assert hash(schema) == hash(schema) == hash(schema)
+        assert len(walks) == len(schema)
+
+    def test_equal_fields_under_another_name_hash_equal(self):
+        hash(WEATHER_SCHEMA)
+        clone = Schema("other", WEATHER_SCHEMA.fields)
+        assert clone == WEATHER_SCHEMA and hash(clone) == hash(WEATHER_SCHEMA)
+
+    def test_a_schema_unpickled_in_another_process_hashes_for_that_process(self):
+        """String hashes are salted per process: an unpickled schema must
+        hash like one built there, not bring this process's hash along."""
+        schema = Schema("weather", WEATHER_SCHEMA.fields)
+        mine = hash(schema)
+        child_seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        source = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(
+            os.environ,
+            PYTHONHASHSEED=child_seed,
+            PYTHONPATH=os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")])),
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", UNPICKLE_CHILD],
+            input=pickle.dumps(schema), env=env, capture_output=True, check=True,
+        )
+        unpickled, fresh, equal = child.stdout.decode().split()
+        assert equal == "True"
+        assert unpickled == fresh
+        assert int(fresh) != mine  # the child's salt differs, so the check bites
+
+
+#: Unpickles a schema from stdin; prints its hash, the hash of an equal
+#: schema built in the same process, and whether the two are equal.
+UNPICKLE_CHILD = """
+import pickle, sys
+from repro.streams.schema import WEATHER_SCHEMA, Schema
+copy = pickle.loads(sys.stdin.buffer.read())
+fresh = Schema("weather", WEATHER_SCHEMA.fields)
+print(hash(copy), hash(fresh), copy == fresh)
+"""

@@ -629,6 +629,101 @@ class TestNoEventWalksTheCache:
         assert pdp.cache_stats()["targeted_evictions"] == len(reachable) == 200
 
 
+class NoIter:
+    """An index bucket that answers ``len`` and ``in`` but refuses to be
+    walked.  Not a ``set``: ``set().union``, ``|=`` and ``set(x)`` read a
+    set's table directly and never call ``__iter__``."""
+
+    def __init__(self, members):
+        self._members = frozenset(members)
+
+    def __len__(self):
+        return len(self._members)
+
+    def __contains__(self, item):
+        return item in self._members
+
+    def __iter__(self):
+        raise AssertionError("a candidate lookup walked a shared bucket")
+
+
+def lookup(subjects=()):
+    """A ``read`` of ``res1`` by each of *subjects* (none: subject-less)."""
+    request = Request()
+    for subject in subjects:
+        request.add(subject_value(AttributeValue.string(subject)))
+    request.add(Attribute(AttributeCategory.RESOURCE, RESOURCE_ID, AttributeValue.string("res1")))
+    request.add(Attribute(AttributeCategory.ACTION, ACTION_ID, AttributeValue.string("read")))
+    return request
+
+
+class TestColdLookup:
+    """A cache miss's candidate lookup may not depend on the size of a
+    bucket nearly every policy is in: clock-free — walking the action
+    bucket or a resource bucket raises."""
+
+    RESOURCES = [f"res{i}" for i in range(6)]
+
+    def loaded(self):
+        """1,000 subject-keyed policies and six subject-less ones, all on
+        ``read``, one resource each; the shared buckets refuse walks."""
+        store = PolicyStore()
+        for i in range(1000):
+            store.load(Policy(
+                f"p{i}",
+                target=Target.for_ids(f"user{i}", self.RESOURCES[i % 6], "read"),
+                rules=[Rule(f"p{i}:rule", Effect.PERMIT)],
+            ))
+        for resource in self.RESOURCES:
+            store.load(Policy(
+                f"any-{resource}",
+                target=Target.for_ids(resource=resource, action="read"),
+                rules=[Rule(f"any-{resource}:rule", Effect.PERMIT)],
+            ))
+        buckets = store.index._buckets
+        for category in (AttributeCategory.ACTION, AttributeCategory.RESOURCE):
+            for key, bucket in buckets[category].items():
+                buckets[category][key] = NoIter(bucket)
+        return store
+
+    def requests(self):
+        return {
+            "single": lookup(["user7"]),
+            "two-subject": lookup(["user7", "user13"]),
+            "subject-less": lookup(),
+        }
+
+    def test_lookup_is_exact_without_walking_a_shared_bucket(self):
+        store = self.loaded()
+        policies = store.policies()
+        expected = {
+            "single": {"p7", "any-res1"},
+            "two-subject": {"p7", "p13", "any-res1"},
+            "subject-less": {"any-res1"},
+        }
+        for name, request in self.requests().items():
+            matching = {p.policy_id for p in policies if p.target.matches(request)}
+            assert matching == expected[name]
+            assert store.index.candidate_ids(request) == expected[name], name
+            ordered = [p.policy_id for p in store.policies_for(request)]
+            assert ordered == [p.policy_id for p in policies if p.policy_id in expected[name]]
+
+    def test_a_returned_set_is_the_callers_own(self):
+        """Mutating an answer changes no later answer — also when the
+        smallest category's union is its wildcards alone."""
+        store = self.loaded()
+        for name, request in self.requests().items():
+            answer = store.index.candidate_ids(request)
+            expected = set(answer)
+            answer.clear()
+            answer.add("p-intruder")
+            assert store.index.candidate_ids(request) == expected, name
+        store.index.candidate_ids(lookup()).add("p-intruder")
+        assert store.index._wildcards[AttributeCategory.SUBJECT] == {
+            f"any-{resource}" for resource in self.RESOURCES
+        }
+
+
 class TestProperties:
     @seed(SEED)
     @settings(max_examples=480 if LONG else 60, deadline=None, database=None)
