@@ -39,23 +39,18 @@ from repro.core.warnings_check import WarningReport, check_query_against_policy
 
 
 class MergeOptions(NamedTuple):
-    """Switches controlling merge semantics.
+    """The one merge switch.
 
     ``map_semantics``
         ``"intersection"`` (safe default) or ``"union"`` (the literal
         Section 3.1 text; leaks policy-withheld attributes — provided for
         verbatim-paper reproduction and the ablation benchmark).
-    ``keep_policy_time_attribute``
-        Keep the policy's aggregation on the stream's timestamp attribute
-        when the user query omits it, as the paper's Figure 4(b) does.
-    ``simplify_filters``
-        Apply pairwise-subsumption simplification to the merged filter
-        condition.
+
+    Simplifying the conjoined filter and keeping the policy's timestamp
+    carrier (Figure 4(b)) are merge rules, not options.
     """
 
     map_semantics: str = "intersection"
-    keep_policy_time_attribute: bool = True
-    simplify_filters: bool = True
 
 
 class MergeResult(NamedTuple):
@@ -87,13 +82,10 @@ def merge_query_graphs(
     warnings = check_query_against_policy(policy_graph, user_graph)
 
     merged_filter = _merge_filters(
-        policy_graph.filter_operator, user_graph.filter_operator, options
+        policy_graph.filter_operator, user_graph.filter_operator
     )
     merged_aggregate = _merge_aggregates(
-        policy_graph.aggregate_operator,
-        user_graph.aggregate_operator,
-        schema,
-        options,
+        policy_graph.aggregate_operator, user_graph.aggregate_operator, schema
     )
     merged_map = _merge_maps(
         policy_graph.map_operator,
@@ -119,7 +111,6 @@ def merge_query_graphs(
 def _merge_filters(
     policy_filter: Optional[FilterOperator],
     user_filter: Optional[FilterOperator],
-    options: MergeOptions,
 ) -> Optional[FilterOperator]:
     if policy_filter is None and user_filter is None:
         return None
@@ -127,22 +118,15 @@ def _merge_filters(
         return user_filter
     if user_filter is None:
         return policy_filter
-    if options.simplify_filters:
-        condition = simplify_merged_condition(
-            policy_filter.condition, user_filter.condition
-        )
-    else:
-        from repro.expr.simplify import conjoin
-
-        condition = conjoin(policy_filter.condition, user_filter.condition)
-    return FilterOperator(condition)
+    return FilterOperator(
+        simplify_merged_condition(policy_filter.condition, user_filter.condition)
+    )
 
 
 def _merge_aggregates(
     policy_aggregate: Optional[AggregateOperator],
     user_aggregate: Optional[AggregateOperator],
     schema: Optional[Schema],
-    options: MergeOptions,
 ) -> Optional[AggregateOperator]:
     if policy_aggregate is None and user_aggregate is None:
         return None
@@ -160,7 +144,7 @@ def _merge_aggregates(
     intersection: List[AggregationSpec] = [
         spec for spec in user_aggregate.aggregations if spec.key in policy_keys
     ]
-    if options.keep_policy_time_attribute and schema is not None:
+    if schema is not None:
         carrier = _policy_time_carrier(policy_aggregate, schema)
         if carrier is not None and all(
             spec.attribute != carrier.attribute for spec in intersection

@@ -141,14 +141,14 @@ class PolicyEnforcementPoint:
         engine: StreamEngine,
         access_registry: Optional[AccessRegistry] = None,
         graph_manager: Optional[QueryGraphManager] = None,
-        merge_options: MergeOptions = MergeOptions(),
         allow_partial_results: bool = False,
     ):
         self.pdp = pdp
         self.engine = engine
         self.access_registry = access_registry if access_registry is not None else AccessRegistry()
         self.graph_manager = graph_manager
-        self.merge_options = merge_options
+        #: Part of every grant's template key; the grant harness swaps it.
+        self.merge_options = MergeOptions()
         #: When True, PR findings are reported in the result instead of
         #: aborting the request.  The paper's step 5 submits the graph
         #: only "if there is no PR or NR warning detected", which is the

@@ -25,7 +25,6 @@ from typing import Optional, Union
 
 from repro.core.access_registry import AccessRegistry
 from repro.core.graph_manager import QueryGraphManager
-from repro.core.merge import MergeOptions
 from repro.core.pep import PepResult, PolicyEnforcementPoint
 from repro.core.user_query import UserQuery
 from repro.streams.engine import StreamEngine
@@ -43,7 +42,6 @@ class XacmlPlusInstance:
     def __init__(
         self,
         engine: Optional[StreamEngine] = None,
-        merge_options: MergeOptions = MergeOptions(),
         enforce_single_access: bool = True,
         allow_partial_results: bool = False,
         pdp_shards: Optional[int] = None,
@@ -72,7 +70,6 @@ class XacmlPlusInstance:
             self.engine,
             access_registry=self.access_registry,
             graph_manager=self.graph_manager,
-            merge_options=merge_options,
             allow_partial_results=allow_partial_results,
         )
 

@@ -22,17 +22,18 @@ from repro.xacml.request import Request
 class ClientInterface:
     """Issues access requests through a proxy and records traces."""
 
+    #: The ``system`` of its traces; the experiment runner relabels it.
+    system_label = "exacml+"
+
     def __init__(
         self,
         proxy: Proxy,
         network: SimulatedNetwork,
         metrics: Optional[MetricsCollector] = None,
-        system_label: str = "exacml+",
     ):
         self.proxy = proxy
         self.network = network
         self.metrics = metrics if metrics is not None else MetricsCollector()
-        self.system_label = system_label
         self._sequence = 0
 
     def request_stream(

@@ -21,17 +21,18 @@ from repro.streams.engine import StreamEngine
 class DirectQuerySystem:
     """Submits StreamSQL scripts directly to the stream engine."""
 
+    #: The endpoint its DSMS submissions are charged to.
+    name = "direct-client"
+
     def __init__(
         self,
         engine: StreamEngine,
         network: SimulatedNetwork,
         metrics: Optional[MetricsCollector] = None,
-        name: str = "direct-client",
     ):
         self.engine = engine
         self.network = network
         self.metrics = metrics if metrics is not None else MetricsCollector()
-        self.name = name
         self._sequence = 0
 
     def submit(self, streamsql: str) -> Tuple[StreamResponseMessage, RequestTrace]:

@@ -70,15 +70,6 @@ class StreamResponseMessage(NamedTuple):
         return self.handle_uri is not None and self.error_kind is None
 
 
-class PolicyLoadMessage(NamedTuple):
-    """Data-owner → server: one policy document."""
-
-    policy_xml: str
-
-    def payload_bytes(self) -> int:
-        return len(self.policy_xml.encode())
-
-
 class DirectQueryMessage(NamedTuple):
     """Client → DSMS: a raw StreamSQL script (the baseline's input)."""
 

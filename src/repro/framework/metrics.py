@@ -9,8 +9,9 @@ two thirds of the total to.
 
 from __future__ import annotations
 
+import bisect
 import math
-from typing import Iterable, List, NamedTuple, Optional, Sequence
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 
 class RequestTrace(NamedTuple):
@@ -60,6 +61,20 @@ def summarize(samples: Sequence[float]) -> DistributionSummary:
     )
 
 
+def render_summaries(
+    label: str, rows: Iterable[Tuple[str, DistributionSummary]], unit: str = "s"
+) -> str:
+    """The dbworkload-style run table: one row per named sample of
+    seconds, its latency columns in *unit* (``"s"`` or ``"ms"``)."""
+    scale = {"s": 1.0, "ms": 1e3}[unit]
+    columns = ("mean", "stdev", "p50", "p90", "p99", "max")
+    lines = [f"{label:>14s} {'n':>8s}" + "".join(f" {f'{c}({unit})':>10s}" for c in columns)]
+    for name, stats in rows:
+        values = (stats.mean, stats.stdev, stats.p50, stats.p90, stats.p99, stats.maximum)
+        lines.append(f"{name:>14s} {stats.count:>8d}" + "".join(f" {v * scale:>10.3f}" for v in values))
+    return "\n".join(lines)
+
+
 def percentile(ordered: Sequence[float], q: float) -> float:
     """Linear-interpolated percentile of an already-sorted sample."""
     if not ordered:
@@ -98,7 +113,6 @@ class MetricsCollector:
     def ascii_cdf(
         self,
         systems: Sequence[str],
-        width: int = 60,
         points: Sequence[float] = (0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0),
     ) -> str:
         """Render Figure-6-style CDF rows at fixed time points (log grid)."""
@@ -113,14 +127,7 @@ class MetricsCollector:
                 if not ordered:
                     row.append(f"{'-':>14s}  ")
                     continue
-                fraction = _fraction_at_or_below(ordered, point)
+                fraction = bisect.bisect_right(ordered, point) / len(ordered)
                 row.append(f"{fraction:14.3f}  ")
             lines.append("".join(row).rstrip())
         return "\n".join(lines)
-
-
-def _fraction_at_or_below(ordered: Sequence[float], value: float) -> float:
-    """Fraction of (sorted) samples ≤ value, via bisection."""
-    import bisect
-
-    return bisect.bisect_right(ordered, value) / len(ordered)

@@ -28,13 +28,8 @@ from repro.errors import (
     SchemaError,
     UnknownStreamError,
 )
-from repro.core.merge import MergeOptions
 from repro.core.xacml_plus import XacmlPlusInstance
-from repro.framework.messages import (
-    PolicyLoadMessage,
-    StreamRequestMessage,
-    StreamResponseMessage,
-)
+from repro.framework.messages import StreamRequestMessage, StreamResponseMessage
 from repro.streams.engine import StreamEngine
 from repro.xacml.policy import Policy
 from repro.xacml.xml_io import parse_policy_xml
@@ -59,21 +54,20 @@ class DataServer:
     it**.  Served deployments pass nothing.
     """
 
+    #: The endpoint a proxy charges this server's DSMS submissions to.
+    name = "server"
+
     def __init__(
         self,
         network=None,
         engine: Optional[StreamEngine] = None,
-        merge_options: MergeOptions = MergeOptions(),
         enforce_single_access: bool = True,
         allow_partial_results: bool = False,
-        name: str = "server",
         pdp_shards: Optional[int] = None,
     ):
         self.network = network
-        self.name = name
         self.instance = XacmlPlusInstance(
             engine=engine,
-            merge_options=merge_options,
             enforce_single_access=enforce_single_access,
             allow_partial_results=allow_partial_results,
             pdp_shards=pdp_shards,
@@ -83,11 +77,11 @@ class DataServer:
 
     # -- policy management ------------------------------------------------------
 
-    def load_policy(self, policy: Union[Policy, str, PolicyLoadMessage]) -> Policy:
-        """Load one policy (object, XML document or load message)."""
+    def load_policy(self, policy: Union[Policy, str]) -> Policy:
+        """Load one policy (object or XML document)."""
         return self.instance.load_policy(_policy_of(policy))
 
-    def update_policy(self, policy: Union[Policy, str, PolicyLoadMessage]) -> Policy:
+    def update_policy(self, policy: Union[Policy, str]) -> Policy:
         """Replace a loaded policy; before the call returns its spawned
         query graphs are revoked and the cached decisions the old or the
         new version can reach are evicted (the rest stay warm)."""
@@ -150,9 +144,5 @@ class DataServer:
         return response, timing
 
 
-def _policy_of(policy: Union[Policy, str, PolicyLoadMessage]) -> Policy:
-    if isinstance(policy, PolicyLoadMessage):
-        policy = policy.policy_xml
-    if isinstance(policy, str):
-        policy = parse_policy_xml(policy)
-    return policy
+def _policy_of(policy: Union[Policy, str]) -> Policy:
+    return parse_policy_xml(policy) if isinstance(policy, str) else policy

@@ -1,10 +1,10 @@
 """Per-op latency percentiles for the serving front-end.
 
 The report follows the dbworkload run-table shape — one row per op
-type with throughput-free latency columns (mean / p50 / p90 / p99 /
-max, in milliseconds) — in the
-:class:`~repro.framework.metrics.DistributionSummary` shape the
-simulation's EXPERIMENTS tables use.  Each op is one fixed-memory
+type with throughput-free latency columns (mean / stdev / p50 / p90 /
+p99 / max, in milliseconds) — rendered by
+:func:`~repro.framework.metrics.render_summaries`, which also renders
+the simulation's summary table.  Each op is one fixed-memory
 :class:`repro.obs.Histogram`: recording never grows memory, and a
 report costs the same at a thousand samples as at a billion.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 import threading
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from repro.framework.metrics import DistributionSummary, percentile
+from repro.framework.metrics import DistributionSummary, percentile, render_summaries
 from repro.obs import MEMOS, Histogram, Registry
 
 
@@ -96,19 +96,8 @@ class LatencyRecorder:
         return report
 
     def table(self) -> str:
-        """The dbworkload-style run table."""
-        header = (
-            f"{'op':>12s} {'ops':>8s} {'mean(ms)':>10s} {'p50(ms)':>10s} "
-            f"{'p90(ms)':>10s} {'p99(ms)':>10s} {'max(ms)':>10s}"
-        )
-        lines = [header]
-        for op, stats in self.snapshot().items():
-            lines.append(
-                f"{op:>12s} {stats.count:>8d} {stats.mean * 1e3:>10.3f} "
-                f"{stats.p50 * 1e3:>10.3f} {stats.p90 * 1e3:>10.3f} "
-                f"{stats.p99 * 1e3:>10.3f} {stats.maximum * 1e3:>10.3f}"
-            )
-        return "\n".join(lines)
+        """The dbworkload-style run table, in milliseconds."""
+        return render_summaries("op", self.snapshot().items(), unit="ms")
 
 
 def _summarize(histogram: Histogram) -> DistributionSummary:

@@ -7,25 +7,14 @@ from typing import Dict, List, Sequence, Tuple
 from repro.framework.metrics import (
     MetricsCollector,
     RequestTrace,
+    render_summaries,
     summarize,
 )
 
 
 def summary_table(metrics: MetricsCollector, systems: Sequence[str]) -> str:
-    """Mean/percentile table of total response times per system."""
-    header = (
-        f"{'system':>14s} {'n':>6s} {'mean':>8s} {'stdev':>8s} "
-        f"{'p50':>8s} {'p90':>8s} {'p99':>8s} {'max':>8s}"
-    )
-    lines = [header]
-    for system in systems:
-        stats = metrics.summary(system)
-        lines.append(
-            f"{system:>14s} {stats.count:>6d} {stats.mean:>8.3f} "
-            f"{stats.stdev:>8.3f} {stats.p50:>8.3f} {stats.p90:>8.3f} "
-            f"{stats.p99:>8.3f} {stats.maximum:>8.3f}"
-        )
-    return "\n".join(lines)
+    """Mean/percentile table of total response times per system (s)."""
+    return render_summaries("system", ((s, metrics.summary(s)) for s in systems))
 
 
 def breakdown_table(traces: Sequence[RequestTrace], sample_every: int = 1) -> str:

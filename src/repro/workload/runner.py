@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.merge import MergeOptions
 from repro.framework.client import ClientInterface
 from repro.framework.direct import DirectQuerySystem
 from repro.framework.metrics import MetricsCollector, RequestTrace
@@ -44,7 +43,6 @@ class ExperimentRunner:
         generator: Optional[WorkloadGenerator] = None,
         cache_enabled: bool = True,
         cache_capacity: int = 120,
-        merge_options: MergeOptions = MergeOptions(),
     ):
         self.generator = generator or WorkloadGenerator(seed=seed)
         self.network = SimulatedNetwork(LatencyModel(seed=seed))
@@ -54,7 +52,6 @@ class ExperimentRunner:
         self.server = DataServer(
             self.network,
             engine=self.engine,
-            merge_options=merge_options,
             enforce_single_access=False,   # perf workload re-requests streams
             allow_partial_results=True,    # workload PRs are recorded, not fatal
         )

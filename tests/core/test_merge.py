@@ -83,13 +83,6 @@ class TestFilterMerge:
             == "rainrate > 50"
         )
 
-    def test_no_simplification_when_disabled(self):
-        policy = QueryGraph("weather").append(FilterOperator("rainrate > 5"))
-        user = QueryGraph("weather").append(FilterOperator("rainrate > 50"))
-        result = merge(policy, user, simplify_filters=False)
-        condition = result.graph.filter_operator.condition.to_condition_string()
-        assert condition == "rainrate > 5 AND rainrate > 50"
-
     def test_one_sided(self):
         policy = QueryGraph("weather").append(FilterOperator("rainrate > 5"))
         result = merge(policy, QueryGraph("weather"))
@@ -200,15 +193,6 @@ class TestAggregateMerge:
         )
         with pytest.raises(MergeError):
             merge(policy, self.user_aggregate(specs=("rainrate:max",)))
-
-    def test_carrier_disabled(self):
-        result = merge(
-            self.policy_aggregate(), self.user_aggregate(),
-            keep_policy_time_attribute=False,
-        )
-        keys = {s.to_obligation_value()
-                for s in result.graph.aggregate_operator.aggregations}
-        assert keys == {"rainrate:avg"}
 
     def test_policy_only_aggregate_kept(self):
         result = merge(self.policy_aggregate(), QueryGraph("weather"))

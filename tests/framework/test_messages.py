@@ -3,7 +3,6 @@
 from repro.core.user_query import UserQuery
 from repro.framework.messages import (
     DirectQueryMessage,
-    PolicyLoadMessage,
     StreamRequestMessage,
     StreamResponseMessage,
 )
@@ -68,10 +67,6 @@ class TestStreamResponseMessage:
 
 
 class TestOtherMessages:
-    def test_policy_load_payload(self):
-        message = PolicyLoadMessage("<Policy/>" * 10)
-        assert message.payload_bytes() == len("<Policy/>") * 10
-
     def test_direct_query_payload(self):
         script = "SELECT * FROM w WHERE x > 1 INTO o;"
         assert DirectQueryMessage(script).payload_bytes() == len(script)

@@ -1,4 +1,6 @@
-"""Tests for metrics, summaries and CDFs."""
+"""Tests for metrics, summaries, CDFs and the one summary-table renderer."""
+
+import re
 
 from repro.framework.metrics import (
     MetricsCollector,
@@ -6,6 +8,8 @@ from repro.framework.metrics import (
     percentile,
     summarize,
 )
+from repro.serving.stats import LatencyRecorder
+from repro.workload.report import summary_table
 
 
 def trace(total, system="exacml+", seq=1, pdp=0.001, graph=0.001, submit=0.1,
@@ -54,3 +58,30 @@ class TestCollector:
         rendered = self.build().ascii_cdf(["direct", "exacml+"])
         assert "direct" in rendered
         assert "0.50" in rendered
+
+
+class TestOneRenderer:
+    """The simulation's summary table and the served run table are one
+    layout, each in its own unit."""
+
+    @staticmethod
+    def column_ends(line):
+        return [match.end() for match in re.finditer(r"\S+", line)]
+
+    def test_both_tables_share_one_layout(self):
+        recorder = LatencyRecorder()
+        recorder.record("evaluate", 0.001)
+        served = recorder.table().splitlines()
+        collector = MetricsCollector()
+        collector.add(trace(0.5, system="direct"))
+        simulated = summary_table(collector, ["direct"]).splitlines()
+
+        assert served[0].split()[2] == "mean(ms)" and served[1].split()[2] == "1.000"
+        assert simulated[0].split()[2] == "mean(s)" and simulated[1].split()[2] == "0.500"
+        columns = ["n", "mean", "stdev", "p50", "p90", "p99", "max"]
+        assert served[0].split()[1:] == ["n"] + [f"{c}(ms)" for c in columns[1:]]
+        assert simulated[0].split()[1:] == ["n"] + [f"{c}(s)" for c in columns[1:]]
+        assert served[1].split() == ["evaluate", "1"] + ["1.000", "0.000"] + ["1.000"] * 4
+        ends = self.column_ends(served[0])
+        assert len(ends) == 8
+        assert all(self.column_ends(line) == ends for line in served + simulated)

@@ -3,7 +3,7 @@
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.core.attack import reconstruct_from_windows
-from repro.core.merge import MergeOptions, merge_query_graphs
+from repro.core.merge import merge_query_graphs
 from repro.errors import MergeError
 from repro.streams.engine import StreamEngine
 from repro.streams.graph import QueryGraph
@@ -132,10 +132,7 @@ class TestMergeProperties:
                 [AggregationSpec.parse("x:sum")],
             )
         )
-        merged = merge_query_graphs(
-            policy, user, schema=SCHEMA,
-            options=MergeOptions(keep_policy_time_attribute=False),
-        ).graph
+        merged = merge_query_graphs(policy, user, schema=SCHEMA).graph
         window = merged.aggregate_operator.window
         assert window.size >= size
         assert window.step >= step

@@ -97,6 +97,8 @@ class TestNoSimulationOnTheServedPath:
         assert names.count("framework.policy_admin") == 2
         assert names.count("framework.process") == 1
         assert names.count("pdp.evaluate") == 1
+        # The load parses through the name the tracer rebinds.
+        assert names.count("xml_io.parse_policy") == 1
         assert not [name for name in names if name.startswith("network.")]
         assert server.network is network and network.clock.now() == 0.0
         assert tracer.server_timing["dsms_submit"] > 0.0
