@@ -58,7 +58,7 @@ from repro.core.merge import MergeOptions, MergeResult, merge_query_graphs
 from repro.core.obligations import obligations_to_graph
 from repro.core.user_query import UserQuery
 from repro.core.warnings_check import WarningReport
-from repro.obs import MEMO_MAX_TEXT, Memo, pdp_counters, pdp_tag, spans
+from repro.obs import MEMO_MAX_TEXT, Memo, pdp_tag, spans
 from repro.streams.engine import StreamEngine
 from repro.streams.graph import QueryGraph
 from repro.streams.handles import StreamHandle
@@ -182,7 +182,7 @@ class PolicyEnforcementPoint:
         sink = spans.sink
         if sink is not None:
             memo = self.templates
-            before = pdp_counters(self.pdp), memo.hits, memo.misses
+            before = self.pdp.cache.hits, memo.hits, memo.misses
         marks = [time.perf_counter()]   # each stage's start, then the end
         try:
             return self._handle(request, user_query, pdp_response, marks)

@@ -8,15 +8,6 @@ needs on data streams".
 
 Whatever evaluates requests is ``instance.pdp``, the one PDP the
 instance is built with, which its PEP shares.
-
-``pdp_shards=N`` swaps the store/PDP pair for the sharded analogues of
-:mod:`repro.xacml.sharding` (N hash-partitioned shard stores, requests
-routed to the owning shard's PDP — scatter-cached with single-flight
-when they span shards — one invalidation bus feeding graph revocation
-and every cross-shard observer).  Policies are placed by their
-subject-id literals, so a request for one subject routes to one shard.
-The default single-store wiring is unchanged and remains the
-reference mode the XACML differential harness compares against.
 """
 
 from __future__ import annotations
@@ -44,23 +35,10 @@ class XacmlPlusInstance:
         engine: Optional[StreamEngine] = None,
         enforce_single_access: bool = True,
         allow_partial_results: bool = False,
-        pdp_shards: Optional[int] = None,
     ):
         self.engine = engine if engine is not None else StreamEngine()
-        if pdp_shards is not None and pdp_shards < 1:
-            raise ValueError(f"pdp_shards must be >= 1, not {pdp_shards}")
-        if pdp_shards is not None and pdp_shards > 1:
-            from repro.xacml.sharding import ShardedPDP, ShardedPolicyStore
-
-            # The sharded store presents the PolicyStore listener/mutation
-            # contract, so the graph manager, audit trails and proxies
-            # subscribe to it exactly as to a single store (they observe
-            # one logical event per mutation via the invalidation bus).
-            self.store = ShardedPolicyStore(pdp_shards)
-            self.pdp = ShardedPDP(self.store)
-        else:
-            self.store = PolicyStore()
-            self.pdp = PolicyDecisionPoint(self.store)
+        self.store = PolicyStore()
+        self.pdp = PolicyDecisionPoint(self.store)
         self.access_registry = AccessRegistry(enforce=enforce_single_access)
         self.graph_manager = QueryGraphManager(
             self.engine, self.store, self.access_registry

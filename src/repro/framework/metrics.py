@@ -65,13 +65,17 @@ def render_summaries(
     label: str, rows: Iterable[Tuple[str, DistributionSummary]], unit: str = "s"
 ) -> str:
     """The dbworkload-style run table: one row per named sample of
-    seconds, its latency columns in *unit* (``"s"`` or ``"ms"``)."""
+    seconds, its latency columns in *unit* (``"s"`` or ``"ms"``); the
+    label column is as wide as the longest label, and 14 at least."""
     scale = {"s": 1.0, "ms": 1e3}[unit]
     columns = ("mean", "stdev", "p50", "p90", "p99", "max")
-    lines = [f"{label:>14s} {'n':>8s}" + "".join(f" {f'{c}({unit})':>10s}" for c in columns)]
+    rows = list(rows)
+    width = max(14, len(label), *(len(name) for name, _ in rows))
+    lines = [f"{label:>{width}s} {'n':>8s}" + "".join(f" {f'{c}({unit})':>10s}" for c in columns)]
     for name, stats in rows:
         values = (stats.mean, stats.stdev, stats.p50, stats.p90, stats.p99, stats.maximum)
-        lines.append(f"{name:>14s} {stats.count:>8d}" + "".join(f" {v * scale:>10.3f}" for v in values))
+        lines.append(f"{name:>{width}s} {stats.count:>8d}"
+                     + "".join(f" {v * scale:>10.3f}" for v in values))
     return "\n".join(lines)
 
 
@@ -115,19 +119,19 @@ class MetricsCollector:
         systems: Sequence[str],
         points: Sequence[float] = (0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0),
     ) -> str:
-        """Render Figure-6-style CDF rows at fixed time points (log grid)."""
-        lines = [
-            "time(s)   " + "  ".join(f"{system:>14s}" for system in systems)
-        ]
+        """Render Figure-6-style CDF rows at fixed time points (log grid),
+        one column per system, as wide as the longest name and 14 at least."""
+        width = max([14, *map(len, systems)])
+        lines = ["time(s)   " + "  ".join(f"{system:>{width}s}" for system in systems)]
         samples = {system: sorted(self.totals(system)) for system in systems}
         for point in points:
             row = [f"{point:7.2f}   "]
             for system in systems:
                 ordered = samples[system]
                 if not ordered:
-                    row.append(f"{'-':>14s}  ")
+                    row.append(f"{'-':>{width}s}  ")
                     continue
                 fraction = bisect.bisect_right(ordered, point) / len(ordered)
-                row.append(f"{fraction:14.3f}  ")
+                row.append(f"{fraction:{width}.3f}  ")
             lines.append("".join(row).rstrip())
         return "\n".join(lines)

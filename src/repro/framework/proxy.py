@@ -18,10 +18,8 @@ mechanisms keep that guarantee:
 
 - **revalidation** — every hit checks the handle is still live before
   answering (the seed behaviour, kept as the backstop);
-- **proactive purge** — the proxy subscribes to the server's policy
-  store (a single :class:`~repro.xacml.store.PolicyStore` or the
-  invalidation bus of a :class:`~repro.xacml.sharding.ShardedPolicyStore`
-  — both present the same listener contract) and drops every entry whose
+- **proactive purge** — the proxy subscribes to the server's
+  :class:`~repro.xacml.store.PolicyStore` and drops every entry whose
   handle died when a policy is removed or updated, so revoked handles do
   not linger in the cache occupying LRU slots until their next lookup.
 

@@ -63,14 +63,12 @@ class DataServer:
         engine: Optional[StreamEngine] = None,
         enforce_single_access: bool = True,
         allow_partial_results: bool = False,
-        pdp_shards: Optional[int] = None,
     ):
         self.network = network
         self.instance = XacmlPlusInstance(
             engine=engine,
             enforce_single_access=enforce_single_access,
             allow_partial_results=allow_partial_results,
-            pdp_shards=pdp_shards,
         )
         #: Count of requests processed (all outcomes).
         self.requests_processed = 0

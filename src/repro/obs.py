@@ -265,16 +265,7 @@ class Memo:
             self.hits = self.misses = self.bytes = 0
 
 
-def pdp_counters(pdp) -> tuple:
-    """What :func:`pdp_tag` compares across one evaluation."""
-    shards = getattr(pdp, "shard_pdps", (pdp,))
-    return sum(shard.cache.hits for shard in shards), getattr(pdp, "scatter_evaluations", 0)
-
-
-def pdp_tag(pdp, before: tuple) -> str:
-    """How *pdp* answered since *before*: a ``scatter`` across shards,
-    or a decision-cache ``hit`` / ``miss``."""
-    after = pdp_counters(pdp)
-    if after[1] > before[1]:
-        return "scatter"
-    return "hit" if after[0] > before[0] else "miss"
+def pdp_tag(pdp, hits: int) -> str:
+    """How *pdp* answered since its cache counted *hits*: a
+    decision-cache ``hit`` or ``miss``."""
+    return "hit" if pdp.cache.hits > hits else "miss"

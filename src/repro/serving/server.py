@@ -53,12 +53,10 @@ from operator import add
 from typing import Deque, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.core.user_query import UserQuery
-from repro.errors import ShardUnavailableError, TransportError
+from repro.errors import TransportError
 from repro.framework.messages import StreamRequestMessage
 from repro.framework.server import DataServer, ServerTiming
-from repro.obs import (
-    own_young_generation, pdp_counters, pdp_tag, release_young_generation, spans,
-)
+from repro.obs import own_young_generation, pdp_tag, release_young_generation, spans
 from repro.serving.stats import LatencyRecorder, server_registry
 from repro.serving.wire import (
     AckReply,
@@ -422,15 +420,11 @@ class AsyncDataServer:
             return await self._execute(message)
         except asyncio.CancelledError:
             raise
-        except ShardUnavailableError as error:
-            # A scatter that waited out its leader is a transient,
-            # *retryable* fault: flag it so resilient clients back off
-            # and retry — the connection stays usable either way.
-            return ErrorReply(
-                type(error).__name__, str(error), retryable=error.retryable
-            )
         except Exception as error:
-            return ErrorReply(type(error).__name__, str(error))
+            # An error that says it is transient (``retryable``) is
+            # flagged so resilient clients back off and resend.
+            return ErrorReply(type(error).__name__, str(error),
+                              retryable=getattr(error, "retryable", False))
 
     async def _execute(self, message):
         if isinstance(message, EvaluateOp):
@@ -478,10 +472,10 @@ class AsyncDataServer:
         if op.decide_only:
             pdp = self.server.instance.pdp
             if sink is not None:
-                before = pdp_counters(pdp)
+                hits = pdp.cache.hits
             response = pdp.evaluate(request)
             if sink is not None:
-                sink("pdp.evaluate", evaluating, time.perf_counter(), pdp_tag(pdp, before))
+                sink("pdp.evaluate", evaluating, time.perf_counter(), pdp_tag(pdp, hits))
             return EvaluateReply(
                 ok=response.decision is Decision.PERMIT,
                 decision=response.decision.value,

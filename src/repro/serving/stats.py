@@ -136,7 +136,7 @@ def server_registry(front) -> Registry:
         "requests": front.server.requests_processed, **front.timing._asdict()
     })
     registry.register("pdp", lambda: {"cache": instance().pdp.cache_stats()})
-    registry.register("store", lambda: _store_view(instance().store))
+    registry.register("store", lambda: {"index": instance().store.index.stats()})
     registry.register("pep.templates", lambda: {
         "hits": instance().pep.templates.hits,
         "misses": instance().pep.templates.misses,
@@ -149,10 +149,3 @@ def server_registry(front) -> Registry:
                       | {"templates": instance().pep.templates.info()})
     return registry
 
-
-def _store_view(store) -> dict:
-    if not hasattr(store, "shards"):
-        return {"index": store.index.stats()}
-    view = store.stats()
-    view["index"] = [shard.index.stats() for shard in store.shards]
-    return view

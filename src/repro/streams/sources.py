@@ -28,21 +28,15 @@ class WeatherSource:
     of tuples rather than almost none or almost all.
     """
 
-    def __init__(
-        self,
-        seed: int = 7,
-        start_time: float = 1_330_560_000.0,  # 2012-03-01, the paper's era
-        interval_seconds: float = 30.0,
-        storm_probability: float = 0.08,
-        storm_duration_mean: float = 12.0,
-    ):
+    START_TIME = 1_330_560_000.0    # 2012-03-01, the paper's era
+    STORM_PROBABILITY = 0.08
+    STORM_DURATION_MEAN = 12.0
+
+    def __init__(self, seed: int = 7, interval_seconds: float = 30.0):
         self._rng = random.Random(seed)
-        self._time = start_time
+        self._time = self.START_TIME
         self.interval_seconds = interval_seconds
-        self._storm_probability = storm_probability
-        self._storm_duration_mean = storm_duration_mean
         self._storm_remaining = 0
-        self._tick = 0
 
     @property
     def schema(self) -> Schema:
@@ -50,8 +44,8 @@ class WeatherSource:
 
     def next_record(self) -> Dict[str, float]:
         rng = self._rng
-        if self._storm_remaining <= 0 and rng.random() < self._storm_probability:
-            self._storm_remaining = max(1, int(rng.expovariate(1.0 / self._storm_duration_mean)))
+        if self._storm_remaining <= 0 and rng.random() < self.STORM_PROBABILITY:
+            self._storm_remaining = max(1, int(rng.expovariate(1.0 / self.STORM_DURATION_MEAN)))
         in_storm = self._storm_remaining > 0
         if in_storm:
             self._storm_remaining -= 1
@@ -83,7 +77,6 @@ class WeatherSource:
             "barometer": round(rng.gauss(1009.0 - (6.0 if in_storm else 0.0), 1.5), 2),
         }
         self._time += self.interval_seconds
-        self._tick += 1
         return record
 
     def records(self, count: int) -> List[Dict[str, float]]:
@@ -100,15 +93,11 @@ class WeatherSource:
 class GpsSource:
     """Seeded generator of GPS track records from simulated devices."""
 
-    def __init__(
-        self,
-        seed: int = 11,
-        device_count: int = 4,
-        start_time: float = 1_330_560_000.0,
-        interval_seconds: float = 5.0,
-    ):
+    START_TIME = WeatherSource.START_TIME
+
+    def __init__(self, seed: int = 11, device_count: int = 4, interval_seconds: float = 5.0):
         self._rng = random.Random(seed)
-        self._time = start_time
+        self._time = self.START_TIME
         self.interval_seconds = interval_seconds
         # Random walks anchored near Singapore (the authors' city).
         self._devices = [

@@ -19,10 +19,9 @@ in the single-instance engine (a migrating update decomposes into
 ``loaded`` — evicting what the new target reaches — where it arrived).
 Cross-shard coherence flows through the :class:`InvalidationBus`: every logical
 store event is published exactly once (never once per replica) to
-subscribers that span shards — query-graph revocation, audit trails,
-the proxy handle cache and the scatter decision cache.  The bus exposes
-the same ``add_listener`` contract as ``PolicyStore``, so every
-existing store observer works unchanged against a sharded deployment.
+subscribers that span shards, such as the scatter decision cache.  The
+bus exposes the same ``add_listener`` contract as ``PolicyStore``, so a
+store observer subscribes to either alike.
 Shard-*level* observers (:meth:`ShardedPolicyStore.add_shard_listener`)
 additionally see each per-replica operation with its pinned sequence —
 the feed a :class:`~repro.xacml.sharding.pool.ProcessShardPool` mirrors
@@ -51,9 +50,9 @@ class InvalidationBus:
     contract (``add_listener`` / ``remove_listener``, events in
     {"loaded", "updated", "removed"}) over a sharded store: one publish
     per *logical* event, after every shard replica has been brought up
-    to date, in subscription order.  Query-graph managers, audit trails
-    and proxy handle caches subscribe here exactly as they would to a
-    single store.
+    to date, in subscription order.  The scatter decision cache
+    subscribes here, and any store observer can, exactly as to a single
+    store.
     """
 
     def __init__(self):
@@ -103,7 +102,7 @@ ShardListener = Callable[[int, str, object, Optional[int]], None]
 class ShardedPolicyStore:
     """N :class:`PolicyStore` shards behind one logical store facade.
 
-    Drop-in for the places a single store is observed or mutated —
+    Keeps the single store's mutation and observation contract —
     ``load`` / ``update`` / ``remove`` / ``get`` / ``policies`` /
     ``policies_for`` / ``add_listener`` all keep their single-store
     signatures and semantics; listeners are served by the

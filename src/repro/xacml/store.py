@@ -12,7 +12,7 @@ already consistent when external listeners — cache invalidation, graph
 revocation — observe an event).  :meth:`policies_for` uses it to return
 only the plausibly applicable policies for a request, in load order.
 
-A sharded deployment (:mod:`repro.xacml.sharding`) composes N of these
+The sharded evaluators (:mod:`repro.xacml.sharding`) compose N of these
 stores behind one facade; the single store remains the reference mode
 its differential harness compares against, which is why :meth:`load`
 accepts an explicit sequence pin.
@@ -75,7 +75,7 @@ class PolicyStore:
         """Load a new policy; duplicate ids are rejected (use update).
 
         *sequence* pins the policy's evaluation-order position instead of
-        appending it.  A sharded deployment uses this so a policy whose
+        appending it.  A sharded store uses this so a policy whose
         new version migrates it onto a different shard keeps its global
         load-order position there (``update`` preserves position in a
         single store, and the shard-local candidate order must stay a

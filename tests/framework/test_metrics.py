@@ -85,3 +85,35 @@ class TestOneRenderer:
         ends = self.column_ends(served[0])
         assert len(ends) == 8
         assert all(self.column_ends(line) == ends for line in served + simulated)
+
+    @staticmethod
+    def collector(name):
+        collector = MetricsCollector()
+        collector.add(trace(0.2, system="direct"))
+        for total in (0.4, 0.6):
+            collector.add(trace(total, system=name))
+        return collector
+
+    def test_labels_of_fourteen_or_fewer_render_as_before(self):
+        collector = self.collector("exacml+ cache")
+        assert summary_table(collector, ["direct", "exacml+ cache"]) == (
+            "        system        n    mean(s)   stdev(s)     p50(s)     p90(s)     p99(s)     max(s)\n"
+            "        direct        1      0.200      0.000      0.200      0.200      0.200      0.200\n"
+            " exacml+ cache        2      0.500      0.100      0.500      0.580      0.598      0.600"
+        )
+        assert collector.ascii_cdf(["direct", "exacml+ cache"], points=(0.3, 1.0)) == (
+            "time(s)           direct   exacml+ cache\n"
+            "   0.30            1.000           0.000\n"
+            "   1.00            1.000           1.000"
+        )
+        assert collector.ascii_cdf([], points=(0.3,)) == "time(s)   \n   0.30"
+
+    def test_a_longer_label_widens_its_column(self):
+        name = "exacml+ cache off"      # 17 characters, as bench_fig6b labels a run
+        collector = self.collector(name)
+        table = summary_table(collector, ["direct", name]).splitlines()
+        assert len({tuple(self.column_ends(line)[-8:]) for line in table}) == 1
+        cdf = collector.ascii_cdf(["direct", name], points=(0.3, 1.0)).splitlines()
+        header_ends = set(self.column_ends(cdf[0]))
+        assert all(set(self.column_ends(row)) <= header_ends for row in cdf[1:])
+        assert {len(line) for line in cdf} == {len(cdf[0])}

@@ -214,3 +214,27 @@ class TestRevalidation:
         server.remove_policy("p:LTA")
         assert pdp.cache.invalidations == before + 1
         assert pdp.cache_stats()["entries"] == 0
+
+
+class TestProactivePurge:
+    def test_proxy_purges_dead_handles_proactively(self):
+        server, proxy = deploy(subjects=("LTA", "NEA"))
+        proxy.process(request_for("LTA"))
+        proxy.process(request_for("NEA"))
+        assert len(proxy._cache) == 2
+        server.remove_policy("p:LTA")
+        # The store event purged LTA's dead entry immediately — no
+        # lookup needed — while NEA's live entry stayed warm.
+        assert len(proxy._cache) == 1
+        assert proxy.proactive_invalidations == 1
+        assert proxy.process(request_for("NEA")).cache_hit
+
+    def test_detached_proxy_stops_observing(self):
+        server, proxy = deploy(subjects=("LTA", "NEA"))
+        proxy.process(request_for("LTA"))
+        proxy.detach()
+        server.remove_policy("p:LTA")
+        # No proactive purge after detach; revalidation still protects.
+        assert proxy.proactive_invalidations == 0
+        result = proxy.process(request_for("LTA"))
+        assert not result.cache_hit and not result.response.ok

@@ -24,9 +24,8 @@ from repro.streams.graph import QueryGraph
 from repro.streams.operators import FilterOperator
 from repro.streams.schema import WEATHER_SCHEMA
 from repro.streams.sources import WeatherSource
-from repro.xacml.attributes import SUBJECT_ID, Attribute, AttributeCategory, AttributeValue
 from repro.xacml.request import Request
-from repro.xacml.sharding import ProcessShardPool
+from repro.xacml.sharding import ProcessShardPool, ShardedPDP, ShardedPolicyStore
 
 #: ``DecisionCache.stats()`` = ``PolicyDecisionPoint.cache_stats()``.
 DECISION_CACHE = {"entries", "hits", "misses", "invalidations", "full_flushes",
@@ -62,18 +61,25 @@ SERVER = {"ops", "read_pauses", "protocol_errors", "connections_total",
           "active_connections", "queue_depth", "ingest_runs", "ingest_run_ops"}
 
 
-def front_of(pdp_shards=None):
-    engine = StreamEngine()
-    engine.register_input_stream("weather", WEATHER_SCHEMA)
-    server = DataServer(
-        engine=engine, enforce_single_access=False, allow_partial_results=True,
-        pdp_shards=pdp_shards,
-    )
-    server.load_policy(stream_policy(
+def policy():
+    return stream_policy(
         "p1", "weather", QueryGraph("weather").append(FilterOperator("rainrate > 5")),
         subject="LTA",
-    ))
+    )
+
+
+def front_of():
+    engine = StreamEngine()
+    engine.register_input_stream("weather", WEATHER_SCHEMA)
+    server = DataServer(engine=engine, enforce_single_access=False, allow_partial_results=True)
+    server.load_policy(policy())
     return AsyncDataServer(server)
+
+
+def sharded_store():
+    store = ShardedPolicyStore(2)
+    store.load(policy())
+    return store
 
 
 def assert_published(snapshot, prefix, keys):
@@ -104,6 +110,7 @@ class TestSingleStore:
         assert set(obs._gc_view()) == GC
         assert_published(snapshot, "gc", GC)
         assert snapshot["gc.threshold"] == list(gc.get_threshold())
+        assert not any(name.startswith(("pdp.health", "store.n_shards")) for name in snapshot)
 
     def test_template_memo_counters(self):
         front = front_of()
@@ -152,49 +159,33 @@ class TestSingleStore:
 
 
 class TestSharded:
-    def test_sharded_views_keep_their_keys_and_dotted_names(self):
-        front = front_of(pdp_shards=2)
-        instance = front.server.instance
-        instance.pdp.evaluate(Request.simple("LTA", "weather"))
-        snapshot = front.registry.snapshot()
+    """No served instance is sharded, so the sharded evaluators' views
+    are pinned on a loaded store of their own."""
 
-        assert set(instance.pdp.scatter.stats()) == SCATTER
-        assert set(instance.pdp.cache_stats()) == ROUTER
-        assert_published(snapshot, "pdp.cache", ROUTER)
-        assert set(instance.store.stats()) == STORE
-        assert_published(snapshot, "store", STORE)
-        assert not any(name.startswith("store.partition") for name in snapshot)
-        for shard in range(2):
-            assert set(instance.store.shards[shard].index.stats()) == INDEX
-            assert_published(snapshot, f"store.index.{shard}", INDEX)
+    def test_sharded_views_keep_their_keys(self):
+        store = sharded_store()
+        pdp = ShardedPDP(store)
+        pdp.evaluate(Request.simple("LTA", "weather"))
+        assert set(pdp.scatter.stats()) == SCATTER
+        assert set(pdp.cache_stats()) == ROUTER
+        assert set(store.stats()) == STORE
+        for shard in store.shards:
+            assert set(shard.index.stats()) == INDEX
 
     def test_pool_views_keep_their_keys(self):
-        """No served instance reaches a pool, so its views are pinned on
-        the pool itself."""
-        front = front_of(pdp_shards=2)
-        with ProcessShardPool(front.server.instance.store) as pool:
+        with ProcessShardPool(sharded_store()) as pool:
             pool.evaluate(Request.simple("LTA", "weather"))
             assert set(pool.cache_stats()) == POOL_CACHE
             health = pool.health()
         assert set(health) == POOL_HEALTH
         assert all(set(shard) == POOL_SHARD for shard in health["shards"])
 
-    def test_no_served_snapshot_publishes_a_health_view(self):
-        for pdp_shards in (None, 2):
-            snapshot = front_of(pdp_shards).registry.snapshot()
-            assert not any(name.startswith("pdp.health") for name in snapshot)
 
-
-def test_a_pdp_tag_is_a_hit_a_miss_or_a_scatter():
-    request = Request.simple("LTA", "weather")
-    spanning = Request.simple("LTA", "weather")
-    spanning.add(Attribute(AttributeCategory.SUBJECT, SUBJECT_ID, AttributeValue.string("guest")))
+def test_a_pdp_tag_is_a_hit_or_a_miss():
+    pdp = front_of().server.instance.pdp
     tags = []
-    for pdp_shards in (None, 2):
-        pdp = front_of(pdp_shards).server.instance.pdp
-        for probe in (request, request, spanning):
-            before = obs.pdp_counters(pdp)
-            pdp.evaluate(probe)
-            tags.append(obs.pdp_tag(pdp, before))
-    # One store: the spanning request is one more miss.
-    assert tags == ["miss", "hit", "miss", "miss", "hit", "scatter"]
+    for subject in ("LTA", "LTA", "guest"):
+        hits = pdp.cache.hits
+        pdp.evaluate(Request.simple(subject, "weather"))
+        tags.append(obs.pdp_tag(pdp, hits))
+    assert tags == ["miss", "hit", "miss"]

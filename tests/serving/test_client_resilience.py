@@ -3,8 +3,8 @@ and retry-on-retryable semantics (PR 7).
 
 A scripted wire-speaking stub server stands in for the real one where
 reply content must be forced (retryable errors on demand, a server
-that never answers); the end-to-end retry case runs against a real
-:class:`AsyncDataServer` whose sharded PDP's scatter fails on demand.
+that never answers); the end-to-end retry cases run against a real
+:class:`AsyncDataServer` whose PDP fails on demand.
 """
 
 import asyncio
@@ -29,7 +29,7 @@ from repro.serving.wire import (
 from repro.xacml.request import Request
 from repro.xacml.xml_io import request_to_xml
 
-from serving_helpers import TIMEOUT, make_data_server, spanning_request
+from serving_helpers import TIMEOUT, make_data_server
 
 
 async def start_scripted_server(reply_for):
@@ -333,26 +333,25 @@ class TestConnectCleanup:
         assert inet[0].fileno() == -1, "raw socket leaked on failed connect"
 
 
-def scatter_op():
-    """A decide-only evaluate that four shards answer by scatter
-    ("stranger" is placed apart from LTA)."""
-    return EvaluateOp(request_to_xml(spanning_request("stranger")), None, True)
+def decide_op():
+    """A decide-only evaluate that LTA's policy permits."""
+    return EvaluateOp(request_to_xml(Request.simple("LTA", "weather")), None, True)
 
 
-def failing_scatter(monkeypatch, server, failures, **error):
-    """Make the first *failures* scatters of *server*'s sharded PDP raise
-    the :class:`ShardUnavailableError` a waiter raises once its leader's
-    merge outlived ``WAIT_TIMEOUT``; returns the list of calls."""
-    scatter = server.instance.pdp.scatter
-    evaluate, calls = scatter.evaluate, []
+def failing_pdp(monkeypatch, server, failures, **error):
+    """Make the first *failures* evaluations of *server*'s PDP raise a
+    :class:`ShardUnavailableError` (retryable unless *error* says
+    otherwise); returns the list of calls."""
+    pdp = server.instance.pdp
+    evaluate, calls = pdp.evaluate, []
 
     def flaky(request):
         calls.append(request)
         if len(calls) <= failures:
-            raise ShardUnavailableError("scatter", "no merge in time", **error)
+            raise ShardUnavailableError(0, "restarting", **error)
         return evaluate(request)
 
-    monkeypatch.setattr(scatter, "evaluate", flaky)
+    monkeypatch.setattr(pdp, "evaluate", flaky)
     return calls
 
 
@@ -368,22 +367,22 @@ async def served_call(server, op, **client_options):
 
 class TestServedShardUnavailable:
     def test_server_maps_shard_unavailable_to_retryable_wire_error(self, monkeypatch):
-        server = make_data_server(pdp_shards=4)
-        failing_scatter(monkeypatch, server, failures=1)
+        server = make_data_server()
+        failing_pdp(monkeypatch, server, failures=1)
         reply, _ = asyncio.run(asyncio.wait_for(
-            served_call(server, scatter_op(), max_retries=0), TIMEOUT
+            served_call(server, decide_op(), max_retries=0), TIMEOUT
         ))
         assert isinstance(reply, ErrorReply)
         assert reply.error_kind == "ShardUnavailableError"
         assert reply.retryable
 
     def test_a_non_retryable_shard_error_maps_to_a_fatal_wire_error(self, monkeypatch):
-        server = make_data_server(pdp_shards=4)
-        calls = failing_scatter(
+        server = make_data_server()
+        calls = failing_pdp(
             monkeypatch, server, failures=1, retryable=False, degraded=True
         )
         reply, retries = asyncio.run(asyncio.wait_for(
-            served_call(server, scatter_op(), max_retries=5, retry_base_delay=0.01),
+            served_call(server, decide_op(), max_retries=5, retry_base_delay=0.01),
             TIMEOUT,
         ))
         assert isinstance(reply, ErrorReply)
@@ -391,14 +390,14 @@ class TestServedShardUnavailable:
         assert not reply.retryable  # retry won't help
         assert retries == 0 and len(calls) == 1
 
-    def test_client_retries_ride_through_a_failing_scatter(self, monkeypatch):
-        server = make_data_server(pdp_shards=4)
-        calls = failing_scatter(monkeypatch, server, failures=3)
+    def test_client_retries_ride_through_a_failing_pdp(self, monkeypatch):
+        server = make_data_server()
+        calls = failing_pdp(monkeypatch, server, failures=3)
         # One logical call: the retry loop rides through the failures
         # and comes back with the correct decision.
         reply, retries = asyncio.run(asyncio.wait_for(
             served_call(
-                server, scatter_op(),
+                server, decide_op(),
                 max_retries=10, retry_base_delay=0.01, retry_max_delay=0.05,
             ),
             TIMEOUT,

@@ -24,8 +24,6 @@ and the backlog*), and every query's output rows and every input's
 import asyncio
 import random
 
-import pytest
-
 from repro.core import stream_policy
 from repro.loadgen.mix import derive_seed
 from repro.serving import AsyncClient, AsyncDataServer
@@ -164,16 +162,14 @@ def signature(reply):
     return ("error", reply.error_kind)
 
 
-def make_env(pdp_shards):
+def make_env():
     return make_data_server(
-        subjects=(),
-        streams=tuple(client_stream(i) for i in range(N_CLIENTS)),
-        pdp_shards=pdp_shards,
+        subjects=(), streams=tuple(client_stream(i) for i in range(N_CLIENTS))
     )
 
 
-async def run_served_concurrent(scripts, pdp_shards):
-    server = make_env(pdp_shards)
+async def run_served_concurrent(scripts):
+    server = make_env()
     async with AsyncDataServer(server) as front:
         async def drive(script):
             async with await AsyncClient.connect("127.0.0.1", front.port) as client:
@@ -188,8 +184,8 @@ async def run_served_concurrent(scripts, pdp_shards):
     return [[signature(reply) for reply in replies] for replies in outcomes]
 
 
-async def run_inprocess_serial(scripts, pdp_shards):
-    server = make_env(pdp_shards)
+async def run_inprocess_serial(scripts):
+    server = make_env()
     # A never-started front-end: using its execute() directly replays
     # the exact served op semantics in-process, one op at a time.
     reference = AsyncDataServer(server)
@@ -199,16 +195,15 @@ async def run_inprocess_serial(scripts, pdp_shards):
     return outcomes
 
 
-@pytest.mark.parametrize("pdp_shards", [None, 4])
-def test_served_concurrent_equals_inprocess_serial(pdp_shards):
+def test_served_concurrent_equals_inprocess_serial():
     scripts = build_scripts()
     # The scripts really do churn: every mutating op kind is present.
     kinds = {type(op).__name__ for script in scripts for op in script}
     assert kinds == {"EvaluateOp", "LoadOp", "UpdateOp", "RevokeOp", "IngestOp"}
 
     async def scenario():
-        served = await run_served_concurrent(scripts, pdp_shards)
-        serial = await run_inprocess_serial(scripts, pdp_shards)
+        served = await run_served_concurrent(scripts)
+        serial = await run_inprocess_serial(scripts)
         return served, serial
 
     served, serial = asyncio.run(asyncio.wait_for(scenario(), TIMEOUT * 4))

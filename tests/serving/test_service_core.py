@@ -44,7 +44,7 @@ from repro.streams.sources import WeatherSource
 from repro.streams.stream import INGEST_CHUNK
 from repro.xacml.pdp import PolicyDecisionPoint
 from repro.xacml.request import Request
-from repro.xacml.sharding import ShardedPDP, ShardedPolicyStore
+from repro.xacml.store import PolicyStore
 from repro.xacml.xml_io import policy_to_xml, request_to_xml
 
 from serving_helpers import TIMEOUT, make_data_server, weather_graph
@@ -165,33 +165,22 @@ class TestOptionCensus:
         assert offenders == []
 
 
-def listener_census(store: ShardedPolicyStore):
-    return (
-        len(store.bus._listeners),
-        [len(shard._listeners) for shard in store.shards],
-        len(store._shard_listeners),
-    )
-
-
 class TestOneEvaluator:
     def test_the_built_pdp_is_the_only_subscribed_evaluator(self):
-        bare = ShardedPolicyStore(4)
-        ShardedPDP(bare)
-        pdp_bus, pdp_shards, pdp_shard_listeners = listener_census(bare)
+        bare = PolicyStore()
+        PolicyDecisionPoint(bare)
 
-        server = make_data_server(pdp_shards=4)
+        server = make_data_server()
         instance = server.instance
         assert instance.pep.pdp is instance.pdp
-        bus, shards, shard_listeners = listener_census(instance.store)
-        # The instance adds exactly its graph manager to the bus.
-        assert bus == pdp_bus + 1
-        assert shards == pdp_shards and shard_listeners == pdp_shard_listeners
+        # The instance adds exactly its graph manager to the store.
+        assert len(instance.store._listeners) == len(bare._listeners) + 1
 
         front = AsyncDataServer(server)
         decided = run(front.execute(evaluate_op(decide_only=True)))
         granted = run(front.execute(evaluate_op()))
         assert decided.ok and granted.ok and granted.handle_uri
-        assert instance.pdp.cache_stats()["evaluations"] == 2
+        assert (instance.pdp.cache.misses, instance.pdp.cache.hits) == (1, 1)
 
     def test_no_served_op_leaves_the_event_loop(self):
         calls = [
@@ -204,9 +193,8 @@ class TestOneEvaluator:
 
 
 class TestEveryOpRunsOnTheLoop:
-    @pytest.mark.parametrize("pdp_shards", [None, 4])
-    def test_evaluates_and_stats_run_on_the_loop_thread(self, pdp_shards):
-        server = make_data_server(pdp_shards=pdp_shards)
+    def test_evaluates_and_stats_run_on_the_loop_thread(self):
+        server = make_data_server()
         threads = []
 
         def on_thread(call):

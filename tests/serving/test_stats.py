@@ -20,7 +20,7 @@ from repro.serving.stats import LatencyRecorder
 from repro.serving.wire import StatsOp, StatsReply
 from repro.xacml.request import Request
 
-from serving_helpers import TIMEOUT, make_data_server, spanning_request
+from serving_helpers import TIMEOUT, make_data_server
 
 
 class CountingLock:
@@ -166,13 +166,6 @@ class TestStatsOp:
         assert values["gc.threshold"] == [25_000, *defaults[1:]]
         assert gc.get_threshold() == defaults
 
-    def test_a_sharded_instance_reports_its_routing_split(self):
-        values = served(make_data_server(pdp_shards=2), traffic)
-        assert values["pdp.cache.evaluations"] == values["pdp.cache.routed"] == 4
-        assert values["pdp.cache.scattered"] == 0
-        assert values["store.n_shards"] == 2
-        assert not any(name.startswith("pdp.health") for name in values)
-
 
 #: What one evaluate stamps, by path: a decide-only evaluate is answered
 #: in a run where it is decoded; a grant waits in the backlog for the
@@ -186,10 +179,10 @@ GRANT_SPANS = BACKLOG_SPANS | {"pep.graph", "pep.submit"}
 class TestSpans:
     N = 6
 
-    def spans_of(self, pdp_shards=None, request=None, **evaluate):
+    def spans_of(self, **evaluate):
         """Every span stamped over N evaluates, then none once detached."""
         stamped = []
-        request = request or Request.simple("LTA", "weather")
+        request = Request.simple("LTA", "weather")
 
         async def scenario(client):
             for _ in range(self.N):
@@ -205,7 +198,7 @@ class TestSpans:
             assert len(stamped) == len(spans)
             return spans
 
-        server = make_data_server(pdp_shards=pdp_shards)
+        server = make_data_server()
         obs.spans.sink = lambda *span: stamped.append(span)
         try:
             spans = served(server, scenario)
@@ -226,15 +219,3 @@ class TestSpans:
         tags = Counter((name, tag) for name, _, _, tag in spans if tag is not None)
         assert tags == {("pdp.evaluate", "miss"): 1, ("pdp.evaluate", "hit"): self.N - 1,
                         ("pep.graph", "miss"): 1, ("pep.graph", "hit"): self.N - 1}
-
-    def test_a_sharded_decide_is_answered_in_a_run(self):
-        spans = self.spans_of(pdp_shards=2, decide_only=True)
-        assert Counter(name for name, *_ in spans) == {name: self.N for name in RUN_SPANS}
-        assert Counter(tag for name, _, _, tag in spans if name == "pdp.evaluate") == {
-            "miss": 1, "hit": self.N - 1}
-
-    def test_a_scatter_is_tagged(self):
-        # "guest" is placed on the other shard of two.
-        spans = self.spans_of(pdp_shards=2, request=spanning_request("guest"))
-        assert Counter(name for name, *_ in spans) == {name: self.N for name in GRANT_SPANS}
-        assert {tag for name, _, _, tag in spans if name == "pdp.evaluate"} == {"scatter"}

@@ -2,9 +2,11 @@
 
 The package is five single-concern modules with one-way imports
 (``partition`` ← ``store`` ← ``scatter`` ← ``pdp`` ← ``pool``), one
-routing core shared by both sharded evaluators, and no constructor
-option that selects between behaviours.  Pinned here so the split does
-not silently grow back into one file, a cycle, or a mode matrix.
+routing core shared by both sharded evaluators, no constructor option
+that selects between behaviours, and no importer outside
+``repro.xacml``: an XACML+ instance builds one PDP.  Pinned here so the
+split does not silently grow back into one file, a cycle, a mode
+matrix, or a sharded fork of the instance or the served path.
 """
 
 import ast
@@ -108,6 +110,23 @@ def test_each_public_class_is_defined_in_exactly_one_submodule():
             assert member.__module__ == f"{PACKAGE}.{defined[name][0]}"
 
 
+def modules_imported_by(path):
+    """Every module *path* imports, at module level or in a function; a
+    public name of the package taken from ``repro.xacml`` counts as
+    importing the package."""
+    modules = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, f"{path}: relative import"
+            modules.add(node.module)
+            modules.update(f"{node.module}.{alias.name}" for alias in node.names)
+            if node.module == "repro.xacml" and PUBLIC_NAMES & {a.name for a in node.names}:
+                modules.add(PACKAGE)
+    return modules
+
+
 # -- (b) import direction ------------------------------------------------------------
 
 @pytest.mark.parametrize("position", range(len(ORDER)))
@@ -116,6 +135,20 @@ def test_a_module_imports_only_the_modules_before_it(position):
     importlib.import_module(f"{PACKAGE}.{module_name}")
     allowed = set(ORDER[:position])
     assert sibling_imports(module_name) <= allowed, module_name
+
+
+def test_nothing_outside_the_xacml_package_imports_it():
+    src = ROOT / "src" / "repro"
+    importers = [
+        str(path.relative_to(src))
+        for path in sorted(src.rglob("*.py"))
+        if src / "xacml" not in path.parents
+        if any(module == PACKAGE or module.startswith(PACKAGE + ".")
+               for module in modules_imported_by(path))
+    ]
+    assert importers == []
+    # The walk sees what it must: the package root's own re-export.
+    assert PACKAGE in modules_imported_by(src / "xacml" / "__init__.py")
 
 
 def test_only_the_package_init_imports_pool():

@@ -83,6 +83,17 @@ class TestShardingMechanics:
         assert events == [("loaded", "w"), ("updated", "w"), ("removed", "w")]
         assert store.bus.published == 3
 
+    def test_a_placed_and_a_replicated_load_publish_one_event_each(self):
+        store = ShardedPolicyStore(4)
+        events = []
+        store.add_listener(lambda event, policy: events.append((event, policy.policy_id)))
+        store.load(permit_policy("p:ANY", subject="ANY", resource="weather"))
+        assert len(store.placement_of("p:ANY")) == 1
+        store.load(permit_policy("p:WILD", resource="weather"))    # any subject
+        assert store.placement_of("p:WILD") == frozenset(range(4))
+        assert events == [("loaded", "p:ANY"), ("loaded", "p:WILD")]
+        assert store.stats()["replicated"] == 1
+
     def test_multi_subject_request_takes_scatter_path(self):
         n_shards = 4
         subject_a, subject_b = distinct_shard_subjects(n_shards, 2)
