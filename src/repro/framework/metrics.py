@@ -74,8 +74,7 @@ def render_summaries(
     lines = [f"{label:>{width}s} {'n':>8s}" + "".join(f" {f'{c}({unit})':>10s}" for c in columns)]
     for name, stats in rows:
         values = (stats.mean, stats.stdev, stats.p50, stats.p90, stats.p99, stats.maximum)
-        lines.append(f"{name:>{width}s} {stats.count:>8d}"
-                     + "".join(f" {v * scale:>10.3f}" for v in values))
+        lines.append(f"{name:>{width}s} {stats.count:>8d}" + "".join(f" {v * scale:>10.3f}" for v in values))
     return "\n".join(lines)
 
 

@@ -148,4 +148,3 @@ def server_registry(front) -> Registry:
     registry.register("memo", lambda: {name: memo.info() for name, memo in MEMOS.items()}
                       | {"templates": instance().pep.templates.info()})
     return registry
-

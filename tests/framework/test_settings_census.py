@@ -3,8 +3,8 @@
 The merge's filter simplification and Figure 4(b)'s timestamp carrier
 are rules, not options; the entities' names, the client's trace label
 and the synthetic sources' clocks and storms are constants; no
-constructor passes merge options along; an instance builds one PDP,
-never a sharded one; and the policy-load message nobody sent is gone.
+constructor passes merge options along, nor selects a sharded PDP; and
+the policy-load message nobody sent is gone.
 """
 
 import inspect
@@ -19,8 +19,6 @@ from repro.framework.metrics import MetricsCollector
 from repro.framework.server import DataServer
 from repro.streams.sources import GpsSource, WeatherSource
 from repro.workload.runner import ExperimentRunner
-from repro.xacml.pdp import PolicyDecisionPoint
-from repro.xacml.store import PolicyStore
 
 
 def parameters(callable_):
@@ -56,11 +54,3 @@ def test_constants_keep_their_values():
     assert (WeatherSource.STORM_PROBABILITY, WeatherSource.STORM_DURATION_MEAN) == (0.08, 12.0)
     for source in (WeatherSource(seed=1), GpsSource(seed=1)):
         assert source.next_record()["samplingtime"] == 1_330_560_000.0
-
-
-def test_an_instance_builds_one_pdp():
-    instance = XacmlPlusInstance()
-    assert type(instance.store) is PolicyStore
-    assert type(instance.pdp) is PolicyDecisionPoint
-    assert instance.pep.pdp is instance.pdp
-    assert type(DataServer().instance.pdp) is PolicyDecisionPoint
