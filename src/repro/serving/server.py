@@ -421,10 +421,11 @@ class AsyncDataServer:
         except asyncio.CancelledError:
             raise
         except Exception as error:
-            # An error that says it is transient (``retryable``) is
-            # flagged so resilient clients back off and resend.
+            # An error that says it is transient (``retryable is True``)
+            # is flagged so resilient clients back off and resend; any
+            # other value of the attribute is not a wire bool.
             return ErrorReply(type(error).__name__, str(error),
-                              retryable=getattr(error, "retryable", False))
+                              retryable=getattr(error, "retryable", False) is True)
 
     async def _execute(self, message):
         if isinstance(message, EvaluateOp):

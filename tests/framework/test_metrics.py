@@ -117,3 +117,24 @@ class TestOneRenderer:
         header_ends = set(self.column_ends(cdf[0]))
         assert all(set(self.column_ends(row)) <= header_ends for row in cdf[1:])
         assert {len(line) for line in cdf} == {len(cdf[0])}
+
+    def test_the_column_widens_one_character_past_fourteen(self):
+        widths = {}
+        for name in ("x" * 13, "x" * 14, "x" * 15):
+            collector = self.collector(name)
+            table = summary_table(collector, ["direct", name]).splitlines()
+            cdf = collector.ascii_cdf(["direct", name], points=(0.3,)).splitlines()
+            assert table[2].startswith(name.rjust(14))
+            widths[len(name)] = ({len(line) for line in table}, {len(line) for line in cdf})
+        assert widths[13] == widths[14]
+        (table_14,), (cdf_14,) = widths[14]
+        # One label column in the table; in the CDF both series columns widen.
+        assert widths[15] == ({table_14 + 1}, {cdf_14 + 2})
+
+    def test_the_served_table_widens_for_a_long_op_label(self):
+        recorder = LatencyRecorder()
+        recorder.record("evaluate", 0.001)
+        recorder.record("evaluate.decide_only", 0.002)      # 20 characters
+        table = recorder.table().splitlines()
+        assert [line.split()[0] for line in table[1:]] == ["evaluate", "evaluate.decide_only"]
+        assert len({tuple(self.column_ends(line)) for line in table}) == 1

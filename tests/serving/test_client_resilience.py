@@ -405,3 +405,79 @@ class TestServedShardUnavailable:
         assert isinstance(reply, EvaluateReply)
         assert reply.ok and reply.policy_id == "p:LTA"
         assert retries == 3 and len(calls) == 4
+
+
+class Transient(RuntimeError):
+    """An error of no shard that says it is transient."""
+
+    retryable = True
+
+
+def failing(monkeypatch, owner, name, error, failures=1):
+    """Make the first *failures* calls of ``owner.name`` raise *error*;
+    returns the list of calls."""
+    method, calls = getattr(owner, name), []
+
+    def flaky(*args):
+        calls.append(args)
+        if len(calls) <= failures:
+            raise error
+        return method(*args)
+
+    monkeypatch.setattr(owner, name, flaky)
+    return calls
+
+
+class TestServedErrorFlag:
+    """The served path forwards any error's own ``retryable`` flag,
+    whatever raised it, and only a ``True`` one."""
+
+    def test_any_error_that_says_it_is_retryable_is_ridden_through(self, monkeypatch):
+        server = make_data_server()
+        calls = failing(monkeypatch, server.instance.pdp, "evaluate", Transient("busy"), 2)
+        reply, retries = asyncio.run(asyncio.wait_for(
+            served_call(server, decide_op(), max_retries=5, retry_base_delay=0.01),
+            TIMEOUT,
+        ))
+        assert isinstance(reply, EvaluateReply)
+        assert reply.ok and reply.policy_id == "p:LTA"
+        assert retries == 2 and len(calls) == 3
+
+    def test_an_error_without_the_flag_is_fatal(self, monkeypatch):
+        server = make_data_server()
+        calls = failing(monkeypatch, server.instance.pdp, "evaluate", ValueError("bad"))
+        reply, retries = asyncio.run(asyncio.wait_for(
+            served_call(server, decide_op(), max_retries=5, retry_base_delay=0.01),
+            TIMEOUT,
+        ))
+        assert isinstance(reply, ErrorReply)
+        assert (reply.error_kind, reply.error_detail, reply.retryable) == ("ValueError", "bad", False)
+        assert retries == 0 and len(calls) == 1
+
+    @pytest.mark.parametrize("flag", [None, 1, "yes"], ids=["None", "int", "str"])
+    def test_a_flag_that_is_not_true_is_answered_fatal(self, monkeypatch, flag):
+        # The wire carries only a bool: forwarding the attribute as
+        # raised would make the reply unencodable and drop the
+        # connection, which ``served_call``'s closing ping would see.
+        error = Transient("odd flag")
+        error.retryable = flag
+        server = make_data_server()
+        calls = failing(monkeypatch, server.instance.pdp, "evaluate", error)
+        reply, retries = asyncio.run(asyncio.wait_for(
+            served_call(server, decide_op(), max_retries=5, retry_base_delay=0.01),
+            TIMEOUT,
+        ))
+        assert isinstance(reply, ErrorReply)
+        assert reply.error_kind == "Transient" and reply.retryable is False
+        assert retries == 0 and len(calls) == 1
+
+    def test_a_retryable_mutation_error_is_surfaced_not_retried(self, monkeypatch):
+        server = make_data_server()
+        calls = failing(monkeypatch, server, "load_policy", Transient("busy"))
+        reply, retries = asyncio.run(asyncio.wait_for(
+            served_call(server, LoadOp("<Policy/>"), max_retries=5, retry_base_delay=0.01),
+            TIMEOUT,
+        ))
+        assert isinstance(reply, ErrorReply)
+        assert reply.error_kind == "Transient" and reply.retryable
+        assert retries == 0 and len(calls) == 1

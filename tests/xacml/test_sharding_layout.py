@@ -127,6 +127,11 @@ def modules_imported_by(path):
     return modules
 
 
+def imports_the_package(path):
+    return any(module == PACKAGE or module.startswith(PACKAGE + ".")
+               for module in modules_imported_by(path))
+
+
 # -- (b) import direction ------------------------------------------------------------
 
 @pytest.mark.parametrize("position", range(len(ORDER)))
@@ -142,13 +147,36 @@ def test_nothing_outside_the_xacml_package_imports_it():
     importers = [
         str(path.relative_to(src))
         for path in sorted(src.rglob("*.py"))
-        if src / "xacml" not in path.parents
-        if any(module == PACKAGE or module.startswith(PACKAGE + ".")
-               for module in modules_imported_by(path))
+        if src / "xacml" not in path.parents and imports_the_package(path)
     ]
     assert importers == []
     # The walk sees what it must: the package root's own re-export.
     assert PACKAGE in modules_imported_by(src / "xacml" / "__init__.py")
+
+
+#: Each way a module can reach the package; the walk must see every one.
+IMPORT_FORMS = {
+    "import": "import repro.xacml.sharding\n",
+    "from-package": "from repro.xacml.sharding import ShardedPDP\n",
+    "from-submodule": "from repro.xacml.sharding.pool import ProcessShardPool\n",
+    "package-as-name": "from repro.xacml import sharding\n",
+    "re-exported-name": "from repro.xacml import ShardedPolicyStore\n",
+    "in-a-function": "def build():\n    from repro.xacml.sharding import ShardedPDP\n",
+}
+
+
+@pytest.mark.parametrize("source", IMPORT_FORMS.values(), ids=list(IMPORT_FORMS))
+def test_the_walk_sees_every_import_form(tmp_path, source):
+    path = tmp_path / "module.py"
+    path.write_text(source)
+    assert imports_the_package(path)
+
+
+def test_the_walk_leaves_the_single_store_names_alone(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text("from repro.xacml import PolicyDecisionPoint, PolicyStore\n"
+                    "import repro.xacml.pdp\n")
+    assert not imports_the_package(path)
 
 
 def test_only_the_package_init_imports_pool():
