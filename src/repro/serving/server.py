@@ -12,9 +12,10 @@ Connection anatomy
     decoded — one ``send`` completes each ``execute`` coroutine — and
     answered with one ``transport.write``.  Any other op, and every op
     behind it, goes to the connection's *backlog*, which one task drains
-    in order (consecutive ingests as one :class:`IngestRun`), writing the
-    held replies around every op that is not coalescable.  A client
-    never observes reordering.
+    in order (consecutive ingests as one :class:`IngestRun`), holding
+    its replies until the backlog runs dry and then writing them in one
+    ``transport.write`` (and before a ``stats`` op, which counts them).
+    A client never observes reordering.
 
 Backpressure
     Reading pauses while a connection's backlog holds ``pipeline_depth``
@@ -199,8 +200,11 @@ class _Connection(asyncio.Protocol):
 
     async def _drain(self) -> None:
         """Answer the backlog in order, awaiting each op (the ingests at
-        its head: one :class:`IngestRun`); write the held replies around
-        every op that is not coalescable and whenever it runs dry."""
+        its head: one :class:`IngestRun`) and holding every reply; write
+        the held replies before a ``stats`` op runs, so its snapshot
+        counts them, and once the backlog runs dry.  Each read it admits
+        writes them too, and it admits only after answering the op whose
+        pop made room: no more than ``pipeline_depth`` are ever held."""
         front, backlog = self.front, self.backlog
         try:
             while backlog:
@@ -211,22 +215,19 @@ class _Connection(asyncio.Protocol):
                 sink = spans.sink
                 for _, received, _ in run if sink is not None else ():
                     sink("server.backlog", received, time.perf_counter(), None)
+                message = run[0][2]
+                if isinstance(message, StatsOp):
+                    await self._written()
+                if isinstance(message, IngestOp):
+                    replies = await front.execute(IngestRun([op for _, _, op in run]))
+                else:
+                    replies = [None if isinstance(message, ErrorReply)
+                               else await front.execute(message)]
+                for (seq, received, message), reply in zip(run, replies):
+                    self._answer(seq, received, message, reply)
                 if self.paused:
                     self._admit()
-                if isinstance(run[0][2], IngestOp):
-                    await self._written()
-                    for (seq, received, message), reply in zip(run, await front.execute(
-                            IngestRun([message for _, _, message in run]))):
-                        self._answer(seq, received, message, reply)
-                    await self._written()
-                    continue
-                (seq, received, message), = run
-                coalescable = front._coalescable(message)
-                if not coalescable:
-                    await self._written()
-                self._answer(seq, received, message, None if isinstance(
-                    message, ErrorReply) else await front.execute(message))
-                if not coalescable or not backlog:
+                if not backlog:
                     await self._written()
         finally:
             self.drainer = None
@@ -247,6 +248,7 @@ class _Connection(asyncio.Protocol):
         """Hand the held replies to the transport in one write."""
         if self.held:
             self.transport.write(b"".join(self.frames))
+            self.front.writes += 1
             self.unsent.append((self.held, self.encoded, time.perf_counter()))
             self.frames, self.held, self.encoded = [], [], []
             if self.writable is None:
@@ -356,6 +358,8 @@ class AsyncDataServer:
         #: Connections dropped for framing-level protocol violations.
         self.protocol_errors = 0  # guarded by: event-loop
         self.in_flight = 0  # guarded by: event-loop
+        #: ``transport.write`` calls: ``ops / writes`` is replies per write.
+        self.writes = 0  # guarded by: event-loop
         #: Ingest runs answered and the ops in them (a lone ingest is a run).
         self.ingest_runs = self.ingest_run_ops = 0  # guarded by: event-loop
         self.connections: Set[_Connection] = set()  # guarded by: event-loop
@@ -401,9 +405,10 @@ class AsyncDataServer:
         Only a decide-only evaluate, a ping and a pre-made decode-error
         reply: none changes state, one ``send`` completes each, and a
         run holds at most ``pipeline_depth`` replies.  Anything else — a
-        grant, a load, an ingest — goes to the backlog, which writes the
-        held replies before it starts and its replies (an ingest run's,
-        :class:`IngestRun`, in one write) when it ends.
+        grant, a load, an ingest — goes to the backlog, behind the run's
+        replies, which its read writes when it ends; the drainer holds
+        the backlog's replies and writes them in one write once it runs
+        dry (before a ``stats`` op, too).
         """
         if isinstance(message, EvaluateOp):
             return message.decide_only

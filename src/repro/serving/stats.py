@@ -123,6 +123,7 @@ def server_registry(front) -> Registry:
 
     registry.register("server", lambda: {
         "ops": front.stats.count(),
+        "writes": front.writes,
         "latency": front.stats.to_dict(),
         "read_pauses": front.read_pauses,
         "protocol_errors": front.protocol_errors,

@@ -57,7 +57,7 @@ GC = {"collections", "collected", "pause_s", "pause_max_s", "threshold"}
 #: A ``LatencyRecorder.to_dict()`` row.
 ROW = {"count", "mean_ms", "p50_ms", "p90_ms", "p99_ms", "max_ms"}
 #: The front end's own counters in the ``server`` view.
-SERVER = {"ops", "read_pauses", "protocol_errors", "connections_total",
+SERVER = {"ops", "writes", "read_pauses", "protocol_errors", "connections_total",
           "active_connections", "queue_depth", "ingest_runs", "ingest_run_ops"}
 
 

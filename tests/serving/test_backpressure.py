@@ -201,7 +201,7 @@ class TestCoalescedReplies:
 
         run(scenario())
 
-    def test_held_replies_are_written_before_a_state_changing_op_runs(self):
+    def test_a_run_is_written_before_the_backlog_which_answers_in_one_write(self):
         async def scenario():
             server = make_data_server()
             front = AsyncDataServer(server)
@@ -224,8 +224,9 @@ class TestCoalescedReplies:
             # the ingest were already on the wire (in one write)...
             (before_ingest,) = written_at_entry
             assert [seq for seq, _ in before_ingest] == [0, 1]
-            # ...and the ingest's own reply did not wait for the op behind it.
-            assert [len(FrameDecoder().feed(w)) for w in transport.writes] == [2, 1, 1]
+            # ...and the backlog behind them, the ingest and the decide, is
+            # answered in one write once it runs dry.
+            assert [len(FrameDecoder().feed(w)) for w in transport.writes] == [2, 2]
             assert [seq for seq, _ in transport.replies()] == [0, 1, 2, 3]
             assert transport.replies()[2][1].count == 2
 

@@ -7,7 +7,9 @@ the replies are the same and leave in request order, however the bytes
 of one pipelined script arrive: in one write, one byte at a time, or cut
 at random boundaries.  The ingests at the head of the backlog are one
 run: each stream's lists reach its plan in one dispatch, and the run is
-answered in one write (``TestIngestRuns``).
+answered in one write (``TestIngestRuns``).  The drainer holds every
+reply it makes and writes them once the backlog runs dry, before a
+``stats`` op, and whenever a read is admitted (``TestBacklogWrites``).
 """
 
 import asyncio
@@ -26,6 +28,9 @@ from repro.serving.wire import (
     IngestOp,
     LoadOp,
     PingOp,
+    RevokeOp,
+    StatsOp,
+    UpdateOp,
     decode_message,
     encode_frame,
     encode_message,
@@ -252,6 +257,84 @@ class TestIngestRuns:
         assert [replies[n].error_kind for n in (1, 3, 5)] == ["OverflowError"] * 3
         assert replies[4].error_kind == "SchemaError"
         assert len(transport.writes) == 2    # the ping, then the run
+
+
+def grant(subject="LTA"):
+    return EvaluateOp(request_to_xml(Request.simple(subject, "weather")))
+
+
+def policy_xml(subject, threshold=7):
+    return policy_to_xml(stream_policy(f"p:{subject}", "weather", weather_graph(threshold),
+                                       subject=subject))
+
+
+def replies_per_write(transport):
+    return [len(FrameDecoder().feed(data)) for data in transport.writes]
+
+
+class TestBacklogWrites:
+    def test_sixteen_state_changing_ops_are_answered_in_one_write(self):
+        subjects = ["NEA", "SCDF", "PUB", "URA"]
+        ops = [op for subject in subjects for op in (
+            grant(), LoadOp(policy_xml(subject)), UpdateOp(policy_xml(subject, 9)),
+            RevokeOp(f"p:{subject}"))]
+
+        async def scenario():
+            front = AsyncDataServer(make_data_server())
+            connection, transport = connected(front, ops)
+            await drained(connection)
+            return front, transport
+
+        front, transport = run(scenario())
+        replies = transport.replies()
+        assert [seq for seq, _ in replies] == list(range(16))
+        assert all(reply.handle_uri for _, reply in replies[0::4])
+        assert [reply.op for _, reply in replies if type(reply).__name__ == "AckReply"] == [
+            "load", "update", "revoke"] * 4
+        assert replies_per_write(transport) == [16]
+        assert front.writes == 1 and front.stats.count() == 16
+        assert front.in_flight == 0
+
+    def test_a_shallow_backlog_never_holds_more_than_its_depth(self):
+        """Depth 4: each admitted read writes what is held, and the
+        drainer admits only after answering the run whose pop made room,
+        so even an ingest run refilling the backlog keeps every write
+        (everything held at once) to 4 replies."""
+        records = WeatherSource(seed=6).records(12)
+        ops = [LoadOp(policy_xml("NEA")),
+               *(IngestOp("weather", records[2 * n:2 * n + 2]) for n in range(6)),
+               UpdateOp(policy_xml("NEA", 9)), grant("NEA"), RevokeOp("p:NEA")]
+
+        async def scenario():
+            front = AsyncDataServer(make_data_server(), pipeline_depth=4)
+            connection, transport = connected(front, ops)
+            await drained(connection)
+            return front, transport
+
+        front, transport = run(scenario())
+        replies = transport.replies()
+        assert [seq for seq, _ in replies] == list(range(10))
+        assert [reply.count for _, reply in replies[1:7]] == [2] * 6
+        assert replies[8][1].handle_uri and replies[9][1].op == "revoke"
+        assert replies_per_write(transport) == [1, 4, 2, 3]
+        assert front.read_pauses > 0 and front.in_flight == 0
+
+    def test_a_stats_op_counts_every_op_answered_ahead_of_it(self):
+        ops = [RevokeOp("p:LTA"), RevokeOp("p:SCDF"), StatsOp()]
+
+        async def scenario():
+            front = AsyncDataServer(make_data_server(subjects=("LTA", "SCDF")))
+            connection, transport = connected(front, ops)
+            await drained(connection)
+            return transport
+
+        transport = run(scenario())
+        replies = transport.replies()
+        assert [reply.op for _, reply in replies[:2]] == ["revoke", "revoke"]
+        values = replies[2][1].values
+        assert values["server.ops"] == values["server.latency.RevokeOp.count"] == 2
+        assert values["server.writes"] == 1
+        assert replies_per_write(transport) == [2, 1]
 
 
 class TestHalfClose:
